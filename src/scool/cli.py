@@ -2,7 +2,9 @@
 
 Subcommands: ``run`` executes one experiment, ``sweep-budget`` repeats it
 across neighbor-keep fractions, ``validate-config`` only checks the config.
-Exit codes: 0 success, 2 configuration error, 3 divergence.
+Exit codes: 0 success, 2 configuration error, 3 divergence, 4 broken
+state invariant; 3 and 4 still write a partial report flagged
+``"diverged": true``.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, InvariantError
 from .runner import run_budget_sweep, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_INVARIANT = 4
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -89,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
+    except InvariantError as err:
+        print(f"invariant broken: {err}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

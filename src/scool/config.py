@@ -17,7 +17,6 @@ from .models import MLP_1HIDDEN, SOFTMAX_REGRESSION
 from .tasks import ANTIPODAL_PAIRS, DEFAULT_SEPARATION, ORTHONORMAL
 from .topology import (
     CROSS_GRADIENT,
-    CUSTOM_MASK,
     FULLY_CONNECTED,
     GENERALIZED_BIPARTITE,
     GROUP_RING,
@@ -30,7 +29,8 @@ NONIID_RANDOM = "noniid-random"
 PRIORS = ("local-only", "dirac", "sbm", "attention", "mmsbm")
 SETTINGS = (NONIID_SBM, NONIID_RANDOM)
 ARCHS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
-TOPOLOGIES = (FULLY_CONNECTED, GROUP_RING, GENERALIZED_BIPARTITE, CUSTOM_MASK)
+# custom-mask is left out: no config field can carry the mask it needs
+TOPOLOGIES = (FULLY_CONNECTED, GROUP_RING, GENERALIZED_BIPARTITE)
 GRAD_MODES = (CROSS_GRADIENT, TAYLOR_APPROX)
 OPTIMIZERS = ("plain", "adam")
 

@@ -3,14 +3,13 @@ updates, one barrier at a time."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, ScoolError
-from ..models import Dataset, LocalModel, log_likelihood
+from ..models import Dataset, LocalModel, batch_log_likelihood
 from ..topology import (
     CROSS_GRADIENT,
     CommLedger,
@@ -21,6 +20,7 @@ from ..topology import (
 )
 from . import attention, dirac, mmsbm, sbm
 from .elbo import elbo
+from .theta import stack_clients
 
 LOCAL_ONLY = "local-only"
 DIRAC = "dirac"
@@ -42,26 +42,20 @@ def loglik_matrix(
     models: Sequence[LocalModel],
     train_sets: Sequence[Dataset],
     mask: np.ndarray | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
-    client j's training labels under client i's model. Masked pairs stay
-    exactly zero and are never evaluated."""
+    client j's training labels under client i's model. Each row is one
+    batched call over the pairs it allows; masked pairs stay exactly zero
+    and are never evaluated."""
     K = len(models)
     allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    thetas, X, Y = stack_clients(models, train_sets)
+    arch = models[0].arch
     out = np.zeros((K, K))
-
-    def fill_row(i: int) -> None:
-        for j in range(K):
-            if allowed[i, j]:
-                out[i, j] = log_likelihood(models[i], train_sets[j])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(K)))
-    else:
-        for i in range(K):
-            fill_row(i)
+    for i in range(K):
+        js = np.flatnonzero(allowed[i])
+        shared = np.broadcast_to(thetas[i], (len(js), arch.n_params))
+        out[i, js] = batch_log_likelihood(shared, X[js], Y[js], arch)
     return out
 
 
@@ -100,7 +94,6 @@ def run_round(
     attention_coupling: bool = True,
     sparsify_keep_fraction: float = 1.0,
     sparsify_round: int = 10,
-    workers: int = 1,
 ) -> RoundResult:
     """One full round: prune the topology if scheduled, evaluate the
     cross-client log-likelihoods, run the prior's E-step, the local
@@ -138,7 +131,7 @@ def run_round(
             if ledger is not None:
                 account_gossip(ledger, mask, round_index, local_steps)
         else:
-            ll = loglik_matrix(models, train_sets, mask, workers)
+            ll = loglik_matrix(models, train_sets, mask)
             if not np.all(np.isfinite(ll[mask])):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
             if prior_kind == SBM:

@@ -1,7 +1,7 @@
 """Exception types shared across the simulator.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical divergence with 3.
+with 2, numerical divergence with 3, a broken state invariant with 4.
 """
 
 

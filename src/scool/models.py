@@ -95,11 +95,6 @@ class LocalModel:
         return LocalModel(self.theta.copy(), self.arch, self.init_theta)
 
 
-def init_model(arch: ArchSpec, rng: np.random.Generator, scale: float = 0.01) -> LocalModel:
-    theta = scale * rng.standard_normal(arch.n_params)
-    return LocalModel(theta, arch)
-
-
 def _check_data(model: LocalModel, data: Dataset) -> None:
     if data.features.shape[1] != model.arch.d:
         raise ValueError(
@@ -108,21 +103,24 @@ def _check_data(model: LocalModel, data: Dataset) -> None:
 
 
 def _unpack_linear(theta: np.ndarray, arch: ArchSpec):
-    W = theta[: arch.C * arch.d].reshape(arch.C, arch.d)
-    b = theta[arch.C * arch.d :]
+    """Views of W and b; a leading pair axis of a stacked theta is kept."""
+    lead = theta.shape[:-1]
+    W = theta[..., : arch.C * arch.d].reshape(lead + (arch.C, arch.d))
+    b = theta[..., arch.C * arch.d :]
     return W, b
 
 
 def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
     h, d, C = arch.h, arch.d, arch.C
+    lead = theta.shape[:-1]
     o = 0
-    W1 = theta[o : o + h * d].reshape(h, d)
+    W1 = theta[..., o : o + h * d].reshape(lead + (h, d))
     o += h * d
-    b1 = theta[o : o + h]
+    b1 = theta[..., o : o + h]
     o += h
-    W2 = theta[o : o + C * h].reshape(C, h)
+    W2 = theta[..., o : o + C * h].reshape(lead + (C, h))
     o += C * h
-    b2 = theta[o : o + C]
+    b2 = theta[..., o : o + C]
     return W1, b1, W2, b2
 
 
@@ -137,8 +135,8 @@ def logits(model: LocalModel, X: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def loss(model: LocalModel, data: Dataset, weight_decay: float = 0.0) -> float:
@@ -189,6 +187,64 @@ def log_likelihood(model: LocalModel, data: Dataset) -> float:
     different dataset sizes; magnitude is the temperature's job.
     """
     return -loss(model, data, 0.0)
+
+
+# Batched kernel. Pair e evaluates parameters thetas[e] (E x D) on the
+# features[e] (E x n x d) and labels[e] (E x n) of one dataset. Every slice
+# keeps the matmul shapes, transposes and reduction order of grad and
+# log_likelihood above, so each output row equals the per-pair function
+# bit for bit; those stay as the reference the kernel is tested against.
+
+
+def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
+    """Logits E x n x C, plus the hidden activations for the MLP."""
+    if arch.kind == SOFTMAX_REGRESSION:
+        W, b = _unpack_linear(thetas, arch)
+        return features @ W.swapaxes(1, 2) + b[:, None, :], None
+    W1, b1, W2, b2 = _unpack_mlp(thetas, arch)
+    A = np.tanh(features @ W1.swapaxes(1, 2) + b1[:, None, :])
+    return A @ W2.swapaxes(1, 2) + b2[:, None, :], A
+
+
+def _label_index(labels: np.ndarray):
+    E, n = labels.shape
+    return np.arange(E)[:, None], np.arange(n)[None, :], labels
+
+
+def batch_log_likelihood(
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+) -> np.ndarray:
+    """log_likelihood of every pair: E mean label log-probabilities."""
+    lsm = _log_softmax(_batch_forward(thetas, features, arch)[0])
+    return np.mean(lsm[_label_index(labels)], axis=1)
+
+
+def batch_grad(
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+) -> np.ndarray:
+    """grad of every pair: E x D mean cross-entropy gradients."""
+    E, n = labels.shape
+    Z, A = _batch_forward(thetas, features, arch)
+    P = np.exp(_log_softmax(Z))
+    P[_label_index(labels)] -= 1.0
+    P /= n
+    if A is None:
+        gW = P.swapaxes(1, 2) @ features
+        return np.concatenate([gW.reshape(E, arch.C * arch.d), P.sum(axis=1)], axis=1)
+    _, _, W2, _ = _unpack_mlp(thetas, arch)
+    dA = P @ W2
+    dZ1 = dA * (1.0 - A * A)
+    gW1 = dZ1.swapaxes(1, 2) @ features
+    gW2 = P.swapaxes(1, 2) @ A
+    return np.concatenate(
+        [
+            gW1.reshape(E, arch.h * arch.d),
+            dZ1.sum(axis=1),
+            gW2.reshape(E, arch.C * arch.h),
+            P.sum(axis=1),
+        ],
+        axis=1,
+    )
 
 
 def accuracy(model: LocalModel, data: Dataset) -> float:

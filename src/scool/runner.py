@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from .em.state import (
     init_mmsbm_state,
     init_sbm_state,
 )
-from .errors import DivergenceError
+from .errors import DivergenceError, InvariantError
 from .models import ArchSpec, LocalModel, accuracy, loss
 from .special import row_normalize
 from .tasks import gen_noniid_random, gen_noniid_sbm
@@ -99,14 +98,6 @@ class ExperimentReport:
             },
             "comm_totals": self.comm_totals,
         }
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("SCOOL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_tasks(config: ExperimentConfig):
@@ -227,7 +218,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """Run one experiment end to end; deterministic given the config."""
     config.validate()
     t0 = time.perf_counter()
-    workers = _workers_from_env()
 
     assignment, data = build_tasks(config)
     train_sets = [pair[0] for pair in data]
@@ -247,6 +237,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         out_path.mkdir(parents=True, exist_ok=True)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed)
+    failure = None
     for r in range(config.rounds):
         try:
             result = rounds.run_round(
@@ -266,9 +257,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                 attention_coupling=config.attention_coupling,
                 sparsify_keep_fraction=config.sparsify_keep_fraction,
                 sparsify_round=config.sparsify_round,
-                workers=workers,
             )
-        except DivergenceError as err:
+        except (DivergenceError, InvariantError) as err:
+            failure = err
             report.diverged = True
             report.divergence_message = str(err)
             break
@@ -301,8 +292,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     report.wall_time_seconds = time.perf_counter() - t0
     if out_path is not None:
         _write_report(out_path, report)
-    if report.diverged:
-        raise DivergenceError(report.divergence_message)
+    if failure is not None:
+        raise failure
     return report
 
 

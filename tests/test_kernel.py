@@ -1,0 +1,282 @@
+"""Batched cross-client kernel: bit-for-bit equal to the per-pair loops.
+
+The two reference functions below are the per-pair bodies that
+``rounds.loglik_matrix`` and ``theta.cooperative_sgd_steps`` had before
+the kernel. They call ``models.grad`` and ``models.log_likelihood`` once
+per (model, dataset) pair and fold each row's update left to right.
+"""
+
+import numpy as np
+import pytest
+
+from scool.em import attention, rounds, theta
+from scool.em.theta import cooperative_sgd_steps
+from scool.errors import ConfigurationError, DivergenceError
+from scool.models import (
+    MLP_1HIDDEN,
+    SOFTMAX_REGRESSION,
+    ArchSpec,
+    Dataset,
+    LocalModel,
+    batch_grad,
+    batch_log_likelihood,
+    grad,
+    log_likelihood,
+)
+from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX
+
+from conftest import random_attention_setup, tiny_dataset
+
+ARCHS = {
+    SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=5, C=3),
+    MLP_1HIDDEN: ArchSpec(MLP_1HIDDEN, d=5, C=3, h=4),
+}
+
+
+def reference_loglik_matrix(models, train_sets, mask=None):
+    K = len(models)
+    allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    out = np.zeros((K, K))
+    for i in range(K):
+        for j in range(K):
+            if allowed[i, j]:
+                out[i, j] = log_likelihood(models[i], train_sets[j])
+    return out
+
+
+def reference_cooperative_sgd_steps(
+    models, train_sets, w, lam, eta1, steps, grad_mode=CROSS_GRADIENT, mask=None, coupling_fn=None
+):
+    K = len(models)
+    w = np.asarray(w, dtype=float)
+    allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    for step in range(steps):
+        own = [grad(models[i], train_sets[i]) for i in range(K)]
+        coupling = coupling_fn(models) if coupling_fn is not None else None
+        updates = []
+        for i in range(K):
+            delta = own[i] + lam * models[i].theta
+            for j in range(K):
+                if j == i or not allowed[i, j] or w[i, j] == 0.0:
+                    continue
+                g = own[j] if grad_mode == TAYLOR_APPROX else grad(models[i], train_sets[j])
+                delta = delta + w[i, j] * g
+            if coupling is not None:
+                delta = delta + coupling[i]
+            if not np.all(np.isfinite(delta)):
+                raise DivergenceError(f"client {i} produced a non-finite update at local step {step}")
+            updates.append(delta)
+        for i in range(K):
+            new = models[i].theta - eta1 * updates[i]
+            if not np.all(np.isfinite(new)):
+                raise DivergenceError(f"client {i} parameters left the finite range at local step {step}")
+            models[i].theta = new
+
+
+def _clients(rng, arch, K=7, n=8, spread=0.5):
+    base = 0.01 * rng.standard_normal(arch.n_params)
+    models = [LocalModel(base + spread * rng.standard_normal(arch.n_params), arch) for _ in range(K)]
+    train = [tiny_dataset(rng, n, arch.d, arch.C) for _ in range(K)]
+    return models, train
+
+
+def _random_graph(rng, K, keep=0.6, zeros=0.2):
+    mask = rng.random((K, K)) < keep
+    np.fill_diagonal(mask, True)
+    w = rng.uniform(0.05, 1.0, (K, K))
+    w[rng.random((K, K)) < zeros] = 0.0
+    return w, mask
+
+
+def _both(models):
+    return [m.copy() for m in models], [m.copy() for m in models]
+
+
+def _assert_same_thetas(a, b):
+    for ma, mb in zip(a, b):
+        np.testing.assert_array_equal(ma.theta, mb.theta)
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("n", [1, 8, 13])
+    def test_rows_equal_per_pair_functions(self, kind, n):
+        arch = ARCHS[kind]
+        rng = np.random.default_rng(n)
+        thetas = rng.standard_normal((6, arch.n_params))
+        X = rng.standard_normal((6, n, arch.d))
+        Y = rng.integers(0, arch.C, (6, n))
+        G = batch_grad(thetas, X, Y, arch)
+        L = batch_log_likelihood(thetas, X, Y, arch)
+        for e in range(6):
+            model = LocalModel(thetas[e], arch)
+            data = Dataset(X[e], Y[e], tuple(range(arch.C)))
+            np.testing.assert_array_equal(G[e], grad(model, data))
+            assert L[e] == log_likelihood(model, data)
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    def test_no_pairs(self, kind):
+        arch = ARCHS[kind]
+        thetas = np.zeros((0, arch.n_params))
+        X = np.zeros((0, 8, arch.d))
+        Y = np.zeros((0, 8), dtype=int)
+        assert batch_grad(thetas, X, Y, arch).shape == (0, arch.n_params)
+        assert batch_log_likelihood(thetas, X, Y, arch).shape == (0,)
+
+
+class TestLoglikMatrixEquivalence:
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_masks(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        models, train = _clients(rng, ARCHS[kind])
+        _, mask = _random_graph(rng, len(models))
+        mask[3] = False  # a client that may evaluate nobody, itself included
+        np.testing.assert_array_equal(
+            rounds.loglik_matrix(models, train, mask), reference_loglik_matrix(models, train, mask)
+        )
+
+    def test_no_mask(self):
+        rng = np.random.default_rng(3)
+        models, train = _clients(rng, ARCHS[MLP_1HIDDEN])
+        np.testing.assert_array_equal(
+            rounds.loglik_matrix(models, train), reference_loglik_matrix(models, train)
+        )
+
+    def test_evaluates_only_allowed_pairs(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
+        _, mask = _random_graph(rng, len(models))
+        sizes = []
+
+        def counting(thetas, X, Y, arch):
+            sizes.append(len(thetas))
+            return batch_log_likelihood(thetas, X, Y, arch)
+
+        monkeypatch.setattr(rounds, "batch_log_likelihood", counting)
+        rounds.loglik_matrix(models, train, mask)
+        assert sizes == list(mask.sum(axis=1))
+
+
+class TestCooperativeEquivalence:
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_graphs_several_steps(self, kind, grad_mode, seed):
+        rng = np.random.default_rng(10 + seed)
+        models, train = _clients(rng, ARCHS[kind])
+        w, mask = _random_graph(rng, len(models))
+        w[2] = 0.0  # a client with no weighted neighbour
+        mask[:, 4] = False  # and one nobody may read
+        mask[4, 4] = True
+        a, b = _both(models)
+        cooperative_sgd_steps(a, train, w, 0.03, 0.2, 3, grad_mode, mask)
+        reference_cooperative_sgd_steps(b, train, w, 0.03, 0.2, 3, grad_mode, mask)
+        _assert_same_thetas(a, b)
+
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    def test_dense_weights_without_mask(self, grad_mode):
+        rng = np.random.default_rng(5)
+        models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=9)
+        w = rng.uniform(0.0, 1.0, (9, 9))
+        a, b = _both(models)
+        cooperative_sgd_steps(a, train, w, 1e-4, 0.25, 2, grad_mode)
+        reference_cooperative_sgd_steps(b, train, w, 1e-4, 0.25, 2, grad_mode)
+        _assert_same_thetas(a, b)
+
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    def test_identity_weights_as_local_only(self, grad_mode):
+        rng = np.random.default_rng(6)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
+        a, b = _both(models)
+        cooperative_sgd_steps(a, train, np.eye(5), 0.0, 0.1, 3, grad_mode)
+        reference_cooperative_sgd_steps(b, train, np.eye(5), 0.0, 0.1, 3, grad_mode)
+        _assert_same_thetas(a, b)
+
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    def test_attention_coupling(self, grad_mode):
+        rng = np.random.default_rng(7)
+        models, state = random_attention_setup(rng, K=6)
+        arch = models[0].arch
+        train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
+        state.w, mask = _random_graph(rng, 6, zeros=0.1)
+        coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
+        a, b = _both(models)
+        cooperative_sgd_steps(a, train, state.w, 0.01, 0.2, 3, grad_mode, mask, coupling)
+        reference_cooperative_sgd_steps(b, train, state.w, 0.01, 0.2, 3, grad_mode, mask, coupling)
+        _assert_same_thetas(a, b)
+
+    def test_cross_gradients_only_on_weighted_edges(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
+        w, mask = _random_graph(rng, len(models))
+        sizes = []
+
+        def counting(thetas, X, Y, arch):
+            sizes.append(len(thetas))
+            return batch_grad(thetas, X, Y, arch)
+
+        monkeypatch.setattr(theta, "batch_grad", counting)
+        cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
+        edges = mask & (w != 0.0)
+        np.fill_diagonal(edges, False)
+        per_step = [len(models)] + list(edges.sum(axis=1))
+        assert sizes == per_step * 2
+
+        sizes.clear()
+        cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask)
+        assert sizes == [len(models)] * 2
+
+
+class TestContracts:
+    @pytest.mark.parametrize("n, d", [(9, 5), (8, 4)])
+    def test_unequal_train_sets_are_configuration_errors(self, n, d):
+        rng = np.random.default_rng(9)
+        arch = ARCHS[SOFTMAX_REGRESSION]
+        models, train = _clients(rng, arch, K=4)
+        train[2] = tiny_dataset(rng, n, d, arch.C)
+        with pytest.raises(ConfigurationError):
+            rounds.loglik_matrix(models, train)
+        with pytest.raises(ConfigurationError):
+            cooperative_sgd_steps(models, train, np.full((4, 4), 0.5), 0.0, 0.1, 1)
+
+    def test_feature_width_must_match_the_models(self):
+        rng = np.random.default_rng(10)
+        arch = ARCHS[SOFTMAX_REGRESSION]
+        models, _ = _clients(rng, arch, K=3)
+        train = [tiny_dataset(rng, 8, arch.d + 1, arch.C) for _ in range(3)]
+        with pytest.raises(ConfigurationError):
+            rounds.loglik_matrix(models, train)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    @pytest.mark.parametrize("eta1", [1e100, 1e160])
+    def test_divergence_names_the_same_client_and_step(self, grad_mode, eta1):
+        rng = np.random.default_rng(11)
+        models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=5)
+        w = rng.uniform(0.1, 1.0, (5, 5))
+        a, b = _both(models)
+        with pytest.raises(DivergenceError) as got:
+            cooperative_sgd_steps(a, train, w, 10.0, eta1, 6, grad_mode)
+        with pytest.raises(DivergenceError) as want:
+            reference_cooperative_sgd_steps(b, train, w, 10.0, eta1, 6, grad_mode)
+        assert str(got.value) == str(want.value)
+        _assert_same_thetas(a, b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    def test_non_finite_update_names_the_same_client(self, grad_mode):
+        rng = np.random.default_rng(12)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
+        models[3].theta[0] = 1e308  # its ridge term overflows, and its own gradient
+        w = rng.uniform(0.1, 1.0, (5, 5))
+        a, b = _both(models)
+        with pytest.raises(DivergenceError) as got:
+            cooperative_sgd_steps(a, train, w, 10.0, 0.1, 2, grad_mode)
+        with pytest.raises(DivergenceError) as want:
+            reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode)
+        assert str(got.value) == str(want.value)
+        # cross-gradients keep the overflow in client 3's row; the surrogate
+        # hands client 3's own gradient to client 0 first
+        first = 3 if grad_mode == CROSS_GRADIENT else 0
+        assert str(got.value) == f"client {first} produced a non-finite update at local step 0"

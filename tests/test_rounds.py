@@ -108,13 +108,6 @@ class TestMaskingGuarantees:
 
 
 class TestLoglikMatrix:
-    def test_threaded_equals_serial(self):
-        rng = np.random.default_rng(5)
-        models, train = _setup(rng, K=6)
-        a = rounds.loglik_matrix(models, train, workers=1)
-        b = rounds.loglik_matrix(models, train, workers=4)
-        np.testing.assert_array_equal(a, b)
-
     def test_entries_are_cross_likelihoods(self):
         from scool.models import log_likelihood
 

@@ -137,15 +137,6 @@ class TestRunExperiment:
         assert len(report.rounds) == 3
         assert np.isfinite(report.rounds[-1]["elbo"])
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = small_config("sbm", rounds=3)
-        run_experiment(cfg, tmp_path / "serial")
-        monkeypatch.setenv("SCOOL_THREADS", "4")
-        run_experiment(cfg, tmp_path / "threaded")
-        assert (tmp_path / "serial" / "report.json").read_bytes() == (
-            tmp_path / "threaded" / "report.json"
-        ).read_bytes()
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_writes_flagged_partial_report(self, tmp_path):
         from scool.errors import DivergenceError
@@ -273,6 +264,41 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         for r in (1, 2, 3):
             assert (out / f"w_round_{r:04d}.csv").exists()
+
+    def test_custom_mask_is_rejected_before_run(self, tmp_path):
+        # no config field can carry the mask custom-mask needs, so
+        # validate-config must refuse what run cannot start
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({**small_config().to_dict(), "topology_kind": "custom-mask"}))
+        proc = self._run("validate-config", "--config", str(path))
+        assert proc.returncode == 2
+        assert "topology_kind" in proc.stderr
+        assert self._run("run", "--config", str(path), "--out", str(tmp_path / "o")).returncode == 2
+
+    def test_invariant_error_exit_code_and_partial_report(self, tmp_path, monkeypatch, capsys):
+        from scool.cli import EXIT_INVARIANT, main
+        from scool.em import sbm
+        from scool.errors import InvariantError
+
+        real = sbm.update_block_matrix
+        calls = []
+
+        def collapsing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise InvariantError("degenerate memberships: block denominator underflow")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sbm, "update_block_matrix", collapsing)
+        path = self._write_config(tmp_path, rounds=4)
+        out = tmp_path / "inv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_INVARIANT == 4
+        assert "block denominator underflow" in capsys.readouterr().err
+        data = json.loads((out / "report.json").read_text())
+        assert data["diverged"] is True
+        assert data["divergence_message"] == "round 1: degenerate memberships: block denominator underflow"
+        assert len(data["rounds"]) == 1
+        assert (out / "metrics.csv").read_text().count("\n") == 2
 
     def test_divergence_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, eta1=1e150, weight_decay=10.0, rounds=5)
