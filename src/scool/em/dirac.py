@@ -3,9 +3,8 @@
 With the cooperation graph frozen at a symmetric row-stochastic w and the
 model prior scale tied to the step size (lambda = 1/step), the generic
 cooperative update collapses to gossip averaging followed by a local
-gradient step. Both the collapsed form and the pre-collapse manifold
-descent form are implemented; they agree to machine precision, which the
-test suite exploits.
+gradient step. The test suite checks the collapsed form against the
+pre-collapse manifold descent form; they agree to machine precision.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import Dataset, LocalModel, grad
+from ..models import Dataset, LocalModel, batch_grad
+from .theta import stack_clients
 
 
 def metropolis_weights(mask: np.ndarray) -> np.ndarray:
@@ -30,10 +30,7 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
     np.fill_diagonal(off, False)
     deg = off.sum(axis=1)
     w = np.zeros((K, K))
-    for i in range(K):
-        for j in range(K):
-            if i != j and off[i, j]:
-                w[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w[off] = 1.0 / (1.0 + np.maximum(deg[:, None], deg[None, :])[off])
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -55,39 +52,13 @@ def dpsgd_step(
     eta1: float,
 ) -> None:
     """theta_i <- sum_j w_ij theta_j - eta1 * grad_i, with the gradient
-    evaluated at the pre-averaging parameters."""
+    evaluated at the pre-averaging parameters; the K gradients are one
+    batched call."""
     w = _validate_w(w)
-    K = len(models)
-    thetas = np.stack([m.theta for m in models])
-    grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
-    new = w @ thetas - eta1 * grads
+    thetas, X, Y = stack_clients(models, train_sets)
+    new = w @ thetas - eta1 * batch_grad(thetas, X, Y, models[0].arch)
     if not np.all(np.isfinite(new)):
         raise DivergenceError("gossip step produced non-finite parameters")
-    for i in range(K):
-        models[i].theta = new[i]
+    for model, theta in zip(models, new):
+        model.theta = theta
 
-
-def manifold_descent_step(
-    models: Sequence[LocalModel],
-    w: np.ndarray,
-    train_sets: Sequence[Dataset],
-    eta1: float,
-) -> None:
-    """The pre-collapse form: descend on the own loss plus the pairwise
-    distance penalty (lambda/2) sum_j (w_ij + w_ji) ||theta_i - theta_j||^2
-    with lambda = 1/eta1. Algebraically identical to ``dpsgd_step``."""
-    w = _validate_w(w)
-    lam = 1.0 / eta1
-    K = len(models)
-    thetas = np.stack([m.theta for m in models])
-    grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
-    new = np.empty_like(thetas)
-    for i in range(K):
-        pull = np.zeros_like(thetas[i])
-        for j in range(K):
-            pull += 0.5 * (w[i, j] + w[j, i]) * (thetas[i] - thetas[j])
-        new[i] = thetas[i] - eta1 * (grads[i] + lam * pull)
-    if not np.all(np.isfinite(new)):
-        raise DivergenceError("manifold step produced non-finite parameters")
-    for i in range(K):
-        models[i].theta = new[i]

@@ -191,9 +191,10 @@ def log_likelihood(model: LocalModel, data: Dataset) -> float:
 
 # Batched kernel. Pair e evaluates parameters thetas[e] (E x D) on the
 # features[e] (E x n x d) and labels[e] (E x n) of one dataset. Every slice
-# keeps the matmul shapes, transposes and reduction order of grad and
-# log_likelihood above, so each output row equals the per-pair function
-# bit for bit; those stay as the reference the kernel is tested against.
+# keeps the matmul shapes, transposes and reduction order of grad,
+# log_likelihood and accuracy, so each output row equals the per-pair
+# function bit for bit; those stay as the reference the kernel is tested
+# against.
 
 
 def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
@@ -245,6 +246,14 @@ def batch_grad(
         ],
         axis=1,
     )
+
+
+def batch_accuracy(
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+) -> np.ndarray:
+    """accuracy of every pair: E fractions of argmax-correct predictions."""
+    preds = np.argmax(_batch_forward(thetas, features, arch)[0], axis=2)
+    return np.mean(preds == labels, axis=1)
 
 
 def accuracy(model: LocalModel, data: Dataset) -> float:

@@ -158,10 +158,37 @@ def _spawn(seed: int, n: int) -> list[np.random.SeedSequence]:
 
 
 def _build_datasets(universe, class_sets, n_train, n_test, seeds):
-    return [
-        sample_class_data(universe, cs, n_train, n_test, s)
-        for cs, s in zip(class_sets, seeds)
-    ]
+    """One (train, test) pair per client. The test sets are written into one
+    K x n_test x d features and one K x n_test labels array, and each test
+    Dataset is a view of its row, so ``stacked_rows`` hands the whole stack
+    to a batched evaluation without a copy."""
+    K = len(class_sets)
+    X = np.empty((K, n_test, universe.dim))
+    Y = np.empty((K, n_test), dtype=int)
+    data = []
+    for k, (cs, s) in enumerate(zip(class_sets, seeds)):
+        train, test = sample_class_data(universe, cs, n_train, n_test, s)
+        X[k], Y[k] = test.features, test.labels
+        test.features, test.labels = X[k], Y[k]
+        data.append((train, test))
+    return data
+
+
+def _is_row(view: np.ndarray, stack: np.ndarray, k: int) -> bool:
+    # same memory, shape, strides and dtype as stack[k]
+    return view.base is stack and view.__array_interface__ == stack[k].__array_interface__
+
+
+def stacked_rows(datasets) -> tuple[np.ndarray, np.ndarray]:
+    """The features K x n x d and labels K x n whose k-th rows the K
+    datasets are views of, as ``_build_datasets`` lays out the test sets."""
+    X, Y = datasets[0].features.base, datasets[0].labels.base
+    if X is None or Y is None or len(X) != len(datasets) or not all(
+        _is_row(ds.features, X, k) and _is_row(ds.labels, Y, k)
+        for k, ds in enumerate(datasets)
+    ):
+        raise ConfigurationError("datasets are not the rows of one stacked array")
+    return X, Y
 
 
 def gen_noniid_sbm(

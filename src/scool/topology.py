@@ -15,7 +15,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 
 FULLY_CONNECTED = "fully-connected"
 GROUP_RING = "group-ring"
@@ -117,7 +117,9 @@ def sparsify_topk(
 
     Candidates are the currently unmasked off-diagonal entries, ties break
     toward the lower index, and re-application is a no-op, so the pruning
-    is one-shot and then frozen.
+    is one-shot and then frozen. A row whose candidate weights have all
+    underflowed to zero is a numerical event of the run, so it raises
+    DivergenceError.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise ConfigurationError("keep_fraction must lie in (0, 1]")
@@ -132,7 +134,7 @@ def sparsify_topk(
     for i in range(K):
         cand = [j for j in range(K) if j != i and mask[i, j]]
         if cand and not any(w[i, j] > 0 for j in cand):
-            raise ConfigurationError(f"sparsify: row {i} has no positive weight")
+            raise DivergenceError(f"sparsify: row {i} has no positive weight")
         cand.sort(key=lambda j: (-w[i, j], j))
         for j in cand[:keep]:
             out[i, j] = True

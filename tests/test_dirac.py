@@ -4,11 +4,32 @@ import numpy as np
 import pytest
 
 from scool.em import dirac
-from scool.errors import ConfigurationError
+from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec, LocalModel, grad
 from scool.topology import build_topology
 
 from conftest import tiny_dataset
+
+
+def manifold_descent_step(models, w, train_sets, eta1):
+    """The pre-collapse form of dpsgd_step: descend on the own loss plus the
+    pairwise distance penalty (lambda/2) sum_j (w_ij + w_ji) ||theta_i - theta_j||^2
+    with lambda = 1/eta1. Algebraically identical to ``dpsgd_step``."""
+    w = dirac._validate_w(w)
+    lam = 1.0 / eta1
+    K = len(models)
+    thetas = np.stack([m.theta for m in models])
+    grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
+    new = np.empty_like(thetas)
+    for i in range(K):
+        pull = np.zeros_like(thetas[i])
+        for j in range(K):
+            pull += 0.5 * (w[i, j] + w[j, i]) * (thetas[i] - thetas[j])
+        new[i] = thetas[i] - eta1 * (grads[i] + lam * pull)
+    if not np.all(np.isfinite(new)):
+        raise DivergenceError("manifold step produced non-finite parameters")
+    for i in range(K):
+        models[i].theta = new[i]
 
 
 def _instances(rng, K=4, d=3, C=2, n=6):
@@ -18,7 +39,32 @@ def _instances(rng, K=4, d=3, C=2, n=6):
     return models, train
 
 
+def reference_metropolis_weights(mask):
+    """The per-pair loop metropolis_weights ran before it was vectorised."""
+    K = len(mask)
+    off = np.asarray(mask, dtype=bool).copy()
+    np.fill_diagonal(off, False)
+    deg = off.sum(axis=1)
+    w = np.zeros((K, K))
+    for i in range(K):
+        for j in range(K):
+            if i != j and off[i, j]:
+                w[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
 class TestMetropolisWeights:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_per_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 40))
+        mask = rng.random((K, K)) < rng.uniform(0.05, 0.9)
+        mask |= mask.T
+        lonely = int(rng.integers(K))
+        mask[lonely] = mask[:, lonely] = False  # a client with no neighbour
+        np.testing.assert_array_equal(dirac.metropolis_weights(mask), reference_metropolis_weights(mask))
+
     def test_fully_connected_is_uniform(self):
         w = dirac.metropolis_weights(np.ones((5, 5), dtype=bool))
         np.testing.assert_allclose(w, 0.2)
@@ -66,7 +112,7 @@ class TestDpsgdStep:
             w = dirac.metropolis_weights(np.ones((5, 5), dtype=bool))
             for _ in range(3):
                 dirac.dpsgd_step(models_a, w, train, 0.15)
-                dirac.manifold_descent_step(models_b, w, train, 0.15)
+                manifold_descent_step(models_b, w, train, 0.15)
             for a, b in zip(models_a, models_b):
                 np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
 

@@ -1,15 +1,18 @@
-"""Batched cross-client kernel: bit-for-bit equal to the per-pair loops.
+"""Batched kernel: bit-for-bit equal to the per-pair loops.
 
-The two reference functions below are the per-pair bodies that
-``rounds.loglik_matrix`` and ``theta.cooperative_sgd_steps`` had before
-the kernel. They call ``models.grad`` and ``models.log_likelihood`` once
-per (model, dataset) pair and fold each row's update left to right.
+The reference functions below are the per-pair bodies that
+``rounds.loglik_matrix``, ``theta.cooperative_sgd_steps`` and
+``dirac.dpsgd_step`` had before the kernel. They call ``models.grad`` and
+``models.log_likelihood`` once per (model, dataset) pair and fold each
+row's update left to right. The per-round reporting is checked against
+``models.accuracy`` and ``models.loss`` the same way.
 """
 
 import numpy as np
 import pytest
 
-from scool.em import attention, rounds, theta
+from scool import runner
+from scool.em import attention, dirac, rounds, theta
 from scool.em.theta import cooperative_sgd_steps
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import (
@@ -18,12 +21,16 @@ from scool.models import (
     ArchSpec,
     Dataset,
     LocalModel,
+    accuracy,
+    batch_accuracy,
     batch_grad,
     batch_log_likelihood,
     grad,
     log_likelihood,
+    loss,
 )
-from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX
+from scool.tasks import gen_noniid_random, gen_noniid_sbm, make_universe, sample_class_data, stacked_rows
+from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
 
 from conftest import random_attention_setup, tiny_dataset
 
@@ -71,6 +78,17 @@ def reference_cooperative_sgd_steps(
             if not np.all(np.isfinite(new)):
                 raise DivergenceError(f"client {i} parameters left the finite range at local step {step}")
             models[i].theta = new
+
+
+def reference_dpsgd_step(models, w, train_sets, eta1):
+    K = len(models)
+    thetas = np.stack([m.theta for m in models])
+    grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
+    new = w @ thetas - eta1 * grads
+    if not np.all(np.isfinite(new)):
+        raise DivergenceError("gossip step produced non-finite parameters")
+    for i in range(K):
+        models[i].theta = new[i]
 
 
 def _clients(rng, arch, K=7, n=8, spread=0.5):
@@ -280,3 +298,127 @@ class TestContracts:
         # hands client 3's own gradient to client 0 first
         first = 3 if grad_mode == CROSS_GRADIENT else 0
         assert str(got.value) == f"client {first} produced a non-finite update at local step 0"
+
+
+class TestGossipEquivalence:
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_metropolis_graphs_several_steps(self, kind, seed):
+        rng = np.random.default_rng(20 + seed)
+        models, train = _clients(rng, ARCHS[kind], K=8)
+        mask = build_topology("generalized-bipartite", 8, degree=2, seed=seed).mask
+        w = dirac.metropolis_weights(mask)
+        a, b = _both(models)
+        for _ in range(3):
+            dirac.dpsgd_step(a, w, train, 0.2)
+            reference_dpsgd_step(b, w, train, 0.2)
+        _assert_same_thetas(a, b)
+
+    def test_one_batched_gradient_call_per_step(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=6)
+        sizes = []
+
+        def counting(thetas, X, Y, arch):
+            sizes.append(len(thetas))
+            return batch_grad(thetas, X, Y, arch)
+
+        monkeypatch.setattr(dirac, "batch_grad", counting)
+        dirac.dpsgd_step(models, np.full((6, 6), 1.0 / 6.0), train, 0.1)
+        assert sizes == [6]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_leaves_the_same_models(self):
+        rng = np.random.default_rng(24)
+        models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=4)
+        models[2].theta[0] = np.inf
+        w = np.full((4, 4), 0.25)
+        a, b = _both(models)
+        with pytest.raises(DivergenceError) as got:
+            dirac.dpsgd_step(a, w, train, 0.1)
+        with pytest.raises(DivergenceError) as want:
+            reference_dpsgd_step(b, w, train, 0.1)
+        assert str(got.value) == str(want.value)
+        _assert_same_thetas(a, b)
+
+
+def _per_sample_elements(n, arch):
+    return n * max(arch.h, arch.C)
+
+
+class TestReportingEquivalence:
+    # blocks of one client, of three clients (K = 7 is not a multiple), and
+    # the default budget, which holds all seven in one block
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("n", [1, 13, 40])
+    def test_accuracy_and_loss_equal_per_pair(self, monkeypatch, kind, block, n):
+        arch = ARCHS[kind]
+        if block is not None:
+            monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", block * _per_sample_elements(n, arch))
+        rng = np.random.default_rng(n)
+        models, _ = _clients(rng, arch, K=7, spread=1.0)
+        data = [tiny_dataset(rng, n, arch.d, arch.C) for _ in range(7)]
+        thetas = np.stack([m.theta for m in models])
+        X = np.stack([ds.features for ds in data])
+        Y = np.stack([ds.labels for ds in data])
+        accs = runner.per_client(batch_accuracy, thetas, X, Y, arch)
+        losses = -runner.per_client(batch_log_likelihood, thetas, X, Y, arch)
+        np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, data)])
+        np.testing.assert_array_equal(losses, [loss(m, ds) for m, ds in zip(models, data)])
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("budget, sizes", [(1, [1] * 7), (3, [3, 3, 1]), (10**9, [7])])
+    def test_blocks_stay_within_the_budget(self, monkeypatch, kind, budget, sizes):
+        arch = ARCHS[kind]
+        per_client = _per_sample_elements(10, arch)
+        monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", budget * per_client)
+        rng = np.random.default_rng(30)
+        seen = []
+
+        def counting(thetas, X, Y, arch):
+            seen.append(len(thetas))
+            return batch_accuracy(thetas, X, Y, arch)
+
+        thetas = rng.standard_normal((7, arch.n_params))
+        runner.per_client(counting, thetas, rng.standard_normal((7, 10, arch.d)),
+                          rng.integers(0, arch.C, (7, 10)), arch)
+        assert seen == sizes
+
+    def test_ties_go_to_the_lowest_class(self):
+        arch = ARCHS[SOFTMAX_REGRESSION]
+        thetas = np.zeros((2, arch.n_params))
+        X = np.ones((2, 4, arch.d))
+        Y = np.array([[0, 0, 0, 0], [1, 2, 0, 1]])
+        np.testing.assert_array_equal(batch_accuracy(thetas, X, Y, arch), [1.0, 0.25])
+
+
+class TestStackedTestSets:
+    @pytest.mark.parametrize("setting", ["sbm", "random"])
+    def test_views_of_one_array_with_the_sampled_values(self, setting):
+        K, M, N, seed = 6, 6, 2, 11
+        universe = make_universe(M, 8, 0.7, 2.0, seed=3)
+        if setting == "sbm":
+            assignment, data = gen_noniid_sbm(K, M, N, 3, 8, seed, test_samples_per_client=30, universe=universe)
+        else:
+            assignment, data = gen_noniid_random(K, M, N, 8, seed, test_samples_per_client=30, universe=universe)
+        X, Y = stacked_rows([test for _, test in data])
+        assert X.shape == (K, 30, 8) and Y.shape == (K, 30)
+        seeds = np.random.SeedSequence(seed).spawn(2 + K)[2:]
+        for k, (train, test) in enumerate(data):
+            want_train, want_test = sample_class_data(universe, assignment.class_sets[k], 8, 30, seeds[k])
+            np.testing.assert_array_equal(test.features, want_test.features)
+            np.testing.assert_array_equal(test.labels, want_test.labels)
+            np.testing.assert_array_equal(train.features, want_train.features)
+            np.testing.assert_array_equal(train.labels, want_train.labels)
+            assert test.class_set == want_test.class_set and test.split == "test"
+
+    def test_datasets_that_are_not_rows_are_rejected(self):
+        _, data = gen_noniid_sbm(4, 4, 2, 2, 6, 0, test_samples_per_client=5)
+        tests = [test for _, test in data]
+        with pytest.raises(ConfigurationError):
+            stacked_rows(tests[::-1])
+        with pytest.raises(ConfigurationError):
+            stacked_rows(tests[:3])
+        with pytest.raises(ConfigurationError):
+            stacked_rows([train for train, _ in data])

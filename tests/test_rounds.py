@@ -5,7 +5,7 @@ import pytest
 
 from scool.em import dirac, rounds
 from scool.em.state import DiracState, init_attention_state, init_sbm_state
-from scool.errors import ConfigurationError
+from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec, LocalModel, grad
 from scool.topology import CommLedger, build_topology
 
@@ -174,3 +174,22 @@ class TestRunRoundContracts:
                 assert off.sum() == 30
             else:
                 assert np.all(off.sum(axis=1) == 1)  # ceil(0.2 * 5) = 1
+
+    def test_underflowed_row_at_pruning_is_a_divergence(self):
+        # a row of w that underflowed to zero during the run is a numerical
+        # event: run_round reports it as a divergence, not a config error
+        rng = np.random.default_rng(13)
+        models, train = _setup(rng, K=5)
+        topo = build_topology("fully-connected", 5)
+        st = init_sbm_state(5, 2, seed=14)
+        rounds.run_round("sbm", st, models, train, topo, None, 0, eta1=0.1)
+        st.w[3] = 0.0
+        before = [m.theta.copy() for m in models]
+        with pytest.raises(DivergenceError, match=r"^round 1: sparsify: row 3 has no positive weight$"):
+            rounds.run_round(
+                "sbm", st, models, train, topo, None, 1,
+                eta1=0.1, sparsify_keep_fraction=0.5, sparsify_round=1,
+            )
+        assert topo.mask.all()
+        for m, theta in zip(models, before):
+            np.testing.assert_array_equal(m.theta, theta)

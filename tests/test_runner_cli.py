@@ -64,6 +64,30 @@ class TestMetricL1:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def reference_metric_l1(w, w_star):
+    """The per-row loop metric_l1 ran before it was vectorised."""
+    total = 0.0
+    for i in range(len(w)):
+        s = w[i].sum()
+        if s <= 0.0:
+            total += 2.0
+        else:
+            total += float(np.abs(w[i] / s - w_star[i]).sum())
+    return total / len(w)
+
+
+class TestMetricL1Equivalence:
+    @pytest.mark.parametrize("K", [3, 17, 192])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_the_per_row_loop(self, K, order):
+        rng = np.random.default_rng(K)
+        w = rng.uniform(0.0, 1.0, (K, K)) * (rng.random((K, K)) < 0.4)
+        w[1] = 0.0  # a row that cannot be normalised
+        w_star = row_normalize(rng.uniform(0.0, 1.0, (K, K)))
+        w = np.asarray(w, order=order)
+        assert metric_l1(w, w_star) == reference_metric_l1(w, w_star)
+
+
 class TestRunExperiment:
     def test_local_only_snapshots_identity(self, tmp_path):
         report = run_experiment(small_config("local-only"), tmp_path)
@@ -82,6 +106,31 @@ class TestRunExperiment:
             if name == "timing.json":  # wall time is the one volatile artifact
                 continue
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_final_accuracies_reuse_the_last_round(self, monkeypatch):
+        from scool import runner
+
+        calls = []
+        real = runner.batch_accuracy
+        monkeypatch.setattr(runner, "batch_accuracy", lambda *a: calls.append(1) or real(*a))
+        report = run_experiment(small_config("sbm", rounds=3))
+        assert len(calls) == 3  # one block per round and no final pass
+        assert report.final_mean_acc == report.rounds[-1]["mean_test_acc"]
+        assert report.final_std_acc == report.rounds[-1]["std_test_acc"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_final_accuracies_are_recomputed_after_a_divergence(self, tmp_path, monkeypatch):
+        from scool import runner
+        from scool.errors import DivergenceError
+
+        calls = []
+        real = runner.batch_accuracy
+        monkeypatch.setattr(runner, "batch_accuracy", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(DivergenceError):
+            run_experiment(small_config("sbm", eta1=1e150, weight_decay=10.0, rounds=5), tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["diverged"] is True and len(data["rounds"]) < 5
+        assert len(calls) == len(data["rounds"]) + 1  # the completed rounds, then the final pass
 
     def test_dirac_consensus_trend_on_iid_tasks(self):
         # uniform gossip on IID tasks: the model spread collapses and stays
@@ -299,6 +348,26 @@ class TestCli:
         assert data["divergence_message"] == "round 1: degenerate memberships: block denominator underflow"
         assert len(data["rounds"]) == 1
         assert (out / "metrics.csv").read_text().count("\n") == 2
+
+    def test_underflowed_row_at_pruning_exit_code_and_partial_report(self, tmp_path, monkeypatch, capsys):
+        from scool.cli import EXIT_DIVERGED, main
+        from scool.em import sbm
+
+        real = sbm.m_step
+
+        def underflowing(state, *args, **kwargs):
+            real(state, *args, **kwargs)
+            state.w[2] = 0.0  # every weight of client 2 underflowed
+
+        monkeypatch.setattr(sbm, "m_step", underflowing)
+        path = self._write_config(tmp_path, rounds=4, sparsify_keep_fraction=0.4, sparsify_round=2)
+        out = tmp_path / "underflow"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_DIVERGED == 3
+        assert "row 2 has no positive weight" in capsys.readouterr().err
+        data = json.loads((out / "report.json").read_text())
+        assert data["diverged"] is True
+        assert data["divergence_message"] == "round 2: sparsify: row 2 has no positive weight"
+        assert len(data["rounds"]) == 2
 
     def test_divergence_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, eta1=1e150, weight_decay=10.0, rounds=5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scool.errors import ConfigurationError
+from scool.errors import ConfigurationError, DivergenceError
 from scool.topology import (
     CROSS_GRADIENT,
     TAYLOR_APPROX,
@@ -83,9 +83,10 @@ class TestSparsifyTopk:
         np.testing.assert_array_equal(once, twice)
 
     def test_zero_row_raises(self):
+        # an underflowed row is a numerical event of the run, not a config error
         mask = np.ones((3, 3), dtype=bool)
         w = np.zeros((3, 3))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DivergenceError):
             sparsify_topk(w, mask, 0.5, 10, 10)
 
 
