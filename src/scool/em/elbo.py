@@ -21,7 +21,7 @@ import numpy as np
 
 from ..models import LocalModel
 from ..special import xlogx
-from .common import expected_log_pi, offdiag_mask
+from .common import expected_log_pi, observed_pairs, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, MmsbmState, SbmState, clamp_block_matrix
 from ..special import log_gamma
 
@@ -60,13 +60,6 @@ class ElboBreakdown:
         }
 
 
-def _observed_pairs(K: int, mask) -> np.ndarray:
-    off = offdiag_mask(K)
-    if mask is not None:
-        off = off & np.asarray(mask, dtype=bool)
-    return off
-
-
 def _likelihood_term(w: np.ndarray, loglik: np.ndarray, obs: np.ndarray) -> float:
     return float(np.trace(loglik) + (w * loglik)[obs].sum())
 
@@ -99,7 +92,7 @@ def _bernoulli_entropy(w: np.ndarray, obs: np.ndarray) -> float:
 
 
 def elbo_sbm(state: SbmState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
-    obs = _observed_pairs(state.n_clients, mask)
+    obs = observed_pairs(state.n_clients, mask)
     B = clamp_block_matrix(state.B)
     pos = state.omega @ np.log(B) @ state.omega.T
     neg = state.omega @ np.log1p(-B) @ state.omega.T
@@ -117,7 +110,7 @@ def elbo_sbm(state: SbmState, loglik: np.ndarray, models=None, mask=None) -> Elb
 
 
 def elbo_attention(state: AttentionState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
-    obs = _observed_pairs(state.n_clients, mask)
+    obs = observed_pairs(state.n_clients, mask)
     logp = np.log(np.maximum(state.p, PROB_FLOOR))
     return ElboBreakdown(
         likelihood=_likelihood_term(state.w, loglik, obs),
@@ -131,10 +124,10 @@ def elbo_attention(state: AttentionState, loglik: np.ndarray, models=None, mask=
 
 
 def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
-    obs = _observed_pairs(state.n_clients, mask)
+    obs = observed_pairs(state.n_clients, mask)
     B = clamp_block_matrix(state.B)
-    pos = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log(B), state.phi_recv)
-    neg = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log1p(-B), state.phi_recv)
+    pos = pair_bilinear(state.phi_send, np.log(B), state.phi_recv)
+    neg = pair_bilinear(state.phi_send, np.log1p(-B), state.phi_recv)
     edge = float((state.w * pos + (1.0 - state.w) * neg)[obs].sum())
     elp = expected_log_pi(state.gamma)
     send_scores = np.einsum("ijg,ig->ij", state.phi_send, elp)

@@ -18,7 +18,7 @@ from ..errors import InvariantError
 from ..models import Dataset, LocalModel
 from ..special import sigmoid_tempered, softmax_tempered
 from ..topology import CROSS_GRADIENT
-from .common import alpha_ascent, expected_log_pi, offdiag_mask
+from .common import alpha_ascent, expected_log_pi, observed_pairs, pair_bilinear
 from .state import MmsbmState, clamp_block_matrix
 from .theta import cooperative_sgd_steps
 
@@ -35,26 +35,17 @@ def update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray | None = No
     single-membership case and never enters the model updates."""
     B = clamp_block_matrix(state.B)
     odds = np.log(B) - np.log1p(-B)
-    score = loglik + np.einsum("ijg,gh,ijh->ij", state.phi_send, odds, state.phi_recv)
+    score = loglik + pair_bilinear(state.phi_send, odds, state.phi_recv)
     w = sigmoid_tempered(score, state.tau_sigmoid)
     if mask is not None:
         w = np.where(np.asarray(mask, dtype=bool), w, 0.0)
     return w
 
 
-def _observed(state: MmsbmState, mask) -> np.ndarray:
-    """Observed ordered pairs: off-diagonal and unmasked. Masked pairs carry
-    no communication, so their edge and membership variables are missing."""
-    off = offdiag_mask(state.n_clients)
-    if mask is not None:
-        off = off & np.asarray(mask, dtype=bool)
-    return off
-
-
 def update_gamma(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
     """Dirichlet posterior: prior plus client i's sender memberships over
     observed pairs (i, .) plus its receiver memberships over (., i)."""
-    obs = _observed(state, mask)[:, :, None]
+    obs = observed_pairs(state.n_clients, mask)[:, :, None]
     send_sum = (state.phi_send * obs).sum(axis=1)
     recv_sum = (state.phi_recv * obs).sum(axis=0)
     return state.alpha[None, :] + send_sum + recv_sum
@@ -74,7 +65,7 @@ def _pair_scores(state: MmsbmState, counterpart: np.ndarray, transpose_B: bool) 
 
 def _park_unobserved(state: MmsbmState, phi: np.ndarray, mask) -> np.ndarray:
     if mask is not None:
-        unobs = ~_observed(state, mask)
+        unobs = ~observed_pairs(state.n_clients, mask)
         phi[unobs] = 1.0 / state.n_blocks
     return _uniform_diagonal(phi)
 
@@ -98,7 +89,7 @@ def update_alpha(state: MmsbmState, optimizer: str = "plain", weight_decay: floa
 
 
 def update_block_matrix(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
-    off = _observed(state, mask).astype(float)
+    off = observed_pairs(state.n_clients, mask).astype(float)
     num = np.einsum("ij,ijg,ijh->gh", state.w * off, state.phi_send, state.phi_recv)
     den = np.einsum("ij,ijg,ijh->gh", off, state.phi_send, state.phi_recv)
     if np.any(den < 1e-12):

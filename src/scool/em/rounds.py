@@ -20,7 +20,7 @@ from ..topology import (
 )
 from . import attention, dirac, mmsbm, sbm
 from .elbo import elbo
-from .theta import stack_clients
+from .theta import pair_blocks, stack_clients
 
 LOCAL_ONLY = "local-only"
 DIRAC = "dirac"
@@ -44,18 +44,19 @@ def loglik_matrix(
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
-    client j's training labels under client i's model. Each row is one
-    batched call over the pairs it allows; masked pairs stay exactly zero
-    and are never evaluated."""
+    client j's training labels under client i's model. The pairs the mask
+    allows form one row-major pair list, evaluated in blocks of at most
+    theta.PAIR_BLOCK_ELEMENTS activations, one batched call per block;
+    masked pairs stay exactly zero and are never evaluated."""
     K = len(models)
     allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     thetas, X, Y = stack_clients(models, train_sets)
     arch = models[0].arch
+    rows, cols = np.nonzero(allowed)
     out = np.zeros((K, K))
-    for i in range(K):
-        js = np.flatnonzero(allowed[i])
-        shared = np.broadcast_to(thetas[i], (len(js), arch.n_params))
-        out[i, js] = batch_log_likelihood(shared, X[js], Y[js], arch)
+    for blk in pair_blocks(len(rows), X.shape[1], arch):
+        r, c = rows[blk], cols[blk]
+        out[r, c] = batch_log_likelihood(thetas[r], X[c], Y[c], arch)
     return out
 
 

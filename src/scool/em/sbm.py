@@ -16,7 +16,7 @@ import numpy as np
 from ..models import Dataset, LocalModel
 from ..special import sigmoid_tempered, softmax_tempered
 from ..topology import CROSS_GRADIENT
-from .common import alpha_ascent, expected_log_pi, offdiag_mask
+from .common import alpha_ascent, expected_log_pi, observed_pairs
 from .state import SbmState, clamp_block_matrix
 from .theta import cooperative_sgd_steps
 from ..errors import InvariantError
@@ -50,9 +50,7 @@ def _pair_weights(state: SbmState, mask: np.ndarray | None):
     Masked pairs carry no communication, so their edges are missing data:
     they enter neither the edge nor the non-edge sums.
     """
-    off = offdiag_mask(state.n_clients).astype(float)
-    if mask is not None:
-        off = off * np.asarray(mask, dtype=float)
+    off = observed_pairs(state.n_clients, mask).astype(float)
     return state.w * off, (1.0 - state.w) * off
 
 
@@ -95,9 +93,7 @@ def update_alpha(state: SbmState, optimizer: str = "plain", weight_decay: float 
 def update_block_matrix(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
     """Exact block-affinity maximizer: membership-weighted mean edge weight
     over the observed pairs, clamped away from the log singularities."""
-    off = offdiag_mask(state.n_clients).astype(float)
-    if mask is not None:
-        off = off * np.asarray(mask, dtype=float)
+    off = observed_pairs(state.n_clients, mask).astype(float)
     num = state.omega.T @ (state.w * off) @ state.omega
     den = state.omega.T @ off @ state.omega
     if np.any(den < 1e-12):

@@ -14,12 +14,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import Dataset, LocalModel, batch_grad
+from ..models import ArchSpec, Dataset, LocalModel, batch_grad, pairs_per_block
 from ..topology import CROSS_GRADIENT, TAYLOR_APPROX
+
+# Activation elements (pairs x samples x max(h, C)) one batched cross-client
+# call may hold: the loglik matrix and the cross-gradients are evaluated over
+# the round's pair list in blocks of this size, so their memory stays flat
+# in K while the number of calls falls to a few per pass.
+PAIR_BLOCK_ELEMENTS = 8192
 
 # Optional per-step extra descent terms (the attention coupling); called on
 # the pre-step snapshot, returns one vector per client.
 CouplingFn = Callable[[Sequence[LocalModel]], np.ndarray]
+
+
+def pair_blocks(n_pairs: int, n: int, arch: ArchSpec) -> list[slice]:
+    """Consecutive slices of a pair list, each within PAIR_BLOCK_ELEMENTS."""
+    size = pairs_per_block(PAIR_BLOCK_ELEMENTS, n, arch)
+    return [slice(a, min(a + size, n_pairs)) for a in range(0, n_pairs, size)]
 
 
 def stack_clients(
@@ -43,6 +55,33 @@ def stack_clients(
     )
 
 
+def _slot_major(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and slots of the edges, every row's first neighbour
+    first, then every row's second neighbour, and so on; a slot holds each
+    row at most once and each row's neighbours keep their column order."""
+    rows, cols = np.nonzero(edges)
+    degree = edges.sum(axis=1)
+    slot = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
+    order = np.argsort(slot, kind="stable")
+    return rows[order], cols[order], slot[order]
+
+
+def _fold_plan(rows: np.ndarray, slot: np.ndarray, blocks: list[slice]):
+    """For each block, the (start, stop, rows) of its slot segments relative
+    to the block: a slot cut by a block boundary splits into two segments."""
+    plan = []
+    for blk in blocks:
+        cuts = [0, *(np.flatnonzero(np.diff(slot[blk])) + 1).tolist(), blk.stop - blk.start]
+        block_rows = rows[blk]
+        plan.append([(a, b, block_rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+    return plan
+
+
+def _first_bad_row(values: np.ndarray) -> int | None:
+    bad = ~np.isfinite(values).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def cooperative_sgd_steps(
     models: Sequence[LocalModel],
     train_sets: Sequence[Dataset],
@@ -60,8 +99,14 @@ def cooperative_sgd_steps(
     grad(theta_i; D_j), or the first-order surrogate grad(theta_j; D_j)
     which is exact when all models coincide and only needs each neighbor's
     own gradient on the wire. Each step takes the K own gradients in one
-    batched call and, under cross-gradient, one more per client over the
-    neighbors its row allows; masked and zero-weight pairs are skipped.
+    batched call. The weighted off-diagonal pairs the mask allows form one
+    slot-major pair list (see _slot_major), cut into blocks of at most
+    PAIR_BLOCK_ELEMENTS activations; under cross-gradient each block is one
+    batched call, under taylor-approx it gathers the own gradients. Masked
+    and zero-weight pairs are never evaluated. Starting from
+    own_i + lam theta_i, the weighted gradients are added one slot segment
+    at a time, so every row folds its neighbors left to right, the order of
+    own_i + lam theta_i + w_ij1 g_ij1 + w_ij2 g_ij2 + ...
     """
     if eta1 <= 0:
         raise ConfigurationError("eta1 must be positive")
@@ -72,33 +117,33 @@ def cooperative_sgd_steps(
     allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     edges = allowed & (w != 0.0)
     np.fill_diagonal(edges, False)
-    neighbors = [np.flatnonzero(row) for row in edges]
+    rows, cols, slot = _slot_major(edges)
+    weights = w[rows, cols][:, None]
     _, X, Y = stack_clients(models, train_sets)
     arch = models[0].arch
+    blocks = pair_blocks(len(rows), X.shape[1], arch)
+    plan = _fold_plan(rows, slot, blocks)
 
     for step in range(steps):
         thetas = np.stack([m.theta for m in models])
         own = batch_grad(thetas, X, Y, arch)
         coupling = coupling_fn(models) if coupling_fn is not None else None
 
-        updates = []
-        for i, nbrs in enumerate(neighbors):
-            if grad_mode == TAYLOR_APPROX:
-                g = own[nbrs]
-            else:
-                shared = np.broadcast_to(thetas[i], (len(nbrs), arch.n_params))
-                g = batch_grad(shared, X[nbrs], Y[nbrs], arch)
-            # summing the stacked terms over axis 0 adds them left to right,
-            # the same fold as delta = own_i + lam theta_i + w_ij1 g_ij1 + ...
-            terms = np.concatenate([(own[i] + lam * thetas[i])[None], w[i, nbrs][:, None] * g])
-            delta = terms.sum(axis=0)
-            if coupling is not None:
-                delta = delta + coupling[i]
-            if not np.all(np.isfinite(delta)):
-                raise DivergenceError(f"client {i} produced a non-finite update at local step {step}")
-            updates.append(delta)
-        for i in range(K):
-            theta = models[i].theta - eta1 * updates[i]
-            if not np.all(np.isfinite(theta)):
-                raise DivergenceError(f"client {i} parameters left the finite range at local step {step}")
-            models[i].theta = theta
+        delta = own + lam * thetas
+        for blk, segments in zip(blocks, plan):
+            r, c = rows[blk], cols[blk]
+            g = own[c] if grad_mode == TAYLOR_APPROX else batch_grad(thetas[r], X[c], Y[c], arch)
+            g *= weights[blk]
+            for a, b, seg_rows in segments:
+                delta[seg_rows] += g[a:b]
+        if coupling is not None:
+            delta += coupling
+        bad = _first_bad_row(delta)
+        if bad is not None:
+            raise DivergenceError(f"client {bad} produced a non-finite update at local step {step}")
+        new = thetas - eta1 * delta
+        bad = _first_bad_row(new)
+        for i in range(K if bad is None else bad):
+            models[i].theta = new[i]
+        if bad is not None:
+            raise DivergenceError(f"client {bad} parameters left the finite range at local step {step}")

@@ -207,6 +207,12 @@ def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
     return A @ W2.swapaxes(1, 2) + b2[:, None, :], A
 
 
+def pairs_per_block(budget: int, n: int, arch: ArchSpec) -> int:
+    """How many pairs of n samples one batched call may hold within
+    ``budget`` activation elements (pairs x n x max(h, C)); at least one."""
+    return max(1, budget // (n * max(arch.h, arch.C)))
+
+
 def _label_index(labels: np.ndarray):
     E, n = labels.shape
     return np.arange(E)[:, None], np.arange(n)[None, :], labels

@@ -24,7 +24,7 @@ from .em.state import (
 )
 from .em.theta import stack_clients
 from .errors import DivergenceError, InvariantError
-from .models import ArchSpec, LocalModel, batch_accuracy, batch_log_likelihood
+from .models import ArchSpec, LocalModel, batch_accuracy, batch_log_likelihood, pairs_per_block
 from .special import row_normalize
 from .tasks import gen_noniid_random, gen_noniid_sbm, stacked_rows
 from .topology import CommLedger, Topology, build_topology
@@ -192,7 +192,7 @@ def build_state(config: ExperimentConfig, topology: Topology, theta_dim: int):
 def per_client(kernel, thetas, features, labels, arch: ArchSpec) -> np.ndarray:
     """kernel(thetas, features, labels, arch) of every client, one batched
     call per block of at most REPORT_BLOCK_ELEMENTS activations."""
-    block = max(1, REPORT_BLOCK_ELEMENTS // (features.shape[1] * max(arch.h, arch.C)))
+    block = pairs_per_block(REPORT_BLOCK_ELEMENTS, features.shape[1], arch)
     return np.concatenate([
         kernel(thetas[a : a + block], features[a : a + block], labels[a : a + block], arch)
         for a in range(0, len(thetas), block)
@@ -214,7 +214,9 @@ def _json_ready(value):
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
+    # one row of Python floats at a time: a whole-matrix tolist() of a
+    # 192 x 192 snapshot raises the peak memory by about 1 MB
+    lines = [",".join(map(repr, row.tolist())) for row in np.asarray(matrix, dtype=float)]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -8,6 +8,8 @@ row's update left to right. The per-round reporting is checked against
 ``models.accuracy`` and ``models.loss`` the same way.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -165,15 +167,20 @@ class TestLoglikMatrixEquivalence:
         rng = np.random.default_rng(4)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
         _, mask = _random_graph(rng, len(models))
-        sizes = []
+        seen = []
 
         def counting(thetas, X, Y, arch):
-            sizes.append(len(thetas))
+            seen.extend(_pair_ids(thetas, X, models, train))
             return batch_log_likelihood(thetas, X, Y, arch)
 
         monkeypatch.setattr(rounds, "batch_log_likelihood", counting)
-        rounds.loglik_matrix(models, train, mask)
-        assert sizes == list(mask.sum(axis=1))
+        for per_block in (1, 3, None):
+            with monkeypatch.context() as patch:
+                _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
+                seen.clear()
+                rounds.loglik_matrix(models, train, mask)
+            # every allowed pair exactly once, and no other pair
+            assert Counter(seen) == Counter(zip(*map(list, np.nonzero(mask))))
 
 
 class TestCooperativeEquivalence:
@@ -228,22 +235,132 @@ class TestCooperativeEquivalence:
         rng = np.random.default_rng(8)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
         w, mask = _random_graph(rng, len(models))
-        sizes = []
+        edges = mask & (w != 0.0)
+        np.fill_diagonal(edges, False)
+        # each step: the K own gradients, then every weighted edge once
+        want = Counter(zip(*map(list, np.nonzero(edges | np.eye(len(models), dtype=bool)))))
+        seen, sizes = [], []
 
         def counting(thetas, X, Y, arch):
+            seen.extend(_pair_ids(thetas, X, models, train))
             sizes.append(len(thetas))
             return batch_grad(thetas, X, Y, arch)
 
         monkeypatch.setattr(theta, "batch_grad", counting)
-        cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
-        edges = mask & (w != 0.0)
-        np.fill_diagonal(edges, False)
-        per_step = [len(models)] + list(edges.sum(axis=1))
-        assert sizes == per_step * 2
+        for per_block in (1, 3, None):
+            with monkeypatch.context() as patch:
+                _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
+                seen.clear()
+                cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
+            assert Counter(seen) == Counter({pair: 2 for pair in want})
 
         sizes.clear()
         cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask)
         assert sizes == [len(models)] * 2
+
+
+def _cap_pairs_per_block(monkeypatch, per_block, arch, n=8):
+    """Blocks of per_block pairs of n samples; None keeps the default."""
+    if per_block is not None:
+        monkeypatch.setattr(theta, "PAIR_BLOCK_ELEMENTS", per_block * _per_sample_elements(n, arch))
+
+
+def _pair_ids(thetas, X, models, train):
+    """(model, dataset) index of every pair in a batched call, matched
+    exactly against the current parameters and the train features."""
+    current = np.stack([m.theta for m in models])
+    feats = np.stack([ds.features for ds in train])
+    ids = []
+    for t, x in zip(thetas, X):
+        (i,) = np.flatnonzero((current == t).all(axis=1))
+        (j,) = np.flatnonzero((feats == x).all(axis=(1, 2)))
+        ids.append((int(i), int(j)))
+    return ids
+
+
+class TestPairBlocks:
+    """Blocks of one and three pairs cut rows and slot segments mid-way."""
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_loglik_matrix(self, monkeypatch, kind, per_block):
+        rng = np.random.default_rng(40)
+        models, train = _clients(rng, ARCHS[kind])
+        _, mask = _random_graph(rng, len(models))
+        mask[5] = False  # a client that evaluates nobody
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        np.testing.assert_array_equal(
+            rounds.loglik_matrix(models, train, mask), reference_loglik_matrix(models, train, mask)
+        )
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_unequal_degrees_and_an_isolated_client(self, monkeypatch, kind, grad_mode, per_block):
+        rng = np.random.default_rng(41)
+        models, train = _clients(rng, ARCHS[kind])
+        K = len(models)
+        w = rng.uniform(0.05, 1.0, (K, K))
+        mask = np.tril(np.ones((K, K), dtype=bool))  # degrees 0, 1, ..., K - 1
+        mask[K - 1, 2] = False
+        w[4, 1] = 0.0
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        a, b = _both(models)
+        cooperative_sgd_steps(a, train, w, 0.02, 0.2, 3, grad_mode, mask)
+        reference_cooperative_sgd_steps(b, train, w, 0.02, 0.2, 3, grad_mode, mask)
+        _assert_same_thetas(a, b)
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_empty_edge_list(self, monkeypatch, kind, grad_mode, per_block):
+        rng = np.random.default_rng(42)
+        models, train = _clients(rng, ARCHS[kind], K=5)
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        a, b = _both(models)
+        cooperative_sgd_steps(a, train, np.eye(5), 0.01, 0.1, 2, grad_mode)
+        reference_cooperative_sgd_steps(b, train, np.eye(5), 0.01, 0.1, 2, grad_mode)
+        _assert_same_thetas(a, b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_non_finite_update_moves_no_model(self, monkeypatch, grad_mode, per_block):
+        rng = np.random.default_rng(44)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=6)
+        models[4].theta[0] = 1e308  # its ridge term overflows
+        w, mask = _random_graph(rng, 6, zeros=0.0)
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[SOFTMAX_REGRESSION])
+        a, b = _both(models)
+        with pytest.raises(DivergenceError) as got:
+            cooperative_sgd_steps(a, train, w, 10.0, 0.1, 2, grad_mode, mask)
+        with pytest.raises(DivergenceError) as want:
+            reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode, mask)
+        assert str(got.value) == str(want.value)
+        assert "produced a non-finite update at local step 0" in str(got.value)
+        _assert_same_thetas(a, models)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_divergence_updates_the_rows_before_it(self, monkeypatch, kind, grad_mode, per_block):
+        rng = np.random.default_rng(43)
+        models, train = _clients(rng, ARCHS[kind], K=6)
+        models[3].theta[0] = 1e300  # a finite update that eta1 pushes past the range
+        w, mask = _random_graph(rng, 6)
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        a, b = _both(models)
+        with pytest.raises(DivergenceError) as got:
+            cooperative_sgd_steps(a, train, w, 10.0, 1e8, 2, grad_mode, mask)
+        with pytest.raises(DivergenceError) as want:
+            reference_cooperative_sgd_steps(b, train, w, 10.0, 1e8, 2, grad_mode, mask)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "client 3 parameters left the finite range at local step 0"
+        _assert_same_thetas(a, b)
+        for before, after in zip(models[:3], a[:3]):
+            assert not np.array_equal(before.theta, after.theta)
+        np.testing.assert_array_equal(a[3].theta, models[3].theta)
 
 
 class TestContracts:

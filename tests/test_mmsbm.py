@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scool.em import mmsbm
+from scool.em.common import observed_pairs, pair_bilinear
 from scool.em.elbo import elbo
 from scool.errors import InvariantError
 
@@ -176,3 +177,22 @@ class TestBlockMatrix:
         st.phi_recv = np.tile(np.array([1.0, 0.0]), (4, 4, 1))
         with pytest.raises(InvariantError):
             mmsbm.update_block_matrix(st)
+
+
+class TestPairHelpers:
+    @pytest.mark.parametrize("K, M", [(1, 1), (5, 2), (9, 3), (48, 4)])
+    def test_pair_bilinear_equals_the_einsum(self, K, M):
+        rng = np.random.default_rng(K + M)
+        st = random_mmsbm_state(rng, K, M)
+        X = 3.0 * rng.standard_normal((M, M))
+        np.testing.assert_array_equal(
+            pair_bilinear(st.phi_send, X, st.phi_recv),
+            np.einsum("ijg,gh,ijh->ij", st.phi_send, X, st.phi_recv),
+        )
+
+    def test_observed_pairs(self):
+        mask = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
+        np.testing.assert_array_equal(observed_pairs(3), ~np.eye(3, dtype=bool))
+        np.testing.assert_array_equal(
+            observed_pairs(3, mask), [[False, True, False], [False, False, True], [True, True, False]]
+        )
