@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .em import rounds
 from .errors import ConfigurationError
 from .models import MLP_1HIDDEN, SOFTMAX_REGRESSION
 from .tasks import ANTIPODAL_PAIRS, DEFAULT_SEPARATION, ORTHONORMAL
@@ -26,7 +27,7 @@ from .topology import (
 NONIID_SBM = "noniid-sbm"
 NONIID_RANDOM = "noniid-random"
 
-PRIORS = ("local-only", "dirac", "sbm", "attention", "mmsbm")
+PRIORS = tuple(rounds.PRIORS)
 SETTINGS = (NONIID_SBM, NONIID_RANDOM)
 ARCHS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
 # custom-mask is left out: no config field can carry the mask it needs
@@ -129,6 +130,11 @@ class ExperimentConfig:
         need(self.enc_hidden >= 1 and self.enc_out >= 1, "encoder dims must be >= 1")
         need(0.0 < self.sparsify_keep_fraction <= 1.0, "sparsify_keep_fraction in (0,1]")
         need(self.sparsify_round >= 0, "sparsify_round must be >= 0")
+        # uniform Metropolis weights would prune by client index, not strength
+        need(
+            self.prior_kind != "dirac" or self.sparsify_keep_fraction == 1.0,
+            "dirac has no learned weights to prune by",
+        )
         need(self.snapshot_every >= 0, "snapshot_every must be >= 0")
         if self.task_setting == NONIID_SBM:
             need(self.num_groups >= 1, "num_groups must be >= 1")

@@ -18,11 +18,23 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import Dataset, LocalModel
+from ..models import LocalModel
 from ..special import softmax_tempered
-from ..topology import CROSS_GRADIENT
-from .state import PROB_FLOOR, AttentionState, ascent_step
+from .state import PROB_FLOOR, AttentionState, ascent_step, init_attention_state
 from .theta import cooperative_sgd_steps
+
+
+def init_state(config, topology, theta_dim: int) -> AttentionState:
+    return init_attention_state(
+        config.K,
+        theta_dim,
+        np.random.SeedSequence([config.seed, 2]),
+        lam=config.weight_decay,
+        tau_softmax=config.tau_softmax,
+        eta2=config.eta2,
+        enc_hidden=config.enc_hidden,
+        enc_out=config.enc_out,
+    )
 
 
 def unpack_encoder(phi: np.ndarray, dims: tuple[int, int, int]):
@@ -178,22 +190,18 @@ def e_step(
 
 
 def m_step(
-    state: AttentionState,
-    models: Sequence[LocalModel],
-    train_sets: Sequence[Dataset],
-    eta1: float,
-    local_steps: int,
-    grad_mode: str = CROSS_GRADIENT,
-    mask: np.ndarray | None = None,
-    coupling: bool = True,
-    optimizer: str = "plain",
-    optimizer_weight_decay: float = 0.0,
-) -> AttentionState:
+    state: AttentionState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
+    lam, optimizer, optimizer_weight_decay, attention_coupling,
+) -> None:
     coupling_fn = None
-    if coupling:
+    if attention_coupling:
         coupling_fn = lambda ms: coupling_descent_terms(ms, state, mask)
     cooperative_sgd_steps(
         models, train_sets, state.w, state.lam, eta1, local_steps, grad_mode, mask, coupling_fn
     )
     state.phi = update_phi(state, models, mask, optimizer, optimizer_weight_decay)
-    return state
+
+
+def graph(state: AttentionState, K: int) -> np.ndarray:
+    """The posterior cooperation w; its rows are already on the simplex."""
+    return np.array(state.w, dtype=float)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvariantError
 from ..special import digamma
-from .state import ALPHA_MIN, AdamSlot, ascent_step
+from .state import ALPHA_MIN, ascent_step, clamp_block_matrix
 
 
 def expected_log_pi(gamma: np.ndarray) -> np.ndarray:
@@ -23,19 +24,36 @@ def alpha_gradient(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return elp.sum(axis=0) - K * digamma(alpha) + K * digamma(float(alpha.sum()))
 
 
-def alpha_ascent(
-    gamma: np.ndarray,
-    alpha: np.ndarray,
-    eta2: float,
-    optimizer: str = "plain",
-    slot: AdamSlot | None = None,
-    weight_decay: float = 0.0,
-) -> np.ndarray:
-    """One projected ascent step on alpha, floored at ALPHA_MIN."""
+def update_alpha(state, optimizer: str = "plain", weight_decay: float = 0.0) -> np.ndarray:
+    """One projected ascent step on the shared Dirichlet parameter alpha of a
+    block prior, floored at ALPHA_MIN."""
     new = ascent_step(
-        alpha, alpha_gradient(gamma, alpha), eta2, optimizer, slot, weight_decay
+        state.alpha, alpha_gradient(state.gamma, state.alpha), state.eta2, optimizer,
+        state.alpha_slot, weight_decay,
     )
     return np.maximum(new, ALPHA_MIN)
+
+
+def block_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Exact block-affinity maximizer from its membership-weighted edge and
+    pair totals over the observed pairs, clamped away from the log
+    singularities."""
+    if np.any(den < 1e-12):
+        raise InvariantError("degenerate memberships: block denominator underflow")
+    return clamp_block_matrix(num / den)
+
+
+def graph(state, K: int) -> np.ndarray:
+    """Row-stochastic view of the learned graph used by metrics/snapshots.
+
+    Block-prior edge weights are Bernoulli parameters, not mixing weights;
+    they are row-normalized here only, never inside an update. A row whose
+    weights all underflowed to zero is left as zeros (the distance metric
+    scores it at its maximum).
+    """
+    w = np.array(state.w, dtype=float)
+    sums = w.sum(axis=1, keepdims=True)
+    return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
 
 
 def observed_pairs(K: int, mask: np.ndarray | None = None) -> np.ndarray:

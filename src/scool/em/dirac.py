@@ -15,7 +15,15 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..models import Dataset, LocalModel, batch_grad
+from .state import DiracState
 from .theta import stack_clients
+
+# the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
+e_step = None
+
+
+def init_state(config, topology, theta_dim: int) -> DiracState:
+    return DiracState(metropolis_weights(topology.mask), alpha_lr=config.eta1)
 
 
 def metropolis_weights(mask: np.ndarray) -> np.ndarray:
@@ -62,3 +70,14 @@ def dpsgd_step(
     for model, theta in zip(models, new):
         model.theta = theta
 
+
+def m_step(
+    state: DiracState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
+    lam, optimizer, optimizer_weight_decay, attention_coupling,
+) -> None:
+    for _ in range(local_steps):
+        dpsgd_step(models, state.w, train_sets, eta1)
+
+
+def graph(state: DiracState, K: int) -> np.ndarray:
+    return np.array(state.w, dtype=float)

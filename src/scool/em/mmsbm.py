@@ -10,17 +10,25 @@ others, and the sweep inside one E-step reads the pre-sweep memberships.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..errors import InvariantError
-from ..models import Dataset, LocalModel
 from ..special import sigmoid_tempered, softmax_tempered
-from ..topology import CROSS_GRADIENT
-from .common import alpha_ascent, expected_log_pi, observed_pairs, pair_bilinear
-from .state import MmsbmState, clamp_block_matrix
+# graph (the reporting hook) and update_alpha are shared with sbm
+from .common import block_ratio, expected_log_pi, graph, observed_pairs, pair_bilinear, update_alpha
+from .state import MmsbmState, clamp_block_matrix, init_mmsbm_state
 from .theta import cooperative_sgd_steps
+
+
+def init_state(config, topology, theta_dim: int) -> MmsbmState:
+    return init_mmsbm_state(
+        config.K,
+        config.num_memberships,
+        np.random.SeedSequence([config.seed, 2]),
+        lam=config.weight_decay,
+        tau_sigmoid=config.tau_sigmoid,
+        eta2=config.eta2,
+        block_init=config.block_init,
+    )
 
 
 def _uniform_diagonal(phi: np.ndarray) -> np.ndarray:
@@ -82,22 +90,14 @@ def update_phi_recv(state: MmsbmState, mask: np.ndarray | None = None) -> np.nda
     return _park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
 
 
-def update_alpha(state: MmsbmState, optimizer: str = "plain", weight_decay: float = 0.0) -> np.ndarray:
-    return alpha_ascent(
-        state.gamma, state.alpha, state.eta2, optimizer, state.alpha_slot, weight_decay
-    )
-
-
 def update_block_matrix(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
     off = observed_pairs(state.n_clients, mask).astype(float)
     num = np.einsum("ij,ijg,ijh->gh", state.w * off, state.phi_send, state.phi_recv)
     den = np.einsum("ij,ijg,ijh->gh", off, state.phi_send, state.phi_recv)
-    if np.any(den < 1e-12):
-        raise InvariantError("degenerate memberships: block denominator underflow")
-    return clamp_block_matrix(num / den)
+    return block_ratio(num, den)
 
 
-def e_step(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray | None = None) -> MmsbmState:
+def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray | None = None) -> MmsbmState:
     """Edge posterior and Dirichlet posterior, then one synchronous sweep of
     both pair-membership sides from the pre-sweep snapshot."""
     state.w = update_w(state, loglik, mask)
@@ -109,19 +109,11 @@ def e_step(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray | None = None
 
 
 def m_step(
-    state: MmsbmState,
-    models: Sequence[LocalModel],
-    train_sets: Sequence[Dataset],
-    eta1: float,
-    local_steps: int,
-    grad_mode: str = CROSS_GRADIENT,
-    mask: np.ndarray | None = None,
-    optimizer: str = "plain",
-    optimizer_weight_decay: float = 0.0,
-) -> MmsbmState:
+    state: MmsbmState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
+    lam, optimizer, optimizer_weight_decay, attention_coupling,
+) -> None:
     cooperative_sgd_steps(
         models, train_sets, state.w, state.lam, eta1, local_steps, grad_mode, mask
     )
     state.alpha = update_alpha(state, optimizer, optimizer_weight_decay)
     state.B = update_block_matrix(state, mask)
-    return state

@@ -18,16 +18,23 @@ from ..topology import (
     account_gossip,
     sparsify_topk,
 )
-from . import attention, dirac, mmsbm, sbm
+from . import attention, dirac, local, mmsbm, sbm
 from .elbo import elbo
 from .theta import pair_blocks, stack_clients
 
-LOCAL_ONLY = "local-only"
-DIRAC = "dirac"
-SBM = "sbm"
-ATTENTION = "attention"
-MMSBM = "mmsbm"
-PRIOR_KINDS = (LOCAL_ONLY, DIRAC, SBM, ATTENTION, MMSBM)
+# Every prior is a module with the same four hooks, looked up at call time:
+#   init_state(config, topology, theta_dim) -> the prior's state
+#   e_step(state, models, loglik, mask), or None for a fixed graph
+#   m_step(state, models, train_sets, **round keywords): the local epochs
+#       and the prior-parameter updates
+#   graph(state, K) -> the row-stochastic reporting view of the graph
+PRIORS = {
+    "local-only": local,
+    "dirac": dirac,
+    "sbm": sbm,
+    "attention": attention,
+    "mmsbm": mmsbm,
+}
 
 
 @dataclass
@@ -60,23 +67,6 @@ def loglik_matrix(
     return out
 
 
-def reporting_graph(prior_kind: str, state, K: int) -> np.ndarray:
-    """Row-stochastic view of the learned graph used by metrics/snapshots.
-
-    Block-prior edge weights are Bernoulli parameters, not mixing weights;
-    they are row-normalized here only, never inside an update. A row whose
-    weights all underflowed to zero is left as zeros (the distance metric
-    scores it at its maximum).
-    """
-    if prior_kind == LOCAL_ONLY:
-        return np.eye(K)
-    if prior_kind in (SBM, MMSBM):
-        w = np.array(state.w, dtype=float)
-        sums = w.sum(axis=1, keepdims=True)
-        return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
-    return np.array(state.w, dtype=float)
-
-
 def run_round(
     prior_kind: str,
     state,
@@ -96,68 +86,41 @@ def run_round(
     sparsify_keep_fraction: float = 1.0,
     sparsify_round: int = 10,
 ) -> RoundResult:
-    """One full round: prune the topology if scheduled, evaluate the
-    cross-client log-likelihoods, run the prior's E-step, the local
-    cooperative epochs, and the remaining prior-parameter updates."""
-    if prior_kind not in PRIOR_KINDS:
+    """One full round of the prior named ``prior_kind`` (a key of PRIORS).
+
+    A prior with an E-step learns its graph: the topology is pruned if
+    scheduled, then the cross-client log-likelihoods feed the E-step and
+    the lower bound. Every prior then runs its M-step (the local epochs and
+    its prior-parameter updates), and the round's traffic is charged: the
+    evaluation pass plus the gradient exchange for a learned graph, one
+    gossip round per local step for a fixed one; local-only keeps no state
+    and sends nothing.
+    """
+    if prior_kind not in PRIORS:
         raise ConfigurationError(f"unknown prior {prior_kind!r}")
-    K = len(models)
+    prior = PRIORS[prior_kind]
+    ll = elbo_total = None
     try:
-        if (
-            sparsify_keep_fraction < 1.0
-            and round_index == sparsify_round
-            and prior_kind != LOCAL_ONLY
-        ):
-            topology.mask = sparsify_topk(
-                state.w, topology.mask, sparsify_keep_fraction, round_index, sparsify_round
-            )
-            if prior_kind == DIRAC:
-                # gossip averaging needs an undirected graph
-                topology.mask = topology.mask | topology.mask.T
-                state.w = dirac.metropolis_weights(topology.mask)
-
-        mask = topology.mask
-        ll = None
-        elbo_total = None
-
-        if prior_kind == LOCAL_ONLY:
-            from .theta import cooperative_sgd_steps
-
-            cooperative_sgd_steps(
-                models, train_sets, np.eye(K), lam, eta1, local_steps, grad_mode
-            )
-        elif prior_kind == DIRAC:
-            for _ in range(local_steps):
-                dirac.dpsgd_step(models, state.w, train_sets, eta1)
-            if ledger is not None:
-                account_gossip(ledger, mask, round_index, local_steps)
-        else:
-            ll = loglik_matrix(models, train_sets, mask)
-            if not np.all(np.isfinite(ll[mask])):
+        if prior.e_step is not None:
+            if sparsify_keep_fraction < 1.0 and round_index == sparsify_round:
+                topology.mask = sparsify_topk(
+                    state.w, topology.mask, sparsify_keep_fraction, round_index, sparsify_round
+                )
+            ll = loglik_matrix(models, train_sets, topology.mask)
+            if not np.all(np.isfinite(ll[topology.mask])):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
-            if prior_kind == SBM:
-                sbm.e_step(state, ll, mask)
-                elbo_total = elbo(state, ll, models, mask).total
-                sbm.m_step(
-                    state, models, train_sets, eta1, local_steps, grad_mode, mask,
-                    optimizer, optimizer_weight_decay,
-                )
-            elif prior_kind == ATTENTION:
-                attention.e_step(state, models, ll, mask)
-                elbo_total = elbo(state, ll, models, mask).total
-                attention.m_step(
-                    state, models, train_sets, eta1, local_steps, grad_mode, mask,
-                    attention_coupling, optimizer, optimizer_weight_decay,
-                )
-            else:
-                mmsbm.e_step(state, ll, mask)
-                elbo_total = elbo(state, ll, models, mask).total
-                mmsbm.m_step(
-                    state, models, train_sets, eta1, local_steps, grad_mode, mask,
-                    optimizer, optimizer_weight_decay,
-                )
-            if ledger is not None:
-                account_exchange(ledger, mask, grad_mode, round_index, local_steps)
+            prior.e_step(state, models, ll, topology.mask)
+            elbo_total = elbo(state, ll, models, topology.mask).total
+        prior.m_step(
+            state, models, train_sets,
+            eta1=eta1, local_steps=local_steps, grad_mode=grad_mode, mask=topology.mask,
+            lam=lam, optimizer=optimizer, optimizer_weight_decay=optimizer_weight_decay,
+            attention_coupling=attention_coupling,
+        )
+        if ledger is not None and ll is not None:
+            account_exchange(ledger, topology.mask, grad_mode, round_index, local_steps)
+        elif ledger is not None and state is not None:
+            account_gossip(ledger, topology.mask, round_index, local_steps)
     except ScoolError as err:
         if isinstance(err, DivergenceError):
             raise DivergenceError(f"round {round_index}: {err}") from err
@@ -167,5 +130,5 @@ def run_round(
         round_index=round_index,
         loglik=ll,
         elbo_total=elbo_total,
-        graph=reporting_graph(prior_kind, state, K),
+        graph=prior.graph(state, len(models)),
     )

@@ -9,17 +9,25 @@ lower-bound oracle in :mod:`scool.em.elbo` certifies.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..models import Dataset, LocalModel
 from ..special import sigmoid_tempered, softmax_tempered
-from ..topology import CROSS_GRADIENT
-from .common import alpha_ascent, expected_log_pi, observed_pairs
-from .state import SbmState, clamp_block_matrix
+# graph (the reporting hook) and update_alpha are shared with mmsbm
+from .common import block_ratio, expected_log_pi, graph, observed_pairs, update_alpha
+from .state import SbmState, clamp_block_matrix, init_sbm_state
 from .theta import cooperative_sgd_steps
-from ..errors import InvariantError
+
+
+def init_state(config, topology, theta_dim: int) -> SbmState:
+    return init_sbm_state(
+        config.K,
+        config.num_memberships,
+        np.random.SeedSequence([config.seed, 2]),
+        lam=config.weight_decay,
+        tau_sigmoid=config.tau_sigmoid,
+        eta2=config.eta2,
+        block_init=config.block_init,
+    )
 
 
 def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -79,29 +87,16 @@ def update_omega(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
     return softmax_tempered(omega_scores(state, mask), 1.0, axis=-1)
 
 
-def update_omega_row(state: SbmState, i: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Membership update of a single client, all other rows held fixed."""
-    return softmax_tempered(omega_scores(state, mask)[i], 1.0)
-
-
-def update_alpha(state: SbmState, optimizer: str = "plain", weight_decay: float = 0.0) -> np.ndarray:
-    return alpha_ascent(
-        state.gamma, state.alpha, state.eta2, optimizer, state.alpha_slot, weight_decay
-    )
-
-
 def update_block_matrix(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
     """Exact block-affinity maximizer: membership-weighted mean edge weight
     over the observed pairs, clamped away from the log singularities."""
     off = observed_pairs(state.n_clients, mask).astype(float)
     num = state.omega.T @ (state.w * off) @ state.omega
     den = state.omega.T @ off @ state.omega
-    if np.any(den < 1e-12):
-        raise InvariantError("degenerate memberships: block denominator underflow")
-    return clamp_block_matrix(num / den)
+    return block_ratio(num, den)
 
 
-def e_step(state: SbmState, loglik: np.ndarray, mask: np.ndarray | None = None) -> SbmState:
+def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray | None = None) -> SbmState:
     """Edge posterior, Dirichlet posterior, then one membership sweep."""
     state.w = update_w(state, loglik, mask)
     state.gamma = update_gamma(state)
@@ -110,20 +105,12 @@ def e_step(state: SbmState, loglik: np.ndarray, mask: np.ndarray | None = None) 
 
 
 def m_step(
-    state: SbmState,
-    models: Sequence[LocalModel],
-    train_sets: Sequence[Dataset],
-    eta1: float,
-    local_steps: int,
-    grad_mode: str = CROSS_GRADIENT,
-    mask: np.ndarray | None = None,
-    optimizer: str = "plain",
-    optimizer_weight_decay: float = 0.0,
-) -> SbmState:
+    state: SbmState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
+    lam, optimizer, optimizer_weight_decay, attention_coupling,
+) -> None:
     """Local cooperative SGD epochs, then the prior parameters."""
     cooperative_sgd_steps(
         models, train_sets, state.w, state.lam, eta1, local_steps, grad_mode, mask
     )
     state.alpha = update_alpha(state, optimizer, optimizer_weight_decay)
     state.B = update_block_matrix(state, mask)
-    return state

@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import NONIID_SBM, ExperimentConfig
-from .em import dirac, rounds
-from .em.state import (
-    init_attention_state,
-    init_mmsbm_state,
-    init_sbm_state,
-)
+from .em import rounds
 from .em.theta import stack_clients
 from .errors import DivergenceError, InvariantError
 from .models import ArchSpec, LocalModel, batch_accuracy, batch_log_likelihood, pairs_per_block
@@ -149,44 +144,7 @@ def build_models(config: ExperimentConfig) -> list[LocalModel]:
 
 
 def build_state(config: ExperimentConfig, topology: Topology, theta_dim: int):
-    seed = np.random.SeedSequence([config.seed, 2])
-    kind = config.prior_kind
-    if kind in ("local-only",):
-        return None
-    if kind == "dirac":
-        from .em.state import DiracState
-
-        return DiracState(dirac.metropolis_weights(topology.mask), alpha_lr=config.eta1)
-    if kind == "sbm":
-        return init_sbm_state(
-            config.K,
-            config.num_memberships,
-            seed,
-            lam=config.weight_decay,
-            tau_sigmoid=config.tau_sigmoid,
-            eta2=config.eta2,
-            block_init=config.block_init,
-        )
-    if kind == "attention":
-        return init_attention_state(
-            config.K,
-            theta_dim,
-            seed,
-            lam=config.weight_decay,
-            tau_softmax=config.tau_softmax,
-            eta2=config.eta2,
-            enc_hidden=config.enc_hidden,
-            enc_out=config.enc_out,
-        )
-    return init_mmsbm_state(
-        config.K,
-        config.num_memberships,
-        seed,
-        lam=config.weight_decay,
-        tau_sigmoid=config.tau_sigmoid,
-        eta2=config.eta2,
-        block_init=config.block_init,
-    )
+    return rounds.PRIORS[config.prior_kind].init_state(config, topology, theta_dim)
 
 
 def per_client(kernel, thetas, features, labels, arch: ArchSpec) -> np.ndarray:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from scool.config import ExperimentConfig
+from scool.em import sbm
 from scool.em.state import (
     AdamSlot,
     AttentionState,
@@ -13,6 +14,7 @@ from scool.em.state import (
     SbmState,
 )
 from scool.models import ArchSpec, Dataset, LocalModel
+from scool.special import softmax_tempered
 
 
 # ---------------------------------------------------------------- numerics
@@ -64,6 +66,12 @@ def clone_sbm(state: SbmState, **overrides) -> SbmState:
     )
     base.update(overrides)
     return SbmState(**base)
+
+
+def update_omega_row(state: SbmState, i: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """Coordinate-ascent oracle: the membership update of a single client,
+    all other rows held fixed."""
+    return softmax_tempered(sbm.omega_scores(state, mask)[i], 1.0)
 
 
 def random_mmsbm_state(rng: np.random.Generator, K: int, M: int) -> MmsbmState:

@@ -35,6 +35,7 @@ from conftest import (
     random_sbm_state,
     simplex_kkt_spread,
     tiny_dataset,
+    update_omega_row,
 )
 
 KKT_TOL = 1e-4
@@ -91,7 +92,7 @@ def test_criterion_1_stationarity_suite():
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g], 1e-6)))
         for i in range(K):
             om = st.omega.copy()
-            om[i] = sbm.update_omega_row(st, i)
+            om[i] = update_omega_row(st, i)
             st.omega = om
             grads = []
             for k in range(M):
@@ -170,7 +171,7 @@ def test_criterion_2_elbo_monotonicity():
         st.w = sbm.update_w(st, ll); v = track(v, elbo(st, ll).total)
         st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll).total)
         for i in range(K):
-            om = st.omega.copy(); om[i] = sbm.update_omega_row(st, i); st.omega = om
+            om = st.omega.copy(); om[i] = update_omega_row(st, i); st.omega = om
             v = track(v, elbo(st, ll).total)
         st.B = sbm.update_block_matrix(st); v = track(v, elbo(st, ll).total)
 

@@ -14,6 +14,7 @@ from conftest import (
     random_loglik,
     random_mmsbm_state,
     random_sbm_state,
+    update_omega_row,
 )
 
 
@@ -128,7 +129,7 @@ class TestCoordinateAscentMonotonicity:
             value = v2
             for i in range(K):
                 om = st.omega.copy()
-                om[i] = sbm.update_omega_row(st, i)
+                om[i] = update_omega_row(st, i)
                 st.omega = om
                 v2 = elbo(st, ll).total
                 assert v2 >= value - 1e-8

@@ -1,12 +1,18 @@
 """Round orchestration: reductions, masking guarantees, determinism."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from scool.em import dirac, rounds
+from scool import config
+from scool.config import ExperimentConfig
+from scool.em import attention, dirac, rounds
 from scool.em.state import DiracState, init_attention_state, init_sbm_state
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec, LocalModel, grad
+from scool.runner import build_models, build_state, build_tasks
 from scool.topology import CommLedger, build_topology
 
 from conftest import tiny_dataset
@@ -77,8 +83,8 @@ class TestMaskingGuarantees:
         if prior == "sbm":
             st_a = init_sbm_state(K, 2, seed=3)
             st_b = init_sbm_state(K, 2, seed=3)
-            sbm.e_step(st_a, ll, mask)
-            sbm.e_step(st_b, poisoned, mask)
+            sbm.e_step(st_a, models, ll, mask)
+            sbm.e_step(st_b, models, poisoned, mask)
             np.testing.assert_array_equal(st_a.w, st_b.w)
             np.testing.assert_array_equal(st_a.omega, st_b.omega)
         else:
@@ -193,3 +199,85 @@ class TestRunRoundContracts:
         assert topo.mask.all()
         for m, theta in zip(models, before):
             np.testing.assert_array_equal(m.theta, theta)
+
+
+class TestPriorTable:
+    HOOKS = ("init_state", "e_step", "m_step", "graph")
+    # per-pair functions the batched kernel no longer calls through these names
+    STALE_BINDINGS = {
+        "scool.em.dirac.grad",
+        "scool.em.rounds.log_likelihood",
+        "scool.em.theta.grad",
+        "scool.runner.accuracy",
+        "scool.runner.loss",
+    }
+
+    @staticmethod
+    def _k4(prior):
+        cfg = ExperimentConfig(
+            prior_kind=prior, seed=3, rounds=2, local_steps=1, K=4, M=4, N=2,
+            num_groups=2, samples_per_client=4, test_samples_per_client=4, feature_dim=4,
+        ).validate()
+        _, data = build_tasks(cfg)
+        models = build_models(cfg)
+        topo = build_topology(cfg.topology_kind, cfg.K)
+        state = build_state(cfg, topo, models[0].arch.n_params)
+        return cfg, [pair[0] for pair in data], models, topo, state
+
+    def test_one_list_of_names_and_four_hooks(self):
+        assert config.PRIORS == tuple(rounds.PRIORS)
+        for name, prior in rounds.PRIORS.items():
+            for hook in self.HOOKS:
+                assert hasattr(prior, hook), (name, hook)
+            assert callable(prior.init_state) and callable(prior.m_step) and callable(prior.graph)
+            assert prior.e_step is None or callable(prior.e_step)
+        fixed = [name for name, prior in rounds.PRIORS.items() if prior.e_step is None]
+        assert fixed == ["local-only", "dirac"]
+
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_every_prior_runs_two_rounds(self, prior):
+        cfg, train, models, topo, state = self._k4(prior)
+        ledger = CommLedger(cfg.K, models[0].arch.n_params)
+        for r in range(2):
+            out = rounds.run_round(
+                prior, state, models, train, topo, ledger, r, eta1=cfg.eta1, lam=cfg.weight_decay
+            )
+            assert out.graph.shape == (4, 4)
+            np.testing.assert_allclose(out.graph.sum(axis=1), 1.0, atol=1e-12)
+            assert (out.elbo_total is None) == (rounds.PRIORS[prior].e_step is None)
+        if prior == "local-only":
+            assert state is None and ledger.rounds == []
+            np.testing.assert_array_equal(out.graph, np.eye(4))
+        else:
+            assert [rec.round_index for rec in ledger.rounds] == [0, 1]
+
+    def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
+        cfg, train, models, topo, state = self._k4("attention")
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        real = attention.e_step
+        monkeypatch.setattr(attention, "e_step", spy)
+        monkeypatch.setattr(attention, "graph", lambda st, K: np.full((K, K), 1.0 / K))
+        out = rounds.run_round("attention", state, models, train, topo, None, 0, eta1=cfg.eta1)
+        assert calls == [state]
+        np.testing.assert_array_equal(out.graph, np.full((4, 4), 0.25))
+
+    def test_benchmark_bindings_resolve(self, monkeypatch):
+        # the benchmark times layers by rebinding these module-level names
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        probe = importlib.import_module("probe")
+        crosscheck = importlib.import_module("crosscheck")
+        bindings = [b for layer in probe.LAYERS.values() for b in layer]
+        bindings += [probe.ROUND, probe.LOOP_END, *crosscheck.COOP_BINDINGS]
+        missing = set()
+        for module, attr in bindings:
+            try:
+                probe._resolve(module, attr)
+            except (ImportError, AttributeError):
+                missing.add(f"{module}.{attr}")
+        assert missing <= self.STALE_BINDINGS
+

@@ -324,6 +324,23 @@ class TestCli:
         assert "topology_kind" in proc.stderr
         assert self._run("run", "--config", str(path), "--out", str(tmp_path / "o")).returncode == 2
 
+    def test_dirac_pruning_is_rejected_before_run(self, tmp_path):
+        # uniform Metropolis weights would rank neighbours by client index
+        message = "dirac has no learned weights to prune by"
+        path = tmp_path / "dirac.json"
+        path.write_text(json.dumps({**small_config("dirac").to_dict(), "sparsify_keep_fraction": 0.5}))
+        proc = self._run("validate-config", "--config", str(path))
+        assert proc.returncode == 2 and "config ok" not in proc.stdout
+        assert message in proc.stderr
+        out = tmp_path / "o"
+        proc = self._run("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2 and message in proc.stderr
+        assert not out.exists()
+        # a budget sweep of a dirac config prunes too
+        path = self._write_config(tmp_path, prior="dirac")
+        proc = self._run("sweep-budget", "--config", str(path), "--out", str(out), "--fractions", "0.5")
+        assert proc.returncode == 2 and message in proc.stderr
+
     def test_invariant_error_exit_code_and_partial_report(self, tmp_path, monkeypatch, capsys):
         from scool.cli import EXIT_INVARIANT, main
         from scool.em import sbm
