@@ -65,13 +65,20 @@ def observed_pairs(K: int, mask: np.ndarray | None = None) -> np.ndarray:
     return off
 
 
+def at_pairs(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The entries of a K x K array, or the membership rows of a K x K x M
+    one, at the flat pair indices i*K + j."""
+    return np.take(a.reshape(-1, *a.shape[2:]), pairs, axis=0)
+
+
 def pair_bilinear(phi_send: np.ndarray, X: np.ndarray, phi_recv: np.ndarray) -> np.ndarray:
-    """sum_gh phi_send[i, j, g] X[g, h] phi_recv[i, j, h] for every pair,
-    accumulated with g outer and h inner from zero: the terms and order of
-    np.einsum("ijg,gh,ijh->ij", ...), bit for bit, in about half its time."""
+    """sum_gh phi_send[..., g] X[g, h] phi_recv[..., h] for every pair, on
+    K x K x M memberships or an E x M pair list, accumulated with g outer
+    and h inner from zero: the terms and order of
+    np.einsum("...g,gh,...h->...", ...), bit for bit, in about half its time."""
     M = X.shape[0]
-    acc = np.zeros(phi_send.shape[:2])
+    acc = np.zeros(phi_send.shape[:-1])
     for g in range(M):
         for h in range(M):
-            acc += phi_send[:, :, g] * X[g, h] * phi_recv[:, :, h]
+            acc += phi_send[..., g] * X[g, h] * phi_recv[..., h]
     return acc

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..models import LocalModel
 from ..special import xlogx
-from .common import expected_log_pi, observed_pairs, pair_bilinear
+from .common import at_pairs, expected_log_pi, observed_pairs, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, MmsbmState, SbmState, clamp_block_matrix
 from ..special import log_gamma
 
@@ -124,23 +124,22 @@ def elbo_attention(state: AttentionState, loglik: np.ndarray, models=None, mask=
 
 
 def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
-    obs = observed_pairs(state.n_clients, mask)
+    K = state.n_clients
+    obs = observed_pairs(K, mask)
+    pairs = np.flatnonzero(obs)
+    ps, pr, w = (at_pairs(a, pairs) for a in (state.phi_send, state.phi_recv, state.w))
     B = clamp_block_matrix(state.B)
-    pos = pair_bilinear(state.phi_send, np.log(B), state.phi_recv)
-    neg = pair_bilinear(state.phi_send, np.log1p(-B), state.phi_recv)
-    edge = float((state.w * pos + (1.0 - state.w) * neg)[obs].sum())
+    pos = pair_bilinear(ps, np.log(B), pr)
+    neg = pair_bilinear(ps, np.log1p(-B), pr)
     elp = expected_log_pi(state.gamma)
-    send_scores = np.einsum("ijg,ig->ij", state.phi_send, elp)
-    recv_scores = np.einsum("ijg,jg->ij", state.phi_recv, elp)
-    membership = float(send_scores[obs].sum() + recv_scores[obs].sum())
-    entropy_membership = -float(xlogx(state.phi_send)[obs].sum() + xlogx(state.phi_recv)[obs].sum())
+    elp_send, elp_recv = (np.take(elp, own, axis=0) for own in (pairs // K, pairs % K))
     return ElboBreakdown(
         likelihood=_likelihood_term(state.w, loglik, obs),
         model_prior=_model_prior_term(models, state.lam),
-        edge=edge,
-        membership=membership,
+        edge=float((w * pos + (1.0 - w) * neg).sum()),
+        membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),
         dirichlet=_dirichlet_term(state.gamma, state.alpha),
-        entropy_membership=entropy_membership,
+        entropy_membership=-float(xlogx(ps).sum() + xlogx(pr).sum()),
         entropy_w=_bernoulli_entropy(state.w, obs),
     )
 

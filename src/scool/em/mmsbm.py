@@ -14,7 +14,9 @@ import numpy as np
 
 from ..special import sigmoid_tempered, softmax_tempered
 # graph (the reporting hook) and update_alpha are shared with sbm
-from .common import block_ratio, expected_log_pi, graph, observed_pairs, pair_bilinear, update_alpha
+from .common import (
+    at_pairs, block_ratio, expected_log_pi, graph, observed_pairs, pair_bilinear, update_alpha,
+)
 from .state import MmsbmState, clamp_block_matrix, init_mmsbm_state
 from .theta import cooperative_sgd_steps
 
@@ -31,70 +33,70 @@ def init_state(config, topology, theta_dim: int) -> MmsbmState:
     )
 
 
-def _uniform_diagonal(phi: np.ndarray) -> np.ndarray:
-    """Self pairs carry no edge; park their memberships at uniform."""
-    K, _, M = phi.shape
-    phi[np.arange(K), np.arange(K), :] = 1.0 / M
-    return phi
+def _observed(state: MmsbmState, mask) -> np.ndarray:
+    """Row-major list of the observed ordered pairs, as flat indices i*K + j."""
+    return np.flatnonzero(observed_pairs(state.n_clients, mask))
 
 
 def update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Edge posterior; the diagonal is a reporting value as in the
-    single-membership case and never enters the model updates."""
+    """Edge posterior over the allowed pairs; masked entries are 0. The
+    diagonal is a reporting value as in the single-membership case and
+    never enters the model updates."""
     B = clamp_block_matrix(state.B)
     odds = np.log(B) - np.log1p(-B)
-    score = loglik + pair_bilinear(state.phi_send, odds, state.phi_recv)
-    w = sigmoid_tempered(score, state.tau_sigmoid)
-    if mask is not None:
-        w = np.where(np.asarray(mask, dtype=bool), w, 0.0)
-    return w
+    K = state.n_clients
+    pairs = np.arange(K * K) if mask is None else np.flatnonzero(mask)
+    ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
+    w = np.zeros(K * K)
+    w[pairs] = sigmoid_tempered(at_pairs(loglik, pairs) + pair_bilinear(ps, odds, pr), state.tau_sigmoid)
+    return w.reshape(K, K)
 
 
 def update_gamma(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
     """Dirichlet posterior: prior plus client i's sender memberships over
     observed pairs (i, .) plus its receiver memberships over (., i)."""
-    obs = observed_pairs(state.n_clients, mask)[:, :, None]
-    send_sum = (state.phi_send * obs).sum(axis=1)
-    recv_sum = (state.phi_recv * obs).sum(axis=0)
+    pairs = _observed(state, mask)
+    K, M = state.n_clients, state.n_blocks
+    ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
+    send_sum = np.stack([np.bincount(pairs // K, ps[:, g], K) for g in range(M)], axis=1)
+    recv_sum = np.stack([np.bincount(pairs % K, pr[:, g], K) for g in range(M)], axis=1)
     return state.alpha[None, :] + send_sum + recv_sum
 
 
-def _pair_scores(state: MmsbmState, counterpart: np.ndarray, transpose_B: bool) -> np.ndarray:
-    """Edge and non-edge evidence for one side of every pair."""
+def _update_phi(state: MmsbmState, mask, side: str) -> np.ndarray:
+    """Softmax of one side's edge and non-edge evidence over the observed
+    pairs. The scores are laid out block-major (M x E) so the softmax
+    reduces along the leading axis; every other pair, the diagonal
+    included, is parked at 1/M."""
+    pairs = _observed(state, mask)
+    K, M = state.n_clients, state.n_blocks
     B = clamp_block_matrix(state.B)
     logB, log1mB = np.log(B), np.log1p(-B)
-    if transpose_B:
+    if side == "send":
+        counterpart, own = at_pairs(state.phi_recv, pairs).T, pairs // K
+    else:
+        counterpart, own = at_pairs(state.phi_send, pairs).T, pairs % K
         logB, log1mB = logB.T, log1mB.T
-    pos = counterpart @ logB.T  # [i, j, k] = sum_h counterpart[i,j,h] logB[k,h]
-    neg = counterpart @ log1mB.T
-    w = state.w[:, :, None]
-    return w * pos + (1.0 - w) * neg
-
-
-def _park_unobserved(state: MmsbmState, phi: np.ndarray, mask) -> np.ndarray:
-    if mask is not None:
-        unobs = ~observed_pairs(state.n_clients, mask)
-        phi[unobs] = 1.0 / state.n_blocks
-    return _uniform_diagonal(phi)
+    w = at_pairs(state.w, pairs)
+    scores = w * (logB @ counterpart) + (1.0 - w) * (log1mB @ counterpart)
+    scores = scores + np.take(expected_log_pi(state.gamma), own, axis=0).T
+    phi = np.full((K * K, M), 1.0 / M)
+    phi[pairs] = softmax_tempered(scores, 1.0, axis=0).T
+    return phi.reshape(K, K, M)
 
 
 def update_phi_send(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
-    scores = _pair_scores(state, state.phi_recv, transpose_B=False)
-    scores = scores + expected_log_pi(state.gamma)[:, None, :]
-    return _park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
+    return _update_phi(state, mask, "send")
 
 
 def update_phi_recv(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
-    scores = _pair_scores(state, state.phi_send, transpose_B=True)
-    scores = scores + expected_log_pi(state.gamma)[None, :, :]
-    return _park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
+    return _update_phi(state, mask, "recv")
 
 
 def update_block_matrix(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
-    off = observed_pairs(state.n_clients, mask).astype(float)
-    num = np.einsum("ij,ijg,ijh->gh", state.w * off, state.phi_send, state.phi_recv)
-    den = np.einsum("ij,ijg,ijh->gh", off, state.phi_send, state.phi_recv)
-    return block_ratio(num, den)
+    pairs = _observed(state, mask)
+    ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
+    return block_ratio((at_pairs(state.w, pairs)[:, None] * ps).T @ pr, ps.T @ pr)
 
 
 def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray | None = None) -> MmsbmState:

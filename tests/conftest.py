@@ -7,14 +7,17 @@ import numpy as np
 
 from scool.config import ExperimentConfig
 from scool.em import sbm
+from scool.em.common import block_ratio, expected_log_pi, observed_pairs
+from scool.em.elbo import _dirichlet_term
 from scool.em.state import (
     AdamSlot,
     AttentionState,
     MmsbmState,
     SbmState,
+    clamp_block_matrix,
 )
 from scool.models import ArchSpec, Dataset, LocalModel
-from scool.special import softmax_tempered
+from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 
 
 # ---------------------------------------------------------------- numerics
@@ -97,6 +100,85 @@ def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
     )
     base.update(overrides)
     return MmsbmState(**base)
+
+
+# ------------------------------------------------------ dense mmsbm oracle
+# The mixed-membership blocks and lower bound written densely over all K x K
+# pairs: the plain reference that the observed-pair-list code in
+# scool.em.mmsbm and elbo_mmsbm is checked against (tests/test_mmsbm.py).
+
+
+def _dense_park_unobserved(state: MmsbmState, phi: np.ndarray, mask) -> np.ndarray:
+    phi[~observed_pairs(state.n_clients, mask)] = 1.0 / state.n_blocks
+    return phi
+
+
+def dense_update_w(state: MmsbmState, loglik: np.ndarray, mask=None) -> np.ndarray:
+    B = clamp_block_matrix(state.B)
+    odds = np.log(B) - np.log1p(-B)
+    score = loglik + np.einsum("ijg,gh,ijh->ij", state.phi_send, odds, state.phi_recv)
+    w = sigmoid_tempered(score, state.tau_sigmoid)
+    if mask is not None:
+        w = np.where(np.asarray(mask, dtype=bool), w, 0.0)
+    return w
+
+
+def dense_update_gamma(state: MmsbmState, mask=None) -> np.ndarray:
+    obs = observed_pairs(state.n_clients, mask)[:, :, None]
+    send_sum = (state.phi_send * obs).sum(axis=1)
+    recv_sum = (state.phi_recv * obs).sum(axis=0)
+    return state.alpha[None, :] + send_sum + recv_sum
+
+
+def _dense_pair_scores(state: MmsbmState, counterpart: np.ndarray, transpose_B: bool) -> np.ndarray:
+    B = clamp_block_matrix(state.B)
+    logB, log1mB = np.log(B), np.log1p(-B)
+    if transpose_B:
+        logB, log1mB = logB.T, log1mB.T
+    pos = counterpart @ logB.T  # [i, j, k] = sum_h counterpart[i,j,h] logB[k,h]
+    neg = counterpart @ log1mB.T
+    w = state.w[:, :, None]
+    return w * pos + (1.0 - w) * neg
+
+
+def dense_update_phi_send(state: MmsbmState, mask=None) -> np.ndarray:
+    scores = _dense_pair_scores(state, state.phi_recv, transpose_B=False)
+    scores = scores + expected_log_pi(state.gamma)[:, None, :]
+    return _dense_park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
+
+
+def dense_update_phi_recv(state: MmsbmState, mask=None) -> np.ndarray:
+    scores = _dense_pair_scores(state, state.phi_send, transpose_B=True)
+    scores = scores + expected_log_pi(state.gamma)[None, :, :]
+    return _dense_park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
+
+
+def dense_update_block_matrix(state: MmsbmState, mask=None) -> np.ndarray:
+    off = observed_pairs(state.n_clients, mask).astype(float)
+    num = np.einsum("ij,ijg,ijh->gh", state.w * off, state.phi_send, state.phi_recv)
+    den = np.einsum("ij,ijg,ijh->gh", off, state.phi_send, state.phi_recv)
+    return block_ratio(num, den)
+
+
+def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask=None) -> dict[str, float]:
+    """The per-term lower bound (without the model prior) as ElboBreakdown.terms()."""
+    obs = observed_pairs(state.n_clients, mask)
+    B = clamp_block_matrix(state.B)
+    pos = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log(B), state.phi_recv)
+    neg = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log1p(-B), state.phi_recv)
+    elp = expected_log_pi(state.gamma)
+    send_scores = np.einsum("ijg,ig->ij", state.phi_send, elp)
+    recv_scores = np.einsum("ijg,jg->ij", state.phi_recv, elp)
+    w = state.w
+    return {
+        "likelihood": float(np.trace(loglik) + (w * loglik)[obs].sum()),
+        "model_prior": 0.0,
+        "edge": float((w * pos + (1.0 - w) * neg)[obs].sum()),
+        "membership": float(send_scores[obs].sum() + recv_scores[obs].sum()),
+        "dirichlet": _dirichlet_term(state.gamma, state.alpha),
+        "entropy_membership": -float(xlogx(state.phi_send)[obs].sum() + xlogx(state.phi_recv)[obs].sum()),
+        "entropy_w": -float((xlogx(w) + xlogx(1.0 - w))[obs].sum()),
+    }
 
 
 def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from scool.em import attention, dirac, mmsbm, rounds, sbm
+from scool.em.common import observed_pairs
 from scool.em.elbo import elbo
 from scool.em.state import DiracState, PROB_FLOOR
 from scool.models import ArchSpec, LocalModel, grad, loss
@@ -20,6 +21,7 @@ from scool.topology import (
     CommLedger,
     account_exchange,
     build_topology,
+    sparsify_topk,
 )
 
 from conftest import (
@@ -42,6 +44,7 @@ KKT_TOL = 1e-4
 MONO_TOL = -1e-8
 GRAD_TOL = 1e-4
 DPSGD_TOL = 1e-12
+MASKED_TRIALS = 8  # mmsbm draws under a pruned ring mask in criteria 1-2
 
 
 def _report(num, name, detail, elapsed, budget):
@@ -61,6 +64,57 @@ def bench_report(prior, seed, grad_mode=CROSS_GRADIENT):
     if key not in _BENCH_CACHE:
         _BENCH_CACHE[key] = run_experiment(benchmark_config(prior, seed, grad_mode))
     return _BENCH_CACHE[key]
+
+
+def pruned_ring(rng, K):
+    """A ring of reach 2 pruned as a run prunes it: each client keeps its
+    ceil(0.3 (K - 1)) strongest (here random) weights."""
+    ring = build_topology("group-ring", K, k0=K - 4).mask
+    return sparsify_topk(rng.uniform(0.1, 1.0, (K, K)), ring, 0.3, 1, 1)
+
+
+def _mmsbm_kkt_residual(mst, ll, mask=None):
+    """Update the mmsbm w, gamma and each pair-membership side in turn and
+    return the worst stationarity residual of each against the bound, over
+    the observed pairs."""
+    K, M = mst.n_clients, mst.n_blocks
+    pairs = list(zip(*np.nonzero(observed_pairs(K, mask))))
+    worst = 0.0
+    mst.w = mmsbm.update_w(mst, ll, mask)
+    for i, j in pairs:
+        def f(v, i=i, j=j):
+            w2 = mst.w.copy(); w2[i, j] = v
+            return elbo(clone_mmsbm(mst, w=w2), ll, mask=mask).total
+        worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
+    mst.gamma = mmsbm.update_gamma(mst, mask)
+    for i in range(K):
+        for g in range(M):
+            def f(v, i=i, g=g):
+                g2 = mst.gamma.copy(); g2[i, g] = v
+                return elbo(clone_mmsbm(mst, gamma=g2), ll, mask=mask).total
+            worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
+    for side, update in (("phi_send", mmsbm.update_phi_send), ("phi_recv", mmsbm.update_phi_recv)):
+        setattr(mst, side, update(mst, mask))
+        arr = getattr(mst, side)
+        for i, j in pairs:
+            grads = []
+            for k in range(M):
+                def f(v, i=i, j=j, k=k, side=side):
+                    p2 = arr.copy(); p2[i, j, k] = v
+                    return elbo(clone_mmsbm(mst, **{side: p2}), ll, mask=mask).total
+                grads.append(central_diff(f, arr[i, j, k], 1e-7))
+            worst = max(worst, simplex_kkt_spread(grads))
+    return worst
+
+
+def _mmsbm_sweep(st, ll, mask, track):
+    """Apply the mmsbm blocks one at a time, tracking the bound after each."""
+    v = elbo(st, ll, mask=mask).total
+    st.w = mmsbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask=mask).total)
+    st.gamma = mmsbm.update_gamma(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
+    st.phi_send = mmsbm.update_phi_send(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
+    st.phi_recv = mmsbm.update_phi_recv(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
+    st.B = mmsbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
 
 
 def test_criterion_1_stationarity_suite():
@@ -116,37 +170,15 @@ def test_criterion_1_stationarity_suite():
             worst = max(worst, simplex_kkt_spread(grads))
 
         # --- MMSBM: w, gamma, then each pair-membership side
-        mst = random_mmsbm_state(rng, K, M)
-        mst.w = mmsbm.update_w(mst, ll)
-        for i in range(K):
-            for j in range(K):
-                if i == j:
-                    continue
-                def f(v, i=i, j=j):
-                    w2 = mst.w.copy(); w2[i, j] = v
-                    return elbo(clone_mmsbm(mst, w=w2), ll).total
-                worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
-        mst.gamma = mmsbm.update_gamma(mst)
-        for i in range(K):
-            for g in range(M):
-                def f(v, i=i, g=g):
-                    g2 = mst.gamma.copy(); g2[i, g] = v
-                    return elbo(clone_mmsbm(mst, gamma=g2), ll).total
-                worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
-        for side, update in (("phi_send", mmsbm.update_phi_send), ("phi_recv", mmsbm.update_phi_recv)):
-            setattr(mst, side, update(mst))
-            arr = getattr(mst, side)
-            for i in range(K):
-                for j in range(K):
-                    if i == j:
-                        continue
-                    grads = []
-                    for k in range(M):
-                        def f(v, i=i, j=j, k=k, side=side):
-                            p2 = arr.copy(); p2[i, j, k] = v
-                            return elbo(clone_mmsbm(mst, **{side: p2}), ll).total
-                        grads.append(central_diff(f, arr[i, j, k], 1e-7))
-                    worst = max(worst, simplex_kkt_spread(grads))
+        worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M), ll))
+
+    # --- MMSBM under a pruned ring mask: the blocks gather and scatter only
+    # the observed pairs, and the bound reads only those
+    for _ in range(MASKED_TRIALS):
+        K, M = 6, int(rng.choice([1, 2, 3]))
+        mask = pruned_ring(rng, K)
+        ll = random_loglik(rng, K)
+        worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M), ll, mask))
 
     assert worst < KKT_TOL, f"KKT residual {worst:.2e} >= {KKT_TOL}"
     _report(1, "stationarity suite", f"max KKT residual {worst:.2e} < {KKT_TOL}",
@@ -189,12 +221,14 @@ def test_criterion_2_elbo_monotonicity():
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
         st = random_mmsbm_state(rng, K, M)
         ll = random_loglik(rng, K)
-        v = elbo(st, ll).total
-        st.w = mmsbm.update_w(st, ll); v = track(v, elbo(st, ll).total)
-        st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(st, ll).total)
-        st.phi_send = mmsbm.update_phi_send(st); v = track(v, elbo(st, ll).total)
-        st.phi_recv = mmsbm.update_phi_recv(st); v = track(v, elbo(st, ll).total)
-        st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(st, ll).total)
+        _mmsbm_sweep(st, ll, None, track)
+
+    for _ in range(MASKED_TRIALS):  # MMSBM under a pruned ring mask
+        K, M = 6, int(rng.choice([1, 2, 3]))
+        mask = pruned_ring(rng, K)
+        st = random_mmsbm_state(rng, K, M)
+        ll = random_loglik(rng, K)
+        _mmsbm_sweep(st, ll, mask, track)
 
     assert worst_drop > MONO_TOL, f"lower bound decreased by {-worst_drop:.2e}"
     _report(2, "ELBO monotonicity", f"worst change {worst_drop:+.2e} > {MONO_TOL}",

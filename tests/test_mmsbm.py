@@ -4,19 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scool.em import mmsbm
-from scool.em.common import observed_pairs, pair_bilinear
-from scool.em.elbo import elbo
+from scool.em.common import at_pairs, observed_pairs, pair_bilinear
+from scool.em.elbo import elbo, elbo_mmsbm
 from scool.errors import InvariantError
 
 from conftest import (
     central_diff,
     clone_mmsbm,
+    dense_elbo_mmsbm,
+    dense_update_block_matrix,
+    dense_update_gamma,
+    dense_update_phi_recv,
+    dense_update_phi_send,
+    dense_update_w,
     random_loglik,
     random_mmsbm_state,
     simplex_kkt_spread,
 )
+
+PAIR_TOL = 1e-12
 
 
 class TestDegenerateSingleBlock:
@@ -190,9 +200,81 @@ class TestPairHelpers:
             np.einsum("ijg,gh,ijh->ij", st.phi_send, X, st.phi_recv),
         )
 
+    def test_pair_bilinear_on_a_pair_list(self):
+        rng = np.random.default_rng(11)
+        st = random_mmsbm_state(rng, 7, 3)
+        X = 3.0 * rng.standard_normal((3, 3))
+        pairs = np.flatnonzero(rng.random((7, 7)) < 0.4)
+        np.testing.assert_array_equal(
+            pair_bilinear(at_pairs(st.phi_send, pairs), X, at_pairs(st.phi_recv, pairs)),
+            pair_bilinear(st.phi_send, X, st.phi_recv).ravel()[pairs],
+        )
+
     def test_observed_pairs(self):
         mask = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
         np.testing.assert_array_equal(observed_pairs(3), ~np.eye(3, dtype=bool))
         np.testing.assert_array_equal(
             observed_pairs(3, mask), [[False, True, False], [False, False, True], [True, True, False]]
         )
+
+
+def random_symmetric_mask(rng: np.random.Generator, K: int, keep: float) -> np.ndarray:
+    upper = np.triu(rng.random((K, K)) < keep, 1)
+    mask = upper | upper.T
+    np.fill_diagonal(mask, True)
+    return mask
+
+
+def assert_pairs_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=PAIR_TOL, atol=PAIR_TOL)
+
+
+def assert_parked_simplex(phi, obs, M):
+    assert np.all(phi[~obs] == 1.0 / M)  # unobserved pairs stay exactly uniform
+    assert np.all(phi >= 0.0)
+    np.testing.assert_allclose(phi.sum(axis=-1), 1.0, rtol=0, atol=PAIR_TOL)
+
+
+class TestPairListEqualsDenseOracle:
+    """Every block runs over the observed-pair list; the dense K x K x M
+    oracle in conftest must agree on random masks and interior states."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        K=hst.integers(1, 12),
+        M=hst.integers(1, 4),
+        keep=hst.floats(0.0, 1.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_every_block(self, K, M, keep, seed):
+        rng = np.random.default_rng(seed)
+        st = random_mmsbm_state(rng, K, M)
+        ll = random_loglik(rng, K)
+        mask = random_symmetric_mask(rng, K, keep)
+        obs = observed_pairs(K, mask)
+
+        w = mmsbm.update_w(st, ll, mask)
+        assert_pairs_close(w, dense_update_w(st, ll, mask))
+        assert np.all(w[~mask] == 0.0) and np.all((w >= 0.0) & (w <= 1.0))
+        st.w = w
+
+        st.gamma = mmsbm.update_gamma(st, mask)
+        assert_pairs_close(st.gamma, dense_update_gamma(st, mask))
+
+        send, recv = mmsbm.update_phi_send(st, mask), mmsbm.update_phi_recv(st, mask)
+        assert_pairs_close(send, dense_update_phi_send(st, mask))
+        assert_pairs_close(recv, dense_update_phi_recv(st, mask))
+        assert_parked_simplex(send, obs, M)
+        assert_parked_simplex(recv, obs, M)
+        st.phi_send, st.phi_recv = send, recv
+
+        terms = elbo_mmsbm(st, ll, mask=mask).terms()
+        for name, expected in dense_elbo_mmsbm(st, ll, mask).items():
+            assert terms[name] == pytest.approx(expected, rel=PAIR_TOL, abs=PAIR_TOL), name
+
+        if not obs.any():  # no observed pair: both block updates have nothing to average
+            for update in (mmsbm.update_block_matrix, dense_update_block_matrix):
+                with pytest.raises(InvariantError):
+                    update(st, mask)
+            return
+        assert_pairs_close(mmsbm.update_block_matrix(st, mask), dense_update_block_matrix(st, mask))

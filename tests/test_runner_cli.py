@@ -96,8 +96,21 @@ class TestRunExperiment:
         assert len(report.rounds) == 4
         assert all(0.0 <= r["mean_test_acc"] <= 1.0 for r in report.rounds)
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = small_config("sbm")
+    @pytest.mark.parametrize(
+        "prior, overrides",
+        [
+            ("sbm", {}),
+            ("attention", {}),
+            ("mmsbm", {}),
+            ("dirac", {}),
+            ("local-only", {}),
+            # pruning at round 2 of 4: the mmsbm pair list shrinks mid-run
+            ("mmsbm", {"sparsify_keep_fraction": 0.4, "sparsify_round": 2}),
+        ],
+        ids=["sbm", "attention", "mmsbm", "dirac", "local-only", "mmsbm-pruned"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, prior, overrides):
+        cfg = small_config(prior, **overrides)
         run_experiment(cfg, tmp_path / "a")
         run_experiment(cfg, tmp_path / "b")
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
