@@ -7,7 +7,7 @@ cooperation graph by variational EM under pluggable graphical-model priors
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigurationError, DivergenceError, InvariantError, ScoolError
-from .models import ArchSpec, Dataset, LocalModel, accuracy, grad, log_likelihood, loss
+from .models import ArchSpec, ClientStore, Dataset, DataStack, LocalModel, accuracy, grad, log_likelihood, loss
 from .runner import ExperimentReport, metric_l1, run_budget_sweep, run_experiment
 from .special import digamma, log_gamma, row_normalize, sigmoid_tempered, softmax_tempered
 from .tasks import TaskAssignment, TaskUniverse, gen_noniid_random, gen_noniid_sbm, sample_class_data
@@ -17,8 +17,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchSpec",
+    "ClientStore",
     "CommLedger",
     "ConfigurationError",
+    "DataStack",
     "Dataset",
     "DivergenceError",
     "ExperimentConfig",

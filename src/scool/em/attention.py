@@ -13,12 +13,10 @@ difference oracles in the tests genuinely independent.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import LocalModel
+from ..models import ClientStore
 from ..special import softmax_tempered
 from .state import PROB_FLOOR, AttentionState, ascent_step, init_attention_state
 from .theta import cooperative_sgd_steps
@@ -54,9 +52,9 @@ def pack_encoder(W1, b1, W2, b2) -> np.ndarray:
     return np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
 
 
-def model_deltas(models: Sequence[LocalModel]) -> np.ndarray:
-    """Accumulated updates theta - theta_init, stacked K x D."""
-    return np.stack([m.theta - m.init_theta for m in models])
+def model_deltas(models: ClientStore) -> np.ndarray:
+    """Accumulated updates theta - theta_init, K x D."""
+    return models.theta - models.init_theta
 
 
 def encode(phi: np.ndarray, dims: tuple[int, int, int], X: np.ndarray) -> np.ndarray:
@@ -65,21 +63,24 @@ def encode(phi: np.ndarray, dims: tuple[int, int, int], X: np.ndarray) -> np.nda
 
 
 def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray | None) -> np.ndarray:
-    K = len(scores)
+    """Row softmax over the allowed entries, zero elsewhere. Rows of equal
+    mask degree share one 2-D softmax over their compacted allowed entries."""
     if mask is None:
         return softmax_tempered(scores, tau, axis=-1)
     mask = np.asarray(mask, dtype=bool)
+    degree = mask.sum(axis=1)
+    if not degree.all():
+        raise ConfigurationError(f"client {int(np.argmin(degree))} has a fully masked row")
     out = np.zeros_like(scores)
-    for i in range(K):
-        allowed = np.where(mask[i])[0]
-        if allowed.size == 0:
-            raise ConfigurationError(f"client {i} has a fully masked row")
-        out[i, allowed] = softmax_tempered(scores[i, allowed], tau)
+    for k in np.flatnonzero(np.bincount(degree)):  # np.unique loads numpy.ma (about 1 MB)
+        rows = np.flatnonzero(degree == k)[:, None]
+        cols = np.nonzero(mask[rows[:, 0]])[1].reshape(len(rows), k)
+        out[rows, cols] = softmax_tempered(scores[rows, cols], tau)
     return out
 
 
 def compute_p(
-    models: Sequence[LocalModel],
+    models: ClientStore,
     phi: np.ndarray,
     dims: tuple[int, int, int],
     tau: float,
@@ -120,7 +121,7 @@ def _attention_residual(w, p, tau, mask):
 
 
 def coupling_descent_terms(
-    models: Sequence[LocalModel],
+    models: ClientStore,
     state: AttentionState,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -134,7 +135,6 @@ def coupling_descent_terms(
     W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
     p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, mask)
     C = _attention_residual(state.w, p, state.tau_softmax, mask)
-    K = len(models)
     dE = C @ E  # row i: sum_j C_ij e_j
     dE += (np.diag(C)[:, None]) * E  # second slot of the self score
     dH = dE @ W2
@@ -145,7 +145,7 @@ def coupling_descent_terms(
 
 def phi_gradient(
     state: AttentionState,
-    models: Sequence[LocalModel],
+    models: ClientStore,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ascent gradient of sum_ij w_ij log p_ij w.r.t. the encoder, flowing
@@ -166,7 +166,7 @@ def phi_gradient(
 
 def update_phi(
     state: AttentionState,
-    models: Sequence[LocalModel],
+    models: ClientStore,
     mask: np.ndarray | None = None,
     optimizer: str = "plain",
     weight_decay: float = 0.0,
@@ -180,7 +180,7 @@ def update_phi(
 
 def e_step(
     state: AttentionState,
-    models: Sequence[LocalModel],
+    models: ClientStore,
     loglik: np.ndarray,
     mask: np.ndarray | None = None,
 ) -> AttentionState:

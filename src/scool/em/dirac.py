@@ -9,14 +9,11 @@ pre-collapse manifold descent form; they agree to machine precision.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import Dataset, LocalModel, batch_grad
+from ..models import ClientStore, DataStack, batch_grad
 from .state import DiracState
-from .theta import stack_clients
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
 e_step = None
@@ -43,32 +40,16 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
     return w
 
 
-def _validate_w(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    K = len(w)
-    if not np.allclose(w, w.T, atol=1e-12):
-        raise ConfigurationError("gossip weights must be symmetric")
-    if not np.allclose(w.sum(axis=1), np.ones(K), atol=1e-9):
-        raise ConfigurationError("gossip weights must be row-stochastic")
-    return w
-
-
-def dpsgd_step(
-    models: Sequence[LocalModel],
-    w: np.ndarray,
-    train_sets: Sequence[Dataset],
-    eta1: float,
-) -> None:
-    """theta_i <- sum_j w_ij theta_j - eta1 * grad_i, with the gradient
-    evaluated at the pre-averaging parameters; the K gradients are one
-    batched call."""
-    w = _validate_w(w)
-    thetas, X, Y = stack_clients(models, train_sets)
-    new = w @ thetas - eta1 * batch_grad(thetas, X, Y, models[0].arch)
+def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: float) -> None:
+    """theta_i <- sum_j w_ij theta_j - eta1 * grad_i on models.theta in
+    place, with the gradient evaluated at the pre-averaging parameters; the
+    K gradients are one batched call. w is checked once, when its
+    DiracState is built."""
+    thetas = models.theta
+    new = w @ thetas - eta1 * batch_grad(thetas, train_sets.features, train_sets.labels, models.arch)
     if not np.all(np.isfinite(new)):
         raise DivergenceError("gossip step produced non-finite parameters")
-    for model, theta in zip(models, new):
-        model.theta = theta
+    thetas[...] = new
 
 
 def m_step(

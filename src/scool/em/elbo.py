@@ -87,8 +87,8 @@ def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray) -> float:
 
 
 def _bernoulli_entropy(w: np.ndarray, obs: np.ndarray) -> float:
-    vals = -(xlogx(w) + xlogx(1.0 - w))
-    return float(vals[obs].sum())
+    w = w[obs]
+    return float((-(xlogx(w) + xlogx(1.0 - w))).sum())
 
 
 def elbo_sbm(state: SbmState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:

@@ -4,12 +4,11 @@ updates, one barrier at a time."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, ScoolError
-from ..models import Dataset, LocalModel, batch_log_likelihood
+from ..models import ClientStore, DataStack, batch_log_likelihood
 from ..topology import (
     CROSS_GRADIENT,
     CommLedger,
@@ -20,7 +19,7 @@ from ..topology import (
 )
 from . import attention, dirac, local, mmsbm, sbm
 from .elbo import elbo
-from .theta import pair_blocks, stack_clients
+from .theta import pair_blocks
 
 # Every prior is a module with the same four hooks, looked up at call time:
 #   init_state(config, topology, theta_dim) -> the prior's state
@@ -45,11 +44,7 @@ class RoundResult:
     graph: np.ndarray  # row-stochastic reporting view of the cooperation graph
 
 
-def loglik_matrix(
-    models: Sequence[LocalModel],
-    train_sets: Sequence[Dataset],
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
+def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray | None = None) -> np.ndarray:
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
     client j's training labels under client i's model. The pairs the mask
     allows form one row-major pair list, evaluated in blocks of at most
@@ -57,8 +52,7 @@ def loglik_matrix(
     masked pairs stay exactly zero and are never evaluated."""
     K = len(models)
     allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    thetas, X, Y = stack_clients(models, train_sets)
-    arch = models[0].arch
+    thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     rows, cols = np.nonzero(allowed)
     out = np.zeros((K, K))
     for blk in pair_blocks(len(rows), X.shape[1], arch):
@@ -70,8 +64,8 @@ def loglik_matrix(
 def run_round(
     prior_kind: str,
     state,
-    models: Sequence[LocalModel],
-    train_sets: Sequence[Dataset],
+    models: ClientStore,
+    train_sets: DataStack,
     topology: Topology,
     ledger: CommLedger | None,
     round_index: int,

@@ -9,12 +9,12 @@ inputs is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import ArchSpec, Dataset, LocalModel, batch_grad, pairs_per_block
+from ..models import ArchSpec, ClientStore, DataStack, batch_grad, pairs_per_block
 from ..topology import CROSS_GRADIENT, TAYLOR_APPROX
 
 # Activation elements (pairs x samples x max(h, C)) one batched cross-client
@@ -25,34 +25,13 @@ PAIR_BLOCK_ELEMENTS = 8192
 
 # Optional per-step extra descent terms (the attention coupling); called on
 # the pre-step snapshot, returns one vector per client.
-CouplingFn = Callable[[Sequence[LocalModel]], np.ndarray]
+CouplingFn = Callable[[ClientStore], np.ndarray]
 
 
 def pair_blocks(n_pairs: int, n: int, arch: ArchSpec) -> list[slice]:
     """Consecutive slices of a pair list, each within PAIR_BLOCK_ELEMENTS."""
     size = pairs_per_block(PAIR_BLOCK_ELEMENTS, n, arch)
     return [slice(a, min(a + size, n_pairs)) for a in range(0, n_pairs, size)]
-
-
-def stack_clients(
-    models: Sequence[LocalModel], train_sets: Sequence[Dataset]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameters K x D, features K x n x d and labels K x n of all clients,
-    the stacked layout the batched kernel reads."""
-    if len(models) != len(train_sets):
-        raise ConfigurationError("need one train set per model")
-    arch = models[0].arch
-    if any(m.arch != arch for m in models):
-        raise ConfigurationError("all clients must share one architecture")
-    if any(ds.features.shape != train_sets[0].features.shape for ds in train_sets):
-        raise ConfigurationError("train sets must share their size and feature width")
-    if train_sets[0].features.shape[1] != arch.d:
-        raise ConfigurationError(f"train features are not {arch.d}-dimensional as the models need")
-    return (
-        np.stack([m.theta for m in models]),
-        np.stack([ds.features for ds in train_sets]),
-        np.stack([ds.labels for ds in train_sets]),
-    )
 
 
 def _slot_major(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,8 +62,8 @@ def _first_bad_row(values: np.ndarray) -> int | None:
 
 
 def cooperative_sgd_steps(
-    models: Sequence[LocalModel],
-    train_sets: Sequence[Dataset],
+    models: ClientStore,
+    train_sets: DataStack,
     w: np.ndarray,
     lam: float,
     eta1: float,
@@ -93,7 +72,8 @@ def cooperative_sgd_steps(
     mask: np.ndarray | None = None,
     coupling_fn: CouplingFn | None = None,
 ) -> None:
-    """Run ``steps`` synchronous cooperative gradient steps in place.
+    """Run ``steps`` synchronous cooperative gradient steps on models.theta
+    in place.
 
     grad_mode selects the neighbor-gradient route: exact cross-gradients
     grad(theta_i; D_j), or the first-order surrogate grad(theta_j; D_j)
@@ -119,13 +99,11 @@ def cooperative_sgd_steps(
     np.fill_diagonal(edges, False)
     rows, cols, slot = _slot_major(edges)
     weights = w[rows, cols][:, None]
-    _, X, Y = stack_clients(models, train_sets)
-    arch = models[0].arch
+    thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     blocks = pair_blocks(len(rows), X.shape[1], arch)
     plan = _fold_plan(rows, slot, blocks)
 
     for step in range(steps):
-        thetas = np.stack([m.theta for m in models])
         own = batch_grad(thetas, X, Y, arch)
         coupling = coupling_fn(models) if coupling_fn is not None else None
 
@@ -143,7 +121,6 @@ def cooperative_sgd_steps(
             raise DivergenceError(f"client {bad} produced a non-finite update at local step {step}")
         new = thetas - eta1 * delta
         bad = _first_bad_row(new)
-        for i in range(K if bad is None else bad):
-            models[i].theta = new[i]
+        thetas[:bad] = new[:bad]
         if bad is not None:
             raise DivergenceError(f"client {bad} parameters left the finite range at local step {step}")

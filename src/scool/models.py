@@ -5,13 +5,18 @@ one-hidden-layer tanh MLP. Both keep their parameters in a single flat
 vector so mixing, averaging and finite-difference checks stay trivial.
 The cross-entropy here is always the per-sample mean; the ridge prior on
 the parameters is applied by the EM updates, not inside the data loss.
+A run keeps all clients in one ClientStore, the stacked layout the batched
+kernel reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 SOFTMAX_REGRESSION = "softmax-regression"
 MLP_1HIDDEN = "mlp-1hidden"
@@ -93,6 +98,75 @@ class LocalModel:
 
     def copy(self) -> "LocalModel":
         return LocalModel(self.theta.copy(), self.arch, self.init_theta)
+
+
+class DataStack(Sequence):
+    """The datasets of K clients as one stack: features K x n x d and labels
+    K x n, so all share n and d. Item k is client k's Dataset, a view of
+    row k."""
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, class_sets, split: str = "train"):
+        self.features, self.labels = features, labels
+        self.class_sets, self.split = list(class_sets), split
+
+    @classmethod
+    def of(cls, datasets: Sequence[Dataset]) -> "DataStack":
+        """Stack K datasets of one size and feature width."""
+        if any(ds.features.shape != datasets[0].features.shape for ds in datasets):
+            raise ConfigurationError("datasets must share their size and feature width")
+        return cls(np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets]),
+                   [ds.class_set for ds in datasets], datasets[0].split)
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, k: int) -> Dataset:
+        return Dataset(self.features[k], self.labels[k], self.class_sets[k], self.split)
+
+
+class ClientStore(Sequence):
+    """All K clients of a run, stacked once. ``theta`` (K x D) is the one
+    copy of the parameters: the kernels read it and update it in place.
+    ``init_theta`` (K x D) is read-only; ``train`` and ``test`` are
+    DataStacks of K datasets, or None. Item i is client i's LocalModel: its
+    theta and init_theta are views of row i, and assigning its theta writes
+    into that row."""
+
+    def __init__(self, models: Sequence[LocalModel], train: DataStack | None = None, test: DataStack | None = None):
+        self.arch = models[0].arch
+        if any(m.arch != self.arch for m in models):
+            raise ConfigurationError("all clients must share one architecture")
+        for data in (train, test):
+            if data is not None and len(data) != len(models):
+                raise ConfigurationError(f"need one {data.split} set per model")
+            if data is not None and data.features.shape[2] != self.arch.d:
+                raise ConfigurationError(f"{data.split} features are not {self.arch.d}-dimensional as the models need")
+        self.theta = np.stack([m.theta for m in models])
+        self.init_theta = np.stack([m.init_theta for m in models])
+        self.init_theta.setflags(write=False)
+        self.train, self.test = train, test
+        self._models = [_StoredModel(self, i) for i in range(len(models))]
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+    def __getitem__(self, i: int) -> LocalModel:
+        return self._models[i]
+
+
+class _StoredModel(LocalModel):
+    """Client i of a ClientStore, reading and writing row i of its arrays."""
+
+    def __init__(self, store: ClientStore, i: int):
+        self.arch, self.init_theta, self._store, self._i = store.arch, store.init_theta[i], store, i
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._store.theta[self._i]
+
+    @theta.setter
+    def theta(self, value) -> None:
+        self._store.theta[self._i] = value
 
 
 def _check_data(model: LocalModel, data: Dataset) -> None:
@@ -201,10 +275,18 @@ def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
     """Logits E x n x C, plus the hidden activations for the MLP."""
     if arch.kind == SOFTMAX_REGRESSION:
         W, b = _unpack_linear(thetas, arch)
-        return features @ W.swapaxes(1, 2) + b[:, None, :], None
+        return _affine(features, W, b), None
     W1, b1, W2, b2 = _unpack_mlp(thetas, arch)
-    A = np.tanh(features @ W1.swapaxes(1, 2) + b1[:, None, :])
-    return A @ W2.swapaxes(1, 2) + b2[:, None, :], A
+    A = np.tanh(_affine(features, W1, b1))
+    return _affine(A, W2, b2), A
+
+
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W^T + b per pair with the bias added in place. W^T stays a view, as
+    in the per-pair functions: a contiguous copy changes the last bits."""
+    out = X @ W.swapaxes(1, 2)
+    out += b[:, None, :]
+    return out
 
 
 def pairs_per_block(budget: int, n: int, arch: ArchSpec) -> int:

@@ -17,11 +17,10 @@ import numpy as np
 
 from .config import NONIID_SBM, ExperimentConfig
 from .em import rounds
-from .em.theta import stack_clients
 from .errors import DivergenceError, InvariantError
-from .models import ArchSpec, LocalModel, batch_accuracy, batch_log_likelihood, pairs_per_block
+from .models import ArchSpec, ClientStore, DataStack, LocalModel, batch_accuracy, batch_log_likelihood, pairs_per_block
 from .special import row_normalize
-from .tasks import gen_noniid_random, gen_noniid_sbm, stacked_rows
+from .tasks import gen_noniid_random, gen_noniid_sbm
 from .topology import CommLedger, Topology, build_topology
 
 REPORT_SCHEMA_VERSION = 1
@@ -147,12 +146,13 @@ def build_state(config: ExperimentConfig, topology: Topology, theta_dim: int):
     return rounds.PRIORS[config.prior_kind].init_state(config, topology, theta_dim)
 
 
-def per_client(kernel, thetas, features, labels, arch: ArchSpec) -> np.ndarray:
-    """kernel(thetas, features, labels, arch) of every client, one batched
-    call per block of at most REPORT_BLOCK_ELEMENTS activations."""
-    block = pairs_per_block(REPORT_BLOCK_ELEMENTS, features.shape[1], arch)
+def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> np.ndarray:
+    """kernel(thetas, data.features, data.labels, arch) of every client, one
+    batched call per block of at most REPORT_BLOCK_ELEMENTS activations."""
+    X, Y = data.features, data.labels
+    block = pairs_per_block(REPORT_BLOCK_ELEMENTS, X.shape[1], arch)
     return np.concatenate([
-        kernel(thetas[a : a + block], features[a : a + block], labels[a : a + block], arch)
+        kernel(thetas[a : a + block], X[a : a + block], Y[a : a + block], arch)
         for a in range(0, len(thetas), block)
     ])
 
@@ -197,12 +197,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     config.validate()
     t0 = time.perf_counter()
 
-    assignment, data = build_tasks(config)
-    train_sets = [pair[0] for pair in data]
-    test_X, test_Y = stacked_rows([pair[1] for pair in data])
-    models = build_models(config)
-    arch = models[0].arch
-    _, train_X, train_Y = stack_clients(models, train_sets)
+    assignment, train, test = build_tasks(config)
+    # the one copy of every client's parameters and data for the whole run;
+    # the kernels update clients.theta in place
+    clients = ClientStore(build_models(config), train, test)
+    arch = clients.arch
     topology = build_topology(
         config.topology_kind,
         config.K,
@@ -210,14 +209,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         degree=config.topology_degree or None,
         seed=config.seed,
     )
-    state = build_state(config, topology, models[0].arch.n_params)
-    ledger = CommLedger(config.K, models[0].arch.n_params)
+    state = build_state(config, topology, arch.n_params)
+    ledger = CommLedger(config.K, arch.n_params)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-
-    def test_accuracies(thetas):
-        return per_client(batch_accuracy, thetas, test_X, test_Y, arch)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed)
     failure = None
@@ -226,8 +222,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             result = rounds.run_round(
                 config.prior_kind,
                 state,
-                models,
-                train_sets,
+                clients,
+                clients.train,
                 topology,
                 ledger,
                 r,
@@ -246,9 +242,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             report.diverged = True
             report.divergence_message = str(err)
             break
-        thetas = np.stack([m.theta for m in models])
-        accs = test_accuracies(thetas)
-        losses = -per_client(batch_log_likelihood, thetas, train_X, train_Y, arch)
+        accs = per_client(batch_accuracy, clients.theta, clients.test, arch)
+        losses = -per_client(batch_log_likelihood, clients.theta, clients.train, arch)
         comm = ledger.rounds[-1] if ledger.rounds and ledger.rounds[-1].round_index == r else None
         row = {
             "round": r + 1,
@@ -269,7 +264,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                 _write_matrix(out_path / f"w_round_{r + 1:04d}.csv", result.graph)
 
     # after a full run the models have not moved since the last round's report
-    final_accs = accs if failure is None else test_accuracies(np.stack([m.theta for m in models]))
+    final_accs = accs if failure is None else per_client(batch_accuracy, clients.theta, clients.test, arch)
     report.final_per_client_acc = [float(a) for a in final_accs]
     report.final_mean_acc = float(np.mean(final_accs))
     report.final_std_acc = float(np.std(final_accs))

@@ -45,25 +45,30 @@ def _validate_positive(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} requires a strictly positive finite argument")
 
 
+def _lift(x, name: str, step):
+    """Lift x, as a 1-d array z, by unit steps until every entry is at least
+    _SHIFT. Returns z, acc = -(sum of step(z, low) over the steps, low marking
+    the entries still below) and whether x is a scalar. Each pass covers the
+    whole array; int(_SHIFT) passes lift any x > 0."""
+    arr = np.array(x, dtype=float)
+    _validate_positive(arr, name)
+    z = np.atleast_1d(arr).copy()
+    acc = np.zeros_like(z)
+    for _ in range(int(_SHIFT)):
+        low = z < _SHIFT
+        if not low.any():
+            break
+        acc -= step(z, low)
+        z += low
+    return z, acc, arr.ndim == 0
+
+
 def digamma(x):
     """Digamma psi(x) = d/dx log Gamma(x) for x > 0.
 
     Accepts scalars or arrays; absolute error below 1e-10 on (0, inf).
     """
-    arr = np.array(x, dtype=float)
-    _validate_positive(arr, "digamma")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-
-    acc = np.zeros_like(arr)
-    z = arr.copy()
-    while True:
-        low = z < _SHIFT
-        if not low.any():
-            break
-        acc[low] -= 1.0 / z[low]
-        z[low] += 1.0
-
+    z, acc, scalar = _lift(x, "digamma", lambda z, low: np.where(low, 1.0 / z, 0.0))
     inv = 1.0 / z
     inv2 = inv * inv
     tail = np.zeros_like(z)
@@ -79,20 +84,7 @@ def log_gamma(x):
 
     Accepts scalars or arrays.
     """
-    arr = np.array(x, dtype=float)
-    _validate_positive(arr, "log_gamma")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-
-    acc = np.zeros_like(arr)
-    z = arr.copy()
-    while True:
-        low = z < _SHIFT
-        if not low.any():
-            break
-        acc[low] -= np.log(z[low])
-        z[low] += 1.0
-
+    z, acc, scalar = _lift(x, "log_gamma", lambda z, low: np.log(np.where(low, z, 1.0)))
     inv = 1.0 / z
     inv2 = inv * inv
     tail = np.zeros_like(z)

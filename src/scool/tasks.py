@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .models import Dataset
+from .models import DataStack, Dataset
 from .special import row_normalize
 
 # Pairwise Bayes accuracy for two classes at orthonormal means scaled by s
@@ -157,38 +157,18 @@ def _spawn(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def _build_datasets(universe, class_sets, n_train, n_test, seeds):
-    """One (train, test) pair per client. The test sets are written into one
-    K x n_test x d features and one K x n_test labels array, and each test
-    Dataset is a view of its row, so ``stacked_rows`` hands the whole stack
-    to a batched evaluation without a copy."""
-    K = len(class_sets)
-    X = np.empty((K, n_test, universe.dim))
-    Y = np.empty((K, n_test), dtype=int)
-    data = []
+def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataStack, DataStack]:
+    """The train and the test sets of all clients, each split written into
+    one stack as the clients' samples are drawn (see sample_class_data)."""
+    K, d = len(class_sets), universe.dim
+    stacks = tuple(
+        DataStack(np.empty((K, n, d)), np.empty((K, n), dtype=int), class_sets, split)
+        for n, split in ((n_train, "train"), (n_test, "test"))
+    )
     for k, (cs, s) in enumerate(zip(class_sets, seeds)):
-        train, test = sample_class_data(universe, cs, n_train, n_test, s)
-        X[k], Y[k] = test.features, test.labels
-        test.features, test.labels = X[k], Y[k]
-        data.append((train, test))
-    return data
-
-
-def _is_row(view: np.ndarray, stack: np.ndarray, k: int) -> bool:
-    # same memory, shape, strides and dtype as stack[k]
-    return view.base is stack and view.__array_interface__ == stack[k].__array_interface__
-
-
-def stacked_rows(datasets) -> tuple[np.ndarray, np.ndarray]:
-    """The features K x n x d and labels K x n whose k-th rows the K
-    datasets are views of, as ``_build_datasets`` lays out the test sets."""
-    X, Y = datasets[0].features.base, datasets[0].labels.base
-    if X is None or Y is None or len(X) != len(datasets) or not all(
-        _is_row(ds.features, X, k) and _is_row(ds.labels, Y, k)
-        for k, ds in enumerate(datasets)
-    ):
-        raise ConfigurationError("datasets are not the rows of one stacked array")
-    return X, Y
+        for stack, ds in zip(stacks, sample_class_data(universe, cs, n_train, n_test, s)):
+            stack.features[k], stack.labels[k] = ds.features, ds.labels
+    return stacks
 
 
 def gen_noniid_sbm(
@@ -205,9 +185,10 @@ def gen_noniid_sbm(
     separation: float = DEFAULT_SEPARATION,
     placement: str = ORTHONORMAL,
     universe: TaskUniverse | None = None,
-) -> tuple[TaskAssignment, list[tuple[Dataset, Dataset]]]:
+) -> tuple[TaskAssignment, DataStack, DataStack]:
     """Group-structured tasks: each group owns a disjoint N-class subset and
-    every client in a group gets the identical class set."""
+    every client in a group gets the identical class set. Returns the
+    assignment and the clients' train and test stacks."""
     if num_groups * N > M:
         raise ConfigurationError(
             f"{num_groups} groups of {N} classes do not fit in {M} classes"
@@ -236,8 +217,7 @@ def gen_noniid_sbm(
     group_labels = np.repeat(np.arange(num_groups), per_group)
     class_sets = [group_sets[g] for g in group_labels]
     assignment = TaskAssignment(class_sets, ground_truth_graph(class_sets), group_labels)
-    data = _build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)
-    return assignment, data
+    return assignment, *_build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)
 
 
 def gen_noniid_random(
@@ -253,9 +233,10 @@ def gen_noniid_random(
     separation: float = DEFAULT_SEPARATION,
     placement: str = ORTHONORMAL,
     universe: TaskUniverse | None = None,
-) -> tuple[TaskAssignment, list[tuple[Dataset, Dataset]]]:
+) -> tuple[TaskAssignment, DataStack, DataStack]:
     """Independent tasks: every client draws a uniform random N-subset of the
-    M classes; identical subsets define the ground-truth cooperation."""
+    M classes; identical subsets define the ground-truth cooperation.
+    Returns the assignment and the clients' train and test stacks."""
     if N > M:
         raise ConfigurationError(f"cannot assign {N} distinct classes out of {M}")
     assign_seed, uni_seed, *data_seeds = _spawn(seed, 2 + K)
@@ -269,5 +250,4 @@ def gen_noniid_random(
         for _ in range(K)
     ]
     assignment = TaskAssignment(class_sets, ground_truth_graph(class_sets), None)
-    data = _build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)
-    return assignment, data
+    return assignment, *_build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)

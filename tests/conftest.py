@@ -16,7 +16,7 @@ from scool.em.state import (
     SbmState,
     clamp_block_matrix,
 )
-from scool.models import ArchSpec, Dataset, LocalModel
+from scool.models import ArchSpec, ClientStore, Dataset, DataStack, LocalModel
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 
 
@@ -182,7 +182,8 @@ def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask=None) -> dict[s
 
 
 def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
-    """Models with distinct accumulated updates plus a small random encoder."""
+    """A store of models with distinct accumulated updates plus a small
+    random encoder."""
     arch = ArchSpec("softmax-regression", d=d, C=2)
     base = 0.01 * rng.standard_normal(arch.n_params)
     models = []
@@ -204,7 +205,7 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
         eta2=0.05,
         phi_slot=AdamSlot.like(phi),
     )
-    return models, state
+    return client_store(models), state
 
 
 def clone_attention(state: AttentionState, **overrides) -> AttentionState:
@@ -220,6 +221,12 @@ def tiny_dataset(rng: np.random.Generator, n: int, d: int, C: int) -> Dataset:
     X = rng.standard_normal((n, d))
     y = rng.integers(0, C, n)
     return Dataset(X, y, tuple(range(C)))
+
+
+def client_store(models, train_sets=None) -> ClientStore:
+    """The store the kernels run on, built from lists of models and train
+    sets; the lists themselves are left as they are."""
+    return ClientStore(models, None if train_sets is None else DataStack.of(train_sets))
 
 
 # ------------------------------------------------------------- benchmark

@@ -28,6 +28,7 @@ from conftest import (
     BENCHMARK_SEEDS,
     benchmark_config,
     central_diff,
+    client_store,
     clone_attention,
     clone_mmsbm,
     clone_sbm,
@@ -243,7 +244,8 @@ def test_criterion_3_dpsgd_equivalence():
         K = 5
         arch = ArchSpec("softmax-regression", 3, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(K)]
-        train = [tiny_dataset(rng, 6, 3, 2) for _ in range(K)]
+        models = client_store(models, [tiny_dataset(rng, 6, 3, 2) for _ in range(K)])
+        train = models.train
         topo = build_topology("fully-connected", K)
         w = dirac.metropolis_weights(topo.mask)
         state = DiracState(w, alpha_lr=0.1)
@@ -301,7 +303,7 @@ def test_criterion_4_gradient_oracles():
         terms = attention.coupling_descent_terms(models, st)
         i = int(rng.integers(K))
         def row_obj(theta_i):
-            ms = [m.copy() for m in models]
+            ms = client_store(models)
             ms[i].theta = theta_i
             p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax)
             return float((st.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
@@ -330,7 +332,7 @@ def test_criterion_5_graph_recovery():
             ratio = l1[-1] / l1[0]
             assert ratio < 0.5, f"{prior} seed {seed}: l1 ratio {ratio:.2f}"
             # block-diagonal mass of the final graph
-            assignment, _ = build_tasks(cfg)
+            assignment, _, _ = build_tasks(cfg)
             # final reporting graph is deterministic: re-derive from the run
             # (cached report rounds carry the metric; re-run to get the graph)
             mass = _final_block_mass(prior, seed)
@@ -352,7 +354,7 @@ def _final_block_mass(prior, seed):
         with tempfile.TemporaryDirectory() as td:
             run_experiment(cfg, td)
             w = np.loadtxt(Path(td) / "w_round_0030.csv", delimiter=",")
-        assignment, _ = build_tasks(cfg)
+        assignment, _, _ = build_tasks(cfg)
         _GRAPH_CACHE[key] = block_diagonal_mass(w, assignment.group_labels)
     return _GRAPH_CACHE[key]
 
@@ -392,10 +394,10 @@ def test_criterion_7_taylor_mode_soundness():
     w = rng.uniform(0.1, 0.9, (4, 4))
     from scool.em.theta import cooperative_sgd_steps
 
-    mc = [LocalModel(theta.copy(), arch) for _ in range(4)]
-    mt = [LocalModel(theta.copy(), arch) for _ in range(4)]
-    cooperative_sgd_steps(mc, train, w, 0.01, 0.1, 1, CROSS_GRADIENT)
-    cooperative_sgd_steps(mt, train, w, 0.01, 0.1, 1, TAYLOR_APPROX)
+    mc = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
+    mt = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
+    cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, CROSS_GRADIENT)
+    cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, TAYLOR_APPROX)
     bitgap = max(np.abs(a.theta - b.theta).max() for a, b in zip(mc, mt))
     assert bitgap < 1e-12
     _report(7, "taylor-mode soundness",

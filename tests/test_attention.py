@@ -7,11 +7,13 @@ import pytest
 from scool.em import attention
 from scool.em.elbo import elbo
 from scool.em.state import PROB_FLOOR
+from scool.errors import ConfigurationError
 from scool.models import LocalModel
 from scool.special import softmax_tempered
 
 from conftest import (
     central_diff,
+    client_store,
     clone_attention,
     random_attention_setup,
     random_loglik,
@@ -48,9 +50,9 @@ class TestComputeP:
         W2[:, :2] = np.eye(2) / eps
         phi = np.concatenate([W1.ravel(), np.zeros(4), W2.ravel(), np.zeros(2)])
         state = AttentionState(phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full((2, 2), 0.5))
-        E = attention.encode(phi, (4, 4, 2), attention.model_deltas([m1, m2]))
+        E = attention.encode(phi, (4, 4, 2), attention.model_deltas(client_store([m1, m2])))
         np.testing.assert_allclose(E, [[2.0, 0.0], [0.0, 3.0]], atol=1e-3)
-        p = attention.compute_p([m1, m2], phi, (4, 4, 2), 1.0)
+        p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0)
         np.testing.assert_allclose(
             p[0], softmax_tempered([E[0] @ E[0], E[0] @ E[1]], 1.0), atol=1e-12
         )
@@ -119,7 +121,7 @@ class TestCouplingGradient:
         i = 2
 
         def row_objective(theta_i):
-            ms = [m.copy() for m in models]
+            ms = client_store(models)
             ms[i].theta = theta_i
             p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax)
             return float((state.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
@@ -191,3 +193,35 @@ class TestPhiUpdate:
         for _ in range(200):
             state.phi = attention.update_phi(state, models)
         assert kl() < start
+
+
+def reference_masked_row_softmax(scores, tau, mask):
+    """The per-row loop _masked_row_softmax ran before it grouped the rows
+    by mask degree."""
+    out = np.zeros_like(scores)
+    for i in range(len(scores)):
+        allowed = np.where(mask[i])[0]
+        out[i, allowed] = softmax_tempered(scores[i, allowed], tau)
+    return out
+
+
+class TestMaskedRowSoftmax:
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_per_row_loop(self, seed, tau):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(7, 80))
+        scores = 3.0 * rng.standard_normal((K, K))
+        gap = np.abs(np.subtract.outer(np.arange(K), np.arange(K)))
+        ring = np.minimum(gap, K - gap) <= K // 4
+        for mask in (np.ones((K, K), dtype=bool), ring, rng.random((K, K)) < rng.uniform(0.1, 0.9)):
+            mask = mask | np.eye(K, dtype=bool)
+            np.testing.assert_array_equal(
+                attention._masked_row_softmax(scores, tau, mask), reference_masked_row_softmax(scores, tau, mask)
+            )
+
+    def test_fully_masked_row_names_the_first_client(self):
+        mask = np.ones((5, 5), dtype=bool)
+        mask[3] = mask[1] = False
+        with pytest.raises(ConfigurationError, match="^client 1 has a fully masked row$"):
+            attention._masked_row_softmax(np.zeros((5, 5)), 1.0, mask)

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from scool.em import dirac
+from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec, LocalModel, grad
 from scool.topology import build_topology
 
-from conftest import tiny_dataset
+from conftest import client_store, tiny_dataset
 
 
 def manifold_descent_step(models, w, train_sets, eta1):
     """The pre-collapse form of dpsgd_step: descend on the own loss plus the
     pairwise distance penalty (lambda/2) sum_j (w_ij + w_ji) ||theta_i - theta_j||^2
     with lambda = 1/eta1. Algebraically identical to ``dpsgd_step``."""
-    w = dirac._validate_w(w)
+    w = DiracState(w).w
     lam = 1.0 / eta1
     K = len(models)
     thetas = np.stack([m.theta for m in models])
@@ -33,10 +34,11 @@ def manifold_descent_step(models, w, train_sets, eta1):
 
 
 def _instances(rng, K=4, d=3, C=2, n=6):
+    """A store of K clients and its train stack."""
     arch = ArchSpec("softmax-regression", d, C)
     models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(K)]
-    train = [tiny_dataset(rng, n, d, C) for _ in range(K)]
-    return models, train
+    store = client_store(models, [tiny_dataset(rng, n, d, C) for _ in range(K)])
+    return store, store.train
 
 
 def reference_metropolis_weights(mask):
@@ -108,7 +110,7 @@ class TestDpsgdStep:
         rng = np.random.default_rng(3)
         for _ in range(5):
             models_a, train = _instances(rng, K=5)
-            models_b = [m.copy() for m in models_a]
+            models_b = [m.copy() for m in models_a]  # the reference runs on a list
             w = dirac.metropolis_weights(np.ones((5, 5), dtype=bool))
             for _ in range(3):
                 dirac.dpsgd_step(models_a, w, train, 0.15)
@@ -129,11 +131,10 @@ class TestDpsgdStep:
             np.testing.assert_array_equal(models[i].theta, expect[i])
 
     def test_invalid_weights_rejected(self):
-        rng = np.random.default_rng(5)
-        models, train = _instances(rng, K=3)
+        # gossip weights are checked once, when the dirac state is built
         asym = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        with pytest.raises(ConfigurationError):
-            dirac.dpsgd_step(models, asym, train, 0.1)
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            DiracState(asym)
         not_stochastic = np.full((3, 3), 0.5)
-        with pytest.raises(ConfigurationError):
-            dirac.dpsgd_step(models, not_stochastic, train, 0.1)
+        with pytest.raises(ConfigurationError, match="row-stochastic"):
+            DiracState(not_stochastic)

@@ -6,6 +6,7 @@ import pytest
 from scool.config import ExperimentConfig
 from scool.em import rounds
 from scool.em.state import ALPHA_MIN, B_EPS
+from scool.models import ClientStore
 from scool.runner import build_models, build_state, build_tasks
 from scool.topology import CommLedger, build_topology
 
@@ -22,12 +23,11 @@ def test_invariants_after_every_round(prior):
         num_groups=3, samples_per_client=6, test_samples_per_client=10,
         feature_dim=8, eta1=0.3, sparsify_keep_fraction=0.4, sparsify_round=3,
     ).validate()
-    _, data = build_tasks(cfg)
-    train = [p[0] for p in data]
-    models = build_models(cfg)
+    _, train, test = build_tasks(cfg)
+    models = ClientStore(build_models(cfg), train, test)
     topo = build_topology("fully-connected", cfg.K)
-    state = build_state(cfg, topo, models[0].arch.n_params)
-    ledger = CommLedger(cfg.K, models[0].arch.n_params)
+    state = build_state(cfg, topo, models.arch.n_params)
+    ledger = CommLedger(cfg.K, models.arch.n_params)
     for r in range(cfg.rounds):
         rounds.run_round(
             prior, state, models, train, topo, ledger, r,

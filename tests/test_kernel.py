@@ -21,7 +21,9 @@ from scool.models import (
     MLP_1HIDDEN,
     SOFTMAX_REGRESSION,
     ArchSpec,
+    ClientStore,
     Dataset,
+    DataStack,
     LocalModel,
     accuracy,
     batch_accuracy,
@@ -31,10 +33,10 @@ from scool.models import (
     log_likelihood,
     loss,
 )
-from scool.tasks import gen_noniid_random, gen_noniid_sbm, make_universe, sample_class_data, stacked_rows
+from scool.tasks import gen_noniid_random, gen_noniid_sbm, make_universe, sample_class_data
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
 
-from conftest import random_attention_setup, tiny_dataset
+from conftest import client_store, random_attention_setup, tiny_dataset
 
 ARCHS = {
     SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=5, C=3),
@@ -108,8 +110,10 @@ def _random_graph(rng, K, keep=0.6, zeros=0.2):
     return w, mask
 
 
-def _both(models):
-    return [m.copy() for m in models], [m.copy() for m in models]
+def _both(models, train):
+    """A store of the clients for the kernel, and a copy of the models for
+    the per-pair reference."""
+    return client_store(models, train), [m.copy() for m in models]
 
 
 def _assert_same_thetas(a, b):
@@ -152,20 +156,23 @@ class TestLoglikMatrixEquivalence:
         models, train = _clients(rng, ARCHS[kind])
         _, mask = _random_graph(rng, len(models))
         mask[3] = False  # a client that may evaluate nobody, itself included
+        store = client_store(models, train)
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(models, train, mask), reference_loglik_matrix(models, train, mask)
+            rounds.loglik_matrix(store, store.train, mask), reference_loglik_matrix(models, train, mask)
         )
 
     def test_no_mask(self):
         rng = np.random.default_rng(3)
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN])
+        store = client_store(models, train)
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(models, train), reference_loglik_matrix(models, train)
+            rounds.loglik_matrix(store, store.train), reference_loglik_matrix(models, train)
         )
 
     def test_evaluates_only_allowed_pairs(self, monkeypatch):
         rng = np.random.default_rng(4)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
+        store = client_store(models, train)
         _, mask = _random_graph(rng, len(models))
         seen = []
 
@@ -178,7 +185,7 @@ class TestLoglikMatrixEquivalence:
             with monkeypatch.context() as patch:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
                 seen.clear()
-                rounds.loglik_matrix(models, train, mask)
+                rounds.loglik_matrix(store, store.train, mask)
             # every allowed pair exactly once, and no other pair
             assert Counter(seen) == Counter(zip(*map(list, np.nonzero(mask))))
 
@@ -194,8 +201,8 @@ class TestCooperativeEquivalence:
         w[2] = 0.0  # a client with no weighted neighbour
         mask[:, 4] = False  # and one nobody may read
         mask[4, 4] = True
-        a, b = _both(models)
-        cooperative_sgd_steps(a, train, w, 0.03, 0.2, 3, grad_mode, mask)
+        a, b = _both(models, train)
+        cooperative_sgd_steps(a, a.train, w, 0.03, 0.2, 3, grad_mode, mask)
         reference_cooperative_sgd_steps(b, train, w, 0.03, 0.2, 3, grad_mode, mask)
         _assert_same_thetas(a, b)
 
@@ -204,8 +211,8 @@ class TestCooperativeEquivalence:
         rng = np.random.default_rng(5)
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=9)
         w = rng.uniform(0.0, 1.0, (9, 9))
-        a, b = _both(models)
-        cooperative_sgd_steps(a, train, w, 1e-4, 0.25, 2, grad_mode)
+        a, b = _both(models, train)
+        cooperative_sgd_steps(a, a.train, w, 1e-4, 0.25, 2, grad_mode)
         reference_cooperative_sgd_steps(b, train, w, 1e-4, 0.25, 2, grad_mode)
         _assert_same_thetas(a, b)
 
@@ -213,8 +220,8 @@ class TestCooperativeEquivalence:
     def test_identity_weights_as_local_only(self, grad_mode):
         rng = np.random.default_rng(6)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
-        a, b = _both(models)
-        cooperative_sgd_steps(a, train, np.eye(5), 0.0, 0.1, 3, grad_mode)
+        a, b = _both(models, train)
+        cooperative_sgd_steps(a, a.train, np.eye(5), 0.0, 0.1, 3, grad_mode)
         reference_cooperative_sgd_steps(b, train, np.eye(5), 0.0, 0.1, 3, grad_mode)
         _assert_same_thetas(a, b)
 
@@ -226,14 +233,17 @@ class TestCooperativeEquivalence:
         train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
         state.w, mask = _random_graph(rng, 6, zeros=0.1)
         coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
-        a, b = _both(models)
-        cooperative_sgd_steps(a, train, state.w, 0.01, 0.2, 3, grad_mode, mask, coupling)
-        reference_cooperative_sgd_steps(b, train, state.w, 0.01, 0.2, 3, grad_mode, mask, coupling)
+        a, b = _both(models, train)
+        cooperative_sgd_steps(a, a.train, state.w, 0.01, 0.2, 3, grad_mode, mask, coupling)
+        reference_cooperative_sgd_steps(
+            b, train, state.w, 0.01, 0.2, 3, grad_mode, mask, lambda ms: coupling(client_store(ms))
+        )
         _assert_same_thetas(a, b)
 
     def test_cross_gradients_only_on_weighted_edges(self, monkeypatch):
         rng = np.random.default_rng(8)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
+        models = client_store(models, train)
         w, mask = _random_graph(rng, len(models))
         edges = mask & (w != 0.0)
         np.fill_diagonal(edges, False)
@@ -251,11 +261,11 @@ class TestCooperativeEquivalence:
             with monkeypatch.context() as patch:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
                 seen.clear()
-                cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
+                cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
             assert Counter(seen) == Counter({pair: 2 for pair in want})
 
         sizes.clear()
-        cooperative_sgd_steps(models, train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask)
+        cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask)
         assert sizes == [len(models)] * 2
 
 
@@ -289,8 +299,9 @@ class TestPairBlocks:
         _, mask = _random_graph(rng, len(models))
         mask[5] = False  # a client that evaluates nobody
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        store = client_store(models, train)
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(models, train, mask), reference_loglik_matrix(models, train, mask)
+            rounds.loglik_matrix(store, store.train, mask), reference_loglik_matrix(models, train, mask)
         )
 
     @pytest.mark.parametrize("kind", sorted(ARCHS))
@@ -305,8 +316,8 @@ class TestPairBlocks:
         mask[K - 1, 2] = False
         w[4, 1] = 0.0
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
-        a, b = _both(models)
-        cooperative_sgd_steps(a, train, w, 0.02, 0.2, 3, grad_mode, mask)
+        a, b = _both(models, train)
+        cooperative_sgd_steps(a, a.train, w, 0.02, 0.2, 3, grad_mode, mask)
         reference_cooperative_sgd_steps(b, train, w, 0.02, 0.2, 3, grad_mode, mask)
         _assert_same_thetas(a, b)
 
@@ -317,8 +328,8 @@ class TestPairBlocks:
         rng = np.random.default_rng(42)
         models, train = _clients(rng, ARCHS[kind], K=5)
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
-        a, b = _both(models)
-        cooperative_sgd_steps(a, train, np.eye(5), 0.01, 0.1, 2, grad_mode)
+        a, b = _both(models, train)
+        cooperative_sgd_steps(a, a.train, np.eye(5), 0.01, 0.1, 2, grad_mode)
         reference_cooperative_sgd_steps(b, train, np.eye(5), 0.01, 0.1, 2, grad_mode)
         _assert_same_thetas(a, b)
 
@@ -331,9 +342,9 @@ class TestPairBlocks:
         models[4].theta[0] = 1e308  # its ridge term overflows
         w, mask = _random_graph(rng, 6, zeros=0.0)
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[SOFTMAX_REGRESSION])
-        a, b = _both(models)
+        a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, train, w, 10.0, 0.1, 2, grad_mode, mask)
+            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode, mask)
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode, mask)
         assert str(got.value) == str(want.value)
@@ -350,9 +361,9 @@ class TestPairBlocks:
         models[3].theta[0] = 1e300  # a finite update that eta1 pushes past the range
         w, mask = _random_graph(rng, 6)
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
-        a, b = _both(models)
+        a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, train, w, 10.0, 1e8, 2, grad_mode, mask)
+            cooperative_sgd_steps(a, a.train, w, 10.0, 1e8, 2, grad_mode, mask)
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, 1e8, 2, grad_mode, mask)
         assert str(got.value) == str(want.value)
@@ -363,25 +374,58 @@ class TestPairBlocks:
         np.testing.assert_array_equal(a[3].theta, models[3].theta)
 
 
+class TestClientStore:
+    def test_items_are_views_of_the_rows(self):
+        rng = np.random.default_rng(50)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=4)
+        before = [m.theta.copy() for m in models]
+        store = client_store(models, train)
+        assert len(store) == len(store.train) == 4 and store.test is None
+        for i, m in enumerate(store):
+            assert np.shares_memory(m.theta, store.theta[i]) and np.shares_memory(m.init_theta, store.init_theta[i])
+            np.testing.assert_array_equal(m.theta, before[i])
+            np.testing.assert_array_equal(store.train[i].features, train[i].features)
+            np.testing.assert_array_equal(store.train[i].labels, train[i].labels)
+        store[2].theta = np.full(store.arch.n_params, 7.0)  # assigning writes into the row
+        np.testing.assert_array_equal(store.theta[2], 7.0)
+        with pytest.raises(ValueError):
+            store.init_theta[0, 0] = 1.0
+        cooperative_sgd_steps(store, store.train, np.eye(4), 0.0, 0.1, 1)
+        assert not np.array_equal(store.theta[0], before[0])
+        for m, theta in zip(models, before):  # the lists it was stacked from are left alone
+            np.testing.assert_array_equal(m.theta, theta)
+
+
 class TestContracts:
+    # the shapes are checked once, when the store is built
     @pytest.mark.parametrize("n, d", [(9, 5), (8, 4)])
     def test_unequal_train_sets_are_configuration_errors(self, n, d):
         rng = np.random.default_rng(9)
         arch = ARCHS[SOFTMAX_REGRESSION]
         models, train = _clients(rng, arch, K=4)
         train[2] = tiny_dataset(rng, n, d, arch.C)
-        with pytest.raises(ConfigurationError):
-            rounds.loglik_matrix(models, train)
-        with pytest.raises(ConfigurationError):
-            cooperative_sgd_steps(models, train, np.full((4, 4), 0.5), 0.0, 0.1, 1)
+        with pytest.raises(ConfigurationError, match="share their size and feature width"):
+            client_store(models, train)
 
     def test_feature_width_must_match_the_models(self):
         rng = np.random.default_rng(10)
         arch = ARCHS[SOFTMAX_REGRESSION]
         models, _ = _clients(rng, arch, K=3)
         train = [tiny_dataset(rng, 8, arch.d + 1, arch.C) for _ in range(3)]
-        with pytest.raises(ConfigurationError):
-            rounds.loglik_matrix(models, train)
+        with pytest.raises(ConfigurationError, match="not 5-dimensional"):
+            client_store(models, train)
+        with pytest.raises(ConfigurationError, match="not 5-dimensional"):
+            ClientStore(models, DataStack.of(_clients(rng, arch, K=3)[1]), DataStack.of(train))
+
+    def test_one_train_set_and_one_architecture_per_client(self):
+        rng = np.random.default_rng(13)
+        arch = ARCHS[SOFTMAX_REGRESSION]
+        models, train = _clients(rng, arch, K=4)
+        with pytest.raises(ConfigurationError, match="one train set per model"):
+            client_store(models, train[:3])
+        other = LocalModel(np.zeros(ARCHS[MLP_1HIDDEN].n_params), ARCHS[MLP_1HIDDEN])
+        with pytest.raises(ConfigurationError, match="one architecture"):
+            client_store([*models[:3], other], train)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
@@ -390,9 +434,9 @@ class TestContracts:
         rng = np.random.default_rng(11)
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=5)
         w = rng.uniform(0.1, 1.0, (5, 5))
-        a, b = _both(models)
+        a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, train, w, 10.0, eta1, 6, grad_mode)
+            cooperative_sgd_steps(a, a.train, w, 10.0, eta1, 6, grad_mode)
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, eta1, 6, grad_mode)
         assert str(got.value) == str(want.value)
@@ -405,9 +449,9 @@ class TestContracts:
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
         models[3].theta[0] = 1e308  # its ridge term overflows, and its own gradient
         w = rng.uniform(0.1, 1.0, (5, 5))
-        a, b = _both(models)
+        a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, train, w, 10.0, 0.1, 2, grad_mode)
+            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode)
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode)
         assert str(got.value) == str(want.value)
@@ -425,9 +469,9 @@ class TestGossipEquivalence:
         models, train = _clients(rng, ARCHS[kind], K=8)
         mask = build_topology("generalized-bipartite", 8, degree=2, seed=seed).mask
         w = dirac.metropolis_weights(mask)
-        a, b = _both(models)
+        a, b = _both(models, train)
         for _ in range(3):
-            dirac.dpsgd_step(a, w, train, 0.2)
+            dirac.dpsgd_step(a, w, a.train, 0.2)
             reference_dpsgd_step(b, w, train, 0.2)
         _assert_same_thetas(a, b)
 
@@ -441,7 +485,8 @@ class TestGossipEquivalence:
             return batch_grad(thetas, X, Y, arch)
 
         monkeypatch.setattr(dirac, "batch_grad", counting)
-        dirac.dpsgd_step(models, np.full((6, 6), 1.0 / 6.0), train, 0.1)
+        store = client_store(models, train)
+        dirac.dpsgd_step(store, np.full((6, 6), 1.0 / 6.0), store.train, 0.1)
         assert sizes == [6]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -450,9 +495,9 @@ class TestGossipEquivalence:
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=4)
         models[2].theta[0] = np.inf
         w = np.full((4, 4), 0.25)
-        a, b = _both(models)
+        a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            dirac.dpsgd_step(a, w, train, 0.1)
+            dirac.dpsgd_step(a, w, a.train, 0.1)
         with pytest.raises(DivergenceError) as want:
             reference_dpsgd_step(b, w, train, 0.1)
         assert str(got.value) == str(want.value)
@@ -476,11 +521,9 @@ class TestReportingEquivalence:
         rng = np.random.default_rng(n)
         models, _ = _clients(rng, arch, K=7, spread=1.0)
         data = [tiny_dataset(rng, n, arch.d, arch.C) for _ in range(7)]
-        thetas = np.stack([m.theta for m in models])
-        X = np.stack([ds.features for ds in data])
-        Y = np.stack([ds.labels for ds in data])
-        accs = runner.per_client(batch_accuracy, thetas, X, Y, arch)
-        losses = -runner.per_client(batch_log_likelihood, thetas, X, Y, arch)
+        store = ClientStore(models, test=DataStack.of(data))
+        accs = runner.per_client(batch_accuracy, store.theta, store.test, arch)
+        losses = -runner.per_client(batch_log_likelihood, store.theta, store.test, arch)
         np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, data)])
         np.testing.assert_array_equal(losses, [loss(m, ds) for m, ds in zip(models, data)])
 
@@ -498,8 +541,8 @@ class TestReportingEquivalence:
             return batch_accuracy(thetas, X, Y, arch)
 
         thetas = rng.standard_normal((7, arch.n_params))
-        runner.per_client(counting, thetas, rng.standard_normal((7, 10, arch.d)),
-                          rng.integers(0, arch.C, (7, 10)), arch)
+        data = DataStack(rng.standard_normal((7, 10, arch.d)), rng.integers(0, arch.C, (7, 10)), [()] * 7)
+        runner.per_client(counting, thetas, data, arch)
         assert seen == sizes
 
     def test_ties_go_to_the_lowest_class(self):
@@ -516,26 +559,26 @@ class TestStackedTestSets:
         K, M, N, seed = 6, 6, 2, 11
         universe = make_universe(M, 8, 0.7, 2.0, seed=3)
         if setting == "sbm":
-            assignment, data = gen_noniid_sbm(K, M, N, 3, 8, seed, test_samples_per_client=30, universe=universe)
+            assignment, train, test = gen_noniid_sbm(K, M, N, 3, 8, seed, test_samples_per_client=30, universe=universe)
         else:
-            assignment, data = gen_noniid_random(K, M, N, 8, seed, test_samples_per_client=30, universe=universe)
-        X, Y = stacked_rows([test for _, test in data])
-        assert X.shape == (K, 30, 8) and Y.shape == (K, 30)
+            assignment, train, test = gen_noniid_random(K, M, N, 8, seed, test_samples_per_client=30, universe=universe)
+        assert train.features.shape == (K, 8, 8) and train.labels.shape == (K, 8)
+        assert test.features.shape == (K, 30, 8) and test.labels.shape == (K, 30)
         seeds = np.random.SeedSequence(seed).spawn(2 + K)[2:]
-        for k, (train, test) in enumerate(data):
-            want_train, want_test = sample_class_data(universe, assignment.class_sets[k], 8, 30, seeds[k])
-            np.testing.assert_array_equal(test.features, want_test.features)
-            np.testing.assert_array_equal(test.labels, want_test.labels)
-            np.testing.assert_array_equal(train.features, want_train.features)
-            np.testing.assert_array_equal(train.labels, want_train.labels)
-            assert test.class_set == want_test.class_set and test.split == "test"
+        for k in range(K):
+            want = sample_class_data(universe, assignment.class_sets[k], 8, 30, seeds[k])
+            for stack, ds, split in zip((train, test), want, ("train", "test")):
+                row = stack[k]
+                assert np.shares_memory(row.features, stack.features) and np.shares_memory(row.labels, stack.labels)
+                np.testing.assert_array_equal(row.features, ds.features)
+                np.testing.assert_array_equal(row.labels, ds.labels)
+                assert row.class_set == ds.class_set and row.split == split
 
     def test_datasets_that_are_not_rows_are_rejected(self):
-        _, data = gen_noniid_sbm(4, 4, 2, 2, 6, 0, test_samples_per_client=5)
-        tests = [test for _, test in data]
-        with pytest.raises(ConfigurationError):
-            stacked_rows(tests[::-1])
-        with pytest.raises(ConfigurationError):
-            stacked_rows(tests[:3])
-        with pytest.raises(ConfigurationError):
-            stacked_rows([train for train, _ in data])
+        # datasets of unequal size or feature width cannot be rows of one stack
+        rng = np.random.default_rng(0)
+        same = [tiny_dataset(rng, 6, 3, 2) for _ in range(3)]
+        assert DataStack.of(same).features.shape == (3, 6, 3)
+        for odd in (tiny_dataset(rng, 5, 3, 2), tiny_dataset(rng, 6, 4, 2)):
+            with pytest.raises(ConfigurationError):
+                DataStack.of([*same, odd])

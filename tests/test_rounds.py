@@ -11,21 +11,22 @@ from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds
 from scool.em.state import DiracState, init_attention_state, init_sbm_state
 from scool.errors import ConfigurationError, DivergenceError
-from scool.models import ArchSpec, LocalModel, grad
+from scool.models import ArchSpec, ClientStore, LocalModel, grad
 from scool.runner import build_models, build_state, build_tasks
 from scool.topology import CommLedger, build_topology
 
-from conftest import tiny_dataset
+from conftest import client_store, tiny_dataset
 
 
 def _setup(rng, K=5, d=3, C=2, n=6):
+    """A store of K clients and its train stack."""
     arch = ArchSpec("softmax-regression", d, C)
     base = 0.01 * rng.standard_normal(arch.n_params)
     models = [LocalModel(base.copy(), arch) for _ in range(K)]
     for m in models:
         m.theta = m.theta + 0.3 * rng.standard_normal(arch.n_params)
-    train = [tiny_dataset(rng, n, d, C) for _ in range(K)]
-    return models, train
+    store = client_store(models, [tiny_dataset(rng, n, d, C) for _ in range(K)])
+    return store, store.train
 
 
 class TestDiracReduction:
@@ -97,7 +98,7 @@ class TestMaskingGuarantees:
     def test_masked_pairs_never_touch_theta(self):
         rng = np.random.default_rng(4)
         models_a, train = _setup(rng, K=4)
-        models_b = [m.copy() for m in models_a]
+        models_b = client_store(models_a)
         mask = np.ones((4, 4), dtype=bool)
         mask[0, 3] = False
         w = rng.uniform(0.2, 0.8, (4, 4))
@@ -136,7 +137,7 @@ class TestRunRoundContracts:
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
         models_a, train = _setup(rng, K=4)
-        models_b = [m.copy() for m in models_a]
+        models_b = client_store(models_a)
         topo_a = build_topology("fully-connected", 4)
         topo_b = build_topology("fully-connected", 4)
         st_a = init_sbm_state(4, 2, seed=9)
@@ -218,11 +219,11 @@ class TestPriorTable:
             prior_kind=prior, seed=3, rounds=2, local_steps=1, K=4, M=4, N=2,
             num_groups=2, samples_per_client=4, test_samples_per_client=4, feature_dim=4,
         ).validate()
-        _, data = build_tasks(cfg)
-        models = build_models(cfg)
+        _, train, test = build_tasks(cfg)
+        models = ClientStore(build_models(cfg), train, test)
         topo = build_topology(cfg.topology_kind, cfg.K)
-        state = build_state(cfg, topo, models[0].arch.n_params)
-        return cfg, [pair[0] for pair in data], models, topo, state
+        state = build_state(cfg, topo, models.arch.n_params)
+        return cfg, train, models, topo, state
 
     def test_one_list_of_names_and_four_hooks(self):
         assert config.PRIORS == tuple(rounds.PRIORS)
@@ -250,6 +251,20 @@ class TestPriorTable:
             np.testing.assert_array_equal(out.graph, np.eye(4))
         else:
             assert [rec.round_index for rec in ledger.rounds] == [0, 1]
+
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_models_stay_views_of_the_store(self, prior):
+        # the kernels update the store's one K x D array in place: every
+        # client's theta is still its row, and the rows moved
+        cfg, train, models, topo, state = self._k4(prior)
+        theta, before = models.theta, models.theta.copy()
+        rounds.run_round(prior, state, models, train, topo, None, 0, eta1=cfg.eta1, lam=cfg.weight_decay)
+        assert models.theta is theta
+        for i, m in enumerate(models):
+            assert np.shares_memory(m.theta, theta[i]) and np.array_equal(m.theta, theta[i])
+            assert np.shares_memory(m.init_theta, models.init_theta[i])
+        assert not np.array_equal(theta, before)
+        np.testing.assert_array_equal(models.init_theta, before)  # round 0 starts at init
 
     def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
         cfg, train, models, topo, state = self._k4("attention")

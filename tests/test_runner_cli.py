@@ -152,14 +152,14 @@ class TestRunExperiment:
             "dirac", K=4, num_groups=1, rounds=20, shared_init=False, eta1=0.05,
             samples_per_client=8, init_scale=1.0,
         )
+        from scool.models import ClientStore
         from scool.runner import build_models, build_tasks
         from scool.em.state import DiracState
         from scool.em import dirac, rounds as rounds_mod
         from scool.topology import build_topology
 
-        assignment, data = build_tasks(cfg)
-        train = [p[0] for p in data]
-        models = build_models(cfg)
+        assignment, train, test = build_tasks(cfg)
+        models = ClientStore(build_models(cfg), train, test)
         topo = build_topology("fully-connected", cfg.K)
         state = DiracState(dirac.metropolis_weights(topo.mask), alpha_lr=cfg.eta1)
 

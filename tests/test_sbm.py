@@ -15,6 +15,7 @@ from scool.special import sigmoid_tempered
 
 from conftest import (
     central_diff,
+    client_store,
     clone_sbm,
     random_loglik,
     random_sbm_state,
@@ -246,12 +247,12 @@ class TestThetaStep:
         rng = np.random.default_rng(18)
         arch = ArchSpec("softmax-regression", 3, 2)
         K = 3
-        models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(K)]
-        ref = [m.copy() for m in models]
+        ref = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(K)]
         train = [tiny_dataset(rng, 6, 3, 2) for _ in range(K)]
+        models = client_store(ref, train)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models, train, np.eye(K), 0.0, 0.2, 4)
+        cooperative_sgd_steps(models, models.train, np.eye(K), 0.0, 0.2, 4)
         for i in range(K):
             m = ref[i]
             for _ in range(4):
@@ -266,18 +267,21 @@ class TestThetaStep:
         w = rng.uniform(0.1, 0.9, (4, 4))
         from scool.em.theta import cooperative_sgd_steps
 
-        mc = [LocalModel(theta.copy(), arch) for _ in range(4)]
-        mt = [LocalModel(theta.copy(), arch) for _ in range(4)]
-        cooperative_sgd_steps(mc, train, w, 0.01, 0.1, 1, "cross-gradient")
-        cooperative_sgd_steps(mt, train, w, 0.01, 0.1, 1, "taylor-approx")
+        mc = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
+        mt = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
+        cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, "cross-gradient")
+        cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, "taylor-approx")
         for a, b in zip(mc, mt):
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
 
     def test_single_step_hand_arithmetic(self):
         rng = np.random.default_rng(20)
         arch = ArchSpec("softmax-regression", 2, 2)
-        models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(2)]
-        train = [tiny_dataset(rng, 4, 2, 2) for _ in range(2)]
+        models = client_store(
+            [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(2)],
+            [tiny_dataset(rng, 4, 2, 2) for _ in range(2)],
+        )
+        train = models.train
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
         lam, eta = 0.1, 0.3
         g1 = grad(models[0], train[0])

@@ -16,7 +16,7 @@ from scool.tasks import (
 
 class TestGenNoniidSbm:
     def test_group_partition_structure(self):
-        assignment, data = gen_noniid_sbm(12, 6, 2, 3, 6, seed=0)
+        assignment, _, _ = gen_noniid_sbm(12, 6, 2, 3, 6, seed=0)
         sets = {assignment.class_sets[i] for i in range(12)}
         assert len(sets) == 3
         union = set()
@@ -34,18 +34,17 @@ class TestGenNoniidSbm:
         np.testing.assert_allclose(assignment.w_star, expect)
 
     def test_single_group_uniform(self):
-        assignment, _ = gen_noniid_sbm(4, 6, 2, 1, 4, seed=1)
+        assignment, _, _ = gen_noniid_sbm(4, 6, 2, 1, 4, seed=1)
         np.testing.assert_allclose(assignment.w_star, 0.25)
 
     def test_deterministic(self):
-        a1, d1 = gen_noniid_sbm(8, 6, 2, 2, 6, seed=42)
-        a2, d2 = gen_noniid_sbm(8, 6, 2, 2, 6, seed=42)
+        a1, tr1, te1 = gen_noniid_sbm(8, 6, 2, 2, 6, seed=42)
+        a2, tr2, te2 = gen_noniid_sbm(8, 6, 2, 2, 6, seed=42)
         assert a1.class_sets == a2.class_sets
         np.testing.assert_array_equal(a1.w_star, a2.w_star)
-        for (tr1, te1), (tr2, te2) in zip(d1, d2):
-            np.testing.assert_array_equal(tr1.features, tr2.features)
-            np.testing.assert_array_equal(tr1.labels, tr2.labels)
-            np.testing.assert_array_equal(te1.features, te2.features)
+        np.testing.assert_array_equal(tr1.features, tr2.features)
+        np.testing.assert_array_equal(tr1.labels, tr2.labels)
+        np.testing.assert_array_equal(te1.features, te2.features)
 
     def test_infeasible_configs(self):
         with pytest.raises(ConfigurationError):
@@ -54,7 +53,7 @@ class TestGenNoniidSbm:
             gen_noniid_sbm(10, 6, 2, 3, 6, seed=0)  # K not divisible
 
     def test_antipodal_groups_align_with_pairs(self):
-        assignment, _ = gen_noniid_sbm(
+        assignment, _, _ = gen_noniid_sbm(
             12, 6, 2, 3, 6, seed=0, placement=ANTIPODAL_PAIRS, d=8
         )
         for cs in assignment.class_sets:
@@ -63,12 +62,12 @@ class TestGenNoniidSbm:
 
 class TestGenNoniidRandom:
     def test_full_class_budget_gives_uniform_graph(self):
-        assignment, _ = gen_noniid_random(5, 4, 4, 8, seed=0)
+        assignment, _, _ = gen_noniid_random(5, 4, 4, 8, seed=0)
         np.testing.assert_allclose(assignment.w_star, 0.2)
 
     def test_distinct_singletons_give_identity(self):
         for seed in range(30):
-            assignment, _ = gen_noniid_random(2, 50, 1, 2, seed=seed)
+            assignment, _, _ = gen_noniid_random(2, 50, 1, 2, seed=seed)
             if assignment.class_sets[0] != assignment.class_sets[1]:
                 np.testing.assert_array_equal(assignment.w_star, np.eye(2))
 
@@ -76,7 +75,7 @@ class TestGenNoniidRandom:
         # P(two clients draw the same 2-subset of 4 classes) = 1/C(4,2) = 1/6
         hits = 0
         for seed in range(1000):
-            assignment, _ = gen_noniid_random(2, 4, 2, 2, seed=seed)
+            assignment, _, _ = gen_noniid_random(2, 4, 2, 2, seed=seed)
             hits += assignment.class_sets[0] == assignment.class_sets[1]
         assert abs(hits / 1000 - 1.0 / 6.0) < 0.03
 
@@ -149,14 +148,14 @@ class TestUniverse:
 
 class TestGroundTruthGraph:
     def test_row_stochastic_and_symmetric_support(self):
-        assignment, _ = gen_noniid_random(10, 5, 2, 4, seed=7)
+        assignment, _, _ = gen_noniid_random(10, 5, 2, 4, seed=7)
         w = assignment.w_star
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(w > 0, (w > 0).T)
         assert np.all(np.diag(w) > 0)
 
     def test_block_diagonal_under_group_sort(self):
-        assignment, _ = gen_noniid_sbm(12, 6, 2, 3, 4, seed=3)
+        assignment, _, _ = gen_noniid_sbm(12, 6, 2, 3, 4, seed=3)
         order = np.argsort(assignment.group_labels, kind="stable")
         w = assignment.w_star[np.ix_(order, order)]
         labels = assignment.group_labels[order]
@@ -165,7 +164,7 @@ class TestGroundTruthGraph:
                 assert (w[i, j] > 0) == (labels[i] == labels[j])
 
     def test_disjoint_groups_share_nothing(self):
-        assignment, _ = gen_noniid_sbm(9, 9, 3, 3, 6, seed=8)
+        assignment, _, _ = gen_noniid_sbm(9, 9, 3, 3, 6, seed=8)
         for i in range(9):
             for j in range(9):
                 if assignment.group_labels[i] != assignment.group_labels[j]:
