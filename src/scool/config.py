@@ -30,7 +30,6 @@ NONIID_RANDOM = "noniid-random"
 PRIORS = tuple(rounds.PRIORS)
 SETTINGS = (NONIID_SBM, NONIID_RANDOM)
 ARCHS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
-# custom-mask is left out: no config field can carry the mask it needs
 TOPOLOGIES = (FULLY_CONNECTED, GROUP_RING, GENERALIZED_BIPARTITE)
 GRAD_MODES = (CROSS_GRADIENT, TAYLOR_APPROX)
 OPTIMIZERS = ("plain", "adam")

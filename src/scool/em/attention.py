@@ -58,8 +58,14 @@ def model_deltas(models: ClientStore) -> np.ndarray:
 
 
 def encode(phi: np.ndarray, dims: tuple[int, int, int], X: np.ndarray) -> np.ndarray:
+    return _encoder_forward(phi, dims, X)[-1]
+
+
+def _encoder_forward(phi, dims, X):
     W1, b1, W2, b2 = unpack_encoder(phi, dims)
-    return np.tanh(X @ W1.T + b1) @ W2.T + b2
+    H = np.tanh(X @ W1.T + b1)
+    E = H @ W2.T + b2
+    return W1, W2, H, E
 
 
 def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray | None) -> np.ndarray:
@@ -88,7 +94,10 @@ def compute_p(
 ) -> np.ndarray:
     """Row-stochastic attention from embedding dot products; masked pairs
     are excluded from the normalization."""
-    E = encode(phi, dims, model_deltas(models))
+    return _attention(encode(phi, dims, model_deltas(models)), tau, mask)
+
+
+def _attention(E: np.ndarray, tau: float, mask: np.ndarray | None) -> np.ndarray:
     return _masked_row_softmax(E @ E.T, tau, mask)
 
 
@@ -103,13 +112,6 @@ def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray | None 
     np.fill_diagonal(logits, 0.0)
     logits = logits + np.log(np.maximum(state.p, PROB_FLOOR))
     return _masked_row_softmax(logits, state.tau_softmax, mask)
-
-
-def _encoder_forward(phi, dims, X):
-    W1, b1, W2, b2 = unpack_encoder(phi, dims)
-    H = np.tanh(X @ W1.T + b1)
-    E = H @ W2.T + b2
-    return W1, W2, H, E
 
 
 def _attention_residual(w, p, tau, mask):
@@ -133,7 +135,7 @@ def coupling_descent_terms(
     """
     X = model_deltas(models)
     W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
-    p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, mask)
+    p = _attention(E, state.tau_softmax, mask)
     C = _attention_residual(state.w, p, state.tau_softmax, mask)
     dE = C @ E  # row i: sum_j C_ij e_j
     dE += (np.diag(C)[:, None]) * E  # second slot of the self score
@@ -152,7 +154,7 @@ def phi_gradient(
     through every embedding."""
     X = model_deltas(models)
     W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
-    p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, mask)
+    p = _attention(E, state.tau_softmax, mask)
     C = _attention_residual(state.w, p, state.tau_softmax, mask)
     dE = (C + C.T) @ E
     dH = dE @ W2
@@ -189,17 +191,15 @@ def e_step(
     return state
 
 
-def m_step(
-    state: AttentionState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
-    lam, optimizer, optimizer_weight_decay, attention_coupling,
-) -> None:
+def m_step(state: AttentionState, models, mask, config) -> None:
     coupling_fn = None
-    if attention_coupling:
+    if config.attention_coupling:
         coupling_fn = lambda ms: coupling_descent_terms(ms, state, mask)
     cooperative_sgd_steps(
-        models, train_sets, state.w, state.lam, eta1, local_steps, grad_mode, mask, coupling_fn
+        models, models.train, state.w, state.lam, config.eta1, config.local_steps,
+        config.grad_mode, mask, coupling_fn,
     )
-    state.phi = update_phi(state, models, mask, optimizer, optimizer_weight_decay)
+    state.phi = update_phi(state, models, mask, config.optimizer, config.optimizer_weight_decay)
 
 
 def graph(state: AttentionState, K: int) -> np.ndarray:

@@ -20,7 +20,7 @@ e_step = None
 
 
 def init_state(config, topology, theta_dim: int) -> DiracState:
-    return DiracState(metropolis_weights(topology.mask), alpha_lr=config.eta1)
+    return DiracState(metropolis_weights(topology.mask))
 
 
 def metropolis_weights(mask: np.ndarray) -> np.ndarray:
@@ -52,12 +52,9 @@ def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: 
     thetas[...] = new
 
 
-def m_step(
-    state: DiracState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
-    lam, optimizer, optimizer_weight_decay, attention_coupling,
-) -> None:
-    for _ in range(local_steps):
-        dpsgd_step(models, state.w, train_sets, eta1)
+def m_step(state: DiracState, models, mask, config) -> None:
+    for _ in range(config.local_steps):
+        dpsgd_step(models, state.w, models.train, config.eta1)
 
 
 def graph(state: DiracState, K: int) -> np.ndarray:

@@ -17,14 +17,13 @@ def init_state(config, topology, theta_dim: int) -> None:
     return None
 
 
-def m_step(
-    state, models, train_sets, *, eta1, local_steps, grad_mode, mask,
-    lam, optimizer, optimizer_weight_decay, attention_coupling,
-) -> None:
-    """Local SGD: the cooperative step with identity weights. The kernel is
-    looked up on its module at call time, where tracing may rebind it."""
+def m_step(state, models, mask, config) -> None:
+    """Local SGD: the cooperative step with identity weights and the run's
+    weight decay as the ridge. The kernel is looked up on its module at
+    call time, where tracing may rebind it."""
     theta.cooperative_sgd_steps(
-        models, train_sets, np.eye(len(models)), lam, eta1, local_steps, grad_mode
+        models, models.train, np.eye(len(models)), config.weight_decay,
+        config.eta1, config.local_steps, config.grad_mode,
     )
 
 

@@ -110,12 +110,9 @@ def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray | Non
     return state
 
 
-def m_step(
-    state: MmsbmState, models, train_sets, *, eta1, local_steps, grad_mode, mask,
-    lam, optimizer, optimizer_weight_decay, attention_coupling,
-) -> None:
+def m_step(state: MmsbmState, models, mask, config) -> None:
     cooperative_sgd_steps(
-        models, train_sets, state.w, state.lam, eta1, local_steps, grad_mode, mask
+        models, models.train, state.w, state.lam, config.eta1, config.local_steps, config.grad_mode, mask
     )
-    state.alpha = update_alpha(state, optimizer, optimizer_weight_decay)
+    state.alpha = update_alpha(state, config.optimizer, config.optimizer_weight_decay)
     state.B = update_block_matrix(state, mask)

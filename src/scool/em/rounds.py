@@ -10,7 +10,6 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError, ScoolError
 from ..models import ClientStore, DataStack, batch_log_likelihood
 from ..topology import (
-    CROSS_GRADIENT,
     CommLedger,
     Topology,
     account_exchange,
@@ -24,8 +23,8 @@ from .theta import pair_blocks
 # Every prior is a module with the same four hooks, looked up at call time:
 #   init_state(config, topology, theta_dim) -> the prior's state
 #   e_step(state, models, loglik, mask), or None for a fixed graph
-#   m_step(state, models, train_sets, **round keywords): the local epochs
-#       and the prior-parameter updates
+#   m_step(state, models, mask, config): the local epochs on models.train
+#       and the prior-parameter updates, under the run's settings
 #   graph(state, K) -> the row-stochastic reporting view of the graph
 PRIORS = {
     "local-only": local,
@@ -62,25 +61,10 @@ def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray |
 
 
 def run_round(
-    prior_kind: str,
-    state,
-    models: ClientStore,
-    train_sets: DataStack,
-    topology: Topology,
-    ledger: CommLedger | None,
-    round_index: int,
-    *,
-    eta1: float,
-    local_steps: int = 1,
-    grad_mode: str = CROSS_GRADIENT,
-    lam: float = 0.0,
-    optimizer: str = "plain",
-    optimizer_weight_decay: float = 0.0,
-    attention_coupling: bool = True,
-    sparsify_keep_fraction: float = 1.0,
-    sparsify_round: int = 10,
+    state, models: ClientStore, topology: Topology, ledger: CommLedger | None, round_index: int, config
 ) -> RoundResult:
-    """One full round of the prior named ``prior_kind`` (a key of PRIORS).
+    """One full round of the prior named by ``config.prior_kind`` (a key of
+    PRIORS), on the store's train stack and the run's settings.
 
     A prior with an E-step learns its graph: the topology is pruned if
     scheduled, then the cross-client log-likelihoods feed the E-step and
@@ -90,34 +74,25 @@ def run_round(
     gossip round per local step for a fixed one; local-only keeps no state
     and sends nothing.
     """
-    if prior_kind not in PRIORS:
-        raise ConfigurationError(f"unknown prior {prior_kind!r}")
-    prior = PRIORS[prior_kind]
+    if config.prior_kind not in PRIORS:
+        raise ConfigurationError(f"unknown prior {config.prior_kind!r}")
+    prior = PRIORS[config.prior_kind]
     ll = elbo_total = None
     try:
         if prior.e_step is not None:
-            if sparsify_keep_fraction < 1.0 and round_index == sparsify_round:
-                topology.mask = sparsify_topk(
-                    state.w, topology.mask, sparsify_keep_fraction, round_index, sparsify_round
-                )
-            ll = loglik_matrix(models, train_sets, topology.mask)
+            if config.sparsify_keep_fraction < 1.0 and round_index == config.sparsify_round:
+                topology.mask = sparsify_topk(state.w, topology.mask, config.sparsify_keep_fraction)
+            ll = loglik_matrix(models, models.train, topology.mask)
             if not np.all(np.isfinite(ll[topology.mask])):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
             prior.e_step(state, models, ll, topology.mask)
             elbo_total = elbo(state, ll, models, topology.mask).total
-        prior.m_step(
-            state, models, train_sets,
-            eta1=eta1, local_steps=local_steps, grad_mode=grad_mode, mask=topology.mask,
-            lam=lam, optimizer=optimizer, optimizer_weight_decay=optimizer_weight_decay,
-            attention_coupling=attention_coupling,
-        )
+        prior.m_step(state, models, topology.mask, config)
         if ledger is not None and ll is not None:
-            account_exchange(ledger, topology.mask, grad_mode, round_index, local_steps)
+            account_exchange(ledger, topology.mask, config.grad_mode, round_index, config.local_steps)
         elif ledger is not None and state is not None:
-            account_gossip(ledger, topology.mask, round_index, local_steps)
+            account_gossip(ledger, topology.mask, round_index, config.local_steps)
     except ScoolError as err:
-        if isinstance(err, DivergenceError):
-            raise DivergenceError(f"round {round_index}: {err}") from err
         raise type(err)(f"round {round_index}: {err}") from err
 
     return RoundResult(

@@ -92,7 +92,6 @@ class DiracState:
     decentralized SGD. Requires a symmetric row-stochastic w."""
 
     w: np.ndarray
-    alpha_lr: float = 0.1
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
@@ -103,13 +102,6 @@ class DiracState:
             raise ConfigurationError("dirac mixing weights must be row-stochastic")
         if np.any(self.w < -1e-12):
             raise ConfigurationError("dirac mixing weights must be nonnegative")
-        if self.alpha_lr <= 0:
-            raise ConfigurationError("alpha_lr must be positive")
-
-    @property
-    def ridge(self) -> float:
-        """The model-prior scale implied by the step size (lambda = 1/alpha)."""
-        return 1.0 / self.alpha_lr
 
 
 @dataclass

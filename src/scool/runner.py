@@ -210,7 +210,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         seed=config.seed,
     )
     state = build_state(config, topology, arch.n_params)
-    ledger = CommLedger(config.K, arch.n_params)
+    ledger = CommLedger(arch.n_params)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -219,24 +219,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     failure = None
     for r in range(config.rounds):
         try:
-            result = rounds.run_round(
-                config.prior_kind,
-                state,
-                clients,
-                clients.train,
-                topology,
-                ledger,
-                r,
-                eta1=config.eta1,
-                local_steps=config.local_steps,
-                grad_mode=config.grad_mode,
-                lam=config.weight_decay,
-                optimizer=config.optimizer,
-                optimizer_weight_decay=config.optimizer_weight_decay,
-                attention_coupling=config.attention_coupling,
-                sparsify_keep_fraction=config.sparsify_keep_fraction,
-                sparsify_round=config.sparsify_round,
-            )
+            result = rounds.run_round(state, clients, topology, ledger, r, config)
         except (DivergenceError, InvariantError) as err:
             failure = err
             report.diverged = True

@@ -20,7 +20,6 @@ from .errors import ConfigurationError, DivergenceError
 FULLY_CONNECTED = "fully-connected"
 GROUP_RING = "group-ring"
 GENERALIZED_BIPARTITE = "generalized-bipartite"
-CUSTOM_MASK = "custom-mask"
 
 CROSS_GRADIENT = "cross-gradient"
 TAYLOR_APPROX = "taylor-approx"
@@ -59,14 +58,13 @@ def build_topology(
     *,
     k0: int | None = None,
     degree: int | None = None,
-    mask: np.ndarray | None = None,
     seed: int = 0,
 ) -> Topology:
     """Construct a mask. group-ring links clients at cyclic index distance
     <= (K - K0)/2; generalized-bipartite randomly splits the clients in two
     halves and wires each client to ``degree`` partners on the other side
     (then symmetrizes)."""
-    if K < 2 and kind != CUSTOM_MASK:
+    if K < 2:
         raise ConfigurationError("topologies need at least two clients")
     if kind == FULLY_CONNECTED:
         m = np.ones((K, K), dtype=bool)
@@ -96,24 +94,12 @@ def build_topology(
         m |= m.T
         np.fill_diagonal(m, True)
         return Topology(kind, m)
-    if kind == CUSTOM_MASK:
-        if mask is None:
-            raise ConfigurationError("custom-mask needs an explicit mask")
-        m = np.array(mask, dtype=bool)
-        np.fill_diagonal(m, True)
-        return Topology(kind, m)
     raise ConfigurationError(f"unknown topology kind {kind!r}")
 
 
-def sparsify_topk(
-    w: np.ndarray,
-    mask: np.ndarray,
-    keep_fraction: float,
-    current_round: int,
-    activate_round: int,
-) -> np.ndarray:
+def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Prune each client's neighborhood to its ceil(keep_fraction*(K-1))
-    strongest weights once ``current_round`` reaches ``activate_round``.
+    strongest weights; the caller schedules when.
 
     Candidates are the currently unmasked off-diagonal entries, ties break
     toward the lower index, and re-application is a no-op, so the pruning
@@ -124,8 +110,6 @@ def sparsify_topk(
     if not (0.0 < keep_fraction <= 1.0):
         raise ConfigurationError("keep_fraction must lie in (0, 1]")
     mask = np.asarray(mask, dtype=bool)
-    if current_round < activate_round or keep_fraction == 1.0:
-        return mask.copy()
     w = np.asarray(w, dtype=float)
     K = len(mask)
     keep = ceil(keep_fraction * (K - 1))
@@ -155,53 +139,22 @@ class RoundTraffic:
 
 @dataclass
 class CommLedger:
-    """Cumulative communication account for one run."""
+    """Communication account for one run, one record per charged round."""
 
-    n_clients: int
     model_dim: int
     rounds: list[RoundTraffic] = field(default_factory=list)
-    models_sent: int = 0
-    gradients_sent: int = 0
-    scalars_sent: int = 0
-    models_sent_by: np.ndarray = field(default=None)
-    gradients_sent_by: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.models_sent_by is None:
-            self.models_sent_by = np.zeros(self.n_clients, dtype=int)
-        if self.gradients_sent_by is None:
-            self.gradients_sent_by = np.zeros(self.n_clients, dtype=int)
-
-    def _push(self, rec: RoundTraffic, models_by, gradients_by) -> None:
-        self.rounds.append(rec)
-        self.models_sent += rec.models_sent
-        self.gradients_sent += rec.gradients_sent
-        self.scalars_sent += rec.scalars_sent
-        self.models_sent_by += models_by
-        self.gradients_sent_by += gradients_by
-
-    @property
-    def total_vector_units_folded(self) -> float:
-        return sum(r.vector_units_folded for r in self.rounds)
-
-    @property
-    def total_vector_units_separate(self) -> float:
-        return sum(r.vector_units_separate for r in self.rounds)
 
     def totals(self) -> dict:
         return {
-            "models_sent": self.models_sent,
-            "gradients_sent": self.gradients_sent,
-            "scalars_sent": self.scalars_sent,
-            "vector_units_folded": self.total_vector_units_folded,
-            "vector_units_separate": self.total_vector_units_separate,
+            name: sum(getattr(r, name) for r in self.rounds)
+            for name in ("models_sent", "gradients_sent", "scalars_sent",
+                         "vector_units_folded", "vector_units_separate")
         }
 
 
-def _degrees(mask: np.ndarray):
-    off = np.asarray(mask, dtype=bool).copy()
-    np.fill_diagonal(off, False)
-    return off.sum(axis=1), off.sum(axis=0)  # out-degree, in-degree
+def _directed_edges(mask: np.ndarray) -> int:
+    mask = np.asarray(mask, dtype=bool)
+    return int(mask.sum() - np.trace(mask))
 
 
 def account_exchange(
@@ -222,27 +175,22 @@ def account_exchange(
     """
     if grad_mode not in (CROSS_GRADIENT, TAYLOR_APPROX):
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
-    out_deg, in_deg = _degrees(mask)
-    E = int(out_deg.sum())
+    E = _directed_edges(mask)
     if grad_mode == CROSS_GRADIENT:
         models = sweeps * E
         gradients = sweeps * E
         folded = float(2 * sweeps * E)
         separate = float(2 * sweeps * E + E)
-        models_by = sweeps * out_deg
-        gradients_by = sweeps * in_deg
     else:
         models = E  # evaluation shipment only
         gradients = sweeps * E
         folded = float(sweeps * E + E)
         separate = folded
-        models_by = out_deg.copy()
-        gradients_by = sweeps * in_deg
     scalars = E
     separate += 0.0 if ledger.model_dim == 0 else scalars / ledger.model_dim
     folded += 0.0 if ledger.model_dim == 0 else scalars / ledger.model_dim
     rec = RoundTraffic(round_index, models, gradients, scalars, folded, separate)
-    ledger._push(rec, np.asarray(models_by, dtype=int), np.asarray(gradients_by, dtype=int))
+    ledger.rounds.append(rec)
     return rec
 
 
@@ -250,9 +198,7 @@ def account_gossip(
     ledger: CommLedger, mask: np.ndarray, round_index: int, sweeps: int = 1
 ) -> RoundTraffic:
     """Charge a gossip-averaging round: one model per directed edge per sweep."""
-    out_deg, in_deg = _degrees(mask)
-    E = int(out_deg.sum())
-    models = sweeps * E
+    models = sweeps * _directed_edges(mask)
     rec = RoundTraffic(round_index, models, 0, 0, float(models), float(models))
-    ledger._push(rec, sweeps * out_deg, np.zeros(ledger.n_clients, dtype=int))
+    ledger.rounds.append(rec)
     return rec

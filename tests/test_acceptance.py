@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from scool.config import ExperimentConfig
 from scool.em import attention, dirac, mmsbm, rounds, sbm
 from scool.em.common import observed_pairs
 from scool.em.elbo import elbo
@@ -71,7 +72,7 @@ def pruned_ring(rng, K):
     """A ring of reach 2 pruned as a run prunes it: each client keeps its
     ceil(0.3 (K - 1)) strongest (here random) weights."""
     ring = build_topology("group-ring", K, k0=K - 4).mask
-    return sparsify_topk(rng.uniform(0.1, 1.0, (K, K)), ring, 0.3, 1, 1)
+    return sparsify_topk(rng.uniform(0.1, 1.0, (K, K)), ring, 0.3)
 
 
 def _mmsbm_kkt_residual(mst, ll, mask=None):
@@ -248,11 +249,11 @@ def test_criterion_3_dpsgd_equivalence():
         train = models.train
         topo = build_topology("fully-connected", K)
         w = dirac.metropolis_weights(topo.mask)
-        state = DiracState(w, alpha_lr=0.1)
+        state = DiracState(w)
         ref = np.stack([m.theta for m in models])
+        cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
         for r in range(10):
-            rounds.run_round("dirac", state, models, train, topo, None, r,
-                             eta1=0.1, local_steps=1)
+            rounds.run_round(state, models, topo, None, r, cfg)
         # independent simulator of the reference algorithm
         for _ in range(10):
             grads = np.stack([grad(LocalModel(ref[i], arch), train[i]) for i in range(K)])
@@ -416,7 +417,7 @@ def test_criterion_8_communication_accounting():
         topo = build_topology(kind, 12, **kwargs)
         E = topo.directed_edges()
         for mode, sweeps in ((CROSS_GRADIENT, 2), (TAYLOR_APPROX, 2)):
-            ledger = CommLedger(12, 18)
+            ledger = CommLedger(18)
             rec = account_exchange(ledger, topo.mask, mode, 0, sweeps)
             if mode == CROSS_GRADIENT:
                 assert rec.vector_units_folded == 2 * sweeps * E + E / 18

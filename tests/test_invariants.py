@@ -27,14 +27,9 @@ def test_invariants_after_every_round(prior):
     models = ClientStore(build_models(cfg), train, test)
     topo = build_topology("fully-connected", cfg.K)
     state = build_state(cfg, topo, models.arch.n_params)
-    ledger = CommLedger(cfg.K, models.arch.n_params)
+    ledger = CommLedger(models.arch.n_params)
     for r in range(cfg.rounds):
-        rounds.run_round(
-            prior, state, models, train, topo, ledger, r,
-            eta1=cfg.eta1, local_steps=1,
-            sparsify_keep_fraction=cfg.sparsify_keep_fraction,
-            sparsify_round=cfg.sparsify_round,
-        )
+        rounds.run_round(state, models, topo, ledger, r, cfg)
         if prior == "attention":
             _check_simplex(state.w, "attention w rows")
             _check_simplex(state.p, "attention p rows")

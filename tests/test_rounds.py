@@ -37,11 +37,10 @@ class TestDiracReduction:
         K = len(models)
         w = dirac.metropolis_weights(np.ones((K, K), dtype=bool))
         topo = build_topology("fully-connected", K)
-        state = DiracState(w, alpha_lr=0.1)
+        state = DiracState(w)
+        cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
         for r in range(10):
-            rounds.run_round(
-                "dirac", state, models, train, topo, None, r, eta1=0.1, local_steps=1
-            )
+            rounds.run_round(state, models, topo, None, r, cfg)
         thetas = np.stack([m.theta for m in ref])
         for _ in range(10):
             grads = np.stack(
@@ -53,14 +52,13 @@ class TestDiracReduction:
 
     def test_local_steps_multiply_gossip(self):
         rng = np.random.default_rng(1)
-        models, train = _setup(rng)
+        models, _ = _setup(rng)
         K = len(models)
         topo = build_topology("fully-connected", K)
-        state = DiracState(dirac.metropolis_weights(topo.mask), alpha_lr=0.1)
-        ledger = CommLedger(K, models[0].arch.n_params)
-        rounds.run_round(
-            "dirac", state, models, train, topo, ledger, 0, eta1=0.1, local_steps=3
-        )
+        state = DiracState(dirac.metropolis_weights(topo.mask))
+        ledger = CommLedger(models[0].arch.n_params)
+        cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=3)
+        rounds.run_round(state, models, topo, ledger, 0, cfg)
         assert ledger.rounds[-1].models_sent == 3 * topo.directed_edges()
 
 
@@ -129,26 +127,23 @@ class TestLoglikMatrix:
 class TestRunRoundContracts:
     def test_unknown_prior(self):
         rng = np.random.default_rng(7)
-        models, train = _setup(rng, K=3)
+        models, _ = _setup(rng, K=3)
         topo = build_topology("fully-connected", 3)
         with pytest.raises(ConfigurationError):
-            rounds.run_round("bogus", None, models, train, topo, None, 0, eta1=0.1)
+            rounds.run_round(None, models, topo, None, 0, ExperimentConfig(prior_kind="bogus", eta1=0.1))
 
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
         models_a, train = _setup(rng, K=4)
-        models_b = client_store(models_a)
+        models_b = ClientStore(models_a, train)
         topo_a = build_topology("fully-connected", 4)
         topo_b = build_topology("fully-connected", 4)
         st_a = init_sbm_state(4, 2, seed=9)
         st_b = init_sbm_state(4, 2, seed=9)
+        cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2)
         for r in range(3):
-            ra = rounds.run_round(
-                "sbm", st_a, models_a, train, topo_a, None, r, eta1=0.1, local_steps=2
-            )
-            rb = rounds.run_round(
-                "sbm", st_b, models_b, train, topo_b, None, r, eta1=0.1, local_steps=2
-            )
+            ra = rounds.run_round(st_a, models_a, topo_a, None, r, cfg)
+            rb = rounds.run_round(st_b, models_b, topo_b, None, r, cfg)
             np.testing.assert_array_equal(ra.graph, rb.graph)
             assert ra.elbo_total == rb.elbo_total
         for a, b in zip(models_a, models_b):
@@ -156,25 +151,23 @@ class TestRunRoundContracts:
 
     def test_local_only_keeps_identity_graph(self):
         rng = np.random.default_rng(10)
-        models, train = _setup(rng, K=3)
+        models, _ = _setup(rng, K=3)
         topo = build_topology("fully-connected", 3)
-        out = rounds.run_round(
-            "local-only", None, models, train, topo, None, 0, eta1=0.1
-        )
+        cfg = ExperimentConfig(prior_kind="local-only", eta1=0.1, local_steps=1, weight_decay=0.0)
+        out = rounds.run_round(None, models, topo, None, 0, cfg)
         np.testing.assert_array_equal(out.graph, np.eye(3))
         assert out.elbo_total is None and out.loglik is None
 
     def test_sparsification_fires_once_at_round(self):
         rng = np.random.default_rng(11)
-        models, train = _setup(rng, K=6)
+        models, _ = _setup(rng, K=6)
         topo = build_topology("fully-connected", 6)
         st = init_sbm_state(6, 2, seed=12)
+        cfg = ExperimentConfig(
+            prior_kind="sbm", eta1=0.1, local_steps=1, sparsify_keep_fraction=0.2, sparsify_round=2
+        )
         for r in range(4):
-            rounds.run_round(
-                "sbm", st, models, train, topo, None, r,
-                eta1=0.1, local_steps=1,
-                sparsify_keep_fraction=0.2, sparsify_round=2,
-            )
+            rounds.run_round(st, models, topo, None, r, cfg)
             off = topo.mask.copy()
             np.fill_diagonal(off, False)
             if r < 2:
@@ -186,17 +179,16 @@ class TestRunRoundContracts:
         # a row of w that underflowed to zero during the run is a numerical
         # event: run_round reports it as a divergence, not a config error
         rng = np.random.default_rng(13)
-        models, train = _setup(rng, K=5)
+        models, _ = _setup(rng, K=5)
         topo = build_topology("fully-connected", 5)
         st = init_sbm_state(5, 2, seed=14)
-        rounds.run_round("sbm", st, models, train, topo, None, 0, eta1=0.1)
+        cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1)
+        rounds.run_round(st, models, topo, None, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]
+        cfg = cfg.replace(sparsify_keep_fraction=0.5, sparsify_round=1)
         with pytest.raises(DivergenceError, match=r"^round 1: sparsify: row 3 has no positive weight$"):
-            rounds.run_round(
-                "sbm", st, models, train, topo, None, 1,
-                eta1=0.1, sparsify_keep_fraction=0.5, sparsify_round=1,
-            )
+            rounds.run_round(st, models, topo, None, 1, cfg)
         assert topo.mask.all()
         for m, theta in zip(models, before):
             np.testing.assert_array_equal(m.theta, theta)
@@ -223,7 +215,7 @@ class TestPriorTable:
         models = ClientStore(build_models(cfg), train, test)
         topo = build_topology(cfg.topology_kind, cfg.K)
         state = build_state(cfg, topo, models.arch.n_params)
-        return cfg, train, models, topo, state
+        return cfg, models, topo, state
 
     def test_one_list_of_names_and_four_hooks(self):
         assert config.PRIORS == tuple(rounds.PRIORS)
@@ -237,12 +229,10 @@ class TestPriorTable:
 
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
     def test_every_prior_runs_two_rounds(self, prior):
-        cfg, train, models, topo, state = self._k4(prior)
-        ledger = CommLedger(cfg.K, models[0].arch.n_params)
+        cfg, models, topo, state = self._k4(prior)
+        ledger = CommLedger(models[0].arch.n_params)
         for r in range(2):
-            out = rounds.run_round(
-                prior, state, models, train, topo, ledger, r, eta1=cfg.eta1, lam=cfg.weight_decay
-            )
+            out = rounds.run_round(state, models, topo, ledger, r, cfg)
             assert out.graph.shape == (4, 4)
             np.testing.assert_allclose(out.graph.sum(axis=1), 1.0, atol=1e-12)
             assert (out.elbo_total is None) == (rounds.PRIORS[prior].e_step is None)
@@ -256,9 +246,9 @@ class TestPriorTable:
     def test_models_stay_views_of_the_store(self, prior):
         # the kernels update the store's one K x D array in place: every
         # client's theta is still its row, and the rows moved
-        cfg, train, models, topo, state = self._k4(prior)
+        cfg, models, topo, state = self._k4(prior)
         theta, before = models.theta, models.theta.copy()
-        rounds.run_round(prior, state, models, train, topo, None, 0, eta1=cfg.eta1, lam=cfg.weight_decay)
+        rounds.run_round(state, models, topo, None, 0, cfg)
         assert models.theta is theta
         for i, m in enumerate(models):
             assert np.shares_memory(m.theta, theta[i]) and np.array_equal(m.theta, theta[i])
@@ -267,7 +257,7 @@ class TestPriorTable:
         np.testing.assert_array_equal(models.init_theta, before)  # round 0 starts at init
 
     def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
-        cfg, train, models, topo, state = self._k4("attention")
+        cfg, models, topo, state = self._k4("attention")
         calls = []
 
         def spy(*args, **kwargs):
@@ -277,7 +267,7 @@ class TestPriorTable:
         real = attention.e_step
         monkeypatch.setattr(attention, "e_step", spy)
         monkeypatch.setattr(attention, "graph", lambda st, K: np.full((K, K), 1.0 / K))
-        out = rounds.run_round("attention", state, models, train, topo, None, 0, eta1=cfg.eta1)
+        out = rounds.run_round(state, models, topo, None, 0, cfg)
         assert calls == [state]
         np.testing.assert_array_equal(out.graph, np.full((4, 4), 0.25))
 

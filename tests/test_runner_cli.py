@@ -161,7 +161,7 @@ class TestRunExperiment:
         assignment, train, test = build_tasks(cfg)
         models = ClientStore(build_models(cfg), train, test)
         topo = build_topology("fully-connected", cfg.K)
-        state = DiracState(dirac.metropolis_weights(topo.mask), alpha_lr=cfg.eta1)
+        state = DiracState(dirac.metropolis_weights(topo.mask))
 
         def spread():
             th = np.stack([m.theta for m in models])
@@ -174,10 +174,7 @@ class TestRunExperiment:
         start = spread()
         values = []
         for r in range(cfg.rounds):
-            rounds_mod.run_round(
-                "dirac", state, models, train, topo, None, r,
-                eta1=cfg.eta1, local_steps=1,
-            )
+            rounds_mod.run_round(state, models, topo, None, r, cfg)
             values.append(spread())
         # monotone contraction up to sub-0.1% jitter at the gradient floor
         assert all(b <= a * 1.001 for a, b in zip([start] + values, values))
@@ -328,8 +325,8 @@ class TestCli:
             assert (out / f"w_round_{r:04d}.csv").exists()
 
     def test_custom_mask_is_rejected_before_run(self, tmp_path):
-        # no config field can carry the mask custom-mask needs, so
-        # validate-config must refuse what run cannot start
+        # custom-mask is no topology kind, so validate-config must refuse
+        # what run cannot start
         path = tmp_path / "custom.json"
         path.write_text(json.dumps({**small_config().to_dict(), "topology_kind": "custom-mask"}))
         proc = self._run("validate-config", "--config", str(path))
