@@ -267,18 +267,28 @@ def log_likelihood(model: LocalModel, data: Dataset) -> float:
 # features[e] (E x n x d) and labels[e] (E x n) of one dataset. Every slice
 # keeps the matmul shapes, transposes and reduction order of grad,
 # log_likelihood and accuracy, so each output row equals the per-pair
-# function bit for bit; those stay as the reference the kernel is tested
-# against.
+# function; those stay as the reference the kernel is tested against.
+#
+# The class axis C is short (2 in every benchmark workload), and numpy runs
+# an operation along a short innermost axis as a C-element loop per (pair,
+# sample). So no operation here runs along it: the output bias, the
+# log-softmax, the label pick and the argmax fold over the C class slices
+# left to right, each slice a whole E x n operation, and batch_grad keeps
+# its probabilities sample-major. The hidden layer's bias (width h) stays
+# one broadcast add. numpy's add-reduce of fewer than 8 elements is the same
+# left-to-right fold, so the rows are bit for bit the per-pair ones for
+# C <= 7; from C = 8 numpy sums the log-softmax's exponentials pairwise and
+# the two differ in the last bits.
 
 
 def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
     """Logits E x n x C, plus the hidden activations for the MLP."""
     if arch.kind == SOFTMAX_REGRESSION:
         W, b = _unpack_linear(thetas, arch)
-        return _affine(features, W, b), None
+        return _output_affine(features, W, b), None
     W1, b1, W2, b2 = _unpack_mlp(thetas, arch)
     A = np.tanh(_affine(features, W1, b1))
-    return _affine(A, W2, b2), A
+    return _output_affine(A, W2, b2), A
 
 
 def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,23 +299,46 @@ def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _output_affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_affine for the output layer, its bias added one class slice at a time."""
+    out = X @ W.swapaxes(1, 2)
+    for c in range(out.shape[-1]):
+        out[..., c] += b[:, c, None]
+    return out
+
+
+def _shift_log_normalize(Z: np.ndarray) -> np.ndarray:
+    """_log_softmax's steps folded over the classes: shifts the logits Z
+    (E x n x C) in place by their maximum and returns the log of the summed
+    exponentials, E x n. Z - log norm is then the log-softmax."""
+    top = np.maximum(Z[..., 0], Z[..., 1])
+    for c in range(2, Z.shape[-1]):
+        np.maximum(top, Z[..., c], out=top)
+    for c in range(Z.shape[-1]):
+        Z[..., c] -= top
+    ez = np.exp(Z)
+    total = ez[..., 0] + ez[..., 1]
+    for c in range(2, Z.shape[-1]):
+        total += ez[..., c]
+    return np.log(total, out=total)
+
+
 def pairs_per_block(budget: int, n: int, arch: ArchSpec) -> int:
     """How many pairs of n samples one batched call may hold within
     ``budget`` activation elements (pairs x n x max(h, C)); at least one."""
     return max(1, budget // (n * max(arch.h, arch.C)))
 
 
-def _label_index(labels: np.ndarray):
-    E, n = labels.shape
-    return np.arange(E)[:, None], np.arange(n)[None, :], labels
-
-
 def batch_log_likelihood(
     thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
 ) -> np.ndarray:
     """log_likelihood of every pair: E mean label log-probabilities."""
-    lsm = _log_softmax(_batch_forward(thetas, features, arch)[0])
-    return np.mean(lsm[_label_index(labels)], axis=1)
+    Z = _batch_forward(thetas, features, arch)[0]
+    log_norm = _shift_log_normalize(Z)
+    picked = Z[..., 0]
+    for c in range(1, arch.C):
+        picked = np.where(labels == c, Z[..., c], picked)
+    return np.mean(picked - log_norm, axis=1)
 
 
 def batch_grad(
@@ -314,8 +347,13 @@ def batch_grad(
     """grad of every pair: E x D mean cross-entropy gradients."""
     E, n = labels.shape
     Z, A = _batch_forward(thetas, features, arch)
-    P = np.exp(_log_softmax(Z))
-    P[_label_index(labels)] -= 1.0
+    log_norm = _shift_log_normalize(Z)
+    # Sample-major (n x E x C in memory), so the bias gradient P.sum(axis=1)
+    # adds whole contiguous E x C rows sample after sample, the per-pair order.
+    P = np.empty((n, E, arch.C)).transpose(1, 0, 2)
+    for c in range(arch.C):
+        np.exp(Z[..., c] - log_norm, out=P[..., c])
+        P[..., c] -= labels == c
     P /= n
     if A is None:
         gW = P.swapaxes(1, 2) @ features
@@ -339,9 +377,19 @@ def batch_grad(
 def batch_accuracy(
     thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
 ) -> np.ndarray:
-    """accuracy of every pair: E fractions of argmax-correct predictions."""
-    preds = np.argmax(_batch_forward(thetas, features, arch)[0], axis=2)
-    return np.mean(preds == labels, axis=1)
+    """accuracy of every pair: E fractions of argmax-correct predictions.
+
+    The argmax is a fold over the classes with np.argmax's rule: a class
+    takes the lead with a strictly larger score (ties go to the lower
+    class) or a NaN, and a NaN that leads keeps the lead."""
+    Z = _batch_forward(thetas, features, arch)[0]
+    best, hit = Z[..., 0], labels == 0
+    for c in range(1, arch.C):
+        takes = ~(Z[..., c] <= best) & (best == best)  # larger or NaN, unless a NaN leads
+        hit ^= takes & (hit ^ (labels == c))  # hit = (labels == c) where c takes the lead
+        if c + 1 < arch.C:  # the running maximum, in one buffer
+            best = np.maximum(best, Z[..., c], out=None if c == 1 else best)
+    return np.mean(hit, axis=1)
 
 
 def accuracy(model: LocalModel, data: Dataset) -> float:

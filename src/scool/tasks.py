@@ -111,12 +111,37 @@ def make_universe(
 def ground_truth_graph(class_sets: list[tuple[int, ...]]) -> np.ndarray:
     """w*_ij = 1 iff class sets i and j are identical (diagonal included),
     then rows normalized to the simplex."""
-    K = len(class_sets)
-    raw = np.zeros((K, K))
-    for i in range(K):
-        for j in range(K):
-            raw[i, j] = 1.0 if class_sets[i] == class_sets[j] else 0.0
-    return row_normalize(raw)
+    ids = {}
+    set_id = np.array([ids.setdefault(cs, len(ids)) for cs in class_sets])
+    return row_normalize((set_id[:, None] == set_id[None, :]).astype(float))
+
+
+def _checked_class_set(class_set, n_train: int) -> tuple[int, ...]:
+    class_set = tuple(sorted(int(c) for c in class_set))
+    if not class_set:
+        raise ConfigurationError("class_set must not be empty")
+    if n_train < len(class_set):
+        raise ConfigurationError("need at least one training sample per class")
+    return class_set
+
+
+def _draw(universe: TaskUniverse, class_set: tuple[int, ...], rng: np.random.Generator,
+          features: np.ndarray, labels: np.ndarray) -> None:
+    """Fill features (n x d) and labels (n) with n balanced samples of the
+    class set, shuffled; the remainder goes to the first classes."""
+    total = len(labels)
+    counts = np.full(len(class_set), total // len(class_set), dtype=int)
+    counts[: total % len(class_set)] += 1
+    X, y = np.empty_like(features), np.empty_like(labels)
+    start = 0
+    for local, cls in enumerate(class_set):
+        stop = start + counts[local]
+        X[start:stop] = universe.means[cls] + universe.sigma * rng.standard_normal((counts[local], universe.dim))
+        y[start:stop] = local
+        start = stop
+    order = rng.permutation(total)
+    np.take(X, order, axis=0, out=features)
+    np.take(y, order, out=labels)
 
 
 def sample_class_data(
@@ -128,29 +153,14 @@ def sample_class_data(
 ) -> tuple[Dataset, Dataset]:
     """Draw balanced per-class Gaussian samples; labels are local indices
     into the sorted class set."""
-    class_set = tuple(sorted(int(c) for c in class_set))
-    if not class_set:
-        raise ConfigurationError("class_set must not be empty")
-    if n_train < len(class_set):
-        raise ConfigurationError("need at least one training sample per class")
+    class_set = _checked_class_set(class_set, n_train)
     rng = np.random.default_rng(seed)
-
-    def draw(total: int, split: str) -> Dataset:
-        counts = np.full(len(class_set), total // len(class_set), dtype=int)
-        counts[: total % len(class_set)] += 1  # remainder to the first classes
-        feats, labs = [], []
-        for local, cls in enumerate(class_set):
-            x = universe.means[cls] + universe.sigma * rng.standard_normal(
-                (counts[local], universe.dim)
-            )
-            feats.append(x)
-            labs.append(np.full(counts[local], local, dtype=int))
-        X = np.concatenate(feats)
-        y = np.concatenate(labs)
-        order = rng.permutation(len(y))
-        return Dataset(X[order], y[order], class_set, split=split)
-
-    return draw(n_train, "train"), draw(n_test, "test")
+    out = []
+    for n, split in ((n_train, "train"), (n_test, "test")):
+        X, y = np.empty((n, universe.dim)), np.empty(n, dtype=int)
+        _draw(universe, class_set, rng, X, y)
+        out.append(Dataset(X, y, class_set, split=split))
+    return tuple(out)
 
 
 def _spawn(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -158,16 +168,18 @@ def _spawn(seed: int, n: int) -> list[np.random.SeedSequence]:
 
 
 def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataStack, DataStack]:
-    """The train and the test sets of all clients, each split written into
-    one stack as the clients' samples are drawn (see sample_class_data)."""
+    """The train and the test sets of all clients, each client's draws
+    written straight into its rows of the two stacks, with the random calls
+    of sample_class_data."""
     K, d = len(class_sets), universe.dim
     stacks = tuple(
         DataStack(np.empty((K, n, d)), np.empty((K, n), dtype=int), class_sets, split)
         for n, split in ((n_train, "train"), (n_test, "test"))
     )
     for k, (cs, s) in enumerate(zip(class_sets, seeds)):
-        for stack, ds in zip(stacks, sample_class_data(universe, cs, n_train, n_test, s)):
-            stack.features[k], stack.labels[k] = ds.features, ds.labels
+        cs, rng = _checked_class_set(cs, n_train), np.random.default_rng(s)
+        for stack in stacks:
+            _draw(universe, cs, rng, stack.features[k], stack.labels[k])
     return stacks
 
 

@@ -113,15 +113,16 @@ def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.n
     w = np.asarray(w, dtype=float)
     K = len(mask)
     keep = ceil(keep_fraction * (K - 1))
-    out = np.zeros_like(mask)
+    cand = mask & ~np.eye(K, dtype=bool)
+    dead = cand.any(axis=1) & ~(cand & (w > 0)).any(axis=1)
+    if dead.any():
+        raise DivergenceError(f"sparsify: row {int(np.argmax(dead))} has no positive weight")
+    # a stable sort of the negated weights ranks ties by index; non-candidates last
+    order = np.argsort(-np.where(cand, w, -np.inf), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    rank[np.arange(K)[:, None], order] = np.arange(K)
+    out = cand & (rank < keep)
     np.fill_diagonal(out, True)
-    for i in range(K):
-        cand = [j for j in range(K) if j != i and mask[i, j]]
-        if cand and not any(w[i, j] > 0 for j in cand):
-            raise DivergenceError(f"sparsify: row {i} has no positive weight")
-        cand.sort(key=lambda j: (-w[i, j], j))
-        for j in cand[:keep]:
-            out[i, j] = True
     return out
 
 

@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scool import runner
 from scool.em import attention, dirac, rounds, theta
@@ -146,6 +148,67 @@ class TestBatchKernel:
         Y = np.zeros((0, 8), dtype=int)
         assert batch_grad(thetas, X, Y, arch).shape == (0, arch.n_params)
         assert batch_log_likelihood(thetas, X, Y, arch).shape == (0,)
+
+
+class TestClassFold:
+    """The kernel folds the log-softmax, the label pick and the argmax over
+    the class slices; the per-pair functions reduce along the class axis.
+    numpy's add-reduce of fewer than 8 elements is the same left-to-right
+    fold, so up to C = 7 the rows match bit for bit; from C = 8 numpy sums
+    pairwise and the rows match to 1e-12."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        C=hst.one_of(hst.integers(2, 7), hst.sampled_from([8, 9, 16])),
+        kind=hst.sampled_from(sorted(ARCHS)),
+        scale=hst.floats(1e-3, 700.0),
+        tied=hst.integers(0, 2**16 - 1),
+        tie_level=hst.floats(-1.0, 1.0),
+        n=hst.integers(1, 12),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_per_pair_functions(self, C, kind, scale, tied, tie_level, n, seed):
+        arch = ArchSpec(kind, d=3, C=C, h=4 if kind == MLP_1HIDDEN else 0)
+        rng = np.random.default_rng(seed)
+        E = 5
+        thetas = rng.standard_normal((E, arch.n_params))
+        X = rng.uniform(-1.0, 1.0, (E, n, arch.d))
+        Y = rng.integers(0, C, (E, n))
+        # output weights and bias within scale / (inputs + 1), so every logit
+        # lies within +-scale; the classes set in ``tied`` get zero weights and
+        # one shared bias, so their logits tie exactly
+        inputs = arch.h or arch.d
+        out_layer = thetas[:, arch.n_params - C * (inputs + 1) :]
+        out_layer[:] = rng.uniform(-1.0, 1.0, out_layer.shape) * scale / (inputs + 1)
+        W, b = out_layer[:, : C * inputs].reshape(E, C, inputs), out_layer[:, C * inputs :]
+        ties = [c for c in range(C) if tied >> c & 1]
+        if len(ties) > 1:
+            W[:, ties] = 0.0
+            b[:, ties] = tie_level * scale
+        G = batch_grad(thetas, X, Y, arch)
+        L = batch_log_likelihood(thetas, X, Y, arch)
+        acc = batch_accuracy(thetas, X, Y, arch)
+        for e in range(E):
+            model = LocalModel(thetas[e], arch)
+            data = Dataset(X[e], Y[e], tuple(range(C)))
+            assert acc[e] == accuracy(model, data)
+            if C <= 7:
+                np.testing.assert_array_equal(G[e], grad(model, data))
+                assert L[e] == log_likelihood(model, data)
+            else:
+                np.testing.assert_allclose(G[e], grad(model, data), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(L[e], log_likelihood(model, data), rtol=0, atol=1e-12)
+
+    def test_ties_and_nan_rank_as_in_argmax(self):
+        # zero weights on a zero feature: pair e's logits are its bias row Z[e]
+        Z = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 2.0], [np.nan, 3.0, 1.0], [1.0, np.nan, np.nan],
+                      [np.inf, np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [1.0, -np.inf, np.inf]])
+        arch = ArchSpec(SOFTMAX_REGRESSION, d=1, C=3)
+        thetas = np.concatenate([np.zeros((len(Z), 3)), Z], axis=1)
+        X = np.zeros((len(Z), 1, 1))
+        for label in range(3):
+            got = batch_accuracy(thetas, X, np.full((len(Z), 1), label), arch)
+            np.testing.assert_array_equal(got, np.argmax(Z, axis=1) == label)
 
 
 class TestLoglikMatrixEquivalence:
