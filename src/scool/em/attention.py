@@ -18,20 +18,28 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore
 from ..special import softmax_tempered
-from .state import PROB_FLOOR, AttentionState, ascent_step, init_attention_state
+from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps
 
 
 def init_state(config, topology, theta_dim: int) -> AttentionState:
-    return init_attention_state(
-        config.K,
-        theta_dim,
-        np.random.SeedSequence([config.seed, 2]),
+    """A random encoder with zero biases; uniform attention and w."""
+    K, h, out = config.K, config.enc_hidden, config.enc_out
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
+    W1 = rng.standard_normal((h, theta_dim)) / np.sqrt(theta_dim)
+    # modest output scale: raw embedding norms start well below 1 so the
+    # self-similarity score cannot drown the likelihood evidence at small K
+    W2 = 0.3 * rng.standard_normal((out, h)) / np.sqrt(h)
+    phi = pack_encoder(W1, np.zeros(h), W2, np.zeros(out))
+    uniform = np.full((K, K), 1.0 / K)
+    return AttentionState(
+        phi=phi,
+        enc_dims=(theta_dim, h, out),
+        w=uniform.copy(),
+        p=uniform.copy(),
         lam=config.weight_decay,
         tau_softmax=config.tau_softmax,
-        eta2=config.eta2,
-        enc_hidden=config.enc_hidden,
-        enc_out=config.enc_out,
+        phi_slot=AdamSlot.like(phi),
     )
 
 
@@ -166,18 +174,13 @@ def phi_gradient(
     return pack_encoder(dW1, db1, dW2, db2)
 
 
-def update_phi(
-    state: AttentionState,
-    models: ClientStore,
-    mask: np.ndarray | None = None,
-    optimizer: str = "plain",
-    weight_decay: float = 0.0,
-) -> np.ndarray:
-    """One encoder ascent step on the attention agreement objective."""
+def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray | None, config) -> np.ndarray:
+    """One encoder ascent step on the attention agreement objective, under
+    the run's prior step size, optimizer and decay."""
     g = phi_gradient(state, models, mask)
     if not np.all(np.isfinite(g)):
         raise DivergenceError("encoder gradient is non-finite")
-    return ascent_step(state.phi, g, state.eta2, optimizer, state.phi_slot, weight_decay)
+    return ascent_step(state.phi, g, state.phi_slot, config)
 
 
 def e_step(
@@ -196,10 +199,10 @@ def m_step(state: AttentionState, models, mask, config) -> None:
     if config.attention_coupling:
         coupling_fn = lambda ms: coupling_descent_terms(ms, state, mask)
     cooperative_sgd_steps(
-        models, models.train, state.w, state.lam, config.eta1, config.local_steps,
+        models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
         config.grad_mode, mask, coupling_fn,
     )
-    state.phi = update_phi(state, models, mask, config.optimizer, config.optimizer_weight_decay)
+    state.phi = update_phi(state, models, mask, config)
 
 
 def graph(state: AttentionState, K: int) -> np.ndarray:

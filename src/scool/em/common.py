@@ -24,13 +24,11 @@ def alpha_gradient(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return elp.sum(axis=0) - K * digamma(alpha) + K * digamma(float(alpha.sum()))
 
 
-def update_alpha(state, optimizer: str = "plain", weight_decay: float = 0.0) -> np.ndarray:
+def update_alpha(state, config) -> np.ndarray:
     """One projected ascent step on the shared Dirichlet parameter alpha of a
-    block prior, floored at ALPHA_MIN."""
-    new = ascent_step(
-        state.alpha, alpha_gradient(state.gamma, state.alpha), state.eta2, optimizer,
-        state.alpha_slot, weight_decay,
-    )
+    block prior, under the run's prior step size, optimizer and decay,
+    floored at ALPHA_MIN."""
+    new = ascent_step(state.alpha, alpha_gradient(state.gamma, state.alpha), state.alpha_slot, config)
     return np.maximum(new, ALPHA_MIN)
 
 

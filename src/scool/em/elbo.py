@@ -15,11 +15,10 @@ Dirichlet prior cross-entropy with the Dirichlet posterior entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..models import LocalModel
+from ..models import ClientStore
 from ..special import xlogx
 from .common import at_pairs, expected_log_pi, observed_pairs, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, MmsbmState, SbmState, clamp_block_matrix
@@ -64,10 +63,14 @@ def _likelihood_term(w: np.ndarray, loglik: np.ndarray, obs: np.ndarray) -> floa
     return float(np.trace(loglik) + (w * loglik)[obs].sum())
 
 
-def _model_prior_term(models: Sequence[LocalModel] | None, lam: float) -> float:
+def _model_prior_term(models: ClientStore | None, lam: float) -> float:
     if models is None or lam == 0.0:
         return 0.0
-    return -0.5 * lam * sum(float(m.theta @ m.theta) for m in models)
+    # folded left to right in Python: sum() compensates from Python 3.12 on
+    total = 0.0
+    for theta in models.theta:
+        total += float(theta @ theta)
+    return -0.5 * lam * total
 
 
 def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray) -> float:
@@ -147,7 +150,7 @@ def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models=None, mask=None) ->
 def elbo(
     state,
     loglik: np.ndarray,
-    models: Sequence[LocalModel] | None = None,
+    models: ClientStore | None = None,
     mask: np.ndarray | None = None,
 ) -> ElboBreakdown:
     """Dispatch on the prior's state type."""

@@ -17,19 +17,35 @@ from ..special import sigmoid_tempered, softmax_tempered
 from .common import (
     at_pairs, block_ratio, expected_log_pi, graph, observed_pairs, pair_bilinear, update_alpha,
 )
-from .state import MmsbmState, clamp_block_matrix, init_mmsbm_state
+from .state import AdamSlot, MmsbmState, clamp_block_matrix, jittered_simplex
 from .theta import cooperative_sgd_steps
 
 
 def init_state(config, topology, theta_dim: int) -> MmsbmState:
-    return init_mmsbm_state(
-        config.K,
-        config.num_memberships,
-        np.random.SeedSequence([config.seed, 2]),
+    """Jittered sender then receiver memberships, a flat Dirichlet prior
+    and its posterior over the off-diagonal pairs, every block at
+    config.block_init and every edge at 1/2."""
+    K, M = config.K, config.num_memberships
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
+    phi_send = jittered_simplex(rng, (K, K, M))
+    phi_recv = jittered_simplex(rng, (K, K, M))
+    alpha = np.ones(M)
+    off = ~np.eye(K, dtype=bool)
+    gamma = (
+        alpha[None, :]
+        + (phi_send * off[:, :, None]).sum(axis=1)
+        + (phi_recv * off[:, :, None]).sum(axis=0)
+    )
+    return MmsbmState(
+        w=np.full((K, K), 0.5),
+        phi_send=phi_send,
+        phi_recv=phi_recv,
+        gamma=gamma,
+        alpha=alpha,
+        B=np.full((M, M), config.block_init),
         lam=config.weight_decay,
         tau_sigmoid=config.tau_sigmoid,
-        eta2=config.eta2,
-        block_init=config.block_init,
+        alpha_slot=AdamSlot.like(alpha),
     )
 
 
@@ -112,7 +128,8 @@ def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray | Non
 
 def m_step(state: MmsbmState, models, mask, config) -> None:
     cooperative_sgd_steps(
-        models, models.train, state.w, state.lam, config.eta1, config.local_steps, config.grad_mode, mask
+        models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
+        config.grad_mode, mask,
     )
-    state.alpha = update_alpha(state, config.optimizer, config.optimizer_weight_decay)
+    state.alpha = update_alpha(state, config)
     state.B = update_block_matrix(state, mask)

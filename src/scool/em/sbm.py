@@ -14,19 +14,26 @@ import numpy as np
 from ..special import sigmoid_tempered, softmax_tempered
 # graph (the reporting hook) and update_alpha are shared with mmsbm
 from .common import block_ratio, expected_log_pi, graph, observed_pairs, update_alpha
-from .state import SbmState, clamp_block_matrix, init_sbm_state
+from .state import AdamSlot, SbmState, clamp_block_matrix, jittered_simplex
 from .theta import cooperative_sgd_steps
 
 
 def init_state(config, topology, theta_dim: int) -> SbmState:
-    return init_sbm_state(
-        config.K,
-        config.num_memberships,
-        np.random.SeedSequence([config.seed, 2]),
+    """Jittered memberships, a flat Dirichlet prior, every block at
+    config.block_init and every edge at 1/2."""
+    K, M = config.K, config.num_memberships
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
+    omega = jittered_simplex(rng, (K, M))
+    alpha = np.ones(M)
+    return SbmState(
+        w=np.full((K, K), 0.5),
+        gamma=omega + alpha,
+        omega=omega,
+        alpha=alpha,
+        B=np.full((M, M), config.block_init),
         lam=config.weight_decay,
         tau_sigmoid=config.tau_sigmoid,
-        eta2=config.eta2,
-        block_init=config.block_init,
+        alpha_slot=AdamSlot.like(alpha),
     )
 
 
@@ -107,7 +114,8 @@ def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray | None 
 def m_step(state: SbmState, models, mask, config) -> None:
     """Local cooperative SGD epochs, then the prior parameters."""
     cooperative_sgd_steps(
-        models, models.train, state.w, state.lam, config.eta1, config.local_steps, config.grad_mode, mask
+        models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
+        config.grad_mode, mask,
     )
-    state.alpha = update_alpha(state, config.optimizer, config.optimizer_weight_decay)
+    state.alpha = update_alpha(state, config)
     state.B = update_block_matrix(state, mask)

@@ -7,6 +7,11 @@ the stored w keeps a fixed diagonal of 1 which never enters an update and
 only matters for row-normalized reporting. Block matrices are clamped to
 [B_EPS, 1 - B_EPS] and Dirichlet parameters floored at ALPHA_MIN because
 the closed-form updates can otherwise push them onto log singularities.
+
+A learned prior's state holds its variational and prior parameters plus the
+two settings its E-step and lower bound read: the ridge lam on theta and the
+temperature. Each prior's ``init_state`` copies those from the run's config;
+the M-step reads every other setting from the config itself.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ PROB_FLOOR = 1e-12
 
 PLAIN = "plain"
 ADAM = "adam"
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass
@@ -38,32 +44,23 @@ class AdamSlot:
         return cls(np.zeros_like(x, dtype=float), np.zeros_like(x, dtype=float))
 
 
-def ascent_step(
-    param: np.ndarray,
-    gradient: np.ndarray,
-    lr: float,
-    optimizer: str = PLAIN,
-    slot: AdamSlot | None = None,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
-    """One ascent step on ``param`` along ``gradient``; weight decay pulls
-    toward zero. Adam follows the usual bias-corrected moments."""
-    g = gradient - weight_decay * param
-    if optimizer == PLAIN:
-        return param + lr * g
-    if optimizer != ADAM:
-        raise ConfigurationError(f"unknown optimizer {optimizer!r}")
+def ascent_step(param: np.ndarray, gradient: np.ndarray, slot: AdamSlot | None, config) -> np.ndarray:
+    """One ascent step of size ``config.eta2`` on ``param`` along
+    ``gradient`` under ``config.optimizer``; ``config.optimizer_weight_decay``
+    pulls toward zero. Adam follows the usual bias-corrected moments."""
+    g = gradient - config.optimizer_weight_decay * param
+    if config.optimizer == PLAIN:
+        return param + config.eta2 * g
+    if config.optimizer != ADAM:
+        raise ConfigurationError(f"unknown optimizer {config.optimizer!r}")
     if slot is None:
         raise ConfigurationError("adam needs a moment slot")
     slot.t += 1
-    slot.m = beta1 * slot.m + (1.0 - beta1) * g
-    slot.v = beta2 * slot.v + (1.0 - beta2) * g * g
-    mhat = slot.m / (1.0 - beta1**slot.t)
-    vhat = slot.v / (1.0 - beta2**slot.t)
-    return param + lr * mhat / (np.sqrt(vhat) + eps)
+    slot.m = BETA1 * slot.m + (1.0 - BETA1) * g
+    slot.v = BETA2 * slot.v + (1.0 - BETA2) * g * g
+    mhat = slot.m / (1.0 - BETA1**slot.t)
+    vhat = slot.v / (1.0 - BETA2**slot.t)
+    return param + config.eta2 * mhat / (np.sqrt(vhat) + EPS)
 
 
 def clamp_block_matrix(B: np.ndarray) -> np.ndarray:
@@ -73,17 +70,24 @@ def clamp_block_matrix(B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neutral_w(K: int) -> np.ndarray:
-    return np.full((K, K), 0.5)
-
-
-def _jittered_simplex(rng: np.random.Generator, shape, jitter: float = 1.0) -> np.ndarray:
+def jittered_simplex(rng: np.random.Generator, shape) -> np.ndarray:
     """Near-uniform simplex rows with a small seeded perturbation. Exact
     uniformity is a fixed point of the membership updates, so symmetry must
-    be broken at init for any block structure to emerge."""
-    logits = jitter * rng.standard_normal(shape)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    be broken at init for any block structure to emerge.
+
+    The maximum and the sum fold over the last axis's slices left to right:
+    for fewer than 8 slices these are the bits of numpy's last-axis
+    reductions, without their loop of a few elements per row."""
+    logits = rng.standard_normal(shape)
+    top = logits[..., 0].copy()
+    for g in range(1, shape[-1]):
+        np.maximum(top, logits[..., g], out=top)
+    e = np.exp(logits - top[..., None])
+    total = e[..., 0].copy()
+    for g in range(1, shape[-1]):
+        total += e[..., g]
+    e /= total[..., None]
+    return e
 
 
 @dataclass
@@ -115,9 +119,8 @@ class SbmState:
     omega: np.ndarray  # K x M simplex rows
     alpha: np.ndarray  # M positive (shared across clients)
     B: np.ndarray  # M x M in (0,1)
-    lam: float = 0.0
-    tau_sigmoid: float = 1.0
-    eta2: float = 0.1
+    lam: float  # config.weight_decay, the lower bound's ridge on theta
+    tau_sigmoid: float  # the edge posterior's temperature
     alpha_slot: AdamSlot | None = None
 
     def __post_init__(self):
@@ -140,31 +143,6 @@ class SbmState:
         return len(self.alpha)
 
 
-def init_sbm_state(
-    K: int,
-    M: int,
-    seed: int | np.random.SeedSequence,
-    lam: float = 0.0,
-    tau_sigmoid: float = 1.0,
-    eta2: float = 0.1,
-    block_init: float = 0.5,
-) -> SbmState:
-    rng = np.random.default_rng(seed)
-    omega = _jittered_simplex(rng, (K, M))
-    alpha = np.ones(M)
-    return SbmState(
-        w=_neutral_w(K),
-        gamma=omega + alpha,
-        omega=omega,
-        alpha=alpha,
-        B=np.full((M, M), block_init),
-        lam=lam,
-        tau_sigmoid=tau_sigmoid,
-        eta2=eta2,
-        alpha_slot=AdamSlot.like(alpha),
-    )
-
-
 @dataclass
 class AttentionState:
     """Attention prior: a two-layer encoder maps each client's model delta
@@ -172,12 +150,11 @@ class AttentionState:
     the row-stochastic attention p, and w is the posterior cooperation."""
 
     phi: np.ndarray  # flat encoder parameters
-    enc_dims: tuple[int, int, int]  # (input, hidden, out), default hidden/out = (10, 5)
+    enc_dims: tuple[int, int, int]  # (input, hidden, out)
     w: np.ndarray  # K x K row-stochastic
     p: np.ndarray  # K x K row-stochastic
-    lam: float = 0.0
-    tau_softmax: float = 1.0
-    eta2: float = 0.1
+    lam: float  # config.weight_decay, the lower bound's ridge on theta
+    tau_softmax: float  # temperature of the attention and of w
     phi_slot: AdamSlot | None = None
 
     def __post_init__(self):
@@ -196,35 +173,6 @@ class AttentionState:
         return len(self.w)
 
 
-def init_attention_state(
-    K: int,
-    theta_dim: int,
-    seed: int | np.random.SeedSequence,
-    lam: float = 0.0,
-    tau_softmax: float = 1.0,
-    eta2: float = 0.1,
-    enc_hidden: int = 10,
-    enc_out: int = 5,
-) -> AttentionState:
-    rng = np.random.default_rng(seed)
-    W1 = rng.standard_normal((enc_hidden, theta_dim)) / np.sqrt(theta_dim)
-    # modest output scale: raw embedding norms start well below 1 so the
-    # self-similarity score cannot drown the likelihood evidence at small K
-    W2 = 0.3 * rng.standard_normal((enc_out, enc_hidden)) / np.sqrt(enc_hidden)
-    phi = np.concatenate([W1.ravel(), np.zeros(enc_hidden), W2.ravel(), np.zeros(enc_out)])
-    uniform = np.full((K, K), 1.0 / K)
-    return AttentionState(
-        phi=phi,
-        enc_dims=(theta_dim, enc_hidden, enc_out),
-        w=uniform.copy(),
-        p=uniform.copy(),
-        lam=lam,
-        tau_softmax=tau_softmax,
-        eta2=eta2,
-        phi_slot=AdamSlot.like(phi),
-    )
-
-
 @dataclass
 class MmsbmState:
     """Mixed-membership block prior: every ordered pair (i, j) carries a
@@ -237,9 +185,8 @@ class MmsbmState:
     gamma: np.ndarray  # K x M positive
     alpha: np.ndarray  # M positive
     B: np.ndarray  # M x M in (0,1)
-    lam: float = 0.0
-    tau_sigmoid: float = 1.0
-    eta2: float = 0.1
+    lam: float  # config.weight_decay, the lower bound's ridge on theta
+    tau_sigmoid: float  # the edge posterior's temperature
     alpha_slot: AdamSlot | None = None
 
     def __post_init__(self):
@@ -262,36 +209,3 @@ class MmsbmState:
     @property
     def n_blocks(self) -> int:
         return len(self.alpha)
-
-
-def init_mmsbm_state(
-    K: int,
-    M: int,
-    seed: int | np.random.SeedSequence,
-    lam: float = 0.0,
-    tau_sigmoid: float = 1.0,
-    eta2: float = 0.1,
-    block_init: float = 0.5,
-) -> MmsbmState:
-    rng = np.random.default_rng(seed)
-    phi_send = _jittered_simplex(rng, (K, K, M))
-    phi_recv = _jittered_simplex(rng, (K, K, M))
-    alpha = np.ones(M)
-    off = ~np.eye(K, dtype=bool)
-    gamma = (
-        alpha[None, :]
-        + (phi_send * off[:, :, None]).sum(axis=1)
-        + (phi_recv * off[:, :, None]).sum(axis=0)
-    )
-    return MmsbmState(
-        w=_neutral_w(K),
-        phi_send=phi_send,
-        phi_recv=phi_recv,
-        gamma=gamma,
-        alpha=alpha,
-        B=np.full((M, M), block_init),
-        lam=lam,
-        tau_sigmoid=tau_sigmoid,
-        eta2=eta2,
-        alpha_slot=AdamSlot.like(alpha),
-    )

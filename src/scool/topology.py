@@ -146,11 +146,16 @@ class CommLedger:
     rounds: list[RoundTraffic] = field(default_factory=list)
 
     def totals(self) -> dict:
-        return {
-            name: sum(getattr(r, name) for r in self.rounds)
-            for name in ("models_sent", "gradients_sent", "scalars_sent",
-                         "vector_units_folded", "vector_units_separate")
-        }
+        # folded left to right in Python: sum() compensates float sums from
+        # Python 3.12 on, which would move the last bits of the vector units
+        out = {}
+        for name in ("models_sent", "gradients_sent", "scalars_sent",
+                     "vector_units_folded", "vector_units_separate"):
+            total = 0
+            for r in self.rounds:
+                total += getattr(r, name)
+            out[name] = total
+        return out
 
 
 def _directed_edges(mask: np.ndarray) -> int:

@@ -57,7 +57,6 @@ def random_sbm_state(rng: np.random.Generator, K: int, M: int) -> SbmState:
         B=rng.uniform(0.25, 0.75, (M, M)),
         lam=0.0,
         tau_sigmoid=1.0,
-        eta2=0.05,
         alpha_slot=AdamSlot.like(np.zeros(M)),
     )
 
@@ -65,7 +64,7 @@ def random_sbm_state(rng: np.random.Generator, K: int, M: int) -> SbmState:
 def clone_sbm(state: SbmState, **overrides) -> SbmState:
     base = dict(
         w=state.w, gamma=state.gamma, omega=state.omega, alpha=state.alpha,
-        B=state.B, lam=state.lam, tau_sigmoid=state.tau_sigmoid, eta2=state.eta2,
+        B=state.B, lam=state.lam, tau_sigmoid=state.tau_sigmoid,
     )
     base.update(overrides)
     return SbmState(**base)
@@ -87,7 +86,6 @@ def random_mmsbm_state(rng: np.random.Generator, K: int, M: int) -> MmsbmState:
         B=rng.uniform(0.25, 0.75, (M, M)),
         lam=0.0,
         tau_sigmoid=1.0,
-        eta2=0.05,
         alpha_slot=AdamSlot.like(np.zeros(M)),
     )
 
@@ -96,7 +94,7 @@ def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
     base = dict(
         w=state.w, phi_send=state.phi_send, phi_recv=state.phi_recv,
         gamma=state.gamma, alpha=state.alpha, B=state.B, lam=state.lam,
-        tau_sigmoid=state.tau_sigmoid, eta2=state.eta2,
+        tau_sigmoid=state.tau_sigmoid,
     )
     base.update(overrides)
     return MmsbmState(**base)
@@ -202,7 +200,6 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
         p=np.full((K, K), 1.0 / K),
         lam=0.0,
         tau_softmax=1.0,
-        eta2=0.05,
         phi_slot=AdamSlot.like(phi),
     )
     return client_store(models), state
@@ -211,7 +208,7 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
 def clone_attention(state: AttentionState, **overrides) -> AttentionState:
     base = dict(
         phi=state.phi, enc_dims=state.enc_dims, w=state.w, p=state.p,
-        lam=state.lam, tau_softmax=state.tau_softmax, eta2=state.eta2,
+        lam=state.lam, tau_softmax=state.tau_softmax,
     )
     base.update(overrides)
     return AttentionState(**base)

@@ -4,6 +4,7 @@ encoder gradients against finite differences."""
 import numpy as np
 import pytest
 
+from scool.config import ExperimentConfig
 from scool.em import attention
 from scool.em.elbo import elbo
 from scool.em.state import PROB_FLOOR
@@ -49,7 +50,10 @@ class TestComputeP:
         W2 = np.zeros((2, 4))
         W2[:, :2] = np.eye(2) / eps
         phi = np.concatenate([W1.ravel(), np.zeros(4), W2.ravel(), np.zeros(2)])
-        state = AttentionState(phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full((2, 2), 0.5))
+        state = AttentionState(
+            phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full((2, 2), 0.5),
+            lam=0.0, tau_softmax=1.0,
+        )
         E = attention.encode(phi, (4, 4, 2), attention.model_deltas(client_store([m1, m2])))
         np.testing.assert_allclose(E, [[2.0, 0.0], [0.0, 3.0]], atol=1e-3)
         p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0)
@@ -191,7 +195,7 @@ class TestPhiUpdate:
 
         start = kl()
         for _ in range(200):
-            state.phi = attention.update_phi(state, models)
+            state.phi = attention.update_phi(state, models, None, ExperimentConfig(eta2=0.05))
         assert kl() < start
 
 

@@ -10,6 +10,7 @@ from scool.em.elbo import elbo, elbo_sbm
 from scool.em.state import SbmState
 
 from conftest import (
+    client_store,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
@@ -54,6 +55,7 @@ class TestSbmHandCase:
             alpha=np.array([0.9]),
             B=np.array([[0.37]]),
             lam=0.0,
+            tau_sigmoid=1.0,
         )
         got = elbo_sbm(st, ll).total
         want = hand_sbm_k2_m1(0.3, 0.8, ll, (1.4, 2.2), 0.9, 0.37)
@@ -86,7 +88,7 @@ class TestBreakdownContracts:
         st.lam = 0.4
         arch = ArchSpec("softmax-regression", 2, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(3)]
-        out = elbo(st, random_loglik(rng, 3), models)
+        out = elbo(st, random_loglik(rng, 3), client_store(models))
         want = -0.2 * sum(float(m.theta @ m.theta) for m in models)
         assert out.model_prior == pytest.approx(want, abs=1e-12)
 

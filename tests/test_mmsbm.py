@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scool.config import ExperimentConfig
 from scool.em import mmsbm
 from scool.em.common import at_pairs, observed_pairs, pair_bilinear
 from scool.em.elbo import elbo, elbo_mmsbm
@@ -175,9 +176,9 @@ class TestBlockMatrix:
         st_s = random_sbm_state(rng, 4, 2)
         st_s.gamma = st_m.gamma.copy()
         st_s.alpha = st_m.alpha.copy()
-        st_s.eta2 = st_m.eta2
+        cfg = ExperimentConfig(eta2=0.05)
         np.testing.assert_allclose(
-            mmsbm.update_alpha(st_m), sbm.update_alpha(st_s), atol=1e-12
+            mmsbm.update_alpha(st_m, cfg), sbm.update_alpha(st_s, cfg), atol=1e-12
         )
 
     def test_degenerate_raises(self):

@@ -8,8 +8,8 @@ import pytest
 
 from scool import config
 from scool.config import ExperimentConfig
-from scool.em import attention, dirac, rounds
-from scool.em.state import DiracState, init_attention_state, init_sbm_state
+from scool.em import attention, dirac, rounds, sbm
+from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec, ClientStore, LocalModel, grad
 from scool.runner import build_models, build_state, build_tasks
@@ -77,18 +77,18 @@ class TestMaskingGuarantees:
         poisoned = ll.copy()
         poisoned[0, 2] = poisoned[2, 0] = poisoned[1, 4] = np.nan
 
-        from scool.em import attention, sbm
-
         if prior == "sbm":
-            st_a = init_sbm_state(K, 2, seed=3)
-            st_b = init_sbm_state(K, 2, seed=3)
+            cfg = ExperimentConfig(K=K, num_memberships=2, seed=3)
+            st_a = sbm.init_state(cfg, None, 0)
+            st_b = sbm.init_state(cfg, None, 0)
             sbm.e_step(st_a, models, ll, mask)
             sbm.e_step(st_b, models, poisoned, mask)
             np.testing.assert_array_equal(st_a.w, st_b.w)
             np.testing.assert_array_equal(st_a.omega, st_b.omega)
         else:
-            st_a = init_attention_state(K, models[0].arch.n_params, seed=3)
-            st_b = init_attention_state(K, models[0].arch.n_params, seed=3)
+            cfg = ExperimentConfig(K=K, seed=3)
+            st_a = attention.init_state(cfg, None, models.arch.n_params)
+            st_b = attention.init_state(cfg, None, models.arch.n_params)
             attention.e_step(st_a, models, ll, mask)
             attention.e_step(st_b, models, poisoned, mask)
             np.testing.assert_array_equal(st_a.w, st_b.w)
@@ -138,9 +138,9 @@ class TestRunRoundContracts:
         models_b = ClientStore(models_a, train)
         topo_a = build_topology("fully-connected", 4)
         topo_b = build_topology("fully-connected", 4)
-        st_a = init_sbm_state(4, 2, seed=9)
-        st_b = init_sbm_state(4, 2, seed=9)
-        cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2)
+        cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
+        st_a = sbm.init_state(cfg, None, 0)
+        st_b = sbm.init_state(cfg, None, 0)
         for r in range(3):
             ra = rounds.run_round(st_a, models_a, topo_a, None, r, cfg)
             rb = rounds.run_round(st_b, models_b, topo_b, None, r, cfg)
@@ -162,10 +162,11 @@ class TestRunRoundContracts:
         rng = np.random.default_rng(11)
         models, _ = _setup(rng, K=6)
         topo = build_topology("fully-connected", 6)
-        st = init_sbm_state(6, 2, seed=12)
         cfg = ExperimentConfig(
-            prior_kind="sbm", eta1=0.1, local_steps=1, sparsify_keep_fraction=0.2, sparsify_round=2
+            prior_kind="sbm", eta1=0.1, local_steps=1, sparsify_keep_fraction=0.2, sparsify_round=2,
+            K=6, num_memberships=2, seed=12,
         )
+        st = sbm.init_state(cfg, None, 0)
         for r in range(4):
             rounds.run_round(st, models, topo, None, r, cfg)
             off = topo.mask.copy()
@@ -181,8 +182,8 @@ class TestRunRoundContracts:
         rng = np.random.default_rng(13)
         models, _ = _setup(rng, K=5)
         topo = build_topology("fully-connected", 5)
-        st = init_sbm_state(5, 2, seed=14)
-        cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1)
+        cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1, K=5, num_memberships=2, seed=14)
+        st = sbm.init_state(cfg, None, 0)
         rounds.run_round(st, models, topo, None, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from scool.config import ExperimentConfig
 from scool.em import sbm
 from scool.em.elbo import elbo
 from scool.em.state import ALPHA_MIN, B_EPS
@@ -170,7 +171,7 @@ class TestUpdateAlpha:
         st.gamma = np.full((4, 2), 1.7)
         a_star = brentq(g, 1e-3, 50.0)
         st.alpha = np.array([a_star, a_star])
-        new = sbm.update_alpha(st)
+        new = sbm.update_alpha(st, ExperimentConfig(eta2=0.05))
         np.testing.assert_allclose(new, st.alpha, atol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
@@ -194,8 +195,8 @@ class TestUpdateAlpha:
         st = random_sbm_state(rng, 3, 2)
         st.gamma = np.full((3, 2), 0.6)
         st.alpha = np.array([ALPHA_MIN, 5.0])
-        st.eta2 = 100.0  # force a giant step so the floor binds
-        new = sbm.update_alpha(st)
+        # a giant step so the floor binds
+        new = sbm.update_alpha(st, ExperimentConfig(eta2=100.0))
         assert new.min() == ALPHA_MIN
 
 

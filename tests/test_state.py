@@ -16,7 +16,7 @@ from conftest import random_attention_setup, random_sbm_state
 class TestAscentStep:
     def test_plain_step(self):
         p, g = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -4.0])
-        np.testing.assert_array_equal(ascent_step(p, g, 0.1), p + 0.1 * g)
+        np.testing.assert_array_equal(ascent_step(p, g, None, ExperimentConfig(eta2=0.1)), p + 0.1 * g)
 
     def test_adam_bias_corrected_moments(self):
         # three steps against the moments written out by hand, with
@@ -34,10 +34,10 @@ class TestAscentStep:
             mhat = m / (1.0 - 0.9**t)
             vhat = v / (1.0 - 0.999**t)
             want = want + 0.05 * mhat / (np.sqrt(vhat) + 1e-8)
-        slot = AdamSlot.like(p)
+        slot, cfg = AdamSlot.like(p), ExperimentConfig(eta2=0.05, optimizer="adam")
         got = p
         for t, g in enumerate(gs, start=1):
-            got = ascent_step(got, g, 0.05, "adam", slot)
+            got = ascent_step(got, g, slot, cfg)
             assert slot.t == t
         np.testing.assert_allclose(slot.m, m3, rtol=1e-15)
         np.testing.assert_allclose(slot.v, v3, rtol=1e-15)
@@ -46,27 +46,28 @@ class TestAscentStep:
     def test_first_adam_step_is_a_signed_step(self):
         # bias correction makes the first step lr * g / (|g| + eps)
         p, g = np.zeros(3), np.array([2.0, -0.5, 7.0])
-        got = ascent_step(p, g, 0.01, "adam", AdamSlot.like(p))
+        got = ascent_step(p, g, AdamSlot.like(p), ExperimentConfig(eta2=0.01, optimizer="adam"))
         np.testing.assert_allclose(got, 0.01 * np.sign(g), rtol=1e-7)
 
     @pytest.mark.parametrize("optimizer", ["plain", "adam"])
     def test_decay_pulls_toward_zero(self, optimizer):
         p = np.array([0.8, -1.5, 3.0])
-        slot = AdamSlot.like(p)
-        new = ascent_step(p, np.zeros(3), 0.1, optimizer, slot, 0.01)
+        cfg = ExperimentConfig(eta2=0.1, optimizer=optimizer, optimizer_weight_decay=0.01)
+        new = ascent_step(p, np.zeros(3), AdamSlot.like(p), cfg)
         assert np.all(np.abs(new) < np.abs(p)) and np.all(np.sign(new) == np.sign(p))
         if optimizer == "plain":
             np.testing.assert_array_equal(new, p + 0.1 * (-0.01 * p))
         # no decay and no gradient: nothing moves
-        np.testing.assert_array_equal(ascent_step(p, np.zeros(3), 0.1, optimizer, AdamSlot.like(p)), p)
+        cfg = cfg.replace(optimizer_weight_decay=0.0)
+        np.testing.assert_array_equal(ascent_step(p, np.zeros(3), AdamSlot.like(p), cfg), p)
 
     def test_adam_needs_a_moment_slot(self):
         with pytest.raises(ConfigurationError, match="adam needs a moment slot"):
-            ascent_step(np.ones(2), np.ones(2), 0.1, "adam", None)
+            ascent_step(np.ones(2), np.ones(2), None, ExperimentConfig(optimizer="adam"))
 
     def test_unknown_optimizer(self):
         with pytest.raises(ConfigurationError, match="unknown optimizer"):
-            ascent_step(np.ones(2), np.ones(2), 0.1, "sgd", AdamSlot.like(np.ones(2)))
+            ascent_step(np.ones(2), np.ones(2), AdamSlot.like(np.ones(2)), ExperimentConfig(optimizer="sgd"))
 
 
 class TestStepSizeFromConfig:
@@ -74,15 +75,13 @@ class TestStepSizeFromConfig:
         rng = np.random.default_rng(21)
         st = random_sbm_state(rng, 4, 3)
         want = np.maximum(st.alpha + 0.037 * alpha_gradient(st.gamma, st.alpha), ALPHA_MIN)
-        st.eta2 = 0.037
-        np.testing.assert_array_equal(sbm.update_alpha(st), want)
+        np.testing.assert_array_equal(sbm.update_alpha(st, ExperimentConfig(eta2=0.037)), want)
 
     def test_update_phi(self):
         rng = np.random.default_rng(22)
         models, st = random_attention_setup(rng, 5)
         want = st.phi + 0.037 * attention.phi_gradient(st, models)
-        st.eta2 = 0.037
-        np.testing.assert_array_equal(attention.update_phi(st, models), want)
+        np.testing.assert_array_equal(attention.update_phi(st, models, None, ExperimentConfig(eta2=0.037)), want)
 
 
 # every setting the learned states read, off its default
