@@ -7,7 +7,7 @@ cooperation graph by variational EM under pluggable graphical-model priors
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigurationError, DivergenceError, InvariantError, ScoolError
-from .models import ArchSpec, ClientStore, Dataset, DataStack, LocalModel, accuracy, grad, log_likelihood, loss
+from .models import ArchSpec, ClientStore, Dataset, DataStack
 from .runner import ExperimentReport, metric_l1, run_budget_sweep, run_experiment
 from .special import digamma, log_gamma, row_normalize, sigmoid_tempered, softmax_tempered
 from .tasks import TaskAssignment, TaskUniverse, gen_noniid_random, gen_noniid_sbm, sample_class_data
@@ -26,22 +26,17 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "InvariantError",
-    "LocalModel",
     "ScoolError",
     "TaskAssignment",
     "TaskUniverse",
     "Topology",
     "account_exchange",
-    "accuracy",
     "build_topology",
     "digamma",
     "gen_noniid_random",
     "gen_noniid_sbm",
-    "grad",
     "load_config",
     "log_gamma",
-    "log_likelihood",
-    "loss",
     "metric_l1",
     "row_normalize",
     "run_budget_sweep",

@@ -5,14 +5,17 @@ one-hidden-layer tanh MLP. Both keep their parameters in a single flat
 vector so mixing, averaging and finite-difference checks stay trivial.
 The cross-entropy here is always the per-sample mean; the ridge prior on
 the parameters is applied by the EM updates, not inside the data loss.
-A run keeps all clients in one ClientStore, the stacked layout the batched
-kernel reads.
+A run holds its models in one way only: the K x D parameter stack of a
+ClientStore, which the batched kernel below reads and updates. The plain
+per-pair functions (one model on one dataset) that the kernel is checked
+against live in tests/conftest.py as its oracle; the store's per-client row
+views remain only for the benchmark's round-1 cross-check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,31 +78,6 @@ class Dataset:
         return len(self.labels)
 
 
-@dataclass
-class LocalModel:
-    """One client's personalized model: flat parameters plus the frozen
-    snapshot of the parameters it started from."""
-
-    theta: np.ndarray
-    arch: ArchSpec
-    init_theta: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.arch.n_params,):
-            raise ValueError(
-                f"theta has {self.theta.size} entries, arch wants {self.arch.n_params}"
-            )
-        if self.init_theta is None:
-            self.init_theta = self.theta.copy()
-        else:
-            self.init_theta = np.asarray(self.init_theta, dtype=float).copy()
-        self.init_theta.setflags(write=False)
-
-    def copy(self) -> "LocalModel":
-        return LocalModel(self.theta.copy(), self.arch, self.init_theta)
-
-
 class DataStack(Sequence):
     """The datasets of K clients as one stack: features K x n x d and labels
     K x n, so all share n and d. Item k is client k's Dataset, a view of
@@ -109,14 +87,6 @@ class DataStack(Sequence):
         self.features, self.labels = features, labels
         self.class_sets, self.split = list(class_sets), split
 
-    @classmethod
-    def of(cls, datasets: Sequence[Dataset]) -> "DataStack":
-        """Stack K datasets of one size and feature width."""
-        if any(ds.features.shape != datasets[0].features.shape for ds in datasets):
-            raise ConfigurationError("datasets must share their size and feature width")
-        return cls(np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets]),
-                   [ds.class_set for ds in datasets], datasets[0].split)
-
     def __len__(self) -> int:
         return len(self.features)
 
@@ -125,37 +95,36 @@ class DataStack(Sequence):
 
 
 class ClientStore(Sequence):
-    """All K clients of a run, stacked once. ``theta`` (K x D) is the one
-    copy of the parameters: the kernels read it and update it in place.
-    ``init_theta`` (K x D) is read-only; ``train`` and ``test`` are
-    DataStacks of K datasets, or None. Item i is client i's LocalModel: its
-    theta and init_theta are views of row i, and assigning its theta writes
-    into that row."""
+    """All K clients of a run, stacked once. ``theta`` (K x D, C-ordered) is
+    the one copy of the parameters: the kernels read it and update it in
+    place. ``init_theta`` is a read-only copy of the stack the run started
+    from; ``train`` and ``test`` are DataStacks of K datasets, or None."""
 
-    def __init__(self, models: Sequence[LocalModel], train: DataStack | None = None, test: DataStack | None = None):
-        self.arch = models[0].arch
-        if any(m.arch != self.arch for m in models):
-            raise ConfigurationError("all clients must share one architecture")
+    def __init__(self, theta: np.ndarray, arch: ArchSpec, train: DataStack | None = None, test: DataStack | None = None):
+        # C order: an F-ordered stack moves the last bits of dirac's w @ theta
+        self.theta = np.array(theta, dtype=float, order="C")
+        if self.theta.ndim != 2 or self.theta.shape[1] != arch.n_params:
+            raise ValueError(f"theta is {self.theta.shape}, arch wants K x {arch.n_params}")
         for data in (train, test):
-            if data is not None and len(data) != len(models):
+            if data is not None and len(data) != len(self.theta):
                 raise ConfigurationError(f"need one {data.split} set per model")
-            if data is not None and data.features.shape[2] != self.arch.d:
-                raise ConfigurationError(f"{data.split} features are not {self.arch.d}-dimensional as the models need")
-        self.theta = np.stack([m.theta for m in models])
-        self.init_theta = np.stack([m.init_theta for m in models])
+            if data is not None and data.features.shape[2] != arch.d:
+                raise ConfigurationError(f"{data.split} features are not {arch.d}-dimensional as the models need")
+        self.arch, self.train, self.test = arch, train, test
+        self.init_theta = self.theta.copy()
         self.init_theta.setflags(write=False)
-        self.train, self.test = train, test
-        self._models = [_StoredModel(self, i) for i in range(len(models))]
 
     def __len__(self) -> int:
-        return len(self._models)
+        return len(self.theta)
 
-    def __getitem__(self, i: int) -> LocalModel:
-        return self._models[i]
+    def __getitem__(self, i: int) -> "_StoredModel":
+        return _StoredModel(self, i)  # init_theta[i] raises the IndexError that ends iteration
 
 
-class _StoredModel(LocalModel):
-    """Client i of a ClientStore, reading and writing row i of its arrays."""
+class _StoredModel:
+    """Client i of a ClientStore: ``theta`` and ``init_theta`` are views of
+    row i, and assigning ``theta`` writes into the row. Only the benchmark's
+    round-1 cross-check still reads clients one at a time."""
 
     def __init__(self, store: ClientStore, i: int):
         self.arch, self.init_theta, self._store, self._i = store.arch, store.init_theta[i], store, i
@@ -167,13 +136,6 @@ class _StoredModel(LocalModel):
     @theta.setter
     def theta(self, value) -> None:
         self._store.theta[self._i] = value
-
-
-def _check_data(model: LocalModel, data: Dataset) -> None:
-    if data.features.shape[1] != model.arch.d:
-        raise ValueError(
-            f"feature dim {data.features.shape[1]} does not match arch d={model.arch.d}"
-        )
 
 
 def _unpack_linear(theta: np.ndarray, arch: ArchSpec):
@@ -198,76 +160,12 @@ def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
     return W1, b1, W2, b2
 
 
-def logits(model: LocalModel, X: np.ndarray) -> np.ndarray:
-    """Raw class scores, N x C."""
-    arch = model.arch
-    if arch.kind == SOFTMAX_REGRESSION:
-        W, b = _unpack_linear(model.theta, arch)
-        return X @ W.T + b
-    W1, b1, W2, b2 = _unpack_mlp(model.theta, arch)
-    return np.tanh(X @ W1.T + b1) @ W2.T + b2
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def loss(model: LocalModel, data: Dataset, weight_decay: float = 0.0) -> float:
-    """Mean cross-entropy over the samples.
-
-    ``weight_decay`` > 0 adds the ridge term wd/2 * ||theta||^2 for callers
-    that want the regularized objective; the EM loop never passes it (the
-    prior enters its gradient updates directly).
-    """
-    _check_data(model, data)
-    lsm = _log_softmax(logits(model, data.features))
-    ce = -float(np.mean(lsm[np.arange(data.n), data.labels]))
-    if weight_decay > 0.0:
-        ce += 0.5 * weight_decay * float(model.theta @ model.theta)
-    return ce
-
-
-def grad(model: LocalModel, data: Dataset) -> np.ndarray:
-    """Analytic gradient of the mean cross-entropy w.r.t. the flat theta."""
-    _check_data(model, data)
-    arch = model.arch
-    X = data.features
-    n = data.n
-    if arch.kind == SOFTMAX_REGRESSION:
-        W, b = _unpack_linear(model.theta, arch)
-        Z = X @ W.T + b
-        P = np.exp(_log_softmax(Z))
-        P[np.arange(n), data.labels] -= 1.0
-        P /= n
-        return np.concatenate([(P.T @ X).ravel(), P.sum(axis=0)])
-    W1, b1, W2, b2 = _unpack_mlp(model.theta, arch)
-    A = np.tanh(X @ W1.T + b1)
-    Z = A @ W2.T + b2
-    P = np.exp(_log_softmax(Z))
-    P[np.arange(n), data.labels] -= 1.0
-    P /= n
-    dA = P @ W2
-    dZ1 = dA * (1.0 - A * A)
-    return np.concatenate(
-        [(dZ1.T @ X).ravel(), dZ1.sum(axis=0), (P.T @ A).ravel(), P.sum(axis=0)]
-    )
-
-
-def log_likelihood(model: LocalModel, data: Dataset) -> float:
-    """Mean log-probability of the labels under the model: -loss(model, data).
-
-    Per-sample averaging keeps this comparable across clients with
-    different dataset sizes; magnitude is the temperature's job.
-    """
-    return -loss(model, data, 0.0)
-
-
 # Batched kernel. Pair e evaluates parameters thetas[e] (E x D) on the
 # features[e] (E x n x d) and labels[e] (E x n) of one dataset. Every slice
-# keeps the matmul shapes, transposes and reduction order of grad,
-# log_likelihood and accuracy, so each output row equals the per-pair
-# function; those stay as the reference the kernel is tested against.
+# keeps the matmul shapes, transposes and reduction order of the per-pair
+# grad, log_likelihood and accuracy, so each output row equals what those
+# return on one model and one dataset; tests/conftest.py keeps them as the
+# kernel's oracle.
 #
 # The class axis C is short (2 in every benchmark workload), and numpy runs
 # an operation along a short innermost axis as a C-element loop per (pair,
@@ -308,9 +206,9 @@ def _output_affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _shift_log_normalize(Z: np.ndarray) -> np.ndarray:
-    """_log_softmax's steps folded over the classes: shifts the logits Z
-    (E x n x C) in place by their maximum and returns the log of the summed
-    exponentials, E x n. Z - log norm is then the log-softmax."""
+    """The per-pair log-softmax's steps folded over the classes: shifts the
+    logits Z (E x n x C) in place by their maximum and returns the log of the
+    summed exponentials, E x n. Z - log norm is then the log-softmax."""
     top = np.maximum(Z[..., 0], Z[..., 1])
     for c in range(2, Z.shape[-1]):
         np.maximum(top, Z[..., c], out=top)
@@ -390,10 +288,3 @@ def batch_accuracy(
         if c + 1 < arch.C:  # the running maximum, in one buffer
             best = np.maximum(best, Z[..., c], out=None if c == 1 else best)
     return np.mean(hit, axis=1)
-
-
-def accuracy(model: LocalModel, data: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    _check_data(model, data)
-    preds = np.argmax(logits(model, data.features), axis=1)
-    return float(np.mean(preds == data.labels))

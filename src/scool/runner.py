@@ -17,9 +17,8 @@ import numpy as np
 
 from .config import NONIID_SBM, ExperimentConfig
 from .em import rounds
-from .errors import DivergenceError, InvariantError
-from .models import ArchSpec, ClientStore, DataStack, LocalModel, batch_accuracy, batch_log_likelihood, pairs_per_block
-from .special import row_normalize
+from .errors import ConfigurationError, DivergenceError, InvariantError
+from .models import ArchSpec, ClientStore, DataStack, batch_accuracy, batch_log_likelihood, pairs_per_block
 from .tasks import gen_noniid_random, gen_noniid_sbm
 from .topology import CommLedger, Topology, build_topology
 
@@ -63,13 +62,6 @@ def metric_l1(w: np.ndarray, w_star: np.ndarray) -> float:
     for d in dist.tolist():
         total += d
     return total / len(w)
-
-
-def block_diagonal_mass(w: np.ndarray, group_labels: np.ndarray) -> float:
-    """Average within-group share of each row of the row-normalized graph."""
-    wn = row_normalize(np.asarray(w, dtype=float))
-    same = group_labels[:, None] == group_labels[None, :]
-    return float(wn[same].sum() / len(w))
 
 
 @dataclass
@@ -125,7 +117,9 @@ def build_tasks(config: ExperimentConfig):
     )
 
 
-def build_models(config: ExperimentConfig) -> list[LocalModel]:
+def build_models(config: ExperimentConfig, train: DataStack, test: DataStack) -> ClientStore:
+    """The run's store: K x D initial parameters drawn from the seed, one row
+    tiled to every client when ``shared_init`` is set."""
     arch = ArchSpec(
         config.arch,
         d=config.feature_dim,
@@ -133,13 +127,9 @@ def build_models(config: ExperimentConfig) -> list[LocalModel]:
         h=config.hidden_units if config.arch != "softmax-regression" else 0,
     )
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    if config.shared_init:
-        theta0 = config.init_scale * rng.standard_normal(arch.n_params)
-        return [LocalModel(theta0.copy(), arch) for _ in range(config.K)]
-    return [
-        LocalModel(config.init_scale * rng.standard_normal(arch.n_params), arch)
-        for _ in range(config.K)
-    ]
+    shape = (1 if config.shared_init else config.K, arch.n_params)
+    theta = config.init_scale * rng.standard_normal(shape)
+    return ClientStore(np.broadcast_to(theta, (config.K, arch.n_params)), arch, train, test)
 
 
 def build_state(config: ExperimentConfig, topology: Topology, theta_dim: int):
@@ -200,7 +190,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     assignment, train, test = build_tasks(config)
     # the one copy of every client's parameters and data for the whole run;
     # the kernels update clients.theta in place
-    clients = ClientStore(build_models(config), train, test)
+    clients = build_models(config, train, test)
     arch = clients.arch
     topology = build_topology(
         config.topology_kind,
@@ -266,16 +256,25 @@ def run_budget_sweep(
     out_dir: str | Path | None = None,
 ) -> list[dict]:
     """Re-run the base experiment at several neighbor-keep fractions and
-    tabulate accuracy against communication budget."""
+    tabulate accuracy against communication budget. Each run writes to
+    ``fraction_{f:.2f}``; every run's config, and that no two fractions share
+    such a name, are checked before the first run."""
+    runs = {}
+    for fraction in fractions:
+        name = f"fraction_{fraction:.2f}"
+        if name in runs:
+            raise ConfigurationError(
+                f"fractions {runs[name].sparsify_keep_fraction!r} and {fraction!r} would both write {name}"
+            )
+        runs[name] = config.replace(sparsify_keep_fraction=float(fraction)).validate()
     rows = []
     out_path = Path(out_dir) if out_dir is not None else None
-    for fraction in fractions:
-        sub = config.replace(sparsify_keep_fraction=float(fraction))
-        sub_dir = out_path / f"fraction_{fraction:.2f}" if out_path is not None else None
+    for name, sub in runs.items():
+        sub_dir = out_path / name if out_path is not None else None
         report = run_experiment(sub, sub_dir)
         rows.append(
             {
-                "fraction": float(fraction),
+                "fraction": sub.sparsify_keep_fraction,
                 "mean_acc": report.final_mean_acc,
                 "std_acc": report.final_std_acc,
                 "comm_total": report.comm_totals["vector_units_folded"],

@@ -41,10 +41,6 @@ class TaskUniverse:
             raise ConfigurationError("sigma must be nonnegative")
 
     @property
-    def n_classes(self) -> int:
-        return len(self.means)
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 

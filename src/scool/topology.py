@@ -43,14 +43,6 @@ class Topology:
             if not np.all(off.sum(axis=1) >= 1):
                 raise ConfigurationError("every client needs at least one neighbor")
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.mask)
-
-    def directed_edges(self) -> int:
-        """Number of directed off-diagonal edges in the mask."""
-        return int(self.mask.sum()) - self.n_clients
-
 
 def build_topology(
     kind: str,
@@ -158,7 +150,8 @@ class CommLedger:
         return out
 
 
-def _directed_edges(mask: np.ndarray) -> int:
+def directed_edges(mask: np.ndarray) -> int:
+    """Number of directed off-diagonal edges in a mask."""
     mask = np.asarray(mask, dtype=bool)
     return int(mask.sum() - np.trace(mask))
 
@@ -181,7 +174,7 @@ def account_exchange(
     """
     if grad_mode not in (CROSS_GRADIENT, TAYLOR_APPROX):
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
-    E = _directed_edges(mask)
+    E = directed_edges(mask)
     if grad_mode == CROSS_GRADIENT:
         models = sweeps * E
         gradients = sweeps * E
@@ -204,7 +197,7 @@ def account_gossip(
     ledger: CommLedger, mask: np.ndarray, round_index: int, sweeps: int = 1
 ) -> RoundTraffic:
     """Charge a gossip-averaging round: one model per directed edge per sweep."""
-    models = sweeps * _directed_edges(mask)
+    models = sweeps * directed_edges(mask)
     rec = RoundTraffic(round_index, models, 0, 0, float(models), float(models))
     ledger.rounds.append(rec)
     return rec

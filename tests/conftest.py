@@ -1,7 +1,10 @@
-"""Shared fixtures: random-state factories, finite-difference helpers and
-the calibrated recovery benchmark used by the slower end-to-end tests."""
+"""Shared fixtures: random-state factories, finite-difference helpers, the
+plain per-pair oracle of the batched kernel, the dense mmsbm oracle and the
+calibrated recovery benchmark used by the slower end-to-end tests."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +19,16 @@ from scool.em.state import (
     SbmState,
     clamp_block_matrix,
 )
-from scool.models import ArchSpec, ClientStore, Dataset, DataStack, LocalModel
+from scool.errors import ConfigurationError
+from scool.models import (
+    SOFTMAX_REGRESSION,
+    ArchSpec,
+    ClientStore,
+    Dataset,
+    DataStack,
+    _unpack_linear,
+    _unpack_mlp,
+)
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 
 
@@ -98,6 +110,127 @@ def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
     )
     base.update(overrides)
     return MmsbmState(**base)
+
+
+# ------------------------------------------------------ per-pair oracle
+# One model on one dataset, written plainly: the reference that every row of
+# the batched kernel in scool.models is checked against (tests/test_kernel.py)
+# and that the finite-difference and Monte Carlo tests check in turn
+# (tests/test_models.py). A run never holds a LocalModel; it holds the K x D
+# stack of a ClientStore.
+
+
+@dataclass
+class LocalModel:
+    """One client's flat parameters plus the frozen snapshot of the
+    parameters it started from."""
+
+    theta: np.ndarray
+    arch: ArchSpec
+    init_theta: np.ndarray = field(default=None)
+
+    def __post_init__(self):
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.init_theta is None:
+            self.init_theta = self.theta.copy()
+        else:
+            self.init_theta = np.asarray(self.init_theta, dtype=float).copy()
+        self.init_theta.setflags(write=False)
+
+
+def model_list(models) -> list[LocalModel]:
+    """Separate copies of the clients of a store (or of a list of models),
+    for a per-pair reference to update one at a time."""
+    return [LocalModel(m.theta.copy(), m.arch, m.init_theta) for m in models]
+
+
+def _check_data(model: LocalModel, data: Dataset) -> None:
+    if data.features.shape[1] != model.arch.d:
+        raise ValueError(
+            f"feature dim {data.features.shape[1]} does not match arch d={model.arch.d}"
+        )
+
+
+def logits(model: LocalModel, X: np.ndarray) -> np.ndarray:
+    """Raw class scores, N x C."""
+    arch = model.arch
+    if arch.kind == SOFTMAX_REGRESSION:
+        W, b = _unpack_linear(model.theta, arch)
+        return X @ W.T + b
+    W1, b1, W2, b2 = _unpack_mlp(model.theta, arch)
+    return np.tanh(X @ W1.T + b1) @ W2.T + b2
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def loss(model: LocalModel, data: Dataset, weight_decay: float = 0.0) -> float:
+    """Mean cross-entropy over the samples; ``weight_decay`` > 0 adds the
+    ridge term wd/2 * ||theta||^2."""
+    _check_data(model, data)
+    lsm = _log_softmax(logits(model, data.features))
+    ce = -float(np.mean(lsm[np.arange(data.n), data.labels]))
+    if weight_decay > 0.0:
+        ce += 0.5 * weight_decay * float(model.theta @ model.theta)
+    return ce
+
+
+def grad(model: LocalModel, data: Dataset) -> np.ndarray:
+    """Analytic gradient of the mean cross-entropy w.r.t. the flat theta."""
+    _check_data(model, data)
+    arch = model.arch
+    X = data.features
+    n = data.n
+    if arch.kind == SOFTMAX_REGRESSION:
+        W, b = _unpack_linear(model.theta, arch)
+        Z = X @ W.T + b
+        P = np.exp(_log_softmax(Z))
+        P[np.arange(n), data.labels] -= 1.0
+        P /= n
+        return np.concatenate([(P.T @ X).ravel(), P.sum(axis=0)])
+    W1, b1, W2, b2 = _unpack_mlp(model.theta, arch)
+    A = np.tanh(X @ W1.T + b1)
+    Z = A @ W2.T + b2
+    P = np.exp(_log_softmax(Z))
+    P[np.arange(n), data.labels] -= 1.0
+    P /= n
+    dA = P @ W2
+    dZ1 = dA * (1.0 - A * A)
+    return np.concatenate(
+        [(dZ1.T @ X).ravel(), dZ1.sum(axis=0), (P.T @ A).ravel(), P.sum(axis=0)]
+    )
+
+
+def log_likelihood(model: LocalModel, data: Dataset) -> float:
+    """Mean log-probability of the labels under the model: -loss(model, data)."""
+    return -loss(model, data, 0.0)
+
+
+def accuracy(model: LocalModel, data: Dataset) -> float:
+    """Fraction of argmax-correct predictions; ties go to the lowest class."""
+    _check_data(model, data)
+    preds = np.argmax(logits(model, data.features), axis=1)
+    return float(np.mean(preds == data.labels))
+
+
+def stack_datasets(datasets) -> DataStack:
+    """Stack K datasets of one size and feature width."""
+    if any(ds.features.shape != datasets[0].features.shape for ds in datasets):
+        raise ConfigurationError("datasets must share their size and feature width")
+    return DataStack(np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets]),
+                     [ds.class_set for ds in datasets], datasets[0].split)
+
+
+def client_store(models, train_sets=None) -> ClientStore:
+    """The store the kernels run on, built from a list of models (or another
+    store) and a list of train sets: it starts at the models' init_theta and
+    holds their current theta. The lists themselves are left as they are."""
+    store = ClientStore(np.stack([m.init_theta for m in models]), models[0].arch,
+                        None if train_sets is None else stack_datasets(train_sets))
+    store.theta[:] = np.stack([m.theta for m in models])
+    return store
 
 
 # ------------------------------------------------------ dense mmsbm oracle
@@ -218,12 +351,6 @@ def tiny_dataset(rng: np.random.Generator, n: int, d: int, C: int) -> Dataset:
     X = rng.standard_normal((n, d))
     y = rng.integers(0, C, n)
     return Dataset(X, y, tuple(range(C)))
-
-
-def client_store(models, train_sets=None) -> ClientStore:
-    """The store the kernels run on, built from lists of models and train
-    sets; the lists themselves are left as they are."""
-    return ClientStore(models, None if train_sets is None else DataStack.of(train_sets))
 
 
 # ------------------------------------------------------------- benchmark

@@ -14,25 +14,30 @@ from scool.em import attention, dirac, mmsbm, rounds, sbm
 from scool.em.common import observed_pairs
 from scool.em.elbo import elbo
 from scool.em.state import DiracState, PROB_FLOOR
-from scool.models import ArchSpec, LocalModel, grad, loss
-from scool.runner import block_diagonal_mass, build_tasks, run_experiment
+from scool.models import ArchSpec
+from scool.runner import build_tasks, run_experiment
+from scool.special import row_normalize
 from scool.topology import (
     CROSS_GRADIENT,
     TAYLOR_APPROX,
     CommLedger,
     account_exchange,
     build_topology,
+    directed_edges,
     sparsify_topk,
 )
 
 from conftest import (
     BENCHMARK_SEEDS,
+    LocalModel,
     benchmark_config,
     central_diff,
     client_store,
     clone_attention,
     clone_mmsbm,
     clone_sbm,
+    grad,
+    loss,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
@@ -107,6 +112,29 @@ def _mmsbm_kkt_residual(mst, ll, mask=None):
                 grads.append(central_diff(f, arr[i, j, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
     return worst
+
+
+def random_symmetric_mask(rng, K, keep=0.6):
+    """A mask whose off-diagonal pairs are kept with probability ``keep``,
+    both directions of a pair together, redrawn until every client has a
+    neighbour as in a topology."""
+    while True:
+        upper = np.triu(rng.random((K, K)) < keep, 1)
+        mask = upper | upper.T
+        if mask.any(axis=1).all():
+            return mask | np.eye(K, dtype=bool)
+
+
+def _sbm_sweep(st, ll, mask, track):
+    """Apply the sbm blocks one at a time (omega row by row), tracking the
+    bound after each."""
+    v = elbo(st, ll, mask=mask).total
+    st.w = sbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask=mask).total)
+    st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, mask=mask).total)
+    for i in range(st.n_clients):
+        om = st.omega.copy(); om[i] = update_omega_row(st, i, mask); st.omega = om
+        v = track(v, elbo(st, ll, mask=mask).total)
+    st.B = sbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
 
 
 def _mmsbm_sweep(st, ll, mask, track):
@@ -197,27 +225,24 @@ def test_criterion_2_elbo_monotonicity():
         worst_drop = min(worst_drop, new - value)
         return new
 
-    for _ in range(50):  # SBM
+    for _ in range(50):  # SBM, from one draw without and with a random symmetric mask
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
         st = random_sbm_state(rng, K, M)
         ll = random_loglik(rng, K)
-        v = elbo(st, ll).total
-        st.w = sbm.update_w(st, ll); v = track(v, elbo(st, ll).total)
-        st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll).total)
-        for i in range(K):
-            om = st.omega.copy(); om[i] = update_omega_row(st, i); st.omega = om
-            v = track(v, elbo(st, ll).total)
-        st.B = sbm.update_block_matrix(st); v = track(v, elbo(st, ll).total)
+        for mask in (None, random_symmetric_mask(rng, K)):
+            _sbm_sweep(clone_sbm(st), ll, mask, track)
 
-    for _ in range(50):  # attention
+    for _ in range(50):  # attention, without and with a random symmetric mask
         K = int(rng.choice([3, 6]))
         models, ast = random_attention_setup(rng, K)
         ll = random_loglik(rng, K)
-        ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0)
-        ast.w = rng.dirichlet(np.ones(K), size=K)
-        v = elbo(ast, ll).total
-        ast.w = attention.update_w(ast, ll)
-        track(v, elbo(ast, ll).total)
+        for mask in (None, random_symmetric_mask(rng, K)):
+            ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
+            w = rng.dirichlet(np.ones(K), size=K)
+            ast.w = w if mask is None else w * mask / (w * mask).sum(axis=1, keepdims=True)
+            v = elbo(ast, ll, mask=mask).total
+            ast.w = attention.update_w(ast, ll, mask)
+            track(v, elbo(ast, ll, mask=mask).total)
 
     for _ in range(50):  # MMSBM
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
@@ -345,6 +370,13 @@ def test_criterion_5_graph_recovery():
 _GRAPH_CACHE = {}
 
 
+def block_diagonal_mass(w, group_labels):
+    """Average within-group share of each row of the row-normalized graph."""
+    wn = row_normalize(np.asarray(w, dtype=float))
+    same = group_labels[:, None] == group_labels[None, :]
+    return float(wn[same].sum() / len(w))
+
+
 def _final_block_mass(prior, seed):
     key = (prior, seed)
     if key not in _GRAPH_CACHE:
@@ -415,7 +447,7 @@ def test_criterion_8_communication_accounting():
         ("generalized-bipartite", dict(degree=3, seed=2)),
     ]:
         topo = build_topology(kind, 12, **kwargs)
-        E = topo.directed_edges()
+        E = directed_edges(topo.mask)
         for mode, sweeps in ((CROSS_GRADIENT, 2), (TAYLOR_APPROX, 2)):
             ledger = CommLedger(18)
             rec = account_exchange(ledger, topo.mask, mode, 0, sweeps)

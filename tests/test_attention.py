@@ -9,10 +9,10 @@ from scool.em import attention
 from scool.em.elbo import elbo
 from scool.em.state import PROB_FLOOR
 from scool.errors import ConfigurationError
-from scool.models import LocalModel
 from scool.special import softmax_tempered
 
 from conftest import (
+    LocalModel,
     central_diff,
     client_store,
     clone_attention,

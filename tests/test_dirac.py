@@ -6,10 +6,10 @@ import pytest
 from scool.em import dirac
 from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
-from scool.models import ArchSpec, LocalModel, grad
+from scool.models import ArchSpec
 from scool.topology import build_topology
 
-from conftest import client_store, tiny_dataset
+from conftest import LocalModel, client_store, grad, model_list, tiny_dataset
 
 
 def manifold_descent_step(models, w, train_sets, eta1):
@@ -86,7 +86,7 @@ class TestDpsgdStep:
     def test_identity_graph_is_local_sgd(self):
         rng = np.random.default_rng(1)
         models, train = _instances(rng)
-        ref = [m.copy() for m in models]
+        ref = model_list(models)
         dirac.dpsgd_step(models, np.eye(4), train, 0.2)
         for i in range(4):
             expect = ref[i].theta - 0.2 * grad(ref[i], train[i])
@@ -110,7 +110,7 @@ class TestDpsgdStep:
         rng = np.random.default_rng(3)
         for _ in range(5):
             models_a, train = _instances(rng, K=5)
-            models_b = [m.copy() for m in models_a]  # the reference runs on a list
+            models_b = model_list(models_a)  # the reference runs on a list
             w = dirac.metropolis_weights(np.ones((5, 5), dtype=bool))
             for _ in range(3):
                 dirac.dpsgd_step(models_a, w, train, 0.15)

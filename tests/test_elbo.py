@@ -82,7 +82,9 @@ class TestBreakdownContracts:
 
     def test_model_prior_term(self):
         rng = np.random.default_rng(3)
-        from scool.models import ArchSpec, LocalModel
+        from scool.models import ArchSpec
+
+        from conftest import LocalModel
 
         st = random_sbm_state(rng, 3, 2)
         st.lam = 0.4

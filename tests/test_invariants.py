@@ -6,7 +6,6 @@ import pytest
 from scool.config import ExperimentConfig
 from scool.em import rounds
 from scool.em.state import ALPHA_MIN, B_EPS
-from scool.models import ClientStore
 from scool.runner import build_models, build_state, build_tasks
 from scool.topology import CommLedger, build_topology
 
@@ -24,7 +23,7 @@ def test_invariants_after_every_round(prior):
         feature_dim=8, eta1=0.3, sparsify_keep_fraction=0.4, sparsify_round=3,
     ).validate()
     _, train, test = build_tasks(cfg)
-    models = ClientStore(build_models(cfg), train, test)
+    models = build_models(cfg, train, test)
     topo = build_topology("fully-connected", cfg.K)
     state = build_state(cfg, topo, models.arch.n_params)
     ledger = CommLedger(models.arch.n_params)

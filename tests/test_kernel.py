@@ -2,10 +2,13 @@
 
 The reference functions below are the per-pair bodies that
 ``rounds.loglik_matrix``, ``theta.cooperative_sgd_steps`` and
-``dirac.dpsgd_step`` had before the kernel. They call ``models.grad`` and
-``models.log_likelihood`` once per (model, dataset) pair and fold each
-row's update left to right. The per-round reporting is checked against
-``models.accuracy`` and ``models.loss`` the same way.
+``dirac.dpsgd_step`` had before the kernel. They call the oracle's ``grad``
+and ``log_likelihood`` (tests/conftest.py, one model on one dataset) once
+per (model, dataset) pair and fold each row's update left to right. The
+per-round reporting is checked against the oracle's ``accuracy`` and
+``loss`` the same way. A run holds its models only as a ClientStore's K x D
+stack; the store's per-client row views, which remain for the benchmark's
+round-1 cross-check, are tested in TestClientStore.
 """
 
 from collections import Counter
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from scool import runner
+from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds, theta
 from scool.em.theta import cooperative_sgd_steps
 from scool.errors import ConfigurationError, DivergenceError
@@ -26,19 +30,25 @@ from scool.models import (
     ClientStore,
     Dataset,
     DataStack,
-    LocalModel,
-    accuracy,
     batch_accuracy,
     batch_grad,
     batch_log_likelihood,
-    grad,
-    log_likelihood,
-    loss,
 )
 from scool.tasks import gen_noniid_random, gen_noniid_sbm, make_universe, sample_class_data
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
 
-from conftest import client_store, random_attention_setup, tiny_dataset
+from conftest import (
+    LocalModel,
+    accuracy,
+    client_store,
+    grad,
+    log_likelihood,
+    loss,
+    model_list,
+    random_attention_setup,
+    stack_datasets,
+    tiny_dataset,
+)
 
 ARCHS = {
     SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=5, C=3),
@@ -115,7 +125,7 @@ def _random_graph(rng, K, keep=0.6, zeros=0.2):
 def _both(models, train):
     """A store of the clients for the kernel, and a copy of the models for
     the per-pair reference."""
-    return client_store(models, train), [m.copy() for m in models]
+    return client_store(models, train), model_list(models)
 
 
 def _assert_same_thetas(a, b):
@@ -432,7 +442,7 @@ class TestPairBlocks:
         assert str(got.value) == str(want.value)
         assert str(got.value) == "client 3 parameters left the finite range at local step 0"
         _assert_same_thetas(a, b)
-        for before, after in zip(models[:3], a[:3]):
+        for before, after in zip(models[:3], list(a)[:3]):
             assert not np.array_equal(before.theta, after.theta)
         np.testing.assert_array_equal(a[3].theta, models[3].theta)
 
@@ -458,6 +468,57 @@ class TestClientStore:
         for m, theta in zip(models, before):  # the lists it was stacked from are left alone
             np.testing.assert_array_equal(m.theta, theta)
 
+    @pytest.mark.parametrize("shared_init", [True, False])
+    @pytest.mark.parametrize("arch", ["softmax-regression", "mlp-1hidden"])
+    def test_build_models_draws_the_per_client_stack(self, shared_init, arch):
+        cfg = ExperimentConfig(K=6, M=4, N=2, num_groups=2, feature_dim=5, arch=arch, hidden_units=4, seed=17,
+                               init_scale=0.3, shared_init=shared_init).validate()
+        _, train, test = runner.build_tasks(cfg)
+        store = runner.build_models(cfg, train, test)
+        assert store.train is train and store.test is test
+        # the draws of one model per client, as the run made them before it
+        # held its models as one stack
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+        D = store.arch.n_params
+        if shared_init:
+            theta0 = cfg.init_scale * rng.standard_normal(D)
+            want = [theta0.copy() for _ in range(cfg.K)]
+        else:
+            want = [cfg.init_scale * rng.standard_normal(D) for _ in range(cfg.K)]
+        assert store.theta.shape == (cfg.K, D) and len(store) == cfg.K
+        for k in range(cfg.K):
+            np.testing.assert_array_equal(store.theta[k], want[k])
+            np.testing.assert_array_equal(store.init_theta[k], want[k])
+        # dirac's w @ theta reads the stack; an F-ordered one moves its last bits
+        assert store.theta.flags.c_contiguous
+
+    def test_the_stack_is_copied_into_c_order(self):
+        arch = ARCHS[SOFTMAX_REGRESSION]
+        row = np.arange(arch.n_params, dtype=float)
+        for theta in (np.broadcast_to(row, (4, arch.n_params)), np.asfortranarray(np.tile(row, (4, 1)))):
+            store = ClientStore(theta, arch)
+            assert store.theta.flags.c_contiguous and store.init_theta.flags.c_contiguous
+            assert not np.shares_memory(store.theta, theta)
+            np.testing.assert_array_equal(store.theta, theta)
+
+    def test_init_theta_is_a_read_only_copy(self):
+        arch = ARCHS[MLP_1HIDDEN]
+        theta = np.random.default_rng(51).standard_normal((3, arch.n_params))
+        store = ClientStore(theta, arch)
+        assert not np.shares_memory(store.init_theta, store.theta)
+        with pytest.raises(ValueError):
+            store.init_theta[1, 0] = 5.0
+        store.theta *= 3.0
+        store[2].theta = np.zeros(arch.n_params)
+        np.testing.assert_array_equal(store.init_theta, theta)
+        np.testing.assert_array_equal(store[1].init_theta, theta[1])
+
+    def test_theta_width_checked(self):
+        arch = ARCHS[MLP_1HIDDEN]
+        for theta in (np.zeros((3, arch.n_params + 1)), np.zeros((3, arch.n_params - 1)), np.zeros(arch.n_params)):
+            with pytest.raises(ValueError, match=f"arch wants K x {arch.n_params}"):
+                ClientStore(theta, arch)
+
 
 class TestContracts:
     # the shapes are checked once, when the store is built
@@ -478,17 +539,15 @@ class TestContracts:
         with pytest.raises(ConfigurationError, match="not 5-dimensional"):
             client_store(models, train)
         with pytest.raises(ConfigurationError, match="not 5-dimensional"):
-            ClientStore(models, DataStack.of(_clients(rng, arch, K=3)[1]), DataStack.of(train))
+            ClientStore(np.stack([m.theta for m in models]), arch,
+                        stack_datasets(_clients(rng, arch, K=3)[1]), stack_datasets(train))
 
-    def test_one_train_set_and_one_architecture_per_client(self):
+    def test_one_train_set_per_client(self):
         rng = np.random.default_rng(13)
         arch = ARCHS[SOFTMAX_REGRESSION]
         models, train = _clients(rng, arch, K=4)
         with pytest.raises(ConfigurationError, match="one train set per model"):
             client_store(models, train[:3])
-        other = LocalModel(np.zeros(ARCHS[MLP_1HIDDEN].n_params), ARCHS[MLP_1HIDDEN])
-        with pytest.raises(ConfigurationError, match="one architecture"):
-            client_store([*models[:3], other], train)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
@@ -584,7 +643,7 @@ class TestReportingEquivalence:
         rng = np.random.default_rng(n)
         models, _ = _clients(rng, arch, K=7, spread=1.0)
         data = [tiny_dataset(rng, n, arch.d, arch.C) for _ in range(7)]
-        store = ClientStore(models, test=DataStack.of(data))
+        store = ClientStore(np.stack([m.theta for m in models]), arch, test=stack_datasets(data))
         accs = runner.per_client(batch_accuracy, store.theta, store.test, arch)
         losses = -runner.per_client(batch_log_likelihood, store.theta, store.test, arch)
         np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, data)])
@@ -641,7 +700,7 @@ class TestStackedTestSets:
         # datasets of unequal size or feature width cannot be rows of one stack
         rng = np.random.default_rng(0)
         same = [tiny_dataset(rng, 6, 3, 2) for _ in range(3)]
-        assert DataStack.of(same).features.shape == (3, 6, 3)
+        assert stack_datasets(same).features.shape == (3, 6, 3)
         for odd in (tiny_dataset(rng, 5, 3, 2), tiny_dataset(rng, 6, 4, 2)):
             with pytest.raises(ConfigurationError):
-                DataStack.of([*same, odd])
+                stack_datasets([*same, odd])

@@ -1,23 +1,16 @@
-"""Local models: loss/gradient/likelihood/accuracy against independent
-oracles (scalar arithmetic, finite differences, Monte Carlo)."""
+"""The per-pair oracle in conftest (loss, gradient, likelihood, accuracy of
+one model on one dataset) against independent oracles: scalar arithmetic,
+finite differences, Monte Carlo. tests/test_kernel.py checks the batched
+kernel against this oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from scool.models import (
-    ArchSpec,
-    Dataset,
-    LocalModel,
-    accuracy,
-    grad,
-    log_likelihood,
-    logits,
-    loss,
-)
+from scool.models import ArchSpec, Dataset
 
-from conftest import tiny_dataset
+from conftest import LocalModel, accuracy, grad, log_likelihood, logits, loss, tiny_dataset
 
 
 def _rand_instance(rng, arch_kind="softmax-regression", n=12, d=4, C=3, h=5):
@@ -198,8 +191,3 @@ class TestLocalModelInvariants:
         np.testing.assert_array_equal(model.init_theta, np.ones(arch.n_params))
         with pytest.raises(ValueError):
             model.init_theta[0] = 5.0
-
-    def test_theta_length_checked(self):
-        arch = ArchSpec("mlp-1hidden", d=3, C=2, h=4)
-        with pytest.raises(ValueError):
-            LocalModel(np.zeros(arch.n_params + 1), arch)

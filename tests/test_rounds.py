@@ -11,11 +11,11 @@ from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds, sbm
 from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
-from scool.models import ArchSpec, ClientStore, LocalModel, grad
+from scool.models import ArchSpec
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import CommLedger, build_topology
+from scool.topology import CommLedger, build_topology, directed_edges
 
-from conftest import client_store, tiny_dataset
+from conftest import LocalModel, client_store, grad, log_likelihood, model_list, tiny_dataset
 
 
 def _setup(rng, K=5, d=3, C=2, n=6):
@@ -33,7 +33,7 @@ class TestDiracReduction:
     def test_run_round_reproduces_plain_dpsgd(self):
         rng = np.random.default_rng(0)
         models, train = _setup(rng)
-        ref = [m.copy() for m in models]
+        ref = model_list(models)
         K = len(models)
         w = dirac.metropolis_weights(np.ones((K, K), dtype=bool))
         topo = build_topology("fully-connected", K)
@@ -59,7 +59,7 @@ class TestDiracReduction:
         ledger = CommLedger(models[0].arch.n_params)
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=3)
         rounds.run_round(state, models, topo, ledger, 0, cfg)
-        assert ledger.rounds[-1].models_sent == 3 * topo.directed_edges()
+        assert ledger.rounds[-1].models_sent == 3 * directed_edges(topo.mask)
 
 
 class TestMaskingGuarantees:
@@ -114,8 +114,6 @@ class TestMaskingGuarantees:
 
 class TestLoglikMatrix:
     def test_entries_are_cross_likelihoods(self):
-        from scool.models import log_likelihood
-
         rng = np.random.default_rng(6)
         models, train = _setup(rng, K=3)
         ll = rounds.loglik_matrix(models, train)
@@ -135,7 +133,7 @@ class TestRunRoundContracts:
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
         models_a, train = _setup(rng, K=4)
-        models_b = ClientStore(models_a, train)
+        models_b = client_store(models_a, train)
         topo_a = build_topology("fully-connected", 4)
         topo_b = build_topology("fully-connected", 4)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
@@ -213,7 +211,7 @@ class TestPriorTable:
             num_groups=2, samples_per_client=4, test_samples_per_client=4, feature_dim=4,
         ).validate()
         _, train, test = build_tasks(cfg)
-        models = ClientStore(build_models(cfg), train, test)
+        models = build_models(cfg, train, test)
         topo = build_topology(cfg.topology_kind, cfg.K)
         state = build_state(cfg, topo, models.arch.n_params)
         return cfg, models, topo, state

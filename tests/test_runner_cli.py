@@ -152,14 +152,13 @@ class TestRunExperiment:
             "dirac", K=4, num_groups=1, rounds=20, shared_init=False, eta1=0.05,
             samples_per_client=8, init_scale=1.0,
         )
-        from scool.models import ClientStore
         from scool.runner import build_models, build_tasks
         from scool.em.state import DiracState
         from scool.em import dirac, rounds as rounds_mod
         from scool.topology import build_topology
 
         assignment, train, test = build_tasks(cfg)
-        models = ClientStore(build_models(cfg), train, test)
+        models = build_models(cfg, train, test)
         topo = build_topology("fully-connected", cfg.K)
         state = DiracState(dirac.metropolis_weights(topo.mask))
 
@@ -313,6 +312,18 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (out / "budget_sweep.csv").exists()
         assert (out / "fraction_0.40" / "report.json").exists()
+
+    @pytest.mark.parametrize("fractions, message", [
+        # both would write fraction_0.01/, the second report over the first
+        ("0.5,0.01,0.015", "fractions 0.01 and 0.015 would both write fraction_0.01"),
+        ("0.5,1.5", "sparsify_keep_fraction in (0,1]"),
+    ])
+    def test_sweep_budget_is_checked_before_the_first_run(self, tmp_path, fractions, message):
+        path = self._write_config(tmp_path, rounds=2, sparsify_round=1)
+        out = tmp_path / "sweep"
+        proc = self._run("sweep-budget", "--config", str(path), "--out", str(out), "--fractions", fractions)
+        assert proc.returncode == 2 and message in proc.stderr
+        assert not out.exists()
 
     def test_snapshot_every_override(self, tmp_path):
         path = self._write_config(tmp_path, rounds=3)

@@ -11,13 +11,15 @@ from scool.em import sbm
 from scool.em.elbo import elbo
 from scool.em.state import ALPHA_MIN, B_EPS
 from scool.errors import InvariantError
-from scool.models import ArchSpec, LocalModel, grad
+from scool.models import ArchSpec
 from scool.special import sigmoid_tempered
 
 from conftest import (
+    LocalModel,
     central_diff,
     client_store,
     clone_sbm,
+    grad,
     random_loglik,
     random_sbm_state,
     simplex_kkt_spread,

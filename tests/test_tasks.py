@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scool.errors import ConfigurationError
-from scool.models import ArchSpec, LocalModel, accuracy, grad
+from scool.models import ArchSpec
 from scool.tasks import (
     ANTIPODAL_PAIRS,
     gen_noniid_random,
@@ -12,6 +12,8 @@ from scool.tasks import (
     make_universe,
     sample_class_data,
 )
+
+from conftest import LocalModel, accuracy, grad
 
 
 class TestGenNoniidSbm:
