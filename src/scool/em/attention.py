@@ -2,9 +2,11 @@
 
 A small two-layer encoder maps each client's accumulated model update
 (theta minus its shared starting point) to an embedding; dot products of
-embeddings define a row-stochastic attention matrix p, the E-step folds p
-together with the cross-client log-likelihoods into w, and the M-step
-trains the encoder to pull p toward w (row-wise cross-entropy descent).
+embeddings, softmaxed over each row's entries that the topology's boolean
+mask allows, define a row-stochastic attention matrix p, the E-step folds p
+together with the cross-client log-likelihoods into w (zero off the mask),
+and the M-step trains the encoder to pull p toward w (row-wise
+cross-entropy descent).
 
 Gradients here are written out by hand: the encoder is three matmuls and a
 tanh, and keeping the whole package autograd-free makes the finite-
@@ -76,12 +78,9 @@ def _encoder_forward(phi, dims, X):
     return W1, W2, H, E
 
 
-def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray | None) -> np.ndarray:
+def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
     """Row softmax over the allowed entries, zero elsewhere. Rows of equal
     mask degree share one 2-D softmax over their compacted allowed entries."""
-    if mask is None:
-        return softmax_tempered(scores, tau, axis=-1)
-    mask = np.asarray(mask, dtype=bool)
     degree = mask.sum(axis=1)
     if not degree.all():
         raise ConfigurationError(f"client {int(np.argmin(degree))} has a fully masked row")
@@ -98,18 +97,18 @@ def compute_p(
     phi: np.ndarray,
     dims: tuple[int, int, int],
     tau: float,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> np.ndarray:
     """Row-stochastic attention from embedding dot products; masked pairs
     are excluded from the normalization."""
     return _attention(encode(phi, dims, model_deltas(models)), tau, mask)
 
 
-def _attention(E: np.ndarray, tau: float, mask: np.ndarray | None) -> np.ndarray:
+def _attention(E: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
     return _masked_row_softmax(E @ E.T, tau, mask)
 
 
-def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise tempered softmax of log-likelihood plus log-attention.
 
     The self column carries only its attention score: the client's own-data
@@ -124,16 +123,13 @@ def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray | None 
 
 def _attention_residual(w, p, tau, mask):
     """d/dF of sum_j w_ij log p_ij, rows of w on the simplex: (w - p)/tau."""
-    C = (w - p) / tau
-    if mask is not None:
-        C = np.where(np.asarray(mask, dtype=bool), C, 0.0)
-    return C
+    return np.where(mask, (w - p) / tau, 0.0)
 
 
 def coupling_descent_terms(
     models: ClientStore,
     state: AttentionState,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> np.ndarray:
     """Per-client descent contribution -grad_theta_i sum_j w_ij log p_ij.
 
@@ -156,7 +152,7 @@ def coupling_descent_terms(
 def phi_gradient(
     state: AttentionState,
     models: ClientStore,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> np.ndarray:
     """Ascent gradient of sum_ij w_ij log p_ij w.r.t. the encoder, flowing
     through every embedding."""
@@ -174,7 +170,7 @@ def phi_gradient(
     return pack_encoder(dW1, db1, dW2, db2)
 
 
-def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray | None, config) -> np.ndarray:
+def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray, config) -> np.ndarray:
     """One encoder ascent step on the attention agreement objective, under
     the run's prior step size, optimizer and decay."""
     g = phi_gradient(state, models, mask)
@@ -187,7 +183,7 @@ def e_step(
     state: AttentionState,
     models: ClientStore,
     loglik: np.ndarray,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
 ) -> AttentionState:
     state.p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, mask)
     state.w = update_w(state, loglik, mask)

@@ -54,13 +54,10 @@ def graph(state, K: int) -> np.ndarray:
     return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
 
 
-def observed_pairs(K: int, mask: np.ndarray | None = None) -> np.ndarray:
+def observed_pairs(mask: np.ndarray) -> np.ndarray:
     """Observed ordered pairs: off-diagonal and unmasked. Masked pairs carry
     no communication, so their edge and membership variables are missing."""
-    off = ~np.eye(K, dtype=bool)
-    if mask is not None:
-        off = off & np.asarray(mask, dtype=bool)
-    return off
+    return ~np.eye(len(mask), dtype=bool) & mask
 
 
 def at_pairs(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
     """Symmetric row-stochastic mixing weights for an undirected mask:
     w_ij = 1/(1 + max(deg_i, deg_j)) on edges, remainder on the diagonal.
     On a fully-connected mask this is the uniform matrix."""
-    mask = np.asarray(mask, dtype=bool)
     if not np.array_equal(mask, mask.T):
         raise ConfigurationError("metropolis weights need a symmetric mask")
     K = len(mask)

@@ -4,7 +4,9 @@ This is the testing oracle: every closed-form E-step block must be a
 stationary point of the value computed here, and no block update may
 decrease it. The terms are evaluated exactly (0 log 0 := 0 in entropies;
 attention probabilities inside logs share the update's floor) and the
-breakdown's total is the plain sum of its named terms.
+breakdown's total is the plain sum of its named terms. Every bound takes
+the topology's boolean mask: the cross-client likelihood, and the block
+priors' edge and edge-entropy terms, run over the observed pairs only.
 
 Term naming: ``edge`` is the graph-likelihood part (block edge evidence,
 or the attention agreement sum); ``membership`` the expected membership
@@ -94,8 +96,10 @@ def _bernoulli_entropy(w: np.ndarray, obs: np.ndarray) -> float:
     return float((-(xlogx(w) + xlogx(1.0 - w))).sum())
 
 
-def elbo_sbm(state: SbmState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
-    obs = observed_pairs(state.n_clients, mask)
+def elbo_sbm(
+    state: SbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
+) -> ElboBreakdown:
+    obs = observed_pairs(mask)
     B = clamp_block_matrix(state.B)
     pos = state.omega @ np.log(B) @ state.omega.T
     neg = state.omega @ np.log1p(-B) @ state.omega.T
@@ -112,8 +116,10 @@ def elbo_sbm(state: SbmState, loglik: np.ndarray, models=None, mask=None) -> Elb
     )
 
 
-def elbo_attention(state: AttentionState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
-    obs = observed_pairs(state.n_clients, mask)
+def elbo_attention(
+    state: AttentionState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
+) -> ElboBreakdown:
+    obs = observed_pairs(mask)
     logp = np.log(np.maximum(state.p, PROB_FLOOR))
     return ElboBreakdown(
         likelihood=_likelihood_term(state.w, loglik, obs),
@@ -126,9 +132,11 @@ def elbo_attention(state: AttentionState, loglik: np.ndarray, models=None, mask=
     )
 
 
-def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models=None, mask=None) -> ElboBreakdown:
+def elbo_mmsbm(
+    state: MmsbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
+) -> ElboBreakdown:
     K = state.n_clients
-    obs = observed_pairs(K, mask)
+    obs = observed_pairs(mask)
     pairs = np.flatnonzero(obs)
     ps, pr, w = (at_pairs(a, pairs) for a in (state.phi_send, state.phi_recv, state.w))
     B = clamp_block_matrix(state.B)
@@ -150,14 +158,14 @@ def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models=None, mask=None) ->
 def elbo(
     state,
     loglik: np.ndarray,
+    mask: np.ndarray,
     models: ClientStore | None = None,
-    mask: np.ndarray | None = None,
 ) -> ElboBreakdown:
     """Dispatch on the prior's state type."""
     if isinstance(state, SbmState):
-        return elbo_sbm(state, loglik, models, mask)
+        return elbo_sbm(state, loglik, mask, models)
     if isinstance(state, AttentionState):
-        return elbo_attention(state, loglik, models, mask)
+        return elbo_attention(state, loglik, mask, models)
     if isinstance(state, MmsbmState):
-        return elbo_mmsbm(state, loglik, models, mask)
+        return elbo_mmsbm(state, loglik, mask, models)
     raise TypeError(f"no lower bound for state type {type(state).__name__}")

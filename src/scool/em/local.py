@@ -23,7 +23,7 @@ def m_step(state, models, mask, config) -> None:
     call time, where tracing may rebind it."""
     theta.cooperative_sgd_steps(
         models, models.train, np.eye(len(models)), config.weight_decay,
-        config.eta1, config.local_steps, config.grad_mode,
+        config.eta1, config.local_steps, config.grad_mode, mask,
     )
 
 

@@ -1,9 +1,11 @@
 """Mixed-membership block prior: per-pair sender/receiver memberships.
 
-Every ordered pair (i, j), i != j, carries two simplex vectors: the
-sender's membership phi_send[i, j] drawn from client i's mixture and the
-receiver's phi_recv[i, j] drawn from client j's. The updates mirror the
-single-membership case with the pair memberships replacing the bilinear
+Every observed ordered pair (i, j), i != j and allowed by the topology's
+boolean mask, carries two simplex vectors: the sender's membership
+phi_send[i, j] drawn from client i's mixture and the receiver's
+phi_recv[i, j] drawn from client j's; every other pair is parked at 1/M.
+Every update takes the mask and reads only the observed pairs. They mirror
+the single-membership case with the pair memberships replacing the bilinear
 omega products; all blocks are exact coordinate maximizers given the
 others, and the sweep inside one E-step reads the pre-sweep memberships.
 """
@@ -49,29 +51,29 @@ def init_state(config, topology, theta_dim: int) -> MmsbmState:
     )
 
 
-def _observed(state: MmsbmState, mask) -> np.ndarray:
+def _observed(mask: np.ndarray) -> np.ndarray:
     """Row-major list of the observed ordered pairs, as flat indices i*K + j."""
-    return np.flatnonzero(observed_pairs(state.n_clients, mask))
+    return np.flatnonzero(observed_pairs(mask))
 
 
-def update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Edge posterior over the allowed pairs; masked entries are 0. The
     diagonal is a reporting value as in the single-membership case and
     never enters the model updates."""
     B = clamp_block_matrix(state.B)
     odds = np.log(B) - np.log1p(-B)
     K = state.n_clients
-    pairs = np.arange(K * K) if mask is None else np.flatnonzero(mask)
+    pairs = np.flatnonzero(mask)
     ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
     w = np.zeros(K * K)
     w[pairs] = sigmoid_tempered(at_pairs(loglik, pairs) + pair_bilinear(ps, odds, pr), state.tau_sigmoid)
     return w.reshape(K, K)
 
 
-def update_gamma(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
+def update_gamma(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     """Dirichlet posterior: prior plus client i's sender memberships over
     observed pairs (i, .) plus its receiver memberships over (., i)."""
-    pairs = _observed(state, mask)
+    pairs = _observed(mask)
     K, M = state.n_clients, state.n_blocks
     ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
     send_sum = np.stack([np.bincount(pairs // K, ps[:, g], K) for g in range(M)], axis=1)
@@ -79,12 +81,12 @@ def update_gamma(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarra
     return state.alpha[None, :] + send_sum + recv_sum
 
 
-def _update_phi(state: MmsbmState, mask, side: str) -> np.ndarray:
+def _update_phi(state: MmsbmState, mask: np.ndarray, side: str) -> np.ndarray:
     """Softmax of one side's edge and non-edge evidence over the observed
     pairs. The scores are laid out block-major (M x E) so the softmax
     reduces along the leading axis; every other pair, the diagonal
     included, is parked at 1/M."""
-    pairs = _observed(state, mask)
+    pairs = _observed(mask)
     K, M = state.n_clients, state.n_blocks
     B = clamp_block_matrix(state.B)
     logB, log1mB = np.log(B), np.log1p(-B)
@@ -101,21 +103,21 @@ def _update_phi(state: MmsbmState, mask, side: str) -> np.ndarray:
     return phi.reshape(K, K, M)
 
 
-def update_phi_send(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
+def update_phi_send(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     return _update_phi(state, mask, "send")
 
 
-def update_phi_recv(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
+def update_phi_recv(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     return _update_phi(state, mask, "recv")
 
 
-def update_block_matrix(state: MmsbmState, mask: np.ndarray | None = None) -> np.ndarray:
-    pairs = _observed(state, mask)
+def update_block_matrix(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
+    pairs = _observed(mask)
     ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
     return block_ratio((at_pairs(state.w, pairs)[:, None] * ps).T @ pr, ps.T @ pr)
 
 
-def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray | None = None) -> MmsbmState:
+def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray) -> MmsbmState:
     """Edge posterior and Dirichlet posterior, then one synchronous sweep of
     both pair-membership sides from the pre-sweep snapshot."""
     state.w = update_w(state, loglik, mask)

@@ -43,16 +43,15 @@ class RoundResult:
     graph: np.ndarray  # row-stochastic reporting view of the cooperation graph
 
 
-def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray | None = None) -> np.ndarray:
+def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray) -> np.ndarray:
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
     client j's training labels under client i's model. The pairs the mask
     allows form one row-major pair list, evaluated in blocks of at most
     theta.PAIR_BLOCK_ELEMENTS activations, one batched call per block;
     masked pairs stay exactly zero and are never evaluated."""
     K = len(models)
-    allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
-    rows, cols = np.nonzero(allowed)
+    rows, cols = np.nonzero(mask)
     out = np.zeros((K, K))
     for blk in pair_blocks(len(rows), X.shape[1], arch):
         r, c = rows[blk], cols[blk]
@@ -61,7 +60,7 @@ def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray |
 
 
 def run_round(
-    state, models: ClientStore, topology: Topology, ledger: CommLedger | None, round_index: int, config
+    state, models: ClientStore, topology: Topology, ledger: CommLedger, round_index: int, config
 ) -> RoundResult:
     """One full round of the prior named by ``config.prior_kind`` (a key of
     PRIORS), on the store's train stack and the run's settings.
@@ -86,11 +85,11 @@ def run_round(
             if not np.all(np.isfinite(ll[topology.mask])):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
             prior.e_step(state, models, ll, topology.mask)
-            elbo_total = elbo(state, ll, models, topology.mask).total
+            elbo_total = elbo(state, ll, topology.mask, models).total
         prior.m_step(state, models, topology.mask, config)
-        if ledger is not None and ll is not None:
+        if ll is not None:
             account_exchange(ledger, topology.mask, config.grad_mode, round_index, config.local_steps)
-        elif ledger is not None and state is not None:
+        elif state is not None:
             account_gossip(ledger, topology.mask, round_index, config.local_steps)
     except ScoolError as err:
         raise type(err)(f"round {round_index}: {err}") from err

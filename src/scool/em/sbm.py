@@ -1,10 +1,11 @@
 """Block-prior (single membership) closed-form E-steps and M-steps.
 
-The edge model covers ordered pairs i != j; the own-data term always has
-coefficient one, so no self-edge variable exists and the stored diagonal
-of w stays pinned at 1 for reporting. Each update below solves its own
-block's first-order condition exactly given the other blocks, which the
-lower-bound oracle in :mod:`scool.em.elbo` certifies.
+The edge model covers the observed ordered pairs: i != j and allowed by
+the topology's boolean mask, which every update below takes. The own-data
+term always has coefficient one, so no self-edge variable exists and the
+stored diagonal of w is a reporting value only. Each update solves its
+own block's first-order condition exactly given the other blocks, which
+the lower-bound oracle in :mod:`scool.em.elbo` certifies.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def init_state(config, topology, theta_dim: int) -> SbmState:
     )
 
 
-def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Tempered-sigmoid edge posterior: cross-client log-likelihood plus the
     membership-weighted block log-odds. Masked pairs are forced to zero.
 
@@ -48,10 +49,7 @@ def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray | None = None
     B = clamp_block_matrix(state.B)
     odds = np.log(B) - np.log1p(-B)
     score = loglik + state.omega @ odds @ state.omega.T
-    w = sigmoid_tempered(score, state.tau_sigmoid)
-    if mask is not None:
-        w = np.where(np.asarray(mask, dtype=bool), w, 0.0)
-    return w
+    return np.where(mask, sigmoid_tempered(score, state.tau_sigmoid), 0.0)
 
 
 def update_gamma(state: SbmState) -> np.ndarray:
@@ -59,17 +57,17 @@ def update_gamma(state: SbmState) -> np.ndarray:
     return state.omega + state.alpha[None, :]
 
 
-def _pair_weights(state: SbmState, mask: np.ndarray | None):
+def _pair_weights(state: SbmState, mask: np.ndarray):
     """Edge and non-edge pair coefficients over observed ordered pairs.
 
     Masked pairs carry no communication, so their edges are missing data:
     they enter neither the edge nor the non-edge sums.
     """
-    off = observed_pairs(state.n_clients, mask).astype(float)
+    off = observed_pairs(mask).astype(float)
     return state.w * off, (1.0 - state.w) * off
 
 
-def omega_scores(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
+def omega_scores(state: SbmState, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax logits of the membership update: edge and non-edge
     evidence from both link directions plus the expected log-mixture."""
     B = clamp_block_matrix(state.B)
@@ -88,22 +86,22 @@ def omega_scores(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
     )
 
 
-def update_omega(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
+def update_omega(state: SbmState, mask: np.ndarray) -> np.ndarray:
     """One synchronous membership sweep: every row is renormalized from the
     pre-sweep snapshot."""
     return softmax_tempered(omega_scores(state, mask), 1.0, axis=-1)
 
 
-def update_block_matrix(state: SbmState, mask: np.ndarray | None = None) -> np.ndarray:
+def update_block_matrix(state: SbmState, mask: np.ndarray) -> np.ndarray:
     """Exact block-affinity maximizer: membership-weighted mean edge weight
     over the observed pairs, clamped away from the log singularities."""
-    off = observed_pairs(state.n_clients, mask).astype(float)
+    off = observed_pairs(mask).astype(float)
     num = state.omega.T @ (state.w * off) @ state.omega
     den = state.omega.T @ off @ state.omega
     return block_ratio(num, den)
 
 
-def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray | None = None) -> SbmState:
+def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray) -> SbmState:
     """Edge posterior, Dirichlet posterior, then one membership sweep."""
     state.w = update_w(state, loglik, mask)
     state.gamma = update_gamma(state)

@@ -1,10 +1,12 @@
 """Per-prior variational and model-parameter state.
 
-Conventions shared by the SBM and MMSBM priors: the edge model covers
-ordered client pairs (i, j) with i != j. A client always cooperates with
-itself (its own-data gradient carries coefficient one in every update), so
-the stored w keeps a fixed diagonal of 1 which never enters an update and
-only matters for row-normalized reporting. Block matrices are clamped to
+Conventions shared by the SBM and MMSBM priors: the edge model covers the
+observed ordered client pairs, (i, j) with i != j that the topology's
+boolean mask allows (``scool.em.common.observed_pairs``); masked pairs are
+missing data, with w at 0. A client always cooperates with itself (its
+own-data gradient carries coefficient one in every update), so the stored
+diagonal of w never enters an update and only matters for row-normalized
+reporting. Block matrices are clamped to
 [B_EPS, 1 - B_EPS] and Dirichlet parameters floored at ALPHA_MIN because
 the closed-form updates can otherwise push them onto log singularities.
 

@@ -1,7 +1,8 @@
 """Cooperative local-model updates shared by all structured priors.
 
 Each local step descends on the client's own mean cross-entropy plus the
-neighbor losses weighted by the cooperation graph plus the ridge prior.
+neighbor losses weighted by the cooperation graph, over the pairs the
+topology's boolean mask allows, plus the ridge prior.
 All gradients of a step are taken on a snapshot of the models before any
 parameter moves, so the sweep is order-independent and a run with the same
 inputs is bit-for-bit reproducible.
@@ -68,8 +69,8 @@ def cooperative_sgd_steps(
     lam: float,
     eta1: float,
     steps: int,
-    grad_mode: str = CROSS_GRADIENT,
-    mask: np.ndarray | None = None,
+    grad_mode: str,
+    mask: np.ndarray,
     coupling_fn: CouplingFn | None = None,
 ) -> None:
     """Run ``steps`` synchronous cooperative gradient steps on models.theta
@@ -92,10 +93,8 @@ def cooperative_sgd_steps(
         raise ConfigurationError("eta1 must be positive")
     if grad_mode not in (CROSS_GRADIENT, TAYLOR_APPROX):
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
-    K = len(models)
     w = np.asarray(w, dtype=float)
-    allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    edges = allowed & (w != 0.0)
+    edges = mask & (w != 0.0)
     np.fill_diagonal(edges, False)
     rows, cols, slot = _slot_major(edges)
     weights = w[rows, cols][:, None]

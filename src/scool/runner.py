@@ -147,20 +147,6 @@ def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> n
     ])
 
 
-def _json_ready(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
-
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
     # one row of Python floats at a time: a whole-matrix tolist() of a
     # 192 x 192 snapshot raises the peak memory by about 1 MB
@@ -170,10 +156,9 @@ def _write_matrix(path: Path, matrix: np.ndarray) -> None:
 
 def _write_report(out_dir: Path, report: ExperimentReport) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = _json_ready(report.to_dict())
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with (out_dir / "metrics.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRIC_COLUMNS)
         for row in report.rounds:
             writer.writerow(["" if row.get(c) is None else repr(row[c]) if isinstance(row[c], float) else row[c] for c in METRIC_COLUMNS])
@@ -283,7 +268,8 @@ def run_budget_sweep(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         with (out_path / "budget_sweep.csv").open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["fraction", "mean_acc", "std_acc", "comm_total"])
+            fields = ["fraction", "mean_acc", "std_acc", "comm_total"]
+            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -53,10 +53,6 @@ class TaskAssignment:
     w_star: np.ndarray  # K x K, rows sum to 1
     group_labels: np.ndarray | None = None
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.class_sets)
-
 
 def make_universe(
     M: int,

@@ -46,6 +46,22 @@ def simplex_kkt_spread(grads) -> float:
     return float(np.max(np.abs(g - g.mean())))
 
 
+def full_mask(K: int) -> np.ndarray:
+    """The mask of a fully-connected topology: every pair may communicate."""
+    return np.ones((K, K), dtype=bool)
+
+
+def random_symmetric_mask(rng, K, keep=0.6):
+    """A mask whose off-diagonal pairs are kept with probability ``keep``,
+    both directions of a pair together, redrawn until every client has a
+    neighbour as in a topology."""
+    while True:
+        upper = np.triu(rng.random((K, K)) < keep, 1)
+        mask = upper | upper.T
+        if mask.any(axis=1).all():
+            return mask | np.eye(K, dtype=bool)
+
+
 # ------------------------------------------------------- random VI states
 # Entries are kept comfortably inside the open domains so that central
 # differences of the lower bound stay well-conditioned.
@@ -82,7 +98,7 @@ def clone_sbm(state: SbmState, **overrides) -> SbmState:
     return SbmState(**base)
 
 
-def update_omega_row(state: SbmState, i: int, mask: np.ndarray | None = None) -> np.ndarray:
+def update_omega_row(state: SbmState, i: int, mask: np.ndarray) -> np.ndarray:
     """Coordinate-ascent oracle: the membership update of a single client,
     all other rows held fixed."""
     return softmax_tempered(sbm.omega_scores(state, mask)[i], 1.0)
@@ -239,23 +255,20 @@ def client_store(models, train_sets=None) -> ClientStore:
 # scool.em.mmsbm and elbo_mmsbm is checked against (tests/test_mmsbm.py).
 
 
-def _dense_park_unobserved(state: MmsbmState, phi: np.ndarray, mask) -> np.ndarray:
-    phi[~observed_pairs(state.n_clients, mask)] = 1.0 / state.n_blocks
+def _dense_park_unobserved(state: MmsbmState, phi: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    phi[~observed_pairs(mask)] = 1.0 / state.n_blocks
     return phi
 
 
-def dense_update_w(state: MmsbmState, loglik: np.ndarray, mask=None) -> np.ndarray:
+def dense_update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
     B = clamp_block_matrix(state.B)
     odds = np.log(B) - np.log1p(-B)
     score = loglik + np.einsum("ijg,gh,ijh->ij", state.phi_send, odds, state.phi_recv)
-    w = sigmoid_tempered(score, state.tau_sigmoid)
-    if mask is not None:
-        w = np.where(np.asarray(mask, dtype=bool), w, 0.0)
-    return w
+    return np.where(mask, sigmoid_tempered(score, state.tau_sigmoid), 0.0)
 
 
-def dense_update_gamma(state: MmsbmState, mask=None) -> np.ndarray:
-    obs = observed_pairs(state.n_clients, mask)[:, :, None]
+def dense_update_gamma(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
+    obs = observed_pairs(mask)[:, :, None]
     send_sum = (state.phi_send * obs).sum(axis=1)
     recv_sum = (state.phi_recv * obs).sum(axis=0)
     return state.alpha[None, :] + send_sum + recv_sum
@@ -272,28 +285,28 @@ def _dense_pair_scores(state: MmsbmState, counterpart: np.ndarray, transpose_B: 
     return w * pos + (1.0 - w) * neg
 
 
-def dense_update_phi_send(state: MmsbmState, mask=None) -> np.ndarray:
+def dense_update_phi_send(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     scores = _dense_pair_scores(state, state.phi_recv, transpose_B=False)
     scores = scores + expected_log_pi(state.gamma)[:, None, :]
     return _dense_park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
 
 
-def dense_update_phi_recv(state: MmsbmState, mask=None) -> np.ndarray:
+def dense_update_phi_recv(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     scores = _dense_pair_scores(state, state.phi_send, transpose_B=True)
     scores = scores + expected_log_pi(state.gamma)[None, :, :]
     return _dense_park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
 
 
-def dense_update_block_matrix(state: MmsbmState, mask=None) -> np.ndarray:
-    off = observed_pairs(state.n_clients, mask).astype(float)
+def dense_update_block_matrix(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
+    off = observed_pairs(mask).astype(float)
     num = np.einsum("ij,ijg,ijh->gh", state.w * off, state.phi_send, state.phi_recv)
     den = np.einsum("ij,ijg,ijh->gh", off, state.phi_send, state.phi_recv)
     return block_ratio(num, den)
 
 
-def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask=None) -> dict[str, float]:
+def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) -> dict[str, float]:
     """The per-term lower bound (without the model prior) as ElboBreakdown.terms()."""
-    obs = observed_pairs(state.n_clients, mask)
+    obs = observed_pairs(mask)
     B = clamp_block_matrix(state.B)
     pos = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log(B), state.phi_recv)
     neg = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log1p(-B), state.phi_recv)

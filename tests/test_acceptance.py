@@ -36,12 +36,14 @@ from conftest import (
     clone_attention,
     clone_mmsbm,
     clone_sbm,
+    full_mask,
     grad,
     loss,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
     random_sbm_state,
+    random_symmetric_mask,
     simplex_kkt_spread,
     tiny_dataset,
     update_omega_row,
@@ -80,25 +82,25 @@ def pruned_ring(rng, K):
     return sparsify_topk(rng.uniform(0.1, 1.0, (K, K)), ring, 0.3)
 
 
-def _mmsbm_kkt_residual(mst, ll, mask=None):
+def _mmsbm_kkt_residual(mst, ll, mask):
     """Update the mmsbm w, gamma and each pair-membership side in turn and
     return the worst stationarity residual of each against the bound, over
     the observed pairs."""
     K, M = mst.n_clients, mst.n_blocks
-    pairs = list(zip(*np.nonzero(observed_pairs(K, mask))))
+    pairs = list(zip(*np.nonzero(observed_pairs(mask))))
     worst = 0.0
     mst.w = mmsbm.update_w(mst, ll, mask)
     for i, j in pairs:
         def f(v, i=i, j=j):
             w2 = mst.w.copy(); w2[i, j] = v
-            return elbo(clone_mmsbm(mst, w=w2), ll, mask=mask).total
+            return elbo(clone_mmsbm(mst, w=w2), ll, mask).total
         worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
     mst.gamma = mmsbm.update_gamma(mst, mask)
     for i in range(K):
         for g in range(M):
             def f(v, i=i, g=g):
                 g2 = mst.gamma.copy(); g2[i, g] = v
-                return elbo(clone_mmsbm(mst, gamma=g2), ll, mask=mask).total
+                return elbo(clone_mmsbm(mst, gamma=g2), ll, mask).total
             worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
     for side, update in (("phi_send", mmsbm.update_phi_send), ("phi_recv", mmsbm.update_phi_recv)):
         setattr(mst, side, update(mst, mask))
@@ -108,43 +110,32 @@ def _mmsbm_kkt_residual(mst, ll, mask=None):
             for k in range(M):
                 def f(v, i=i, j=j, k=k, side=side):
                     p2 = arr.copy(); p2[i, j, k] = v
-                    return elbo(clone_mmsbm(mst, **{side: p2}), ll, mask=mask).total
+                    return elbo(clone_mmsbm(mst, **{side: p2}), ll, mask).total
                 grads.append(central_diff(f, arr[i, j, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
     return worst
 
 
-def random_symmetric_mask(rng, K, keep=0.6):
-    """A mask whose off-diagonal pairs are kept with probability ``keep``,
-    both directions of a pair together, redrawn until every client has a
-    neighbour as in a topology."""
-    while True:
-        upper = np.triu(rng.random((K, K)) < keep, 1)
-        mask = upper | upper.T
-        if mask.any(axis=1).all():
-            return mask | np.eye(K, dtype=bool)
-
-
 def _sbm_sweep(st, ll, mask, track):
     """Apply the sbm blocks one at a time (omega row by row), tracking the
     bound after each."""
-    v = elbo(st, ll, mask=mask).total
-    st.w = sbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask=mask).total)
-    st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, mask=mask).total)
+    v = elbo(st, ll, mask).total
+    st.w = sbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask).total)
+    st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, mask).total)
     for i in range(st.n_clients):
         om = st.omega.copy(); om[i] = update_omega_row(st, i, mask); st.omega = om
-        v = track(v, elbo(st, ll, mask=mask).total)
-    st.B = sbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
+        v = track(v, elbo(st, ll, mask).total)
+    st.B = sbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask).total)
 
 
 def _mmsbm_sweep(st, ll, mask, track):
     """Apply the mmsbm blocks one at a time, tracking the bound after each."""
-    v = elbo(st, ll, mask=mask).total
-    st.w = mmsbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask=mask).total)
-    st.gamma = mmsbm.update_gamma(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
-    st.phi_send = mmsbm.update_phi_send(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
-    st.phi_recv = mmsbm.update_phi_recv(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
-    st.B = mmsbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask=mask).total)
+    v = elbo(st, ll, mask).total
+    st.w = mmsbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask).total)
+    st.gamma = mmsbm.update_gamma(st, mask); v = track(v, elbo(st, ll, mask).total)
+    st.phi_send = mmsbm.update_phi_send(st, mask); v = track(v, elbo(st, ll, mask).total)
+    st.phi_recv = mmsbm.update_phi_recv(st, mask); v = track(v, elbo(st, ll, mask).total)
+    st.B = mmsbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask).total)
 
 
 def test_criterion_1_stationarity_suite():
@@ -155,52 +146,53 @@ def test_criterion_1_stationarity_suite():
         K = int(rng.choice([3, 6]))
         M = int(rng.choice([1, 2, 3]))
         ll = random_loglik(rng, K)
+        mask = full_mask(K)
 
         # --- SBM: w block, gamma block, per-row membership updates
         st = random_sbm_state(rng, K, M)
-        st.w = sbm.update_w(st, ll)
+        st.w = sbm.update_w(st, ll, mask)
         for i in range(K):
             for j in range(K):
                 if i == j:
                     continue
                 def f(v, i=i, j=j):
                     w2 = st.w.copy(); w2[i, j] = v
-                    return elbo(clone_sbm(st, w=w2), ll).total
+                    return elbo(clone_sbm(st, w=w2), ll, mask).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j], 1e-7)))
         st.gamma = sbm.update_gamma(st)
         for i in range(K):
             for g in range(M):
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy(); g2[i, g] = v
-                    return elbo(clone_sbm(st, gamma=g2), ll).total
+                    return elbo(clone_sbm(st, gamma=g2), ll, mask).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g], 1e-6)))
         for i in range(K):
             om = st.omega.copy()
-            om[i] = update_omega_row(st, i)
+            om[i] = update_omega_row(st, i, mask)
             st.omega = om
             grads = []
             for k in range(M):
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy(); o2[i, k] = v
-                    return elbo(clone_sbm(st, omega=o2), ll).total
+                    return elbo(clone_sbm(st, omega=o2), ll, mask).total
                 grads.append(central_diff(f, st.omega[i, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
         # --- attention: posterior rows
         models, ast = random_attention_setup(rng, K)
-        ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0)
-        ast.w = attention.update_w(ast, ll)
+        ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
+        ast.w = attention.update_w(ast, ll, mask)
         for i in range(K):
             grads = []
             for j in range(K):
                 def f(v, i=i, j=j):
                     w2 = ast.w.copy(); w2[i, j] = v
-                    return elbo(clone_attention(ast, w=w2), ll).total
+                    return elbo(clone_attention(ast, w=w2), ll, mask).total
                 grads.append(central_diff(f, ast.w[i, j], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
         # --- MMSBM: w, gamma, then each pair-membership side
-        worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M), ll))
+        worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M), ll, mask))
 
     # --- MMSBM under a pruned ring mask: the blocks gather and scatter only
     # the observed pairs, and the bound reads only those
@@ -225,30 +217,30 @@ def test_criterion_2_elbo_monotonicity():
         worst_drop = min(worst_drop, new - value)
         return new
 
-    for _ in range(50):  # SBM, from one draw without and with a random symmetric mask
+    for _ in range(50):  # SBM, from one draw under the full and a random symmetric mask
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
         st = random_sbm_state(rng, K, M)
         ll = random_loglik(rng, K)
-        for mask in (None, random_symmetric_mask(rng, K)):
+        for mask in (full_mask(K), random_symmetric_mask(rng, K)):
             _sbm_sweep(clone_sbm(st), ll, mask, track)
 
-    for _ in range(50):  # attention, without and with a random symmetric mask
+    for _ in range(50):  # attention, under the full and a random symmetric mask
         K = int(rng.choice([3, 6]))
         models, ast = random_attention_setup(rng, K)
         ll = random_loglik(rng, K)
-        for mask in (None, random_symmetric_mask(rng, K)):
+        for mask in (full_mask(K), random_symmetric_mask(rng, K)):
             ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
             w = rng.dirichlet(np.ones(K), size=K)
-            ast.w = w if mask is None else w * mask / (w * mask).sum(axis=1, keepdims=True)
-            v = elbo(ast, ll, mask=mask).total
+            ast.w = w * mask / (w * mask).sum(axis=1, keepdims=True)
+            v = elbo(ast, ll, mask).total
             ast.w = attention.update_w(ast, ll, mask)
-            track(v, elbo(ast, ll, mask=mask).total)
+            track(v, elbo(ast, ll, mask).total)
 
     for _ in range(50):  # MMSBM
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
         st = random_mmsbm_state(rng, K, M)
         ll = random_loglik(rng, K)
-        _mmsbm_sweep(st, ll, None, track)
+        _mmsbm_sweep(st, ll, full_mask(K), track)
 
     for _ in range(MASKED_TRIALS):  # MMSBM under a pruned ring mask
         K, M = 6, int(rng.choice([1, 2, 3]))
@@ -277,8 +269,9 @@ def test_criterion_3_dpsgd_equivalence():
         state = DiracState(w)
         ref = np.stack([m.theta for m in models])
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
+        ledger = CommLedger(arch.n_params)
         for r in range(10):
-            rounds.run_round(state, models, topo, None, r, cfg)
+            rounds.run_round(state, models, topo, ledger, r, cfg)
         # independent simulator of the reference algorithm
         for _ in range(10):
             grads = np.stack([grad(LocalModel(ref[i], arch), train[i]) for i in range(K)])
@@ -312,12 +305,13 @@ def test_criterion_4_gradient_oracles():
         K = 4
         models, st = random_attention_setup(rng, K)
         ll = random_loglik(rng, K)
-        st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0)
-        st.w = attention.update_w(st, ll)
+        mask = full_mask(K)
+        st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0, mask)
+        st.w = attention.update_w(st, ll, mask)
 
-        g = attention.phi_gradient(st, models)
+        g = attention.phi_gradient(st, models, mask)
         def phi_obj(phi):
-            p = attention.compute_p(models, phi, st.enc_dims, st.tau_softmax)
+            p = attention.compute_p(models, phi, st.enc_dims, st.tau_softmax, mask)
             return float((st.w * np.log(np.maximum(p, PROB_FLOOR))).sum())
         for t in rng.choice(len(g), size=6, replace=False):
             def f(v, t=t):
@@ -326,12 +320,12 @@ def test_criterion_4_gradient_oracles():
             num = central_diff(f, st.phi[t], 1e-6)
             worst_phi = max(worst_phi, abs(num - g[t]) / max(1e-8, abs(num)))
 
-        terms = attention.coupling_descent_terms(models, st)
+        terms = attention.coupling_descent_terms(models, st, mask)
         i = int(rng.integers(K))
         def row_obj(theta_i):
             ms = client_store(models)
             ms[i].theta = theta_i
-            p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax)
+            p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax, mask)
             return float((st.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
         for t in range(len(models[i].theta)):
             def f(v, t=t):
@@ -429,8 +423,8 @@ def test_criterion_7_taylor_mode_soundness():
 
     mc = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
     mt = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
-    cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, CROSS_GRADIENT)
-    cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, TAYLOR_APPROX)
+    cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, CROSS_GRADIENT, full_mask(4))
+    cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, TAYLOR_APPROX, full_mask(4))
     bitgap = max(np.abs(a.theta - b.theta).max() for a, b in zip(mc, mt))
     assert bitgap < 1e-12
     _report(7, "taylor-mode soundness",

@@ -16,8 +16,10 @@ from conftest import (
     central_diff,
     client_store,
     clone_attention,
+    full_mask,
     random_attention_setup,
     random_loglik,
+    random_symmetric_mask,
     simplex_kkt_spread,
 )
 
@@ -29,7 +31,7 @@ class TestComputeP:
         shared = models[0].theta.copy()
         for m in models:
             m.theta = m.init_theta + (shared - models[0].init_theta)
-        p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
+        p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(4))
         np.testing.assert_allclose(p, 0.25, atol=1e-9)
 
     def test_identity_like_encoder_scalar_case(self):
@@ -56,7 +58,7 @@ class TestComputeP:
         )
         E = attention.encode(phi, (4, 4, 2), attention.model_deltas(client_store([m1, m2])))
         np.testing.assert_allclose(E, [[2.0, 0.0], [0.0, 3.0]], atol=1e-3)
-        p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0)
+        p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0, full_mask(2))
         np.testing.assert_allclose(
             p[0], softmax_tempered([E[0] @ E[0], E[0] @ E[1]], 1.0), atol=1e-12
         )
@@ -64,7 +66,7 @@ class TestComputeP:
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(1)
         models, state = random_attention_setup(rng, 6)
-        p = attention.compute_p(models, state.phi, state.enc_dims, 0.7)
+        p = attention.compute_p(models, state.phi, state.enc_dims, 0.7, full_mask(6))
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
@@ -73,8 +75,9 @@ class TestUpdateW:
     def test_zero_loglik_recovers_attention(self):
         rng = np.random.default_rng(2)
         models, state = random_attention_setup(rng, 5)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        w = attention.update_w(state, np.zeros((5, 5)))
+        mask = full_mask(5)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+        w = attention.update_w(state, np.zeros((5, 5)), mask)
         np.testing.assert_allclose(w, state.p, atol=1e-9)
 
     def test_uniform_attention_reduces_to_loglik_softmax(self):
@@ -82,7 +85,7 @@ class TestUpdateW:
         models, state = random_attention_setup(rng, 5)
         state.p = np.full((5, 5), 0.2)
         ll = random_loglik(rng, 5)
-        w = attention.update_w(state, ll)
+        w = attention.update_w(state, ll, full_mask(5))
         logits = ll.copy()
         np.fill_diagonal(logits, 0.0)
         np.testing.assert_allclose(w, softmax_tempered(logits, 1.0, axis=-1), atol=1e-9)
@@ -91,27 +94,42 @@ class TestUpdateW:
         rng = np.random.default_rng(4)
         models, state = random_attention_setup(rng, 4)
         ll = random_loglik(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        state.w = attention.update_w(state, ll)
+        mask = full_mask(4)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+        state.w = attention.update_w(state, ll, mask)
         for i in range(4):
             grads = []
             for j in range(4):
                 def f(v, i=i, j=j):
                     w2 = state.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_attention(state, w=w2), ll).total
+                    return elbo(clone_attention(state, w=w2), ll, mask).total
                 grads.append(central_diff(f, state.w[i, j], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
     def test_masked_row_excluded(self):
         rng = np.random.default_rng(5)
         models, state = random_attention_setup(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        mask = np.ones((4, 4), dtype=bool)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(4))
+        mask = full_mask(4)
         mask[1, 2] = False
         w = attention.update_w(state, random_loglik(rng, 4), mask)
         assert w[1, 2] == 0.0
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_random_symmetric_mask_confines_p_and_w(self):
+        # under a pruned-topology-like mask the attention and the posterior
+        # put exactly no mass off the mask and stay row-stochastic on it
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            K = int(rng.integers(3, 9))
+            models, state = random_attention_setup(rng, K)
+            mask = random_symmetric_mask(rng, K)
+            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+            state.w = attention.update_w(state, random_loglik(rng, K), mask)
+            for name, rows in (("p", state.p), ("w", state.w)):
+                assert np.all(rows[~mask] == 0.0), name
+                np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestCouplingGradient:
@@ -119,15 +137,16 @@ class TestCouplingGradient:
         rng = np.random.default_rng(6)
         models, state = random_attention_setup(rng, 4)
         ll = random_loglik(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        state.w = attention.update_w(state, ll)
-        terms = attention.coupling_descent_terms(models, state)
+        mask = full_mask(4)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+        state.w = attention.update_w(state, ll, mask)
+        terms = attention.coupling_descent_terms(models, state, mask)
         i = 2
 
         def row_objective(theta_i):
             ms = client_store(models)
             ms[i].theta = theta_i
-            p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax)
+            p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax, mask)
             return float((state.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
 
         worst = 0.0
@@ -143,8 +162,8 @@ class TestCouplingGradient:
     def test_argmax_of_rows_invariant_to_temperature(self):
         rng = np.random.default_rng(7)
         models, state = random_attention_setup(rng, 5)
-        p1 = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        p2 = attention.compute_p(models, state.phi, state.enc_dims, 0.25)
+        p1 = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(5))
+        p2 = attention.compute_p(models, state.phi, state.enc_dims, 0.25, full_mask(5))
         np.testing.assert_array_equal(p1.argmax(axis=1), p2.argmax(axis=1))
 
 
@@ -152,9 +171,10 @@ class TestPhiUpdate:
     def test_zero_gradient_when_matching(self):
         rng = np.random.default_rng(8)
         models, state = random_attention_setup(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
+        mask = full_mask(4)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
         state.w = state.p.copy()
-        g = attention.phi_gradient(state, models)
+        g = attention.phi_gradient(state, models, mask)
         assert np.max(np.abs(g)) < 1e-10
 
     def test_matches_finite_difference(self):
@@ -163,12 +183,13 @@ class TestPhiUpdate:
         for _ in range(20):
             models, state = random_attention_setup(rng, 4)
             ll = random_loglik(rng, 4)
-            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-            state.w = attention.update_w(state, ll)
-            g = attention.phi_gradient(state, models)
+            mask = full_mask(4)
+            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+            state.w = attention.update_w(state, ll, mask)
+            g = attention.phi_gradient(state, models, mask)
 
             def objective(phi):
-                p = attention.compute_p(models, phi, state.enc_dims, state.tau_softmax)
+                p = attention.compute_p(models, phi, state.enc_dims, state.tau_softmax, mask)
                 return float((state.w * np.log(np.maximum(p, PROB_FLOOR))).sum())
 
             idx = rng.choice(len(g), size=8, replace=False)
@@ -186,16 +207,17 @@ class TestPhiUpdate:
         rng = np.random.default_rng(10)
         models, state = random_attention_setup(rng, 5)
         ll = random_loglik(rng, 5)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        state.w = attention.update_w(state, ll)
+        mask = full_mask(5)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+        state.w = attention.update_w(state, ll, mask)
 
         def kl():
-            p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
+            p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
             return float(np.sum(state.w * (np.log(np.maximum(state.w, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))))
 
         start = kl()
         for _ in range(200):
-            state.phi = attention.update_phi(state, models, None, ExperimentConfig(eta2=0.05))
+            state.phi = attention.update_phi(state, models, mask, ExperimentConfig(eta2=0.05))
         assert kl() < start
 
 
@@ -225,7 +247,7 @@ class TestMaskedRowSoftmax:
             )
 
     def test_fully_masked_row_names_the_first_client(self):
-        mask = np.ones((5, 5), dtype=bool)
+        mask = full_mask(5)
         mask[3] = mask[1] = False
         with pytest.raises(ConfigurationError, match="^client 1 has a fully masked row$"):
             attention._masked_row_softmax(np.zeros((5, 5)), 1.0, mask)

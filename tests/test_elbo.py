@@ -11,6 +11,7 @@ from scool.em.state import SbmState
 
 from conftest import (
     client_store,
+    full_mask,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
@@ -57,7 +58,7 @@ class TestSbmHandCase:
             lam=0.0,
             tau_sigmoid=1.0,
         )
-        got = elbo_sbm(st, ll).total
+        got = elbo_sbm(st, ll, full_mask(2)).total
         want = hand_sbm_k2_m1(0.3, 0.8, ll, (1.4, 2.2), 0.9, 0.37)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -70,14 +71,14 @@ class TestBreakdownContracts:
             (random_mmsbm_state, 3, 2),
         ]:
             st = maker(rng, K, M)
-            out = elbo(st, random_loglik(rng, K))
+            out = elbo(st, random_loglik(rng, K), full_mask(K))
             assert out.total == pytest.approx(sum(out.terms().values()), abs=1e-10)
 
     def test_deterministic_w_has_zero_entropy(self):
         rng = np.random.default_rng(2)
         st = random_sbm_state(rng, 4, 2)
         st.w = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
-        out = elbo(st, random_loglik(rng, 4))
+        out = elbo(st, random_loglik(rng, 4), full_mask(4))
         assert out.entropy_w == 0.0
 
     def test_model_prior_term(self):
@@ -90,7 +91,7 @@ class TestBreakdownContracts:
         st.lam = 0.4
         arch = ArchSpec("softmax-regression", 2, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(3)]
-        out = elbo(st, random_loglik(rng, 3), client_store(models))
+        out = elbo(st, random_loglik(rng, 3), full_mask(3), client_store(models))
         want = -0.2 * sum(float(m.theta @ m.theta) for m in models)
         assert out.model_prior == pytest.approx(want, abs=1e-12)
 
@@ -100,16 +101,17 @@ class TestBreakdownContracts:
 
         models, state = random_attention_setup(rng, 4)
         ll = random_loglik(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0)
-        state.w = attention.update_w(state, ll)
-        out = elbo(state, ll)
+        mask = full_mask(4)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+        state.w = attention.update_w(state, ll, mask)
+        out = elbo(state, ll, mask)
         want = float((state.w * np.log(np.maximum(state.p, 1e-12))).sum())
         assert out.edge == pytest.approx(want, abs=1e-12)
         assert out.membership == 0.0 and out.dirichlet == 0.0
 
     def test_unknown_state_type(self):
         with pytest.raises(TypeError):
-            elbo(object(), np.zeros((2, 2)))
+            elbo(object(), np.zeros((2, 2)), full_mask(2))
 
 
 class TestCoordinateAscentMonotonicity:
@@ -122,24 +124,25 @@ class TestCoordinateAscentMonotonicity:
             M = int(rng.integers(1, 4))
             st = random_sbm_state(rng, K, M)
             ll = random_loglik(rng, K)
-            value = elbo(st, ll).total
-            st.w = sbm.update_w(st, ll)
-            for v2 in [elbo(st, ll).total]:
+            mask = full_mask(K)
+            value = elbo(st, ll, mask).total
+            st.w = sbm.update_w(st, ll, mask)
+            for v2 in [elbo(st, ll, mask).total]:
                 assert v2 >= value - 1e-8
                 value = v2
             st.gamma = sbm.update_gamma(st)
-            v2 = elbo(st, ll).total
+            v2 = elbo(st, ll, mask).total
             assert v2 >= value - 1e-8
             value = v2
             for i in range(K):
                 om = st.omega.copy()
-                om[i] = update_omega_row(st, i)
+                om[i] = update_omega_row(st, i, mask)
                 st.omega = om
-                v2 = elbo(st, ll).total
+                v2 = elbo(st, ll, mask).total
                 assert v2 >= value - 1e-8
                 value = v2
-            st.B = sbm.update_block_matrix(st)
-            assert elbo(st, ll).total >= value - 1e-8
+            st.B = sbm.update_block_matrix(st, mask)
+            assert elbo(st, ll, mask).total >= value - 1e-8
 
     def test_mmsbm_sequential_blocks_never_decrease(self):
         rng = np.random.default_rng(6)
@@ -150,16 +153,17 @@ class TestCoordinateAscentMonotonicity:
             M = int(rng.integers(1, 4))
             st = random_mmsbm_state(rng, K, M)
             ll = random_loglik(rng, K)
-            value = elbo(st, ll).total
+            mask = full_mask(K)
+            value = elbo(st, ll, mask).total
             for step in (
-                lambda: setattr(st, "w", mmsbm.update_w(st, ll)),
-                lambda: setattr(st, "gamma", mmsbm.update_gamma(st)),
-                lambda: setattr(st, "phi_send", mmsbm.update_phi_send(st)),
-                lambda: setattr(st, "phi_recv", mmsbm.update_phi_recv(st)),
-                lambda: setattr(st, "B", mmsbm.update_block_matrix(st)),
+                lambda: setattr(st, "w", mmsbm.update_w(st, ll, mask)),
+                lambda: setattr(st, "gamma", mmsbm.update_gamma(st, mask)),
+                lambda: setattr(st, "phi_send", mmsbm.update_phi_send(st, mask)),
+                lambda: setattr(st, "phi_recv", mmsbm.update_phi_recv(st, mask)),
+                lambda: setattr(st, "B", mmsbm.update_block_matrix(st, mask)),
             ):
                 step()
-                v2 = elbo(st, ll).total
+                v2 = elbo(st, ll, mask).total
                 assert v2 >= value - 1e-8
                 value = v2
 
@@ -171,8 +175,9 @@ class TestCoordinateAscentMonotonicity:
             K = int(rng.integers(3, 7))
             models, st = random_attention_setup(rng, K)
             ll = random_loglik(rng, K)
-            st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0)
+            mask = full_mask(K)
+            st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0, mask)
             st.w = rng.dirichlet(np.ones(K), size=K)
-            before = elbo(st, ll).total
-            st.w = attention.update_w(st, ll)
-            assert elbo(st, ll).total >= before - 1e-8
+            before = elbo(st, ll, mask).total
+            st.w = attention.update_w(st, ll, mask)
+            assert elbo(st, ll, mask).total >= before - 1e-8

@@ -41,6 +41,7 @@ from conftest import (
     LocalModel,
     accuracy,
     client_store,
+    full_mask,
     grad,
     log_likelihood,
     loss,
@@ -56,23 +57,21 @@ ARCHS = {
 }
 
 
-def reference_loglik_matrix(models, train_sets, mask=None):
+def reference_loglik_matrix(models, train_sets, mask):
     K = len(models)
-    allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     out = np.zeros((K, K))
     for i in range(K):
         for j in range(K):
-            if allowed[i, j]:
+            if mask[i, j]:
                 out[i, j] = log_likelihood(models[i], train_sets[j])
     return out
 
 
 def reference_cooperative_sgd_steps(
-    models, train_sets, w, lam, eta1, steps, grad_mode=CROSS_GRADIENT, mask=None, coupling_fn=None
+    models, train_sets, w, lam, eta1, steps, grad_mode, mask, coupling_fn=None
 ):
     K = len(models)
     w = np.asarray(w, dtype=float)
-    allowed = np.ones((K, K), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     for step in range(steps):
         own = [grad(models[i], train_sets[i]) for i in range(K)]
         coupling = coupling_fn(models) if coupling_fn is not None else None
@@ -80,7 +79,7 @@ def reference_cooperative_sgd_steps(
         for i in range(K):
             delta = own[i] + lam * models[i].theta
             for j in range(K):
-                if j == i or not allowed[i, j] or w[i, j] == 0.0:
+                if j == i or not mask[i, j] or w[i, j] == 0.0:
                     continue
                 g = own[j] if grad_mode == TAYLOR_APPROX else grad(models[i], train_sets[j])
                 delta = delta + w[i, j] * g
@@ -238,8 +237,9 @@ class TestLoglikMatrixEquivalence:
         rng = np.random.default_rng(3)
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN])
         store = client_store(models, train)
+        mask = full_mask(len(models))
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(store, store.train), reference_loglik_matrix(models, train)
+            rounds.loglik_matrix(store, store.train, mask), reference_loglik_matrix(models, train, mask)
         )
 
     def test_evaluates_only_allowed_pairs(self, monkeypatch):
@@ -285,8 +285,8 @@ class TestCooperativeEquivalence:
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=9)
         w = rng.uniform(0.0, 1.0, (9, 9))
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, w, 1e-4, 0.25, 2, grad_mode)
-        reference_cooperative_sgd_steps(b, train, w, 1e-4, 0.25, 2, grad_mode)
+        cooperative_sgd_steps(a, a.train, w, 1e-4, 0.25, 2, grad_mode, full_mask(9))
+        reference_cooperative_sgd_steps(b, train, w, 1e-4, 0.25, 2, grad_mode, full_mask(9))
         _assert_same_thetas(a, b)
 
     @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
@@ -294,8 +294,8 @@ class TestCooperativeEquivalence:
         rng = np.random.default_rng(6)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, np.eye(5), 0.0, 0.1, 3, grad_mode)
-        reference_cooperative_sgd_steps(b, train, np.eye(5), 0.0, 0.1, 3, grad_mode)
+        cooperative_sgd_steps(a, a.train, np.eye(5), 0.0, 0.1, 3, grad_mode, full_mask(5))
+        reference_cooperative_sgd_steps(b, train, np.eye(5), 0.0, 0.1, 3, grad_mode, full_mask(5))
         _assert_same_thetas(a, b)
 
     @pytest.mark.parametrize("grad_mode", [CROSS_GRADIENT, TAYLOR_APPROX])
@@ -402,8 +402,8 @@ class TestPairBlocks:
         models, train = _clients(rng, ARCHS[kind], K=5)
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, np.eye(5), 0.01, 0.1, 2, grad_mode)
-        reference_cooperative_sgd_steps(b, train, np.eye(5), 0.01, 0.1, 2, grad_mode)
+        cooperative_sgd_steps(a, a.train, np.eye(5), 0.01, 0.1, 2, grad_mode, full_mask(5))
+        reference_cooperative_sgd_steps(b, train, np.eye(5), 0.01, 0.1, 2, grad_mode, full_mask(5))
         _assert_same_thetas(a, b)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -463,7 +463,7 @@ class TestClientStore:
         np.testing.assert_array_equal(store.theta[2], 7.0)
         with pytest.raises(ValueError):
             store.init_theta[0, 0] = 1.0
-        cooperative_sgd_steps(store, store.train, np.eye(4), 0.0, 0.1, 1)
+        cooperative_sgd_steps(store, store.train, np.eye(4), 0.0, 0.1, 1, CROSS_GRADIENT, full_mask(4))
         assert not np.array_equal(store.theta[0], before[0])
         for m, theta in zip(models, before):  # the lists it was stacked from are left alone
             np.testing.assert_array_equal(m.theta, theta)
@@ -558,9 +558,9 @@ class TestContracts:
         w = rng.uniform(0.1, 1.0, (5, 5))
         a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, a.train, w, 10.0, eta1, 6, grad_mode)
+            cooperative_sgd_steps(a, a.train, w, 10.0, eta1, 6, grad_mode, full_mask(5))
         with pytest.raises(DivergenceError) as want:
-            reference_cooperative_sgd_steps(b, train, w, 10.0, eta1, 6, grad_mode)
+            reference_cooperative_sgd_steps(b, train, w, 10.0, eta1, 6, grad_mode, full_mask(5))
         assert str(got.value) == str(want.value)
         _assert_same_thetas(a, b)
 
@@ -573,9 +573,9 @@ class TestContracts:
         w = rng.uniform(0.1, 1.0, (5, 5))
         a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode)
+            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode, full_mask(5))
         with pytest.raises(DivergenceError) as want:
-            reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode)
+            reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode, full_mask(5))
         assert str(got.value) == str(want.value)
         # cross-gradients keep the overflow in client 3's row; the surrogate
         # hands client 3's own gradient to client 0 first

@@ -13,9 +13,9 @@ from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import CommLedger, build_topology, directed_edges
+from scool.topology import CROSS_GRADIENT, CommLedger, build_topology, directed_edges
 
-from conftest import LocalModel, client_store, grad, log_likelihood, model_list, tiny_dataset
+from conftest import LocalModel, client_store, full_mask, grad, log_likelihood, model_list, tiny_dataset
 
 
 def _setup(rng, K=5, d=3, C=2, n=6):
@@ -35,12 +35,13 @@ class TestDiracReduction:
         models, train = _setup(rng)
         ref = model_list(models)
         K = len(models)
-        w = dirac.metropolis_weights(np.ones((K, K), dtype=bool))
+        w = dirac.metropolis_weights(full_mask(K))
         topo = build_topology("fully-connected", K)
         state = DiracState(w)
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
+        ledger = CommLedger(models.arch.n_params)
         for r in range(10):
-            rounds.run_round(state, models, topo, None, r, cfg)
+            rounds.run_round(state, models, topo, ledger, r, cfg)
         thetas = np.stack([m.theta for m in ref])
         for _ in range(10):
             grads = np.stack(
@@ -70,7 +71,7 @@ class TestMaskingGuarantees:
         rng = np.random.default_rng(2)
         models, train = _setup(rng, K=5)
         K = 5
-        mask = np.ones((K, K), dtype=bool)
+        mask = full_mask(K)
         mask[0, 2] = mask[2, 0] = mask[1, 4] = False
         ll = rounds.loglik_matrix(models, train, mask)
         assert ll[0, 2] == 0.0 and ll[1, 4] == 0.0
@@ -97,17 +98,17 @@ class TestMaskingGuarantees:
         rng = np.random.default_rng(4)
         models_a, train = _setup(rng, K=4)
         models_b = client_store(models_a)
-        mask = np.ones((4, 4), dtype=bool)
+        mask = full_mask(4)
         mask[0, 3] = False
         w = rng.uniform(0.2, 0.8, (4, 4))
         w_masked = np.where(mask, w, 0.0)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models_a, train, w_masked, 0.0, 0.1, 2, mask=mask)
+        cooperative_sgd_steps(models_a, train, w_masked, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
         # replacing the masked weight by garbage must not matter
         w_garbage = w_masked.copy()
         w_garbage[0, 3] = 1e9
-        cooperative_sgd_steps(models_b, train, w_garbage, 0.0, 0.1, 2, mask=mask)
+        cooperative_sgd_steps(models_b, train, w_garbage, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
         for a, b in zip(models_a, models_b):
             np.testing.assert_array_equal(a.theta, b.theta)
 
@@ -116,7 +117,7 @@ class TestLoglikMatrix:
     def test_entries_are_cross_likelihoods(self):
         rng = np.random.default_rng(6)
         models, train = _setup(rng, K=3)
-        ll = rounds.loglik_matrix(models, train)
+        ll = rounds.loglik_matrix(models, train, full_mask(3))
         for i in range(3):
             for j in range(3):
                 assert ll[i, j] == log_likelihood(models[i], train[j])
@@ -128,7 +129,9 @@ class TestRunRoundContracts:
         models, _ = _setup(rng, K=3)
         topo = build_topology("fully-connected", 3)
         with pytest.raises(ConfigurationError):
-            rounds.run_round(None, models, topo, None, 0, ExperimentConfig(prior_kind="bogus", eta1=0.1))
+            rounds.run_round(
+                None, models, topo, CommLedger(models.arch.n_params), 0, ExperimentConfig(prior_kind="bogus", eta1=0.1)
+            )
 
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
@@ -139,9 +142,10 @@ class TestRunRoundContracts:
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
         st_a = sbm.init_state(cfg, None, 0)
         st_b = sbm.init_state(cfg, None, 0)
+        ledger_a, ledger_b = CommLedger(models_a.arch.n_params), CommLedger(models_b.arch.n_params)
         for r in range(3):
-            ra = rounds.run_round(st_a, models_a, topo_a, None, r, cfg)
-            rb = rounds.run_round(st_b, models_b, topo_b, None, r, cfg)
+            ra = rounds.run_round(st_a, models_a, topo_a, ledger_a, r, cfg)
+            rb = rounds.run_round(st_b, models_b, topo_b, ledger_b, r, cfg)
             np.testing.assert_array_equal(ra.graph, rb.graph)
             assert ra.elbo_total == rb.elbo_total
         for a, b in zip(models_a, models_b):
@@ -152,7 +156,7 @@ class TestRunRoundContracts:
         models, _ = _setup(rng, K=3)
         topo = build_topology("fully-connected", 3)
         cfg = ExperimentConfig(prior_kind="local-only", eta1=0.1, local_steps=1, weight_decay=0.0)
-        out = rounds.run_round(None, models, topo, None, 0, cfg)
+        out = rounds.run_round(None, models, topo, CommLedger(models.arch.n_params), 0, cfg)
         np.testing.assert_array_equal(out.graph, np.eye(3))
         assert out.elbo_total is None and out.loglik is None
 
@@ -165,8 +169,9 @@ class TestRunRoundContracts:
             K=6, num_memberships=2, seed=12,
         )
         st = sbm.init_state(cfg, None, 0)
+        ledger = CommLedger(models.arch.n_params)
         for r in range(4):
-            rounds.run_round(st, models, topo, None, r, cfg)
+            rounds.run_round(st, models, topo, ledger, r, cfg)
             off = topo.mask.copy()
             np.fill_diagonal(off, False)
             if r < 2:
@@ -182,12 +187,13 @@ class TestRunRoundContracts:
         topo = build_topology("fully-connected", 5)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1, K=5, num_memberships=2, seed=14)
         st = sbm.init_state(cfg, None, 0)
-        rounds.run_round(st, models, topo, None, 0, cfg)
+        ledger = CommLedger(models.arch.n_params)
+        rounds.run_round(st, models, topo, ledger, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]
         cfg = cfg.replace(sparsify_keep_fraction=0.5, sparsify_round=1)
         with pytest.raises(DivergenceError, match=r"^round 1: sparsify: row 3 has no positive weight$"):
-            rounds.run_round(st, models, topo, None, 1, cfg)
+            rounds.run_round(st, models, topo, ledger, 1, cfg)
         assert topo.mask.all()
         for m, theta in zip(models, before):
             np.testing.assert_array_equal(m.theta, theta)
@@ -247,7 +253,7 @@ class TestPriorTable:
         # client's theta is still its row, and the rows moved
         cfg, models, topo, state = self._k4(prior)
         theta, before = models.theta, models.theta.copy()
-        rounds.run_round(state, models, topo, None, 0, cfg)
+        rounds.run_round(state, models, topo, CommLedger(models.arch.n_params), 0, cfg)
         assert models.theta is theta
         for i, m in enumerate(models):
             assert np.shares_memory(m.theta, theta[i]) and np.array_equal(m.theta, theta[i])
@@ -266,7 +272,7 @@ class TestPriorTable:
         real = attention.e_step
         monkeypatch.setattr(attention, "e_step", spy)
         monkeypatch.setattr(attention, "graph", lambda st, K: np.full((K, K), 1.0 / K))
-        out = rounds.run_round(state, models, topo, None, 0, cfg)
+        out = rounds.run_round(state, models, topo, CommLedger(models.arch.n_params), 0, cfg)
         assert calls == [state]
         np.testing.assert_array_equal(out.graph, np.full((4, 4), 0.25))
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from scool.config import ExperimentConfig, load_config, save_config
+from scool.config import PRIORS, ExperimentConfig, load_config, save_config
 from scool.errors import ConfigurationError
 from scool.runner import metric_l1, run_budget_sweep, run_experiment
 from scool.special import row_normalize
@@ -155,7 +155,7 @@ class TestRunExperiment:
         from scool.runner import build_models, build_tasks
         from scool.em.state import DiracState
         from scool.em import dirac, rounds as rounds_mod
-        from scool.topology import build_topology
+        from scool.topology import CommLedger, build_topology
 
         assignment, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
@@ -172,8 +172,9 @@ class TestRunExperiment:
 
         start = spread()
         values = []
+        ledger = CommLedger(models.arch.n_params)
         for r in range(cfg.rounds):
-            rounds_mod.run_round(state, models, topo, None, r, cfg)
+            rounds_mod.run_round(state, models, topo, ledger, r, cfg)
             values.append(spread())
         # monotone contraction up to sub-0.1% jitter at the gradient floor
         assert all(b <= a * 1.001 for a, b in zip([start] + values, values))
@@ -194,6 +195,23 @@ class TestRunExperiment:
         report = run_experiment(small_config("mmsbm", rounds=3))
         assert len(report.rounds) == 3
         assert np.isfinite(report.rounds[-1]["elbo"])
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_report_holds_only_plain_python_values(self, prior):
+        # report.json is written from to_dict() as it stands: a numpy scalar
+        # or array in it must fail here, not json.dumps at the end of a run
+        def walk(value, where):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    assert type(key) is str, where
+                    walk(item, f"{where}.{key}")
+            elif isinstance(value, list):
+                for k, item in enumerate(value):
+                    walk(item, f"{where}[{k}]")
+            else:
+                assert value is None or type(value) in (bool, int, float, str), (where, type(value))
+
+        walk(run_experiment(small_config(prior)).to_dict(), "report")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_writes_flagged_partial_report(self, tmp_path):
@@ -223,6 +241,16 @@ class TestBudgetSweep:
         assert header == "fraction,mean_acc,std_acc,comm_total"
         # lower budget costs less
         assert rows[0]["comm_total"] < rows[1]["comm_total"]
+
+    def test_written_files_end_lines_with_newline_only(self, tmp_path):
+        # every file a sweep writes, its runs' reports, metrics and
+        # snapshots included, ends its lines with "\n" and never "\r\n"
+        run_budget_sweep(small_config("sbm", rounds=3, sparsify_round=1), [0.4, 1.0], tmp_path)
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        names = {p.name for p in written}
+        assert {"budget_sweep.csv", "metrics.csv", "report.json", "w_round_0002.csv"} <= names
+        for path in written:
+            assert b"\r" not in path.read_bytes(), path.relative_to(tmp_path)
 
 
 class TestConfig:

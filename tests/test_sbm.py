@@ -19,6 +19,7 @@ from conftest import (
     central_diff,
     client_store,
     clone_sbm,
+    full_mask,
     grad,
     random_loglik,
     random_sbm_state,
@@ -33,7 +34,7 @@ class TestUpdateW:
         rng = np.random.default_rng(0)
         st = random_sbm_state(rng, 4, 2)
         st.B = np.full((2, 2), 0.5)
-        w = sbm.update_w(st, np.zeros((4, 4)))
+        w = sbm.update_w(st, np.zeros((4, 4)), full_mask(4))
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_allclose(w[off], 0.5, atol=1e-12)
 
@@ -43,7 +44,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 2, 1)
         st.B = np.array([[0.73]])
         ll = np.full((2, 2), -1.1)
-        w = sbm.update_w(st, ll)
+        w = sbm.update_w(st, ll, full_mask(2))
         expect = 1.0 / (1.0 + math.exp(-(-1.1 + math.log(0.73 / 0.27))))
         assert w[0, 1] == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.47367999493863484, abs=1e-12)
@@ -51,7 +52,7 @@ class TestUpdateW:
     def test_masked_pairs_forced_zero(self):
         rng = np.random.default_rng(2)
         st = random_sbm_state(rng, 4, 2)
-        mask = np.ones((4, 4), dtype=bool)
+        mask = full_mask(4)
         mask[0, 3] = mask[3, 0] = False
         w = sbm.update_w(st, random_loglik(rng, 4), mask)
         assert w[0, 3] == 0.0 and w[3, 0] == 0.0
@@ -60,7 +61,8 @@ class TestUpdateW:
         rng = np.random.default_rng(3)
         st = random_sbm_state(rng, 5, 3)
         ll = random_loglik(rng, 5)
-        st.w = sbm.update_w(st, ll)
+        mask = full_mask(5)
+        st.w = sbm.update_w(st, ll, mask)
         worst = 0.0
         for i in range(5):
             for j in range(5):
@@ -69,7 +71,7 @@ class TestUpdateW:
                 def f(v, i=i, j=j):
                     w2 = st.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_sbm(st, w=w2), ll).total
+                    return elbo(clone_sbm(st, w=w2), ll, mask).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j])))
         assert worst < 1e-5
 
@@ -78,7 +80,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 3, 2)
         ll = random_loglik(rng, 3)
         st.tau_sigmoid = 2.5
-        w_hot = sbm.update_w(st, ll)
+        w_hot = sbm.update_w(st, ll, full_mask(3))
         st.tau_sigmoid = 1.0
         score = ll + st.omega @ (np.log(st.B) - np.log1p(-st.B)) @ st.omega.T
         np.testing.assert_allclose(w_hot, sigmoid_tempered(score, 2.5), atol=1e-12)
@@ -110,7 +112,7 @@ class TestUpdateGamma:
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy()
                     g2[i, g] = v
-                    return elbo(clone_sbm(st, gamma=g2), ll).total
+                    return elbo(clone_sbm(st, gamma=g2), ll, full_mask(4)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g])))
         assert worst < 1e-5
 
@@ -119,7 +121,7 @@ class TestUpdateOmega:
     def test_single_membership_is_trivial(self):
         rng = np.random.default_rng(8)
         st = random_sbm_state(rng, 4, 1)
-        np.testing.assert_allclose(sbm.update_omega(st), 1.0)
+        np.testing.assert_allclose(sbm.update_omega(st, full_mask(4)), 1.0)
 
     def test_two_block_concentration(self):
         # block-indicator w with assortative B concentrates memberships
@@ -131,7 +133,7 @@ class TestUpdateOmega:
         st.B = np.array([[0.9, 0.1], [0.1, 0.9]])
         for _ in range(5):
             st.gamma = sbm.update_gamma(st)
-            st.omega = sbm.update_omega(st)
+            st.omega = sbm.update_omega(st, full_mask(K))
         # each group concentrates on one block, and the blocks differ
         lead = st.omega.argmax(axis=1)
         assert len(set(lead[:4])) == 1 and len(set(lead[4:])) == 1
@@ -142,16 +144,17 @@ class TestUpdateOmega:
         rng = np.random.default_rng(10)
         st = random_sbm_state(rng, 5, 3)
         ll = random_loglik(rng, 5)
+        mask = full_mask(5)
         for i in range(5):
             om = st.omega.copy()
-            om[i] = update_omega_row(st, i)
+            om[i] = update_omega_row(st, i, mask)
             st.omega = om
             grads = []
             for k in range(3):
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy()
                     o2[i, k] = v
-                    return elbo(clone_sbm(st, omega=o2), ll).total
+                    return elbo(clone_sbm(st, omega=o2), ll, mask).total
                 grads.append(central_diff(f, st.omega[i, k], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
@@ -188,7 +191,7 @@ class TestUpdateAlpha:
                 def f(v, k=k):
                     a2 = st.alpha.copy()
                     a2[k] = v
-                    return elbo(clone_sbm(st, alpha=a2), ll).total
+                    return elbo(clone_sbm(st, alpha=a2), ll, full_mask(4)).total
                 num = central_diff(f, st.alpha[k], h=1e-6)
                 assert abs(num - g[k]) / max(1e-8, abs(num)) < 1e-5
 
@@ -208,7 +211,7 @@ class TestUpdateBlockMatrix:
         rng = np.random.default_rng(14)
         st = random_sbm_state(rng, 4, 2)
         st.omega = np.full((4, 2), 0.5)
-        B = sbm.update_block_matrix(st)
+        B = sbm.update_block_matrix(st, full_mask(4))
         off = ~np.eye(4, dtype=bool)
         brute = 0.0
         count = 0
@@ -223,7 +226,7 @@ class TestUpdateBlockMatrix:
         rng = np.random.default_rng(15)
         st = random_sbm_state(rng, 4, 2)
         st.w = np.ones((4, 4))
-        B = sbm.update_block_matrix(st)
+        B = sbm.update_block_matrix(st, full_mask(4))
         np.testing.assert_allclose(B, 1.0 - B_EPS)
 
     def test_hard_memberships_recover_block_values(self):
@@ -234,7 +237,7 @@ class TestUpdateBlockMatrix:
         st.omega = np.eye(M)[groups]
         blocks = np.array([[0.8, 0.2], [0.3, 0.6]])
         st.w = blocks[np.ix_(groups, groups)]
-        B = sbm.update_block_matrix(st)
+        B = sbm.update_block_matrix(st, full_mask(K))
         np.testing.assert_allclose(B, blocks, atol=1e-12)
 
     def test_degenerate_membership_raises(self):
@@ -242,7 +245,7 @@ class TestUpdateBlockMatrix:
         st = random_sbm_state(rng, 4, 2)
         st.omega = np.tile(np.array([1.0, 0.0]), (4, 1))
         with pytest.raises(InvariantError):
-            sbm.update_block_matrix(st)
+            sbm.update_block_matrix(st, full_mask(4))
 
 
 class TestThetaStep:
@@ -255,7 +258,7 @@ class TestThetaStep:
         models = client_store(ref, train)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models, models.train, np.eye(K), 0.0, 0.2, 4)
+        cooperative_sgd_steps(models, models.train, np.eye(K), 0.0, 0.2, 4, "cross-gradient", full_mask(K))
         for i in range(K):
             m = ref[i]
             for _ in range(4):
@@ -272,8 +275,8 @@ class TestThetaStep:
 
         mc = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
         mt = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
-        cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, "cross-gradient")
-        cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, "taylor-approx")
+        cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, "cross-gradient", full_mask(4))
+        cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, "taylor-approx", full_mask(4))
         for a, b in zip(mc, mt):
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
 
@@ -292,7 +295,7 @@ class TestThetaStep:
         expect = models[0].theta - eta * (g1 + 0.5 * g12 + lam * models[0].theta)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models, train, w, lam, eta, 1, "cross-gradient")
+        cooperative_sgd_steps(models, train, w, lam, eta, 1, "cross-gradient", full_mask(2))
         np.testing.assert_allclose(models[0].theta, expect, atol=1e-12)
 
 
@@ -309,8 +312,8 @@ class TestEStepSymmetry:
             gamma=st.gamma[perm],
             omega=st.omega[perm],
         )
-        sbm.e_step(st, None, ll)
-        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)])
+        sbm.e_step(st, None, ll, full_mask(K))
+        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)], full_mask(K))
         np.testing.assert_allclose(st_p.w, st.w[np.ix_(perm, perm)], atol=1e-12)
         np.testing.assert_allclose(st_p.gamma, st.gamma[perm], atol=1e-12)
         np.testing.assert_allclose(st_p.omega, st.omega[perm], atol=1e-12)

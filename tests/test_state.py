@@ -10,7 +10,7 @@ from scool.em.state import ALPHA_MIN, AdamSlot, ascent_step
 from scool.errors import ConfigurationError
 from scool.topology import build_topology
 
-from conftest import random_attention_setup, random_sbm_state
+from conftest import full_mask, random_attention_setup, random_sbm_state
 
 
 class TestAscentStep:
@@ -80,8 +80,9 @@ class TestStepSizeFromConfig:
     def test_update_phi(self):
         rng = np.random.default_rng(22)
         models, st = random_attention_setup(rng, 5)
-        want = st.phi + 0.037 * attention.phi_gradient(st, models)
-        np.testing.assert_array_equal(attention.update_phi(st, models, None, ExperimentConfig(eta2=0.037)), want)
+        mask = full_mask(5)
+        want = st.phi + 0.037 * attention.phi_gradient(st, models, mask)
+        np.testing.assert_array_equal(attention.update_phi(st, models, mask, ExperimentConfig(eta2=0.037)), want)
 
 
 # every setting the learned states read, off its default
