@@ -14,14 +14,15 @@ from pathlib import Path
 
 from .em import rounds
 from .errors import ConfigurationError
-from .models import MLP_1HIDDEN, SOFTMAX_REGRESSION
-from .tasks import ANTIPODAL_PAIRS, DEFAULT_SEPARATION, ORTHONORMAL
+from .models import MLP_1HIDDEN, SOFTMAX_REGRESSION, ArchSpec
+from .tasks import ANTIPODAL_PAIRS, DEFAULT_SEPARATION, ORTHONORMAL, check_assignment, check_universe
 from .topology import (
     CROSS_GRADIENT,
     FULLY_CONNECTED,
     GENERALIZED_BIPARTITE,
     GROUP_RING,
     TAYLOR_APPROX,
+    check_topology,
 )
 
 NONIID_SBM = "noniid-sbm"
@@ -31,6 +32,7 @@ PRIORS = tuple(rounds.PRIORS)
 SETTINGS = (NONIID_SBM, NONIID_RANDOM)
 ARCHS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
 TOPOLOGIES = (FULLY_CONNECTED, GROUP_RING, GENERALIZED_BIPARTITE)
+PLACEMENTS = (ORTHONORMAL, ANTIPODAL_PAIRS)
 GRAD_MODES = (CROSS_GRADIENT, TAYLOR_APPROX)
 OPTIMIZERS = ("plain", "adam")
 
@@ -90,6 +92,11 @@ class ExperimentConfig:
     snapshot_every: int = 10
 
     def validate(self) -> "ExperimentConfig":
+        """Accept the config only if a run can start it. The rules of the
+        task, the architecture and the topology are the builders' own
+        checks, run without building anything; the rules stated here are
+        the enum fields' (their messages name the field) and those on the
+        fields no builder reads."""
         def need(cond: bool, msg: str) -> None:
             if not cond:
                 raise ConfigurationError(msg)
@@ -100,50 +107,35 @@ class ExperimentConfig:
         need(self.topology_kind in TOPOLOGIES, f"topology_kind must be one of {TOPOLOGIES}")
         need(self.grad_mode in GRAD_MODES, f"grad_mode must be one of {GRAD_MODES}")
         need(self.optimizer in OPTIMIZERS, f"optimizer must be one of {OPTIMIZERS}")
+        need(self.mean_placement in PLACEMENTS, f"mean_placement must be one of {PLACEMENTS}")
+        num_groups = self.num_groups if self.task_setting == NONIID_SBM else None
+        check_assignment(self.K, self.M, self.N, self.samples_per_client, num_groups)
+        check_universe(self.M, self.feature_dim, self.noise_sigma, self.mean_placement)
+        self.arch_spec()
+        check_topology(self.topology_kind, self.K, self.topology_k0, self.topology_degree)
         need(self.rounds >= 1, "rounds must be >= 1")
         need(self.local_steps >= 1, "local_steps must be >= 1")
-        need(self.K >= 2, "K must be >= 2")
-        need(self.M >= 2, "M must be >= 2")
-        need(1 <= self.N <= self.M, "need 1 <= N <= M")
-        need(self.samples_per_client >= self.N, "need at least one sample per class")
         need(self.test_samples_per_client >= 1, "test_samples_per_client must be >= 1")
-        need(
-            self.mean_placement in (ORTHONORMAL, ANTIPODAL_PAIRS),
-            f"mean_placement must be one of ({ORTHONORMAL}, {ANTIPODAL_PAIRS})",
-        )
-        if self.mean_placement == ORTHONORMAL:
-            need(self.feature_dim >= self.M, "feature_dim must be >= M (orthogonal class means)")
-        else:
-            need(self.M % 2 == 0, "antipodal-pairs placement needs an even M")
-            need(
-                self.feature_dim >= self.M // 2 + 2,
-                "antipodal-pairs placement needs feature_dim >= M/2 + 2",
-            )
-        need(self.noise_sigma >= 0, "noise_sigma must be nonnegative")
         need(self.eta1 > 0 and self.eta2 > 0, "learning rates must be positive")
         need(self.weight_decay >= 0, "weight_decay must be nonnegative")
         need(self.tau_sigmoid > 0 and self.tau_softmax > 0, "temperatures must be positive")
         need(self.num_memberships >= 1, "num_memberships must be >= 1")
         need(0.0 < self.block_init < 1.0, "block_init must lie in (0, 1)")
-        need(self.hidden_units >= 1, "hidden_units must be >= 1")
         need(self.enc_hidden >= 1 and self.enc_out >= 1, "encoder dims must be >= 1")
         need(0.0 < self.sparsify_keep_fraction <= 1.0, "sparsify_keep_fraction in (0,1]")
         need(self.sparsify_round >= 0, "sparsify_round must be >= 0")
-        # uniform Metropolis weights would prune by client index, not strength
-        need(
-            self.prior_kind != "dirac" or self.sparsify_keep_fraction == 1.0,
-            "dirac has no learned weights to prune by",
-        )
+        pruning = self.sparsify_keep_fraction < 1.0
+        # round 0 would rank the initial uniform w, and uniform Metropolis
+        # weights every round: either prunes by client index, not strength
+        need(not pruning or self.sparsify_round >= 1, "pruning needs sparsify_round >= 1")
+        need(not pruning or self.prior_kind != "dirac", "dirac has no learned weights to prune by")
         need(self.snapshot_every >= 0, "snapshot_every must be >= 0")
-        if self.task_setting == NONIID_SBM:
-            need(self.num_groups >= 1, "num_groups must be >= 1")
-            need(self.num_groups * self.N <= self.M, "num_groups * N must be <= M")
-            need(self.K % self.num_groups == 0, "K must be divisible by num_groups")
-        if self.topology_kind == GROUP_RING:
-            need(0 <= self.topology_k0 < self.K, "group-ring needs 0 <= K0 < K")
-        if self.topology_kind == GENERALIZED_BIPARTITE:
-            need(1 <= self.topology_degree <= self.K // 2, "bipartite degree in [1, K/2]")
         return self
+
+    def arch_spec(self) -> ArchSpec:
+        """The clients' architecture; building it checks it."""
+        h = self.hidden_units if self.arch == MLP_1HIDDEN else 0
+        return ArchSpec(self.arch, d=self.feature_dim, C=self.N, h=h)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -66,10 +66,12 @@ def ascent_step(param: np.ndarray, gradient: np.ndarray, slot: AdamSlot | None, 
 
 
 def clamp_block_matrix(B: np.ndarray) -> np.ndarray:
-    out = np.clip(np.asarray(B, dtype=float), B_EPS, 1.0 - B_EPS)
-    if np.any(out <= 0.0) or np.any(out >= 1.0):
-        raise InvariantError("block matrix left (0, 1) after clamping")
-    return out
+    """B clamped to [B_EPS, 1 - B_EPS]; np.clip passes a NaN through, so a
+    non-finite entry is a broken invariant."""
+    B = np.asarray(B, dtype=float)
+    if not np.all(np.isfinite(B)):
+        raise InvariantError("block matrix has a non-finite entry")
+    return np.clip(B, B_EPS, 1.0 - B_EPS)
 
 
 def jittered_simplex(rng: np.random.Generator, shape) -> np.ndarray:

@@ -19,5 +19,5 @@ class DivergenceError(ScoolError):
 
 
 class InvariantError(ScoolError):
-    """An internal state invariant was violated (e.g. a block matrix left
-    (0,1) or a membership denominator collapsed)."""
+    """An internal state invariant was violated (e.g. a block matrix with a
+    non-finite entry or a membership denominator collapsed)."""

@@ -36,11 +36,11 @@ class ArchSpec:
 
     def __post_init__(self):
         if self.kind not in (SOFTMAX_REGRESSION, MLP_1HIDDEN):
-            raise ValueError(f"unknown architecture kind {self.kind!r}")
+            raise ConfigurationError(f"unknown architecture kind {self.kind!r}")
         if self.d < 1 or self.C < 2:
-            raise ValueError("architecture needs d >= 1 and C >= 2")
+            raise ConfigurationError("architecture needs d >= 1 and C >= 2")
         if self.kind == MLP_1HIDDEN and self.h < 1:
-            raise ValueError("mlp-1hidden needs a positive hidden width")
+            raise ConfigurationError("mlp-1hidden needs a positive hidden width")
 
     @property
     def n_params(self) -> int:

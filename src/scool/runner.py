@@ -120,12 +120,7 @@ def build_tasks(config: ExperimentConfig):
 def build_models(config: ExperimentConfig, train: DataStack, test: DataStack) -> ClientStore:
     """The run's store: K x D initial parameters drawn from the seed, one row
     tiled to every client when ``shared_init`` is set."""
-    arch = ArchSpec(
-        config.arch,
-        d=config.feature_dim,
-        C=config.N,
-        h=config.hidden_units if config.arch != "softmax-regression" else 0,
-    )
+    arch = config.arch_spec()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     shape = (1 if config.shared_init else config.K, arch.n_params)
     theta = config.init_scale * rng.standard_normal(shape)
@@ -180,8 +175,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     topology = build_topology(
         config.topology_kind,
         config.K,
-        k0=config.topology_k0 or None,
-        degree=config.topology_degree or None,
+        k0=config.topology_k0,
+        degree=config.topology_degree,
         seed=config.seed,
     )
     state = build_state(config, topology, arch.n_params)

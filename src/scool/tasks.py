@@ -34,12 +34,6 @@ class TaskUniverse:
     means: np.ndarray  # M x d
     sigma: float
 
-    def __post_init__(self):
-        if len(self.means) < 2:
-            raise ConfigurationError("universe needs at least two classes")
-        if self.sigma < 0:
-            raise ConfigurationError("sigma must be nonnegative")
-
     @property
     def dim(self) -> int:
         return self.means.shape[1]
@@ -52,6 +46,27 @@ class TaskAssignment:
     class_sets: list[tuple[int, ...]]
     w_star: np.ndarray  # K x K, rows sum to 1
     group_labels: np.ndarray | None = None
+
+
+def check_universe(M: int, d: int, sigma: float, placement: str) -> None:
+    """The rules make_universe places the class means under, checked
+    without drawing them."""
+    if M < 2:
+        raise ConfigurationError("universe needs at least two classes")
+    if sigma < 0:
+        raise ConfigurationError("sigma must be nonnegative")
+    if placement == ORTHONORMAL:
+        if d < M:
+            raise ConfigurationError(f"feature dim {d} must be >= class count {M}")
+    elif placement == ANTIPODAL_PAIRS:
+        if M % 2 != 0:
+            raise ConfigurationError("antipodal-pairs placement needs an even class count")
+        if d < M // 2 + 2:
+            raise ConfigurationError(
+                f"antipodal-pairs placement needs feature dim >= {M // 2 + 2}, got {d}"
+            )
+    else:
+        raise ConfigurationError(f"unknown mean placement {placement!r}")
 
 
 def make_universe(
@@ -72,21 +87,12 @@ def make_universe(
     which keeps cross-group tasks in genuine conflict regardless of how
     well individual models train. Requires an even M (and d >= M/2 + 2).
     """
+    check_universe(M, d, sigma, placement)
     rng = np.random.default_rng(seed)
     if placement == ORTHONORMAL:
-        if d < M:
-            raise ConfigurationError(f"feature dim {d} must be >= class count {M}")
         Q, _ = np.linalg.qr(rng.standard_normal((d, M)))
         return TaskUniverse(means=separation * Q.T.copy(), sigma=sigma)
-    if placement != ANTIPODAL_PAIRS:
-        raise ConfigurationError(f"unknown mean placement {placement!r}")
-    if M % 2 != 0:
-        raise ConfigurationError("antipodal-pairs placement needs an even class count")
     pairs = M // 2
-    if d < pairs + 2:
-        raise ConfigurationError(
-            f"antipodal-pairs placement needs feature dim >= {pairs + 2}, got {d}"
-        )
     Q, _ = np.linalg.qr(rng.standard_normal((d, pairs + 2)))
     centers = Q[:, :pairs].T  # one center direction per pair
     plane = Q[:, pairs:].T  # shared 2-plane carrying the label axes
@@ -108,13 +114,23 @@ def ground_truth_graph(class_sets: list[tuple[int, ...]]) -> np.ndarray:
     return row_normalize((set_id[:, None] == set_id[None, :]).astype(float))
 
 
-def _checked_class_set(class_set, n_train: int) -> tuple[int, ...]:
-    class_set = tuple(sorted(int(c) for c in class_set))
-    if not class_set:
-        raise ConfigurationError("class_set must not be empty")
-    if n_train < len(class_set):
+def check_assignment(K: int, M: int, N: int, n_train: int, num_groups: int | None = None) -> None:
+    """The rules the task generators assign classes under, checked without
+    drawing: K clients each get N of the M classes and at least one
+    training sample per class; with ``num_groups``, the groups own disjoint
+    class sets and split the clients evenly."""
+    if not 1 <= N <= M:
+        raise ConfigurationError(f"cannot assign {N} distinct classes out of {M}")
+    if n_train < N:
         raise ConfigurationError("need at least one training sample per class")
-    return class_set
+    if num_groups is None:
+        return
+    if num_groups < 1:
+        raise ConfigurationError("num_groups must be >= 1")
+    if num_groups * N > M:
+        raise ConfigurationError(f"{num_groups} groups of {N} classes do not fit in {M} classes")
+    if K % num_groups != 0:
+        raise ConfigurationError(f"K={K} must be divisible by num_groups={num_groups}")
 
 
 def _draw(universe: TaskUniverse, class_set: tuple[int, ...], rng: np.random.Generator,
@@ -145,7 +161,8 @@ def sample_class_data(
 ) -> tuple[Dataset, Dataset]:
     """Draw balanced per-class Gaussian samples; labels are local indices
     into the sorted class set."""
-    class_set = _checked_class_set(class_set, n_train)
+    class_set = tuple(sorted(int(c) for c in class_set))
+    check_assignment(1, len(universe.means), len(class_set), n_train)
     rng = np.random.default_rng(seed)
     out = []
     for n, split in ((n_train, "train"), (n_test, "test")):
@@ -169,7 +186,7 @@ def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataS
         for n, split in ((n_train, "train"), (n_test, "test"))
     )
     for k, (cs, s) in enumerate(zip(class_sets, seeds)):
-        cs, rng = _checked_class_set(cs, n_train), np.random.default_rng(s)
+        rng = np.random.default_rng(s)
         for stack in stacks:
             _draw(universe, cs, rng, stack.features[k], stack.labels[k])
     return stacks
@@ -193,12 +210,7 @@ def gen_noniid_sbm(
     """Group-structured tasks: each group owns a disjoint N-class subset and
     every client in a group gets the identical class set. Returns the
     assignment and the clients' train and test stacks."""
-    if num_groups * N > M:
-        raise ConfigurationError(
-            f"{num_groups} groups of {N} classes do not fit in {M} classes"
-        )
-    if K % num_groups != 0:
-        raise ConfigurationError(f"K={K} must be divisible by num_groups={num_groups}")
+    check_assignment(K, M, N, samples_per_client, num_groups)
     assign_seed, uni_seed, *data_seeds = _spawn(seed, 2 + K)
     if universe is None:
         universe = make_universe(
@@ -241,8 +253,7 @@ def gen_noniid_random(
     """Independent tasks: every client draws a uniform random N-subset of the
     M classes; identical subsets define the ground-truth cooperation.
     Returns the assignment and the clients' train and test stacks."""
-    if N > M:
-        raise ConfigurationError(f"cannot assign {N} distinct classes out of {M}")
+    check_assignment(K, M, N, samples_per_client)
     assign_seed, uni_seed, *data_seeds = _spawn(seed, 2 + K)
     if universe is None:
         universe = make_universe(

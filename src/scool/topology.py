@@ -44,26 +44,31 @@ class Topology:
                 raise ConfigurationError("every client needs at least one neighbor")
 
 
-def build_topology(
-    kind: str,
-    K: int,
-    *,
-    k0: int | None = None,
-    degree: int | None = None,
-    seed: int = 0,
-) -> Topology:
+def check_topology(kind: str, K: int, k0: int = 0, degree: int = 0) -> None:
+    """The rules build_topology builds under, checked without building a
+    mask. group-ring's reach (K - K0)/2 must be at least 1, so that every
+    client has a neighbour."""
+    if K < 2:
+        raise ConfigurationError("topologies need at least two clients")
+    if kind == GROUP_RING:
+        if not 0 <= k0 <= K - 2:
+            raise ConfigurationError("group-ring needs 0 <= K0 <= K-2")
+    elif kind == GENERALIZED_BIPARTITE:
+        if not 1 <= degree <= K // 2:
+            raise ConfigurationError("bipartite degree must be in [1, K/2]")
+    elif kind != FULLY_CONNECTED:
+        raise ConfigurationError(f"unknown topology kind {kind!r}")
+
+
+def build_topology(kind: str, K: int, *, k0: int = 0, degree: int = 0, seed: int = 0) -> Topology:
     """Construct a mask. group-ring links clients at cyclic index distance
     <= (K - K0)/2; generalized-bipartite randomly splits the clients in two
     halves and wires each client to ``degree`` partners on the other side
     (then symmetrizes)."""
-    if K < 2:
-        raise ConfigurationError("topologies need at least two clients")
+    check_topology(kind, K, k0, degree)
     if kind == FULLY_CONNECTED:
-        m = np.ones((K, K), dtype=bool)
-        return Topology(kind, m)
+        return Topology(kind, np.ones((K, K), dtype=bool))
     if kind == GROUP_RING:
-        if k0 is None or not (0 <= k0 < K):
-            raise ConfigurationError("group-ring needs 0 <= K0 < K")
         reach = (K - k0) / 2.0
         idx = np.arange(K)
         dist = np.abs(idx[:, None] - idx[None, :])
@@ -71,22 +76,18 @@ def build_topology(
         m = cyc <= reach
         np.fill_diagonal(m, True)
         return Topology(kind, m)
-    if kind == GENERALIZED_BIPARTITE:
-        if degree is None or degree < 1 or degree > K // 2:
-            raise ConfigurationError("bipartite degree must be in [1, K/2]")
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(K)
-        half = K // 2
-        side_a, side_b = perm[:half], perm[half:]
-        m = np.zeros((K, K), dtype=bool)
-        for own, other in ((side_a, side_b), (side_b, side_a)):
-            for i in own:
-                partners = rng.choice(other, size=degree, replace=False)
-                m[i, partners] = True
-        m |= m.T
-        np.fill_diagonal(m, True)
-        return Topology(kind, m)
-    raise ConfigurationError(f"unknown topology kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(K)
+    half = K // 2
+    side_a, side_b = perm[:half], perm[half:]
+    m = np.zeros((K, K), dtype=bool)
+    for own, other in ((side_a, side_b), (side_b, side_a)):
+        for i in own:
+            partners = rng.choice(other, size=degree, replace=False)
+            m[i, partners] = True
+    m |= m.T
+    np.fill_diagonal(m, True)
+    return Topology(kind, m)
 
 
 def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.ndarray:

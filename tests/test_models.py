@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from scool.errors import ConfigurationError
 from scool.models import ArchSpec, Dataset
 
 from conftest import LocalModel, accuracy, grad, log_likelihood, logits, loss, tiny_dataset
@@ -191,3 +192,14 @@ class TestLocalModelInvariants:
         np.testing.assert_array_equal(model.init_theta, np.ones(arch.n_params))
         with pytest.raises(ValueError):
             model.init_theta[0] = 5.0
+
+
+class TestArchSpec:
+    # the architecture's rules are configuration errors, which exit 2
+    @pytest.mark.parametrize("kind, d, C, h", [
+        ("convnet", 4, 2, 0), ("softmax-regression", 0, 2, 0),
+        ("softmax-regression", 4, 1, 0), ("mlp-1hidden", 4, 2, 0),
+    ])
+    def test_rules_are_configuration_errors(self, kind, d, C, h):
+        with pytest.raises(ConfigurationError):
+            ArchSpec(kind, d=d, C=C, h=h)

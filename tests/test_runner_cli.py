@@ -1,6 +1,7 @@
 """Experiment runner and CLI: metrics, files, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -274,6 +275,20 @@ class TestConfig:
             small_config(N=9)  # N > M
         with pytest.raises(ConfigurationError):
             small_config(tau_sigmoid=0.0)
+        # the builders' own checks, run by validate()
+        with pytest.raises(ConfigurationError, match=re.escape("group-ring needs 0 <= K0 <= K-2")):
+            small_config(topology_kind="group-ring", topology_k0=5)
+        with pytest.raises(ConfigurationError, match=re.escape("architecture needs d >= 1 and C >= 2")):
+            small_config(N=1, num_groups=1)
+        small_config(topology_kind="group-ring", topology_k0=0)
+        small_config(hidden_units=0)  # softmax regression reads no hidden width
+
+    def test_pruning_at_round_zero_is_rejected(self):
+        # round 0 would rank the initial uniform w, so by client index
+        with pytest.raises(ConfigurationError, match="pruning needs sparsify_round >= 1"):
+            small_config(sparsify_keep_fraction=0.27, sparsify_round=0)
+        small_config(sparsify_keep_fraction=1.0, sparsify_round=0)
+        small_config(sparsify_keep_fraction=0.27, sparsify_round=1)
 
 
 class TestCli:
@@ -389,6 +404,26 @@ class TestCli:
         path = self._write_config(tmp_path, prior="dirac")
         proc = self._run("sweep-budget", "--config", str(path), "--out", str(out), "--fractions", "0.5")
         assert proc.returncode == 2 and message in proc.stderr
+
+    def test_pruning_at_round_zero_exit_code(self, tmp_path):
+        message = "pruning needs sparsify_round >= 1"
+        path = tmp_path / "prune0.json"
+        path.write_text(json.dumps({**small_config().to_dict(), "sparsify_keep_fraction": 0.27, "sparsify_round": 0}))
+        proc = self._run("validate-config", "--config", str(path))
+        assert proc.returncode == 2 and message in proc.stderr
+        out = tmp_path / "o"
+        proc = self._run("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2 and message in proc.stderr
+        assert not out.exists()
+
+    def test_one_class_per_client_exit_code(self, tmp_path):
+        # ArchSpec's rule is a configuration error: exit 2, no traceback
+        path = tmp_path / "n1.json"
+        path.write_text(json.dumps({**small_config().to_dict(), "N": 1}))
+        for args in (("validate-config",), ("run", "--out", str(tmp_path / "o"))):
+            proc = self._run(*args, "--config", str(path))
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            assert "C >= 2" in proc.stderr
 
     def test_invariant_error_exit_code_and_partial_report(self, tmp_path, monkeypatch, capsys):
         from scool.cli import EXIT_INVARIANT, main

@@ -5,12 +5,12 @@ import pytest
 
 from scool.config import ExperimentConfig
 from scool.em import attention, rounds, sbm
-from scool.em.common import alpha_gradient
-from scool.em.state import ALPHA_MIN, AdamSlot, ascent_step
-from scool.errors import ConfigurationError
+from scool.em.common import alpha_gradient, block_ratio
+from scool.em.state import ALPHA_MIN, AdamSlot, ascent_step, clamp_block_matrix
+from scool.errors import ConfigurationError, InvariantError
 from scool.topology import build_topology
 
-from conftest import full_mask, random_attention_setup, random_sbm_state
+from conftest import clone_mmsbm, clone_sbm, full_mask, random_attention_setup, random_mmsbm_state, random_sbm_state
 
 
 class TestAscentStep:
@@ -117,3 +117,34 @@ class TestInitStateReadsConfig:
         np.testing.assert_array_equal(st.w, np.full((6, 6), 1.0 / 6))
         np.testing.assert_array_equal(st.p, st.w)
         assert st.phi_slot.t == 0 and st.phi_slot.m.shape == st.phi.shape
+
+
+class TestBlockMatrixInvariant:
+    # np.clip passes a NaN through unchanged, so the clamp must refuse it
+    def _nan_B(self, M=3):
+        B = np.full((M, M), 0.4)
+        B[1, 2] = np.nan
+        return B
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_clamp_refuses_non_finite_entries(self, bad):
+        B = np.full((2, 2), 0.4)
+        B[0, 1] = bad
+        with pytest.raises(InvariantError, match="non-finite"):
+            clamp_block_matrix(B)
+
+    def test_sbm_state(self):
+        state = random_sbm_state(np.random.default_rng(61), 5, 3)
+        with pytest.raises(InvariantError, match="non-finite"):
+            clone_sbm(state, B=self._nan_B())
+
+    def test_mmsbm_state(self):
+        state = random_mmsbm_state(np.random.default_rng(62), 5, 3)
+        with pytest.raises(InvariantError, match="non-finite"):
+            clone_mmsbm(state, B=self._nan_B())
+
+    def test_block_ratio(self):
+        num, den = np.full((3, 3), 0.5), np.ones((3, 3))
+        np.testing.assert_array_equal(block_ratio(num, den), num)
+        with pytest.raises(InvariantError, match="non-finite"):
+            block_ratio(self._nan_B(), den)

@@ -53,6 +53,10 @@ class TestGenNoniidSbm:
             gen_noniid_sbm(12, 6, 2, 4, 6, seed=0)  # 4 groups x 2 classes > 6
         with pytest.raises(ConfigurationError):
             gen_noniid_sbm(10, 6, 2, 3, 6, seed=0)  # K not divisible
+        with pytest.raises(ConfigurationError, match="num_groups must be >= 1"):
+            gen_noniid_sbm(12, 6, 2, 0, 6, seed=0)  # not a ZeroDivisionError
+        with pytest.raises(ConfigurationError, match="one training sample per class"):
+            gen_noniid_sbm(12, 6, 2, 3, 1, seed=0)
 
     def test_antipodal_groups_align_with_pairs(self):
         assignment, _, _ = gen_noniid_sbm(

@@ -15,6 +15,7 @@ from scool.topology import (
     account_exchange,
     account_gossip,
     build_topology,
+    check_topology,
     directed_edges,
     sparsify_topk,
 )
@@ -41,6 +42,15 @@ class TestBuildTopology:
         off = t1.mask.copy()
         np.fill_diagonal(off, False)
         assert np.all(off.sum(axis=1) >= 3)
+
+    def test_group_ring_reach(self):
+        # K0 = 0 is the whole ring; K0 = K-1 would leave every client alone
+        np.testing.assert_array_equal(build_topology("group-ring", 10, k0=0).mask, np.ones((10, 10), bool))
+        for k0 in (-1, 9):
+            with pytest.raises(ConfigurationError, match="group-ring needs 0 <= K0 <= K-2"):
+                check_topology("group-ring", 10, k0=k0)
+            with pytest.raises(ConfigurationError, match="group-ring needs 0 <= K0 <= K-2"):
+                build_topology("group-ring", 10, k0=k0)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
