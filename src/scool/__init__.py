@@ -10,8 +10,8 @@ from .errors import ConfigurationError, DivergenceError, InvariantError, ScoolEr
 from .models import ArchSpec, ClientStore, Dataset, DataStack
 from .runner import ExperimentReport, metric_l1, run_budget_sweep, run_experiment
 from .special import digamma, log_gamma, row_normalize, sigmoid_tempered, softmax_tempered
-from .tasks import TaskAssignment, TaskUniverse, gen_noniid_random, gen_noniid_sbm, sample_class_data
-from .topology import CommLedger, Topology, account_exchange, build_topology, sparsify_topk
+from .tasks import TaskAssignment, TaskUniverse, gen_tasks, sample_class_data
+from .topology import CommLedger, account_exchange, build_topology, sparsify_topk
 
 __version__ = "0.1.0"
 
@@ -29,12 +29,10 @@ __all__ = [
     "ScoolError",
     "TaskAssignment",
     "TaskUniverse",
-    "Topology",
     "account_exchange",
     "build_topology",
     "digamma",
-    "gen_noniid_random",
-    "gen_noniid_sbm",
+    "gen_tasks",
     "load_config",
     "log_gamma",
     "metric_l1",

@@ -108,14 +108,14 @@ class ExperimentConfig:
         need(self.grad_mode in GRAD_MODES, f"grad_mode must be one of {GRAD_MODES}")
         need(self.optimizer in OPTIMIZERS, f"optimizer must be one of {OPTIMIZERS}")
         need(self.mean_placement in PLACEMENTS, f"mean_placement must be one of {PLACEMENTS}")
-        num_groups = self.num_groups if self.task_setting == NONIID_SBM else None
-        check_assignment(self.K, self.M, self.N, self.samples_per_client, num_groups)
+        check_assignment(
+            self.K, self.M, self.N, self.samples_per_client, self.test_samples_per_client, self.task_groups()
+        )
         check_universe(self.M, self.feature_dim, self.noise_sigma, self.mean_placement)
         self.arch_spec()
         check_topology(self.topology_kind, self.K, self.topology_k0, self.topology_degree)
         need(self.rounds >= 1, "rounds must be >= 1")
         need(self.local_steps >= 1, "local_steps must be >= 1")
-        need(self.test_samples_per_client >= 1, "test_samples_per_client must be >= 1")
         need(self.eta1 > 0 and self.eta2 > 0, "learning rates must be positive")
         need(self.weight_decay >= 0, "weight_decay must be nonnegative")
         need(self.tau_sigmoid > 0 and self.tau_softmax > 0, "temperatures must be positive")
@@ -136,6 +136,12 @@ class ExperimentConfig:
         """The clients' architecture; building it checks it."""
         h = self.hidden_units if self.arch == MLP_1HIDDEN else 0
         return ArchSpec(self.arch, d=self.feature_dim, C=self.N, h=h)
+
+    def task_groups(self) -> int | None:
+        """The class groups the tasks are assigned by: num_groups under
+        noniid-sbm, None (a random class set per client) under
+        noniid-random."""
+        return self.num_groups if self.task_setting == NONIID_SBM else None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -24,7 +24,7 @@ from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps
 
 
-def init_state(config, topology, theta_dim: int) -> AttentionState:
+def init_state(config, mask, theta_dim: int) -> AttentionState:
     """A random encoder with zero biases; uniform attention and w."""
     K, h, out = config.K, config.enc_hidden, config.enc_out
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))

@@ -19,8 +19,8 @@ from .state import DiracState
 e_step = None
 
 
-def init_state(config, topology, theta_dim: int) -> DiracState:
-    return DiracState(metropolis_weights(topology.mask))
+def init_state(config, mask, theta_dim: int) -> DiracState:
+    return DiracState(metropolis_weights(mask))
 
 
 def metropolis_weights(mask: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from . import theta
 e_step = None
 
 
-def init_state(config, topology, theta_dim: int) -> None:
+def init_state(config, mask, theta_dim: int) -> None:
     return None
 
 

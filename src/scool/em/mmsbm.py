@@ -23,7 +23,7 @@ from .state import AdamSlot, MmsbmState, clamp_block_matrix, jittered_simplex
 from .theta import cooperative_sgd_steps
 
 
-def init_state(config, topology, theta_dim: int) -> MmsbmState:
+def init_state(config, mask, theta_dim: int) -> MmsbmState:
     """Jittered sender then receiver memberships, a flat Dirichlet prior
     and its posterior over the off-diagonal pairs, every block at
     config.block_init and every edge at 1/2."""

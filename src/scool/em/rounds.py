@@ -9,19 +9,13 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, ScoolError
 from ..models import ClientStore, DataStack, batch_log_likelihood
-from ..topology import (
-    CommLedger,
-    Topology,
-    account_exchange,
-    account_gossip,
-    sparsify_topk,
-)
+from ..topology import CommLedger, account_exchange, account_gossip, sparsify_topk
 from . import attention, dirac, local, mmsbm, sbm
 from .elbo import elbo
 from .theta import pair_blocks
 
 # Every prior is a module with the same four hooks, looked up at call time:
-#   init_state(config, topology, theta_dim) -> the prior's state
+#   init_state(config, mask, theta_dim) -> the prior's state
 #   e_step(state, models, loglik, mask), or None for a fixed graph
 #   m_step(state, models, mask, config): the local epochs on models.train
 #       and the prior-parameter updates, under the run's settings
@@ -60,14 +54,14 @@ def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray) 
 
 
 def run_round(
-    state, models: ClientStore, topology: Topology, ledger: CommLedger, round_index: int, config
+    state, models: ClientStore, mask: np.ndarray, ledger: CommLedger, round_index: int, config
 ) -> RoundResult:
     """One full round of the prior named by ``config.prior_kind`` (a key of
     PRIORS), on the store's train stack and the run's settings.
 
-    A prior with an E-step learns its graph: the topology is pruned if
-    scheduled, then the cross-client log-likelihoods feed the E-step and
-    the lower bound. Every prior then runs its M-step (the local epochs and
+    A prior with an E-step learns its graph: the caller's mask is pruned in
+    place if scheduled, then the cross-client log-likelihoods feed the
+    E-step and the lower bound. Every prior then runs its M-step (the local epochs and
     its prior-parameter updates), and the round's traffic is charged: the
     evaluation pass plus the gradient exchange for a learned graph, one
     gossip round per local step for a fixed one; local-only keeps no state
@@ -80,17 +74,17 @@ def run_round(
     try:
         if prior.e_step is not None:
             if config.sparsify_keep_fraction < 1.0 and round_index == config.sparsify_round:
-                topology.mask = sparsify_topk(state.w, topology.mask, config.sparsify_keep_fraction)
-            ll = loglik_matrix(models, models.train, topology.mask)
-            if not np.all(np.isfinite(ll[topology.mask])):
+                mask[...] = sparsify_topk(state.w, mask, config.sparsify_keep_fraction)
+            ll = loglik_matrix(models, models.train, mask)
+            if not np.all(np.isfinite(ll[mask])):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
-            prior.e_step(state, models, ll, topology.mask)
-            elbo_total = elbo(state, ll, topology.mask, models).total
-        prior.m_step(state, models, topology.mask, config)
+            prior.e_step(state, models, ll, mask)
+            elbo_total = elbo(state, ll, mask, models).total
+        prior.m_step(state, models, mask, config)
         if ll is not None:
-            account_exchange(ledger, topology.mask, config.grad_mode, round_index, config.local_steps)
+            account_exchange(ledger, mask, config.grad_mode, round_index, config.local_steps)
         elif state is not None:
-            account_gossip(ledger, topology.mask, round_index, config.local_steps)
+            account_gossip(ledger, mask, round_index, config.local_steps)
     except ScoolError as err:
         raise type(err)(f"round {round_index}: {err}") from err
 

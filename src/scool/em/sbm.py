@@ -19,7 +19,7 @@ from .state import AdamSlot, SbmState, clamp_block_matrix, jittered_simplex
 from .theta import cooperative_sgd_steps
 
 
-def init_state(config, topology, theta_dim: int) -> SbmState:
+def init_state(config, mask, theta_dim: int) -> SbmState:
     """Jittered memberships, a flat Dirichlet prior, every block at
     config.block_init and every edge at 1/2."""
     K, M = config.K, config.num_memberships

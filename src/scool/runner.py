@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import NONIID_SBM, ExperimentConfig
+from .config import ExperimentConfig
 from .em import rounds
 from .errors import ConfigurationError, DivergenceError, InvariantError
 from .models import ArchSpec, ClientStore, DataStack, batch_accuracy, batch_log_likelihood, pairs_per_block
-from .tasks import gen_noniid_random, gen_noniid_sbm
-from .topology import CommLedger, Topology, build_topology
+from .tasks import gen_tasks
+from .topology import CommLedger, build_topology
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -95,25 +95,14 @@ class ExperimentReport:
 
 
 def build_tasks(config: ExperimentConfig):
-    common = dict(
+    return gen_tasks(
+        config.K, config.M, config.N, config.samples_per_client, config.seed,
+        num_groups=config.task_groups(),
         test_samples_per_client=config.test_samples_per_client,
         d=config.feature_dim,
         sigma=config.noise_sigma,
         separation=config.class_separation,
         placement=config.mean_placement,
-    )
-    if config.task_setting == NONIID_SBM:
-        return gen_noniid_sbm(
-            config.K,
-            config.M,
-            config.N,
-            config.num_groups,
-            config.samples_per_client,
-            config.seed,
-            **common,
-        )
-    return gen_noniid_random(
-        config.K, config.M, config.N, config.samples_per_client, config.seed, **common
     )
 
 
@@ -127,8 +116,8 @@ def build_models(config: ExperimentConfig, train: DataStack, test: DataStack) ->
     return ClientStore(np.broadcast_to(theta, (config.K, arch.n_params)), arch, train, test)
 
 
-def build_state(config: ExperimentConfig, topology: Topology, theta_dim: int):
-    return rounds.PRIORS[config.prior_kind].init_state(config, topology, theta_dim)
+def build_state(config: ExperimentConfig, mask: np.ndarray, theta_dim: int):
+    return rounds.PRIORS[config.prior_kind].init_state(config, mask, theta_dim)
 
 
 def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> np.ndarray:
@@ -172,14 +161,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     # the kernels update clients.theta in place
     clients = build_models(config, train, test)
     arch = clients.arch
-    topology = build_topology(
+    mask = build_topology(
         config.topology_kind,
         config.K,
         k0=config.topology_k0,
         degree=config.topology_degree,
         seed=config.seed,
     )
-    state = build_state(config, topology, arch.n_params)
+    state = build_state(config, mask, arch.n_params)
     ledger = CommLedger(arch.n_params)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -189,7 +178,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     failure = None
     for r in range(config.rounds):
         try:
-            result = rounds.run_round(state, clients, topology, ledger, r, config)
+            result = rounds.run_round(state, clients, mask, ledger, r, config)
         except (DivergenceError, InvariantError) as err:
             failure = err
             report.diverged = True

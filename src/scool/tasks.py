@@ -114,15 +114,19 @@ def ground_truth_graph(class_sets: list[tuple[int, ...]]) -> np.ndarray:
     return row_normalize((set_id[:, None] == set_id[None, :]).astype(float))
 
 
-def check_assignment(K: int, M: int, N: int, n_train: int, num_groups: int | None = None) -> None:
+def check_assignment(
+    K: int, M: int, N: int, n_train: int, n_test: int, num_groups: int | None = None
+) -> None:
     """The rules the task generators assign classes under, checked without
-    drawing: K clients each get N of the M classes and at least one
-    training sample per class; with ``num_groups``, the groups own disjoint
-    class sets and split the clients evenly."""
+    drawing: K clients each get N of the M classes, at least one training
+    sample per class and at least one test sample; with ``num_groups``, the
+    groups own disjoint class sets and split the clients evenly."""
     if not 1 <= N <= M:
         raise ConfigurationError(f"cannot assign {N} distinct classes out of {M}")
     if n_train < N:
         raise ConfigurationError("need at least one training sample per class")
+    if n_test < 1:
+        raise ConfigurationError("need at least one test sample per client")
     if num_groups is None:
         return
     if num_groups < 1:
@@ -162,7 +166,7 @@ def sample_class_data(
     """Draw balanced per-class Gaussian samples; labels are local indices
     into the sorted class set."""
     class_set = tuple(sorted(int(c) for c in class_set))
-    check_assignment(1, len(universe.means), len(class_set), n_train)
+    check_assignment(1, len(universe.means), len(class_set), n_train, n_test)
     rng = np.random.default_rng(seed)
     out = []
     for n, split in ((n_train, "train"), (n_test, "test")):
@@ -170,10 +174,6 @@ def sample_class_data(
         _draw(universe, class_set, rng, X, y)
         out.append(Dataset(X, y, class_set, split=split))
     return tuple(out)
-
-
-def _spawn(seed: int, n: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(n)
 
 
 def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataStack, DataStack]:
@@ -192,14 +192,14 @@ def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataS
     return stacks
 
 
-def gen_noniid_sbm(
+def gen_tasks(
     K: int,
     M: int,
     N: int,
-    num_groups: int,
     samples_per_client: int,
     seed: int,
     *,
+    num_groups: int | None = None,
     test_samples_per_client: int = 100,
     d: int | None = None,
     sigma: float = 1.0,
@@ -207,62 +207,37 @@ def gen_noniid_sbm(
     placement: str = ORTHONORMAL,
     universe: TaskUniverse | None = None,
 ) -> tuple[TaskAssignment, DataStack, DataStack]:
-    """Group-structured tasks: each group owns a disjoint N-class subset and
-    every client in a group gets the identical class set. Returns the
-    assignment and the clients' train and test stacks."""
-    check_assignment(K, M, N, samples_per_client, num_groups)
-    assign_seed, uni_seed, *data_seeds = _spawn(seed, 2 + K)
+    """Non-IID tasks for K clients, N of the M classes each. With
+    ``num_groups``, each group owns a disjoint N-class subset and every
+    client in a group gets the identical class set; with None, every client
+    draws a uniform random N-subset. Identical class sets define the
+    ground-truth cooperation. Returns the assignment and the clients' train
+    and test stacks."""
+    check_assignment(K, M, N, samples_per_client, test_samples_per_client, num_groups)
+    assign_seed, uni_seed, *data_seeds = np.random.SeedSequence(seed).spawn(2 + K)
     if universe is None:
-        universe = make_universe(
-            M, d if d is not None else M, sigma, separation, uni_seed, placement
-        )
+        universe = make_universe(M, d if d is not None else M, sigma, separation, uni_seed, placement)
     rng = np.random.default_rng(assign_seed)
-    if placement == ANTIPODAL_PAIRS and N == 2 and M % 2 == 0:
-        # keep groups aligned with the antipodal class pairs
-        pair_order = rng.permutation(M // 2)
-        group_sets = [
-            tuple(sorted((int(2 * pair_order[g]), int(2 * pair_order[g] + 1))))
-            for g in range(num_groups)
+    group_labels = None
+    if num_groups is None:
+        class_sets = [
+            tuple(sorted(int(c) for c in rng.choice(M, size=N, replace=False)))
+            for _ in range(K)
         ]
     else:
-        perm = rng.permutation(M)
-        group_sets = [
-            tuple(sorted(int(c) for c in perm[g * N : (g + 1) * N])) for g in range(num_groups)
-        ]
-    per_group = K // num_groups
-    group_labels = np.repeat(np.arange(num_groups), per_group)
-    class_sets = [group_sets[g] for g in group_labels]
+        if placement == ANTIPODAL_PAIRS and N == 2 and M % 2 == 0:
+            # keep groups aligned with the antipodal class pairs
+            pair_order = rng.permutation(M // 2)
+            group_sets = [
+                tuple(sorted((int(2 * pair_order[g]), int(2 * pair_order[g] + 1))))
+                for g in range(num_groups)
+            ]
+        else:
+            perm = rng.permutation(M)
+            group_sets = [
+                tuple(sorted(int(c) for c in perm[g * N : (g + 1) * N])) for g in range(num_groups)
+            ]
+        group_labels = np.repeat(np.arange(num_groups), K // num_groups)
+        class_sets = [group_sets[g] for g in group_labels]
     assignment = TaskAssignment(class_sets, ground_truth_graph(class_sets), group_labels)
-    return assignment, *_build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)
-
-
-def gen_noniid_random(
-    K: int,
-    M: int,
-    N: int,
-    samples_per_client: int,
-    seed: int,
-    *,
-    test_samples_per_client: int = 100,
-    d: int | None = None,
-    sigma: float = 1.0,
-    separation: float = DEFAULT_SEPARATION,
-    placement: str = ORTHONORMAL,
-    universe: TaskUniverse | None = None,
-) -> tuple[TaskAssignment, DataStack, DataStack]:
-    """Independent tasks: every client draws a uniform random N-subset of the
-    M classes; identical subsets define the ground-truth cooperation.
-    Returns the assignment and the clients' train and test stacks."""
-    check_assignment(K, M, N, samples_per_client)
-    assign_seed, uni_seed, *data_seeds = _spawn(seed, 2 + K)
-    if universe is None:
-        universe = make_universe(
-            M, d if d is not None else M, sigma, separation, uni_seed, placement
-        )
-    rng = np.random.default_rng(assign_seed)
-    class_sets = [
-        tuple(sorted(int(c) for c in rng.choice(M, size=N, replace=False)))
-        for _ in range(K)
-    ]
-    assignment = TaskAssignment(class_sets, ground_truth_graph(class_sets), None)
     return assignment, *_build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)

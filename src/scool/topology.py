@@ -25,25 +25,6 @@ CROSS_GRADIENT = "cross-gradient"
 TAYLOR_APPROX = "taylor-approx"
 
 
-@dataclass
-class Topology:
-    kind: str
-    mask: np.ndarray  # K x K bool, diagonal True
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        K = len(self.mask)
-        if self.mask.shape != (K, K):
-            raise ConfigurationError("mask must be square")
-        if not np.all(np.diag(self.mask)):
-            raise ConfigurationError("mask diagonal must be true")
-        if K > 1:
-            off = self.mask.copy()
-            np.fill_diagonal(off, False)
-            if not np.all(off.sum(axis=1) >= 1):
-                raise ConfigurationError("every client needs at least one neighbor")
-
-
 def check_topology(kind: str, K: int, k0: int = 0, degree: int = 0) -> None:
     """The rules build_topology builds under, checked without building a
     mask. group-ring's reach (K - K0)/2 must be at least 1, so that every
@@ -60,14 +41,15 @@ def check_topology(kind: str, K: int, k0: int = 0, degree: int = 0) -> None:
         raise ConfigurationError(f"unknown topology kind {kind!r}")
 
 
-def build_topology(kind: str, K: int, *, k0: int = 0, degree: int = 0, seed: int = 0) -> Topology:
-    """Construct a mask. group-ring links clients at cyclic index distance
+def build_topology(kind: str, K: int, *, k0: int = 0, degree: int = 0, seed: int = 0) -> np.ndarray:
+    """The topology's K x K mask: symmetric, diagonal true, at least one
+    neighbour per client. group-ring links clients at cyclic index distance
     <= (K - K0)/2; generalized-bipartite randomly splits the clients in two
     halves and wires each client to ``degree`` partners on the other side
     (then symmetrizes)."""
     check_topology(kind, K, k0, degree)
     if kind == FULLY_CONNECTED:
-        return Topology(kind, np.ones((K, K), dtype=bool))
+        return np.ones((K, K), dtype=bool)
     if kind == GROUP_RING:
         reach = (K - k0) / 2.0
         idx = np.arange(K)
@@ -75,7 +57,7 @@ def build_topology(kind: str, K: int, *, k0: int = 0, degree: int = 0, seed: int
         cyc = np.minimum(dist, K - dist)
         m = cyc <= reach
         np.fill_diagonal(m, True)
-        return Topology(kind, m)
+        return m
     rng = np.random.default_rng(seed)
     perm = rng.permutation(K)
     half = K // 2
@@ -87,7 +69,7 @@ def build_topology(kind: str, K: int, *, k0: int = 0, degree: int = 0, seed: int
             m[i, partners] = True
     m |= m.T
     np.fill_diagonal(m, True)
-    return Topology(kind, m)
+    return m
 
 
 def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.ndarray:

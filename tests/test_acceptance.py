@@ -78,7 +78,7 @@ def bench_report(prior, seed, grad_mode=CROSS_GRADIENT):
 def pruned_ring(rng, K):
     """A ring of reach 2 pruned as a run prunes it: each client keeps its
     ceil(0.3 (K - 1)) strongest (here random) weights."""
-    ring = build_topology("group-ring", K, k0=K - 4).mask
+    ring = build_topology("group-ring", K, k0=K - 4)
     return sparsify_topk(rng.uniform(0.1, 1.0, (K, K)), ring, 0.3)
 
 
@@ -264,14 +264,14 @@ def test_criterion_3_dpsgd_equivalence():
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(K)]
         models = client_store(models, [tiny_dataset(rng, 6, 3, 2) for _ in range(K)])
         train = models.train
-        topo = build_topology("fully-connected", K)
-        w = dirac.metropolis_weights(topo.mask)
+        mask = build_topology("fully-connected", K)
+        w = dirac.metropolis_weights(mask)
         state = DiracState(w)
         ref = np.stack([m.theta for m in models])
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
         ledger = CommLedger(arch.n_params)
         for r in range(10):
-            rounds.run_round(state, models, topo, ledger, r, cfg)
+            rounds.run_round(state, models, mask, ledger, r, cfg)
         # independent simulator of the reference algorithm
         for _ in range(10):
             grads = np.stack([grad(LocalModel(ref[i], arch), train[i]) for i in range(K)])
@@ -440,11 +440,11 @@ def test_criterion_8_communication_accounting():
         ("group-ring", dict(k0=8)),
         ("generalized-bipartite", dict(degree=3, seed=2)),
     ]:
-        topo = build_topology(kind, 12, **kwargs)
-        E = directed_edges(topo.mask)
+        mask = build_topology(kind, 12, **kwargs)
+        E = directed_edges(mask)
         for mode, sweeps in ((CROSS_GRADIENT, 2), (TAYLOR_APPROX, 2)):
             ledger = CommLedger(18)
-            rec = account_exchange(ledger, topo.mask, mode, 0, sweeps)
+            rec = account_exchange(ledger, mask, mode, 0, sweeps)
             if mode == CROSS_GRADIENT:
                 assert rec.vector_units_folded == 2 * sweeps * E + E / 18
                 assert rec.vector_units_separate == 2 * sweeps * E + E + E / 18

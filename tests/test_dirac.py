@@ -74,12 +74,12 @@ class TestMetropolisWeights:
     def test_valid_on_irregular_masks(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            topo = build_topology("generalized-bipartite", 8, degree=2, seed=int(rng.integers(100)))
-            w = dirac.metropolis_weights(topo.mask)
+            mask = build_topology("generalized-bipartite", 8, degree=2, seed=int(rng.integers(100)))
+            w = dirac.metropolis_weights(mask)
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(w, w.T, atol=1e-12)
             assert np.all(w >= 0)
-            assert np.all((w > 0)[topo.mask] | np.eye(8, dtype=bool)[topo.mask])
+            assert np.all((w > 0)[mask] | np.eye(8, dtype=bool)[mask])
 
 
 class TestDpsgdStep:

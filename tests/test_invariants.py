@@ -24,11 +24,11 @@ def test_invariants_after_every_round(prior):
     ).validate()
     _, train, test = build_tasks(cfg)
     models = build_models(cfg, train, test)
-    topo = build_topology("fully-connected", cfg.K)
-    state = build_state(cfg, topo, models.arch.n_params)
+    mask = build_topology("fully-connected", cfg.K)
+    state = build_state(cfg, mask, models.arch.n_params)
     ledger = CommLedger(models.arch.n_params)
     for r in range(cfg.rounds):
-        rounds.run_round(state, models, topo, ledger, r, cfg)
+        rounds.run_round(state, models, mask, ledger, r, cfg)
         if prior == "attention":
             _check_simplex(state.w, "attention w rows")
             _check_simplex(state.p, "attention p rows")

@@ -34,7 +34,7 @@ from scool.models import (
     batch_grad,
     batch_log_likelihood,
 )
-from scool.tasks import gen_noniid_random, gen_noniid_sbm, make_universe, sample_class_data
+from scool.tasks import gen_tasks, make_universe, sample_class_data
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
 
 from conftest import (
@@ -589,7 +589,7 @@ class TestGossipEquivalence:
     def test_metropolis_graphs_several_steps(self, kind, seed):
         rng = np.random.default_rng(20 + seed)
         models, train = _clients(rng, ARCHS[kind], K=8)
-        mask = build_topology("generalized-bipartite", 8, degree=2, seed=seed).mask
+        mask = build_topology("generalized-bipartite", 8, degree=2, seed=seed)
         w = dirac.metropolis_weights(mask)
         a, b = _both(models, train)
         for _ in range(3):
@@ -680,10 +680,10 @@ class TestStackedTestSets:
     def test_views_of_one_array_with_the_sampled_values(self, setting):
         K, M, N, seed = 6, 6, 2, 11
         universe = make_universe(M, 8, 0.7, 2.0, seed=3)
-        if setting == "sbm":
-            assignment, train, test = gen_noniid_sbm(K, M, N, 3, 8, seed, test_samples_per_client=30, universe=universe)
-        else:
-            assignment, train, test = gen_noniid_random(K, M, N, 8, seed, test_samples_per_client=30, universe=universe)
+        num_groups = 3 if setting == "sbm" else None
+        assignment, train, test = gen_tasks(
+            K, M, N, 8, seed, num_groups=num_groups, test_samples_per_client=30, universe=universe
+        )
         assert train.features.shape == (K, 8, 8) and train.labels.shape == (K, 8)
         assert test.features.shape == (K, 30, 8) and test.labels.shape == (K, 30)
         seeds = np.random.SeedSequence(seed).spawn(2 + K)[2:]

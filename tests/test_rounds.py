@@ -36,12 +36,12 @@ class TestDiracReduction:
         ref = model_list(models)
         K = len(models)
         w = dirac.metropolis_weights(full_mask(K))
-        topo = build_topology("fully-connected", K)
+        mask = build_topology("fully-connected", K)
         state = DiracState(w)
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
         ledger = CommLedger(models.arch.n_params)
         for r in range(10):
-            rounds.run_round(state, models, topo, ledger, r, cfg)
+            rounds.run_round(state, models, mask, ledger, r, cfg)
         thetas = np.stack([m.theta for m in ref])
         for _ in range(10):
             grads = np.stack(
@@ -55,12 +55,12 @@ class TestDiracReduction:
         rng = np.random.default_rng(1)
         models, _ = _setup(rng)
         K = len(models)
-        topo = build_topology("fully-connected", K)
-        state = DiracState(dirac.metropolis_weights(topo.mask))
+        mask = build_topology("fully-connected", K)
+        state = DiracState(dirac.metropolis_weights(mask))
         ledger = CommLedger(models[0].arch.n_params)
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=3)
-        rounds.run_round(state, models, topo, ledger, 0, cfg)
-        assert ledger.rounds[-1].models_sent == 3 * directed_edges(topo.mask)
+        rounds.run_round(state, models, mask, ledger, 0, cfg)
+        assert ledger.rounds[-1].models_sent == 3 * directed_edges(mask)
 
 
 class TestMaskingGuarantees:
@@ -127,25 +127,25 @@ class TestRunRoundContracts:
     def test_unknown_prior(self):
         rng = np.random.default_rng(7)
         models, _ = _setup(rng, K=3)
-        topo = build_topology("fully-connected", 3)
+        mask = build_topology("fully-connected", 3)
         with pytest.raises(ConfigurationError):
             rounds.run_round(
-                None, models, topo, CommLedger(models.arch.n_params), 0, ExperimentConfig(prior_kind="bogus", eta1=0.1)
+                None, models, mask, CommLedger(models.arch.n_params), 0, ExperimentConfig(prior_kind="bogus", eta1=0.1)
             )
 
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
         models_a, train = _setup(rng, K=4)
         models_b = client_store(models_a, train)
-        topo_a = build_topology("fully-connected", 4)
-        topo_b = build_topology("fully-connected", 4)
+        mask_a = build_topology("fully-connected", 4)
+        mask_b = build_topology("fully-connected", 4)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
         st_a = sbm.init_state(cfg, None, 0)
         st_b = sbm.init_state(cfg, None, 0)
         ledger_a, ledger_b = CommLedger(models_a.arch.n_params), CommLedger(models_b.arch.n_params)
         for r in range(3):
-            ra = rounds.run_round(st_a, models_a, topo_a, ledger_a, r, cfg)
-            rb = rounds.run_round(st_b, models_b, topo_b, ledger_b, r, cfg)
+            ra = rounds.run_round(st_a, models_a, mask_a, ledger_a, r, cfg)
+            rb = rounds.run_round(st_b, models_b, mask_b, ledger_b, r, cfg)
             np.testing.assert_array_equal(ra.graph, rb.graph)
             assert ra.elbo_total == rb.elbo_total
         for a, b in zip(models_a, models_b):
@@ -154,16 +154,16 @@ class TestRunRoundContracts:
     def test_local_only_keeps_identity_graph(self):
         rng = np.random.default_rng(10)
         models, _ = _setup(rng, K=3)
-        topo = build_topology("fully-connected", 3)
+        mask = build_topology("fully-connected", 3)
         cfg = ExperimentConfig(prior_kind="local-only", eta1=0.1, local_steps=1, weight_decay=0.0)
-        out = rounds.run_round(None, models, topo, CommLedger(models.arch.n_params), 0, cfg)
+        out = rounds.run_round(None, models, mask, CommLedger(models.arch.n_params), 0, cfg)
         np.testing.assert_array_equal(out.graph, np.eye(3))
         assert out.elbo_total is None and out.loglik is None
 
     def test_sparsification_fires_once_at_round(self):
         rng = np.random.default_rng(11)
         models, _ = _setup(rng, K=6)
-        topo = build_topology("fully-connected", 6)
+        mask = build_topology("fully-connected", 6)
         cfg = ExperimentConfig(
             prior_kind="sbm", eta1=0.1, local_steps=1, sparsify_keep_fraction=0.2, sparsify_round=2,
             K=6, num_memberships=2, seed=12,
@@ -171,8 +171,11 @@ class TestRunRoundContracts:
         st = sbm.init_state(cfg, None, 0)
         ledger = CommLedger(models.arch.n_params)
         for r in range(4):
-            rounds.run_round(st, models, topo, ledger, r, cfg)
-            off = topo.mask.copy()
+            rounds.run_round(st, models, mask, ledger, r, cfg)
+            # pruned in place: the caller's own array is the mask the round
+            # charged, and from round 2 on it keeps one neighbour per row
+            assert ledger.rounds[-1].models_sent == directed_edges(mask)
+            off = mask.copy()
             np.fill_diagonal(off, False)
             if r < 2:
                 assert off.sum() == 30
@@ -184,17 +187,17 @@ class TestRunRoundContracts:
         # event: run_round reports it as a divergence, not a config error
         rng = np.random.default_rng(13)
         models, _ = _setup(rng, K=5)
-        topo = build_topology("fully-connected", 5)
+        mask = build_topology("fully-connected", 5)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1, K=5, num_memberships=2, seed=14)
         st = sbm.init_state(cfg, None, 0)
         ledger = CommLedger(models.arch.n_params)
-        rounds.run_round(st, models, topo, ledger, 0, cfg)
+        rounds.run_round(st, models, mask, ledger, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]
         cfg = cfg.replace(sparsify_keep_fraction=0.5, sparsify_round=1)
         with pytest.raises(DivergenceError, match=r"^round 1: sparsify: row 3 has no positive weight$"):
-            rounds.run_round(st, models, topo, ledger, 1, cfg)
-        assert topo.mask.all()
+            rounds.run_round(st, models, mask, ledger, 1, cfg)
+        assert mask.all()
         for m, theta in zip(models, before):
             np.testing.assert_array_equal(m.theta, theta)
 
@@ -218,9 +221,9 @@ class TestPriorTable:
         ).validate()
         _, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
-        topo = build_topology(cfg.topology_kind, cfg.K)
-        state = build_state(cfg, topo, models.arch.n_params)
-        return cfg, models, topo, state
+        mask = build_topology(cfg.topology_kind, cfg.K)
+        state = build_state(cfg, mask, models.arch.n_params)
+        return cfg, models, mask, state
 
     def test_one_list_of_names_and_four_hooks(self):
         assert config.PRIORS == tuple(rounds.PRIORS)
@@ -234,10 +237,10 @@ class TestPriorTable:
 
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
     def test_every_prior_runs_two_rounds(self, prior):
-        cfg, models, topo, state = self._k4(prior)
+        cfg, models, mask, state = self._k4(prior)
         ledger = CommLedger(models[0].arch.n_params)
         for r in range(2):
-            out = rounds.run_round(state, models, topo, ledger, r, cfg)
+            out = rounds.run_round(state, models, mask, ledger, r, cfg)
             assert out.graph.shape == (4, 4)
             np.testing.assert_allclose(out.graph.sum(axis=1), 1.0, atol=1e-12)
             assert (out.elbo_total is None) == (rounds.PRIORS[prior].e_step is None)
@@ -251,9 +254,9 @@ class TestPriorTable:
     def test_models_stay_views_of_the_store(self, prior):
         # the kernels update the store's one K x D array in place: every
         # client's theta is still its row, and the rows moved
-        cfg, models, topo, state = self._k4(prior)
+        cfg, models, mask, state = self._k4(prior)
         theta, before = models.theta, models.theta.copy()
-        rounds.run_round(state, models, topo, CommLedger(models.arch.n_params), 0, cfg)
+        rounds.run_round(state, models, mask, CommLedger(models.arch.n_params), 0, cfg)
         assert models.theta is theta
         for i, m in enumerate(models):
             assert np.shares_memory(m.theta, theta[i]) and np.array_equal(m.theta, theta[i])
@@ -262,7 +265,7 @@ class TestPriorTable:
         np.testing.assert_array_equal(models.init_theta, before)  # round 0 starts at init
 
     def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
-        cfg, models, topo, state = self._k4("attention")
+        cfg, models, mask, state = self._k4("attention")
         calls = []
 
         def spy(*args, **kwargs):
@@ -272,7 +275,7 @@ class TestPriorTable:
         real = attention.e_step
         monkeypatch.setattr(attention, "e_step", spy)
         monkeypatch.setattr(attention, "graph", lambda st, K: np.full((K, K), 1.0 / K))
-        out = rounds.run_round(state, models, topo, CommLedger(models.arch.n_params), 0, cfg)
+        out = rounds.run_round(state, models, mask, CommLedger(models.arch.n_params), 0, cfg)
         assert calls == [state]
         np.testing.assert_array_equal(out.graph, np.full((4, 4), 0.25))
 

@@ -160,8 +160,8 @@ class TestRunExperiment:
 
         assignment, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
-        topo = build_topology("fully-connected", cfg.K)
-        state = DiracState(dirac.metropolis_weights(topo.mask))
+        mask = build_topology("fully-connected", cfg.K)
+        state = DiracState(dirac.metropolis_weights(mask))
 
         def spread():
             th = np.stack([m.theta for m in models])
@@ -175,7 +175,7 @@ class TestRunExperiment:
         values = []
         ledger = CommLedger(models.arch.n_params)
         for r in range(cfg.rounds):
-            rounds_mod.run_round(state, models, topo, ledger, r, cfg)
+            rounds_mod.run_round(state, models, mask, ledger, r, cfg)
             values.append(spread())
         # monotone contraction up to sub-0.1% jitter at the gradient floor
         assert all(b <= a * 1.001 for a, b in zip([start] + values, values))

@@ -7,8 +7,7 @@ from scool.errors import ConfigurationError
 from scool.models import ArchSpec
 from scool.tasks import (
     ANTIPODAL_PAIRS,
-    gen_noniid_random,
-    gen_noniid_sbm,
+    gen_tasks,
     make_universe,
     sample_class_data,
 )
@@ -18,7 +17,7 @@ from conftest import LocalModel, accuracy, grad
 
 class TestGenNoniidSbm:
     def test_group_partition_structure(self):
-        assignment, _, _ = gen_noniid_sbm(12, 6, 2, 3, 6, seed=0)
+        assignment, _, _ = gen_tasks(12, 6, 2, 6, seed=0, num_groups=3)
         sets = {assignment.class_sets[i] for i in range(12)}
         assert len(sets) == 3
         union = set()
@@ -36,12 +35,12 @@ class TestGenNoniidSbm:
         np.testing.assert_allclose(assignment.w_star, expect)
 
     def test_single_group_uniform(self):
-        assignment, _, _ = gen_noniid_sbm(4, 6, 2, 1, 4, seed=1)
+        assignment, _, _ = gen_tasks(4, 6, 2, 4, seed=1, num_groups=1)
         np.testing.assert_allclose(assignment.w_star, 0.25)
 
     def test_deterministic(self):
-        a1, tr1, te1 = gen_noniid_sbm(8, 6, 2, 2, 6, seed=42)
-        a2, tr2, te2 = gen_noniid_sbm(8, 6, 2, 2, 6, seed=42)
+        a1, tr1, te1 = gen_tasks(8, 6, 2, 6, seed=42, num_groups=2)
+        a2, tr2, te2 = gen_tasks(8, 6, 2, 6, seed=42, num_groups=2)
         assert a1.class_sets == a2.class_sets
         np.testing.assert_array_equal(a1.w_star, a2.w_star)
         np.testing.assert_array_equal(tr1.features, tr2.features)
@@ -50,30 +49,34 @@ class TestGenNoniidSbm:
 
     def test_infeasible_configs(self):
         with pytest.raises(ConfigurationError):
-            gen_noniid_sbm(12, 6, 2, 4, 6, seed=0)  # 4 groups x 2 classes > 6
+            gen_tasks(12, 6, 2, 6, seed=0, num_groups=4)  # 4 groups x 2 classes > 6
         with pytest.raises(ConfigurationError):
-            gen_noniid_sbm(10, 6, 2, 3, 6, seed=0)  # K not divisible
+            gen_tasks(10, 6, 2, 6, seed=0, num_groups=3)  # K not divisible
         with pytest.raises(ConfigurationError, match="num_groups must be >= 1"):
-            gen_noniid_sbm(12, 6, 2, 0, 6, seed=0)  # not a ZeroDivisionError
+            gen_tasks(12, 6, 2, 6, seed=0, num_groups=0)  # not a ZeroDivisionError
         with pytest.raises(ConfigurationError, match="one training sample per class"):
-            gen_noniid_sbm(12, 6, 2, 3, 1, seed=0)
+            gen_tasks(12, 6, 2, 1, seed=0, num_groups=3)
+
+    @pytest.mark.parametrize("num_groups", [3, None])
+    def test_no_test_samples(self, num_groups):
+        # refused, not built as an empty K x 0 test stack
+        with pytest.raises(ConfigurationError, match="at least one test sample per client"):
+            gen_tasks(6, 6, 2, 4, seed=0, num_groups=num_groups, test_samples_per_client=0)
 
     def test_antipodal_groups_align_with_pairs(self):
-        assignment, _, _ = gen_noniid_sbm(
-            12, 6, 2, 3, 6, seed=0, placement=ANTIPODAL_PAIRS, d=8
-        )
+        assignment, _, _ = gen_tasks(12, 6, 2, 6, seed=0, placement=ANTIPODAL_PAIRS, d=8, num_groups=3)
         for cs in assignment.class_sets:
             assert cs[1] == cs[0] + 1 and cs[0] % 2 == 0
 
 
 class TestGenNoniidRandom:
     def test_full_class_budget_gives_uniform_graph(self):
-        assignment, _, _ = gen_noniid_random(5, 4, 4, 8, seed=0)
+        assignment, _, _ = gen_tasks(5, 4, 4, 8, seed=0)
         np.testing.assert_allclose(assignment.w_star, 0.2)
 
     def test_distinct_singletons_give_identity(self):
         for seed in range(30):
-            assignment, _, _ = gen_noniid_random(2, 50, 1, 2, seed=seed)
+            assignment, _, _ = gen_tasks(2, 50, 1, 2, seed=seed)
             if assignment.class_sets[0] != assignment.class_sets[1]:
                 np.testing.assert_array_equal(assignment.w_star, np.eye(2))
 
@@ -81,13 +84,13 @@ class TestGenNoniidRandom:
         # P(two clients draw the same 2-subset of 4 classes) = 1/C(4,2) = 1/6
         hits = 0
         for seed in range(1000):
-            assignment, _, _ = gen_noniid_random(2, 4, 2, 2, seed=seed)
+            assignment, _, _ = gen_tasks(2, 4, 2, 2, seed=seed)
             hits += assignment.class_sets[0] == assignment.class_sets[1]
         assert abs(hits / 1000 - 1.0 / 6.0) < 0.03
 
     def test_infeasible(self):
         with pytest.raises(ConfigurationError):
-            gen_noniid_random(3, 4, 5, 4, seed=0)
+            gen_tasks(3, 4, 5, 4, seed=0)
 
 
 class TestSampleClassData:
@@ -128,6 +131,12 @@ class TestSampleClassData:
         with pytest.raises(ConfigurationError):
             sample_class_data(uni, (), 4, 2, seed=0)
 
+    def test_no_test_samples(self):
+        # check_assignment's rule, not a ValueError from Dataset
+        uni = make_universe(4, 5, seed=0)
+        with pytest.raises(ConfigurationError, match="at least one test sample per client"):
+            sample_class_data(uni, (0, 1), 4, 0, seed=0)
+
 
 class TestUniverse:
     def test_orthonormal_means_have_expected_geometry(self):
@@ -154,14 +163,14 @@ class TestUniverse:
 
 class TestGroundTruthGraph:
     def test_row_stochastic_and_symmetric_support(self):
-        assignment, _, _ = gen_noniid_random(10, 5, 2, 4, seed=7)
+        assignment, _, _ = gen_tasks(10, 5, 2, 4, seed=7)
         w = assignment.w_star
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(w > 0, (w > 0).T)
         assert np.all(np.diag(w) > 0)
 
     def test_block_diagonal_under_group_sort(self):
-        assignment, _, _ = gen_noniid_sbm(12, 6, 2, 3, 4, seed=3)
+        assignment, _, _ = gen_tasks(12, 6, 2, 4, seed=3, num_groups=3)
         order = np.argsort(assignment.group_labels, kind="stable")
         w = assignment.w_star[np.ix_(order, order)]
         labels = assignment.group_labels[order]
@@ -170,7 +179,7 @@ class TestGroundTruthGraph:
                 assert (w[i, j] > 0) == (labels[i] == labels[j])
 
     def test_disjoint_groups_share_nothing(self):
-        assignment, _, _ = gen_noniid_sbm(9, 9, 3, 3, 6, seed=8)
+        assignment, _, _ = gen_tasks(9, 9, 3, 6, seed=8, num_groups=3)
         for i in range(9):
             for j in range(9):
                 if assignment.group_labels[i] != assignment.group_labels[j]:

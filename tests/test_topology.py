@@ -21,31 +21,64 @@ from scool.topology import (
 )
 
 
+def _edge_cases():
+    """Every kind at the least and the largest parameters check_topology
+    accepts, on the smallest and a few larger client counts."""
+    for K in (2, 3, 4, 5, 12):
+        yield "fully-connected", K, {}
+        for k0 in (0, K - 2):
+            yield "group-ring", K, {"k0": k0}
+        for degree in (1, K // 2):
+            yield "generalized-bipartite", K, {"degree": degree}
+
+
+def assert_valid_mask(mask, K):
+    """A topology mask is a square, symmetric boolean array with a true
+    diagonal and at least one neighbour per client."""
+    assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (K, K)
+    assert np.array_equal(mask, mask.T)
+    assert np.all(np.diag(mask))
+    assert np.all((mask & ~np.eye(K, dtype=bool)).any(axis=1))
+
+
 class TestBuildTopology:
+    @pytest.mark.parametrize("kind,K,params", list(_edge_cases()))
+    def test_masks_at_the_accepted_edges(self, kind, K, params):
+        check_topology(kind, K, **params)
+        assert_valid_mask(build_topology(kind, K, **params), K)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(K=hst.integers(2, 24), data=hst.data(), seed=hst.integers(0, 2**32 - 1))
+    def test_bipartite_masks_over_seeds(self, K, data, seed):
+        degree = data.draw(hst.integers(1, K // 2))
+        mask = build_topology("generalized-bipartite", K, degree=degree, seed=seed)
+        assert_valid_mask(mask, K)
+        assert np.all(mask.sum(axis=1) - 1 >= degree)
+
     def test_group_ring_neighbor_count(self):
-        topo = build_topology("group-ring", 10, k0=8)
-        off = topo.mask.copy()
+        mask = build_topology("group-ring", 10, k0=8)
+        off = mask.copy()
         np.fill_diagonal(off, False)
         assert np.all(off.sum(axis=1) == 2)  # cyclic distance <= 1
-        assert np.array_equal(topo.mask, topo.mask.T)
+        assert np.array_equal(mask, mask.T)
 
     def test_fully_connected_edges(self):
-        topo = build_topology("fully-connected", 5)
-        assert directed_edges(topo.mask) == 20
+        mask = build_topology("fully-connected", 5)
+        assert directed_edges(mask) == 20
 
     def test_bipartite_deterministic_and_symmetric(self):
         t1 = build_topology("generalized-bipartite", 10, degree=3, seed=7)
         t2 = build_topology("generalized-bipartite", 10, degree=3, seed=7)
-        np.testing.assert_array_equal(t1.mask, t2.mask)
-        assert np.array_equal(t1.mask, t1.mask.T)
+        np.testing.assert_array_equal(t1, t2)
+        assert np.array_equal(t1, t1.T)
         # bipartite: no within-side edges on the generating side structure
-        off = t1.mask.copy()
+        off = t1.copy()
         np.fill_diagonal(off, False)
         assert np.all(off.sum(axis=1) >= 3)
 
     def test_group_ring_reach(self):
         # K0 = 0 is the whole ring; K0 = K-1 would leave every client alone
-        np.testing.assert_array_equal(build_topology("group-ring", 10, k0=0).mask, np.ones((10, 10), bool))
+        np.testing.assert_array_equal(build_topology("group-ring", 10, k0=0), np.ones((10, 10), bool))
         for k0 in (-1, 9):
             with pytest.raises(ConfigurationError, match="group-ring needs 0 <= K0 <= K-2"):
                 check_topology("group-ring", 10, k0=k0)
@@ -63,13 +96,13 @@ class TestBuildTopology:
 
 class TestSparsifyTopk:
     def test_keep_all_is_identity(self):
-        mask = build_topology("fully-connected", 6).mask
+        mask = build_topology("fully-connected", 6)
         w = np.random.default_rng(0).uniform(0.1, 1.0, (6, 6))
         out = sparsify_topk(w, mask, 1.0)
         np.testing.assert_array_equal(out, mask)
 
     def test_eleven_clients_keep_one(self):
-        mask = build_topology("fully-connected", 11).mask
+        mask = build_topology("fully-connected", 11)
         w = np.random.default_rng(1).uniform(0.1, 1.0, (11, 11))
         out = sparsify_topk(w, mask, 0.1)
         off = out.copy()
@@ -85,7 +118,7 @@ class TestSparsifyTopk:
         assert out[0, 1] and out[0, 2] and not out[0, 3]
 
     def test_idempotent_once_applied(self):
-        mask = build_topology("fully-connected", 8).mask
+        mask = build_topology("fully-connected", 8)
         w = np.random.default_rng(2).uniform(0.1, 1.0, (8, 8))
         once = sparsify_topk(w, mask, 0.3)
         twice = sparsify_topk(w, once, 0.3)
@@ -134,7 +167,7 @@ class TestLedger:
     def test_taylor_fully_connected_counts(self):
         K, dim = 3, 10
         ledger = CommLedger(dim)
-        mask = build_topology("fully-connected", K).mask
+        mask = build_topology("fully-connected", K)
         rec = account_exchange(ledger, mask, TAYLOR_APPROX, 0, sweeps=1)
         E = 6
         assert rec.gradients_sent == E
@@ -146,7 +179,7 @@ class TestLedger:
 
     def test_cross_gradient_doubles_taylor_exchange(self):
         K = 5
-        mask = build_topology("fully-connected", K).mask
+        mask = build_topology("fully-connected", K)
         for sweeps in (1, 3):
             lc = CommLedger(100)
             lt = CommLedger(100)
@@ -161,17 +194,17 @@ class TestLedger:
         rng = np.random.default_rng(3)
         for _ in range(20):
             K = int(rng.integers(3, 9))
-            topo = build_topology("fully-connected", K)
+            mask = build_topology("fully-connected", K)
             sweeps = int(rng.integers(1, 6))
             lc, lt = CommLedger(50), CommLedger(50)
-            account_exchange(lc, topo.mask, CROSS_GRADIENT, 0, sweeps)
-            account_exchange(lt, topo.mask, TAYLOR_APPROX, 0, sweeps)
+            account_exchange(lc, mask, CROSS_GRADIENT, 0, sweeps)
+            account_exchange(lt, mask, TAYLOR_APPROX, 0, sweeps)
             assert lt.totals()["vector_units_folded"] <= lc.totals()["vector_units_folded"]
             assert lt.totals()["vector_units_separate"] <= lc.totals()["vector_units_separate"]
 
     def test_counters_non_decreasing_and_per_client(self):
         K = 4
-        mask = build_topology("fully-connected", K).mask
+        mask = build_topology("fully-connected", K)
         ledger = CommLedger(10)
         last = 0.0
         for r in range(5):
@@ -182,7 +215,7 @@ class TestLedger:
 
     def test_gossip_counts_models_only(self):
         K = 4
-        mask = build_topology("fully-connected", K).mask
+        mask = build_topology("fully-connected", K)
         ledger = CommLedger(10)
         rec = account_gossip(ledger, mask, 0, sweeps=3)
         assert rec.models_sent == 3 * 12
@@ -195,9 +228,9 @@ class TestLedger:
             ("group-ring", dict(k0=6)),
             ("generalized-bipartite", dict(degree=2, seed=1)),
         ]:
-            topo = build_topology(kind, 8, **kwargs)
-            E = directed_edges(topo.mask)
+            mask = build_topology(kind, 8, **kwargs)
+            E = directed_edges(mask)
             ledger = CommLedger(20)
-            rec = account_exchange(ledger, topo.mask, CROSS_GRADIENT, 0, sweeps=2)
+            rec = account_exchange(ledger, mask, CROSS_GRADIENT, 0, sweeps=2)
             assert rec.vector_units_folded == pytest.approx(2 * 2 * E + E / 20)
             assert rec.vector_units_separate == pytest.approx(2 * 2 * E + E + E / 20)
