@@ -76,7 +76,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"mean_test_acc={report.final_mean_acc:.4f} out={args.out}"
             )
             return EXIT_OK
-        fractions = [float(tok) for tok in args.fractions.split(",") if tok.strip()]
+        try:
+            fractions = [float(tok) for tok in args.fractions.split(",") if tok.strip()]
+        except ValueError as err:
+            raise ConfigurationError(f"--fractions: {err}") from err
         if not fractions:
             raise ConfigurationError("--fractions must name at least one value")
         rows = run_budget_sweep(config, fractions, args.out)

@@ -35,6 +35,8 @@ TOPOLOGIES = (FULLY_CONNECTED, GROUP_RING, GENERALIZED_BIPARTITE)
 PLACEMENTS = (ORTHONORMAL, ANTIPODAL_PAIRS)
 GRAD_MODES = (CROSS_GRADIENT, TAYLOR_APPROX)
 OPTIMIZERS = ("plain", "adam")
+# the values each declared field type admits
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -101,6 +103,13 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigurationError(msg)
 
+        # each field has its declared type, nothing coerced: a bool is no
+        # number, and an int is also a float
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            typed = isinstance(value, FIELD_TYPES[f.type]) and isinstance(value, bool) == (f.type == "bool")
+            need(typed, f"{f.name} must be of type {f.type}, not {value!r}")
+        need(self.seed >= 0, "seed must be >= 0")
         need(self.prior_kind in PRIORS, f"prior_kind must be one of {PRIORS}")
         need(self.task_setting in SETTINGS, f"task_setting must be one of {SETTINGS}")
         need(self.arch in ARCHS, f"arch must be one of {ARCHS}")

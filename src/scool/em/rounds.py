@@ -1,15 +1,14 @@
 """Round-synchronous orchestration: evaluate, E-step, local epochs, prior
-updates, one barrier at a time."""
+updates, one barrier at a time. A round hands back plain values: its
+reporting graph, its lower bound and its traffic record."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, ScoolError
 from ..models import ClientStore, DataStack, batch_log_likelihood
-from ..topology import CommLedger, account_exchange, account_gossip, sparsify_topk
+from ..topology import RoundTraffic, account_exchange, account_gossip, sparsify_topk
 from . import attention, dirac, local, mmsbm, sbm
 from .elbo import elbo
 from .theta import pair_blocks
@@ -29,14 +28,6 @@ PRIORS = {
 }
 
 
-@dataclass
-class RoundResult:
-    round_index: int
-    loglik: np.ndarray | None
-    elbo_total: float | None
-    graph: np.ndarray  # row-stochastic reporting view of the cooperation graph
-
-
 def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray) -> np.ndarray:
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
     client j's training labels under client i's model. The pairs the mask
@@ -54,26 +45,30 @@ def loglik_matrix(models: ClientStore, train_sets: DataStack, mask: np.ndarray) 
 
 
 def run_round(
-    state, models: ClientStore, mask: np.ndarray, ledger: CommLedger, round_index: int, config
-) -> RoundResult:
+    state, models: ClientStore, mask: np.ndarray, round_index: int, config
+) -> tuple[np.ndarray, float | None, RoundTraffic | None]:
     """One full round of the prior named by ``config.prior_kind`` (a key of
     PRIORS), on the store's train stack and the run's settings.
 
     A prior with an E-step learns its graph: the caller's mask is pruned in
     place if scheduled, then the cross-client log-likelihoods feed the
-    E-step and the lower bound. Every prior then runs its M-step (the local epochs and
-    its prior-parameter updates), and the round's traffic is charged: the
-    evaluation pass plus the gradient exchange for a learned graph, one
-    gossip round per local step for a fixed one; local-only keeps no state
-    and sends nothing.
+    E-step and the lower bound. Every prior then runs its M-step (the local
+    epochs and its prior-parameter updates), and the round's traffic is
+    counted: the evaluation pass plus the gradient exchange for a learned
+    graph, one gossip round per local step for a fixed one.
+
+    Returns ``(graph, elbo_total, traffic)``: the row-stochastic reporting
+    view of the graph, the lower bound (None for a fixed graph) and the
+    round's RoundTraffic (None for local-only, which keeps no state and
+    sends nothing).
     """
     if config.prior_kind not in PRIORS:
         raise ConfigurationError(f"unknown prior {config.prior_kind!r}")
     prior = PRIORS[config.prior_kind]
-    ll = elbo_total = None
+    ll = elbo_total = traffic = None
     try:
         if prior.e_step is not None:
-            if config.sparsify_keep_fraction < 1.0 and round_index == config.sparsify_round:
+            if config.sparsify_keep_fraction < 1.0 and config.sparsify_round == round_index:
                 mask[...] = sparsify_topk(state.w, mask, config.sparsify_keep_fraction)
             ll = loglik_matrix(models, models.train, mask)
             if not np.all(np.isfinite(ll[mask])):
@@ -82,15 +77,9 @@ def run_round(
             elbo_total = elbo(state, ll, mask, models).total
         prior.m_step(state, models, mask, config)
         if ll is not None:
-            account_exchange(ledger, mask, config.grad_mode, round_index, config.local_steps)
+            traffic = account_exchange(mask, config.grad_mode, config.local_steps, models.arch.n_params)
         elif state is not None:
-            account_gossip(ledger, mask, round_index, config.local_steps)
+            traffic = account_gossip(mask, config.local_steps)
     except ScoolError as err:
         raise type(err)(f"round {round_index}: {err}") from err
-
-    return RoundResult(
-        round_index=round_index,
-        loglik=ll,
-        elbo_total=elbo_total,
-        graph=prior.graph(state, len(models)),
-    )
+    return prior.graph(state, len(models)), elbo_total, traffic

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .em import rounds
 from .errors import ConfigurationError, DivergenceError, InvariantError
 from .models import ArchSpec, ClientStore, DataStack, batch_accuracy, batch_log_likelihood, pairs_per_block
 from .tasks import gen_tasks
-from .topology import CommLedger, build_topology
+from .topology import CommLedger, RoundTraffic, build_topology
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -36,11 +36,7 @@ METRIC_COLUMNS = [
     "mean_train_loss",
     "elbo",
     "l1_to_ground_truth",
-    "models_sent",
-    "gradients_sent",
-    "scalars_sent",
-    "vector_units_folded",
-    "vector_units_separate",
+    *(f.name for f in fields(RoundTraffic)),
 ]
 
 
@@ -169,7 +165,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         seed=config.seed,
     )
     state = build_state(config, mask, arch.n_params)
-    ledger = CommLedger(arch.n_params)
+    ledger = CommLedger()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -178,7 +174,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     failure = None
     for r in range(config.rounds):
         try:
-            result = rounds.run_round(state, clients, mask, ledger, r, config)
+            graph, elbo_total, traffic = rounds.run_round(state, clients, mask, r, config)
         except (DivergenceError, InvariantError) as err:
             failure = err
             report.diverged = True
@@ -186,24 +182,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             break
         accs = per_client(batch_accuracy, clients.theta, clients.test, arch)
         losses = -per_client(batch_log_likelihood, clients.theta, clients.train, arch)
-        comm = ledger.rounds[-1] if ledger.rounds and ledger.rounds[-1].round_index == r else None
+        if traffic is not None:
+            ledger.rounds.append(traffic)
         row = {
             "round": r + 1,
             "mean_test_acc": float(np.mean(accs)),
             "std_test_acc": float(np.std(accs)),
             "mean_train_loss": float(np.mean(losses)),
-            "elbo": result.elbo_total,
-            "l1_to_ground_truth": metric_l1(result.graph, assignment.w_star),
-            "models_sent": comm.models_sent if comm else 0,
-            "gradients_sent": comm.gradients_sent if comm else 0,
-            "scalars_sent": comm.scalars_sent if comm else 0,
-            "vector_units_folded": comm.vector_units_folded if comm else 0.0,
-            "vector_units_separate": comm.vector_units_separate if comm else 0.0,
+            "elbo": elbo_total,
+            "l1_to_ground_truth": metric_l1(graph, assignment.w_star),
+            **asdict(traffic or RoundTraffic()),
         }
         report.rounds.append(row)
         if out_path is not None and config.snapshot_every > 0:
             if (r + 1) % config.snapshot_every == 0 or r == config.rounds - 1:
-                _write_matrix(out_path / f"w_round_{r + 1:04d}.csv", result.graph)
+                _write_matrix(out_path / f"w_round_{r + 1:04d}.csv", graph)
 
     # after a full run the models have not moved since the last round's report
     final_accs = accs if failure is None else per_client(batch_accuracy, clients.theta, clients.test, arch)

@@ -1,16 +1,18 @@
 """Communication topology, top-k sparsification and traffic accounting.
 
 Masks are K x K booleans with an always-true diagonal: a client talks to
-itself for free. The ledger counts traffic in model-parameter-vector
-units so budgets compare across architectures; log-likelihood scalars are
-counted separately. Whether the evaluation payload rides on the gradient
-exchange is a deployment choice, so the ledger reports both readings
-(folded vs. separate).
+itself for free. ``account_exchange`` and ``account_gossip`` are pure: they
+return one round's ``RoundTraffic`` and the caller keeps the records in a
+``CommLedger``. Traffic is counted in model-parameter-vector units so
+budgets compare across architectures; log-likelihood scalars are counted
+separately. Whether the evaluation payload rides on the gradient exchange
+is a deployment choice, so each record carries both readings (folded vs.
+separate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil
 
 import numpy as np
@@ -103,33 +105,33 @@ def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.n
 
 @dataclass
 class RoundTraffic:
-    """Traffic of one round, in counts (models/gradients are whole vectors)."""
+    """Traffic of one round, in counts (models/gradients are whole vectors)
+    and in vector units. The field names are the run's traffic columns and
+    the keys of its totals; the zero defaults are a round that sends
+    nothing."""
 
-    round_index: int
-    models_sent: int
-    gradients_sent: int
-    scalars_sent: int
-    vector_units_folded: float
-    vector_units_separate: float
+    models_sent: int = 0
+    gradients_sent: int = 0
+    scalars_sent: int = 0
+    vector_units_folded: float = 0.0
+    vector_units_separate: float = 0.0
 
 
 @dataclass
 class CommLedger:
     """Communication account for one run, one record per charged round."""
 
-    model_dim: int
     rounds: list[RoundTraffic] = field(default_factory=list)
 
     def totals(self) -> dict:
         # folded left to right in Python: sum() compensates float sums from
         # Python 3.12 on, which would move the last bits of the vector units
         out = {}
-        for name in ("models_sent", "gradients_sent", "scalars_sent",
-                     "vector_units_folded", "vector_units_separate"):
+        for f in fields(RoundTraffic):
             total = 0
             for r in self.rounds:
-                total += getattr(r, name)
-            out[name] = total
+                total += getattr(r, f.name)
+            out[f.name] = total
         return out
 
 
@@ -139,15 +141,10 @@ def directed_edges(mask: np.ndarray) -> int:
     return int(mask.sum() - np.trace(mask))
 
 
-def account_exchange(
-    ledger: CommLedger,
-    mask: np.ndarray,
-    grad_mode: str,
-    round_index: int,
-    sweeps: int = 1,
-) -> RoundTraffic:
-    """Charge one EM round: ``sweeps`` gradient exchanges plus one
-    log-likelihood evaluation pass over the masked directed edges.
+def account_exchange(mask: np.ndarray, grad_mode: str, sweeps: int, n_params: int) -> RoundTraffic:
+    """The traffic of one EM round: ``sweeps`` gradient exchanges plus one
+    log-likelihood evaluation pass over the masked directed edges, with the
+    evaluation scalars counted in vectors of ``n_params`` parameters.
 
     cross-gradient ships the model out and the gradient back (2 vectors per
     edge per sweep); taylor-approx ships only the neighbor's own gradient
@@ -158,29 +155,17 @@ def account_exchange(
     if grad_mode not in (CROSS_GRADIENT, TAYLOR_APPROX):
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
     E = directed_edges(mask)
+    scalars = E / n_params  # the evaluation pass's log-likelihoods, in vectors
     if grad_mode == CROSS_GRADIENT:
-        models = sweeps * E
-        gradients = sweeps * E
-        folded = float(2 * sweeps * E)
-        separate = float(2 * sweeps * E + E)
-    else:
-        models = E  # evaluation shipment only
-        gradients = sweeps * E
-        folded = float(sweeps * E + E)
-        separate = folded
-    scalars = E
-    separate += 0.0 if ledger.model_dim == 0 else scalars / ledger.model_dim
-    folded += 0.0 if ledger.model_dim == 0 else scalars / ledger.model_dim
-    rec = RoundTraffic(round_index, models, gradients, scalars, folded, separate)
-    ledger.rounds.append(rec)
-    return rec
+        exchange = 2 * sweeps * E
+        return RoundTraffic(sweeps * E, sweeps * E, E, exchange + scalars, exchange + E + scalars)
+    # the evaluation shipment is the only model sent, so both readings agree
+    units = sweeps * E + E + scalars
+    return RoundTraffic(E, sweeps * E, E, units, units)
 
 
-def account_gossip(
-    ledger: CommLedger, mask: np.ndarray, round_index: int, sweeps: int = 1
-) -> RoundTraffic:
-    """Charge a gossip-averaging round: one model per directed edge per sweep."""
+def account_gossip(mask: np.ndarray, sweeps: int) -> RoundTraffic:
+    """The traffic of a gossip-averaging round: one model per directed edge
+    per sweep."""
     models = sweeps * directed_edges(mask)
-    rec = RoundTraffic(round_index, models, 0, 0, float(models), float(models))
-    ledger.rounds.append(rec)
-    return rec
+    return RoundTraffic(models, 0, 0, float(models), float(models))

@@ -20,7 +20,6 @@ from scool.special import row_normalize
 from scool.topology import (
     CROSS_GRADIENT,
     TAYLOR_APPROX,
-    CommLedger,
     account_exchange,
     build_topology,
     directed_edges,
@@ -269,9 +268,8 @@ def test_criterion_3_dpsgd_equivalence():
         state = DiracState(w)
         ref = np.stack([m.theta for m in models])
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
-        ledger = CommLedger(arch.n_params)
         for r in range(10):
-            rounds.run_round(state, models, mask, ledger, r, cfg)
+            rounds.run_round(state, models, mask, r, cfg)
         # independent simulator of the reference algorithm
         for _ in range(10):
             grads = np.stack([grad(LocalModel(ref[i], arch), train[i]) for i in range(K)])
@@ -443,8 +441,7 @@ def test_criterion_8_communication_accounting():
         mask = build_topology(kind, 12, **kwargs)
         E = directed_edges(mask)
         for mode, sweeps in ((CROSS_GRADIENT, 2), (TAYLOR_APPROX, 2)):
-            ledger = CommLedger(18)
-            rec = account_exchange(ledger, mask, mode, 0, sweeps)
+            rec = account_exchange(mask, mode, sweeps, 18)
             if mode == CROSS_GRADIENT:
                 assert rec.vector_units_folded == 2 * sweeps * E + E / 18
                 assert rec.vector_units_separate == 2 * sweeps * E + E + E / 18

@@ -7,7 +7,7 @@ from scool.config import ExperimentConfig
 from scool.em import rounds
 from scool.em.state import ALPHA_MIN, B_EPS
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import CommLedger, build_topology
+from scool.topology import build_topology
 
 
 def _check_simplex(rows, name):
@@ -26,9 +26,8 @@ def test_invariants_after_every_round(prior):
     models = build_models(cfg, train, test)
     mask = build_topology("fully-connected", cfg.K)
     state = build_state(cfg, mask, models.arch.n_params)
-    ledger = CommLedger(models.arch.n_params)
     for r in range(cfg.rounds):
-        rounds.run_round(state, models, mask, ledger, r, cfg)
+        rounds.run_round(state, models, mask, r, cfg)
         if prior == "attention":
             _check_simplex(state.w, "attention w rows")
             _check_simplex(state.p, "attention p rows")

@@ -13,7 +13,14 @@ from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import CROSS_GRADIENT, CommLedger, build_topology, directed_edges
+from scool.topology import (
+    CROSS_GRADIENT,
+    RoundTraffic,
+    account_exchange,
+    account_gossip,
+    build_topology,
+    directed_edges,
+)
 
 from conftest import LocalModel, client_store, full_mask, grad, log_likelihood, model_list, tiny_dataset
 
@@ -39,9 +46,8 @@ class TestDiracReduction:
         mask = build_topology("fully-connected", K)
         state = DiracState(w)
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=1)
-        ledger = CommLedger(models.arch.n_params)
         for r in range(10):
-            rounds.run_round(state, models, mask, ledger, r, cfg)
+            rounds.run_round(state, models, mask, r, cfg)
         thetas = np.stack([m.theta for m in ref])
         for _ in range(10):
             grads = np.stack(
@@ -57,10 +63,9 @@ class TestDiracReduction:
         K = len(models)
         mask = build_topology("fully-connected", K)
         state = DiracState(dirac.metropolis_weights(mask))
-        ledger = CommLedger(models[0].arch.n_params)
         cfg = ExperimentConfig(prior_kind="dirac", eta1=0.1, local_steps=3)
-        rounds.run_round(state, models, mask, ledger, 0, cfg)
-        assert ledger.rounds[-1].models_sent == 3 * directed_edges(mask)
+        _, _, traffic = rounds.run_round(state, models, mask, 0, cfg)
+        assert traffic.models_sent == 3 * directed_edges(mask)
 
 
 class TestMaskingGuarantees:
@@ -129,9 +134,7 @@ class TestRunRoundContracts:
         models, _ = _setup(rng, K=3)
         mask = build_topology("fully-connected", 3)
         with pytest.raises(ConfigurationError):
-            rounds.run_round(
-                None, models, mask, CommLedger(models.arch.n_params), 0, ExperimentConfig(prior_kind="bogus", eta1=0.1)
-            )
+            rounds.run_round(None, models, mask, 0, ExperimentConfig(prior_kind="bogus", eta1=0.1))
 
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
@@ -142,12 +145,12 @@ class TestRunRoundContracts:
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
         st_a = sbm.init_state(cfg, None, 0)
         st_b = sbm.init_state(cfg, None, 0)
-        ledger_a, ledger_b = CommLedger(models_a.arch.n_params), CommLedger(models_b.arch.n_params)
         for r in range(3):
-            ra = rounds.run_round(st_a, models_a, mask_a, ledger_a, r, cfg)
-            rb = rounds.run_round(st_b, models_b, mask_b, ledger_b, r, cfg)
-            np.testing.assert_array_equal(ra.graph, rb.graph)
-            assert ra.elbo_total == rb.elbo_total
+            graph_a, elbo_a, traffic_a = rounds.run_round(st_a, models_a, mask_a, r, cfg)
+            graph_b, elbo_b, traffic_b = rounds.run_round(st_b, models_b, mask_b, r, cfg)
+            np.testing.assert_array_equal(graph_a, graph_b)
+            assert elbo_a == elbo_b
+            assert traffic_a == traffic_b
         for a, b in zip(models_a, models_b):
             np.testing.assert_array_equal(a.theta, b.theta)
 
@@ -156,9 +159,9 @@ class TestRunRoundContracts:
         models, _ = _setup(rng, K=3)
         mask = build_topology("fully-connected", 3)
         cfg = ExperimentConfig(prior_kind="local-only", eta1=0.1, local_steps=1, weight_decay=0.0)
-        out = rounds.run_round(None, models, mask, CommLedger(models.arch.n_params), 0, cfg)
-        np.testing.assert_array_equal(out.graph, np.eye(3))
-        assert out.elbo_total is None and out.loglik is None
+        graph, elbo_total, traffic = rounds.run_round(None, models, mask, 0, cfg)
+        np.testing.assert_array_equal(graph, np.eye(3))
+        assert elbo_total is None and traffic is None
 
     def test_sparsification_fires_once_at_round(self):
         rng = np.random.default_rng(11)
@@ -169,12 +172,11 @@ class TestRunRoundContracts:
             K=6, num_memberships=2, seed=12,
         )
         st = sbm.init_state(cfg, None, 0)
-        ledger = CommLedger(models.arch.n_params)
         for r in range(4):
-            rounds.run_round(st, models, mask, ledger, r, cfg)
+            _, _, traffic = rounds.run_round(st, models, mask, r, cfg)
             # pruned in place: the caller's own array is the mask the round
             # charged, and from round 2 on it keeps one neighbour per row
-            assert ledger.rounds[-1].models_sent == directed_edges(mask)
+            assert traffic.models_sent == directed_edges(mask)
             off = mask.copy()
             np.fill_diagonal(off, False)
             if r < 2:
@@ -190,13 +192,12 @@ class TestRunRoundContracts:
         mask = build_topology("fully-connected", 5)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1, K=5, num_memberships=2, seed=14)
         st = sbm.init_state(cfg, None, 0)
-        ledger = CommLedger(models.arch.n_params)
-        rounds.run_round(st, models, mask, ledger, 0, cfg)
+        rounds.run_round(st, models, mask, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]
         cfg = cfg.replace(sparsify_keep_fraction=0.5, sparsify_round=1)
         with pytest.raises(DivergenceError, match=r"^round 1: sparsify: row 3 has no positive weight$"):
-            rounds.run_round(st, models, mask, ledger, 1, cfg)
+            rounds.run_round(st, models, mask, 1, cfg)
         assert mask.all()
         for m, theta in zip(models, before):
             np.testing.assert_array_equal(m.theta, theta)
@@ -238,17 +239,37 @@ class TestPriorTable:
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
     def test_every_prior_runs_two_rounds(self, prior):
         cfg, models, mask, state = self._k4(prior)
-        ledger = CommLedger(models[0].arch.n_params)
+        records = []
         for r in range(2):
-            out = rounds.run_round(state, models, mask, ledger, r, cfg)
-            assert out.graph.shape == (4, 4)
-            np.testing.assert_allclose(out.graph.sum(axis=1), 1.0, atol=1e-12)
-            assert (out.elbo_total is None) == (rounds.PRIORS[prior].e_step is None)
+            graph, elbo_total, traffic = rounds.run_round(state, models, mask, r, cfg)
+            assert graph.shape == (4, 4)
+            np.testing.assert_allclose(graph.sum(axis=1), 1.0, atol=1e-12)
+            assert (elbo_total is None) == (rounds.PRIORS[prior].e_step is None)
+            records.append(traffic)
         if prior == "local-only":
-            assert state is None and ledger.rounds == []
-            np.testing.assert_array_equal(out.graph, np.eye(4))
+            assert state is None and records == [None, None]
+            np.testing.assert_array_equal(graph, np.eye(4))
         else:
-            assert [rec.round_index for rec in ledger.rounds] == [0, 1]
+            assert all(isinstance(rec, RoundTraffic) for rec in records)
+
+    @pytest.mark.parametrize("grad_mode", config.GRAD_MODES)
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_round_returns_its_traffic_record(self, prior, grad_mode):
+        # the record account_exchange (learned graph) or account_gossip
+        # (fixed graph) gives for the round's own mask; None for local-only
+        cfg, models, _, state = self._k4(prior)
+        cfg = cfg.replace(grad_mode=grad_mode, local_steps=2)
+        mask = build_topology("group-ring", 4, k0=2)  # one neighbour each side
+        if state is not None:
+            state = build_state(cfg, mask, models.arch.n_params)
+        _, _, traffic = rounds.run_round(state, models, mask, 0, cfg)
+        if prior == "local-only":
+            assert traffic is None
+        elif rounds.PRIORS[prior].e_step is None:
+            assert traffic == account_gossip(mask, 2) == RoundTraffic(16, 0, 0, 16.0, 16.0)
+        else:
+            assert traffic == account_exchange(mask, grad_mode, 2, models.arch.n_params)
+            assert traffic.scalars_sent == directed_edges(mask) == 8
 
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
     def test_models_stay_views_of_the_store(self, prior):
@@ -256,7 +277,7 @@ class TestPriorTable:
         # client's theta is still its row, and the rows moved
         cfg, models, mask, state = self._k4(prior)
         theta, before = models.theta, models.theta.copy()
-        rounds.run_round(state, models, mask, CommLedger(models.arch.n_params), 0, cfg)
+        rounds.run_round(state, models, mask, 0, cfg)
         assert models.theta is theta
         for i, m in enumerate(models):
             assert np.shares_memory(m.theta, theta[i]) and np.array_equal(m.theta, theta[i])
@@ -275,9 +296,9 @@ class TestPriorTable:
         real = attention.e_step
         monkeypatch.setattr(attention, "e_step", spy)
         monkeypatch.setattr(attention, "graph", lambda st, K: np.full((K, K), 1.0 / K))
-        out = rounds.run_round(state, models, mask, CommLedger(models.arch.n_params), 0, cfg)
+        graph, _, _ = rounds.run_round(state, models, mask, 0, cfg)
         assert calls == [state]
-        np.testing.assert_array_equal(out.graph, np.full((4, 4), 0.25))
+        np.testing.assert_array_equal(graph, np.full((4, 4), 0.25))
 
     def test_benchmark_bindings_resolve(self, monkeypatch):
         # the benchmark times layers by rebinding these module-level names

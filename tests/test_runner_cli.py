@@ -4,14 +4,16 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from scool.config import PRIORS, ExperimentConfig, load_config, save_config
 from scool.errors import ConfigurationError
-from scool.runner import metric_l1, run_budget_sweep, run_experiment
+from scool.runner import METRIC_COLUMNS, metric_l1, run_budget_sweep, run_experiment
 from scool.special import row_normalize
+from scool.topology import RoundTraffic
 
 
 def small_config(prior="sbm", **kw):
@@ -156,7 +158,7 @@ class TestRunExperiment:
         from scool.runner import build_models, build_tasks
         from scool.em.state import DiracState
         from scool.em import dirac, rounds as rounds_mod
-        from scool.topology import CommLedger, build_topology
+        from scool.topology import build_topology
 
         assignment, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
@@ -173,9 +175,8 @@ class TestRunExperiment:
 
         start = spread()
         values = []
-        ledger = CommLedger(models.arch.n_params)
         for r in range(cfg.rounds):
-            rounds_mod.run_round(state, models, mask, ledger, r, cfg)
+            rounds_mod.run_round(state, models, mask, r, cfg)
             values.append(spread())
         # monotone contraction up to sub-0.1% jitter at the gradient floor
         assert all(b <= a * 1.001 for a, b in zip([start] + values, values))
@@ -213,6 +214,30 @@ class TestRunExperiment:
                 assert value is None or type(value) in (bool, int, float, str), (where, type(value))
 
         walk(run_experiment(small_config(prior)).to_dict(), "report")
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_traffic_rows_fold_to_the_totals(self, prior, tmp_path):
+        # each traffic column of the rounds, folded left to right, is the
+        # run's total; a local-only run sends nothing and keeps the types
+        # pruned after round 2, so the rows differ (dirac has nothing to prune by)
+        pruning = {} if prior == "dirac" else dict(sparsify_keep_fraction=0.4, sparsify_round=2)
+        report = run_experiment(small_config(prior, **pruning), tmp_path)
+        names = [f.name for f in fields(RoundTraffic)]
+        assert list(report.comm_totals) == names
+        assert METRIC_COLUMNS[-len(names):] == names
+        header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
+        assert header == ",".join(METRIC_COLUMNS) and len(METRIC_COLUMNS) == 11
+        for name in names:
+            total = 0
+            for row in report.rounds:
+                total += row[name]
+            assert total == report.comm_totals[name], name
+        if prior == "local-only":
+            for row in report.rounds:
+                assert [(type(row[n]), row[n]) for n in names] == [(int, 0)] * 3 + [(float, 0.0)] * 2
+            assert all(type(v) is int and v == 0 for v in report.comm_totals.values())
+        else:
+            assert report.comm_totals["models_sent"] > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_writes_flagged_partial_report(self, tmp_path):
@@ -360,12 +385,31 @@ class TestCli:
         # both would write fraction_0.01/, the second report over the first
         ("0.5,0.01,0.015", "fractions 0.01 and 0.015 would both write fraction_0.01"),
         ("0.5,1.5", "sparsify_keep_fraction in (0,1]"),
+        ("0.1,abc", "--fractions: could not convert string to float: 'abc'"),
     ])
     def test_sweep_budget_is_checked_before_the_first_run(self, tmp_path, fractions, message):
         path = self._write_config(tmp_path, rounds=2, sparsify_round=1)
         out = tmp_path / "sweep"
         proc = self._run("sweep-budget", "--config", str(path), "--out", str(out), "--fractions", fractions)
-        assert proc.returncode == 2 and message in proc.stderr
+        assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be of type int, not 1.5"),
+        ("rounds", 1.5, "rounds must be of type int, not 1.5"),
+        ("K", "6", "K must be of type int, not '6'"),
+        ("shared_init", "no", "shared_init must be of type bool, not 'no'"),
+    ])
+    def test_wrongly_typed_field_exit_code(self, tmp_path, key, value, message):
+        # refused by validate-config as by run: exit 2, no traceback
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**small_config().to_dict(), key: value}))
+        out = tmp_path / "o"
+        for args in (("validate-config",), ("run", "--out", str(out))):
+            proc = self._run(*args, "--config", str(path))
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            assert message in proc.stderr and "config ok" not in proc.stdout
         assert not out.exists()
 
     def test_snapshot_every_override(self, tmp_path):

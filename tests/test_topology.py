@@ -1,5 +1,6 @@
-"""Topology masks, top-k pruning and the communication ledger."""
+"""Topology masks, top-k pruning and the traffic accounting."""
 
+from dataclasses import fields
 from math import ceil
 
 import numpy as np
@@ -12,6 +13,7 @@ from scool.topology import (
     CROSS_GRADIENT,
     TAYLOR_APPROX,
     CommLedger,
+    RoundTraffic,
     account_exchange,
     account_gossip,
     build_topology,
@@ -159,16 +161,14 @@ class TestSparsifyTopk:
 
 class TestLedger:
     def test_empty_offdiagonal_costs_nothing(self):
-        ledger = CommLedger(10)
-        account_exchange(ledger, np.eye(3, dtype=bool), CROSS_GRADIENT, 0)
+        ledger = CommLedger([account_exchange(np.eye(3, dtype=bool), CROSS_GRADIENT, 1, 10)])
         assert ledger.totals()["models_sent"] == 0
         assert ledger.totals()["vector_units_folded"] == 0.0
 
     def test_taylor_fully_connected_counts(self):
         K, dim = 3, 10
-        ledger = CommLedger(dim)
         mask = build_topology("fully-connected", K)
-        rec = account_exchange(ledger, mask, TAYLOR_APPROX, 0, sweeps=1)
+        rec = account_exchange(mask, TAYLOR_APPROX, 1, dim)
         E = 6
         assert rec.gradients_sent == E
         assert rec.models_sent == E  # evaluation shipment
@@ -181,10 +181,8 @@ class TestLedger:
         K = 5
         mask = build_topology("fully-connected", K)
         for sweeps in (1, 3):
-            lc = CommLedger(100)
-            lt = CommLedger(100)
-            rc = account_exchange(lc, mask, CROSS_GRADIENT, 0, sweeps)
-            rt = account_exchange(lt, mask, TAYLOR_APPROX, 0, sweeps)
+            rc = account_exchange(mask, CROSS_GRADIENT, sweeps, 100)
+            rt = account_exchange(mask, TAYLOR_APPROX, sweeps, 100)
             assert rc.models_sent + rc.gradients_sent == 2 * sweeps * 20
             assert rt.gradients_sent == sweeps * 20
             # per-sweep exchange ratio is exactly two
@@ -196,19 +194,18 @@ class TestLedger:
             K = int(rng.integers(3, 9))
             mask = build_topology("fully-connected", K)
             sweeps = int(rng.integers(1, 6))
-            lc, lt = CommLedger(50), CommLedger(50)
-            account_exchange(lc, mask, CROSS_GRADIENT, 0, sweeps)
-            account_exchange(lt, mask, TAYLOR_APPROX, 0, sweeps)
+            lc = CommLedger([account_exchange(mask, CROSS_GRADIENT, sweeps, 50)])
+            lt = CommLedger([account_exchange(mask, TAYLOR_APPROX, sweeps, 50)])
             assert lt.totals()["vector_units_folded"] <= lc.totals()["vector_units_folded"]
             assert lt.totals()["vector_units_separate"] <= lc.totals()["vector_units_separate"]
 
     def test_counters_non_decreasing_and_per_client(self):
         K = 4
         mask = build_topology("fully-connected", K)
-        ledger = CommLedger(10)
+        ledger = CommLedger()
         last = 0.0
-        for r in range(5):
-            account_exchange(ledger, mask, CROSS_GRADIENT, r, sweeps=2)
+        for _ in range(5):
+            ledger.rounds.append(account_exchange(mask, CROSS_GRADIENT, 2, 10))
             total = ledger.totals()["vector_units_folded"]
             assert total > last
             last = total
@@ -216,8 +213,7 @@ class TestLedger:
     def test_gossip_counts_models_only(self):
         K = 4
         mask = build_topology("fully-connected", K)
-        ledger = CommLedger(10)
-        rec = account_gossip(ledger, mask, 0, sweeps=3)
+        rec = account_gossip(mask, 3)
         assert rec.models_sent == 3 * 12
         assert rec.gradients_sent == 0
         assert rec.scalars_sent == 0
@@ -230,7 +226,44 @@ class TestLedger:
         ]:
             mask = build_topology(kind, 8, **kwargs)
             E = directed_edges(mask)
-            ledger = CommLedger(20)
-            rec = account_exchange(ledger, mask, CROSS_GRADIENT, 0, sweeps=2)
+            rec = account_exchange(mask, CROSS_GRADIENT, 2, 20)
             assert rec.vector_units_folded == pytest.approx(2 * 2 * E + E / 20)
             assert rec.vector_units_separate == pytest.approx(2 * 2 * E + E + E / 20)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        K=hst.integers(2, 10),
+        data=hst.data(),
+        sweeps=hst.integers(1, 3),
+        n_params=hst.integers(1, 64),
+        grad_mode=hst.sampled_from([CROSS_GRADIENT, TAYLOR_APPROX]),
+    )
+    def test_closed_forms_on_random_symmetric_masks(self, K, data, sweeps, n_params, grad_mode):
+        # pure functions of the mask: the closed forms in its directed edge
+        # count, the same record on every call, and the mask untouched
+        upper = data.draw(hst.lists(hst.booleans(), min_size=K * (K - 1) // 2, max_size=K * (K - 1) // 2))
+        mask = np.eye(K, dtype=bool)
+        mask[np.triu_indices(K, 1)] = upper
+        mask |= mask.T
+        before = mask.copy()
+        E = directed_edges(mask)
+        assert E == 2 * sum(upper)
+        rec = account_exchange(mask, grad_mode, sweeps, n_params)
+        if grad_mode == CROSS_GRADIENT:
+            expected = RoundTraffic(
+                sweeps * E, sweeps * E, E, 2 * sweeps * E + E / n_params, 2 * sweeps * E + E + E / n_params
+            )
+        else:
+            units = sweeps * E + E + E / n_params
+            expected = RoundTraffic(E, sweeps * E, E, units, units)
+        assert rec == expected
+        assert account_exchange(mask, grad_mode, sweeps, n_params) == rec
+        gossip = account_gossip(mask, sweeps)
+        assert gossip == RoundTraffic(sweeps * E, 0, 0, float(sweeps * E), float(sweeps * E))
+        for record in (rec, gossip):
+            assert [type(getattr(record, f.name)) for f in fields(RoundTraffic)] == [int] * 3 + [float] * 2
+        np.testing.assert_array_equal(mask, before)
+        # the ledger only keeps what it is handed
+        ledger = CommLedger([rec, gossip])
+        for f in fields(RoundTraffic):
+            assert ledger.totals()[f.name] == getattr(rec, f.name) + getattr(gossip, f.name)
