@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,11 +105,13 @@ class ExperimentConfig:
                 raise ConfigurationError(msg)
 
         # each field has its declared type, nothing coerced: a bool is no
-        # number, and an int is also a float
+        # number, and an int is also a float. A float field is also finite:
+        # the bound is false for inf and NaN and compares any int exactly
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             typed = isinstance(value, FIELD_TYPES[f.type]) and isinstance(value, bool) == (f.type == "bool")
             need(typed, f"{f.name} must be of type {f.type}, not {value!r}")
+            need(f.type != "float" or abs(value) <= sys.float_info.max, f"{f.name} must be finite, not {value!r}")
         need(self.seed >= 0, "seed must be >= 0")
         need(self.prior_kind in PRIORS, f"prior_kind must be one of {PRIORS}")
         need(self.task_setting in SETTINGS, f"task_setting must be one of {SETTINGS}")

@@ -80,10 +80,13 @@ def _encoder_forward(phi, dims, X):
 
 def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
     """Row softmax over the allowed entries, zero elsewhere. Rows of equal
-    mask degree share one 2-D softmax over their compacted allowed entries."""
+    mask degree share one 2-D softmax over their compacted allowed entries.
+    Allowed scores that are not finite over tau are a divergence."""
     degree = mask.sum(axis=1)
     if not degree.all():
         raise ConfigurationError(f"client {int(np.argmin(degree))} has a fully masked row")
+    if not np.all(np.isfinite(scores[mask] / tau)):
+        raise DivergenceError("attention scores over the temperature are non-finite")
     out = np.zeros_like(scores)
     for k in np.flatnonzero(np.bincount(degree)):  # np.unique loads numpy.ma (about 1 MB)
         rows = np.flatnonzero(degree == k)[:, None]

@@ -4,9 +4,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvariantError
+from ..errors import DivergenceError, InvariantError
 from ..special import digamma
-from .state import ALPHA_MIN, ascent_step, clamp_block_matrix
+from .state import ALPHA_MIN, AdamSlot, ascent_step, clamp_block_matrix
+
+
+def block_start(config) -> dict:
+    """The block priors' shared initial fields: every edge at 1/2, a flat
+    Dirichlet prior with every posterior at it, every block at
+    config.block_init, the run's ridge and temperature, and a fresh Adam
+    slot for alpha. The first E-step sets gamma before anything reads it."""
+    K, M = config.K, config.num_memberships
+    alpha = np.ones(M)
+    return dict(
+        w=np.full((K, K), 0.5),
+        gamma=np.ones((K, M)),
+        alpha=alpha,
+        B=np.full((M, M), config.block_init),
+        lam=config.weight_decay,
+        tau_sigmoid=config.tau_sigmoid,
+        alpha_slot=AdamSlot.like(alpha),
+    )
+
+
+def block_logs(state) -> tuple[np.ndarray, np.ndarray]:
+    """(log B, log(1 - B)) of a block prior's state; B is already clamped
+    where it is written."""
+    return np.log(state.B), np.log1p(-state.B)
 
 
 def expected_log_pi(gamma: np.ndarray) -> np.ndarray:
@@ -29,7 +53,11 @@ def update_alpha(state, config) -> np.ndarray:
     block prior, under the run's prior step size, optimizer and decay,
     floored at ALPHA_MIN."""
     new = ascent_step(state.alpha, alpha_gradient(state.gamma, state.alpha), state.alpha_slot, config)
-    return np.maximum(new, ALPHA_MIN)
+    new = np.maximum(new, ALPHA_MIN)
+    # a non-finite entry makes the sum non-finite too; so do entries whose sum overflows
+    if not np.isfinite(new.sum()):
+        raise DivergenceError("Dirichlet prior alpha is non-finite")
+    return new
 
 
 def block_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

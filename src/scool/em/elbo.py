@@ -16,49 +16,36 @@ Dirichlet prior cross-entropy with the Dirichlet posterior entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
 from ..models import ClientStore
-from ..special import xlogx
-from .common import at_pairs, expected_log_pi, observed_pairs, pair_bilinear
-from .state import PROB_FLOOR, AttentionState, MmsbmState, SbmState, clamp_block_matrix
-from ..special import log_gamma
+from ..special import log_gamma, xlogx
+from .common import at_pairs, block_logs, expected_log_pi, observed_pairs, pair_bilinear
+from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ElboBreakdown:
     likelihood: float
     model_prior: float
     edge: float
-    membership: float
-    dirichlet: float
-    entropy_membership: float
+    membership: float = 0.0
+    dirichlet: float = 0.0
+    entropy_membership: float = 0.0
     entropy_w: float
 
     @property
     def total(self) -> float:
-        return (
-            self.likelihood
-            + self.model_prior
-            + self.edge
-            + self.membership
-            + self.dirichlet
-            + self.entropy_membership
-            + self.entropy_w
-        )
+        """The terms summed left to right in their declared order (sum()
+        compensates from Python 3.12 on)."""
+        return reduce(operator.add, self.terms().values())
 
     def terms(self) -> dict[str, float]:
-        return {
-            "likelihood": self.likelihood,
-            "model_prior": self.model_prior,
-            "edge": self.edge,
-            "membership": self.membership,
-            "dirichlet": self.dirichlet,
-            "entropy_membership": self.entropy_membership,
-            "entropy_w": self.entropy_w,
-        }
+        return asdict(self)
 
 
 def _likelihood_term(w: np.ndarray, loglik: np.ndarray, obs: np.ndarray) -> float:
@@ -91,28 +78,37 @@ def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray) -> float:
     return prior + post_entropy
 
 
-def _bernoulli_entropy(w: np.ndarray, obs: np.ndarray) -> float:
-    w = w[obs]
-    return float((-(xlogx(w) + xlogx(1.0 - w))).sum())
+def _block_bound(
+    state: BlockState, loglik: np.ndarray, obs: np.ndarray, models: ClientStore | None,
+    *, edge: float, membership: float, entropy_membership: float,
+) -> ElboBreakdown:
+    """A block prior's bound from its ``edge``, ``membership`` and
+    ``entropy_membership`` terms: the likelihood, model-prior, Dirichlet and
+    edge-entropy terms are the same for both ways of holding memberships."""
+    w = state.w[obs]
+    return ElboBreakdown(
+        likelihood=_likelihood_term(state.w, loglik, obs),
+        model_prior=_model_prior_term(models, state.lam),
+        edge=edge,
+        membership=membership,
+        dirichlet=_dirichlet_term(state.gamma, state.alpha),
+        entropy_membership=entropy_membership,
+        entropy_w=float((-(xlogx(w) + xlogx(1.0 - w))).sum()),
+    )
 
 
 def elbo_sbm(
     state: SbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
     obs = observed_pairs(mask)
-    B = clamp_block_matrix(state.B)
-    pos = state.omega @ np.log(B) @ state.omega.T
-    neg = state.omega @ np.log1p(-B) @ state.omega.T
-    edge = float((state.w * pos + (1.0 - state.w) * neg)[obs].sum())
-    elp = expected_log_pi(state.gamma)
-    return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, obs),
-        model_prior=_model_prior_term(models, state.lam),
-        edge=edge,
-        membership=float((state.omega * elp).sum()),
-        dirichlet=_dirichlet_term(state.gamma, state.alpha),
+    logB, log1mB = block_logs(state)
+    pos = state.omega @ logB @ state.omega.T
+    neg = state.omega @ log1mB @ state.omega.T
+    return _block_bound(
+        state, loglik, obs, models,
+        edge=float((state.w * pos + (1.0 - state.w) * neg)[obs].sum()),
+        membership=float((state.omega * expected_log_pi(state.gamma)).sum()),
         entropy_membership=-float(xlogx(state.omega).sum()),
-        entropy_w=_bernoulli_entropy(state.w, obs),
     )
 
 
@@ -125,9 +121,6 @@ def elbo_attention(
         likelihood=_likelihood_term(state.w, loglik, obs),
         model_prior=_model_prior_term(models, state.lam),
         edge=float((state.w * logp).sum()),
-        membership=0.0,
-        dirichlet=0.0,
-        entropy_membership=0.0,
         entropy_w=-float(xlogx(state.w).sum()),
     )
 
@@ -139,19 +132,16 @@ def elbo_mmsbm(
     obs = observed_pairs(mask)
     pairs = np.flatnonzero(obs)
     ps, pr, w = (at_pairs(a, pairs) for a in (state.phi_send, state.phi_recv, state.w))
-    B = clamp_block_matrix(state.B)
-    pos = pair_bilinear(ps, np.log(B), pr)
-    neg = pair_bilinear(ps, np.log1p(-B), pr)
+    logB, log1mB = block_logs(state)
+    pos = pair_bilinear(ps, logB, pr)
+    neg = pair_bilinear(ps, log1mB, pr)
     elp = expected_log_pi(state.gamma)
     elp_send, elp_recv = (np.take(elp, own, axis=0) for own in (pairs // K, pairs % K))
-    return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, obs),
-        model_prior=_model_prior_term(models, state.lam),
+    return _block_bound(
+        state, loglik, obs, models,
         edge=float((w * pos + (1.0 - w) * neg).sum()),
         membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),
-        dirichlet=_dirichlet_term(state.gamma, state.alpha),
         entropy_membership=-float(xlogx(ps).sum() + xlogx(pr).sum()),
-        entropy_w=_bernoulli_entropy(state.w, obs),
     )
 
 

@@ -17,38 +17,21 @@ import numpy as np
 from ..special import sigmoid_tempered, softmax_tempered
 # graph (the reporting hook) and update_alpha are shared with sbm
 from .common import (
-    at_pairs, block_ratio, expected_log_pi, graph, observed_pairs, pair_bilinear, update_alpha,
+    at_pairs, block_logs, block_ratio, block_start, expected_log_pi, graph, observed_pairs,
+    pair_bilinear, update_alpha,
 )
-from .state import AdamSlot, MmsbmState, clamp_block_matrix, jittered_simplex
+from .state import MmsbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
 
 def init_state(config, mask, theta_dim: int) -> MmsbmState:
-    """Jittered sender then receiver memberships, a flat Dirichlet prior
-    and its posterior over the off-diagonal pairs, every block at
-    config.block_init and every edge at 1/2."""
+    """Jittered sender then receiver memberships on the block model's
+    shared start."""
     K, M = config.K, config.num_memberships
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     phi_send = jittered_simplex(rng, (K, K, M))
     phi_recv = jittered_simplex(rng, (K, K, M))
-    alpha = np.ones(M)
-    off = ~np.eye(K, dtype=bool)
-    gamma = (
-        alpha[None, :]
-        + (phi_send * off[:, :, None]).sum(axis=1)
-        + (phi_recv * off[:, :, None]).sum(axis=0)
-    )
-    return MmsbmState(
-        w=np.full((K, K), 0.5),
-        phi_send=phi_send,
-        phi_recv=phi_recv,
-        gamma=gamma,
-        alpha=alpha,
-        B=np.full((M, M), config.block_init),
-        lam=config.weight_decay,
-        tau_sigmoid=config.tau_sigmoid,
-        alpha_slot=AdamSlot.like(alpha),
-    )
+    return MmsbmState(phi_send=phi_send, phi_recv=phi_recv, **block_start(config))
 
 
 def _observed(mask: np.ndarray) -> np.ndarray:
@@ -60,13 +43,13 @@ def update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndar
     """Edge posterior over the allowed pairs; masked entries are 0. The
     diagonal is a reporting value as in the single-membership case and
     never enters the model updates."""
-    B = clamp_block_matrix(state.B)
-    odds = np.log(B) - np.log1p(-B)
+    logB, log1mB = block_logs(state)
     K = state.n_clients
     pairs = np.flatnonzero(mask)
     ps, pr = at_pairs(state.phi_send, pairs), at_pairs(state.phi_recv, pairs)
+    score = at_pairs(loglik, pairs) + pair_bilinear(ps, logB - log1mB, pr)
     w = np.zeros(K * K)
-    w[pairs] = sigmoid_tempered(at_pairs(loglik, pairs) + pair_bilinear(ps, odds, pr), state.tau_sigmoid)
+    w[pairs] = sigmoid_tempered(score, state.tau_sigmoid)
     return w.reshape(K, K)
 
 
@@ -88,8 +71,7 @@ def _update_phi(state: MmsbmState, mask: np.ndarray, side: str) -> np.ndarray:
     included, is parked at 1/M."""
     pairs = _observed(mask)
     K, M = state.n_clients, state.n_blocks
-    B = clamp_block_matrix(state.B)
-    logB, log1mB = np.log(B), np.log1p(-B)
+    logB, log1mB = block_logs(state)
     if side == "send":
         counterpart, own = at_pairs(state.phi_recv, pairs).T, pairs // K
     else:

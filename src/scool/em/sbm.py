@@ -14,28 +14,17 @@ import numpy as np
 
 from ..special import sigmoid_tempered, softmax_tempered
 # graph (the reporting hook) and update_alpha are shared with mmsbm
-from .common import block_ratio, expected_log_pi, graph, observed_pairs, update_alpha
-from .state import AdamSlot, SbmState, clamp_block_matrix, jittered_simplex
+from .common import (
+    block_logs, block_ratio, block_start, expected_log_pi, graph, observed_pairs, update_alpha,
+)
+from .state import SbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
 
 def init_state(config, mask, theta_dim: int) -> SbmState:
-    """Jittered memberships, a flat Dirichlet prior, every block at
-    config.block_init and every edge at 1/2."""
-    K, M = config.K, config.num_memberships
+    """Jittered memberships on the block model's shared start."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    omega = jittered_simplex(rng, (K, M))
-    alpha = np.ones(M)
-    return SbmState(
-        w=np.full((K, K), 0.5),
-        gamma=omega + alpha,
-        omega=omega,
-        alpha=alpha,
-        B=np.full((M, M), config.block_init),
-        lam=config.weight_decay,
-        tau_sigmoid=config.tau_sigmoid,
-        alpha_slot=AdamSlot.like(alpha),
-    )
+    return SbmState(omega=jittered_simplex(rng, (config.K, config.num_memberships)), **block_start(config))
 
 
 def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -46,9 +35,8 @@ def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarra
     updates (the own-data term has coefficient one there) and only shapes
     the row-normalized reporting view of the graph.
     """
-    B = clamp_block_matrix(state.B)
-    odds = np.log(B) - np.log1p(-B)
-    score = loglik + state.omega @ odds @ state.omega.T
+    logB, log1mB = block_logs(state)
+    score = loglik + state.omega @ (logB - log1mB) @ state.omega.T
     return np.where(mask, sigmoid_tempered(score, state.tau_sigmoid), 0.0)
 
 
@@ -70,8 +58,7 @@ def _pair_weights(state: SbmState, mask: np.ndarray):
 def omega_scores(state: SbmState, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax logits of the membership update: edge and non-edge
     evidence from both link directions plus the expected log-mixture."""
-    B = clamp_block_matrix(state.B)
-    logB, log1mB = np.log(B), np.log1p(-B)
+    logB, log1mB = block_logs(state)
     w_pos, w_neg = _pair_weights(state, mask)
     out_pos = state.omega @ logB.T  # row j, col k: sum_h omega_jh log B(k, h)
     in_pos = state.omega @ logB  # row j, col k: sum_h omega_jh log B(h, k)

@@ -1,19 +1,22 @@
 """Per-prior variational and model-parameter state.
 
-Conventions shared by the SBM and MMSBM priors: the edge model covers the
-observed ordered client pairs, (i, j) with i != j that the topology's
-boolean mask allows (``scool.em.common.observed_pairs``); masked pairs are
-missing data, with w at 0. A client always cooperates with itself (its
-own-data gradient carries coefficient one in every update), so the stored
-diagonal of w never enters an update and only matters for row-normalized
-reporting. Block matrices are clamped to
-[B_EPS, 1 - B_EPS] and Dirichlet parameters floored at ALPHA_MIN because
-the closed-form updates can otherwise push them onto log singularities.
+The SBM and MMSBM priors are one block model, ``BlockState``; their states
+add only how memberships are held. Its edge model covers the observed
+ordered client pairs, (i, j) with i != j that the topology's boolean mask
+allows (``scool.em.common.observed_pairs``); masked pairs are missing data,
+with w at 0. A client always cooperates with itself (its own-data gradient
+carries coefficient one in every update), so the diagonal of w that
+``update_w`` sets never enters an update and only matters for
+row-normalized reporting. B is clamped to [B_EPS, 1 - B_EPS] where it is
+written (at construction and by ``common.block_ratio``) and Dirichlet
+parameters are floored at ALPHA_MIN, because the closed-form updates can
+otherwise push them onto log singularities.
 
 A learned prior's state holds its variational and prior parameters plus the
 two settings its E-step and lower bound read: the ridge lam on theta and the
-temperature. Each prior's ``init_state`` copies those from the run's config;
-the M-step reads every other setting from the config itself.
+temperature. Each prior's ``init_state`` copies those from the run's config
+(the block priors through ``common.block_start``); the M-step reads every
+other setting from the config itself.
 """
 
 from __future__ import annotations
@@ -112,17 +115,17 @@ class DiracState:
             raise ConfigurationError("dirac mixing weights must be nonnegative")
 
 
-@dataclass
-class SbmState:
-    """Single-membership block prior: per-client membership posteriors
-    (omega rows on the simplex), Dirichlet posteriors gamma, shared
-    Dirichlet prior alpha and the block affinity matrix B."""
+@dataclass(kw_only=True)
+class BlockState:
+    """The block model both block priors share: the edge posterior w,
+    per-client Dirichlet posteriors gamma under the shared prior alpha, and
+    the block affinity matrix B. The subclasses add only how memberships
+    are held."""
 
-    w: np.ndarray  # K x K in [0,1], diag fixed at 1
+    w: np.ndarray  # K x K in [0, 1], 0 on masked pairs
     gamma: np.ndarray  # K x M positive
-    omega: np.ndarray  # K x M simplex rows
     alpha: np.ndarray  # M positive (shared across clients)
-    B: np.ndarray  # M x M in (0,1)
+    B: np.ndarray  # M x M in [B_EPS, 1 - B_EPS]
     lam: float  # config.weight_decay, the lower bound's ridge on theta
     tau_sigmoid: float  # the edge posterior's temperature
     alpha_slot: AdamSlot | None = None
@@ -130,13 +133,10 @@ class SbmState:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         self.gamma = np.asarray(self.gamma, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.B = clamp_block_matrix(self.B)
         if np.any(self.gamma <= 0) or np.any(self.alpha <= 0):
             raise InvariantError("gamma and alpha must stay positive")
-        if not np.allclose(self.omega.sum(axis=1), 1.0, atol=1e-9):
-            raise InvariantError("omega rows must lie on the simplex")
 
     @property
     def n_clients(self) -> int:
@@ -145,6 +145,19 @@ class SbmState:
     @property
     def n_blocks(self) -> int:
         return len(self.alpha)
+
+
+@dataclass(kw_only=True)
+class SbmState(BlockState):
+    """Single-membership block prior: one membership posterior per client."""
+
+    omega: np.ndarray  # K x M simplex rows
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.omega = np.asarray(self.omega, dtype=float)
+        if not np.allclose(self.omega.sum(axis=1), 1.0, atol=1e-9):
+            raise InvariantError("omega rows must lie on the simplex")
 
 
 @dataclass
@@ -177,39 +190,19 @@ class AttentionState:
         return len(self.w)
 
 
-@dataclass
-class MmsbmState:
+@dataclass(kw_only=True)
+class MmsbmState(BlockState):
     """Mixed-membership block prior: every ordered pair (i, j) carries a
     sender membership phi_send[i, j] (drawn from client i's mixture) and a
     receiver membership phi_recv[i, j] (from client j's)."""
 
-    w: np.ndarray  # K x K in [0,1], diag fixed at 1
     phi_send: np.ndarray  # K x K x M simplex rows
     phi_recv: np.ndarray  # K x K x M simplex rows
-    gamma: np.ndarray  # K x M positive
-    alpha: np.ndarray  # M positive
-    B: np.ndarray  # M x M in (0,1)
-    lam: float  # config.weight_decay, the lower bound's ridge on theta
-    tau_sigmoid: float  # the edge posterior's temperature
-    alpha_slot: AdamSlot | None = None
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
+        super().__post_init__()
         self.phi_send = np.asarray(self.phi_send, dtype=float)
         self.phi_recv = np.asarray(self.phi_recv, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.B = clamp_block_matrix(self.B)
-        if np.any(self.gamma <= 0) or np.any(self.alpha <= 0):
-            raise InvariantError("gamma and alpha must stay positive")
         for name, arr in (("phi_send", self.phi_send), ("phi_recv", self.phi_recv)):
             if not np.allclose(arr.sum(axis=-1), 1.0, atol=1e-9):
                 raise InvariantError(f"{name} rows must lie on the simplex")
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.w)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.alpha)

@@ -1,5 +1,6 @@
 """One rule book: validate() accepts a config only if a run can start it."""
 
+import math
 from dataclasses import fields
 from unittest import mock
 
@@ -75,9 +76,13 @@ ADMITS = {"int": {int}, "float": {int, float}, "bool": {bool}, "str": {str}}
 
 
 def well_typed(config: ExperimentConfig) -> bool:
-    """Every field of its declared type, and a seed numpy can take. The
-    builders rely on both without checking them."""
-    return all(type(getattr(config, f.name)) in ADMITS[f.type] for f in fields(config)) and config.seed >= 0
+    """Every field of its declared type, every float field finite, and a
+    seed numpy can take. The builders and the rounds rely on all three
+    without checking them."""
+    if not all(type(getattr(config, f.name)) in ADMITS[f.type] for f in fields(config)):
+        return False
+    finite = all(math.isfinite(getattr(config, f.name)) for f in fields(config) if f.type == "float")
+    return finite and config.seed >= 0
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -91,11 +96,18 @@ def well_typed(config: ExperimentConfig) -> bool:
 @example(RING.replace(rounds=1.5))  # range() refuses a float
 @example(RING.replace(K="6"))
 @example(RING.replace(shared_init="no"))  # truthy: would run as shared
+@example(RING.replace(eta2=math.inf))  # digamma refuses the alpha it makes
+@example(RING.replace(tau_sigmoid=math.inf))  # sigmoid_tempered refuses it
+@example(RING.replace(prior_kind="attention", tau_softmax=math.inf))
+@example(RING.replace(optimizer_weight_decay=math.inf))  # would run to the end on NaN
+@example(RING.replace(weight_decay=math.inf))  # would diverge in round 0
+@example(RING.replace(noise_sigma=-math.inf))
+@example(RING.replace(eta1=math.nan))
 def test_validate_accepts_only_what_run_can_start(config):
     # whatever validate() says, the set-up may fail only with a
     # ConfigurationError, and only on a config that validate() refuses;
-    # a wrongly typed field or a negative seed, which the builders take on
-    # trust, is refused outright
+    # a wrongly typed field, a non-finite float or a negative seed, which
+    # the builders take on trust, is refused outright
     try:
         config.validate()
     except ConfigurationError:
@@ -103,7 +115,7 @@ def test_validate_accepts_only_what_run_can_start(config):
     else:
         accepted = True
     if not well_typed(config):
-        assert not accepted, "validate() accepted a wrongly typed field or a negative seed"
+        assert not accepted, "validate() accepted a wrongly typed field, a non-finite float or a negative seed"
         return
     try:
         start(config)

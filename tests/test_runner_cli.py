@@ -400,6 +400,7 @@ class TestCli:
         ("rounds", 1.5, "rounds must be of type int, not 1.5"),
         ("K", "6", "K must be of type int, not '6'"),
         ("shared_init", "no", "shared_init must be of type bool, not 'no'"),
+        ("eta2", float("inf"), "eta2 must be finite, not inf"),  # JSON Infinity
     ])
     def test_wrongly_typed_field_exit_code(self, tmp_path, key, value, message):
         # refused by validate-config as by run: exit 2, no traceback
@@ -513,6 +514,38 @@ class TestCli:
         assert data["diverged"] is True
         assert data["divergence_message"] == "round 2: sparsify: row 2 has no positive weight"
         assert len(data["rounds"]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("prior, overrides, message", [
+        ("sbm", {"eta2": 1e308}, "Dirichlet prior alpha is non-finite"),
+        ("mmsbm", {"eta2": 1e308}, "Dirichlet prior alpha is non-finite"),
+        ("attention", {"eta2": 1e300}, "attention scores over the temperature are non-finite"),
+        ("attention", {"tau_softmax": 1e-300}, "attention scores over the temperature are non-finite"),
+        *((prior, {}, "non-finite") for prior in PRIORS),  # NaN training features
+    ])
+    def test_faults_exit_3_with_a_partial_report(self, tmp_path, monkeypatch, capsys, prior, overrides, message):
+        # finite but extreme settings, or a NaN in one client's training
+        # features, end the run as a divergence: exit 3 and a flagged
+        # report, where any other exception would escape main()
+        from scool import runner
+        from scool.cli import EXIT_DIVERGED, main
+
+        if not overrides:
+            real = runner.build_tasks
+
+            def poisoned(config):
+                assignment, train, test = real(config)
+                train.features[1, 0, 0] = np.nan
+                return assignment, train, test
+
+            monkeypatch.setattr(runner, "build_tasks", poisoned)
+        path = self._write_config(tmp_path, prior=prior, sparsify_keep_fraction=1.0, **overrides)
+        out = tmp_path / "fault"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_DIVERGED == 3
+        assert message in capsys.readouterr().err
+        data = json.loads((out / "report.json").read_text())
+        assert data["diverged"] is True and message in data["divergence_message"]
+        assert len(data["rounds"]) < 4
 
     def test_divergence_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, eta1=1e150, weight_decay=10.0, rounds=5)
