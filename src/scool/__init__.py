@@ -9,8 +9,8 @@ from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigurationError, DivergenceError, InvariantError, ScoolError
 from .models import ArchSpec, ClientStore, Dataset, DataStack
 from .runner import ExperimentReport, metric_l1, run_budget_sweep, run_experiment
-from .special import digamma, log_gamma, row_normalize, sigmoid_tempered, softmax_tempered
-from .tasks import TaskAssignment, TaskUniverse, gen_tasks, sample_class_data
+from .special import digamma, log_gamma, sigmoid_tempered, softmax_tempered
+from .tasks import TaskAssignment, TaskUniverse, gen_tasks
 from .topology import CommLedger, account_exchange, build_topology, sparsify_topk
 
 __version__ = "0.1.0"
@@ -36,10 +36,8 @@ __all__ = [
     "load_config",
     "log_gamma",
     "metric_l1",
-    "row_normalize",
     "run_budget_sweep",
     "run_experiment",
-    "sample_class_data",
     "save_config",
     "sigmoid_tempered",
     "softmax_tempered",

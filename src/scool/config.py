@@ -80,7 +80,6 @@ class ExperimentConfig:
     block_init: float = 0.5
     tau_sigmoid: float = 1.0
     tau_softmax: float = 1.0
-    attention_coupling: bool = True
     enc_hidden: int = 10
     enc_out: int = 5
 

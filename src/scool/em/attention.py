@@ -124,9 +124,16 @@ def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> np.
     return _masked_row_softmax(logits, state.tau_softmax, mask)
 
 
-def _attention_residual(w, p, tau, mask):
-    """d/dF of sum_j w_ij log p_ij, rows of w on the simplex: (w - p)/tau."""
-    return np.where(mask, (w - p) / tau, 0.0)
+def _residual_pass(state: AttentionState, models: ClientStore, mask: np.ndarray):
+    """One encoder pass on the model deltas X: the encoder's weights W1 and
+    W2, its hidden layer H, the embeddings E, and the residual
+    C = d/dF of sum_j w_ij log p_ij, which for rows of w on the simplex is
+    (w - p)/tau on the allowed pairs."""
+    X = model_deltas(models)
+    W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
+    p = _attention(E, state.tau_softmax, mask)
+    C = np.where(mask, (state.w - p) / state.tau_softmax, 0.0)
+    return X, W1, W2, H, E, C
 
 
 def coupling_descent_terms(
@@ -140,10 +147,7 @@ def coupling_descent_terms(
     within row i the self score <e_i, e_i> contributes through both slots,
     so the analytic value matches a finite difference of the row objective.
     """
-    X = model_deltas(models)
-    W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
-    p = _attention(E, state.tau_softmax, mask)
-    C = _attention_residual(state.w, p, state.tau_softmax, mask)
+    _, W1, W2, H, E, C = _residual_pass(state, models, mask)
     dE = C @ E  # row i: sum_j C_ij e_j
     dE += (np.diag(C)[:, None]) * E  # second slot of the self score
     dH = dE @ W2
@@ -159,10 +163,7 @@ def phi_gradient(
 ) -> np.ndarray:
     """Ascent gradient of sum_ij w_ij log p_ij w.r.t. the encoder, flowing
     through every embedding."""
-    X = model_deltas(models)
-    W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
-    p = _attention(E, state.tau_softmax, mask)
-    C = _attention_residual(state.w, p, state.tau_softmax, mask)
+    X, W1, W2, H, E, C = _residual_pass(state, models, mask)
     dE = (C + C.T) @ E
     dH = dE @ W2
     dZ = dH * (1.0 - H * H)
@@ -194,12 +195,9 @@ def e_step(
 
 
 def m_step(state: AttentionState, models, mask, config) -> None:
-    coupling_fn = None
-    if config.attention_coupling:
-        coupling_fn = lambda ms: coupling_descent_terms(ms, state, mask)
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask, coupling_fn,
+        config.grad_mode, mask, lambda ms: coupling_descent_terms(ms, state, mask),
     )
     state.phi = update_phi(state, models, mask, config)
 

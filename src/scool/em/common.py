@@ -82,12 +82,6 @@ def graph(state, K: int) -> np.ndarray:
     return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
 
 
-def observed_pairs(mask: np.ndarray) -> np.ndarray:
-    """Observed ordered pairs: off-diagonal and unmasked. Masked pairs carry
-    no communication, so their edge and membership variables are missing."""
-    return ~np.eye(len(mask), dtype=bool) & mask
-
-
 def at_pairs(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """The entries of a K x K array, or the membership rows of a K x K x M
     one, at the flat pair indices i*K + j."""

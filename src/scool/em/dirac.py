@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore, DataStack, batch_grad
+from ..topology import observed_pairs
 from .state import DiracState
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
@@ -30,8 +31,7 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
     if not np.array_equal(mask, mask.T):
         raise ConfigurationError("metropolis weights need a symmetric mask")
     K = len(mask)
-    off = mask.copy()
-    np.fill_diagonal(off, False)
+    off = observed_pairs(mask)
     deg = off.sum(axis=1)
     w = np.zeros((K, K))
     w[off] = 1.0 / (1.0 + np.maximum(deg[:, None], deg[None, :])[off])

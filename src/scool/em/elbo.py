@@ -24,7 +24,8 @@ import numpy as np
 
 from ..models import ClientStore
 from ..special import log_gamma, xlogx
-from .common import at_pairs, block_logs, expected_log_pi, observed_pairs, pair_bilinear
+from ..topology import observed_pairs
+from .common import at_pairs, block_logs, expected_log_pi, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
 
 

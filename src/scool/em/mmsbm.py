@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..special import sigmoid_tempered, softmax_tempered
+from ..topology import observed_pairs
 # graph (the reporting hook) and update_alpha are shared with sbm
 from .common import (
-    at_pairs, block_logs, block_ratio, block_start, expected_log_pi, graph, observed_pairs,
-    pair_bilinear, update_alpha,
+    at_pairs, block_logs, block_ratio, block_start, expected_log_pi, graph, pair_bilinear, update_alpha,
 )
 from .state import MmsbmState, jittered_simplex
 from .theta import cooperative_sgd_steps

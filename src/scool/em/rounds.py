@@ -55,7 +55,8 @@ def run_round(
     E-step and the lower bound. Every prior then runs its M-step (the local
     epochs and its prior-parameter updates), and the round's traffic is
     counted: the evaluation pass plus the gradient exchange for a learned
-    graph, one gossip round per local step for a fixed one.
+    graph, one gossip round per local step for a fixed one. A lower bound
+    that is not finite is a divergence.
 
     Returns ``(graph, elbo_total, traffic)``: the row-stochastic reporting
     view of the graph, the lower bound (None for a fixed graph) and the
@@ -76,6 +77,10 @@ def run_round(
             prior.e_step(state, models, ll, mask)
             elbo_total = elbo(state, ll, mask, models).total
         prior.m_step(state, models, mask, config)
+        # checked after the M-step, so a fault that the M-step finds in the
+        # same round is reported under its own cause
+        if elbo_total is not None and not np.isfinite(elbo_total):
+            raise DivergenceError("lower bound is non-finite")
         if ll is not None:
             traffic = account_exchange(mask, config.grad_mode, config.local_steps, models.arch.n_params)
         elif state is not None:

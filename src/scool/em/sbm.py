@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..special import sigmoid_tempered, softmax_tempered
+from ..topology import observed_pairs
 # graph (the reporting hook) and update_alpha are shared with mmsbm
-from .common import (
-    block_logs, block_ratio, block_start, expected_log_pi, graph, observed_pairs, update_alpha,
-)
+from .common import block_logs, block_ratio, block_start, expected_log_pi, graph, update_alpha
 from .state import SbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 

@@ -3,7 +3,7 @@
 The SBM and MMSBM priors are one block model, ``BlockState``; their states
 add only how memberships are held. Its edge model covers the observed
 ordered client pairs, (i, j) with i != j that the topology's boolean mask
-allows (``scool.em.common.observed_pairs``); masked pairs are missing data,
+allows (``scool.topology.observed_pairs``); masked pairs are missing data,
 with w at 0. A client always cooperates with itself (its own-data gradient
 carries coefficient one in every update), so the diagonal of w that
 ``update_w`` sets never enters an update and only matters for

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ArchSpec, ClientStore, DataStack, batch_grad, pairs_per_block
-from ..topology import CROSS_GRADIENT, TAYLOR_APPROX
+from ..topology import CROSS_GRADIENT, TAYLOR_APPROX, observed_pairs
 
 # Activation elements (pairs x samples x max(h, C)) one batched cross-client
 # call may hold: the loglik matrix and the cross-gradients are evaluated over
@@ -94,8 +94,7 @@ def cooperative_sgd_steps(
     if grad_mode not in (CROSS_GRADIENT, TAYLOR_APPROX):
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
     w = np.asarray(w, dtype=float)
-    edges = mask & (w != 0.0)
-    np.fill_diagonal(edges, False)
+    edges = observed_pairs(mask) & (w != 0.0)
     rows, cols, slot = _slot_major(edges)
     weights = w[rows, cols][:, None]
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch

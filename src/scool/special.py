@@ -130,20 +130,6 @@ def sigmoid_tempered(x, tau: float):
     return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
-def row_normalize(matrix) -> np.ndarray:
-    """Scale every row of a nonnegative matrix to sum to one.
-
-    Raises ValueError naming the offending row if a row sum is not
-    strictly positive.
-    """
-    m = np.asarray(matrix, dtype=float)
-    sums = m.sum(axis=-1)
-    bad = np.where(~(sums > 0.0))[0]
-    if bad.size:
-        raise ValueError(f"row_normalize: row {int(bad[0])} has non-positive sum")
-    return m / sums[..., None]
-
-
 def xlogx(p) -> np.ndarray:
     """x * log(x) with the 0 * log 0 := 0 convention (entropy terms)."""
     p = np.asarray(p, dtype=float)

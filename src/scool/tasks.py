@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .models import DataStack, Dataset
-from .special import row_normalize
+from .models import DataStack
 
 # Pairwise Bayes accuracy for two classes at orthonormal means scaled by s
 # with unit noise is Phi(s / sqrt(2)); this scaling hits ~0.9, keeping the
@@ -108,10 +107,12 @@ def make_universe(
 
 def ground_truth_graph(class_sets: list[tuple[int, ...]]) -> np.ndarray:
     """w*_ij = 1 iff class sets i and j are identical (diagonal included),
-    then rows normalized to the simplex."""
+    then rows normalized to the simplex; every row holds its diagonal, so
+    no row sums to zero."""
     ids = {}
     set_id = np.array([ids.setdefault(cs, len(ids)) for cs in class_sets])
-    return row_normalize((set_id[:, None] == set_id[None, :]).astype(float))
+    same = (set_id[:, None] == set_id[None, :]).astype(float)
+    return same / same.sum(axis=1, keepdims=True)
 
 
 def check_assignment(
@@ -156,30 +157,11 @@ def _draw(universe: TaskUniverse, class_set: tuple[int, ...], rng: np.random.Gen
     np.take(y, order, out=labels)
 
 
-def sample_class_data(
-    universe: TaskUniverse,
-    class_set,
-    n_train: int,
-    n_test: int,
-    seed: int | np.random.SeedSequence,
-) -> tuple[Dataset, Dataset]:
-    """Draw balanced per-class Gaussian samples; labels are local indices
-    into the sorted class set."""
-    class_set = tuple(sorted(int(c) for c in class_set))
-    check_assignment(1, len(universe.means), len(class_set), n_train, n_test)
-    rng = np.random.default_rng(seed)
-    out = []
-    for n, split in ((n_train, "train"), (n_test, "test")):
-        X, y = np.empty((n, universe.dim)), np.empty(n, dtype=int)
-        _draw(universe, class_set, rng, X, y)
-        out.append(Dataset(X, y, class_set, split=split))
-    return tuple(out)
-
-
 def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataStack, DataStack]:
     """The train and the test sets of all clients, each client's draws
-    written straight into its rows of the two stacks, with the random calls
-    of sample_class_data."""
+    written straight into its rows of the two stacks: one generator per
+    client, seeded from its own seed, draws its train set and then its test
+    set."""
     K, d = len(class_sets), universe.dim
     stacks = tuple(
         DataStack(np.empty((K, n, d)), np.empty((K, n), dtype=int), class_sets, split)
@@ -205,7 +187,6 @@ def gen_tasks(
     sigma: float = 1.0,
     separation: float = DEFAULT_SEPARATION,
     placement: str = ORTHONORMAL,
-    universe: TaskUniverse | None = None,
 ) -> tuple[TaskAssignment, DataStack, DataStack]:
     """Non-IID tasks for K clients, N of the M classes each. With
     ``num_groups``, each group owns a disjoint N-class subset and every
@@ -215,8 +196,7 @@ def gen_tasks(
     and test stacks."""
     check_assignment(K, M, N, samples_per_client, test_samples_per_client, num_groups)
     assign_seed, uni_seed, *data_seeds = np.random.SeedSequence(seed).spawn(2 + K)
-    if universe is None:
-        universe = make_universe(M, d if d is not None else M, sigma, separation, uni_seed, placement)
+    universe = make_universe(M, d if d is not None else M, sigma, separation, uni_seed, placement)
     rng = np.random.default_rng(assign_seed)
     group_labels = None
     if num_groups is None:

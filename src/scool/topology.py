@@ -74,6 +74,14 @@ def build_topology(kind: str, K: int, *, k0: int = 0, degree: int = 0, seed: int
     return m
 
 
+def observed_pairs(mask: np.ndarray) -> np.ndarray:
+    """The mask's edges: its off-diagonal true entries, the ordered pairs of
+    distinct clients that may communicate. Masked pairs carry no
+    communication, so a prior's edge and membership variables are missing
+    there."""
+    return ~np.eye(len(mask), dtype=bool) & mask
+
+
 def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Prune each client's neighborhood to its ceil(keep_fraction*(K-1))
     strongest weights; the caller schedules when.
@@ -90,7 +98,7 @@ def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.n
     w = np.asarray(w, dtype=float)
     K = len(mask)
     keep = ceil(keep_fraction * (K - 1))
-    cand = mask & ~np.eye(K, dtype=bool)
+    cand = observed_pairs(mask)
     dead = cand.any(axis=1) & ~(cand & (w > 0)).any(axis=1)
     if dead.any():
         raise DivergenceError(f"sparsify: row {int(np.argmax(dead))} has no positive weight")

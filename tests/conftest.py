@@ -10,7 +10,7 @@ import numpy as np
 
 from scool.config import ExperimentConfig
 from scool.em import sbm
-from scool.em.common import block_ratio, expected_log_pi, observed_pairs
+from scool.em.common import block_ratio, expected_log_pi
 from scool.em.elbo import _dirichlet_term
 from scool.em.state import (
     AdamSlot,
@@ -30,6 +30,8 @@ from scool.models import (
     _unpack_mlp,
 )
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
+from scool.tasks import TaskUniverse, check_assignment
+from scool.topology import observed_pairs
 
 
 # ---------------------------------------------------------------- numerics
@@ -364,6 +366,30 @@ def tiny_dataset(rng: np.random.Generator, n: int, d: int, C: int) -> Dataset:
     X = rng.standard_normal((n, d))
     y = rng.integers(0, C, n)
     return Dataset(X, y, tuple(range(C)))
+
+
+def sample_class_data(
+    universe: TaskUniverse, class_set, n_train: int, n_test: int, seed
+) -> tuple[Dataset, Dataset]:
+    """One client's train and test sets, drawn as gen_tasks draws a row of
+    its stacks but written out on their own, as the oracle of those rows.
+    One generator from ``seed`` draws the train set, then the test set. A
+    set is balanced over the sorted class set, the remainder going to the
+    first classes, labelled by local index and then shuffled."""
+    class_set = tuple(sorted(int(c) for c in class_set))
+    check_assignment(1, len(universe.means), len(class_set), n_train, n_test)
+    rng = np.random.default_rng(seed)
+    out = []
+    for n, split in ((n_train, "train"), (n_test, "test")):
+        counts = [n // len(class_set) + (local < n % len(class_set)) for local in range(len(class_set))]
+        X = np.concatenate([
+            universe.means[cls] + universe.sigma * rng.standard_normal((count, universe.dim))
+            for cls, count in zip(class_set, counts)
+        ])
+        y = np.repeat(np.arange(len(class_set)), counts)
+        order = rng.permutation(n)
+        out.append(Dataset(X[order], y[order], class_set, split=split))
+    return tuple(out)
 
 
 # ------------------------------------------------------------- benchmark

@@ -11,18 +11,17 @@ import numpy as np
 
 from scool.config import ExperimentConfig
 from scool.em import attention, dirac, mmsbm, rounds, sbm
-from scool.em.common import observed_pairs
 from scool.em.elbo import elbo
 from scool.em.state import DiracState, PROB_FLOOR
 from scool.models import ArchSpec
 from scool.runner import build_tasks, run_experiment
-from scool.special import row_normalize
 from scool.topology import (
     CROSS_GRADIENT,
     TAYLOR_APPROX,
     account_exchange,
     build_topology,
     directed_edges,
+    observed_pairs,
     sparsify_topk,
 )
 
@@ -364,7 +363,8 @@ _GRAPH_CACHE = {}
 
 def block_diagonal_mass(w, group_labels):
     """Average within-group share of each row of the row-normalized graph."""
-    wn = row_normalize(np.asarray(w, dtype=float))
+    w = np.asarray(w, dtype=float)
+    wn = w / w.sum(axis=1, keepdims=True)
     same = group_labels[:, None] == group_labels[None, :]
     return float(wn[same].sum() / len(w))
 

@@ -34,7 +34,7 @@ from scool.models import (
     batch_grad,
     batch_log_likelihood,
 )
-from scool.tasks import gen_tasks, make_universe, sample_class_data
+from scool.tasks import gen_tasks, make_universe
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
 
 from conftest import (
@@ -47,6 +47,7 @@ from conftest import (
     loss,
     model_list,
     random_attention_setup,
+    sample_class_data,
     stack_datasets,
     tiny_dataset,
 )
@@ -679,14 +680,15 @@ class TestStackedTestSets:
     @pytest.mark.parametrize("setting", ["sbm", "random"])
     def test_views_of_one_array_with_the_sampled_values(self, setting):
         K, M, N, seed = 6, 6, 2, 11
-        universe = make_universe(M, 8, 0.7, 2.0, seed=3)
         num_groups = 3 if setting == "sbm" else None
         assignment, train, test = gen_tasks(
-            K, M, N, 8, seed, num_groups=num_groups, test_samples_per_client=30, universe=universe
+            K, M, N, 8, seed, num_groups=num_groups, test_samples_per_client=30, d=8, sigma=0.7, separation=2.0
         )
         assert train.features.shape == (K, 8, 8) and train.labels.shape == (K, 8)
         assert test.features.shape == (K, 30, 8) and test.labels.shape == (K, 30)
-        seeds = np.random.SeedSequence(seed).spawn(2 + K)[2:]
+        # gen_tasks' seed spawns the assignment's, the universe's and then each client's seed
+        _, universe_seed, *seeds = np.random.SeedSequence(seed).spawn(2 + K)
+        universe = make_universe(M, 8, 0.7, 2.0, universe_seed)
         for k in range(K):
             want = sample_class_data(universe, assignment.class_sets[k], 8, 30, seeds[k])
             for stack, ds, split in zip((train, test), want, ("train", "test")):

@@ -9,9 +9,10 @@ from hypothesis import strategies as hst
 
 from scool.config import ExperimentConfig
 from scool.em import mmsbm
-from scool.em.common import at_pairs, observed_pairs, pair_bilinear
+from scool.em.common import at_pairs, pair_bilinear
 from scool.em.elbo import elbo, elbo_mmsbm
 from scool.errors import InvariantError
+from scool.topology import observed_pairs
 
 from conftest import (
     central_diff,

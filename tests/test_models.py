@@ -11,7 +11,7 @@ import pytest
 from scool.errors import ConfigurationError
 from scool.models import ArchSpec, Dataset
 
-from conftest import LocalModel, accuracy, grad, log_likelihood, logits, loss, tiny_dataset
+from conftest import LocalModel, accuracy, grad, log_likelihood, logits, loss, sample_class_data, tiny_dataset
 
 
 def _rand_instance(rng, arch_kind="softmax-regression", n=12, d=4, C=3, h=5):
@@ -137,7 +137,7 @@ class TestLogLikelihood:
             assert log_likelihood(model, data) <= 0.0
 
     def test_trained_model_prefers_own_distribution(self):
-        from scool.tasks import make_universe, sample_class_data
+        from scool.tasks import make_universe
 
         hits = 0
         for seed in range(10):

@@ -12,7 +12,6 @@ import pytest
 from scool.config import PRIORS, ExperimentConfig, load_config, save_config
 from scool.errors import ConfigurationError
 from scool.runner import METRIC_COLUMNS, metric_l1, run_budget_sweep, run_experiment
-from scool.special import row_normalize
 from scool.topology import RoundTraffic
 
 
@@ -36,9 +35,15 @@ def small_config(prior="sbm", **kw):
     return ExperimentConfig(**base).validate()
 
 
+def row_stochastic(m):
+    """The rows of a nonnegative matrix, each with a positive sum, scaled
+    to sum to one."""
+    return m / m.sum(axis=1, keepdims=True)
+
+
 class TestMetricL1:
     def test_zero_at_truth(self):
-        w_star = row_normalize(np.kron(np.eye(2), np.ones((2, 2))))
+        w_star = row_stochastic(np.kron(np.eye(2), np.ones((2, 2))))
         assert metric_l1(w_star, w_star) == 0.0
 
     def test_uniform_vs_identity_hand_sum(self):
@@ -53,14 +58,14 @@ class TestMetricL1:
     def test_zero_row_scores_max_distance(self):
         w = np.eye(3)
         w[1] = 0.0
-        w_star = row_normalize(np.ones((3, 3)))
+        w_star = row_stochastic(np.ones((3, 3)))
         per_row_identity = abs(1 - 1 / 3) + 2 / 3
         assert metric_l1(w, w_star) == pytest.approx((2 * per_row_identity + 2.0) / 3)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(0.1, 1.0, (5, 5))
-        w_star = row_normalize(rng.uniform(0.1, 1.0, (5, 5)))
+        w_star = row_stochastic(rng.uniform(0.1, 1.0, (5, 5)))
         perm = rng.permutation(5)
         a = metric_l1(w, w_star)
         b = metric_l1(w[np.ix_(perm, perm)], w_star[np.ix_(perm, perm)])
@@ -86,7 +91,7 @@ class TestMetricL1Equivalence:
         rng = np.random.default_rng(K)
         w = rng.uniform(0.0, 1.0, (K, K)) * (rng.random((K, K)) < 0.4)
         w[1] = 0.0  # a row that cannot be normalised
-        w_star = row_normalize(rng.uniform(0.0, 1.0, (K, K)))
+        w_star = row_stochastic(rng.uniform(0.0, 1.0, (K, K)))
         w = np.asarray(w, order=order)
         assert metric_l1(w, w_star) == reference_metric_l1(w, w_star)
 
@@ -293,6 +298,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="bogus_knob"):
             load_config(path)
 
+    def test_the_attention_coupling_switch_is_an_unknown_key(self, tmp_path, capsys):
+        # the attention M-step always carries its coupling term
+        from scool.cli import EXIT_CONFIG, main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"prior_kind": "attention", "attention_coupling": False}))
+        for command in (["validate-config"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", str(path)]) == EXIT_CONFIG == 2
+            assert "unknown config keys: ['attention_coupling']" in capsys.readouterr().err
+
     def test_validation_failures(self):
         with pytest.raises(ConfigurationError):
             small_config(K=10, num_groups=3)  # not divisible
@@ -322,6 +337,11 @@ class TestCli:
         path = tmp_path / "config.json"
         save_config(cfg, path)
         return path
+
+    @staticmethod
+    def _refuse_constant(name):
+        # NaN and Infinity are no strict JSON, and strict parsers refuse them
+        raise ValueError(f"report.json holds {name}")
 
     def _run(self, *args):
         return subprocess.run(
@@ -522,6 +542,8 @@ class TestCli:
         ("attention", {"eta2": 1e300}, "attention scores over the temperature are non-finite"),
         ("attention", {"tau_softmax": 1e-300}, "attention scores over the temperature are non-finite"),
         *((prior, {}, "non-finite") for prior in PRIORS),  # NaN training features
+        # the ridge term of the lower bound overflows
+        *((prior, {"init_scale": 1e300}, "lower bound is non-finite") for prior in ("sbm", "attention", "mmsbm")),
     ])
     def test_faults_exit_3_with_a_partial_report(self, tmp_path, monkeypatch, capsys, prior, overrides, message):
         # finite but extreme settings, or a NaN in one client's training
@@ -543,7 +565,7 @@ class TestCli:
         out = tmp_path / "fault"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_DIVERGED == 3
         assert message in capsys.readouterr().err
-        data = json.loads((out / "report.json").read_text())
+        data = json.loads((out / "report.json").read_text(), parse_constant=self._refuse_constant)
         assert data["diverged"] is True and message in data["divergence_message"]
         assert len(data["rounds"]) < 4
 

@@ -10,7 +10,6 @@ import scipy.special as sc
 from scool.special import (
     digamma,
     log_gamma,
-    row_normalize,
     sigmoid_tempered,
     softmax_tempered,
     xlogx,
@@ -139,23 +138,6 @@ class TestSigmoidTempered:
     def test_saturates_without_error(self):
         assert sigmoid_tempered(-1e6, 1.0) == 0.0
         assert sigmoid_tempered(1e6, 1.0) == 1.0
-
-
-class TestRowNormalize:
-    def test_identity(self):
-        np.testing.assert_array_equal(row_normalize(np.eye(4)), np.eye(4))
-
-    def test_simple_row(self):
-        np.testing.assert_allclose(row_normalize([[2.0, 2.0, 0.0]]), [[0.5, 0.5, 0.0]])
-
-    def test_uniform_row(self):
-        np.testing.assert_allclose(row_normalize(np.ones((4, 4))), 0.25)
-
-    def test_zero_row_names_index(self):
-        m = np.ones((3, 3))
-        m[1] = 0.0
-        with pytest.raises(ValueError, match="row 1"):
-            row_normalize(m)
 
 
 def test_xlogx_zero_convention():

@@ -5,14 +5,9 @@ import pytest
 
 from scool.errors import ConfigurationError
 from scool.models import ArchSpec
-from scool.tasks import (
-    ANTIPODAL_PAIRS,
-    gen_tasks,
-    make_universe,
-    sample_class_data,
-)
+from scool.tasks import ANTIPODAL_PAIRS, gen_tasks, make_universe
 
-from conftest import LocalModel, accuracy, grad
+from conftest import LocalModel, accuracy, grad, sample_class_data
 
 
 class TestGenNoniidSbm:
