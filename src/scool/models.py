@@ -162,10 +162,10 @@ def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
 
 # Batched kernel. Pair e evaluates parameters thetas[e] (E x D) on the
 # features[e] (E x n x d) and labels[e] (E x n) of one dataset. Every slice
-# keeps the matmul shapes, transposes and reduction order of the per-pair
-# grad, log_likelihood and accuracy, so each output row equals what those
-# return on one model and one dataset; tests/conftest.py keeps them as the
-# kernel's oracle.
+# keeps the dot products and reduction order of the per-pair grad,
+# log_likelihood and accuracy, so each output row equals what those return
+# on one model and one dataset; tests/conftest.py keeps them as the kernel's
+# oracle.
 #
 # The class axis C is short (2 in every benchmark workload), and numpy runs
 # an operation along a short innermost axis as a C-element loop per (pair,
@@ -177,6 +177,17 @@ def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
 # left-to-right fold, so the rows are bit for bit the per-pair ones for
 # C <= 7; from C = 8 numpy sums the log-softmax's exponentials pairwise and
 # the two differ in the last bits.
+#
+# The output layer's gemm is one BLAS call per pair. Sample-major, X @ W^T
+# (n x d by d x C) is a tall product with a narrow output; class-major,
+# W @ X^T (C x d by d x n) gives the same dot products as C contiguous rows
+# of n, which BLAS fills faster and the class folds read whole. Both keep
+# the per-pair bits as long as W^T or X^T stays a strided view: a contiguous
+# copy of W^T (an NN gemm) is faster still but moves the last bits at some
+# widths (h = 16, n = 1). Only batch_accuracy is class-major, as the
+# reporting pass over every client's 400 test samples; at the 8 train
+# samples per pair of batch_log_likelihood and batch_grad, class-major
+# measured slower, so they stay sample-major.
 
 
 def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
@@ -277,14 +288,22 @@ def batch_accuracy(
 ) -> np.ndarray:
     """accuracy of every pair: E fractions of argmax-correct predictions.
 
-    The argmax is a fold over the classes with np.argmax's rule: a class
-    takes the lead with a strictly larger score (ties go to the lower
-    class) or a NaN, and a NaN that leads keeps the lead."""
-    Z = _batch_forward(thetas, features, arch)[0]
-    best, hit = Z[..., 0], labels == 0
+    The logits are class-major, E x C x n. The argmax is a fold over the
+    class rows with np.argmax's rule: a class takes the lead with a strictly
+    larger score (ties go to the lower class) or a NaN, and a NaN that leads
+    keeps the lead."""
+    if arch.kind == SOFTMAX_REGRESSION:
+        W, b = _unpack_linear(thetas, arch)
+        X = features
+    else:
+        W1, b1, W, b = _unpack_mlp(thetas, arch)
+        X = np.tanh(_affine(features, W1, b1))
+    Z = W @ X.swapaxes(1, 2)
+    Z += b[:, :, None]
+    best, hit = Z[:, 0], labels == 0
     for c in range(1, arch.C):
-        takes = ~(Z[..., c] <= best) & (best == best)  # larger or NaN, unless a NaN leads
+        takes = ~(Z[:, c] <= best) & (best == best)  # larger or NaN, unless a NaN leads
         hit ^= takes & (hit ^ (labels == c))  # hit = (labels == c) where c takes the lead
-        if c + 1 < arch.C:  # the running maximum, in one buffer
-            best = np.maximum(best, Z[..., c], out=None if c == 1 else best)
+        if c + 1 < arch.C:  # the running maximum, kept in Z's first row
+            np.maximum(best, Z[:, c], out=best)
     return np.mean(hit, axis=1)

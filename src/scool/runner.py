@@ -128,10 +128,18 @@ def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> n
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    # one row of Python floats at a time: a whole-matrix tolist() of a
-    # 192 x 192 snapshot raises the peak memory by about 1 MB
-    lines = [",".join(map(repr, row.tolist())) for row in np.asarray(matrix, dtype=float)]
-    path.write_text("\n".join(lines) + "\n")
+    """Write the matrix as CSV, each entry as repr of its float. repr runs
+    once per distinct value, as a graph's entries repeat few values; values
+    are told apart by their bits, since float comparison would fold -0.0
+    into 0.0 and keep each NaN apart."""
+    bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
+    values = np.sort(bits, axis=None)  # np.unique's first call adds 1 MB of peak memory
+    values = values[np.append(True, values[1:] != values[:-1])]
+    text = np.array([repr(v) for v in values.view(float).tolist()], dtype=object)
+    # row by row into the file: the whole text is never held at once
+    with path.open("w") as fh:
+        for row in bits:
+            fh.write(",".join(text[np.searchsorted(values, row)].tolist()) + "\n")
 
 
 def _write_report(out_dir: Path, report: ExperimentReport) -> None:

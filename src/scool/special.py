@@ -46,20 +46,30 @@ def _validate_positive(x: np.ndarray, name: str) -> None:
 
 
 def _lift(x, name: str, step):
-    """Lift x, as a 1-d array z, by unit steps until every entry is at least
-    _SHIFT. Returns z, acc = -(sum of step(z, low) over the steps, low marking
-    the entries still below) and whether x is a scalar. Each pass covers the
-    whole array; int(_SHIFT) passes lift any x > 0."""
+    """Lift x, as an array z of at least one dimension, by unit steps until
+    every entry is at least _SHIFT. Returns z, acc = -(sum of step(z, low)
+    over the steps, low marking the entries still below) and whether x is a
+    scalar. The steps run along a leading shift axis, added and subtracted
+    in sequence as a loop of z += 1 and acc -= step would, so the bits are
+    that loop's. The smallest entry takes the most steps, so the axis is as
+    long as its steps; with none, as for mmsbm's large gamma, z is x."""
     arr = np.array(x, dtype=float)
     _validate_positive(arr, name)
-    z = np.atleast_1d(arr).copy()
-    acc = np.zeros_like(z)
-    for _ in range(int(_SHIFT)):
-        low = z < _SHIFT
-        if not low.any():
-            break
-        acc -= step(z, low)
-        z += low
+    steps, lowest = 0, float(arr.min(initial=_SHIFT))
+    while lowest < _SHIFT:
+        lowest += 1.0
+        steps += 1
+    z = np.atleast_1d(arr)
+    if steps == 0:
+        return z, np.zeros_like(z), arr.ndim == 0
+    lifted = np.ones((steps + 1,) + z.shape)
+    lifted[0] = z
+    np.add.accumulate(lifted, axis=0, out=lifted)  # lifted[k] = x + 1 + ... + 1, k ones
+    low = lifted[:steps] < _SHIFT
+    terms = np.zeros_like(lifted)
+    terms[1:] = step(lifted[:steps], low)
+    acc = np.subtract.reduce(terms, axis=0)  # 0 - term_0 - term_1 - ...
+    z = np.take_along_axis(lifted, low.sum(axis=0, keepdims=True), axis=0)[0]
     return z, acc, arr.ndim == 0
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: random-state factories, finite-difference helpers, the
-plain per-pair oracle of the batched kernel, the dense mmsbm oracle and the
-calibrated recovery benchmark used by the slower end-to-end tests."""
+plain per-pair oracle of the batched kernel, the loop oracles of the gamma
+lift and the snapshot writer, the dense mmsbm oracle and the calibrated
+recovery benchmark used by the slower end-to-end tests."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from scool import special
 from scool.config import ExperimentConfig
 from scool.em import sbm
 from scool.em.common import block_ratio, expected_log_pi
@@ -249,6 +251,37 @@ def client_store(models, train_sets=None) -> ClientStore:
                         None if train_sets is None else stack_datasets(train_sets))
     store.theta[:] = np.stack([m.theta for m in models])
     return store
+
+
+# ------------------------------------------------------------ gamma lift
+
+
+def lift_loop(x, name: str, step):
+    """special._lift as a loop of whole-array passes, each doing acc -= step
+    and z += 1 on the entries still below _SHIFT: the oracle of the shift
+    axis's bits."""
+    arr = np.array(x, dtype=float)
+    special._validate_positive(arr, name)
+    z = np.atleast_1d(arr).copy()
+    acc = np.zeros_like(z)
+    for _ in range(int(special._SHIFT)):
+        low = z < special._SHIFT
+        if not low.any():
+            break
+        acc -= step(z, low)
+        z += low
+    return z, acc, arr.ndim == 0
+
+
+# ------------------------------------------------------ snapshot text oracle
+
+
+def write_matrix_oracle(path, matrix) -> None:
+    """The snapshot writer before it took each distinct value's repr once:
+    repr of every entry, a row of Python floats at a time. The oracle of
+    runner._write_matrix's bytes."""
+    lines = [",".join(map(repr, row.tolist())) for row in np.asarray(matrix, dtype=float)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------ dense mmsbm oracle

@@ -33,6 +33,7 @@ from scool.models import (
     batch_accuracy,
     batch_grad,
     batch_log_likelihood,
+    pairs_per_block,
 )
 from scool.tasks import gen_tasks, make_universe
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
@@ -55,6 +56,11 @@ from conftest import (
 ARCHS = {
     SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=5, C=3),
     MLP_1HIDDEN: ArchSpec(MLP_1HIDDEN, d=5, C=3, h=4),
+}
+# the benchmark workloads' models: d = 8 features, C = 2 classes, h = 16
+BENCH_ARCHS = {
+    SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=8, C=2),
+    MLP_1HIDDEN: ArchSpec(MLP_1HIDDEN, d=8, C=2, h=16),
 }
 
 
@@ -218,6 +224,25 @@ class TestClassFold:
         X = np.zeros((len(Z), 1, 1))
         for label in range(3):
             got = batch_accuracy(thetas, X, np.full((len(Z), 1), label), arch)
+            np.testing.assert_array_equal(got, np.argmax(Z, axis=1) == label)
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("n", [1, 400])
+    def test_ties_and_nan_reach_the_class_rows(self, kind, n):
+        # the rows of test_ties_and_nan_rank_as_in_argmax as the output bias
+        # of either architecture on n random samples: zero output weights
+        # make every sample's logits its pair's bias row
+        Z = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 2.0], [np.nan, 3.0, 1.0], [1.0, np.nan, np.nan],
+                      [np.inf, np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [1.0, -np.inf, np.inf]])
+        arch = ArchSpec(kind, d=2, C=3, h=4 if kind == MLP_1HIDDEN else 0)
+        rng = np.random.default_rng(n)
+        thetas = rng.standard_normal((len(Z), arch.n_params))
+        out_layer = thetas[:, arch.n_params - 3 * ((arch.h or arch.d) + 1) :]
+        out_layer[:, :-3] = 0.0
+        out_layer[:, -3:] = Z
+        X = rng.standard_normal((len(Z), n, arch.d))
+        for label in range(3):
+            got = batch_accuracy(thetas, X, np.full((len(Z), n), label), arch)
             np.testing.assert_array_equal(got, np.argmax(Z, axis=1) == label)
 
 
@@ -636,7 +661,7 @@ class TestReportingEquivalence:
     # the default budget, which holds all seven in one block
     @pytest.mark.parametrize("kind", sorted(ARCHS))
     @pytest.mark.parametrize("block", [1, 3, None])
-    @pytest.mark.parametrize("n", [1, 13, 40])
+    @pytest.mark.parametrize("n", [1, 13, 40, 400])
     def test_accuracy_and_loss_equal_per_pair(self, monkeypatch, kind, block, n):
         arch = ARCHS[kind]
         if block is not None:
@@ -667,6 +692,31 @@ class TestReportingEquivalence:
         data = DataStack(rng.standard_normal((7, 10, arch.d)), rng.integers(0, arch.C, (7, 10)), [()] * 7)
         runner.per_client(counting, thetas, data, arch)
         assert seen == sizes
+
+    @pytest.mark.parametrize("kind", sorted(BENCH_ARCHS))
+    def test_benchmark_shapes_in_the_runners_blocks(self, monkeypatch, kind):
+        # K = 192 clients of 400 test samples, cut as the runner cuts the
+        # softmax-regression workloads: blocks of 81, 81 and 30 clients
+        arch = BENCH_ARCHS[kind]
+        block = pairs_per_block(runner.REPORT_BLOCK_ELEMENTS, 400, BENCH_ARCHS[SOFTMAX_REGRESSION])
+        assert block == 81
+        monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", block * _per_sample_elements(400, arch))
+        rng = np.random.default_rng(192)
+        thetas = rng.standard_normal((192, arch.n_params))
+        data = DataStack(rng.standard_normal((192, 400, arch.d)), rng.integers(0, arch.C, (192, 400)), [()] * 192)
+        seen = []
+
+        def counting(thetas, X, Y, arch):
+            seen.append(len(thetas))
+            return batch_accuracy(thetas, X, Y, arch)
+
+        accs = runner.per_client(counting, thetas, data, arch)
+        losses = -runner.per_client(batch_log_likelihood, thetas, data, arch)
+        assert seen == [81, 81, 30]
+        sets = [Dataset(data.features[k], data.labels[k], tuple(range(arch.C))) for k in range(192)]
+        models = [LocalModel(thetas[k], arch) for k in range(192)]
+        np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, sets)])
+        np.testing.assert_array_equal(losses, [loss(m, ds) for m, ds in zip(models, sets)])
 
     def test_ties_go_to_the_lowest_class(self):
         arch = ARCHS[SOFTMAX_REGRESSION]

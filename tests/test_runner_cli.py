@@ -8,11 +8,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scool.config import PRIORS, ExperimentConfig, load_config, save_config
 from scool.errors import ConfigurationError
-from scool.runner import METRIC_COLUMNS, metric_l1, run_budget_sweep, run_experiment
+from scool.runner import METRIC_COLUMNS, _write_matrix, metric_l1, run_budget_sweep, run_experiment
 from scool.topology import RoundTraffic
+
+from conftest import write_matrix_oracle
 
 
 def small_config(prior="sbm", **kw):
@@ -94,6 +98,41 @@ class TestMetricL1Equivalence:
         w_star = row_stochastic(rng.uniform(0.0, 1.0, (K, K)))
         w = np.asarray(w, order=order)
         assert metric_l1(w, w_star) == reference_metric_l1(w, w_star)
+
+
+# entries a writer that takes each distinct value's text once could get
+# wrong: both zeros, NaNs of other signs and payloads, the infinities,
+# subnormals, a tiny normal and the repeated weights of a gossip graph
+EDGE_VALUES = [0.0, -0.0, np.nan, -np.nan, np.array(0x7FF8000000000001).view(float).item(),
+               np.inf, -np.inf, 5e-324, 1e-310, 1e-300, 1.0 / 49.0, 1.0 - 48.0 / 49.0]
+
+
+class TestSnapshotText:
+    def test_zero_signs_and_nans_keep_their_text(self, tmp_path):
+        _write_matrix(tmp_path / "w.csv", np.array([[0.0, -0.0, 0.0], [np.nan, -np.nan, 1e-300]]))
+        assert (tmp_path / "w.csv").read_text() == "0.0,-0.0,0.0\nnan,nan,1e-300\n"
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        K=hst.integers(1, 192),
+        drawn=hst.lists(hst.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=6),
+        fresh=hst.floats(0.0, 1.0),
+        transposed=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_the_per_entry_writer(self, tmp_path_factory, K, drawn, fresh, transposed, seed):
+        # entries repeat a palette of edge values and drawn floats; a share
+        # ``fresh`` of them are distinct values of any magnitude instead
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(np.array(EDGE_VALUES + drawn), (K, K))
+        distinct = rng.random((K, K)) < fresh
+        matrix[distinct] = rng.uniform(-1.0, 1.0, distinct.sum()) * 10.0 ** rng.integers(-320, 300, distinct.sum())
+        if transposed:
+            matrix = matrix.T
+        out = tmp_path_factory.mktemp("snapshot")
+        _write_matrix(out / "new.csv", matrix)
+        write_matrix_oracle(out / "oracle.csv", matrix)
+        assert (out / "new.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 
 class TestRunExperiment:
