@@ -66,9 +66,8 @@ def _lift(x, name: str, step):
     lifted[0] = z
     np.add.accumulate(lifted, axis=0, out=lifted)  # lifted[k] = x + 1 + ... + 1, k ones
     low = lifted[:steps] < _SHIFT
-    terms = np.zeros_like(lifted)
-    terms[1:] = step(lifted[:steps], low)
-    acc = np.subtract.reduce(terms, axis=0)  # 0 - term_0 - term_1 - ...
+    # 0 - term_0 - term_1 - ..., in that order
+    acc = np.subtract.reduce(step(lifted[:steps], low), axis=0, initial=0.0)
     z = np.take_along_axis(lifted, low.sum(axis=0, keepdims=True), axis=0)[0]
     return z, acc, arr.ndim == 0
 
