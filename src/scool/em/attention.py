@@ -194,10 +194,10 @@ def e_step(
     return state
 
 
-def m_step(state: AttentionState, models, mask, config) -> None:
+def m_step(state: AttentionState, models, mask, config, grads) -> None:
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask, lambda ms: coupling_descent_terms(ms, state, mask),
+        config.grad_mode, mask, lambda ms: coupling_descent_terms(ms, state, mask), grads,
     )
     state.phi = update_phi(state, models, mask, config)
 

@@ -17,7 +17,7 @@ def init_state(config, mask, theta_dim: int) -> None:
     return None
 
 
-def m_step(state, models, mask, config) -> None:
+def m_step(state, models, mask, config, grads) -> None:
     """Local SGD: the cooperative step with identity weights and the run's
     weight decay as the ridge. The kernel is looked up on its module at
     call time, where tracing may rebind it."""

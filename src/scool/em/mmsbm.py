@@ -110,10 +110,10 @@ def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray) -> M
     return state
 
 
-def m_step(state: MmsbmState, models, mask, config) -> None:
+def m_step(state: MmsbmState, models, mask, config, grads) -> None:
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask,
+        config.grad_mode, mask, grads=grads,
     )
     state.alpha = update_alpha(state, config)
     state.B = update_block_matrix(state, mask)

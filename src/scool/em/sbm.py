@@ -95,11 +95,11 @@ def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray) -> Sbm
     return state
 
 
-def m_step(state: SbmState, models, mask, config) -> None:
+def m_step(state: SbmState, models, mask, config, grads) -> None:
     """Local cooperative SGD epochs, then the prior parameters."""
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask,
+        config.grad_mode, mask, grads=grads,
     )
     state.alpha = update_alpha(state, config)
     state.B = update_block_matrix(state, mask)

@@ -72,6 +72,7 @@ def cooperative_sgd_steps(
     grad_mode: str,
     mask: np.ndarray,
     coupling_fn: CouplingFn | None = None,
+    grads: np.ndarray | None = None,
 ) -> None:
     """Run ``steps`` synchronous cooperative gradient steps on models.theta
     in place.
@@ -88,6 +89,13 @@ def cooperative_sgd_steps(
     own_i + lam theta_i, the weighted gradients are added one slot segment
     at a time, so every row folds its neighbors left to right, the order of
     own_i + lam theta_i + w_ij1 g_ij1 + w_ij2 g_ij2 + ...
+
+    ``grads`` holds the loglik pass's gradients at the current models
+    (rounds.loglik_matrix): row e is grad(theta_i; D_j) of the mask's e-th
+    allowed pair (i, j) in np.nonzero order, so the mask's diagonal must be
+    true. Step 0 then gathers the own gradients and each block's
+    cross-gradients from it through a K x K index map instead of taking
+    them again; later steps, whose models have moved, take fresh ones.
     """
     if eta1 <= 0:
         raise ConfigurationError("eta1 must be positive")
@@ -100,15 +108,28 @@ def cooperative_sgd_steps(
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     blocks = pair_blocks(len(rows), X.shape[1], arch)
     plan = _fold_plan(rows, slot, blocks)
+    if grads is not None:
+        K = len(thetas)
+        if grads.shape != (np.count_nonzero(mask), arch.n_params) or not np.diagonal(mask).all():
+            raise ConfigurationError("stored pair gradients need one row per allowed pair, the diagonal included")
+        index = np.zeros((K, K), dtype=np.intp)
+        index[mask] = np.arange(len(grads))
+        own_index, pair_index = np.diagonal(index), index[rows, cols]
 
     for step in range(steps):
-        own = batch_grad(thetas, X, Y, arch)
+        stored = step == 0 and grads is not None
+        own = grads[own_index] if stored else batch_grad(thetas, X, Y, arch)
         coupling = coupling_fn(models) if coupling_fn is not None else None
 
         delta = own + lam * thetas
         for blk, segments in zip(blocks, plan):
             r, c = rows[blk], cols[blk]
-            g = own[c] if grad_mode == TAYLOR_APPROX else batch_grad(thetas[r], X[c], Y[c], arch)
+            if grad_mode == TAYLOR_APPROX:
+                g = own[c]
+            elif stored:
+                g = grads[pair_index[blk]]
+            else:
+                g = batch_grad(thetas[r], X[c], Y[c], arch)
             g *= weights[blk]
             for a, b, seg_rows in segments:
                 delta[seg_rows] += g[a:b]

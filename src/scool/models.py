@@ -188,6 +188,11 @@ def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
 # reporting pass over every client's 400 test samples; at the 8 train
 # samples per pair of batch_log_likelihood and batch_grad, class-major
 # measured slower, so they stay sample-major.
+#
+# batch_value_and_grad is the one forward pass behind batch_log_likelihood
+# and batch_grad. The loglik matrix under cross-gradient takes both halves
+# at once: local step 0 needs grad(theta_i; D_j) on the same pairs at the
+# same parameters, so it reads them from that pass instead of a second one.
 
 
 def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
@@ -238,25 +243,32 @@ def pairs_per_block(budget: int, n: int, arch: ArchSpec) -> int:
     return max(1, budget // (n * max(arch.h, arch.C)))
 
 
-def batch_log_likelihood(
-    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
-) -> np.ndarray:
-    """log_likelihood of every pair: E mean label log-probabilities."""
-    Z = _batch_forward(thetas, features, arch)[0]
-    log_norm = _shift_log_normalize(Z)
-    picked = Z[..., 0]
-    for c in range(1, arch.C):
-        picked = np.where(labels == c, Z[..., c], picked)
-    return np.mean(picked - log_norm, axis=1)
-
-
-def batch_grad(
-    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
-) -> np.ndarray:
-    """grad of every pair: E x D mean cross-entropy gradients."""
+def batch_value_and_grad(
+    thetas: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    arch: ArchSpec,
+    out: np.ndarray | None = None,
+    *,
+    value: bool = True,
+    grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """log_likelihood and grad of every pair from one forward pass: E mean
+    label log-probabilities and E x D mean cross-entropy gradients, the
+    gradients written into ``out`` when it is given. ``value=False`` or
+    ``grad=False`` skips that half and returns None in its place;
+    batch_log_likelihood and batch_grad are the two halves."""
     E, n = labels.shape
     Z, A = _batch_forward(thetas, features, arch)
     log_norm = _shift_log_normalize(Z)
+    values = grads = None
+    if value:
+        picked = Z[..., 0]
+        for c in range(1, arch.C):
+            picked = np.where(labels == c, Z[..., c], picked)
+        values = np.mean(picked - log_norm, axis=1)
+    if not grad:
+        return values, None
     # Sample-major (n x E x C in memory), so the bias gradient P.sum(axis=1)
     # adds whole contiguous E x C rows sample after sample, the per-pair order.
     P = np.empty((n, E, arch.C)).transpose(1, 0, 2)
@@ -266,21 +278,29 @@ def batch_grad(
     P /= n
     if A is None:
         gW = P.swapaxes(1, 2) @ features
-        return np.concatenate([gW.reshape(E, arch.C * arch.d), P.sum(axis=1)], axis=1)
-    _, _, W2, _ = _unpack_mlp(thetas, arch)
-    dA = P @ W2
-    dZ1 = dA * (1.0 - A * A)
-    gW1 = dZ1.swapaxes(1, 2) @ features
-    gW2 = P.swapaxes(1, 2) @ A
-    return np.concatenate(
-        [
-            gW1.reshape(E, arch.h * arch.d),
-            dZ1.sum(axis=1),
-            gW2.reshape(E, arch.C * arch.h),
-            P.sum(axis=1),
-        ],
-        axis=1,
-    )
+        parts = [gW.reshape(E, arch.C * arch.d), P.sum(axis=1)]
+    else:
+        _, _, W2, _ = _unpack_mlp(thetas, arch)
+        dA = P @ W2
+        dZ1 = dA * (1.0 - A * A)
+        gW1 = dZ1.swapaxes(1, 2) @ features
+        gW2 = P.swapaxes(1, 2) @ A
+        parts = [gW1.reshape(E, arch.h * arch.d), dZ1.sum(axis=1), gW2.reshape(E, arch.C * arch.h), P.sum(axis=1)]
+    return values, np.concatenate(parts, axis=1, out=out)
+
+
+def batch_log_likelihood(
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+) -> np.ndarray:
+    """log_likelihood of every pair: E mean label log-probabilities."""
+    return batch_value_and_grad(thetas, features, labels, arch, grad=False)[0]
+
+
+def batch_grad(
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+) -> np.ndarray:
+    """grad of every pair: E x D mean cross-entropy gradients."""
+    return batch_value_and_grad(thetas, features, labels, arch, value=False)[1]
 
 
 def batch_accuracy(

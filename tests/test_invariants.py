@@ -90,5 +90,5 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
     assert clamped(state.B)
     for _ in range(3):
         prior.e_step(state, models, rounds.loglik_matrix(models, models.train, mask), mask)
-        prior.m_step(state, models, mask, cfg)
+        prior.m_step(state, models, mask, cfg, None)
         assert clamped(state.B)

@@ -8,7 +8,9 @@ per (model, dataset) pair and fold each row's update left to right. The
 per-round reporting is checked against the oracle's ``accuracy`` and
 ``loss`` the same way. A run holds its models only as a ClientStore's K x D
 stack; the store's per-client row views, which remain for the benchmark's
-round-1 cross-check, are tested in TestClientStore.
+round-1 cross-check, are tested in TestClientStore. A cross-gradient round
+takes its first step's gradients from the loglik pass; TestFusedFirstStep
+checks that step against the fresh path, which takes every gradient itself.
 """
 
 from collections import Counter
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import scool.models
 from scool import runner
 from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds, theta
@@ -33,6 +36,7 @@ from scool.models import (
     batch_accuracy,
     batch_grad,
     batch_log_likelihood,
+    batch_value_and_grad,
     pairs_per_block,
 )
 from scool.tasks import gen_tasks, make_universe
@@ -269,24 +273,41 @@ class TestLoglikMatrixEquivalence:
         )
 
     def test_evaluates_only_allowed_pairs(self, monkeypatch):
+        # every allowed pair goes through one forward pass: in the loglik
+        # pass alone, which takes no gradient without a buffer (taylor-
+        # approx), and in the loglik pass plus local step 0 of a
+        # cross-gradient round, which reads its gradients from that pass
         rng = np.random.default_rng(4)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION])
         store = client_store(models, train)
-        _, mask = _random_graph(rng, len(models))
-        seen = []
+        w, mask = _random_graph(rng, len(models))
+        allowed = Counter(zip(*map(list, np.nonzero(mask))))
+        seen, halves = [], []
+        forward, kernel = scool.models._batch_forward, rounds.batch_value_and_grad
 
-        def counting(thetas, X, Y, arch):
-            seen.extend(_pair_ids(thetas, X, models, train))
-            return batch_log_likelihood(thetas, X, Y, arch)
+        def counting_forward(thetas, X, arch):
+            seen.extend(_pair_ids(thetas, X, store, train))
+            return forward(thetas, X, arch)
 
-        monkeypatch.setattr(rounds, "batch_log_likelihood", counting)
+        def counting_kernel(*args, **kwargs):
+            halves.append(kwargs["grad"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scool.models, "_batch_forward", counting_forward)
+        monkeypatch.setattr(rounds, "batch_value_and_grad", counting_kernel)
         for per_block in (1, 3, None):
             with monkeypatch.context() as patch:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
                 seen.clear()
+                halves.clear()
                 rounds.loglik_matrix(store, store.train, mask)
-            # every allowed pair exactly once, and no other pair
-            assert Counter(seen) == Counter(zip(*map(list, np.nonzero(mask))))
+                assert Counter(seen) == allowed and halves and not any(halves)
+                seen.clear()
+                halves.clear()
+                grads = np.empty((np.count_nonzero(mask), store.arch.n_params))
+                rounds.loglik_matrix(store, store.train, mask, grads)
+                cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, mask, grads=grads)
+                assert Counter(seen) == allowed and halves and all(halves)
 
 
 class TestCooperativeEquivalence:
@@ -346,7 +367,7 @@ class TestCooperativeEquivalence:
         w, mask = _random_graph(rng, len(models))
         edges = mask & (w != 0.0)
         np.fill_diagonal(edges, False)
-        # each step: the K own gradients, then every weighted edge once
+        # each fresh step: the K own gradients, then every weighted edge once
         want = Counter(zip(*map(list, np.nonzero(edges | np.eye(len(models), dtype=bool)))))
         seen, sizes = [], []
 
@@ -361,7 +382,14 @@ class TestCooperativeEquivalence:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
                 seen.clear()
                 cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
-            assert Counter(seen) == Counter({pair: 2 for pair in want})
+                assert Counter(seen) == Counter({pair: 2 for pair in want})
+                # handed the loglik pass's gradients, step 0 takes none and
+                # step 1 takes the same pairs as a fresh step
+                grads = np.empty((np.count_nonzero(mask), models.arch.n_params))
+                rounds.loglik_matrix(models, models.train, mask, grads)
+                seen.clear()
+                cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask, grads=grads)
+                assert Counter(seen) == want
 
         sizes.clear()
         cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask)
@@ -471,6 +499,114 @@ class TestPairBlocks:
         for before, after in zip(models[:3], list(a)[:3]):
             assert not np.array_equal(before.theta, after.theta)
         np.testing.assert_array_equal(a[3].theta, models[3].theta)
+
+
+class TestFusedFirstStep:
+    """Local step 0 of a cross-gradient round reads the gradients that the
+    loglik pass wrote into its buffer (rounds.loglik_matrix with ``grads``)
+    instead of taking them again; the models move exactly as on the fresh
+    path, whose steps take every gradient themselves."""
+
+    GRAPHS = ["unequal-degrees", "zero-weights", "no-weighted-neighbour", "identity"]
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("n", [1, 8, 13])
+    def test_kernel_halves(self, kind, n):
+        arch = ARCHS[kind]
+        rng = np.random.default_rng(60 + n)
+        thetas = rng.standard_normal((6, arch.n_params))
+        X = rng.standard_normal((6, n, arch.d))
+        Y = rng.integers(0, arch.C, (6, n))
+        L, G = batch_log_likelihood(thetas, X, Y, arch), batch_grad(thetas, X, Y, arch)
+        values, grads = batch_value_and_grad(thetas, X, Y, arch)
+        np.testing.assert_array_equal(values, L)
+        np.testing.assert_array_equal(grads, G)
+        out = np.full((6, arch.n_params), np.nan)
+        values, grads = batch_value_and_grad(thetas, X, Y, arch, out)
+        assert grads is out
+        np.testing.assert_array_equal(values, L)
+        np.testing.assert_array_equal(out, G)
+        assert batch_value_and_grad(thetas, X, Y, arch, grad=False)[1] is None
+        assert batch_value_and_grad(thetas, X, Y, arch, value=False)[0] is None
+
+    @staticmethod
+    def _graph(rng, graph, K):
+        w, mask = _random_graph(rng, K, zeros=0.0 if graph == "unequal-degrees" else 0.3)
+        if graph == "no-weighted-neighbour":
+            w[2] = 0.0
+        if graph == "identity":
+            w = np.eye(K)
+        return w, mask
+
+    @staticmethod
+    def _fused(store, w, lam, eta1, steps, mask, coupling_fn=None):
+        grads = np.empty((np.count_nonzero(mask), store.arch.n_params))
+        ll = rounds.loglik_matrix(store, store.train, mask, grads)
+        cooperative_sgd_steps(store, store.train, w, lam, eta1, steps, CROSS_GRADIENT, mask, coupling_fn, grads)
+        return ll
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("per_block", [1, 3, None])
+    def test_equals_the_fresh_path(self, monkeypatch, kind, graph, per_block):
+        rng = np.random.default_rng(61)
+        models, train = _clients(rng, ARCHS[kind])
+        w, mask = self._graph(rng, graph, len(models))
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        a, b = client_store(models, train), client_store(models, train)
+        ll = self._fused(a, w, 0.02, 0.2, 3, mask)
+        np.testing.assert_array_equal(ll, rounds.loglik_matrix(b, b.train, mask))
+        cooperative_sgd_steps(b, b.train, w, 0.02, 0.2, 3, CROSS_GRADIENT, mask)
+        np.testing.assert_array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("per_block", [1, 3, None])
+    def test_attention_coupling(self, monkeypatch, per_block):
+        rng = np.random.default_rng(62)
+        models, state = random_attention_setup(rng, K=6)
+        arch = models[0].arch
+        train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
+        state.w, mask = _random_graph(rng, 6, zeros=0.1)
+        coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
+        _cap_pairs_per_block(monkeypatch, per_block, arch)
+        a, b = client_store(models, train), client_store(models, train)
+        self._fused(a, state.w, 0.01, 0.2, 3, mask, coupling)
+        cooperative_sgd_steps(b, b.train, state.w, 0.01, 0.2, 3, CROSS_GRADIENT, mask, coupling)
+        np.testing.assert_array_equal(a.theta, b.theta)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("per_block", [1, 3, None])
+    @pytest.mark.parametrize("start, eta1, message", [
+        (1e308, 0.1, "client 3 produced a non-finite update at local step 0"),  # its ridge term overflows
+        (1e300, 1e8, "client 3 parameters left the finite range at local step 0"),
+    ])
+    def test_divergence_as_on_the_fresh_path(self, monkeypatch, kind, per_block, start, eta1, message):
+        rng = np.random.default_rng(63)
+        models, train = _clients(rng, ARCHS[kind], K=6)
+        models[3].theta[0] = start
+        w, mask = _random_graph(rng, 6, zeros=0.0)
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        a, b = client_store(models, train), client_store(models, train)
+        with pytest.raises(DivergenceError) as got:
+            self._fused(a, w, 10.0, eta1, 2, mask)
+        with pytest.raises(DivergenceError) as want:
+            cooperative_sgd_steps(b, b.train, w, 10.0, eta1, 2, CROSS_GRADIENT, mask)
+        assert str(got.value) == str(want.value) == message
+        np.testing.assert_array_equal(a.theta, b.theta)  # the rows before client 3 moved alike
+
+    def test_buffer_must_match_the_mask(self):
+        rng = np.random.default_rng(64)
+        models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
+        store = client_store(models, train)
+        w, mask = _random_graph(rng, 5)
+        E, D = np.count_nonzero(mask), store.arch.n_params
+        no_self = mask.copy()
+        no_self[1, 1] = False
+        for grads, m in ((np.zeros((E + 1, D)), mask), (np.zeros((E, D + 1)), mask),
+                         (np.zeros((E - 1, D)), no_self)):
+            with pytest.raises(ConfigurationError, match="one row per allowed pair"):
+                cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, m, grads=grads)
+        np.testing.assert_array_equal(store.theta, np.stack([m.theta for m in models]))
 
 
 class TestClientStore:

@@ -285,6 +285,49 @@ class TestPriorTable:
         assert not np.array_equal(theta, before)
         np.testing.assert_array_equal(models.init_theta, before)  # round 0 starts at init
 
+    @pytest.mark.parametrize("prior", ["sbm", "mmsbm", "attention"])
+    def test_e_step_and_elbo_leave_the_models_alone(self, prior):
+        # local step 0 reads the gradients the loglik pass took before the
+        # E-step and the lower bound ran; they stay current only as long as
+        # neither writes a model
+        cfg, models, mask, state = self._k4(prior)
+        rounds.run_round(state, models, mask, 0, cfg)  # moved off the shared start
+        theta, before = models.theta, models.theta.tobytes()
+        ll = rounds.loglik_matrix(models, models.train, mask)
+        rounds.PRIORS[prior].e_step(state, models, ll, mask)
+        rounds.elbo(state, ll, mask, models)
+        assert models.theta is theta and models.theta.tobytes() == before
+
+    @pytest.mark.parametrize("grad_mode", config.GRAD_MODES)
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_loglik_gradients_reach_the_m_step(self, monkeypatch, prior, grad_mode):
+        # under cross-gradient the loglik pass fills one row per allowed pair
+        # and m_step gets that buffer; otherwise it gets None
+        cfg, models, mask, state = self._k4(prior)
+        cfg = cfg.replace(grad_mode=grad_mode)
+        mask = build_topology("group-ring", 4, k0=2)
+        if state is not None:
+            state = build_state(cfg, mask, models.arch.n_params)
+        hook = rounds.PRIORS[prior]
+        passed, real = [], hook.m_step
+
+        def spy(state, models, mask, config, grads):
+            passed.append(None if grads is None else grads.copy())
+            real(state, models, mask, config, grads)
+
+        monkeypatch.setattr(hook, "m_step", spy)
+        thetas = models.theta.copy()
+        rounds.run_round(state, models, mask, 0, cfg)
+        (grads,) = passed
+        if grad_mode != CROSS_GRADIENT or hook.e_step is None:
+            assert grads is None
+        else:
+            rows, cols = np.nonzero(mask)
+            assert grads.shape == (len(rows), models.arch.n_params) == (12, models.arch.n_params)
+            for e, (i, j) in enumerate(zip(rows, cols)):
+                want = grad(LocalModel(thetas[i], models.arch), models.train[j])
+                np.testing.assert_array_equal(grads[e], want)
+
     def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
         cfg, models, mask, state = self._k4("attention")
         calls = []

@@ -148,3 +148,27 @@ class TestBlockMatrixInvariant:
         np.testing.assert_array_equal(block_ratio(num, den), num)
         with pytest.raises(InvariantError, match="non-finite"):
             block_ratio(self._nan_B(), den)
+
+
+class TestMmsbmSimplexCheck:
+    """MmsbmState checks its K x K x M memberships with the verdict of
+    np.allclose(phi.sum(axis=-1), 1.0, atol=1e-9): |sum - 1| <= 1e-9 + 1e-5,
+    and a NaN or infinite sum is off the simplex."""
+
+    @pytest.mark.parametrize("field", ["phi_send", "phi_recv"])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_same_verdict_as_allclose(self, field, M):
+        state = random_mmsbm_state(np.random.default_rng(70 + M), 5, M)
+        bumps = [0.0, 5e-6, -5e-6, 1e-5, 1e-5 + 1e-9, -1e-5 - 1e-9, 1.1e-5, 2e-5, -2e-5, 0.5, np.nan, np.inf, -np.inf]
+        verdicts = []
+        for bump in bumps:
+            phi = getattr(state, field).copy()
+            phi[2, 3, M - 1] += bump
+            on_simplex = np.allclose(phi.sum(axis=-1), 1.0, atol=1e-9)
+            verdicts.append(on_simplex)
+            if on_simplex:
+                clone_mmsbm(state, **{field: phi})
+            else:
+                with pytest.raises(InvariantError, match=f"{field} rows must lie on the simplex"):
+                    clone_mmsbm(state, **{field: phi})
+        assert verdicts[:3] == [True] * 3 and verdicts[-6:] == [False] * 6
