@@ -35,26 +35,19 @@ def pair_blocks(n_pairs: int, n: int, arch: ArchSpec) -> list[slice]:
     return [slice(a, min(a + size, n_pairs)) for a in range(0, n_pairs, size)]
 
 
-def _slot_major(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and slots of the edges, every row's first neighbour
-    first, then every row's second neighbour, and so on; a slot holds each
-    row at most once and each row's neighbours keep their column order."""
-    rows, cols = np.nonzero(edges)
-    degree = edges.sum(axis=1)
-    slot = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
-    order = np.argsort(slot, kind="stable")
-    return rows[order], cols[order], slot[order]
-
-
-def _fold_plan(rows: np.ndarray, slot: np.ndarray, blocks: list[slice]):
-    """For each block, the (start, stop, rows) of its slot segments relative
-    to the block: a slot cut by a block boundary splits into two segments."""
-    plan = []
-    for blk in blocks:
-        cuts = [0, *(np.flatnonzero(np.diff(slot[blk])) + 1).tolist(), blk.stop - blk.start]
-        block_rows = rows[blk]
-        plan.append([(a, b, block_rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
-    return plan
+def _fold(delta: np.ndarray, rows: np.ndarray, g: np.ndarray) -> None:
+    """delta[rows[e]] += g[e] in place for ascending rows, each row adding
+    its terms left to right after its current value: the terms sit on a
+    leading axis padded with -0.0 (the exact additive identity) above the
+    rows' values in slot 0, and one reduction adds the slots in order."""
+    local = rows - rows[0]
+    rank = np.arange(len(rows)) - np.searchsorted(local, local)
+    span = delta[rows[0] : rows[-1] + 1]
+    stack = np.full((rank.max() + 2, *span.shape), -0.0)
+    stack[0] = span
+    stack[rank + 1, local] = g
+    # without initial=-0.0 numpy starts from +0.0 and turns a -0.0 row into +0.0
+    np.add.reduce(stack, axis=0, out=span, initial=-0.0)
 
 
 def _first_bad_row(values: np.ndarray) -> int | None:
@@ -82,20 +75,21 @@ def cooperative_sgd_steps(
     which is exact when all models coincide and only needs each neighbor's
     own gradient on the wire. Each step takes the K own gradients in one
     batched call. The weighted off-diagonal pairs the mask allows form one
-    slot-major pair list (see _slot_major), cut into blocks of at most
-    PAIR_BLOCK_ELEMENTS activations; under cross-gradient each block is one
-    batched call, under taylor-approx it gathers the own gradients. Masked
-    and zero-weight pairs are never evaluated. Starting from
-    own_i + lam theta_i, the weighted gradients are added one slot segment
-    at a time, so every row folds its neighbors left to right, the order of
+    row-major pair list (np.nonzero order, as in rounds.loglik_matrix), cut
+    into blocks of at most PAIR_BLOCK_ELEMENTS activations; under
+    cross-gradient each block is one batched call, under taylor-approx it
+    gathers the own gradients. Masked and zero-weight pairs are never
+    evaluated. Starting from own_i + lam theta_i, each block folds its
+    weighted gradients into its rows (_fold) in the order of
     own_i + lam theta_i + w_ij1 g_ij1 + w_ij2 g_ij2 + ...
 
     ``grads`` holds the loglik pass's gradients at the current models
     (rounds.loglik_matrix): row e is grad(theta_i; D_j) of the mask's e-th
     allowed pair (i, j) in np.nonzero order, so the mask's diagonal must be
-    true. Step 0 then gathers the own gradients and each block's
-    cross-gradients from it through a K x K index map instead of taking
-    them again; later steps, whose models have moved, take fresh ones.
+    true. The weighted pairs are a subset of that list in the same order,
+    so step 0 gathers the own gradients and each block's cross-gradients
+    from it by position instead of taking them again; later steps, whose
+    models have moved, take fresh ones.
     """
     if eta1 <= 0:
         raise ConfigurationError("eta1 must be positive")
@@ -103,18 +97,15 @@ def cooperative_sgd_steps(
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
     w = np.asarray(w, dtype=float)
     edges = observed_pairs(mask) & (w != 0.0)
-    rows, cols, slot = _slot_major(edges)
+    rows, cols = np.nonzero(edges)
     weights = w[rows, cols][:, None]
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     blocks = pair_blocks(len(rows), X.shape[1], arch)
-    plan = _fold_plan(rows, slot, blocks)
     if grads is not None:
-        K = len(thetas)
         if grads.shape != (np.count_nonzero(mask), arch.n_params) or not np.diagonal(mask).all():
             raise ConfigurationError("stored pair gradients need one row per allowed pair, the diagonal included")
-        index = np.zeros((K, K), dtype=np.intp)
-        index[mask] = np.arange(len(grads))
-        own_index, pair_index = np.diagonal(index), index[rows, cols]
+        own_index = np.flatnonzero(np.eye(len(thetas), dtype=bool)[mask])
+        pair_index = np.flatnonzero(edges[mask])
 
     for step in range(steps):
         stored = step == 0 and grads is not None
@@ -122,7 +113,7 @@ def cooperative_sgd_steps(
         coupling = coupling_fn(models) if coupling_fn is not None else None
 
         delta = own + lam * thetas
-        for blk, segments in zip(blocks, plan):
+        for blk in blocks:
             r, c = rows[blk], cols[blk]
             if grad_mode == TAYLOR_APPROX:
                 g = own[c]
@@ -131,8 +122,7 @@ def cooperative_sgd_steps(
             else:
                 g = batch_grad(thetas[r], X[c], Y[c], arch)
             g *= weights[blk]
-            for a, b, seg_rows in segments:
-                delta[seg_rows] += g[a:b]
+            _fold(delta, r, g)
         if coupling is not None:
             delta += coupling
         bad = _first_bad_row(delta)

@@ -253,6 +253,23 @@ def client_store(models, train_sets=None) -> ClientStore:
     return store
 
 
+def fold_loop(delta, rows, g) -> np.ndarray:
+    """delta[rows[e]] += g[e] one pair at a time, left to right, on a copy:
+    the oracle of theta._fold's bits."""
+    out = np.array(delta, dtype=float)
+    for i, term in zip(rows, g):
+        out[i] += term
+    return out
+
+
+def pair_index_map(mask) -> np.ndarray:
+    """The K x K map from an allowed pair (i, j) to its row in the loglik
+    pass's gradient buffer (np.nonzero(mask) order); 0 off the mask."""
+    index = np.zeros(mask.shape, dtype=np.intp)
+    index[mask] = np.arange(np.count_nonzero(mask))
+    return index
+
+
 # ------------------------------------------------------------ gamma lift
 
 

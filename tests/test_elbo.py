@@ -16,6 +16,7 @@ from conftest import (
     random_loglik,
     random_mmsbm_state,
     random_sbm_state,
+    random_symmetric_mask,
     update_omega_row,
 )
 
@@ -114,8 +115,13 @@ class TestBreakdownContracts:
             elbo(object(), np.zeros((2, 2)), full_mask(2))
 
 
+# the full mask, and masks whose pairs are kept at random (both directions together)
+MASKS = {"full": lambda rng, K: full_mask(K), "random": random_symmetric_mask}
+
+
 class TestCoordinateAscentMonotonicity:
-    def test_sbm_sequential_blocks_never_decrease(self):
+    @pytest.mark.parametrize("mask_kind", sorted(MASKS))
+    def test_sbm_sequential_blocks_never_decrease(self, mask_kind):
         rng = np.random.default_rng(5)
         from scool.em import sbm
 
@@ -124,7 +130,7 @@ class TestCoordinateAscentMonotonicity:
             M = int(rng.integers(1, 4))
             st = random_sbm_state(rng, K, M)
             ll = random_loglik(rng, K)
-            mask = full_mask(K)
+            mask = MASKS[mask_kind](rng, K)
             value = elbo(st, ll, mask).total
             st.w = sbm.update_w(st, ll, mask)
             for v2 in [elbo(st, ll, mask).total]:
@@ -144,7 +150,8 @@ class TestCoordinateAscentMonotonicity:
             st.B = sbm.update_block_matrix(st, mask)
             assert elbo(st, ll, mask).total >= value - 1e-8
 
-    def test_mmsbm_sequential_blocks_never_decrease(self):
+    @pytest.mark.parametrize("mask_kind", sorted(MASKS))
+    def test_mmsbm_sequential_blocks_never_decrease(self, mask_kind):
         rng = np.random.default_rng(6)
         from scool.em import mmsbm
 
@@ -153,7 +160,7 @@ class TestCoordinateAscentMonotonicity:
             M = int(rng.integers(1, 4))
             st = random_mmsbm_state(rng, K, M)
             ll = random_loglik(rng, K)
-            mask = full_mask(K)
+            mask = MASKS[mask_kind](rng, K)
             value = elbo(st, ll, mask).total
             for step in (
                 lambda: setattr(st, "w", mmsbm.update_w(st, ll, mask)),

@@ -40,17 +40,19 @@ from scool.models import (
     pairs_per_block,
 )
 from scool.tasks import gen_tasks, make_universe
-from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology
+from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology, observed_pairs
 
 from conftest import (
     LocalModel,
     accuracy,
     client_store,
+    fold_loop,
     full_mask,
     grad,
     log_likelihood,
     loss,
     model_list,
+    pair_index_map,
     random_attention_setup,
     sample_class_data,
     stack_datasets,
@@ -416,7 +418,7 @@ def _pair_ids(thetas, X, models, train):
 
 
 class TestPairBlocks:
-    """Blocks of one and three pairs cut rows and slot segments mid-way."""
+    """Blocks of one and three pairs cut the row-major pair list mid-row."""
 
     @pytest.mark.parametrize("kind", sorted(ARCHS))
     @pytest.mark.parametrize("per_block", [1, 3])
@@ -501,6 +503,81 @@ class TestPairBlocks:
         np.testing.assert_array_equal(a[3].theta, models[3].theta)
 
 
+def _assert_same_bits(a, b):
+    """Equal to the bit: -0.0 differs from 0.0, and NaNs must match too."""
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestFold:
+    """theta._fold adds a block's terms into their rows exactly as the
+    left-to-right loop conftest.fold_loop does, to the bit."""
+
+    @staticmethod
+    def _pairs(rng, K, D, degrees):
+        """A row-major pair list with the given degree per row and terms
+        whose sums depend on the order they are added in."""
+        rows = np.repeat(np.arange(K), degrees)
+        scale = 10.0 ** rng.integers(-12, 12, (len(rows), D))
+        g = rng.standard_normal((len(rows), D)) * scale
+        return rows, g, rng.standard_normal((K, D)) * 1e6
+
+    @staticmethod
+    def _folded(delta, rows, g, sizes):
+        out, start = delta.copy(), 0
+        for size in sizes:
+            theta._fold(out, rows[start : start + size], g[start : start + size])
+            start += size
+        assert start == len(rows)
+        return out
+
+    @pytest.mark.parametrize("D", [1, 2, 18])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 1000])
+    def test_blocks_of_one_size(self, D, size):
+        rng = np.random.default_rng(70 + size)
+        rows, g, delta = self._pairs(rng, 9, D, [3, 0, 12, 1, 0, 0, 5, 9, 2])
+        sizes = [size] * (len(rows) // size) + ([len(rows) % size] if len(rows) % size else [])
+        _assert_same_bits(self._folded(delta, rows, g, sizes), fold_loop(delta, rows, g))
+
+    def test_a_row_split_by_a_block_boundary(self):
+        rng = np.random.default_rng(71)
+        rows, g, delta = self._pairs(rng, 3, 4, [2, 20, 2])
+        for cut in range(1, len(rows)):
+            _assert_same_bits(self._folded(delta, rows, g, [cut, len(rows) - cut]), fold_loop(delta, rows, g))
+
+    def test_rows_without_an_edge_in_the_span_are_untouched(self):
+        rng = np.random.default_rng(72)
+        rows, g, delta = self._pairs(rng, 6, 3, [2, 0, 0, 3, 0, 1])
+        delta[1] = [-0.0, np.nan, np.inf]
+        delta[2] = [-np.inf, -0.0, 0.0]
+        delta[4] = -0.0
+        out = self._folded(delta, rows, g, [len(rows)])
+        _assert_same_bits(out[[1, 2, 4]], delta[[1, 2, 4]])
+        _assert_same_bits(out, fold_loop(delta, rows, g))
+
+    def test_signed_zeros(self):
+        rows = np.array([0, 0, 1, 1, 2, 3, 3, 3])
+        g = np.array([[-0.0, 0.0, -0.0, 0.0]] * 8)
+        g[5:] = -0.0
+        delta = np.array([[-0.0, -0.0, 0.0, 0.0]] * 4)
+        for sizes in ([8], [1] * 8, [3, 5], [5, 3]):
+            out = self._folded(delta, rows, g, sizes)
+            _assert_same_bits(out, fold_loop(delta, rows, g))
+            # -0.0 plus -0.0 terms stays -0.0, a reduction from +0.0 would not
+            assert np.signbit(out[3, :2]).all() and np.signbit(out[0, 0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inf_and_nan_terms(self):
+        rng = np.random.default_rng(73)
+        rows, g, delta = self._pairs(rng, 5, 3, [4, 3, 0, 2, 5])
+        g[0, 0] = g[5, 1] = np.inf
+        g[1, 0] = -np.inf  # inf - inf on row 0
+        g[2, 2] = g[9, 0] = np.nan
+        g[12, 1] = -np.nan
+        delta[3, 2] = np.nan
+        for sizes in ([len(rows)], [1] * len(rows), [4, 5, 5]):
+            _assert_same_bits(self._folded(delta, rows, g, sizes), fold_loop(delta, rows, g))
+
+
 class TestFusedFirstStep:
     """Local step 0 of a cross-gradient round reads the gradients that the
     loglik pass wrote into its buffer (rounds.loglik_matrix with ``grads``)
@@ -558,6 +635,26 @@ class TestFusedFirstStep:
         np.testing.assert_array_equal(ll, rounds.loglik_matrix(b, b.train, mask))
         cooperative_sgd_steps(b, b.train, w, 0.02, 0.2, 3, CROSS_GRADIENT, mask)
         np.testing.assert_array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("per_block", [1, 3, None])
+    def test_step_zero_reads_the_buffer_as_the_index_map(self, monkeypatch, kind, graph, per_block):
+        # one step with a buffer takes no gradient: it reads the buffer's rows
+        # at the pairs that the K x K map of the mask names
+        rng = np.random.default_rng(65)
+        models, train = _clients(rng, ARCHS[kind])
+        w, mask = self._graph(rng, graph, len(models))
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
+        store = client_store(models, train)
+        grads = rng.standard_normal((np.count_nonzero(mask), store.arch.n_params))
+        index = pair_index_map(mask)
+        rows, cols = np.nonzero(observed_pairs(mask) & (w != 0.0))
+        delta = grads[np.diagonal(index)] + 0.02 * store.theta
+        delta = fold_loop(delta, rows, w[rows, cols][:, None] * grads[index[rows, cols]])
+        want = store.theta - 0.2 * delta
+        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 1, CROSS_GRADIENT, mask, grads=grads)
+        _assert_same_bits(store.theta, want)
 
     @pytest.mark.parametrize("per_block", [1, 3, None])
     def test_attention_coupling(self, monkeypatch, per_block):

@@ -554,6 +554,21 @@ class TestCli:
         assert len(data["rounds"]) == 1
         assert (out / "metrics.csv").read_text().count("\n") == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_extreme_eta2_collapses_a_block_denominator(self, tmp_path, capsys):
+        # the same exit with nothing patched: at eta2 = 1e300 the memberships
+        # collapse before alpha overflows; at 1e308 alpha gives way first and
+        # the run exits 3 (test_faults_exit_3_with_a_partial_report)
+        from scool.cli import EXIT_INVARIANT, main
+
+        path = self._write_config(tmp_path, eta2=1e300, rounds=3)
+        out = tmp_path / "eta2"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_INVARIANT == 4
+        assert "block denominator underflow" in capsys.readouterr().err
+        data = json.loads((out / "report.json").read_text(), parse_constant=self._refuse_constant)
+        assert data["diverged"] is True
+        assert data["divergence_message"] == "round 1: degenerate memberships: block denominator underflow"
+
     def test_underflowed_row_at_pruning_exit_code_and_partial_report(self, tmp_path, monkeypatch, capsys):
         from scool.cli import EXIT_DIVERGED, main
         from scool.em import sbm
