@@ -40,6 +40,14 @@ def expected_log_pi(gamma: np.ndarray) -> np.ndarray:
     return digamma(g) - digamma(g.sum(axis=1))[:, None]
 
 
+def checked_gamma(gamma: np.ndarray) -> np.ndarray:
+    """A block prior's new Dirichlet posterior; a non-finite one is a divergence."""
+    # a non-finite entry, or a row sum that overflows, makes its row sum non-finite
+    if not np.all(np.isfinite(gamma.sum(axis=1))):
+        raise DivergenceError("Dirichlet posterior gamma is non-finite")
+    return gamma
+
+
 def alpha_gradient(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Ascent gradient of the shared Dirichlet parameter: the K clients'
     expected log-mixtures against the prior's normalizer."""
@@ -82,20 +90,14 @@ def graph(state, K: int) -> np.ndarray:
     return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
 
 
-def at_pairs(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The entries of a K x K array, or the membership rows of a K x K x M
-    one, at the flat pair indices i*K + j."""
-    return np.take(a.reshape(-1, *a.shape[2:]), pairs, axis=0)
-
-
 def pair_bilinear(phi_send: np.ndarray, X: np.ndarray, phi_recv: np.ndarray) -> np.ndarray:
-    """sum_gh phi_send[..., g] X[g, h] phi_recv[..., h] for every pair, on
-    K x K x M memberships or an E x M pair list, accumulated with g outer
-    and h inner from zero: the terms and order of
-    np.einsum("...g,gh,...h->...", ...), bit for bit, in about half its time."""
+    """sum_gh phi_send[e, g] X[g, h] phi_recv[e, h] for every row e of an
+    E x M pair list, accumulated with g outer and h inner from zero: the
+    terms and order of np.einsum("eg,gh,eh->e", ...), bit for bit, in about
+    half its time."""
     M = X.shape[0]
-    acc = np.zeros(phi_send.shape[:-1])
+    acc = np.zeros(len(phi_send))
     for g in range(M):
         for h in range(M):
-            acc += phi_send[..., g] * X[g, h] * phi_recv[..., h]
+            acc += phi_send[:, g] * X[g, h] * phi_recv[:, h]
     return acc

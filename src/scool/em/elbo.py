@@ -25,7 +25,7 @@ import numpy as np
 from ..models import ClientStore
 from ..special import log_gamma, xlogx
 from ..topology import observed_pairs
-from .common import at_pairs, block_logs, expected_log_pi, pair_bilinear
+from .common import block_logs, expected_log_pi, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
 
 
@@ -49,8 +49,8 @@ class ElboBreakdown:
         return asdict(self)
 
 
-def _likelihood_term(w: np.ndarray, loglik: np.ndarray, obs: np.ndarray) -> float:
-    return float(np.trace(loglik) + (w * loglik)[obs].sum())
+def _likelihood_term(w: np.ndarray, loglik: np.ndarray, pairs: np.ndarray) -> float:
+    return float(np.trace(loglik) + np.take(w * loglik, pairs).sum())
 
 
 def _model_prior_term(models: ClientStore | None, lam: float) -> float:
@@ -63,9 +63,8 @@ def _model_prior_term(models: ClientStore | None, lam: float) -> float:
     return -0.5 * lam * total
 
 
-def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray) -> float:
+def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray, elp: np.ndarray) -> float:
     K = len(gamma)
-    elp = expected_log_pi(gamma)
     prior = (
         float(((alpha - 1.0)[None, :] * elp).sum())
         - K * float(log_gamma(alpha).sum())
@@ -80,19 +79,19 @@ def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray) -> float:
 
 
 def _block_bound(
-    state: BlockState, loglik: np.ndarray, obs: np.ndarray, models: ClientStore | None,
+    state: BlockState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None, elp: np.ndarray,
     *, edge: float, membership: float, entropy_membership: float,
 ) -> ElboBreakdown:
-    """A block prior's bound from its ``edge``, ``membership`` and
-    ``entropy_membership`` terms: the likelihood, model-prior, Dirichlet and
-    edge-entropy terms are the same for both ways of holding memberships."""
-    w = state.w[obs]
+    """A block prior's bound over the flat observed-pair indices ``pairs``
+    from its ``edge``, ``membership``, ``entropy_membership`` terms and its
+    elp = expected_log_pi(state.gamma): the other terms are shared."""
+    w = np.take(state.w, pairs)
     return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, obs),
+        likelihood=_likelihood_term(state.w, loglik, pairs),
         model_prior=_model_prior_term(models, state.lam),
         edge=edge,
         membership=membership,
-        dirichlet=_dirichlet_term(state.gamma, state.alpha),
+        dirichlet=_dirichlet_term(state.gamma, state.alpha, elp),
         entropy_membership=entropy_membership,
         entropy_w=float((-(xlogx(w) + xlogx(1.0 - w))).sum()),
     )
@@ -101,14 +100,15 @@ def _block_bound(
 def elbo_sbm(
     state: SbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
-    obs = observed_pairs(mask)
+    pairs = np.flatnonzero(observed_pairs(mask))
     logB, log1mB = block_logs(state)
     pos = state.omega @ logB @ state.omega.T
     neg = state.omega @ log1mB @ state.omega.T
+    elp = expected_log_pi(state.gamma)
     return _block_bound(
-        state, loglik, obs, models,
-        edge=float((state.w * pos + (1.0 - state.w) * neg)[obs].sum()),
-        membership=float((state.omega * expected_log_pi(state.gamma)).sum()),
+        state, loglik, pairs, models, elp,
+        edge=float(np.take(state.w * pos + (1.0 - state.w) * neg, pairs).sum()),
+        membership=float((state.omega * elp).sum()),
         entropy_membership=-float(xlogx(state.omega).sum()),
     )
 
@@ -116,10 +116,9 @@ def elbo_sbm(
 def elbo_attention(
     state: AttentionState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
-    obs = observed_pairs(mask)
     logp = np.log(np.maximum(state.p, PROB_FLOOR))
     return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, obs),
+        likelihood=_likelihood_term(state.w, loglik, np.flatnonzero(observed_pairs(mask))),
         model_prior=_model_prior_term(models, state.lam),
         edge=float((state.w * logp).sum()),
         entropy_w=-float(xlogx(state.w).sum()),
@@ -129,17 +128,15 @@ def elbo_attention(
 def elbo_mmsbm(
     state: MmsbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
-    K = state.n_clients
-    obs = observed_pairs(mask)
-    pairs = np.flatnonzero(obs)
-    ps, pr, w = (at_pairs(a, pairs) for a in (state.phi_send, state.phi_recv, state.w))
+    K, pairs = state.n_clients, state.pairs
+    ps, pr, w = state.phi_send, state.phi_recv, np.take(state.w, pairs)
     logB, log1mB = block_logs(state)
     pos = pair_bilinear(ps, logB, pr)
     neg = pair_bilinear(ps, log1mB, pr)
     elp = expected_log_pi(state.gamma)
     elp_send, elp_recv = (np.take(elp, own, axis=0) for own in (pairs // K, pairs % K))
     return _block_bound(
-        state, loglik, obs, models,
+        state, loglik, pairs, models, elp,
         edge=float((w * pos + (1.0 - w) * neg).sum()),
         membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),
         entropy_membership=-float(xlogx(ps).sum() + xlogx(pr).sum()),

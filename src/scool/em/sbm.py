@@ -15,7 +15,7 @@ import numpy as np
 from ..special import sigmoid_tempered, softmax_tempered
 from ..topology import observed_pairs
 # graph (the reporting hook) and update_alpha are shared with mmsbm
-from .common import block_logs, block_ratio, block_start, expected_log_pi, graph, update_alpha
+from .common import block_logs, block_ratio, block_start, checked_gamma, expected_log_pi, graph, update_alpha
 from .state import SbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
@@ -41,7 +41,7 @@ def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarra
 
 def update_gamma(state: SbmState) -> np.ndarray:
     """Dirichlet posterior: membership responsibility plus the prior."""
-    return state.omega + state.alpha[None, :]
+    return checked_gamma(state.omega + state.alpha[None, :])
 
 
 def _pair_weights(state: SbmState, mask: np.ndarray):

@@ -198,18 +198,21 @@ class AttentionState:
 
 @dataclass(kw_only=True)
 class MmsbmState(BlockState):
-    """Mixed-membership block prior: every ordered pair (i, j) carries a
-    sender membership phi_send[i, j] (drawn from client i's mixture) and a
-    receiver membership phi_recv[i, j] (from client j's)."""
+    """Mixed-membership block prior: every observed ordered pair (i, j)
+    carries a sender membership (drawn from client i's mixture) and a
+    receiver membership (from client j's), one row per entry of ``pairs``."""
 
-    phi_send: np.ndarray  # K x K x M simplex rows
-    phi_recv: np.ndarray  # K x K x M simplex rows
+    pairs: np.ndarray  # E flat indices i*K + j of the observed pairs, row-major
+    phi_send: np.ndarray  # E x M simplex rows
+    phi_recv: np.ndarray  # E x M simplex rows
 
     def __post_init__(self):
         super().__post_init__()
         self.phi_send = np.asarray(self.phi_send, dtype=float)
         self.phi_recv = np.asarray(self.phi_recv, dtype=float)
         for name, arr in (("phi_send", self.phi_send), ("phi_recv", self.phi_recv)):
+            if arr.shape != (len(self.pairs), self.n_blocks):
+                raise InvariantError(f"{name} must hold one row of {self.n_blocks} per observed pair")
             # np.allclose(sums, 1.0, atol=1e-9): a NaN or infinite sum fails
             if not np.all(np.abs(last_axis_sum(arr) - 1.0) <= 1e-9 + 1e-5):
                 raise InvariantError(f"{name} rows must lie on the simplex")

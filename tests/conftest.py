@@ -108,11 +108,16 @@ def update_omega_row(state: SbmState, i: int, mask: np.ndarray) -> np.ndarray:
     return softmax_tempered(sbm.omega_scores(state, mask)[i], 1.0)
 
 
-def random_mmsbm_state(rng: np.random.Generator, K: int, M: int) -> MmsbmState:
+def random_mmsbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarray | None = None) -> MmsbmState:
+    """A state on the observed pairs of ``mask`` (the full mask by default):
+    memberships drawn for all K x K pairs, as init_state draws them, and
+    kept at the observed ones."""
+    pairs = np.flatnonzero(observed_pairs(full_mask(K) if mask is None else mask))
     return MmsbmState(
         w=rng.uniform(0.05, 0.95, (K, K)),
-        phi_send=interior_simplex(rng, (K, K, M)),
-        phi_recv=interior_simplex(rng, (K, K, M)),
+        pairs=pairs,
+        phi_send=interior_simplex(rng, (K, K, M)).reshape(K * K, M)[pairs],
+        phi_recv=interior_simplex(rng, (K, K, M)).reshape(K * K, M)[pairs],
         gamma=rng.uniform(0.5, 3.0, (K, M)),
         alpha=rng.uniform(0.5, 2.0, M),
         B=rng.uniform(0.25, 0.75, (M, M)),
@@ -124,7 +129,7 @@ def random_mmsbm_state(rng: np.random.Generator, K: int, M: int) -> MmsbmState:
 
 def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
     base = dict(
-        w=state.w, phi_send=state.phi_send, phi_recv=state.phi_recv,
+        w=state.w, pairs=state.pairs, phi_send=state.phi_send, phi_recv=state.phi_recv,
         gamma=state.gamma, alpha=state.alpha, B=state.B, lam=state.lam,
         tau_sigmoid=state.tau_sigmoid,
     )
@@ -303,8 +308,22 @@ def write_matrix_oracle(path, matrix) -> None:
 
 # ------------------------------------------------------ dense mmsbm oracle
 # The mixed-membership blocks and lower bound written densely over all K x K
-# pairs: the plain reference that the observed-pair-list code in
-# scool.em.mmsbm and elbo_mmsbm is checked against (tests/test_mmsbm.py).
+# pairs, with every pair off the state's list held at 1/M: the plain
+# reference that the observed-pair-list code in scool.em.mmsbm and
+# elbo_mmsbm is checked against (tests/test_mmsbm.py).
+
+
+def dense_pairs(state: MmsbmState, phi: np.ndarray) -> np.ndarray:
+    """E x M pair memberships scattered to K x K x M, 1/M at every pair
+    off the state's list (the diagonal included)."""
+    K, M = state.n_clients, state.n_blocks
+    dense = np.full((K * K, M), 1.0 / M)
+    dense[state.pairs] = phi
+    return dense.reshape(K, K, M)
+
+
+def _dense_memberships(state: MmsbmState) -> tuple[np.ndarray, np.ndarray]:
+    return dense_pairs(state, state.phi_send), dense_pairs(state, state.phi_recv)
 
 
 def _dense_park_unobserved(state: MmsbmState, phi: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -315,14 +334,16 @@ def _dense_park_unobserved(state: MmsbmState, phi: np.ndarray, mask: np.ndarray)
 def dense_update_w(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
     B = clamp_block_matrix(state.B)
     odds = np.log(B) - np.log1p(-B)
-    score = loglik + np.einsum("ijg,gh,ijh->ij", state.phi_send, odds, state.phi_recv)
+    send, recv = _dense_memberships(state)
+    score = loglik + np.einsum("ijg,gh,ijh->ij", send, odds, recv)
     return np.where(mask, sigmoid_tempered(score, state.tau_sigmoid), 0.0)
 
 
 def dense_update_gamma(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     obs = observed_pairs(mask)[:, :, None]
-    send_sum = (state.phi_send * obs).sum(axis=1)
-    recv_sum = (state.phi_recv * obs).sum(axis=0)
+    send, recv = _dense_memberships(state)
+    send_sum = (send * obs).sum(axis=1)
+    recv_sum = (recv * obs).sum(axis=0)
     return state.alpha[None, :] + send_sum + recv_sum
 
 
@@ -338,21 +359,22 @@ def _dense_pair_scores(state: MmsbmState, counterpart: np.ndarray, transpose_B: 
 
 
 def dense_update_phi_send(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
-    scores = _dense_pair_scores(state, state.phi_recv, transpose_B=False)
+    scores = _dense_pair_scores(state, _dense_memberships(state)[1], transpose_B=False)
     scores = scores + expected_log_pi(state.gamma)[:, None, :]
     return _dense_park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
 
 
 def dense_update_phi_recv(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
-    scores = _dense_pair_scores(state, state.phi_send, transpose_B=True)
+    scores = _dense_pair_scores(state, _dense_memberships(state)[0], transpose_B=True)
     scores = scores + expected_log_pi(state.gamma)[None, :, :]
     return _dense_park_unobserved(state, softmax_tempered(scores, 1.0, axis=-1), mask)
 
 
 def dense_update_block_matrix(state: MmsbmState, mask: np.ndarray) -> np.ndarray:
     off = observed_pairs(mask).astype(float)
-    num = np.einsum("ij,ijg,ijh->gh", state.w * off, state.phi_send, state.phi_recv)
-    den = np.einsum("ij,ijg,ijh->gh", off, state.phi_send, state.phi_recv)
+    send, recv = _dense_memberships(state)
+    num = np.einsum("ij,ijg,ijh->gh", state.w * off, send, recv)
+    den = np.einsum("ij,ijg,ijh->gh", off, send, recv)
     return block_ratio(num, den)
 
 
@@ -360,19 +382,20 @@ def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) ->
     """The per-term lower bound (without the model prior) as ElboBreakdown.terms()."""
     obs = observed_pairs(mask)
     B = clamp_block_matrix(state.B)
-    pos = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log(B), state.phi_recv)
-    neg = np.einsum("ijg,gh,ijh->ij", state.phi_send, np.log1p(-B), state.phi_recv)
+    send, recv = _dense_memberships(state)
+    pos = np.einsum("ijg,gh,ijh->ij", send, np.log(B), recv)
+    neg = np.einsum("ijg,gh,ijh->ij", send, np.log1p(-B), recv)
     elp = expected_log_pi(state.gamma)
-    send_scores = np.einsum("ijg,ig->ij", state.phi_send, elp)
-    recv_scores = np.einsum("ijg,jg->ij", state.phi_recv, elp)
+    send_scores = np.einsum("ijg,ig->ij", send, elp)
+    recv_scores = np.einsum("ijg,jg->ij", recv, elp)
     w = state.w
     return {
         "likelihood": float(np.trace(loglik) + (w * loglik)[obs].sum()),
         "model_prior": 0.0,
         "edge": float((w * pos + (1.0 - w) * neg)[obs].sum()),
         "membership": float(send_scores[obs].sum() + recv_scores[obs].sum()),
-        "dirichlet": _dirichlet_term(state.gamma, state.alpha),
-        "entropy_membership": -float(xlogx(state.phi_send)[obs].sum() + xlogx(state.phi_recv)[obs].sum()),
+        "dirichlet": _dirichlet_term(state.gamma, state.alpha, elp),
+        "entropy_membership": -float(xlogx(send)[obs].sum() + xlogx(recv)[obs].sum()),
         "entropy_w": -float((xlogx(w) + xlogx(1.0 - w))[obs].sum()),
     }
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from scool.config import ExperimentConfig
 from scool.em import attention, dirac, mmsbm, rounds, sbm
+from scool.em.common import expected_log_pi
 from scool.em.elbo import elbo
 from scool.em.state import DiracState, PROB_FLOOR
 from scool.models import ArchSpec
@@ -87,29 +88,30 @@ def _mmsbm_kkt_residual(mst, ll, mask):
     K, M = mst.n_clients, mst.n_blocks
     pairs = list(zip(*np.nonzero(observed_pairs(mask))))
     worst = 0.0
-    mst.w = mmsbm.update_w(mst, ll, mask)
+    mst.w = mmsbm.update_w(mst, ll)
     for i, j in pairs:
         def f(v, i=i, j=j):
             w2 = mst.w.copy(); w2[i, j] = v
             return elbo(clone_mmsbm(mst, w=w2), ll, mask).total
         worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
-    mst.gamma = mmsbm.update_gamma(mst, mask)
+    mst.gamma = mmsbm.update_gamma(mst)
     for i in range(K):
         for g in range(M):
             def f(v, i=i, g=g):
                 g2 = mst.gamma.copy(); g2[i, g] = v
                 return elbo(clone_mmsbm(mst, gamma=g2), ll, mask).total
             worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
-    for side, update in (("phi_send", mmsbm.update_phi_send), ("phi_recv", mmsbm.update_phi_recv)):
-        setattr(mst, side, update(mst, mask))
-        arr = getattr(mst, side)
-        for i, j in pairs:
+    for side in ("send", "recv"):
+        name = f"phi_{side}"
+        setattr(mst, name, mmsbm.update_phi(mst, expected_log_pi(mst.gamma), side))
+        arr = getattr(mst, name)
+        for e in range(len(mst.pairs)):
             grads = []
             for k in range(M):
-                def f(v, i=i, j=j, k=k, side=side):
-                    p2 = arr.copy(); p2[i, j, k] = v
-                    return elbo(clone_mmsbm(mst, **{side: p2}), ll, mask).total
-                grads.append(central_diff(f, arr[i, j, k], 1e-7))
+                def f(v, e=e, k=k, name=name):
+                    p2 = arr.copy(); p2[e, k] = v
+                    return elbo(clone_mmsbm(mst, **{name: p2}), ll, mask).total
+                grads.append(central_diff(f, arr[e, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
     return worst
 
@@ -129,11 +131,11 @@ def _sbm_sweep(st, ll, mask, track):
 def _mmsbm_sweep(st, ll, mask, track):
     """Apply the mmsbm blocks one at a time, tracking the bound after each."""
     v = elbo(st, ll, mask).total
-    st.w = mmsbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask).total)
-    st.gamma = mmsbm.update_gamma(st, mask); v = track(v, elbo(st, ll, mask).total)
-    st.phi_send = mmsbm.update_phi_send(st, mask); v = track(v, elbo(st, ll, mask).total)
-    st.phi_recv = mmsbm.update_phi_recv(st, mask); v = track(v, elbo(st, ll, mask).total)
-    st.B = mmsbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask).total)
+    st.w = mmsbm.update_w(st, ll); v = track(v, elbo(st, ll, mask).total)
+    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(st, ll, mask).total)
+    st.phi_send = mmsbm.update_phi(st, expected_log_pi(st.gamma), "send"); v = track(v, elbo(st, ll, mask).total)
+    st.phi_recv = mmsbm.update_phi(st, expected_log_pi(st.gamma), "recv"); v = track(v, elbo(st, ll, mask).total)
+    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(st, ll, mask).total)
 
 
 def test_criterion_1_stationarity_suite():
@@ -192,13 +194,13 @@ def test_criterion_1_stationarity_suite():
         # --- MMSBM: w, gamma, then each pair-membership side
         worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M), ll, mask))
 
-    # --- MMSBM under a pruned ring mask: the blocks gather and scatter only
-    # the observed pairs, and the bound reads only those
+    # --- MMSBM under a pruned ring mask: the state holds only the observed
+    # pairs, and the blocks and the bound read only those
     for _ in range(MASKED_TRIALS):
         K, M = 6, int(rng.choice([1, 2, 3]))
         mask = pruned_ring(rng, K)
         ll = random_loglik(rng, K)
-        worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M), ll, mask))
+        worst = max(worst, _mmsbm_kkt_residual(random_mmsbm_state(rng, K, M, mask), ll, mask))
 
     assert worst < KKT_TOL, f"KKT residual {worst:.2e} >= {KKT_TOL}"
     _report(1, "stationarity suite", f"max KKT residual {worst:.2e} < {KKT_TOL}",
@@ -243,7 +245,7 @@ def test_criterion_2_elbo_monotonicity():
     for _ in range(MASKED_TRIALS):  # MMSBM under a pruned ring mask
         K, M = 6, int(rng.choice([1, 2, 3]))
         mask = pruned_ring(rng, K)
-        st = random_mmsbm_state(rng, K, M)
+        st = random_mmsbm_state(rng, K, M, mask)
         ll = random_loglik(rng, K)
         _mmsbm_sweep(st, ll, mask, track)
 

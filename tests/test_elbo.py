@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
+from scool.em.common import expected_log_pi
 from scool.em.elbo import elbo, elbo_sbm
 from scool.em.state import SbmState
 
 from conftest import (
     client_store,
+    clone_mmsbm,
     full_mask,
     random_attention_setup,
     random_loglik,
@@ -158,23 +160,28 @@ class TestCoordinateAscentMonotonicity:
         for _ in range(20):
             K = int(rng.integers(3, 6))
             M = int(rng.integers(1, 4))
-            st = random_mmsbm_state(rng, K, M)
+            dense = random_mmsbm_state(rng, K, M)
             ll = random_loglik(rng, K)
             mask = MASKS[mask_kind](rng, K)
+            # the same draw, held on the mask's observed pairs
+            kept = np.take(mask, dense.pairs)
+            st = clone_mmsbm(dense, pairs=dense.pairs[kept], phi_send=dense.phi_send[kept],
+                             phi_recv=dense.phi_recv[kept])
             value = elbo(st, ll, mask).total
             for step in (
-                lambda: setattr(st, "w", mmsbm.update_w(st, ll, mask)),
-                lambda: setattr(st, "gamma", mmsbm.update_gamma(st, mask)),
-                lambda: setattr(st, "phi_send", mmsbm.update_phi_send(st, mask)),
-                lambda: setattr(st, "phi_recv", mmsbm.update_phi_recv(st, mask)),
-                lambda: setattr(st, "B", mmsbm.update_block_matrix(st, mask)),
+                lambda: setattr(st, "w", mmsbm.update_w(st, ll)),
+                lambda: setattr(st, "gamma", mmsbm.update_gamma(st)),
+                lambda: setattr(st, "phi_send", mmsbm.update_phi(st, expected_log_pi(st.gamma), "send")),
+                lambda: setattr(st, "phi_recv", mmsbm.update_phi(st, expected_log_pi(st.gamma), "recv")),
+                lambda: setattr(st, "B", mmsbm.update_block_matrix(st)),
             ):
                 step()
                 v2 = elbo(st, ll, mask).total
                 assert v2 >= value - 1e-8
                 value = v2
 
-    def test_attention_w_update_never_decreases(self):
+    @pytest.mark.parametrize("mask_kind", sorted(MASKS))
+    def test_attention_w_update_never_decreases(self, mask_kind):
         rng = np.random.default_rng(7)
         from scool.em import attention
 
@@ -182,9 +189,11 @@ class TestCoordinateAscentMonotonicity:
             K = int(rng.integers(3, 7))
             models, st = random_attention_setup(rng, K)
             ll = random_loglik(rng, K)
-            mask = full_mask(K)
+            mask = MASKS[mask_kind](rng, K)
             st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0, mask)
-            st.w = rng.dirichlet(np.ones(K), size=K)
+            st.w = np.zeros((K, K))
+            for i in range(K):  # each row on the simplex of its allowed entries
+                st.w[i, mask[i]] = rng.dirichlet(np.ones(np.count_nonzero(mask[i])))
             before = elbo(st, ll, mask).total
             st.w = attention.update_w(st, ll, mask)
             assert elbo(st, ll, mask).total >= before - 1e-8

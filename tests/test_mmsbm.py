@@ -9,15 +9,16 @@ from hypothesis import strategies as hst
 
 from scool.config import ExperimentConfig
 from scool.em import mmsbm
-from scool.em.common import at_pairs, pair_bilinear
+from scool.em.common import expected_log_pi, pair_bilinear
 from scool.em.elbo import elbo, elbo_mmsbm
 from scool.errors import InvariantError
-from scool.topology import observed_pairs
+from scool.topology import build_topology, observed_pairs, sparsify_topk
 
 from conftest import (
     central_diff,
     clone_mmsbm,
     dense_elbo_mmsbm,
+    dense_pairs,
     dense_update_block_matrix,
     dense_update_gamma,
     dense_update_phi_recv,
@@ -38,7 +39,7 @@ class TestDegenerateSingleBlock:
         st = random_mmsbm_state(rng, 3, 1)
         b = float(st.B[0, 0])
         ll = random_loglik(rng, 3)
-        w = mmsbm.update_w(st, ll, full_mask(3))
+        w = mmsbm.update_w(st, ll)
         off = ~np.eye(3, dtype=bool)
         expect = 1.0 / (1.0 + np.exp(-(ll + math.log(b / (1 - b)))))
         np.testing.assert_allclose(w[off], expect[off], atol=1e-12)
@@ -46,8 +47,9 @@ class TestDegenerateSingleBlock:
     def test_phis_trivially_one(self):
         rng = np.random.default_rng(1)
         st = random_mmsbm_state(rng, 3, 1)
-        np.testing.assert_allclose(mmsbm.update_phi_send(st, full_mask(3)), 1.0)
-        np.testing.assert_allclose(mmsbm.update_phi_recv(st, full_mask(3)), 1.0)
+        elp = expected_log_pi(st.gamma)
+        np.testing.assert_allclose(mmsbm.update_phi(st, elp, "send"), 1.0)
+        np.testing.assert_allclose(mmsbm.update_phi(st, elp, "recv"), 1.0)
 
 
 class TestGamma:
@@ -63,10 +65,10 @@ class TestGamma:
         recv[1, 0] = [0.25, 1.75]
         recv[2, 0] = [0.25, 1.75]
         # direct surgery: the formula only reads the per-client sums
-        st.phi_send = send
-        st.phi_recv = recv
+        st.phi_send = send.reshape(9, 2)[st.pairs]
+        st.phi_recv = recv.reshape(9, 2)[st.pairs]
         st.alpha = np.array([1.0, 1.0])
-        gamma = mmsbm.update_gamma(st, full_mask(3))
+        gamma = mmsbm.update_gamma(st)
         np.testing.assert_allclose(gamma[0], [4.0, 6.0])
 
     def test_stationarity(self):
@@ -74,7 +76,7 @@ class TestGamma:
         st = random_mmsbm_state(rng, 4, 2)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
-        st.gamma = mmsbm.update_gamma(st, mask)
+        st.gamma = mmsbm.update_gamma(st)
         worst = 0.0
         for i in range(4):
             for g in range(2):
@@ -92,7 +94,7 @@ class TestWStationarity:
         st = random_mmsbm_state(rng, 4, 2)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
-        st.w = mmsbm.update_w(st, ll, mask)
+        st.w = mmsbm.update_w(st, ll)
         worst = 0.0
         for i in range(4):
             for j in range(4):
@@ -112,47 +114,33 @@ class TestPhiStationarity:
         st = random_mmsbm_state(rng, 4, 2)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
-        st.phi_send = mmsbm.update_phi_send(st, mask)
-        worst = 0.0
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
+        assert len(st.pairs) == 12  # the off-diagonal pairs of the full mask
+        for side in ("send", "recv"):
+            name = f"phi_{side}"
+            setattr(st, name, mmsbm.update_phi(st, expected_log_pi(st.gamma), side))
+            phi = getattr(st, name)
+            worst = 0.0
+            for e in range(len(st.pairs)):
                 grads = []
                 for k in range(2):
-                    def f(v, i=i, j=j, k=k):
-                        p2 = st.phi_send.copy()
-                        p2[i, j, k] = v
-                        return elbo(clone_mmsbm(st, phi_send=p2), ll, mask).total
-                    grads.append(central_diff(f, st.phi_send[i, j, k], h=1e-7))
+                    def f(v, e=e, k=k):
+                        p2 = phi.copy()
+                        p2[e, k] = v
+                        return elbo(clone_mmsbm(st, **{name: p2}), ll, mask).total
+                    grads.append(central_diff(f, phi[e, k], h=1e-7))
                 worst = max(worst, simplex_kkt_spread(grads))
-        assert worst < 1e-4
-        st.phi_recv = mmsbm.update_phi_recv(st, mask)
-        worst = 0.0
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
-                grads = []
-                for k in range(2):
-                    def f(v, i=i, j=j, k=k):
-                        p2 = st.phi_recv.copy()
-                        p2[i, j, k] = v
-                        return elbo(clone_mmsbm(st, phi_recv=p2), ll, mask).total
-                    grads.append(central_diff(f, st.phi_recv[i, j, k], h=1e-7))
-                worst = max(worst, simplex_kkt_spread(grads))
-        assert worst < 1e-4
+            assert worst < 1e-4, side
 
 
 class TestBlockMatrix:
     def test_uniform_phis_give_mean_weight(self):
         rng = np.random.default_rng(6)
         st = random_mmsbm_state(rng, 4, 2)
-        st.phi_send = np.full((4, 4, 2), 0.5)
-        st.phi_recv = np.full((4, 4, 2), 0.5)
+        st.phi_send = np.full((12, 2), 0.5)
+        st.phi_recv = np.full((12, 2), 0.5)
         off = ~np.eye(4, dtype=bool)
         brute = float(st.w[off].mean())
-        np.testing.assert_allclose(mmsbm.update_block_matrix(st, full_mask(4)), brute, atol=1e-12)
+        np.testing.assert_allclose(mmsbm.update_block_matrix(st), brute, atol=1e-12)
 
     def test_one_hot_pairs_recover_conditional_means(self):
         rng = np.random.default_rng(7)
@@ -160,9 +148,9 @@ class TestBlockMatrix:
         st = random_mmsbm_state(rng, K, M)
         send_lab = rng.integers(0, M, (K, K))
         recv_lab = rng.integers(0, M, (K, K))
-        st.phi_send = np.eye(M)[send_lab]
-        st.phi_recv = np.eye(M)[recv_lab]
-        B = mmsbm.update_block_matrix(st, full_mask(K))
+        st.phi_send = np.eye(M)[send_lab].reshape(K * K, M)[st.pairs]
+        st.phi_recv = np.eye(M)[recv_lab].reshape(K * K, M)[st.pairs]
+        B = mmsbm.update_block_matrix(st)
         off = ~np.eye(K, dtype=bool)
         for g in range(M):
             for h in range(M):
@@ -189,10 +177,10 @@ class TestBlockMatrix:
     def test_degenerate_raises(self):
         rng = np.random.default_rng(9)
         st = random_mmsbm_state(rng, 4, 2)
-        st.phi_send = np.tile(np.array([1.0, 0.0]), (4, 4, 1))
-        st.phi_recv = np.tile(np.array([1.0, 0.0]), (4, 4, 1))
+        st.phi_send = np.tile(np.array([1.0, 0.0]), (12, 1))
+        st.phi_recv = np.tile(np.array([1.0, 0.0]), (12, 1))
         with pytest.raises(InvariantError):
-            mmsbm.update_block_matrix(st, full_mask(4))
+            mmsbm.update_block_matrix(st)
 
 
 class TestPairHelpers:
@@ -203,17 +191,19 @@ class TestPairHelpers:
         X = 3.0 * rng.standard_normal((M, M))
         np.testing.assert_array_equal(
             pair_bilinear(st.phi_send, X, st.phi_recv),
-            np.einsum("ijg,gh,ijh->ij", st.phi_send, X, st.phi_recv),
+            np.einsum("eg,gh,eh->e", st.phi_send, X, st.phi_recv),
         )
 
     def test_pair_bilinear_on_a_pair_list(self):
+        # each row's value is the same whatever rows share its call: the
+        # diagonal of w, scored on one uniform row, keeps its bits
         rng = np.random.default_rng(11)
         st = random_mmsbm_state(rng, 7, 3)
         X = 3.0 * rng.standard_normal((3, 3))
-        pairs = np.flatnonzero(rng.random((7, 7)) < 0.4)
+        rows = np.flatnonzero(rng.random(len(st.pairs)) < 0.4)
         np.testing.assert_array_equal(
-            pair_bilinear(at_pairs(st.phi_send, pairs), X, at_pairs(st.phi_recv, pairs)),
-            pair_bilinear(st.phi_send, X, st.phi_recv).ravel()[pairs],
+            pair_bilinear(st.phi_send[rows], X, st.phi_recv[rows]),
+            pair_bilinear(st.phi_send, X, st.phi_recv)[rows],
         )
 
     def test_observed_pairs(self):
@@ -254,24 +244,25 @@ class TestPairListEqualsDenseOracle:
     )
     def test_every_block(self, K, M, keep, seed):
         rng = np.random.default_rng(seed)
-        st = random_mmsbm_state(rng, K, M)
-        ll = random_loglik(rng, K)
         mask = random_symmetric_mask(rng, K, keep)
+        st = random_mmsbm_state(rng, K, M, mask)
+        ll = random_loglik(rng, K)
         obs = observed_pairs(mask)
 
-        w = mmsbm.update_w(st, ll, mask)
+        w = mmsbm.update_w(st, ll)
         assert_pairs_close(w, dense_update_w(st, ll, mask))
         assert np.all(w[~mask] == 0.0) and np.all((w >= 0.0) & (w <= 1.0))
         st.w = w
 
-        st.gamma = mmsbm.update_gamma(st, mask)
+        st.gamma = mmsbm.update_gamma(st)
         assert_pairs_close(st.gamma, dense_update_gamma(st, mask))
 
-        send, recv = mmsbm.update_phi_send(st, mask), mmsbm.update_phi_recv(st, mask)
-        assert_pairs_close(send, dense_update_phi_send(st, mask))
-        assert_pairs_close(recv, dense_update_phi_recv(st, mask))
-        assert_parked_simplex(send, obs, M)
-        assert_parked_simplex(recv, obs, M)
+        elp = expected_log_pi(st.gamma)
+        send, recv = mmsbm.update_phi(st, elp, "send"), mmsbm.update_phi(st, elp, "recv")
+        assert_pairs_close(dense_pairs(st, send), dense_update_phi_send(st, mask))
+        assert_pairs_close(dense_pairs(st, recv), dense_update_phi_recv(st, mask))
+        assert_parked_simplex(dense_pairs(st, send), obs, M)
+        assert_parked_simplex(dense_pairs(st, recv), obs, M)
         st.phi_send, st.phi_recv = send, recv
 
         terms = elbo_mmsbm(st, ll, mask).terms()
@@ -279,8 +270,67 @@ class TestPairListEqualsDenseOracle:
             assert terms[name] == pytest.approx(expected, rel=PAIR_TOL, abs=PAIR_TOL), name
 
         if not obs.any():  # no observed pair: both block updates have nothing to average
-            for update in (mmsbm.update_block_matrix, dense_update_block_matrix):
+            for update in (lambda: mmsbm.update_block_matrix(st), lambda: dense_update_block_matrix(st, mask)):
                 with pytest.raises(InvariantError):
-                    update(st, mask)
+                    update()
             return
-        assert_pairs_close(mmsbm.update_block_matrix(st, mask), dense_update_block_matrix(st, mask))
+        assert_pairs_close(mmsbm.update_block_matrix(st), dense_update_block_matrix(st, mask))
+
+
+class TestPairList:
+    """The state holds one membership row per observed pair, in the mask's
+    row-major order, and follows the mask when pruning removes pairs."""
+
+    def _ring_state(self, K=12, M=3, seed=0):
+        cfg = ExperimentConfig(prior_kind="mmsbm", K=K, num_memberships=M, seed=seed).validate()
+        mask = build_topology("group-ring", K, k0=K - 6)
+        return cfg, mask, mmsbm.init_state(cfg, mask, 4)
+
+    def test_init_keeps_the_dense_draw_at_the_observed_pairs(self):
+        from scool.em.state import jittered_simplex
+
+        cfg, mask, st = self._ring_state()
+        K, M = cfg.K, cfg.num_memberships
+        np.testing.assert_array_equal(st.pairs, np.flatnonzero(observed_pairs(mask)))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+        for phi in (st.phi_send, st.phi_recv):
+            np.testing.assert_array_equal(phi, jittered_simplex(rng, (K, K, M)).reshape(K * K, M)[st.pairs])
+            assert phi.flags.c_contiguous
+
+    def test_pruning_keeps_the_surviving_rows_in_row_major_order(self, monkeypatch):
+        cfg, mask, st = self._ring_state()
+        rng = np.random.default_rng(1)
+        before = {name: getattr(st, name).copy() for name in ("pairs", "phi_send", "phi_recv")}
+        pruned = sparsify_topk(rng.uniform(0.1, 1.0, mask.shape), mask, 0.3)
+        seen = {}
+        real = mmsbm.update_w
+
+        def spy(state, loglik):  # the first update after the gather
+            seen.update({name: getattr(state, name).copy() for name in before})
+            return real(state, loglik)
+
+        monkeypatch.setattr(mmsbm, "update_w", spy)
+        mmsbm.e_step(st, None, random_loglik(rng, cfg.K) * pruned, pruned)
+        kept = np.isin(before["pairs"], seen["pairs"])
+        assert 0 < kept.sum() < len(kept)
+        np.testing.assert_array_equal(seen["pairs"], np.flatnonzero(observed_pairs(pruned)))
+        for name in ("phi_send", "phi_recv"):
+            np.testing.assert_array_equal(seen[name], before[name][kept])
+        assert len(st.phi_send) == len(st.phi_recv) == len(seen["pairs"])
+        # the updated rows stay contiguous, as drawn: the bits of the products
+        # and sums over them depend on the layout
+        assert st.phi_send.flags.c_contiguous and st.phi_recv.flags.c_contiguous
+
+    def test_a_list_that_is_not_the_masks_is_refused(self):
+        cfg, mask, st = self._ring_state()
+        grown = mask.copy()
+        grown[0, 5] = grown[5, 0] = True  # a pair the state holds no row for
+        with pytest.raises(InvariantError, match="pair list"):
+            mmsbm.e_step(st, None, np.zeros(mask.shape), grown)
+
+    def test_rows_must_match_the_list(self):
+        rng = np.random.default_rng(3)
+        st = random_mmsbm_state(rng, 4, 2)
+        for phi in (st.phi_send[:-1], dense_pairs(st, st.phi_send)):
+            with pytest.raises(InvariantError, match="one row of 2 per observed pair"):
+                clone_mmsbm(st, phi_send=phi)

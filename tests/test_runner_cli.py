@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from scool.config import PRIORS, ExperimentConfig, load_config, save_config
+from scool.em import rounds
 from scool.errors import ConfigurationError
 from scool.runner import METRIC_COLUMNS, _write_matrix, metric_l1, run_budget_sweep, run_experiment
 from scool.topology import RoundTraffic
@@ -590,23 +591,33 @@ class TestCli:
         assert len(data["rounds"]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("prior, overrides, message", [
-        ("sbm", {"eta2": 1e308}, "Dirichlet prior alpha is non-finite"),
-        ("mmsbm", {"eta2": 1e308}, "Dirichlet prior alpha is non-finite"),
-        ("attention", {"eta2": 1e300}, "attention scores over the temperature are non-finite"),
-        ("attention", {"tau_softmax": 1e-300}, "attention scores over the temperature are non-finite"),
-        *((prior, {}, "non-finite") for prior in PRIORS),  # NaN training features
+    @pytest.mark.parametrize("prior, overrides, poison, message", [
+        ("sbm", {"eta2": 1e308}, None, "Dirichlet prior alpha is non-finite"),
+        ("mmsbm", {"eta2": 1e308}, None, "Dirichlet prior alpha is non-finite"),
+        ("attention", {"eta2": 1e300}, None, "attention scores over the temperature are non-finite"),
+        ("attention", {"tau_softmax": 1e-300}, None, "attention scores over the temperature are non-finite"),
+        *((prior, {}, "features", "non-finite") for prior in PRIORS),  # NaN training features
         # the ridge term of the lower bound overflows
-        *((prior, {"init_scale": 1e300}, "lower bound is non-finite") for prior in ("sbm", "attention", "mmsbm")),
+        *((prior, {"init_scale": 1e300}, None, "lower bound is non-finite") for prior in ("sbm", "attention", "mmsbm")),
+        # a NaN written after round 1 into one client's parameters
+        ("local-only", {}, "theta", "client 0 produced a non-finite update at local step 0"),
+        ("dirac", {}, "theta", "gossip step produced non-finite parameters"),
+        *((prior, {}, "theta", "cross-client log-likelihoods are non-finite") for prior in ("sbm", "attention", "mmsbm")),
+        # ... or into a prior's state: a block membership, the attention encoder
+        ("sbm", {}, "omega", "Dirichlet posterior gamma is non-finite"),
+        ("mmsbm", {}, "phi_send", "Dirichlet posterior gamma is non-finite"),
+        ("mmsbm", {}, "phi_recv", "Dirichlet posterior gamma is non-finite"),
+        ("attention", {}, "phi", "attention scores over the temperature are non-finite"),
     ])
-    def test_faults_exit_3_with_a_partial_report(self, tmp_path, monkeypatch, capsys, prior, overrides, message):
-        # finite but extreme settings, or a NaN in one client's training
-        # features, end the run as a divergence: exit 3 and a flagged
-        # report, where any other exception would escape main()
+    def test_faults_exit_3_with_a_partial_report(self, tmp_path, monkeypatch, capsys, prior, overrides, poison, message):
+        # finite but extreme settings, a NaN in one client's training
+        # features, or a NaN written into the models or the prior's state
+        # mid-run, end the run as a divergence: exit 3 and a flagged report,
+        # where any other exception would escape main()
         from scool import runner
         from scool.cli import EXIT_DIVERGED, main
 
-        if not overrides:
+        if poison == "features":
             real = runner.build_tasks
 
             def poisoned(config):
@@ -615,6 +626,16 @@ class TestCli:
                 return assignment, train, test
 
             monkeypatch.setattr(runner, "build_tasks", poisoned)
+        elif poison is not None:
+            real_round = rounds.run_round
+
+            def poisoned_round(state, models, mask, round_index, config):
+                if round_index == 1:  # after round 1 has been reported
+                    target = models.theta if poison == "theta" else getattr(state, poison)
+                    target.flat[1] = np.nan
+                return real_round(state, models, mask, round_index, config)
+
+            monkeypatch.setattr(rounds, "run_round", poisoned_round)
         path = self._write_config(tmp_path, prior=prior, sparsify_keep_fraction=1.0, **overrides)
         out = tmp_path / "fault"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_DIVERGED == 3
@@ -622,6 +643,8 @@ class TestCli:
         data = json.loads((out / "report.json").read_text(), parse_constant=self._refuse_constant)
         assert data["diverged"] is True and message in data["divergence_message"]
         assert len(data["rounds"]) < 4
+        if poison not in (None, "features"):
+            assert len(data["rounds"]) == 1 and data["divergence_message"].startswith("round 1: ")
 
     def test_divergence_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, eta1=1e150, weight_decay=10.0, rounds=5)

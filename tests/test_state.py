@@ -151,7 +151,7 @@ class TestBlockMatrixInvariant:
 
 
 class TestMmsbmSimplexCheck:
-    """MmsbmState checks its K x K x M memberships with the verdict of
+    """MmsbmState checks its E x M pair memberships with the verdict of
     np.allclose(phi.sum(axis=-1), 1.0, atol=1e-9): |sum - 1| <= 1e-9 + 1e-5,
     and a NaN or infinite sum is off the simplex."""
 
@@ -163,7 +163,7 @@ class TestMmsbmSimplexCheck:
         verdicts = []
         for bump in bumps:
             phi = getattr(state, field).copy()
-            phi[2, 3, M - 1] += bump
+            phi[13, M - 1] += bump
             on_simplex = np.allclose(phi.sum(axis=-1), 1.0, atol=1e-9)
             verdicts.append(on_simplex)
             if on_simplex:
