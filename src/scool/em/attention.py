@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import ClientStore
+from ..models import ClientStore, unpack_mlp
 from ..special import softmax_tempered
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps
@@ -45,19 +45,6 @@ def init_state(config, mask, theta_dim: int) -> AttentionState:
     )
 
 
-def unpack_encoder(phi: np.ndarray, dims: tuple[int, int, int]):
-    d, h, out = dims
-    o = 0
-    W1 = phi[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = phi[o : o + h]
-    o += h
-    W2 = phi[o : o + out * h].reshape(out, h)
-    o += out * h
-    b2 = phi[o : o + out]
-    return W1, b1, W2, b2
-
-
 def pack_encoder(W1, b1, W2, b2) -> np.ndarray:
     return np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
 
@@ -72,7 +59,7 @@ def encode(phi: np.ndarray, dims: tuple[int, int, int], X: np.ndarray) -> np.nda
 
 
 def _encoder_forward(phi, dims, X):
-    W1, b1, W2, b2 = unpack_encoder(phi, dims)
+    W1, b1, W2, b2 = unpack_mlp(phi, *dims)
     H = np.tanh(X @ W1.T + b1)
     E = H @ W2.T + b2
     return W1, W2, H, E

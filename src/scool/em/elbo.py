@@ -16,14 +16,12 @@ Dirichlet prior cross-entropy with the Dirichlet posterior entropy.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
-from functools import reduce
 
 import numpy as np
 
 from ..models import ClientStore
-from ..special import log_gamma, xlogx
+from ..special import fold_sum, log_gamma, xlogx
 from ..topology import observed_pairs
 from .common import block_logs, expected_log_pi, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
@@ -41,9 +39,10 @@ class ElboBreakdown:
 
     @property
     def total(self) -> float:
-        """The terms summed left to right in their declared order (sum()
-        compensates from Python 3.12 on)."""
-        return reduce(operator.add, self.terms().values())
+        """The terms folded left to right in their declared order, from the
+        first term itself: a 0.0 start would turn a lone -0.0 into +0.0."""
+        first, *rest = self.terms().values()
+        return fold_sum(rest, first)
 
     def terms(self) -> dict[str, float]:
         return asdict(self)
@@ -56,11 +55,7 @@ def _likelihood_term(w: np.ndarray, loglik: np.ndarray, pairs: np.ndarray) -> fl
 def _model_prior_term(models: ClientStore | None, lam: float) -> float:
     if models is None or lam == 0.0:
         return 0.0
-    # folded left to right in Python: sum() compensates from Python 3.12 on
-    total = 0.0
-    for theta in models.theta:
-        total += float(theta @ theta)
-    return -0.5 * lam * total
+    return -0.5 * lam * fold_sum((float(theta @ theta) for theta in models.theta), 0.0)
 
 
 def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray, elp: np.ndarray) -> float:

@@ -27,12 +27,13 @@ from .theta import cooperative_sgd_steps
 
 def init_state(config, mask, theta_dim: int) -> MmsbmState:
     """Jittered sender then receiver memberships, drawn for every ordered
-    pair and kept at the observed ones, on the block model's shared start."""
+    pair and normalized at the observed ones only, on the block model's
+    shared start."""
     K, M = config.K, config.num_memberships
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     pairs = np.flatnonzero(observed_pairs(mask))
-    phi_send = jittered_simplex(rng, (K, K, M)).reshape(K * K, M)[pairs]
-    phi_recv = jittered_simplex(rng, (K, K, M)).reshape(K * K, M)[pairs]
+    phi_send = jittered_simplex(rng.standard_normal((K * K, M))[pairs])
+    phi_recv = jittered_simplex(rng.standard_normal((K * K, M))[pairs])
     return MmsbmState(pairs=pairs, phi_send=phi_send, phi_recv=phi_recv, **block_start(config))
 
 

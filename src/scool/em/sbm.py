@@ -23,7 +23,8 @@ from .theta import cooperative_sgd_steps
 def init_state(config, mask, theta_dim: int) -> SbmState:
     """Jittered memberships on the block model's shared start."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    return SbmState(omega=jittered_simplex(rng, (config.K, config.num_memberships)), **block_start(config))
+    normals = rng.standard_normal((config.K, config.num_memberships))
+    return SbmState(omega=jittered_simplex(normals), **block_start(config))
 
 
 def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:

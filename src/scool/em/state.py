@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, InvariantError
+from ..special import fold_last
 
 B_EPS = 1e-4
 ALPHA_MIN = 1e-3
@@ -77,30 +78,14 @@ def clamp_block_matrix(B: np.ndarray) -> np.ndarray:
     return np.clip(B, B_EPS, 1.0 - B_EPS)
 
 
-def jittered_simplex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Near-uniform simplex rows with a small seeded perturbation. Exact
-    uniformity is a fixed point of the membership updates, so symmetry must
-    be broken at init for any block structure to emerge.
-
-    The maximum folds over the last axis's slices as the sum does (see
-    last_axis_sum)."""
-    logits = rng.standard_normal(shape)
-    top = logits[..., 0].copy()
-    for g in range(1, shape[-1]):
-        np.maximum(top, logits[..., g], out=top)
-    e = np.exp(logits - top[..., None])
-    e /= last_axis_sum(e)[..., None]
+def jittered_simplex(normals: np.ndarray) -> np.ndarray:
+    """Near-uniform simplex rows from seeded standard normals, a softmax over
+    the last axis with its maximum and sum folded by special.fold_last.
+    Exact uniformity is a fixed point of the membership updates, so symmetry
+    must be broken at init for any block structure to emerge."""
+    e = np.exp(normals - fold_last(np.maximum, normals)[..., None])
+    e /= fold_last(np.add, e)[..., None]
     return e
-
-
-def last_axis_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1) folded over the last axis's slices left to right: for
-    fewer than 8 slices these are the bits of numpy's last-axis sum, without
-    its loop of a few elements per row."""
-    total = a[..., 0].copy()
-    for g in range(1, a.shape[-1]):
-        total += a[..., g]
-    return total
 
 
 @dataclass
@@ -214,5 +199,5 @@ class MmsbmState(BlockState):
             if arr.shape != (len(self.pairs), self.n_blocks):
                 raise InvariantError(f"{name} must hold one row of {self.n_blocks} per observed pair")
             # np.allclose(sums, 1.0, atol=1e-9): a NaN or infinite sum fails
-            if not np.all(np.abs(last_axis_sum(arr) - 1.0) <= 1e-9 + 1e-5):
+            if not np.all(np.abs(fold_last(np.add, arr) - 1.0) <= 1e-9 + 1e-5):
                 raise InvariantError(f"{name} rows must lie on the simplex")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .special import fold_last
 
 SOFTMAX_REGRESSION = "softmax-regression"
 MLP_1HIDDEN = "mlp-1hidden"
@@ -146,17 +147,19 @@ def _unpack_linear(theta: np.ndarray, arch: ArchSpec):
     return W, b
 
 
-def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
-    h, d, C = arch.h, arch.d, arch.C
+def unpack_mlp(theta: np.ndarray, d: int, h: int, out: int):
+    """Views of W1 (h x d), b1, W2 (out x h) and b2 of a two-layer network
+    flattened in that order, as the MLP models and the attention encoder
+    are; a leading pair axis of a stacked theta is kept."""
     lead = theta.shape[:-1]
     o = 0
     W1 = theta[..., o : o + h * d].reshape(lead + (h, d))
     o += h * d
     b1 = theta[..., o : o + h]
     o += h
-    W2 = theta[..., o : o + C * h].reshape(lead + (C, h))
-    o += C * h
-    b2 = theta[..., o : o + C]
+    W2 = theta[..., o : o + out * h].reshape(lead + (out, h))
+    o += out * h
+    b2 = theta[..., o : o + out]
     return W1, b1, W2, b2
 
 
@@ -170,13 +173,14 @@ def _unpack_mlp(theta: np.ndarray, arch: ArchSpec):
 # The class axis C is short (2 in every benchmark workload), and numpy runs
 # an operation along a short innermost axis as a C-element loop per (pair,
 # sample). So no operation here runs along it: the output bias, the
-# log-softmax, the label pick and the argmax fold over the C class slices
-# left to right, each slice a whole E x n operation, and batch_grad keeps
-# its probabilities sample-major. The hidden layer's bias (width h) stays
-# one broadcast add. numpy's add-reduce of fewer than 8 elements is the same
-# left-to-right fold, so the rows are bit for bit the per-pair ones for
-# C <= 7; from C = 8 numpy sums the log-softmax's exponentials pairwise and
-# the two differ in the last bits.
+# log-softmax (its maximum and sum through special.fold_last), the label
+# pick and the argmax fold over the C class slices left to right, each slice
+# a whole E x n operation, and batch_grad keeps its probabilities
+# sample-major. The hidden layer's bias (width h) stays one broadcast add.
+# The per-pair functions sum with numpy's add-reduce, the same left-to-right
+# fold for fewer than 8 elements, so the rows are bit for bit the per-pair
+# ones for C <= 7; from C = 8 numpy sums the per-pair exponentials pairwise
+# and the two differ in the last bits.
 #
 # The output layer's gemm is one BLAS call per pair. Sample-major, X @ W^T
 # (n x d by d x C) is a tall product with a narrow output; class-major,
@@ -200,7 +204,7 @@ def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
     if arch.kind == SOFTMAX_REGRESSION:
         W, b = _unpack_linear(thetas, arch)
         return _output_affine(features, W, b), None
-    W1, b1, W2, b2 = _unpack_mlp(thetas, arch)
+    W1, b1, W2, b2 = unpack_mlp(thetas, arch.d, arch.h, arch.C)
     A = np.tanh(_affine(features, W1, b1))
     return _output_affine(A, W2, b2), A
 
@@ -225,15 +229,10 @@ def _shift_log_normalize(Z: np.ndarray) -> np.ndarray:
     """The per-pair log-softmax's steps folded over the classes: shifts the
     logits Z (E x n x C) in place by their maximum and returns the log of the
     summed exponentials, E x n. Z - log norm is then the log-softmax."""
-    top = np.maximum(Z[..., 0], Z[..., 1])
-    for c in range(2, Z.shape[-1]):
-        np.maximum(top, Z[..., c], out=top)
+    top = fold_last(np.maximum, Z)
     for c in range(Z.shape[-1]):
         Z[..., c] -= top
-    ez = np.exp(Z)
-    total = ez[..., 0] + ez[..., 1]
-    for c in range(2, Z.shape[-1]):
-        total += ez[..., c]
+    total = fold_last(np.add, np.exp(Z))
     return np.log(total, out=total)
 
 
@@ -280,7 +279,7 @@ def batch_value_and_grad(
         gW = P.swapaxes(1, 2) @ features
         parts = [gW.reshape(E, arch.C * arch.d), P.sum(axis=1)]
     else:
-        _, _, W2, _ = _unpack_mlp(thetas, arch)
+        _, _, W2, _ = unpack_mlp(thetas, arch.d, arch.h, arch.C)
         dA = P @ W2
         dZ1 = dA * (1.0 - A * A)
         gW1 = dZ1.swapaxes(1, 2) @ features
@@ -316,7 +315,7 @@ def batch_accuracy(
         W, b = _unpack_linear(thetas, arch)
         X = features
     else:
-        W1, b1, W, b = _unpack_mlp(thetas, arch)
+        W1, b1, W, b = unpack_mlp(thetas, arch.d, arch.h, arch.C)
         X = np.tanh(_affine(features, W1, b1))
     Z = W @ X.swapaxes(1, 2)
     Z += b[:, :, None]

@@ -19,6 +19,7 @@ from .config import ExperimentConfig
 from .em import rounds
 from .errors import ConfigurationError, DivergenceError, InvariantError
 from .models import ArchSpec, ClientStore, DataStack, batch_accuracy, batch_log_likelihood, pairs_per_block
+from .special import fold_sum
 from .tasks import gen_tasks
 from .topology import CommLedger, RoundTraffic, build_topology
 
@@ -52,12 +53,7 @@ def metric_l1(w: np.ndarray, w_star: np.ndarray) -> float:
     rows = ~(sums <= 0.0)
     dist = np.full(len(w), 2.0)
     dist[rows] = np.abs(w[rows] / sums[rows, None] - w_star[rows]).sum(axis=1)
-    # folded left to right in Python: np.sum pairs the rows up and would
-    # move the last bits of l1_to_ground_truth
-    total = 0.0
-    for d in dist.tolist():
-        total += d
-    return total / len(w)
+    return fold_sum(dist.tolist(), 0.0) / len(w)
 
 
 @dataclass

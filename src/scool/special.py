@@ -1,10 +1,19 @@
-"""Special functions and tempered link functions.
+"""Special functions, tempered link functions and the package's folds.
 
 Every E/M update and the lower-bound oracle go through these. The gamma
 functions are implemented from scratch (argument shift into the asymptotic
 region, then a Bernoulli-coefficient series) so the package carries no
 dependency beyond numpy and the recurrence identities can certify the
 implementation independently of any library.
+
+The package has one reduction-order rule: a fold runs left to right from
+its start value. The batched kernels then give the bits of their per-pair
+oracles, and runs give the same bytes on every Python version. numpy's
+add-reduce along the innermost axis sums 8 or more elements pairwise (along
+an outer axis it adds whole slices in order), and Python's sum() compensates
+float sums from Python 3.12 on; both move the last bits. fold_last and
+fold_sum are the two folds that keep the rule, and no other module writes
+one by hand.
 """
 
 from __future__ import annotations
@@ -146,3 +155,28 @@ def xlogx(p) -> np.ndarray:
     nz = p > 0.0
     out[nz] = p[nz] * np.log(p[nz])
     return out
+
+
+def fold_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc over the slices of a's last axis, left to right: for np.add,
+    ((a[..., 0] + a[..., 1]) + a[..., 2]) + ..., each slice one whole array
+    operation. Unlike ufunc.reduce(a, axis=-1), this never regroups (numpy
+    sums 8 or more innermost elements pairwise) and runs no loop of a few
+    elements per row. The last axis must be non-empty; the result is a new
+    array of a.shape[:-1]."""
+    if a.shape[-1] == 1:
+        return a[..., 0].copy()
+    out = ufunc(a[..., 0], a[..., 1])
+    for g in range(2, a.shape[-1]):
+        ufunc(out, a[..., g], out=out)
+    return out
+
+
+def fold_sum(values, start):
+    """start + v0 + v1 + ... over the iterable values, in that order and in
+    plain Python arithmetic, so no Python version compensates the sum. An
+    int start with int values gives an int."""
+    total = start
+    for v in values:
+        total = total + v
+    return total

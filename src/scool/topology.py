@@ -18,6 +18,7 @@ from math import ceil
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
+from .special import fold_sum
 
 FULLY_CONNECTED = "fully-connected"
 GROUP_RING = "group-ring"
@@ -132,15 +133,8 @@ class CommLedger:
     rounds: list[RoundTraffic] = field(default_factory=list)
 
     def totals(self) -> dict:
-        # folded left to right in Python: sum() compensates float sums from
-        # Python 3.12 on, which would move the last bits of the vector units
-        out = {}
-        for f in fields(RoundTraffic):
-            total = 0
-            for r in self.rounds:
-                total += getattr(r, f.name)
-            out[f.name] = total
-        return out
+        # an int start keeps the integer counts int
+        return {f.name: fold_sum((getattr(r, f.name) for r in self.rounds), 0) for f in fields(RoundTraffic)}
 
 
 def directed_edges(mask: np.ndarray) -> int:

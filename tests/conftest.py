@@ -29,7 +29,7 @@ from scool.models import (
     Dataset,
     DataStack,
     _unpack_linear,
-    _unpack_mlp,
+    unpack_mlp,
 )
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 from scool.tasks import TaskUniverse, check_assignment
@@ -182,7 +182,7 @@ def logits(model: LocalModel, X: np.ndarray) -> np.ndarray:
     if arch.kind == SOFTMAX_REGRESSION:
         W, b = _unpack_linear(model.theta, arch)
         return X @ W.T + b
-    W1, b1, W2, b2 = _unpack_mlp(model.theta, arch)
+    W1, b1, W2, b2 = unpack_mlp(model.theta, arch.d, arch.h, arch.C)
     return np.tanh(X @ W1.T + b1) @ W2.T + b2
 
 
@@ -215,7 +215,7 @@ def grad(model: LocalModel, data: Dataset) -> np.ndarray:
         P[np.arange(n), data.labels] -= 1.0
         P /= n
         return np.concatenate([(P.T @ X).ravel(), P.sum(axis=0)])
-    W1, b1, W2, b2 = _unpack_mlp(model.theta, arch)
+    W1, b1, W2, b2 = unpack_mlp(model.theta, arch.d, arch.h, arch.C)
     A = np.tanh(X @ W1.T + b1)
     Z = A @ W2.T + b2
     P = np.exp(_log_softmax(Z))

@@ -294,7 +294,9 @@ class TestPairList:
         np.testing.assert_array_equal(st.pairs, np.flatnonzero(observed_pairs(mask)))
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
         for phi in (st.phi_send, st.phi_recv):
-            np.testing.assert_array_equal(phi, jittered_simplex(rng, (K, K, M)).reshape(K * K, M)[st.pairs])
+            # oracle: normalize every ordered pair's row, then gather
+            dense = jittered_simplex(rng.standard_normal((K, K, M)))
+            np.testing.assert_array_equal(phi, dense.reshape(K * K, M)[st.pairs])
             assert phi.flags.c_contiguous
 
     def test_pruning_keeps_the_surviving_rows_in_row_major_order(self, monkeypatch):

@@ -1,14 +1,20 @@
-"""Special functions against independent references and their identities."""
+"""Special functions against independent references and their identities,
+and the package's two folds against the plain left-to-right loop."""
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
 
+import scool
 from scool.special import (
     digamma,
+    fold_last,
+    fold_sum,
     log_gamma,
     sigmoid_tempered,
     softmax_tempered,
@@ -143,3 +149,62 @@ class TestSigmoidTempered:
 def test_xlogx_zero_convention():
     out = xlogx(np.array([0.0, 0.5, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.5 * np.log(0.5), 0.0])
+
+
+def _slice_loop(ufunc, a):
+    out = a[..., 0].copy()
+    for g in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., g])
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestFolds:
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16])
+    def test_fold_last_is_the_slice_loop_bit_for_bit(self, ufunc, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((5, 6, n)) * 10.0 ** rng.integers(-8, 9, (5, 6, n))
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        a.flat[rng.choice(a.size, min(a.size // 3, 40), replace=False)] = rng.choice(special, min(a.size // 3, 40))
+        a[0, 0] = -0.0  # a row of negative zeros keeps its sign
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got, want = fold_last(ufunc, a), _slice_loop(ufunc, a)
+        assert got.shape == a.shape[:-1]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_numpy_sum_regroups_from_8_slices(self):
+        # why fold_last exists: numpy adds 8 or more innermost elements
+        # pairwise, so its bits are not the left-to-right fold's
+        a = np.random.default_rng(3).standard_normal((200, 8)) * 1e3
+        got = fold_last(np.add, a)
+        np.testing.assert_array_equal(_bits(got), _bits(_slice_loop(np.add, a)))
+        assert (_bits(np.sum(a, axis=-1)) != _bits(got)).any()
+
+    def test_fold_sum_does_not_compensate(self):
+        # Python >= 3.12's sum() gives 1.0 here
+        assert fold_sum([1e16, 1.0, -1e16], 0.0) == 0.0
+
+    def test_fold_sum_keeps_an_int_start_int(self):
+        total = fold_sum([3, 4, 5], 0)
+        assert total == 12 and type(total) is int
+
+    def test_only_special_writes_a_python_level_fold(self):
+        """No module but special.py calls builtin sum or functools.reduce."""
+        root = Path(scool.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "special.py" and path.parent == root:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name) and f.id in ("sum", "reduce"):  # reduce from functools
+                    found.append(f"{path.name}:{node.lineno} {f.id}()")
+                if isinstance(f, ast.Attribute) and f.attr == "reduce" and getattr(f.value, "id", None) == "functools":
+                    found.append(f"{path.name}:{node.lineno} functools.reduce()")
+        assert found == []
