@@ -159,6 +159,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"a config is a JSON object of settings, not {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -173,7 +175,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"{path}: invalid JSON ({err})") from err

@@ -1,12 +1,13 @@
 """Attention prior: cooperation weights from encoded model-update similarity.
 
-A small two-layer encoder maps each client's accumulated model update
-(theta minus its shared starting point) to an embedding; dot products of
-embeddings, softmaxed over each row's entries that the topology's boolean
-mask allows, define a row-stochastic attention matrix p, the E-step folds p
-together with the cross-client log-likelihoods into w (zero off the mask),
-and the M-step trains the encoder to pull p toward w (row-wise
-cross-entropy descent).
+A small two-layer encoder, a dense tanh network of widths ``enc_dims`` in
+the models' flat layout (``models.unpack_layers``), maps each client's
+accumulated model update (theta minus its shared starting point) to an
+embedding; dot products of embeddings, softmaxed over each row's entries
+that the topology's boolean mask allows, define a row-stochastic attention
+matrix p, the E-step folds p together with the cross-client
+log-likelihoods into w (zero off the mask), and the M-step trains the
+encoder to pull p toward w (row-wise cross-entropy descent).
 
 Gradients here are written out by hand: the encoder is three matmuls and a
 tanh, and keeping the whole package autograd-free makes the finite-
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import ClientStore, unpack_mlp
+from ..models import ClientStore, pack_layers, unpack_layers
 from ..special import softmax_tempered
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps
@@ -32,7 +33,7 @@ def init_state(config, mask, theta_dim: int) -> AttentionState:
     # modest output scale: raw embedding norms start well below 1 so the
     # self-similarity score cannot drown the likelihood evidence at small K
     W2 = 0.3 * rng.standard_normal((out, h)) / np.sqrt(h)
-    phi = pack_encoder(W1, np.zeros(h), W2, np.zeros(out))
+    phi = pack_layers([(W1, np.zeros(h)), (W2, np.zeros(out))])
     uniform = np.full((K, K), 1.0 / K)
     return AttentionState(
         phi=phi,
@@ -45,10 +46,6 @@ def init_state(config, mask, theta_dim: int) -> AttentionState:
     )
 
 
-def pack_encoder(W1, b1, W2, b2) -> np.ndarray:
-    return np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
-
-
 def model_deltas(models: ClientStore) -> np.ndarray:
     """Accumulated updates theta - theta_init, K x D."""
     return models.theta - models.init_theta
@@ -59,7 +56,7 @@ def encode(phi: np.ndarray, dims: tuple[int, int, int], X: np.ndarray) -> np.nda
 
 
 def _encoder_forward(phi, dims, X):
-    W1, b1, W2, b2 = unpack_mlp(phi, *dims)
+    (W1, b1), (W2, b2) = unpack_layers(phi, dims)
     H = np.tanh(X @ W1.T + b1)
     E = H @ W2.T + b2
     return W1, W2, H, E
@@ -158,7 +155,7 @@ def phi_gradient(
     db2 = dE.sum(axis=0)
     dW1 = dZ.T @ X
     db1 = dZ.sum(axis=0)
-    return pack_encoder(dW1, db1, dW2, db2)
+    return pack_layers([(dW1, db1), (dW2, db2)])
 
 
 def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray, config) -> np.ndarray:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, InvariantError
+from ..models import layout_size
 from ..special import fold_last
 
 B_EPS = 1e-4
@@ -155,7 +156,9 @@ class SbmState(BlockState):
 class AttentionState:
     """Attention prior: a two-layer encoder maps each client's model delta
     (theta - theta_0) to an embedding; inner products of embeddings define
-    the row-stochastic attention p, and w is the posterior cooperation."""
+    the row-stochastic attention p, and w is the posterior cooperation. phi
+    holds the encoder in the models' flat layout for the layer widths
+    ``enc_dims``, so its length is ``models.layout_size(enc_dims)``."""
 
     phi: np.ndarray  # flat encoder parameters
     enc_dims: tuple[int, int, int]  # (input, hidden, out)
@@ -167,12 +170,9 @@ class AttentionState:
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        d, h, out = self.enc_dims
-        want = h * d + h + out * h + out
+        want = layout_size(self.enc_dims)
         if self.phi.shape != (want,):
-            raise ConfigurationError(
-                f"encoder wants {want} parameters for dims {self.enc_dims}"
-            )
+            raise ConfigurationError(f"encoder wants {want} parameters for dims {self.enc_dims}")
         self.w = np.asarray(self.w, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
 

@@ -1,8 +1,10 @@
 """Per-client models: flat-parameter classifiers with analytic gradients.
 
 Two desk-scale architectures are supported, softmax regression and a
-one-hidden-layer tanh MLP. Both keep their parameters in a single flat
-vector so mixing, averaging and finite-difference checks stay trivial.
+one-hidden-layer tanh MLP: dense tanh networks whose layer widths
+(ArchSpec.widths; softmax regression has no hidden layer) decide their one
+flat parameter layout W1, b1, W2, b2, ..., which the attention encoder
+shares, so mixing, averaging and finite-difference checks stay trivial.
 The cross-entropy here is always the per-sample mean; the ridge prior on
 the parameters is applied by the EM updates, not inside the data loss.
 A run holds its models in one way only: the K x D parameter stack of a
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .special import fold_last
+from .special import fold_last, fold_sum
 
 SOFTMAX_REGRESSION = "softmax-regression"
 MLP_1HIDDEN = "mlp-1hidden"
@@ -44,10 +46,13 @@ class ArchSpec:
             raise ConfigurationError("mlp-1hidden needs a positive hidden width")
 
     @property
+    def widths(self) -> tuple[int, ...]:
+        """Layer widths from input to output, (d, C) or (d, h, C)."""
+        return (self.d, self.C) if self.kind == SOFTMAX_REGRESSION else (self.d, self.h, self.C)
+
+    @property
     def n_params(self) -> int:
-        if self.kind == SOFTMAX_REGRESSION:
-            return self.C * self.d + self.C
-        return self.h * self.d + self.h + self.C * self.h + self.C
+        return layout_size(self.widths)
 
 
 @dataclass
@@ -139,36 +144,36 @@ class _StoredModel:
         self._store.theta[self._i] = value
 
 
-def _unpack_linear(theta: np.ndarray, arch: ArchSpec):
-    """Views of W and b; a leading pair axis of a stacked theta is kept."""
-    lead = theta.shape[:-1]
-    W = theta[..., : arch.C * arch.d].reshape(lead + (arch.C, arch.d))
-    b = theta[..., arch.C * arch.d :]
-    return W, b
+def layout_size(widths: Sequence[int]) -> int:
+    """Parameter count of the dense network with these layer widths."""
+    return fold_sum((n_out * n_in + n_out for n_in, n_out in zip(widths, widths[1:])), 0)
 
 
-def unpack_mlp(theta: np.ndarray, d: int, h: int, out: int):
-    """Views of W1 (h x d), b1, W2 (out x h) and b2 of a two-layer network
-    flattened in that order, as the MLP models and the attention encoder
-    are; a leading pair axis of a stacked theta is kept."""
-    lead = theta.shape[:-1]
-    o = 0
-    W1 = theta[..., o : o + h * d].reshape(lead + (h, d))
-    o += h * d
-    b1 = theta[..., o : o + h]
-    o += h
-    W2 = theta[..., o : o + out * h].reshape(lead + (out, h))
-    o += out * h
-    b2 = theta[..., o : o + out]
-    return W1, b1, W2, b2
+def unpack_layers(theta: np.ndarray, widths: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views (W, b) of each layer (W out x in) of the flat layout W1, b1, W2,
+    b2, ...; a leading pair axis of a stacked theta is kept."""
+    lead, o, layers = theta.shape[:-1], 0, []
+    for n_in, n_out in zip(widths, widths[1:]):
+        W = theta[..., o : o + n_out * n_in].reshape(lead + (n_out, n_in))
+        o += n_out * n_in + n_out
+        layers.append((W, theta[..., o - n_out : o]))
+    return layers
+
+
+def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
+    """The flat parameters of per-layer (W, b) parts, unpack_layers' inverse,
+    written into ``out`` when it is given; a leading pair axis is kept."""
+    parts = [p for W, b in layers for p in (W.reshape(W.shape[:-2] + (W.shape[-2] * W.shape[-1],)), b)]
+    return np.concatenate(parts, axis=-1, out=out)
 
 
 # Batched kernel. Pair e evaluates parameters thetas[e] (E x D) on the
-# features[e] (E x n x d) and labels[e] (E x n) of one dataset. Every slice
-# keeps the dot products and reduction order of the per-pair grad,
-# log_likelihood and accuracy, so each output row equals what those return
-# on one model and one dataset; tests/conftest.py keeps them as the kernel's
-# oracle.
+# features[e] (E x n x d) and labels[e] (E x n) of one dataset, through one
+# path for both architectures: the hidden layers in order, the output layer,
+# then the gradients back down. Every slice keeps the dot products and
+# reduction order of the per-pair grad, log_likelihood and accuracy, so each
+# output row equals what those return on one model and one dataset;
+# tests/conftest.py keeps them as the kernel's oracle.
 #
 # The class axis C is short (2 in every benchmark workload), and numpy runs
 # an operation along a short innermost axis as a C-element loop per (pair,
@@ -176,11 +181,12 @@ def unpack_mlp(theta: np.ndarray, d: int, h: int, out: int):
 # log-softmax (its maximum and sum through special.fold_last), the label
 # pick and the argmax fold over the C class slices left to right, each slice
 # a whole E x n operation, and batch_grad keeps its probabilities
-# sample-major. The hidden layer's bias (width h) stays one broadcast add.
-# The per-pair functions sum with numpy's add-reduce, the same left-to-right
-# fold for fewer than 8 elements, so the rows are bit for bit the per-pair
-# ones for C <= 7; from C = 8 numpy sums the per-pair exponentials pairwise
-# and the two differ in the last bits.
+# sample-major. A hidden layer's bias (width h) stays one broadcast add
+# (_affine; _output_affine adds the output bias by class). The per-pair
+# functions sum with numpy's add-reduce, the same left-to-right fold for
+# fewer than 8 elements, so the rows are bit for bit the per-pair ones for
+# C <= 7; from C = 8 numpy sums the per-pair exponentials pairwise and the
+# two differ in the last bits.
 #
 # The output layer's gemm is one BLAS call per pair. Sample-major, X @ W^T
 # (n x d by d x C) is a tall product with a narrow output; class-major,
@@ -200,13 +206,11 @@ def unpack_mlp(theta: np.ndarray, d: int, h: int, out: int):
 
 
 def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
-    """Logits E x n x C, plus the hidden activations for the MLP."""
-    if arch.kind == SOFTMAX_REGRESSION:
-        W, b = _unpack_linear(thetas, arch)
-        return _output_affine(features, W, b), None
-    W1, b1, W2, b2 = unpack_mlp(thetas, arch.d, arch.h, arch.C)
-    A = np.tanh(_affine(features, W1, b1))
-    return _output_affine(A, W2, b2), A
+    """The layers' (W, b) views and their inputs: the features, then the hidden activations."""
+    layers, inputs = unpack_layers(thetas, arch.widths), [features]
+    for W, b in layers[:-1]:
+        inputs.append(np.tanh(_affine(inputs[-1], W, b)))
+    return layers, inputs
 
 
 def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,9 +262,10 @@ def batch_value_and_grad(
     ``grad=False`` skips that half and returns None in its place;
     batch_log_likelihood and batch_grad are the two halves."""
     E, n = labels.shape
-    Z, A = _batch_forward(thetas, features, arch)
+    layers, inputs = _batch_forward(thetas, features, arch)
+    Z = _output_affine(inputs[-1], *layers[-1])
     log_norm = _shift_log_normalize(Z)
-    values = grads = None
+    values = None
     if value:
         picked = Z[..., 0]
         for c in range(1, arch.C):
@@ -275,17 +280,14 @@ def batch_value_and_grad(
         np.exp(Z[..., c] - log_norm, out=P[..., c])
         P[..., c] -= labels == c
     P /= n
-    if A is None:
-        gW = P.swapaxes(1, 2) @ features
-        parts = [gW.reshape(E, arch.C * arch.d), P.sum(axis=1)]
-    else:
-        _, _, W2, _ = unpack_mlp(thetas, arch.d, arch.h, arch.C)
-        dA = P @ W2
-        dZ1 = dA * (1.0 - A * A)
-        gW1 = dZ1.swapaxes(1, 2) @ features
-        gW2 = P.swapaxes(1, 2) @ A
-        parts = [gW1.reshape(E, arch.h * arch.d), dZ1.sum(axis=1), gW2.reshape(E, arch.C * arch.h), P.sum(axis=1)]
-    return values, np.concatenate(parts, axis=1, out=out)
+    # backpropagate from the output layer down: delta is dLoss/d(pre-activation)
+    parts, delta = [], P
+    for layer in range(len(layers) - 1, -1, -1):
+        X = inputs[layer]
+        parts.append((delta.swapaxes(1, 2) @ X, delta.sum(axis=1)))
+        if layer:
+            delta = (delta @ layers[layer][0]) * (1.0 - X * X)
+    return values, pack_layers(parts[::-1], out=out)
 
 
 def batch_log_likelihood(
@@ -311,13 +313,9 @@ def batch_accuracy(
     class rows with np.argmax's rule: a class takes the lead with a strictly
     larger score (ties go to the lower class) or a NaN, and a NaN that leads
     keeps the lead."""
-    if arch.kind == SOFTMAX_REGRESSION:
-        W, b = _unpack_linear(thetas, arch)
-        X = features
-    else:
-        W1, b1, W, b = unpack_mlp(thetas, arch.d, arch.h, arch.C)
-        X = np.tanh(_affine(features, W1, b1))
-    Z = W @ X.swapaxes(1, 2)
+    layers, inputs = _batch_forward(thetas, features, arch)
+    W, b = layers[-1]
+    Z = W @ inputs[-1].swapaxes(1, 2)
     Z += b[:, :, None]
     best, hit = Z[:, 0], labels == 0
     for c in range(1, arch.C):

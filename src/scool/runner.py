@@ -172,7 +172,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     ledger = CommLedger()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigurationError(f"output directory {out_path}: {err}") from err
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed)
     failure = None

@@ -28,8 +28,6 @@ from scool.models import (
     ClientStore,
     Dataset,
     DataStack,
-    _unpack_linear,
-    unpack_mlp,
 )
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 from scool.tasks import TaskUniverse, check_assignment
@@ -142,7 +140,9 @@ def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
 # the batched kernel in scool.models is checked against (tests/test_kernel.py)
 # and that the finite-difference and Monte Carlo tests check in turn
 # (tests/test_models.py). A run never holds a LocalModel; it holds the K x D
-# stack of a ClientStore.
+# stack of a ClientStore. The oracle reads the flat parameters through its
+# own unpack_linear and unpack_mlp, not the kernel's unpack_layers, so a
+# slip in the layout cannot hide in both.
 
 
 @dataclass
@@ -169,6 +169,29 @@ def model_list(models) -> list[LocalModel]:
     return [LocalModel(m.theta.copy(), m.arch, m.init_theta) for m in models]
 
 
+def unpack_linear(theta: np.ndarray, arch: ArchSpec):
+    """The oracle's own layout of softmax regression, written out apart from
+    the kernel's unpack_layers: views of W (C x d) and b."""
+    W = theta[..., : arch.C * arch.d].reshape(theta.shape[:-1] + (arch.C, arch.d))
+    return W, theta[..., arch.C * arch.d :]
+
+
+def unpack_mlp(theta: np.ndarray, d: int, h: int, out: int):
+    """The oracle's own layout of a two-layer network (the MLP models and
+    the attention encoder): views of W1 (h x d), b1, W2 (out x h) and b2,
+    flattened in that order."""
+    lead = theta.shape[:-1]
+    o = 0
+    W1 = theta[..., o : o + h * d].reshape(lead + (h, d))
+    o += h * d
+    b1 = theta[..., o : o + h]
+    o += h
+    W2 = theta[..., o : o + out * h].reshape(lead + (out, h))
+    o += out * h
+    b2 = theta[..., o : o + out]
+    return W1, b1, W2, b2
+
+
 def _check_data(model: LocalModel, data: Dataset) -> None:
     if data.features.shape[1] != model.arch.d:
         raise ValueError(
@@ -180,7 +203,7 @@ def logits(model: LocalModel, X: np.ndarray) -> np.ndarray:
     """Raw class scores, N x C."""
     arch = model.arch
     if arch.kind == SOFTMAX_REGRESSION:
-        W, b = _unpack_linear(model.theta, arch)
+        W, b = unpack_linear(model.theta, arch)
         return X @ W.T + b
     W1, b1, W2, b2 = unpack_mlp(model.theta, arch.d, arch.h, arch.C)
     return np.tanh(X @ W1.T + b1) @ W2.T + b2
@@ -209,7 +232,7 @@ def grad(model: LocalModel, data: Dataset) -> np.ndarray:
     X = data.features
     n = data.n
     if arch.kind == SOFTMAX_REGRESSION:
-        W, b = _unpack_linear(model.theta, arch)
+        W, b = unpack_linear(model.theta, arch)
         Z = X @ W.T + b
         P = np.exp(_log_softmax(Z))
         P[np.arange(n), data.labels] -= 1.0

@@ -11,6 +11,8 @@ stack; the store's per-client row views, which remain for the benchmark's
 round-1 cross-check, are tested in TestClientStore. A cross-gradient round
 takes its first step's gradients from the loglik pass; TestFusedFirstStep
 checks that step against the fresh path, which takes every gradient itself.
+TestLayout pins the flat parameter layout index by index, for the kernel's
+unpack_layers and the oracle's own unpackers alike.
 """
 
 from collections import Counter
@@ -37,7 +39,10 @@ from scool.models import (
     batch_grad,
     batch_log_likelihood,
     batch_value_and_grad,
+    layout_size,
+    pack_layers,
     pairs_per_block,
+    unpack_layers,
 )
 from scool.tasks import gen_tasks, make_universe
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology, observed_pairs
@@ -57,12 +62,16 @@ from conftest import (
     sample_class_data,
     stack_datasets,
     tiny_dataset,
+    unpack_linear,
+    unpack_mlp,
 )
 
 ARCHS = {
     SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=5, C=3),
     MLP_1HIDDEN: ArchSpec(MLP_1HIDDEN, d=5, C=3, h=4),
 }
+# an attention encoder of the d = 5, C = 3 softmax models: 18 inputs
+ENCODER_WIDTHS = (18, 6, 4)
 # the benchmark workloads' models: d = 8 features, C = 2 classes, h = 16
 BENCH_ARCHS = {
     SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=8, C=2),
@@ -704,6 +713,53 @@ class TestFusedFirstStep:
             with pytest.raises(ConfigurationError, match="one row per allowed pair"):
                 cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, m, grads=grads)
         np.testing.assert_array_equal(store.theta, np.stack([m.theta for m in models]))
+
+
+class TestLayout:
+    # The flat layout W1, b1, W2, b2, ... (each W out x in, row-major), index
+    # by index, for the kernel's unpack_layers and the oracle's own unpackers.
+    @pytest.mark.parametrize("widths, blocks", [
+        ((5, 3), [(0, (3, 5)), (15, (3,))]),
+        ((5, 4, 3), [(0, (4, 5)), (20, (4,)), (24, (3, 4)), (36, (3,))]),
+        (ENCODER_WIDTHS, [(0, (6, 18)), (108, (6,)), (114, (4, 6)), (138, (4,))]),
+    ])
+    def test_blocks_hold_their_exact_index_ranges(self, widths, blocks):
+        size = blocks[-1][0] + blocks[-1][1][0]
+        assert layout_size(widths) == size
+        theta = np.arange(size, dtype=float)
+        kernel = [part for layer in unpack_layers(theta, widths) for part in layer]
+        if len(widths) == 2:
+            oracle = unpack_linear(theta, ArchSpec(SOFTMAX_REGRESSION, *widths))
+        else:
+            oracle = unpack_mlp(theta, *widths)
+        for views in (kernel, oracle):
+            assert len(views) == len(blocks)
+            for view, (start, shape) in zip(views, blocks):
+                assert view.shape == shape
+                np.testing.assert_array_equal(view.ravel(), np.arange(start, start + view.size))
+
+    @pytest.mark.parametrize("lead", [(), (0,), (1,), (5,)])
+    @pytest.mark.parametrize("widths", [arch.widths for arch in ARCHS.values()] + [ENCODER_WIDTHS])
+    def test_pack_inverts_unpack(self, widths, lead):
+        x = np.random.default_rng(52).standard_normal(lead + (layout_size(widths),))
+        layers = unpack_layers(x, widths)
+        assert [(W.shape, b.shape) for W, b in layers] == [
+            (lead + (n_out, n_in), lead + (n_out,)) for n_in, n_out in zip(widths, widths[1:])
+        ]
+        np.testing.assert_array_equal(pack_layers(layers), x)
+
+    def test_pack_writes_into_out(self):
+        widths = ARCHS[MLP_1HIDDEN].widths
+        x = np.random.default_rng(53).standard_normal((3, layout_size(widths)))
+        buf = np.full_like(x, np.nan)
+        assert pack_layers(unpack_layers(x, widths), out=buf) is buf
+        np.testing.assert_array_equal(buf, x)
+
+    @pytest.mark.parametrize("kind, widths", [(SOFTMAX_REGRESSION, (5, 3)), (MLP_1HIDDEN, (5, 4, 3))])
+    def test_n_params_is_the_layout_size(self, kind, widths):
+        arch = ARCHS[kind]
+        assert arch.widths == widths
+        assert layout_size(arch.widths) == arch.n_params
 
 
 class TestClientStore:

@@ -530,6 +530,49 @@ class TestCli:
             assert proc.returncode == 2 and "Traceback" not in proc.stderr
             assert "C >= 2" in proc.stderr
 
+    @staticmethod
+    def _main(capsys, command, config, out):
+        # in process through cli.main: a malformed input must come back as an
+        # exit code, not escape as an exception
+        from scool.cli import main
+
+        args = [command, "--config", str(config)]
+        if command != "validate-config":
+            args += ["--out", str(out)] + (["--fractions", "0.5"] if command == "sweep-budget" else [])
+        code = main(args)
+        out_err = capsys.readouterr()
+        assert "config ok" not in out_err.out and "Traceback" not in out_err.err
+        return code, out_err.err
+
+    @pytest.mark.parametrize("command", ["validate-config", "run", "sweep-budget"])
+    @pytest.mark.parametrize("content, message", [
+        ("[]", "a config is a JSON object of settings, not list"),
+        ("1", "a config is a JSON object of settings, not int"),
+        ("null", "a config is a JSON object of settings, not NoneType"),
+        ('"x"', "a config is a JSON object of settings, not str"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        code, err = self._main(capsys, command, path, tmp_path / "o")
+        assert code == 2 and f"configuration error: {path}: {message}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run", "sweep-budget"])
+    def test_config_naming_a_directory_exit_code(self, tmp_path, capsys, command):
+        code, err = self._main(capsys, command, tmp_path, tmp_path / "o")
+        assert code == 2 and "Is a directory" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, reason", [("run", "File exists"), ("sweep-budget", "Not a directory")])
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys, command, reason):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        code, err = self._main(capsys, command, self._write_config(tmp_path, rounds=1, sparsify_round=1), out)
+        assert code == 2 and "configuration error: output directory" in err and reason in err
+        assert out.read_text() == "kept\n"
+
     def test_invariant_error_exit_code_and_partial_report(self, tmp_path, monkeypatch, capsys):
         from scool.cli import EXIT_INVARIANT, main
         from scool.em import sbm

@@ -6,7 +6,7 @@ import pytest
 from scool.config import ExperimentConfig
 from scool.em import attention, rounds, sbm
 from scool.em.common import alpha_gradient, block_ratio
-from scool.em.state import ALPHA_MIN, AdamSlot, ascent_step, clamp_block_matrix
+from scool.em.state import ALPHA_MIN, AdamSlot, AttentionState, ascent_step, clamp_block_matrix
 from scool.errors import ConfigurationError, InvariantError
 from scool.topology import build_topology
 
@@ -117,6 +117,12 @@ class TestInitStateReadsConfig:
         np.testing.assert_array_equal(st.w, np.full((6, 6), 1.0 / 6))
         np.testing.assert_array_equal(st.p, st.w)
         assert st.phi_slot.t == 0 and st.phi_slot.m.shape == st.phi.shape
+
+    @pytest.mark.parametrize("length", [0, 114, 116])
+    def test_attention_refuses_an_encoder_of_the_wrong_length(self, length):
+        dims = (10, 8, 3)  # 8 * 10 + 8 + 3 * 8 + 3 = 115 parameters
+        with pytest.raises(ConfigurationError, match=r"encoder wants 115 parameters for dims \(10, 8, 3\)"):
+            AttentionState(phi=np.zeros(length), enc_dims=dims, w=np.eye(2), p=np.eye(2), lam=0.0, tau_softmax=1.0)
 
 
 class TestBlockMatrixInvariant:
