@@ -87,7 +87,10 @@ class Dataset:
 class DataStack(Sequence):
     """The datasets of K clients as one stack: features K x n x d and labels
     K x n, so all share n and d. Item k is client k's Dataset, a view of
-    row k."""
+    row k. The features' memory may be sample-major (C order; the train
+    stack, which the pair kernel gathers by client) or class-major (each
+    client's d x n transpose contiguous; the test stack, which
+    batch_accuracy reads transposed)."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, class_sets, split: str = "train"):
         self.features, self.labels = features, labels
@@ -188,16 +191,20 @@ def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
 # C <= 7; from C = 8 numpy sums the per-pair exponentials pairwise and the
 # two differ in the last bits.
 #
-# The output layer's gemm is one BLAS call per pair. Sample-major, X @ W^T
+# Each layer's gemm is one BLAS call per pair. Sample-major, X @ W^T
 # (n x d by d x C) is a tall product with a narrow output; class-major,
 # W @ X^T (C x d by d x n) gives the same dot products as C contiguous rows
-# of n, which BLAS fills faster and the class folds read whole. Both keep
-# the per-pair bits as long as W^T or X^T stays a strided view: a contiguous
-# copy of W^T (an NN gemm) is faster still but moves the last bits at some
-# widths (h = 16, n = 1). Only batch_accuracy is class-major, as the
-# reporting pass over every client's 400 test samples; at the 8 train
-# samples per pair of batch_log_likelihood and batch_grad, class-major
-# measured slower, so they stay sample-major.
+# of n, which BLAS fills faster and the class folds read whole.
+# batch_accuracy, the reporting pass over every client's 400 test samples,
+# runs every layer class-major, on the transposed features and then on the
+# hidden activations as they come out (h x n); the test stack is class-major
+# in memory (tasks._build_datasets), so its transpose is contiguous and the
+# first gemm is a plain NN product. A sample-major stack gives the same
+# bits through a strided X^T view, only slower. What moves the last bits is
+# a contiguous copy of W^T under a sample-major product, which is faster but
+# differs at some widths (h = 16, n = 1). At the 8 train samples per pair of
+# batch_log_likelihood and batch_grad, class-major measured slower, so they
+# stay sample-major, and the train stack with them.
 #
 # batch_value_and_grad is the one forward pass behind batch_log_likelihood
 # and batch_grad. The loglik matrix under cross-gradient takes both halves
@@ -309,18 +316,25 @@ def batch_accuracy(
 ) -> np.ndarray:
     """accuracy of every pair: E fractions of argmax-correct predictions.
 
-    The logits are class-major, E x C x n. The argmax is a fold over the
-    class rows with np.argmax's rule: a class takes the lead with a strictly
-    larger score (ties go to the lower class) or a NaN, and a NaN that leads
-    keeps the lead."""
-    layers, inputs = _batch_forward(thetas, features, arch)
-    W, b = layers[-1]
-    Z = W @ inputs[-1].swapaxes(1, 2)
-    Z += b[:, :, None]
-    best, hit = Z[:, 0], labels == 0
+    Every layer runs class-major, W @ Z on Z = features^T (E x d x n), so
+    the logits are E x C x n; a class-major stack makes Z contiguous. The
+    argmax is a fold over the class rows with np.argmax's rule: a class
+    takes the lead with a strictly larger score (ties go to the lower
+    class) or a NaN, and a NaN that leads keeps the lead."""
+    layers = unpack_layers(thetas, arch.widths)
+    Z = features.swapaxes(1, 2)
+    for layer, (W, b) in enumerate(layers, 1):
+        Z = W @ Z
+        Z += b[:, :, None]
+        if layer < len(layers):
+            np.tanh(Z, out=Z)
+    best, hit, takes = Z[:, 0], labels == 0, np.empty(labels.shape, dtype=bool)
     for c in range(1, arch.C):
-        takes = ~(Z[:, c] <= best) & (best == best)  # larger or NaN, unless a NaN leads
+        # c takes the lead where ~(Z_c <= best) & (best == best); as Z_c <= NaN
+        # is false, that is (Z_c <= best) ^ (best == best)
+        np.less_equal(Z[:, c], best, out=takes)
+        takes ^= best == best
         hit ^= takes & (hit ^ (labels == c))  # hit = (labels == c) where c takes the lead
         if c + 1 < arch.C:  # the running maximum, kept in Z's first row
             np.maximum(best, Z[:, c], out=best)
-    return np.mean(hit, axis=1)
+    return np.count_nonzero(hit, axis=1) / labels.shape[1]  # np.mean(hit, axis=1), bit for bit

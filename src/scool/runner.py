@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -50,9 +51,13 @@ def metric_l1(w: np.ndarray, w_star: np.ndarray) -> float:
     if w.shape != w_star.shape:
         raise ValueError("graph shapes differ")
     sums = w.sum(axis=1)
-    rows = ~(sums <= 0.0)
-    dist = np.full(len(w), 2.0)
-    dist[rows] = np.abs(w[rows] / sums[rows, None] - w_star[rows]).sum(axis=1)
+    # every row is divided; a row that cannot be normalized scores 2 whatever
+    # its quotients are, so their zero divides and overflows stay silent
+    with np.errstate(all="ignore"):
+        dist = np.divide(w, sums[:, None])
+        dist -= w_star
+        np.abs(dist, out=dist)
+        dist = np.where(~(sums <= 0.0), dist.sum(axis=1), 2.0)
     return fold_sum(dist.tolist(), 0.0) / len(w)
 
 
@@ -179,6 +184,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed)
     failure = None
+    # a prior without an E-step keeps one graph for the whole run: its
+    # distance is taken once, and its later snapshots copy the first one
+    fixed_graph = rounds.PRIORS[config.prior_kind].e_step is None
+    l1 = written = None
     for r in range(config.rounds):
         try:
             graph, elbo_total, traffic = rounds.run_round(state, clients, mask, r, config)
@@ -191,19 +200,26 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         losses = -per_client(batch_log_likelihood, clients.theta, clients.train, arch)
         if traffic is not None:
             ledger.rounds.append(traffic)
+        if l1 is None or not fixed_graph:
+            l1 = metric_l1(graph, assignment.w_star)
         row = {
             "round": r + 1,
             "mean_test_acc": float(np.mean(accs)),
             "std_test_acc": float(np.std(accs)),
             "mean_train_loss": float(np.mean(losses)),
             "elbo": elbo_total,
-            "l1_to_ground_truth": metric_l1(graph, assignment.w_star),
+            "l1_to_ground_truth": l1,
             **asdict(traffic or RoundTraffic()),
         }
         report.rounds.append(row)
         if out_path is not None and config.snapshot_every > 0:
             if (r + 1) % config.snapshot_every == 0 or r == config.rounds - 1:
-                _write_matrix(out_path / f"w_round_{r + 1:04d}.csv", graph)
+                snapshot = out_path / f"w_round_{r + 1:04d}.csv"
+                if fixed_graph and written is not None:
+                    shutil.copyfile(written, snapshot)
+                else:
+                    _write_matrix(snapshot, graph)
+                    written = snapshot
 
     # after a full run the models have not moved since the last round's report
     final_accs = accs if failure is None else per_client(batch_accuracy, clients.theta, clients.test, arch)

@@ -140,12 +140,13 @@ def check_assignment(
 
 def _draw(universe: TaskUniverse, class_set: tuple[int, ...], rng: np.random.Generator,
           features: np.ndarray, labels: np.ndarray) -> None:
-    """Fill features (n x d) and labels (n) with n balanced samples of the
-    class set, shuffled; the remainder goes to the first classes."""
+    """Fill features (n x d, either memory layout) and labels (n) with n
+    balanced samples of the class set, shuffled; the remainder goes to the
+    first classes. The samples are drawn into a sample-major buffer."""
     total = len(labels)
     counts = np.full(len(class_set), total // len(class_set), dtype=int)
     counts[: total % len(class_set)] += 1
-    X, y = np.empty_like(features), np.empty_like(labels)
+    X, y = np.empty(features.shape), np.empty_like(labels)
     start = 0
     for local, cls in enumerate(class_set):
         stop = start + counts[local]
@@ -161,11 +162,14 @@ def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataS
     """The train and the test sets of all clients, each client's draws
     written straight into its rows of the two stacks: one generator per
     client, seeded from its own seed, draws its train set and then its test
-    set."""
+    set. Both stacks are K x n x d; the train stack is sample-major, as the
+    pair kernel gathers it by client, and the test stack is class-major in
+    memory (each client's d x n feature rows contiguous), as the reporting
+    pass reads it."""
     K, d = len(class_sets), universe.dim
-    stacks = tuple(
-        DataStack(np.empty((K, n, d)), np.empty((K, n), dtype=int), class_sets, split)
-        for n, split in ((n_train, "train"), (n_test, "test"))
+    stacks = (
+        DataStack(np.empty((K, n_train, d)), np.empty((K, n_train), dtype=int), class_sets, "train"),
+        DataStack(np.empty((K, d, n_test)).swapaxes(1, 2), np.empty((K, n_test), dtype=int), class_sets, "test"),
     )
     for k, (cs, s) in enumerate(zip(class_sets, seeds)):
         rng = np.random.default_rng(s)

@@ -154,6 +154,18 @@ def _assert_same_thetas(a, b):
         np.testing.assert_array_equal(ma.theta, mb.theta)
 
 
+# the two memory layouts of an E x n x d feature stack: the train stack's
+# C order, and the test stack's, whose d x n transposes are contiguous
+LAYOUTS = ["sample-major", "class-major"]
+
+
+def in_layout(features: np.ndarray, layout: str) -> np.ndarray:
+    """A copy of the E x n x d features in the given memory layout."""
+    if layout == "sample-major":
+        return np.ascontiguousarray(features)
+    return np.ascontiguousarray(features.swapaxes(1, 2)).swapaxes(1, 2)
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("kind", sorted(ARCHS))
     @pytest.mark.parametrize("n", [1, 8, 13])
@@ -230,20 +242,22 @@ class TestClassFold:
                 np.testing.assert_allclose(G[e], grad(model, data), rtol=0, atol=1e-12)
                 np.testing.assert_allclose(L[e], log_likelihood(model, data), rtol=0, atol=1e-12)
 
-    def test_ties_and_nan_rank_as_in_argmax(self):
-        # zero weights on a zero feature: pair e's logits are its bias row Z[e]
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_ties_and_nan_rank_as_in_argmax(self, layout):
+        # zero weights on zero features: pair e's logits are its bias row Z[e]
         Z = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 2.0], [np.nan, 3.0, 1.0], [1.0, np.nan, np.nan],
                       [np.inf, np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [1.0, -np.inf, np.inf]])
-        arch = ArchSpec(SOFTMAX_REGRESSION, d=1, C=3)
-        thetas = np.concatenate([np.zeros((len(Z), 3)), Z], axis=1)
-        X = np.zeros((len(Z), 1, 1))
+        arch = ArchSpec(SOFTMAX_REGRESSION, d=2, C=3)
+        thetas = np.concatenate([np.zeros((len(Z), 6)), Z], axis=1)
+        X = in_layout(np.zeros((len(Z), 3, 2)), layout)
         for label in range(3):
-            got = batch_accuracy(thetas, X, np.full((len(Z), 1), label), arch)
+            got = batch_accuracy(thetas, X, np.full((len(Z), 3), label), arch)
             np.testing.assert_array_equal(got, np.argmax(Z, axis=1) == label)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kind", sorted(ARCHS))
     @pytest.mark.parametrize("n", [1, 400])
-    def test_ties_and_nan_reach_the_class_rows(self, kind, n):
+    def test_ties_and_nan_reach_the_class_rows(self, kind, n, layout):
         # the rows of test_ties_and_nan_rank_as_in_argmax as the output bias
         # of either architecture on n random samples: zero output weights
         # make every sample's logits its pair's bias row
@@ -255,7 +269,7 @@ class TestClassFold:
         out_layer = thetas[:, arch.n_params - 3 * ((arch.h or arch.d) + 1) :]
         out_layer[:, :-3] = 0.0
         out_layer[:, -3:] = Z
-        X = rng.standard_normal((len(Z), n, arch.d))
+        X = in_layout(rng.standard_normal((len(Z), n, arch.d)), layout)
         for label in range(3):
             got = batch_accuracy(thetas, X, np.full((len(Z), n), label), arch)
             np.testing.assert_array_equal(got, np.argmax(Z, axis=1) == label)
@@ -948,17 +962,20 @@ def _per_sample_elements(n, arch):
 class TestReportingEquivalence:
     # blocks of one client, of three clients (K = 7 is not a multiple), and
     # the default budget, which holds all seven in one block
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kind", sorted(ARCHS))
     @pytest.mark.parametrize("block", [1, 3, None])
     @pytest.mark.parametrize("n", [1, 13, 40, 400])
-    def test_accuracy_and_loss_equal_per_pair(self, monkeypatch, kind, block, n):
+    def test_accuracy_and_loss_equal_per_pair(self, monkeypatch, kind, block, n, layout):
         arch = ARCHS[kind]
         if block is not None:
             monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", block * _per_sample_elements(n, arch))
         rng = np.random.default_rng(n)
         models, _ = _clients(rng, arch, K=7, spread=1.0)
         data = [tiny_dataset(rng, n, arch.d, arch.C) for _ in range(7)]
-        store = ClientStore(np.stack([m.theta for m in models]), arch, test=stack_datasets(data))
+        test = stack_datasets(data)
+        test.features = in_layout(test.features, layout)
+        store = ClientStore(np.stack([m.theta for m in models]), arch, test=test)
         accs = runner.per_client(batch_accuracy, store.theta, store.test, arch)
         losses = -runner.per_client(batch_log_likelihood, store.theta, store.test, arch)
         np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, data)])
@@ -1007,10 +1024,11 @@ class TestReportingEquivalence:
         np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, sets)])
         np.testing.assert_array_equal(losses, [loss(m, ds) for m, ds in zip(models, sets)])
 
-    def test_ties_go_to_the_lowest_class(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_ties_go_to_the_lowest_class(self, layout):
         arch = ARCHS[SOFTMAX_REGRESSION]
         thetas = np.zeros((2, arch.n_params))
-        X = np.ones((2, 4, arch.d))
+        X = in_layout(np.ones((2, 4, arch.d)), layout)
         Y = np.array([[0, 0, 0, 0], [1, 2, 0, 1]])
         np.testing.assert_array_equal(batch_accuracy(thetas, X, Y, arch), [1.0, 0.25])
 
@@ -1025,6 +1043,10 @@ class TestStackedTestSets:
         )
         assert train.features.shape == (K, 8, 8) and train.labels.shape == (K, 8)
         assert test.features.shape == (K, 30, 8) and test.labels.shape == (K, 30)
+        # the train stack is sample-major, as the pair kernel gathers it; the
+        # test stack is class-major, as batch_accuracy reads it
+        assert train.features.flags.c_contiguous
+        assert test.features.swapaxes(1, 2).flags.c_contiguous
         # gen_tasks' seed spawns the assignment's, the universe's and then each client's seed
         _, universe_seed, *seeds = np.random.SeedSequence(seed).spawn(2 + K)
         universe = make_universe(M, 8, 0.7, 2.0, universe_seed)
