@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import ClientStore, DataStack, batch_grad
+from ..models import ClientStore, DataStack, batch_value_and_grad
 from ..topology import observed_pairs
 from .state import DiracState
 
@@ -42,10 +42,11 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
 def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: float) -> None:
     """theta_i <- sum_j w_ij theta_j - eta1 * grad_i on models.theta in
     place, with the gradient evaluated at the pre-averaging parameters; the
-    K gradients are one batched call. w is checked once, when its
-    DiracState is built."""
-    thetas = models.theta
-    new = w @ thetas - eta1 * batch_grad(thetas, train_sets.features, train_sets.labels, models.arch)
+    K gradients are one batched call, in the store's workspace. w is
+    checked once, when its DiracState is built."""
+    thetas, X, Y = models.theta, train_sets.features, train_sets.labels
+    grads = batch_value_and_grad(thetas, X, Y, models.arch, value=False, workspace=models.workspace)[1]
+    new = w @ thetas - eta1 * grads
     if not np.all(np.isfinite(new)):
         raise DivergenceError("gossip step produced non-finite parameters")
     thetas[...] = new
@@ -57,4 +58,7 @@ def m_step(state: DiracState, models, mask, config, grads) -> None:
 
 
 def graph(state: DiracState, K: int) -> np.ndarray:
-    return np.array(state.w, dtype=float)
+    """The fixed weights as a read-only view: they never change, so no round copies them."""
+    w = state.w.view()
+    w.flags.writeable = False
+    return w

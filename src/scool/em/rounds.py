@@ -37,8 +37,9 @@ def loglik_matrix(
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
     client j's training labels under client i's model. The pairs the mask
     allows form one row-major pair list, evaluated in blocks of at most
-    theta.PAIR_BLOCK_ELEMENTS activations, one batched call per block;
-    masked pairs stay exactly zero and are never evaluated.
+    theta.PAIR_BLOCK_BUDGET activations, one batched call per block in
+    the store's workspace; masked pairs stay exactly zero and are
+    never evaluated.
 
     With ``grads`` (E x D, E = mask.sum()), the same forward pass also
     writes grad(theta_i; D_j) of the pair list's e-th pair (i, j), in
@@ -46,11 +47,14 @@ def loglik_matrix(
     K = len(models)
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     rows, cols = np.nonzero(mask)
+    ws = models.workspace
     out = np.zeros((K, K))
     for blk in pair_blocks(len(rows), X.shape[1], arch):
         r, c = rows[blk], cols[blk]
         block_grads = None if grads is None else grads[blk]
-        out[r, c] = batch_value_and_grad(thetas[r], X[c], Y[c], arch, block_grads, grad=grads is not None)[0]
+        out[r, c] = batch_value_and_grad(
+            *ws.gather(thetas, X, Y, r, c), arch, block_grads, grad=grads is not None, workspace=ws
+        )[0]
     return out
 
 

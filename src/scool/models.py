@@ -16,6 +16,7 @@ views remain only for the benchmark's round-1 cross-check.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -107,7 +108,12 @@ class ClientStore(Sequence):
     """All K clients of a run, stacked once. ``theta`` (K x D, C-ordered) is
     the one copy of the parameters: the kernels read it and update it in
     place. ``init_theta`` is a read-only copy of the stack the run started
-    from; ``train`` and ``test`` are DataStacks of K datasets, or None."""
+    from; ``train`` and ``test`` are DataStacks of K datasets, or None.
+    ``workspace`` is the one PairWorkspace of every batched pass over the
+    store's models, the loglik passes, local steps, gossip and train losses
+    of all rounds: it keeps its memory from pass to pass, so after the first
+    round no pass allocates and the allocator has nothing to trim and fault
+    back in. Any pass may overwrite what an earlier one left there."""
 
     def __init__(self, theta: np.ndarray, arch: ArchSpec, train: DataStack | None = None, test: DataStack | None = None):
         # C order: an F-ordered stack moves the last bits of dirac's w @ theta
@@ -122,6 +128,7 @@ class ClientStore(Sequence):
         self.arch, self.train, self.test = arch, train, test
         self.init_theta = self.theta.copy()
         self.init_theta.setflags(write=False)
+        self.workspace = PairWorkspace()
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -210,40 +217,94 @@ def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
 # and batch_grad. The loglik matrix under cross-gradient takes both halves
 # at once: local step 0 needs grad(theta_i; D_j) on the same pairs at the
 # same parameters, so it reads them from that pass instead of a second one.
+#
+# Every array a call produces lives in a PairWorkspace and is written with
+# out=: the logits, the log-norm, P, each hidden layer's activations and
+# deltas, and the gradients, whose weight parts go straight into their
+# views of the flat rows (the bias parts are summed contiguously, then
+# copied in). Like P, the hidden activations and deltas are sample-major
+# (n x E x h in memory), so the hidden bias gradient also adds whole
+# contiguous E x h rows, and 1 - H * H and its product with the delta run
+# over one layout. BLAS sees the same products at a different leading
+# dimension, which changes no bit. A pass (rounds.loglik_matrix,
+# theta.cooperative_sgd_steps) gathers each block's parameters, features
+# and labels into the store's workspace (ClientStore.workspace), as dirac's
+# gossip takes its gradients there, so a run allocates its buffers once:
+# fresh arrays per block are trimmed by glibc and faulted back in once
+# blocks grow past about 100 MLP pairs, and so are fresh buffers per pass.
+# A caller without a workspace (batch_log_likelihood and batch_grad alone)
+# gets a new one for its call.
 
 
-def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec):
+class PairWorkspace:
+    """Memory that batched kernel calls and the passes around them reuse: one
+    flat array per buffer name, grown to the largest request and then kept.
+    take() hands out a buffer's leading elements as a C-ordered array of the
+    shape a call asks for, so every block of a pass, a shorter last one
+    included, and every local step reuse the same memory, each view laid
+    out as a fresh array of its shape. A view is valid until the next take()
+    of its name; a kernel call's results are such views when it is given no
+    ``out``, so a caller copies what it keeps past its next call."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int, dtype=float) -> np.ndarray:
+        """The leading elements of buffer ``name`` as a C-ordered array of this shape."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            self._buffers.pop(name, None)  # the dict lets go of the old buffer before the new one comes
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+    def gather(self, thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        """thetas[rows], features[cols] and labels[cols] in this workspace: the
+        inputs of one block of pairs (rows[e], cols[e])."""
+        # mode="clip" takes straight into out; "raise" would take into a copy first
+        taken = (("thetas", thetas, rows), ("features", features, cols), ("labels", labels, cols))
+        return tuple(
+            np.take(source, index, axis=0, mode="clip",
+                    out=self.take(name, len(index), *source.shape[1:], dtype=source.dtype))
+            for name, source, index in taken
+        )
+
+
+def _batch_forward(thetas: np.ndarray, features: np.ndarray, arch: ArchSpec, ws: PairWorkspace):
     """The layers' (W, b) views and their inputs: the features, then the hidden activations."""
     layers, inputs = unpack_layers(thetas, arch.widths), [features]
-    for W, b in layers[:-1]:
-        inputs.append(np.tanh(_affine(inputs[-1], W, b)))
+    E, n = features.shape[:2]
+    for layer, (W, b) in enumerate(layers[:-1]):
+        H = _affine(inputs[-1], W, b, ws.take(f"hidden{layer}", n, E, b.shape[1]).transpose(1, 0, 2))
+        inputs.append(np.tanh(H, out=H))
     return layers, inputs
 
 
-def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X @ W^T + b per pair with the bias added in place. W^T stays a view, as
-    in the per-pair functions: a contiguous copy changes the last bits."""
-    out = X @ W.swapaxes(1, 2)
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X @ W^T + b per pair into out, the bias added in place. W^T stays a
+    view, as in the per-pair functions: a contiguous copy changes the last bits."""
+    np.matmul(X, W.swapaxes(1, 2), out=out)
     out += b[:, None, :]
     return out
 
 
-def _output_affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _output_affine(X: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """_affine for the output layer, its bias added one class slice at a time."""
-    out = X @ W.swapaxes(1, 2)
+    np.matmul(X, W.swapaxes(1, 2), out=out)
     for c in range(out.shape[-1]):
         out[..., c] += b[:, c, None]
     return out
 
 
-def _shift_log_normalize(Z: np.ndarray) -> np.ndarray:
+def _shift_log_normalize(Z: np.ndarray, ws: PairWorkspace) -> np.ndarray:
     """The per-pair log-softmax's steps folded over the classes: shifts the
     logits Z (E x n x C) in place by their maximum and returns the log of the
     summed exponentials, E x n. Z - log norm is then the log-softmax."""
-    top = fold_last(np.maximum, Z)
+    top = fold_last(np.maximum, Z, out=ws.take("norm", *Z.shape[:2]))
     for c in range(Z.shape[-1]):
         Z[..., c] -= top
-    total = fold_last(np.add, np.exp(Z))
+    # the sum takes the maximum's buffer, which the shift has consumed
+    total = fold_last(np.add, np.exp(Z, out=ws.take("exps", *Z.shape)), out=top)
     return np.log(total, out=total)
 
 
@@ -262,53 +323,73 @@ def batch_value_and_grad(
     *,
     value: bool = True,
     grad: bool = True,
+    workspace: PairWorkspace,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """log_likelihood and grad of every pair from one forward pass: E mean
     label log-probabilities and E x D mean cross-entropy gradients, the
     gradients written into ``out`` when it is given. ``value=False`` or
     ``grad=False`` skips that half and returns None in its place;
-    batch_log_likelihood and batch_grad are the two halves."""
+    batch_log_likelihood and batch_grad are the two halves. Every
+    temporary, the values and the gradients without ``out`` live in
+    ``workspace``."""
     E, n = labels.shape
-    layers, inputs = _batch_forward(thetas, features, arch)
-    Z = _output_affine(inputs[-1], *layers[-1])
-    log_norm = _shift_log_normalize(Z)
+    layers, inputs = _batch_forward(thetas, features, arch, workspace)
+    Z = _output_affine(inputs[-1], *layers[-1], workspace.take("logits", E, n, arch.C))
+    log_norm = _shift_log_normalize(Z, workspace)
+    scratch, is_label = workspace.take("scratch", E, n), workspace.take("is_label", E, n, dtype=bool)
     values = None
     if value:
-        picked = Z[..., 0]
+        np.copyto(scratch, Z[..., 0])  # the label's logit, picked class by class
         for c in range(1, arch.C):
-            picked = np.where(labels == c, Z[..., c], picked)
-        values = np.mean(picked - log_norm, axis=1)
+            np.copyto(scratch, Z[..., c], where=np.equal(labels, c, out=is_label))
+        # np.mean's sum and division, without its Python-level wrapper
+        values = np.add.reduce(np.subtract(scratch, log_norm, out=scratch), axis=1, out=workspace.take("values", E))
+        values /= n
     if not grad:
         return values, None
     # Sample-major (n x E x C in memory), so the bias gradient P.sum(axis=1)
     # adds whole contiguous E x C rows sample after sample, the per-pair order.
-    P = np.empty((n, E, arch.C)).transpose(1, 0, 2)
+    P = workspace.take("P", n, E, arch.C).transpose(1, 0, 2)
     for c in range(arch.C):
-        np.exp(Z[..., c] - log_norm, out=P[..., c])
-        P[..., c] -= labels == c
+        np.exp(np.subtract(Z[..., c], log_norm, out=scratch), out=P[..., c])
+        np.subtract(P[..., c], np.equal(labels, c, out=is_label), out=P[..., c])
     P /= n
-    # backpropagate from the output layer down: delta is dLoss/d(pre-activation)
-    parts, delta = [], P
+    grads = workspace.take("grads", E, arch.n_params) if out is None else out
+    # backpropagate from the output layer down: delta is dLoss/d(pre-activation);
+    # each weight gradient goes straight into its view of the flat rows, each
+    # bias gradient is summed contiguously first, as delta.sum(axis=1) would
+    parts, delta = unpack_layers(grads, arch.widths), P
     for layer in range(len(layers) - 1, -1, -1):
-        X = inputs[layer]
-        parts.append((delta.swapaxes(1, 2) @ X, delta.sum(axis=1)))
+        X, (W_grad, b_grad) = inputs[layer], parts[layer]
+        np.matmul(delta.swapaxes(1, 2), X, out=W_grad)
+        b_grad[...] = np.add.reduce(delta, axis=1, out=workspace.take("bias", *b_grad.shape))
         if layer:
-            delta = (delta @ layers[layer][0]) * (1.0 - X * X)
-    return values, pack_layers(parts[::-1], out=out)
+            hidden = workspace.take(f"delta{layer - 1}", n, E, X.shape[2]).transpose(1, 0, 2)
+            np.matmul(delta, layers[layer][0], out=hidden)
+            # 1 - X * X, tanh's derivative, over the activations: nothing reads them after this
+            np.subtract(1.0, np.multiply(X, X, out=X), out=X)
+            delta = np.multiply(hidden, X, out=hidden)
+    return values, grads
 
 
 def batch_log_likelihood(
-    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec,
+    workspace: PairWorkspace | None = None,
 ) -> np.ndarray:
-    """log_likelihood of every pair: E mean label log-probabilities."""
-    return batch_value_and_grad(thetas, features, labels, arch, grad=False)[0]
+    """log_likelihood of every pair: E mean label log-probabilities, in
+    ``workspace`` or in a new one of its own."""
+    workspace = PairWorkspace() if workspace is None else workspace
+    return batch_value_and_grad(thetas, features, labels, arch, grad=False, workspace=workspace)[0]
 
 
 def batch_grad(
-    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec,
+    workspace: PairWorkspace | None = None,
 ) -> np.ndarray:
-    """grad of every pair: E x D mean cross-entropy gradients."""
-    return batch_value_and_grad(thetas, features, labels, arch, value=False)[1]
+    """grad of every pair: E x D mean cross-entropy gradients, in
+    ``workspace`` or in a new one of its own."""
+    workspace = PairWorkspace() if workspace is None else workspace
+    return batch_value_and_grad(thetas, features, labels, arch, value=False, workspace=workspace)[1]
 
 
 def batch_accuracy(

@@ -8,6 +8,7 @@ file so the deterministic artifacts can be compared byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import shutil
 import time
@@ -119,13 +120,15 @@ def build_state(config: ExperimentConfig, mask: np.ndarray, theta_dim: int):
 
 def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> np.ndarray:
     """kernel(thetas, data.features, data.labels, arch) of every client, one
-    batched call per block of at most REPORT_BLOCK_ELEMENTS activations."""
+    batched call per block of at most REPORT_BLOCK_ELEMENTS activations,
+    each block's result copied out before the next call, which may reuse
+    its memory (a workspace's view)."""
     X, Y = data.features, data.labels
     block = pairs_per_block(REPORT_BLOCK_ELEMENTS, X.shape[1], arch)
-    return np.concatenate([
-        kernel(thetas[a : a + block], X[a : a + block], Y[a : a + block], arch)
-        for a in range(0, len(thetas), block)
-    ])
+    out = np.empty(len(thetas))
+    for a in range(0, len(thetas), block):
+        out[a : a + block] = kernel(thetas[a : a + block], X[a : a + block], Y[a : a + block], arch)
+    return out
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
@@ -187,6 +190,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     # a prior without an E-step keeps one graph for the whole run: its
     # distance is taken once, and its later snapshots copy the first one
     fixed_graph = rounds.PRIORS[config.prior_kind].e_step is None
+    train_loglik = functools.partial(batch_log_likelihood, workspace=clients.workspace)
     l1 = written = None
     for r in range(config.rounds):
         try:
@@ -197,7 +201,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             report.divergence_message = str(err)
             break
         accs = per_client(batch_accuracy, clients.theta, clients.test, arch)
-        losses = -per_client(batch_log_likelihood, clients.theta, clients.train, arch)
+        losses = -per_client(train_loglik, clients.theta, clients.train, arch)
         if traffic is not None:
             ledger.rounds.append(traffic)
         if l1 is None or not fixed_graph:

@@ -157,16 +157,20 @@ def xlogx(p) -> np.ndarray:
     return out
 
 
-def fold_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+def fold_last(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ufunc over the slices of a's last axis, left to right: for np.add,
     ((a[..., 0] + a[..., 1]) + a[..., 2]) + ..., each slice one whole array
     operation. Unlike ufunc.reduce(a, axis=-1), this never regroups (numpy
     sums 8 or more innermost elements pairwise) and runs no loop of a few
-    elements per row. The last axis must be non-empty; the result is a new
-    array of a.shape[:-1]."""
+    elements per row. The last axis must be non-empty; the result, of
+    a.shape[:-1], is written into ``out`` when it is given (it must not
+    overlap a) and is a new array otherwise."""
     if a.shape[-1] == 1:
-        return a[..., 0].copy()
-    out = ufunc(a[..., 0], a[..., 1])
+        if out is None:
+            return a[..., 0].copy()
+        np.copyto(out, a[..., 0])
+        return out
+    out = ufunc(a[..., 0], a[..., 1], out=out)
     for g in range(2, a.shape[-1]):
         ufunc(out, a[..., g], out=out)
     return out

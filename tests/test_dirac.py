@@ -82,6 +82,18 @@ class TestMetropolisWeights:
             assert np.all((w > 0)[mask] | np.eye(8, dtype=bool)[mask])
 
 
+class TestGraph:
+    def test_a_read_only_view_of_the_weights(self):
+        mask = build_topology("group-ring", 12, k0=6)
+        state = dirac.init_state(None, mask, 3)
+        graph = dirac.graph(state, 12)
+        assert not graph.flags.writeable and np.shares_memory(graph, state.w)
+        np.testing.assert_array_equal(graph, dirac.metropolis_weights(mask))
+        with pytest.raises(ValueError):
+            graph[0, 0] = 1.0
+        assert state.w.flags.writeable  # the state's own array is left as it was
+
+
 class TestDpsgdStep:
     def test_identity_graph_is_local_sgd(self):
         rng = np.random.default_rng(1)

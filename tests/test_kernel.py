@@ -15,6 +15,8 @@ TestLayout pins the flat parameter layout index by index, for the kernel's
 unpack_layers and the oracle's own unpackers alike.
 """
 
+import functools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,6 +37,7 @@ from scool.models import (
     ClientStore,
     Dataset,
     DataStack,
+    PairWorkspace,
     batch_accuracy,
     batch_grad,
     batch_log_likelihood,
@@ -310,9 +313,9 @@ class TestLoglikMatrixEquivalence:
         seen, halves = [], []
         forward, kernel = scool.models._batch_forward, rounds.batch_value_and_grad
 
-        def counting_forward(thetas, X, arch):
+        def counting_forward(thetas, X, arch, ws):
             seen.extend(_pair_ids(thetas, X, store, train))
-            return forward(thetas, X, arch)
+            return forward(thetas, X, arch, ws)
 
         def counting_kernel(*args, **kwargs):
             halves.append(kwargs["grad"])
@@ -396,12 +399,12 @@ class TestCooperativeEquivalence:
         want = Counter(zip(*map(list, np.nonzero(edges | np.eye(len(models), dtype=bool)))))
         seen, sizes = [], []
 
-        def counting(thetas, X, Y, arch):
+        def counting(thetas, X, Y, arch, *args, **kwargs):
             seen.extend(_pair_ids(thetas, X, models, train))
             sizes.append(len(thetas))
-            return batch_grad(thetas, X, Y, arch)
+            return batch_value_and_grad(thetas, X, Y, arch, *args, **kwargs)
 
-        monkeypatch.setattr(theta, "batch_grad", counting)
+        monkeypatch.setattr(theta, "batch_value_and_grad", counting)
         for per_block in (1, 3, None):
             with monkeypatch.context() as patch:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
@@ -424,7 +427,7 @@ class TestCooperativeEquivalence:
 def _cap_pairs_per_block(monkeypatch, per_block, arch, n=8):
     """Blocks of per_block pairs of n samples; None keeps the default."""
     if per_block is not None:
-        monkeypatch.setattr(theta, "PAIR_BLOCK_ELEMENTS", per_block * _per_sample_elements(n, arch))
+        monkeypatch.setattr(theta, "PAIR_BLOCK_BUDGET", per_block * _per_sample_elements(n, arch))
 
 
 def _pair_ids(thetas, X, models, train):
@@ -546,9 +549,11 @@ class TestFold:
 
     @staticmethod
     def _folded(delta, rows, g, sizes):
+        # one stack buffer for every block, holding what the last block left
         out, start = delta.copy(), 0
+        buffer = np.full(theta.fold_elements(theta._fold_plan(rows), g.shape[1]), np.nan)
         for size in sizes:
-            theta._fold(out, rows[start : start + size], g[start : start + size])
+            theta._fold(out, theta._fold_plan(rows[start : start + size]), g[start : start + size], buffer)
             start += size
         assert start == len(rows)
         return out
@@ -618,16 +623,17 @@ class TestFusedFirstStep:
         X = rng.standard_normal((6, n, arch.d))
         Y = rng.integers(0, arch.C, (6, n))
         L, G = batch_log_likelihood(thetas, X, Y, arch), batch_grad(thetas, X, Y, arch)
-        values, grads = batch_value_and_grad(thetas, X, Y, arch)
+        ws = PairWorkspace()
+        values, grads = batch_value_and_grad(thetas, X, Y, arch, workspace=ws)
         np.testing.assert_array_equal(values, L)
         np.testing.assert_array_equal(grads, G)
         out = np.full((6, arch.n_params), np.nan)
-        values, grads = batch_value_and_grad(thetas, X, Y, arch, out)
+        values, grads = batch_value_and_grad(thetas, X, Y, arch, out, workspace=ws)
         assert grads is out
         np.testing.assert_array_equal(values, L)
         np.testing.assert_array_equal(out, G)
-        assert batch_value_and_grad(thetas, X, Y, arch, grad=False)[1] is None
-        assert batch_value_and_grad(thetas, X, Y, arch, value=False)[0] is None
+        assert batch_value_and_grad(thetas, X, Y, arch, grad=False, workspace=ws)[1] is None
+        assert batch_value_and_grad(thetas, X, Y, arch, value=False, workspace=ws)[0] is None
 
     @staticmethod
     def _graph(rng, graph, K):
@@ -727,6 +733,185 @@ class TestFusedFirstStep:
             with pytest.raises(ConfigurationError, match="one row per allowed pair"):
                 cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, m, grads=grads)
         np.testing.assert_array_equal(store.theta, np.stack([m.theta for m in models]))
+
+
+def _poison_between_blocks_and_steps(monkeypatch, store):
+    """NaN-fill the store's PairWorkspace wherever a block or a local step
+    must not read what an earlier one left: before every batched call, all
+    of it but the call's gathered inputs and the pass's running own
+    gradients and update; after every fold, all but those two; and before a
+    step's own gradients, all of it. Floats read NaN, labels -1."""
+    taken = []  # every (name, view) the store's passes have asked for
+
+    def recording_take(ws, name, *shape, **kwargs):
+        view = take(ws, name, *shape, **kwargs)
+        if ws is store.workspace:
+            taken.append((name, view))
+        return view
+
+    def poison(keep=()):
+        for name, view in taken:
+            if name not in keep:
+                view.reshape(-1).view(np.uint8).fill(0xFF)
+
+    def poisoned_kernel(real):
+        def kernel(thetas, features, labels, arch, out=None, **kwargs):
+            step_start = np.shares_memory(thetas, store.theta)  # the own gradients, not gathered
+            poison(() if step_start else ("thetas", "features", "labels", "own", "delta"))
+            return real(thetas, features, labels, arch, out, **kwargs)
+        return kernel
+
+    def poisoned_fold(*args):
+        fold(*args)
+        poison(("own", "delta"))
+
+    take, fold = PairWorkspace.take, theta._fold
+    monkeypatch.setattr(PairWorkspace, "take", recording_take)
+    monkeypatch.setattr(theta, "_fold", poisoned_fold)
+    for module in (rounds, theta):
+        monkeypatch.setattr(module, "batch_value_and_grad", poisoned_kernel(module.batch_value_and_grad))
+
+
+def _nbytes(ws):
+    return sum(buffer.nbytes for buffer in ws._buffers.values())
+
+
+class TestWorkspace:
+    """A pass reuses one PairWorkspace for all its blocks and local steps.
+    A shorter last block takes the leading part of each buffer, and nothing
+    a block or a step reads may be left over from an earlier one: with the
+    workspace NaN-filled between them the round still equals the per-pair
+    oracle bit for bit. The loglik pass runs as in a round, so under
+    cross-gradient local step 0 reads its stored gradients."""
+
+    ROUTES = ["cross-stored", "cross-fresh", TAYLOR_APPROX]
+
+    @staticmethod
+    def _pairs_per_block(per_block, mask):
+        """1 or 3 pairs, one past client 0's pairs (a cut inside client 1's
+        row), or None for the default budget, which holds the whole pass."""
+        return np.count_nonzero(mask[0]) + 1 if per_block == "mid-row" else per_block
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("per_block", [1, 3, "mid-row", None])
+    @pytest.mark.parametrize("poisoned", [False, True], ids=["reused", "nan-filled"])
+    def test_round_equals_the_per_pair_oracle(self, monkeypatch, kind, route, per_block, poisoned):
+        arch = ARCHS[kind]
+        rng = np.random.default_rng(90)
+        models, train = _clients(rng, arch, K=8)
+        w, mask = _random_graph(rng, 8)
+        size = self._pairs_per_block(per_block, mask)
+        _cap_pairs_per_block(monkeypatch, size, arch)
+        rows = np.nonzero(mask)[0]
+        edges = np.count_nonzero(observed_pairs(mask) & (w != 0.0))
+        if size == 3:  # neither pair list fills its last block
+            assert len(rows) % 3 and edges % 3
+        if per_block == "mid-row":
+            assert rows[size - 1] != rows[size - 2] and rows[size - 1] == rows[size] and len(rows) % size
+        store, reference = _both(models, train)
+        if poisoned:
+            _poison_between_blocks_and_steps(monkeypatch, store)
+        grad_mode = TAYLOR_APPROX if route == TAYLOR_APPROX else CROSS_GRADIENT
+        grads = np.empty((len(rows), arch.n_params)) if route == "cross-stored" else None
+        ll = rounds.loglik_matrix(store, store.train, mask, grads)
+        np.testing.assert_array_equal(ll, reference_loglik_matrix(models, train, mask))
+        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 3, grad_mode, mask, grads=grads)
+        reference_cooperative_sgd_steps(reference, train, w, 0.02, 0.2, 3, grad_mode, mask)
+        _assert_same_thetas(store, reference)
+
+    def test_buffers_grow_to_the_largest_call_and_are_kept(self):
+        arch = ARCHS[MLP_1HIDDEN]
+        rng = np.random.default_rng(92)
+        thetas, X = rng.standard_normal((6, arch.n_params)), rng.standard_normal((6, 8, arch.d))
+        Y = rng.integers(0, arch.C, (6, 8))
+        ws = PairWorkspace()
+        small = ws.take("P", 5, 8, arch.C)
+        grown = ws.take("P", 6, 8, arch.C)
+        assert not np.shares_memory(small, grown) and grown.flags.c_contiguous
+        assert np.shares_memory(ws.take("P", 2, 8, arch.C), grown)  # a smaller request reuses the larger buffer
+        assert ws.take("is_label", 3, dtype=bool).dtype == bool
+        values, grads = batch_value_and_grad(thetas, X, Y, arch, workspace=ws)
+        np.testing.assert_array_equal(values, batch_log_likelihood(thetas, X, Y, arch))
+        np.testing.assert_array_equal(grads, batch_grad(thetas, X, Y, arch))
+        assert np.shares_memory(grads, ws.take("grads", 6, arch.n_params))  # results are the workspace's views
+
+    def test_the_store_keeps_its_workspace(self):
+        # a round's passes, and the next round's, allocate no buffer anew
+        rng = np.random.default_rng(93)
+        models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=8)
+        w, mask = _random_graph(rng, 8)
+        store = client_store(models, train)
+        ws = store.workspace
+
+        def round_():
+            grads = np.empty((np.count_nonzero(mask), store.arch.n_params))
+            rounds.loglik_matrix(store, store.train, mask, grads)
+            cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 2, CROSS_GRADIENT, mask, grads=grads)
+            dirac.dpsgd_step(store, w, store.train, 0.1)
+
+        round_()
+        buffers = dict(ws._buffers)
+        round_()
+        assert store.workspace is ws and ws._buffers.keys() == buffers.keys()
+        assert all(ws._buffers[name] is buffer for name, buffer in buffers.items())
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_memory_does_not_grow_with_the_block_size(self, monkeypatch, kind, route):
+        # the same 6 400 pairs (6 320 weighted ones for the cooperative
+        # pass) cut into 2 blocks or 20. A pass on a new store fills its
+        # workspace and, beyond it, peaks at the same level whatever the
+        # block count, as no block allocates; a second pass finds the
+        # store's workspace filled and allocates none. numpy's ufuncs may
+        # still buffer up to np.getbufsize() elements per operand in a call.
+        arch, K = BENCH_ARCHS[kind], 80
+        ufunc_buffers = 4 * np.getbufsize() * 8
+        rng = np.random.default_rng(91)
+        models, train = _clients(rng, arch, K=K)
+        mask, w = full_mask(K), rng.uniform(0.05, 1.0, (K, K))
+        grad_mode = TAYLOR_APPROX if route == TAYLOR_APPROX else CROSS_GRADIENT
+
+        def new_store():
+            """A store with an empty workspace; under stored gradients, its
+            loglik pass's gradients, taken on a copy of it."""
+            grads = None
+            if route == "cross-stored":
+                grads = np.empty((K * K, arch.n_params))
+                copy = client_store(models, train)
+                rounds.loglik_matrix(copy, copy.train, mask, grads)
+            return client_store(models, train), grads
+
+        def peak_of(run, store, grads):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run(store, grads)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        passes = {
+            "loglik": lambda store, grads: rounds.loglik_matrix(store, store.train, mask, grads),
+            "coop": lambda store, grads: cooperative_sgd_steps(
+                store, store.train, w, 0.02, 0.2, 2, grad_mode, mask, grads=grads),
+        }
+        for name, run in passes.items():
+            first, again, size = {}, {}, {}
+            for blocks in (2, 20):
+                _cap_pairs_per_block(monkeypatch, K * K // blocks, arch)
+                run(*new_store())  # numpy's own first-call allocations
+                store, grads = new_store()
+                first[blocks] = peak_of(run, store, grads)
+                size[blocks] = _nbytes(store.workspace)
+                again[blocks] = peak_of(run, store, grads)
+                assert _nbytes(store.workspace) == size[blocks]
+                first[blocks] -= size[blocks]
+            # a block's own copy of its inputs or temporaries would show
+            assert size[2] - size[20] > 2 * ufunc_buffers
+            assert abs(first[2] - first[20]) <= ufunc_buffers, (name, first)
+            assert abs(again[2] - again[20]) <= ufunc_buffers, (name, again)
+            assert max(again.values()) <= ufunc_buffers + K * K * 64, (name, again)
 
 
 class TestLayout:
@@ -931,11 +1116,11 @@ class TestGossipEquivalence:
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=6)
         sizes = []
 
-        def counting(thetas, X, Y, arch):
+        def counting(thetas, X, Y, arch, *args, **kwargs):
             sizes.append(len(thetas))
-            return batch_grad(thetas, X, Y, arch)
+            return batch_value_and_grad(thetas, X, Y, arch, *args, **kwargs)
 
-        monkeypatch.setattr(dirac, "batch_grad", counting)
+        monkeypatch.setattr(dirac, "batch_value_and_grad", counting)
         store = client_store(models, train)
         dirac.dpsgd_step(store, np.full((6, 6), 1.0 / 6.0), store.train, 0.1)
         assert sizes == [6]
@@ -998,6 +1183,20 @@ class TestReportingEquivalence:
         data = DataStack(rng.standard_normal((7, 10, arch.d)), rng.integers(0, arch.C, (7, 10)), [()] * 7)
         runner.per_client(counting, thetas, data, arch)
         assert seen == sizes
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    def test_losses_in_one_workspace(self, monkeypatch, kind):
+        # as the runner's train loss: every block's values are a view of the
+        # same workspace buffer, copied out before the next block overwrites it
+        arch = ARCHS[kind]
+        monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", 3 * _per_sample_elements(10, arch))
+        rng = np.random.default_rng(31)
+        models, _ = _clients(rng, arch, K=7, spread=1.0)
+        data = [tiny_dataset(rng, 10, arch.d, arch.C) for _ in range(7)]
+        thetas = np.stack([m.theta for m in models])
+        kernel = functools.partial(batch_log_likelihood, workspace=PairWorkspace())
+        losses = -runner.per_client(kernel, thetas, stack_datasets(data), arch)
+        np.testing.assert_array_equal(losses, [loss(m, ds) for m, ds in zip(models, data)])
 
     @pytest.mark.parametrize("kind", sorted(BENCH_ARCHS))
     def test_benchmark_shapes_in_the_runners_blocks(self, monkeypatch, kind):
