@@ -1,7 +1,8 @@
 """Shared fixtures: random-state factories, finite-difference helpers, the
 plain per-pair oracle of the batched kernel, the loop oracles of the gamma
-lift and the snapshot writer, the dense mmsbm oracle and the calibrated
-recovery benchmark used by the slower end-to-end tests."""
+lift and the snapshot writer, the dense mmsbm oracle, the whole-round
+oracle and the calibrated recovery benchmark used by the slower end-to-end
+tests."""
 
 from __future__ import annotations
 
@@ -11,17 +12,18 @@ import numpy as np
 
 from scool import special
 from scool.config import ExperimentConfig
-from scool.em import sbm
-from scool.em.common import block_ratio, expected_log_pi
+from scool.em import attention, sbm
+from scool.em.common import block_ratio, expected_log_pi, update_alpha
 from scool.em.elbo import _dirichlet_term
 from scool.em.state import (
+    PROB_FLOOR,
     AdamSlot,
     AttentionState,
     MmsbmState,
     SbmState,
     clamp_block_matrix,
 )
-from scool.errors import ConfigurationError
+from scool.errors import ConfigurationError, DivergenceError
 from scool.models import (
     SOFTMAX_REGRESSION,
     ArchSpec,
@@ -31,7 +33,7 @@ from scool.models import (
 )
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 from scool.tasks import TaskUniverse, check_assignment
-from scool.topology import observed_pairs
+from scool.topology import TAYLOR_APPROX, account_exchange, account_gossip, observed_pairs, sparsify_topk
 
 
 # ---------------------------------------------------------------- numerics
@@ -421,6 +423,179 @@ def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) ->
         "entropy_membership": -float(xlogx(send)[obs].sum() + xlogx(recv)[obs].sum()),
         "entropy_w": -float((xlogx(w) + xlogx(1.0 - w))[obs].sum()),
     }
+
+
+
+# --------------------------------------------------- whole-round oracle
+# The per-pair bodies of rounds.loglik_matrix, theta.cooperative_sgd_steps
+# and dirac.dpsgd_step (tests/test_kernel.py checks each against its kernel)
+# and one whole rounds.run_round written plainly from them: the per-pair
+# oracle for the likelihoods and every gradient (step 0 included, so no
+# stored gradient), row folds left to right, gossip as a dense product, the
+# dense mmsbm oracle above, the lower bound written densely over the mask,
+# and the mask's observed pairs taken anew wherever a step reads them. The
+# sbm E-step, its block update and attention's coupling and encoder step
+# are the dense code of scool.em itself, which the per-block tests check.
+
+
+def reference_loglik_matrix(models, train_sets, mask):
+    K = len(models)
+    out = np.zeros((K, K))
+    for i in range(K):
+        for j in range(K):
+            if mask[i, j]:
+                out[i, j] = log_likelihood(models[i], train_sets[j])
+    return out
+
+
+def reference_cooperative_sgd_steps(
+    models, train_sets, w, lam, eta1, steps, grad_mode, mask, coupling_fn=None
+):
+    K = len(models)
+    w = np.asarray(w, dtype=float)
+    for step in range(steps):
+        own = [grad(models[i], train_sets[i]) for i in range(K)]
+        coupling = coupling_fn(models) if coupling_fn is not None else None
+        updates = []
+        for i in range(K):
+            delta = own[i] + lam * models[i].theta
+            for j in range(K):
+                if j == i or not mask[i, j] or w[i, j] == 0.0:
+                    continue
+                g = own[j] if grad_mode == TAYLOR_APPROX else grad(models[i], train_sets[j])
+                delta = delta + w[i, j] * g
+            if coupling is not None:
+                delta = delta + coupling[i]
+            if not np.all(np.isfinite(delta)):
+                raise DivergenceError(f"client {i} produced a non-finite update at local step {step}")
+            updates.append(delta)
+        for i in range(K):
+            new = models[i].theta - eta1 * updates[i]
+            if not np.all(np.isfinite(new)):
+                raise DivergenceError(f"client {i} parameters left the finite range at local step {step}")
+            models[i].theta = new
+
+
+def reference_dpsgd_step(models, w, train_sets, eta1):
+    K = len(models)
+    thetas = np.stack([m.theta for m in models])
+    grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
+    new = w @ thetas - eta1 * grads
+    if not np.all(np.isfinite(new)):
+        raise DivergenceError("gossip step produced non-finite parameters")
+    for i in range(K):
+        models[i].theta = new[i]
+
+
+def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
+    """Each row's softmax of scores / tau over its allowed entries, zero elsewhere."""
+    out = np.zeros_like(scores)
+    for i, allowed in enumerate(mask):
+        z = scores[i, allowed] / tau
+        e = np.exp(z - z.max())
+        out[i, allowed] = e / e.sum()
+    return out
+
+
+def _attention_e_step(state: AttentionState, thetas, inits, loglik, mask) -> None:
+    W1, b1, W2, b2 = unpack_mlp(state.phi, *state.enc_dims)
+    E = np.tanh((thetas - inits) @ W1.T + b1) @ W2.T + b2
+    state.p = _masked_row_softmax(E @ E.T, state.tau_softmax, mask)
+    logits = np.array(loglik, dtype=float)
+    np.fill_diagonal(logits, 0.0)
+    state.w = _masked_row_softmax(logits + np.log(np.maximum(state.p, PROB_FLOOR)), state.tau_softmax, mask)
+
+
+def _mmsbm_e_step(state: MmsbmState, loglik, mask) -> None:
+    """The dense updates, the memberships kept at the mask's observed pairs."""
+    K, M = state.n_clients, state.n_blocks
+    pairs = np.flatnonzero(observed_pairs(mask))
+    send, recv = dense_pairs(state, state.phi_send), dense_pairs(state, state.phi_recv)
+    state.pairs, state.phi_send, state.phi_recv = pairs, send.reshape(K * K, M)[pairs], recv.reshape(K * K, M)[pairs]
+    state.w = dense_update_w(state, loglik, mask)
+    state.gamma = dense_update_gamma(state, mask)
+    send, recv = dense_update_phi_send(state, mask), dense_update_phi_recv(state, mask)
+    state.phi_send, state.phi_recv = send.reshape(K * K, M)[pairs], recv.reshape(K * K, M)[pairs]
+
+
+def reference_elbo(state, loglik: np.ndarray, mask: np.ndarray, thetas: np.ndarray) -> float:
+    """The lower bound's total, each term summed densely over the mask's observed pairs."""
+    obs, w = observed_pairs(mask), state.w
+    model_prior = -0.5 * state.lam * float(np.sum(thetas * thetas))
+    if isinstance(state, MmsbmState):
+        return sum({**dense_elbo_mmsbm(state, loglik, mask), "model_prior": model_prior}.values())
+    likelihood = float(np.trace(loglik) + (w * loglik)[obs].sum())
+    if isinstance(state, AttentionState):
+        edge = float((w * np.log(np.maximum(state.p, PROB_FLOOR))).sum())
+        return likelihood + model_prior + edge - float(xlogx(w).sum())
+    B = clamp_block_matrix(state.B)
+    pos = state.omega @ np.log(B) @ state.omega.T
+    neg = state.omega @ np.log1p(-B) @ state.omega.T
+    elp = expected_log_pi(state.gamma)
+    return (
+        likelihood + model_prior
+        + float((w * pos + (1.0 - w) * neg)[obs].sum())
+        + float((state.omega * elp).sum())
+        + _dirichlet_term(state.gamma, state.alpha, elp)
+        - float(xlogx(state.omega).sum())
+        - float((xlogx(w) + xlogx(1.0 - w))[obs].sum())
+    )
+
+
+def reference_graph(state, K: int, kind: str) -> np.ndarray:
+    """The reporting view: the block priors' w row-normalized (a zero row stays zero), the others' w as it is."""
+    if state is None:
+        return np.eye(K)
+    if kind not in ("sbm", "mmsbm"):
+        return np.array(state.w)
+    sums = state.w.sum(axis=1, keepdims=True)
+    return np.divide(state.w, sums, out=np.zeros_like(state.w), where=sums > 0)
+
+
+def reference_round(state, models, train_sets, mask, round_index, config):
+    """One rounds.run_round of config.prior_kind on a list of LocalModels, a
+    list of Datasets and the prior's state, each updated in place as
+    run_round updates its own, the mask pruned in place when scheduled.
+    Returns (graph, elbo_total, traffic) as run_round does."""
+    kind, K = config.prior_kind, len(models)
+    n_params = len(models[0].theta)
+    if kind == "local-only":
+        reference_cooperative_sgd_steps(
+            models, train_sets, np.eye(K), config.weight_decay, config.eta1, config.local_steps,
+            config.grad_mode, mask,
+        )
+        return np.eye(K), None, None
+    if kind == "dirac":
+        for _ in range(config.local_steps):
+            reference_dpsgd_step(models, state.w, train_sets, config.eta1)
+        return np.array(state.w), None, account_gossip(mask, config.local_steps)
+    if config.sparsify_keep_fraction < 1.0 and config.sparsify_round == round_index:
+        mask[...] = sparsify_topk(state.w, mask, config.sparsify_keep_fraction)
+    loglik = reference_loglik_matrix(models, train_sets, mask)
+    thetas = lambda: np.stack([m.theta for m in models])
+    if kind == "sbm":
+        state.w = sbm.update_w(state, loglik, mask)
+        state.gamma = sbm.update_gamma(state)
+        state.omega = sbm.update_omega(state, mask)
+    elif kind == "mmsbm":
+        _mmsbm_e_step(state, loglik, mask)
+    else:
+        _attention_e_step(state, thetas(), np.stack([m.init_theta for m in models]), loglik, mask)
+    elbo_total = reference_elbo(state, loglik, mask, thetas())
+    coupling = None
+    if kind == "attention":
+        coupling = lambda ms: attention.coupling_descent_terms(client_store(ms), state, mask)
+    reference_cooperative_sgd_steps(
+        models, train_sets, state.w, config.weight_decay, config.eta1, config.local_steps,
+        config.grad_mode, mask, coupling,
+    )
+    if kind == "attention":
+        state.phi = attention.update_phi(state, client_store(models), mask, config)
+    else:
+        state.alpha = update_alpha(state, config)
+        state.B = (sbm.update_block_matrix(state, mask) if kind == "sbm" else dense_update_block_matrix(state, mask))
+    traffic = account_exchange(mask, config.grad_mode, config.local_steps, n_params)
+    return reference_graph(state, K, kind), elbo_total, traffic
 
 
 def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):

@@ -1,6 +1,6 @@
 """Batched kernel: bit-for-bit equal to the per-pair loops.
 
-The reference functions below are the per-pair bodies that
+The reference functions (tests/conftest.py) are the per-pair bodies that
 ``rounds.loglik_matrix``, ``theta.cooperative_sgd_steps`` and
 ``dirac.dpsgd_step`` had before the kernel. They call the oracle's ``grad``
 and ``log_likelihood`` (tests/conftest.py, one model on one dataset) once
@@ -62,6 +62,9 @@ from conftest import (
     model_list,
     pair_index_map,
     random_attention_setup,
+    reference_cooperative_sgd_steps,
+    reference_dpsgd_step,
+    reference_loglik_matrix,
     sample_class_data,
     stack_datasets,
     tiny_dataset,
@@ -80,55 +83,6 @@ BENCH_ARCHS = {
     SOFTMAX_REGRESSION: ArchSpec(SOFTMAX_REGRESSION, d=8, C=2),
     MLP_1HIDDEN: ArchSpec(MLP_1HIDDEN, d=8, C=2, h=16),
 }
-
-
-def reference_loglik_matrix(models, train_sets, mask):
-    K = len(models)
-    out = np.zeros((K, K))
-    for i in range(K):
-        for j in range(K):
-            if mask[i, j]:
-                out[i, j] = log_likelihood(models[i], train_sets[j])
-    return out
-
-
-def reference_cooperative_sgd_steps(
-    models, train_sets, w, lam, eta1, steps, grad_mode, mask, coupling_fn=None
-):
-    K = len(models)
-    w = np.asarray(w, dtype=float)
-    for step in range(steps):
-        own = [grad(models[i], train_sets[i]) for i in range(K)]
-        coupling = coupling_fn(models) if coupling_fn is not None else None
-        updates = []
-        for i in range(K):
-            delta = own[i] + lam * models[i].theta
-            for j in range(K):
-                if j == i or not mask[i, j] or w[i, j] == 0.0:
-                    continue
-                g = own[j] if grad_mode == TAYLOR_APPROX else grad(models[i], train_sets[j])
-                delta = delta + w[i, j] * g
-            if coupling is not None:
-                delta = delta + coupling[i]
-            if not np.all(np.isfinite(delta)):
-                raise DivergenceError(f"client {i} produced a non-finite update at local step {step}")
-            updates.append(delta)
-        for i in range(K):
-            new = models[i].theta - eta1 * updates[i]
-            if not np.all(np.isfinite(new)):
-                raise DivergenceError(f"client {i} parameters left the finite range at local step {step}")
-            models[i].theta = new
-
-
-def reference_dpsgd_step(models, w, train_sets, eta1):
-    K = len(models)
-    thetas = np.stack([m.theta for m in models])
-    grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
-    new = w @ thetas - eta1 * grads
-    if not np.all(np.isfinite(new)):
-        raise DivergenceError("gossip step produced non-finite parameters")
-    for i in range(K):
-        models[i].theta = new[i]
 
 
 def _clients(rng, arch, K=7, n=8, spread=0.5):

@@ -1,17 +1,21 @@
-"""Round orchestration: reductions, masking guarantees, determinism."""
+"""Round orchestration: reductions, masking guarantees, determinism, and
+whole rounds against the plain per-pair reference."""
 
+import copy
 import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from scool import config
 from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds, sbm
 from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
-from scool.models import ArchSpec
+from scool.models import ArchSpec, Dataset
 from scool.runner import build_models, build_state, build_tasks
 from scool.topology import (
     CROSS_GRADIENT,
@@ -22,7 +26,17 @@ from scool.topology import (
     directed_edges,
 )
 
-from conftest import LocalModel, client_store, full_mask, grad, log_likelihood, model_list, tiny_dataset
+from conftest import (
+    LocalModel,
+    client_store,
+    full_mask,
+    grad,
+    log_likelihood,
+    model_list,
+    random_symmetric_mask,
+    reference_round,
+    tiny_dataset,
+)
 
 
 def _setup(rng, K=5, d=3, C=2, n=6):
@@ -358,3 +372,68 @@ class TestPriorTable:
                 missing.add(f"{module}.{attr}")
         assert missing <= self.STALE_BINDINGS
 
+
+
+MASK_KINDS = ("full", "group-ring", "bipartite", "random")
+
+
+def _oracle_mask(kind: str, K: int, rng) -> np.ndarray:
+    if kind == "full":
+        return full_mask(K)
+    if kind == "group-ring":
+        return build_topology("group-ring", K, k0=K - 2)  # one neighbour on each side
+    if kind == "bipartite":
+        return build_topology("generalized-bipartite", K, degree=1, seed=int(rng.integers(2**16)))
+    return random_symmetric_mask(rng, K, keep=0.5)
+
+
+class TestWholeRoundOracle:
+    """Three rounds of run_round against reference_round (tests/conftest.py),
+    which takes every likelihood and gradient per pair, folds rows left to
+    right and works out the observed pairs from the mask wherever it reads
+    them: the stored step-0 gradients, the pair order after pruning, the
+    zero-weight pairs, the coupling and the prior steps after an E-step
+    must all agree."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        hst.sampled_from(list(rounds.PRIORS)),
+        hst.sampled_from(config.ARCHS),
+        hst.sampled_from(config.GRAD_MODES),
+        hst.sampled_from(MASK_KINDS),
+        hst.sampled_from([False, True]),
+        hst.sampled_from([1, 2]),
+        hst.sampled_from(config.OPTIMIZERS),
+        hst.sampled_from(range(3, 9)),
+        hst.integers(0, 2**16),
+    )
+    def test_three_rounds_match_the_reference(
+        self, prior, arch, grad_mode, mask_kind, prune, local_steps, optimizer, K, seed
+    ):
+        cfg = ExperimentConfig(
+            prior_kind=prior, seed=seed, K=K, M=2, N=2, num_groups=1, samples_per_client=4,
+            test_samples_per_client=1, feature_dim=3, arch=arch, hidden_units=4, shared_init=False,
+            init_scale=0.3, eta1=0.2, eta2=0.1, weight_decay=0.01, grad_mode=grad_mode, optimizer=optimizer,
+            local_steps=local_steps, num_memberships=2, enc_hidden=4, enc_out=3,
+            # dirac has no learned weights to prune by
+            sparsify_keep_fraction=0.5 if prune and prior != "dirac" else 1.0, sparsify_round=1,
+        ).validate()
+        _, train, test = build_tasks(cfg)
+        models = build_models(cfg, train, test)
+        mask = _oracle_mask(mask_kind, K, np.random.default_rng(seed))
+        state = build_state(cfg, mask, models.arch.n_params)
+        ref_models = [LocalModel(t.copy(), models.arch, t0) for t, t0 in zip(models.theta, models.init_theta)]
+        ref_train = [Dataset(X, Y, c) for X, Y, c in zip(train.features, train.labels, train.class_sets)]
+        ref_state, ref_mask = copy.deepcopy(state), mask.copy()
+        for r in range(3):
+            graph, elbo_total, traffic = rounds.run_round(state, models, mask, r, cfg)
+            ref_graph, ref_elbo, ref_traffic = reference_round(ref_state, ref_models, ref_train, ref_mask, r, cfg)
+            np.testing.assert_array_equal(mask, ref_mask)
+            np.testing.assert_allclose(models.theta, np.stack([m.theta for m in ref_models]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(graph, ref_graph, rtol=0, atol=1e-12)
+            if state is not None:
+                np.testing.assert_allclose(state.w, ref_state.w, rtol=0, atol=1e-12)
+            assert (elbo_total is None) == (ref_elbo is None)
+            if elbo_total is not None:
+                assert abs(elbo_total - ref_elbo) <= 1e-12 * max(1.0, abs(ref_elbo))
+            assert traffic == ref_traffic
