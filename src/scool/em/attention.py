@@ -168,20 +168,17 @@ def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray, con
 
 
 def e_step(
-    state: AttentionState,
-    models: ClientStore,
-    loglik: np.ndarray,
-    mask: np.ndarray,
+    state: AttentionState, models: ClientStore, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray
 ) -> AttentionState:
     state.p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, mask)
     state.w = update_w(state, loglik, mask)
     return state
 
 
-def m_step(state: AttentionState, models, mask, config, grads) -> None:
+def m_step(state: AttentionState, models, mask, pairs, config, grads) -> None:
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask, lambda ms: coupling_descent_terms(ms, state, mask), grads,
+        config.grad_mode, mask, pairs, lambda ms: coupling_descent_terms(ms, state, mask), grads,
     )
     state.phi = update_phi(state, models, mask, config)
 

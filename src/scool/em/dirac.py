@@ -52,7 +52,7 @@ def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: 
     thetas[...] = new
 
 
-def m_step(state: DiracState, models, mask, config, grads) -> None:
+def m_step(state: DiracState, models, mask, pairs, config, grads) -> None:
     for _ in range(config.local_steps):
         dpsgd_step(models, state.w, models.train, config.eta1)
 

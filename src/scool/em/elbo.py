@@ -5,8 +5,10 @@ stationary point of the value computed here, and no block update may
 decrease it. The terms are evaluated exactly (0 log 0 := 0 in entropies;
 attention probabilities inside logs share the update's floor) and the
 breakdown's total is the plain sum of its named terms. Every bound takes
-the topology's boolean mask: the cross-client likelihood, and the block
-priors' edge and edge-entropy terms, run over the observed pairs only.
+the round's observed pairs, the flat row-major indices of the mask's
+off-diagonal true entries (topology.pair_list without the diagonal): the
+cross-client likelihood, and the block priors' edge and edge-entropy
+terms, run over those pairs only.
 
 Term naming: ``edge`` is the graph-likelihood part (block edge evidence,
 or the attention agreement sum); ``membership`` the expected membership
@@ -22,7 +24,6 @@ import numpy as np
 
 from ..models import ClientStore
 from ..special import fold_sum, log_gamma, xlogx
-from ..topology import observed_pairs
 from .common import block_logs, expected_log_pi, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
 
@@ -93,9 +94,8 @@ def _block_bound(
 
 
 def elbo_sbm(
-    state: SbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
+    state: SbmState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
-    pairs = np.flatnonzero(observed_pairs(mask))
     logB, log1mB = block_logs(state)
     pos = state.omega @ logB @ state.omega.T
     neg = state.omega @ log1mB @ state.omega.T
@@ -109,20 +109,18 @@ def elbo_sbm(
 
 
 def elbo_attention(
-    state: AttentionState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
+    state: AttentionState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
     logp = np.log(np.maximum(state.p, PROB_FLOOR))
     return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, np.flatnonzero(observed_pairs(mask))),
+        likelihood=_likelihood_term(state.w, loglik, pairs),
         model_prior=_model_prior_term(models, state.lam),
         edge=float((state.w * logp).sum()),
         entropy_w=-float(xlogx(state.w).sum()),
     )
 
 
-def elbo_mmsbm(
-    state: MmsbmState, loglik: np.ndarray, mask: np.ndarray, models: ClientStore | None = None
-) -> ElboBreakdown:
+def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
     K, pairs = state.n_clients, state.pairs
     ps, pr, w = state.phi_send, state.phi_recv, np.take(state.w, pairs)
     logB, log1mB = block_logs(state)
@@ -138,17 +136,12 @@ def elbo_mmsbm(
     )
 
 
-def elbo(
-    state,
-    loglik: np.ndarray,
-    mask: np.ndarray,
-    models: ClientStore | None = None,
-) -> ElboBreakdown:
-    """Dispatch on the prior's state type."""
+def elbo(state, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
+    """Dispatch on the prior's state type; ``pairs`` are the observed pairs."""
     if isinstance(state, SbmState):
-        return elbo_sbm(state, loglik, mask, models)
+        return elbo_sbm(state, loglik, pairs, models)
     if isinstance(state, AttentionState):
-        return elbo_attention(state, loglik, mask, models)
+        return elbo_attention(state, loglik, pairs, models)
     if isinstance(state, MmsbmState):
-        return elbo_mmsbm(state, loglik, mask, models)
+        return elbo_mmsbm(state, loglik, models)
     raise TypeError(f"no lower bound for state type {type(state).__name__}")

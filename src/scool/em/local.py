@@ -17,13 +17,13 @@ def init_state(config, mask, theta_dim: int) -> None:
     return None
 
 
-def m_step(state, models, mask, config, grads) -> None:
+def m_step(state, models, mask, pairs, config, grads) -> None:
     """Local SGD: the cooperative step with identity weights and the run's
     weight decay as the ridge. The kernel is looked up on its module at
     call time, where tracing may rebind it."""
     theta.cooperative_sgd_steps(
         models, models.train, np.eye(len(models)), config.weight_decay,
-        config.eta1, config.local_steps, config.grad_mode, mask,
+        config.eta1, config.local_steps, config.grad_mode, mask, pairs,
     )
 
 

@@ -86,13 +86,14 @@ def update_block_matrix(state: MmsbmState) -> np.ndarray:
     return block_ratio((np.take(state.w, state.pairs)[:, None] * ps).T @ pr, ps.T @ pr)
 
 
-def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray) -> MmsbmState:
+def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> MmsbmState:
     """Keep the rows of the pairs the mask still allows (pruning only removes
-    pairs), then the edge and Dirichlet posteriors, then one synchronous
-    sweep of both pair-membership sides from the pre-sweep snapshot."""
+    pairs), which must leave the round's observed-pair list ``observed``,
+    then the edge and Dirichlet posteriors, then one synchronous sweep of
+    both pair-membership sides from the pre-sweep snapshot."""
     keep = np.take(mask, state.pairs)
     state.pairs, state.phi_send, state.phi_recv = (a[keep] for a in (state.pairs, state.phi_send, state.phi_recv))
-    if not np.array_equal(state.pairs, np.flatnonzero(observed_pairs(mask))):
+    if not np.array_equal(state.pairs, observed):
         raise InvariantError("mmsbm pair list is not the mask's observed pairs")
     state.w = update_w(state, loglik)
     state.gamma = update_gamma(state)
@@ -101,10 +102,10 @@ def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray) -> M
     return state
 
 
-def m_step(state: MmsbmState, models, mask, config, grads) -> None:
+def m_step(state: MmsbmState, models, mask, pairs, config, grads) -> None:
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask, grads=grads,
+        config.grad_mode, mask, pairs, grads=grads,
     )
     state.alpha = update_alpha(state, config)
     state.B = update_block_matrix(state)

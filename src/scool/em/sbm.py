@@ -88,7 +88,7 @@ def update_block_matrix(state: SbmState, mask: np.ndarray) -> np.ndarray:
     return block_ratio(num, den)
 
 
-def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray) -> SbmState:
+def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> SbmState:
     """Edge posterior, Dirichlet posterior, then one membership sweep."""
     state.w = update_w(state, loglik, mask)
     state.gamma = update_gamma(state)
@@ -96,11 +96,11 @@ def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray) -> Sbm
     return state
 
 
-def m_step(state: SbmState, models, mask, config, grads) -> None:
+def m_step(state: SbmState, models, mask, pairs, config, grads) -> None:
     """Local cooperative SGD epochs, then the prior parameters."""
     cooperative_sgd_steps(
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask, grads=grads,
+        config.grad_mode, mask, pairs, grads=grads,
     )
     state.alpha = update_alpha(state, config)
     state.B = update_block_matrix(state, mask)

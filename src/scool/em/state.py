@@ -3,7 +3,8 @@
 The SBM and MMSBM priors are one block model, ``BlockState``; their states
 add only how memberships are held. Its edge model covers the observed
 ordered client pairs, (i, j) with i != j that the topology's boolean mask
-allows (``scool.topology.observed_pairs``); masked pairs are missing data,
+allows: the round's pair list without its diagonal, in the row-major order
+that ``scool.topology.pair_list`` alone sets; masked pairs are missing data,
 with w at 0. A client always cooperates with itself (its own-data gradient
 carries coefficient one in every update), so the diagonal of w that
 ``update_w`` sets never enters an update and only matters for
@@ -187,7 +188,7 @@ class MmsbmState(BlockState):
     carries a sender membership (drawn from client i's mixture) and a
     receiver membership (from client j's), one row per entry of ``pairs``."""
 
-    pairs: np.ndarray  # E flat indices i*K + j of the observed pairs, row-major
+    pairs: np.ndarray  # E flat indices i*K + j of the observed pairs, in topology.pair_list's order
     phi_send: np.ndarray  # E x M simplex rows
     phi_recv: np.ndarray  # E x M simplex rows
 

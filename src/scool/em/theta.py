@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ArchSpec, ClientStore, DataStack, batch_value_and_grad, pairs_per_block
-from ..topology import CROSS_GRADIENT, TAYLOR_APPROX, observed_pairs
+from ..topology import CROSS_GRADIENT, TAYLOR_APPROX
 
 # Activation elements (pairs x samples x max(h, C)) of one batched
 # cross-client call: the loglik matrix and the cross-gradients are evaluated
@@ -92,6 +92,7 @@ def cooperative_sgd_steps(
     steps: int,
     grad_mode: str,
     mask: np.ndarray,
+    pairs: np.ndarray,
     coupling_fn: CouplingFn | None = None,
     grads: np.ndarray | None = None,
 ) -> None:
@@ -102,8 +103,9 @@ def cooperative_sgd_steps(
     grad(theta_i; D_j), or the first-order surrogate grad(theta_j; D_j)
     which is exact when all models coincide and only needs each neighbor's
     own gradient on the wire. Each step takes the K own gradients in one
-    batched call. The weighted off-diagonal pairs the mask allows form one
-    row-major pair list (np.nonzero order, as in rounds.loglik_matrix), cut
+    batched call. The weighted off-diagonal pairs are those of the round's
+    row-major pair list ``pairs`` (topology.pair_list(mask), as in
+    rounds.loglik_matrix) off the diagonal and with a nonzero weight, cut
     into blocks of at most PAIR_BLOCK_BUDGET activations; under
     cross-gradient each block is one batched call, under taylor-approx it
     gathers the own gradients. The pass's arrays, the kernel's temporaries
@@ -112,31 +114,33 @@ def cooperative_sgd_steps(
     Starting from own_i + lam theta_i, each block folds its weighted
     gradients into its rows (_fold) in the order of
     own_i + lam theta_i + w_ij1 g_ij1 + w_ij2 g_ij2 + ...
+    ``mask`` is read only by the benchmark's round-1 cross-check, which
+    recomputes the steps from it.
 
     ``grads`` holds the loglik pass's gradients at the current models
-    (rounds.loglik_matrix): row e is grad(theta_i; D_j) of the mask's e-th
-    allowed pair (i, j) in np.nonzero order, so the mask's diagonal must be
-    true. The weighted pairs are a subset of that list in the same order,
-    so step 0 gathers the own gradients and each block's cross-gradients
-    from it by position instead of taking them again; later steps, whose
-    models have moved, take fresh ones.
+    (rounds.loglik_matrix): row e is grad(theta_i; D_j) of the list's e-th
+    pair (i, j), so the list must hold the diagonal. The own and the
+    weighted pairs are positions in that list, in its order, so step 0
+    gathers the own gradients and each block's cross-gradients from it by
+    position instead of taking them again; later steps, whose models have
+    moved, take fresh ones.
     """
     if eta1 <= 0:
         raise ConfigurationError("eta1 must be positive")
     if grad_mode not in (CROSS_GRADIENT, TAYLOR_APPROX):
         raise ConfigurationError(f"unknown grad_mode {grad_mode!r}")
-    w = np.asarray(w, dtype=float)
-    edges = observed_pairs(mask) & (w != 0.0)
-    rows, cols = np.nonzero(edges)
-    weights = w[rows, cols][:, None]
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     K, D = thetas.shape
+    w = np.asarray(w, dtype=float)
+    diagonal = pairs % (K + 1) == 0
+    weighted = ~diagonal & (np.take(w, pairs) != 0.0)
+    rows, cols = np.divmod(pairs[weighted], K)
+    weights = w[rows, cols][:, None]
     blocks = pair_blocks(len(rows), X.shape[1], arch)
     if grads is not None:
-        if grads.shape != (np.count_nonzero(mask), D) or not np.diagonal(mask).all():
+        own_index, pair_index = (np.arange(len(pairs))[chosen] for chosen in (diagonal, weighted))
+        if grads.shape != (len(pairs), D) or len(own_index) != K:
             raise ConfigurationError("stored pair gradients need one row per allowed pair, the diagonal included")
-        own_index = np.flatnonzero(np.eye(K, dtype=bool)[mask])
-        pair_index = np.flatnonzero(edges[mask])
     plans = [_fold_plan(rows[blk]) for blk in blocks]
     ws = models.workspace
     own, delta, new = (ws.take(name, K, D) for name in ("own", "delta", "new"))

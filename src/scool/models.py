@@ -190,7 +190,7 @@ def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
 # sample). So no operation here runs along it: the output bias, the
 # log-softmax (its maximum and sum through special.fold_last), the label
 # pick and the argmax fold over the C class slices left to right, each slice
-# a whole E x n operation, and batch_grad keeps its probabilities
+# a whole E x n operation, and the gradient half keeps its probabilities
 # sample-major. A hidden layer's bias (width h) stays one broadcast add
 # (_affine; _output_affine adds the output bias by class). The per-pair
 # functions sum with numpy's add-reduce, the same left-to-right fold for
@@ -210,11 +210,11 @@ def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
 # bits through a strided X^T view, only slower. What moves the last bits is
 # a contiguous copy of W^T under a sample-major product, which is faster but
 # differs at some widths (h = 16, n = 1). At the 8 train samples per pair of
-# batch_log_likelihood and batch_grad, class-major measured slower, so they
+# batch_value_and_grad, class-major measured slower, so they
 # stay sample-major, and the train stack with them.
 #
-# batch_value_and_grad is the one forward pass behind batch_log_likelihood
-# and batch_grad. The loglik matrix under cross-gradient takes both halves
+# batch_value_and_grad is the one forward pass of every pair's value and
+# gradient; batch_log_likelihood is its value-only half. The loglik matrix under cross-gradient takes both halves
 # at once: local step 0 needs grad(theta_i; D_j) on the same pairs at the
 # same parameters, so it reads them from that pass instead of a second one.
 #
@@ -232,8 +232,7 @@ def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
 # gossip takes its gradients there, so a run allocates its buffers once:
 # fresh arrays per block are trimmed by glibc and faulted back in once
 # blocks grow past about 100 MLP pairs, and so are fresh buffers per pass.
-# A caller without a workspace (batch_log_likelihood and batch_grad alone)
-# gets a new one for its call.
+# Every call names its workspace; the runner's train losses use the store's.
 
 
 class PairWorkspace:
@@ -329,7 +328,7 @@ def batch_value_and_grad(
     label log-probabilities and E x D mean cross-entropy gradients, the
     gradients written into ``out`` when it is given. ``value=False`` or
     ``grad=False`` skips that half and returns None in its place;
-    batch_log_likelihood and batch_grad are the two halves. Every
+    batch_log_likelihood is the value-only half. Every
     temporary, the values and the gradients without ``out`` live in
     ``workspace``."""
     E, n = labels.shape
@@ -373,23 +372,10 @@ def batch_value_and_grad(
 
 
 def batch_log_likelihood(
-    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec,
-    workspace: PairWorkspace | None = None,
+    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec, *, workspace: PairWorkspace
 ) -> np.ndarray:
-    """log_likelihood of every pair: E mean label log-probabilities, in
-    ``workspace`` or in a new one of its own."""
-    workspace = PairWorkspace() if workspace is None else workspace
+    """log_likelihood of every pair: E mean label log-probabilities, a view in ``workspace``."""
     return batch_value_and_grad(thetas, features, labels, arch, grad=False, workspace=workspace)[0]
-
-
-def batch_grad(
-    thetas: np.ndarray, features: np.ndarray, labels: np.ndarray, arch: ArchSpec,
-    workspace: PairWorkspace | None = None,
-) -> np.ndarray:
-    """grad of every pair: E x D mean cross-entropy gradients, in
-    ``workspace`` or in a new one of its own."""
-    workspace = PairWorkspace() if workspace is None else workspace
-    return batch_value_and_grad(thetas, features, labels, arch, value=False, workspace=workspace)[1]
 
 
 def batch_accuracy(

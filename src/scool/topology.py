@@ -83,6 +83,14 @@ def observed_pairs(mask: np.ndarray) -> np.ndarray:
     return ~np.eye(len(mask), dtype=bool) & mask
 
 
+def pair_list(mask: np.ndarray) -> np.ndarray:
+    """The row-major flat indices i*K + j of a K x K mask's true entries,
+    the diagonal included (pairs % (K + 1) == 0 there): the one place that
+    turns a mask into pairs. A round takes its list here once, after
+    pruning, and every layer of the round reads it."""
+    return np.flatnonzero(mask)
+
+
 def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Prune each client's neighborhood to its ceil(keep_fraction*(K-1))
     strongest weights; the caller schedules when.

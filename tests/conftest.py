@@ -33,7 +33,7 @@ from scool.models import (
 )
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 from scool.tasks import TaskUniverse, check_assignment
-from scool.topology import TAYLOR_APPROX, account_exchange, account_gossip, observed_pairs, sparsify_topk
+from scool.topology import TAYLOR_APPROX, account_exchange, account_gossip, observed_pairs, pair_list, sparsify_topk
 
 
 # ---------------------------------------------------------------- numerics
@@ -53,6 +53,13 @@ def simplex_kkt_spread(grads) -> float:
 def full_mask(K: int) -> np.ndarray:
     """The mask of a fully-connected topology: every pair may communicate."""
     return np.ones((K, K), dtype=bool)
+
+
+def observed_list(mask: np.ndarray) -> np.ndarray:
+    """The mask's observed pairs as a round hands them to the E-step and the
+    lower bound: its pair list (topology.pair_list) without the diagonal."""
+    pairs = pair_list(mask)
+    return pairs[pairs % (len(mask) + 1) != 0]
 
 
 def random_symmetric_mask(rng, K, keep=0.6):
@@ -294,7 +301,8 @@ def fold_loop(delta, rows, g) -> np.ndarray:
 
 def pair_index_map(mask) -> np.ndarray:
     """The K x K map from an allowed pair (i, j) to its row in the loglik
-    pass's gradient buffer (np.nonzero(mask) order); 0 off the mask."""
+    pass's gradient buffer, whose order topology.pair_list(mask) alone sets
+    (row-major, as np.nonzero(mask)); 0 off the mask."""
     index = np.zeros(mask.shape, dtype=np.intp)
     index[mask] = np.arange(np.count_nonzero(mask))
     return index
@@ -497,9 +505,10 @@ def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.
     return out
 
 
-def _attention_e_step(state: AttentionState, thetas, inits, loglik, mask) -> None:
+def _attention_e_step(state: AttentionState, models, loglik, mask) -> None:
     W1, b1, W2, b2 = unpack_mlp(state.phi, *state.enc_dims)
-    E = np.tanh((thetas - inits) @ W1.T + b1) @ W2.T + b2
+    deltas = np.stack([m.theta - m.init_theta for m in models])
+    E = np.tanh(deltas @ W1.T + b1) @ W2.T + b2
     state.p = _masked_row_softmax(E @ E.T, state.tau_softmax, mask)
     logits = np.array(loglik, dtype=float)
     np.fill_diagonal(logits, 0.0)
@@ -572,7 +581,6 @@ def reference_round(state, models, train_sets, mask, round_index, config):
     if config.sparsify_keep_fraction < 1.0 and config.sparsify_round == round_index:
         mask[...] = sparsify_topk(state.w, mask, config.sparsify_keep_fraction)
     loglik = reference_loglik_matrix(models, train_sets, mask)
-    thetas = lambda: np.stack([m.theta for m in models])
     if kind == "sbm":
         state.w = sbm.update_w(state, loglik, mask)
         state.gamma = sbm.update_gamma(state)
@@ -580,8 +588,8 @@ def reference_round(state, models, train_sets, mask, round_index, config):
     elif kind == "mmsbm":
         _mmsbm_e_step(state, loglik, mask)
     else:
-        _attention_e_step(state, thetas(), np.stack([m.init_theta for m in models]), loglik, mask)
-    elbo_total = reference_elbo(state, loglik, mask, thetas())
+        _attention_e_step(state, models, loglik, mask)
+    elbo_total = reference_elbo(state, loglik, mask, np.stack([m.theta for m in models]))
     coupling = None
     if kind == "attention":
         coupling = lambda ms: attention.coupling_descent_terms(client_store(ms), state, mask)
@@ -593,7 +601,7 @@ def reference_round(state, models, train_sets, mask, round_index, config):
         state.phi = attention.update_phi(state, client_store(models), mask, config)
     else:
         state.alpha = update_alpha(state, config)
-        state.B = (sbm.update_block_matrix(state, mask) if kind == "sbm" else dense_update_block_matrix(state, mask))
+        state.B = sbm.update_block_matrix(state, mask) if kind == "sbm" else dense_update_block_matrix(state, mask)
     traffic = account_exchange(mask, config.grad_mode, config.local_steps, n_params)
     return reference_graph(state, K, kind), elbo_total, traffic
 

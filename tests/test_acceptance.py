@@ -23,6 +23,7 @@ from scool.topology import (
     build_topology,
     directed_edges,
     observed_pairs,
+    pair_list,
     sparsify_topk,
 )
 
@@ -38,6 +39,7 @@ from conftest import (
     full_mask,
     grad,
     loss,
+    observed_list,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
@@ -92,14 +94,14 @@ def _mmsbm_kkt_residual(mst, ll, mask):
     for i, j in pairs:
         def f(v, i=i, j=j):
             w2 = mst.w.copy(); w2[i, j] = v
-            return elbo(clone_mmsbm(mst, w=w2), ll, mask).total
+            return elbo(clone_mmsbm(mst, w=w2), ll, observed_list(mask)).total
         worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
     mst.gamma = mmsbm.update_gamma(mst)
     for i in range(K):
         for g in range(M):
             def f(v, i=i, g=g):
                 g2 = mst.gamma.copy(); g2[i, g] = v
-                return elbo(clone_mmsbm(mst, gamma=g2), ll, mask).total
+                return elbo(clone_mmsbm(mst, gamma=g2), ll, observed_list(mask)).total
             worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
     for side in ("send", "recv"):
         name = f"phi_{side}"
@@ -110,7 +112,7 @@ def _mmsbm_kkt_residual(mst, ll, mask):
             for k in range(M):
                 def f(v, e=e, k=k, name=name):
                     p2 = arr.copy(); p2[e, k] = v
-                    return elbo(clone_mmsbm(mst, **{name: p2}), ll, mask).total
+                    return elbo(clone_mmsbm(mst, **{name: p2}), ll, observed_list(mask)).total
                 grads.append(central_diff(f, arr[e, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
     return worst
@@ -119,23 +121,25 @@ def _mmsbm_kkt_residual(mst, ll, mask):
 def _sbm_sweep(st, ll, mask, track):
     """Apply the sbm blocks one at a time (omega row by row), tracking the
     bound after each."""
-    v = elbo(st, ll, mask).total
-    st.w = sbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, mask).total)
-    st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, mask).total)
+    obs = observed_list(mask)
+    v = elbo(st, ll, obs).total
+    st.w = sbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, obs).total)
+    st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, obs).total)
     for i in range(st.n_clients):
         om = st.omega.copy(); om[i] = update_omega_row(st, i, mask); st.omega = om
-        v = track(v, elbo(st, ll, mask).total)
-    st.B = sbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, mask).total)
+        v = track(v, elbo(st, ll, obs).total)
+    st.B = sbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, obs).total)
 
 
 def _mmsbm_sweep(st, ll, mask, track):
     """Apply the mmsbm blocks one at a time, tracking the bound after each."""
-    v = elbo(st, ll, mask).total
-    st.w = mmsbm.update_w(st, ll); v = track(v, elbo(st, ll, mask).total)
-    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(st, ll, mask).total)
-    st.phi_send = mmsbm.update_phi(st, expected_log_pi(st.gamma), "send"); v = track(v, elbo(st, ll, mask).total)
-    st.phi_recv = mmsbm.update_phi(st, expected_log_pi(st.gamma), "recv"); v = track(v, elbo(st, ll, mask).total)
-    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(st, ll, mask).total)
+    obs = observed_list(mask)
+    v = elbo(st, ll, obs).total
+    st.w = mmsbm.update_w(st, ll); v = track(v, elbo(st, ll, obs).total)
+    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(st, ll, obs).total)
+    st.phi_send = mmsbm.update_phi(st, expected_log_pi(st.gamma), "send"); v = track(v, elbo(st, ll, obs).total)
+    st.phi_recv = mmsbm.update_phi(st, expected_log_pi(st.gamma), "recv"); v = track(v, elbo(st, ll, obs).total)
+    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(st, ll, obs).total)
 
 
 def test_criterion_1_stationarity_suite():
@@ -157,14 +161,14 @@ def test_criterion_1_stationarity_suite():
                     continue
                 def f(v, i=i, j=j):
                     w2 = st.w.copy(); w2[i, j] = v
-                    return elbo(clone_sbm(st, w=w2), ll, mask).total
+                    return elbo(clone_sbm(st, w=w2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j], 1e-7)))
         st.gamma = sbm.update_gamma(st)
         for i in range(K):
             for g in range(M):
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy(); g2[i, g] = v
-                    return elbo(clone_sbm(st, gamma=g2), ll, mask).total
+                    return elbo(clone_sbm(st, gamma=g2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g], 1e-6)))
         for i in range(K):
             om = st.omega.copy()
@@ -174,7 +178,7 @@ def test_criterion_1_stationarity_suite():
             for k in range(M):
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy(); o2[i, k] = v
-                    return elbo(clone_sbm(st, omega=o2), ll, mask).total
+                    return elbo(clone_sbm(st, omega=o2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, st.omega[i, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
@@ -187,7 +191,7 @@ def test_criterion_1_stationarity_suite():
             for j in range(K):
                 def f(v, i=i, j=j):
                     w2 = ast.w.copy(); w2[i, j] = v
-                    return elbo(clone_attention(ast, w=w2), ll, mask).total
+                    return elbo(clone_attention(ast, w=w2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, ast.w[i, j], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
@@ -232,9 +236,9 @@ def test_criterion_2_elbo_monotonicity():
             ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
             w = rng.dirichlet(np.ones(K), size=K)
             ast.w = w * mask / (w * mask).sum(axis=1, keepdims=True)
-            v = elbo(ast, ll, mask).total
+            v = elbo(ast, ll, observed_list(mask)).total
             ast.w = attention.update_w(ast, ll, mask)
-            track(v, elbo(ast, ll, mask).total)
+            track(v, elbo(ast, ll, observed_list(mask)).total)
 
     for _ in range(50):  # MMSBM
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
@@ -423,8 +427,8 @@ def test_criterion_7_taylor_mode_soundness():
 
     mc = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
     mt = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
-    cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, CROSS_GRADIENT, full_mask(4))
-    cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, TAYLOR_APPROX, full_mask(4))
+    cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, CROSS_GRADIENT, full_mask(4), pair_list(full_mask(4)))
+    cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, TAYLOR_APPROX, full_mask(4), pair_list(full_mask(4)))
     bitgap = max(np.abs(a.theta - b.theta).max() for a, b in zip(mc, mt))
     assert bitgap < 1e-12
     _report(7, "taylor-mode soundness",

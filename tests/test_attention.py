@@ -17,6 +17,7 @@ from conftest import (
     client_store,
     clone_attention,
     full_mask,
+    observed_list,
     random_attention_setup,
     random_loglik,
     random_symmetric_mask,
@@ -103,7 +104,7 @@ class TestUpdateW:
                 def f(v, i=i, j=j):
                     w2 = state.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_attention(state, w=w2), ll, mask).total
+                    return elbo(clone_attention(state, w=w2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, state.w[i, j], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 

@@ -14,6 +14,7 @@ from conftest import (
     client_store,
     clone_mmsbm,
     full_mask,
+    observed_list,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
@@ -61,7 +62,7 @@ class TestSbmHandCase:
             lam=0.0,
             tau_sigmoid=1.0,
         )
-        got = elbo_sbm(st, ll, full_mask(2)).total
+        got = elbo_sbm(st, ll, observed_list(full_mask(2))).total
         want = hand_sbm_k2_m1(0.3, 0.8, ll, (1.4, 2.2), 0.9, 0.37)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -74,14 +75,14 @@ class TestBreakdownContracts:
             (random_mmsbm_state, 3, 2),
         ]:
             st = maker(rng, K, M)
-            out = elbo(st, random_loglik(rng, K), full_mask(K))
+            out = elbo(st, random_loglik(rng, K), observed_list(full_mask(K)))
             assert out.total == pytest.approx(sum(out.terms().values()), abs=1e-10)
 
     def test_deterministic_w_has_zero_entropy(self):
         rng = np.random.default_rng(2)
         st = random_sbm_state(rng, 4, 2)
         st.w = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
-        out = elbo(st, random_loglik(rng, 4), full_mask(4))
+        out = elbo(st, random_loglik(rng, 4), observed_list(full_mask(4)))
         assert out.entropy_w == 0.0
 
     def test_model_prior_term(self):
@@ -94,7 +95,7 @@ class TestBreakdownContracts:
         st.lam = 0.4
         arch = ArchSpec("softmax-regression", 2, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(3)]
-        out = elbo(st, random_loglik(rng, 3), full_mask(3), client_store(models))
+        out = elbo(st, random_loglik(rng, 3), observed_list(full_mask(3)), client_store(models))
         want = -0.2 * sum(float(m.theta @ m.theta) for m in models)
         assert out.model_prior == pytest.approx(want, abs=1e-12)
 
@@ -107,14 +108,14 @@ class TestBreakdownContracts:
         mask = full_mask(4)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
         state.w = attention.update_w(state, ll, mask)
-        out = elbo(state, ll, mask)
+        out = elbo(state, ll, observed_list(mask))
         want = float((state.w * np.log(np.maximum(state.p, 1e-12))).sum())
         assert out.edge == pytest.approx(want, abs=1e-12)
         assert out.membership == 0.0 and out.dirichlet == 0.0
 
     def test_unknown_state_type(self):
         with pytest.raises(TypeError):
-            elbo(object(), np.zeros((2, 2)), full_mask(2))
+            elbo(object(), np.zeros((2, 2)), observed_list(full_mask(2)))
 
 
 # the full mask, and masks whose pairs are kept at random (both directions together)
@@ -133,24 +134,24 @@ class TestCoordinateAscentMonotonicity:
             st = random_sbm_state(rng, K, M)
             ll = random_loglik(rng, K)
             mask = MASKS[mask_kind](rng, K)
-            value = elbo(st, ll, mask).total
+            value = elbo(st, ll, observed_list(mask)).total
             st.w = sbm.update_w(st, ll, mask)
-            for v2 in [elbo(st, ll, mask).total]:
+            for v2 in [elbo(st, ll, observed_list(mask)).total]:
                 assert v2 >= value - 1e-8
                 value = v2
             st.gamma = sbm.update_gamma(st)
-            v2 = elbo(st, ll, mask).total
+            v2 = elbo(st, ll, observed_list(mask)).total
             assert v2 >= value - 1e-8
             value = v2
             for i in range(K):
                 om = st.omega.copy()
                 om[i] = update_omega_row(st, i, mask)
                 st.omega = om
-                v2 = elbo(st, ll, mask).total
+                v2 = elbo(st, ll, observed_list(mask)).total
                 assert v2 >= value - 1e-8
                 value = v2
             st.B = sbm.update_block_matrix(st, mask)
-            assert elbo(st, ll, mask).total >= value - 1e-8
+            assert elbo(st, ll, observed_list(mask)).total >= value - 1e-8
 
     @pytest.mark.parametrize("mask_kind", sorted(MASKS))
     def test_mmsbm_sequential_blocks_never_decrease(self, mask_kind):
@@ -167,7 +168,7 @@ class TestCoordinateAscentMonotonicity:
             kept = np.take(mask, dense.pairs)
             st = clone_mmsbm(dense, pairs=dense.pairs[kept], phi_send=dense.phi_send[kept],
                              phi_recv=dense.phi_recv[kept])
-            value = elbo(st, ll, mask).total
+            value = elbo(st, ll, observed_list(mask)).total
             for step in (
                 lambda: setattr(st, "w", mmsbm.update_w(st, ll)),
                 lambda: setattr(st, "gamma", mmsbm.update_gamma(st)),
@@ -176,7 +177,7 @@ class TestCoordinateAscentMonotonicity:
                 lambda: setattr(st, "B", mmsbm.update_block_matrix(st)),
             ):
                 step()
-                v2 = elbo(st, ll, mask).total
+                v2 = elbo(st, ll, observed_list(mask)).total
                 assert v2 >= value - 1e-8
                 value = v2
 
@@ -194,6 +195,6 @@ class TestCoordinateAscentMonotonicity:
             st.w = np.zeros((K, K))
             for i in range(K):  # each row on the simplex of its allowed entries
                 st.w[i, mask[i]] = rng.dirichlet(np.ones(np.count_nonzero(mask[i])))
-            before = elbo(st, ll, mask).total
+            before = elbo(st, ll, observed_list(mask)).total
             st.w = attention.update_w(st, ll, mask)
-            assert elbo(st, ll, mask).total >= before - 1e-8
+            assert elbo(st, ll, observed_list(mask)).total >= before - 1e-8

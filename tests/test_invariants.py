@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import random_symmetric_mask
+from conftest import observed_list, random_symmetric_mask
 from scool.config import ExperimentConfig
 from scool.em import rounds
 from scool.em.state import ALPHA_MIN, B_EPS
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import build_topology
+from scool.topology import build_topology, pair_list
 
 
 def _check_simplex(rows, name):
@@ -76,9 +76,9 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
     rng = np.random.default_rng(seed)
     mask = random_symmetric_mask(rng, K, keep=0.5)
     state = prior.init_state(cfg, mask, models.arch.n_params)
-    ll = rounds.loglik_matrix(models, models.train, mask)
+    ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
     first = [
-        prior.e_step(dataclasses.replace(state, gamma=gamma), models, ll, mask)
+        prior.e_step(dataclasses.replace(state, gamma=gamma), models, ll, mask, observed_list(mask))
         for gamma in (state.gamma, rng.uniform(0.1, 5.0, (K, M)))
     ]
     for name in ("w", "gamma", *MEMBERSHIPS[kind]):
@@ -89,6 +89,8 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
 
     assert clamped(state.B)
     for _ in range(3):
-        prior.e_step(state, models, rounds.loglik_matrix(models, models.train, mask), mask)
-        prior.m_step(state, models, mask, cfg, None)
+        prior.e_step(
+            state, models, rounds.loglik_matrix(models, models.train, mask, pair_list(mask)), mask, observed_list(mask)
+        )
+        prior.m_step(state, models, mask, pair_list(mask), cfg, None)
         assert clamped(state.B)

@@ -39,7 +39,6 @@ from scool.models import (
     DataStack,
     PairWorkspace,
     batch_accuracy,
-    batch_grad,
     batch_log_likelihood,
     batch_value_and_grad,
     layout_size,
@@ -48,7 +47,7 @@ from scool.models import (
     unpack_layers,
 )
 from scool.tasks import gen_tasks, make_universe
-from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology, observed_pairs
+from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology, observed_pairs, pair_list
 
 from conftest import (
     LocalModel,
@@ -132,8 +131,7 @@ class TestBatchKernel:
         thetas = rng.standard_normal((6, arch.n_params))
         X = rng.standard_normal((6, n, arch.d))
         Y = rng.integers(0, arch.C, (6, n))
-        G = batch_grad(thetas, X, Y, arch)
-        L = batch_log_likelihood(thetas, X, Y, arch)
+        L, G = batch_value_and_grad(thetas, X, Y, arch, workspace=PairWorkspace())
         for e in range(6):
             model = LocalModel(thetas[e], arch)
             data = Dataset(X[e], Y[e], tuple(range(arch.C)))
@@ -146,8 +144,9 @@ class TestBatchKernel:
         thetas = np.zeros((0, arch.n_params))
         X = np.zeros((0, 8, arch.d))
         Y = np.zeros((0, 8), dtype=int)
-        assert batch_grad(thetas, X, Y, arch).shape == (0, arch.n_params)
-        assert batch_log_likelihood(thetas, X, Y, arch).shape == (0,)
+        assert batch_value_and_grad(thetas, X, Y, arch, value=False, workspace=PairWorkspace())[1].shape == (
+            0, arch.n_params)
+        assert batch_log_likelihood(thetas, X, Y, arch, workspace=PairWorkspace()).shape == (0,)
 
 
 class TestClassFold:
@@ -185,8 +184,7 @@ class TestClassFold:
         if len(ties) > 1:
             W[:, ties] = 0.0
             b[:, ties] = tie_level * scale
-        G = batch_grad(thetas, X, Y, arch)
-        L = batch_log_likelihood(thetas, X, Y, arch)
+        L, G = batch_value_and_grad(thetas, X, Y, arch, workspace=PairWorkspace())
         acc = batch_accuracy(thetas, X, Y, arch)
         for e in range(E):
             model = LocalModel(thetas[e], arch)
@@ -242,7 +240,7 @@ class TestLoglikMatrixEquivalence:
         mask[3] = False  # a client that may evaluate nobody, itself included
         store = client_store(models, train)
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(store, store.train, mask), reference_loglik_matrix(models, train, mask)
+            rounds.loglik_matrix(store, store.train, mask, pair_list(mask)), reference_loglik_matrix(models, train, mask)
         )
 
     def test_no_mask(self):
@@ -251,7 +249,7 @@ class TestLoglikMatrixEquivalence:
         store = client_store(models, train)
         mask = full_mask(len(models))
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(store, store.train, mask), reference_loglik_matrix(models, train, mask)
+            rounds.loglik_matrix(store, store.train, mask, pair_list(mask)), reference_loglik_matrix(models, train, mask)
         )
 
     def test_evaluates_only_allowed_pairs(self, monkeypatch):
@@ -282,13 +280,15 @@ class TestLoglikMatrixEquivalence:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
                 seen.clear()
                 halves.clear()
-                rounds.loglik_matrix(store, store.train, mask)
+                rounds.loglik_matrix(store, store.train, mask, pair_list(mask))
                 assert Counter(seen) == allowed and halves and not any(halves)
                 seen.clear()
                 halves.clear()
                 grads = np.empty((np.count_nonzero(mask), store.arch.n_params))
-                rounds.loglik_matrix(store, store.train, mask, grads)
-                cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, mask, grads=grads)
+                rounds.loglik_matrix(store, store.train, mask, pair_list(mask), grads)
+                cooperative_sgd_steps(
+                    store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, mask, pair_list(mask), grads=grads
+                )
                 assert Counter(seen) == allowed and halves and all(halves)
 
 
@@ -304,7 +304,7 @@ class TestCooperativeEquivalence:
         mask[:, 4] = False  # and one nobody may read
         mask[4, 4] = True
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, w, 0.03, 0.2, 3, grad_mode, mask)
+        cooperative_sgd_steps(a, a.train, w, 0.03, 0.2, 3, grad_mode, mask, pair_list(mask))
         reference_cooperative_sgd_steps(b, train, w, 0.03, 0.2, 3, grad_mode, mask)
         _assert_same_thetas(a, b)
 
@@ -314,7 +314,7 @@ class TestCooperativeEquivalence:
         models, train = _clients(rng, ARCHS[MLP_1HIDDEN], K=9)
         w = rng.uniform(0.0, 1.0, (9, 9))
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, w, 1e-4, 0.25, 2, grad_mode, full_mask(9))
+        cooperative_sgd_steps(a, a.train, w, 1e-4, 0.25, 2, grad_mode, full_mask(9), pair_list(full_mask(9)))
         reference_cooperative_sgd_steps(b, train, w, 1e-4, 0.25, 2, grad_mode, full_mask(9))
         _assert_same_thetas(a, b)
 
@@ -323,7 +323,7 @@ class TestCooperativeEquivalence:
         rng = np.random.default_rng(6)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=5)
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, np.eye(5), 0.0, 0.1, 3, grad_mode, full_mask(5))
+        cooperative_sgd_steps(a, a.train, np.eye(5), 0.0, 0.1, 3, grad_mode, full_mask(5), pair_list(full_mask(5)))
         reference_cooperative_sgd_steps(b, train, np.eye(5), 0.0, 0.1, 3, grad_mode, full_mask(5))
         _assert_same_thetas(a, b)
 
@@ -336,7 +336,7 @@ class TestCooperativeEquivalence:
         state.w, mask = _random_graph(rng, 6, zeros=0.1)
         coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, state.w, 0.01, 0.2, 3, grad_mode, mask, coupling)
+        cooperative_sgd_steps(a, a.train, state.w, 0.01, 0.2, 3, grad_mode, mask, pair_list(mask), coupling)
         reference_cooperative_sgd_steps(
             b, train, state.w, 0.01, 0.2, 3, grad_mode, mask, lambda ms: coupling(client_store(ms))
         )
@@ -363,18 +363,20 @@ class TestCooperativeEquivalence:
             with monkeypatch.context() as patch:
                 _cap_pairs_per_block(patch, per_block, ARCHS[SOFTMAX_REGRESSION])
                 seen.clear()
-                cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
+                cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask, pair_list(mask))
                 assert Counter(seen) == Counter({pair: 2 for pair in want})
                 # handed the loglik pass's gradients, step 0 takes none and
                 # step 1 takes the same pairs as a fresh step
                 grads = np.empty((np.count_nonzero(mask), models.arch.n_params))
-                rounds.loglik_matrix(models, models.train, mask, grads)
+                rounds.loglik_matrix(models, models.train, mask, pair_list(mask), grads)
                 seen.clear()
-                cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask, grads=grads)
+                cooperative_sgd_steps(
+                    models, models.train, w, 0.0, 0.1, 2, CROSS_GRADIENT, mask, pair_list(mask), grads=grads
+                )
                 assert Counter(seen) == want
 
         sizes.clear()
-        cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask)
+        cooperative_sgd_steps(models, models.train, w, 0.0, 0.1, 2, TAYLOR_APPROX, mask, pair_list(mask))
         assert sizes == [len(models)] * 2
 
 
@@ -410,7 +412,7 @@ class TestPairBlocks:
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
         store = client_store(models, train)
         np.testing.assert_array_equal(
-            rounds.loglik_matrix(store, store.train, mask), reference_loglik_matrix(models, train, mask)
+            rounds.loglik_matrix(store, store.train, mask, pair_list(mask)), reference_loglik_matrix(models, train, mask)
         )
 
     @pytest.mark.parametrize("kind", sorted(ARCHS))
@@ -426,7 +428,7 @@ class TestPairBlocks:
         w[4, 1] = 0.0
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, w, 0.02, 0.2, 3, grad_mode, mask)
+        cooperative_sgd_steps(a, a.train, w, 0.02, 0.2, 3, grad_mode, mask, pair_list(mask))
         reference_cooperative_sgd_steps(b, train, w, 0.02, 0.2, 3, grad_mode, mask)
         _assert_same_thetas(a, b)
 
@@ -438,7 +440,7 @@ class TestPairBlocks:
         models, train = _clients(rng, ARCHS[kind], K=5)
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
         a, b = _both(models, train)
-        cooperative_sgd_steps(a, a.train, np.eye(5), 0.01, 0.1, 2, grad_mode, full_mask(5))
+        cooperative_sgd_steps(a, a.train, np.eye(5), 0.01, 0.1, 2, grad_mode, full_mask(5), pair_list(full_mask(5)))
         reference_cooperative_sgd_steps(b, train, np.eye(5), 0.01, 0.1, 2, grad_mode, full_mask(5))
         _assert_same_thetas(a, b)
 
@@ -453,7 +455,7 @@ class TestPairBlocks:
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[SOFTMAX_REGRESSION])
         a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode, mask)
+            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode, mask, pair_list(mask))
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode, mask)
         assert str(got.value) == str(want.value)
@@ -472,7 +474,7 @@ class TestPairBlocks:
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
         a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, a.train, w, 10.0, 1e8, 2, grad_mode, mask)
+            cooperative_sgd_steps(a, a.train, w, 10.0, 1e8, 2, grad_mode, mask, pair_list(mask))
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, 1e8, 2, grad_mode, mask)
         assert str(got.value) == str(want.value)
@@ -576,7 +578,8 @@ class TestFusedFirstStep:
         thetas = rng.standard_normal((6, arch.n_params))
         X = rng.standard_normal((6, n, arch.d))
         Y = rng.integers(0, arch.C, (6, n))
-        L, G = batch_log_likelihood(thetas, X, Y, arch), batch_grad(thetas, X, Y, arch)
+        L = batch_log_likelihood(thetas, X, Y, arch, workspace=PairWorkspace())
+        G = batch_value_and_grad(thetas, X, Y, arch, value=False, workspace=PairWorkspace())[1]
         ws = PairWorkspace()
         values, grads = batch_value_and_grad(thetas, X, Y, arch, workspace=ws)
         np.testing.assert_array_equal(values, L)
@@ -601,8 +604,10 @@ class TestFusedFirstStep:
     @staticmethod
     def _fused(store, w, lam, eta1, steps, mask, coupling_fn=None):
         grads = np.empty((np.count_nonzero(mask), store.arch.n_params))
-        ll = rounds.loglik_matrix(store, store.train, mask, grads)
-        cooperative_sgd_steps(store, store.train, w, lam, eta1, steps, CROSS_GRADIENT, mask, coupling_fn, grads)
+        ll = rounds.loglik_matrix(store, store.train, mask, pair_list(mask), grads)
+        cooperative_sgd_steps(
+            store, store.train, w, lam, eta1, steps, CROSS_GRADIENT, mask, pair_list(mask), coupling_fn, grads
+        )
         return ll
 
     @pytest.mark.parametrize("kind", sorted(ARCHS))
@@ -615,8 +620,8 @@ class TestFusedFirstStep:
         _cap_pairs_per_block(monkeypatch, per_block, ARCHS[kind])
         a, b = client_store(models, train), client_store(models, train)
         ll = self._fused(a, w, 0.02, 0.2, 3, mask)
-        np.testing.assert_array_equal(ll, rounds.loglik_matrix(b, b.train, mask))
-        cooperative_sgd_steps(b, b.train, w, 0.02, 0.2, 3, CROSS_GRADIENT, mask)
+        np.testing.assert_array_equal(ll, rounds.loglik_matrix(b, b.train, mask, pair_list(mask)))
+        cooperative_sgd_steps(b, b.train, w, 0.02, 0.2, 3, CROSS_GRADIENT, mask, pair_list(mask))
         np.testing.assert_array_equal(a.theta, b.theta)
 
     @pytest.mark.parametrize("kind", sorted(ARCHS))
@@ -636,7 +641,7 @@ class TestFusedFirstStep:
         delta = grads[np.diagonal(index)] + 0.02 * store.theta
         delta = fold_loop(delta, rows, w[rows, cols][:, None] * grads[index[rows, cols]])
         want = store.theta - 0.2 * delta
-        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 1, CROSS_GRADIENT, mask, grads=grads)
+        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 1, CROSS_GRADIENT, mask, pair_list(mask), grads=grads)
         _assert_same_bits(store.theta, want)
 
     @pytest.mark.parametrize("per_block", [1, 3, None])
@@ -650,7 +655,7 @@ class TestFusedFirstStep:
         _cap_pairs_per_block(monkeypatch, per_block, arch)
         a, b = client_store(models, train), client_store(models, train)
         self._fused(a, state.w, 0.01, 0.2, 3, mask, coupling)
-        cooperative_sgd_steps(b, b.train, state.w, 0.01, 0.2, 3, CROSS_GRADIENT, mask, coupling)
+        cooperative_sgd_steps(b, b.train, state.w, 0.01, 0.2, 3, CROSS_GRADIENT, mask, pair_list(mask), coupling)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -670,7 +675,7 @@ class TestFusedFirstStep:
         with pytest.raises(DivergenceError) as got:
             self._fused(a, w, 10.0, eta1, 2, mask)
         with pytest.raises(DivergenceError) as want:
-            cooperative_sgd_steps(b, b.train, w, 10.0, eta1, 2, CROSS_GRADIENT, mask)
+            cooperative_sgd_steps(b, b.train, w, 10.0, eta1, 2, CROSS_GRADIENT, mask, pair_list(mask))
         assert str(got.value) == str(want.value) == message
         np.testing.assert_array_equal(a.theta, b.theta)  # the rows before client 3 moved alike
 
@@ -685,7 +690,7 @@ class TestFusedFirstStep:
         for grads, m in ((np.zeros((E + 1, D)), mask), (np.zeros((E, D + 1)), mask),
                          (np.zeros((E - 1, D)), no_self)):
             with pytest.raises(ConfigurationError, match="one row per allowed pair"):
-                cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, m, grads=grads)
+                cooperative_sgd_steps(store, store.train, w, 0.0, 0.1, 1, CROSS_GRADIENT, m, pair_list(m), grads=grads)
         np.testing.assert_array_equal(store.theta, np.stack([m.theta for m in models]))
 
 
@@ -768,9 +773,9 @@ class TestWorkspace:
             _poison_between_blocks_and_steps(monkeypatch, store)
         grad_mode = TAYLOR_APPROX if route == TAYLOR_APPROX else CROSS_GRADIENT
         grads = np.empty((len(rows), arch.n_params)) if route == "cross-stored" else None
-        ll = rounds.loglik_matrix(store, store.train, mask, grads)
+        ll = rounds.loglik_matrix(store, store.train, mask, pair_list(mask), grads)
         np.testing.assert_array_equal(ll, reference_loglik_matrix(models, train, mask))
-        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 3, grad_mode, mask, grads=grads)
+        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 3, grad_mode, mask, pair_list(mask), grads=grads)
         reference_cooperative_sgd_steps(reference, train, w, 0.02, 0.2, 3, grad_mode, mask)
         _assert_same_thetas(store, reference)
 
@@ -786,8 +791,9 @@ class TestWorkspace:
         assert np.shares_memory(ws.take("P", 2, 8, arch.C), grown)  # a smaller request reuses the larger buffer
         assert ws.take("is_label", 3, dtype=bool).dtype == bool
         values, grads = batch_value_and_grad(thetas, X, Y, arch, workspace=ws)
-        np.testing.assert_array_equal(values, batch_log_likelihood(thetas, X, Y, arch))
-        np.testing.assert_array_equal(grads, batch_grad(thetas, X, Y, arch))
+        np.testing.assert_array_equal(values, batch_log_likelihood(thetas, X, Y, arch, workspace=PairWorkspace()))
+        np.testing.assert_array_equal(
+            grads, batch_value_and_grad(thetas, X, Y, arch, value=False, workspace=PairWorkspace())[1])
         assert np.shares_memory(grads, ws.take("grads", 6, arch.n_params))  # results are the workspace's views
 
     def test_the_store_keeps_its_workspace(self):
@@ -800,8 +806,10 @@ class TestWorkspace:
 
         def round_():
             grads = np.empty((np.count_nonzero(mask), store.arch.n_params))
-            rounds.loglik_matrix(store, store.train, mask, grads)
-            cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 2, CROSS_GRADIENT, mask, grads=grads)
+            rounds.loglik_matrix(store, store.train, mask, pair_list(mask), grads)
+            cooperative_sgd_steps(
+                store, store.train, w, 0.02, 0.2, 2, CROSS_GRADIENT, mask, pair_list(mask), grads=grads
+            )
             dirac.dpsgd_step(store, w, store.train, 0.1)
 
         round_()
@@ -824,6 +832,7 @@ class TestWorkspace:
         rng = np.random.default_rng(91)
         models, train = _clients(rng, arch, K=K)
         mask, w = full_mask(K), rng.uniform(0.05, 1.0, (K, K))
+        pairs = pair_list(mask)  # a round takes its list once, before its passes
         grad_mode = TAYLOR_APPROX if route == TAYLOR_APPROX else CROSS_GRADIENT
 
         def new_store():
@@ -833,7 +842,7 @@ class TestWorkspace:
             if route == "cross-stored":
                 grads = np.empty((K * K, arch.n_params))
                 copy = client_store(models, train)
-                rounds.loglik_matrix(copy, copy.train, mask, grads)
+                rounds.loglik_matrix(copy, copy.train, mask, pairs, grads)
             return client_store(models, train), grads
 
         def peak_of(run, store, grads):
@@ -846,9 +855,9 @@ class TestWorkspace:
                 tracemalloc.stop()
 
         passes = {
-            "loglik": lambda store, grads: rounds.loglik_matrix(store, store.train, mask, grads),
+            "loglik": lambda store, grads: rounds.loglik_matrix(store, store.train, mask, pairs, grads),
             "coop": lambda store, grads: cooperative_sgd_steps(
-                store, store.train, w, 0.02, 0.2, 2, grad_mode, mask, grads=grads),
+                store, store.train, w, 0.02, 0.2, 2, grad_mode, mask, pairs, grads=grads),
         }
         for name, run in passes.items():
             first, again, size = {}, {}, {}
@@ -931,7 +940,9 @@ class TestClientStore:
         np.testing.assert_array_equal(store.theta[2], 7.0)
         with pytest.raises(ValueError):
             store.init_theta[0, 0] = 1.0
-        cooperative_sgd_steps(store, store.train, np.eye(4), 0.0, 0.1, 1, CROSS_GRADIENT, full_mask(4))
+        cooperative_sgd_steps(
+            store, store.train, np.eye(4), 0.0, 0.1, 1, CROSS_GRADIENT, full_mask(4), pair_list(full_mask(4))
+        )
         assert not np.array_equal(store.theta[0], before[0])
         for m, theta in zip(models, before):  # the lists it was stacked from are left alone
             np.testing.assert_array_equal(m.theta, theta)
@@ -1026,7 +1037,7 @@ class TestContracts:
         w = rng.uniform(0.1, 1.0, (5, 5))
         a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, a.train, w, 10.0, eta1, 6, grad_mode, full_mask(5))
+            cooperative_sgd_steps(a, a.train, w, 10.0, eta1, 6, grad_mode, full_mask(5), pair_list(full_mask(5)))
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, eta1, 6, grad_mode, full_mask(5))
         assert str(got.value) == str(want.value)
@@ -1041,7 +1052,7 @@ class TestContracts:
         w = rng.uniform(0.1, 1.0, (5, 5))
         a, b = _both(models, train)
         with pytest.raises(DivergenceError) as got:
-            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode, full_mask(5))
+            cooperative_sgd_steps(a, a.train, w, 10.0, 0.1, 2, grad_mode, full_mask(5), pair_list(full_mask(5)))
         with pytest.raises(DivergenceError) as want:
             reference_cooperative_sgd_steps(b, train, w, 10.0, 0.1, 2, grad_mode, full_mask(5))
         assert str(got.value) == str(want.value)
@@ -1116,7 +1127,8 @@ class TestReportingEquivalence:
         test.features = in_layout(test.features, layout)
         store = ClientStore(np.stack([m.theta for m in models]), arch, test=test)
         accs = runner.per_client(batch_accuracy, store.theta, store.test, arch)
-        losses = -runner.per_client(batch_log_likelihood, store.theta, store.test, arch)
+        train_loglik = functools.partial(batch_log_likelihood, workspace=PairWorkspace())
+        losses = -runner.per_client(train_loglik, store.theta, store.test, arch)
         np.testing.assert_array_equal(accs, [accuracy(m, ds) for m, ds in zip(models, data)])
         np.testing.assert_array_equal(losses, [loss(m, ds) for m, ds in zip(models, data)])
 
@@ -1170,7 +1182,9 @@ class TestReportingEquivalence:
             return batch_accuracy(thetas, X, Y, arch)
 
         accs = runner.per_client(counting, thetas, data, arch)
-        losses = -runner.per_client(batch_log_likelihood, thetas, data, arch)
+        losses = -runner.per_client(
+            functools.partial(batch_log_likelihood, workspace=PairWorkspace()), thetas, data, arch
+        )
         assert seen == [81, 81, 30]
         sets = [Dataset(data.features[k], data.labels[k], tuple(range(arch.C))) for k in range(192)]
         models = [LocalModel(thetas[k], arch) for k in range(192)]

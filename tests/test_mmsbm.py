@@ -12,7 +12,7 @@ from scool.em import mmsbm
 from scool.em.common import expected_log_pi, pair_bilinear
 from scool.em.elbo import elbo, elbo_mmsbm
 from scool.errors import InvariantError
-from scool.topology import build_topology, observed_pairs, sparsify_topk
+from scool.topology import build_topology, observed_pairs, pair_list, sparsify_topk
 
 from conftest import (
     central_diff,
@@ -25,6 +25,7 @@ from conftest import (
     dense_update_phi_send,
     dense_update_w,
     full_mask,
+    observed_list,
     random_loglik,
     random_mmsbm_state,
     simplex_kkt_spread,
@@ -83,7 +84,7 @@ class TestGamma:
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy()
                     g2[i, g] = v
-                    return elbo(clone_mmsbm(st, gamma=g2), ll, mask).total
+                    return elbo(clone_mmsbm(st, gamma=g2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g])))
         assert worst < 1e-5
 
@@ -103,7 +104,7 @@ class TestWStationarity:
                 def f(v, i=i, j=j):
                     w2 = st.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_mmsbm(st, w=w2), ll, mask).total
+                    return elbo(clone_mmsbm(st, w=w2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j])))
         assert worst < 1e-5
 
@@ -126,7 +127,7 @@ class TestPhiStationarity:
                     def f(v, e=e, k=k):
                         p2 = phi.copy()
                         p2[e, k] = v
-                        return elbo(clone_mmsbm(st, **{name: p2}), ll, mask).total
+                        return elbo(clone_mmsbm(st, **{name: p2}), ll, observed_list(mask)).total
                     grads.append(central_diff(f, phi[e, k], h=1e-7))
                 worst = max(worst, simplex_kkt_spread(grads))
             assert worst < 1e-4, side
@@ -265,7 +266,7 @@ class TestPairListEqualsDenseOracle:
         assert_parked_simplex(dense_pairs(st, recv), obs, M)
         st.phi_send, st.phi_recv = send, recv
 
-        terms = elbo_mmsbm(st, ll, mask).terms()
+        terms = elbo_mmsbm(st, ll).terms()
         for name, expected in dense_elbo_mmsbm(st, ll, mask).items():
             assert terms[name] == pytest.approx(expected, rel=PAIR_TOL, abs=PAIR_TOL), name
 
@@ -312,7 +313,7 @@ class TestPairList:
             return real(state, loglik)
 
         monkeypatch.setattr(mmsbm, "update_w", spy)
-        mmsbm.e_step(st, None, random_loglik(rng, cfg.K) * pruned, pruned)
+        mmsbm.e_step(st, None, random_loglik(rng, cfg.K) * pruned, pruned, observed_list(pruned))
         kept = np.isin(before["pairs"], seen["pairs"])
         assert 0 < kept.sum() < len(kept)
         np.testing.assert_array_equal(seen["pairs"], np.flatnonzero(observed_pairs(pruned)))
@@ -328,7 +329,7 @@ class TestPairList:
         grown = mask.copy()
         grown[0, 5] = grown[5, 0] = True  # a pair the state holds no row for
         with pytest.raises(InvariantError, match="pair list"):
-            mmsbm.e_step(st, None, np.zeros(mask.shape), grown)
+            mmsbm.e_step(st, None, np.zeros(mask.shape), grown, observed_list(grown))
 
     def test_rows_must_match_the_list(self):
         rng = np.random.default_rng(3)

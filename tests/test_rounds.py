@@ -1,8 +1,10 @@
 """Round orchestration: reductions, masking guarantees, determinism, and
 whole rounds against the plain per-pair reference."""
 
+import ast
 import copy
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from scool import config
+import scool.em
+from scool import config, topology
 from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds, sbm
 from scool.em.state import DiracState
@@ -24,6 +27,7 @@ from scool.topology import (
     account_gossip,
     build_topology,
     directed_edges,
+    pair_list,
 )
 
 from conftest import (
@@ -33,6 +37,7 @@ from conftest import (
     grad,
     log_likelihood,
     model_list,
+    observed_list,
     random_symmetric_mask,
     reference_round,
     tiny_dataset,
@@ -92,7 +97,7 @@ class TestMaskingGuarantees:
         K = 5
         mask = full_mask(K)
         mask[0, 2] = mask[2, 0] = mask[1, 4] = False
-        ll = rounds.loglik_matrix(models, train, mask)
+        ll = rounds.loglik_matrix(models, train, mask, pair_list(mask))
         assert ll[0, 2] == 0.0 and ll[1, 4] == 0.0
         poisoned = ll.copy()
         poisoned[0, 2] = poisoned[2, 0] = poisoned[1, 4] = np.nan
@@ -101,16 +106,16 @@ class TestMaskingGuarantees:
             cfg = ExperimentConfig(K=K, num_memberships=2, seed=3)
             st_a = sbm.init_state(cfg, None, 0)
             st_b = sbm.init_state(cfg, None, 0)
-            sbm.e_step(st_a, models, ll, mask)
-            sbm.e_step(st_b, models, poisoned, mask)
+            sbm.e_step(st_a, models, ll, mask, observed_list(mask))
+            sbm.e_step(st_b, models, poisoned, mask, observed_list(mask))
             np.testing.assert_array_equal(st_a.w, st_b.w)
             np.testing.assert_array_equal(st_a.omega, st_b.omega)
         else:
             cfg = ExperimentConfig(K=K, seed=3)
             st_a = attention.init_state(cfg, None, models.arch.n_params)
             st_b = attention.init_state(cfg, None, models.arch.n_params)
-            attention.e_step(st_a, models, ll, mask)
-            attention.e_step(st_b, models, poisoned, mask)
+            attention.e_step(st_a, models, ll, mask, observed_list(mask))
+            attention.e_step(st_b, models, poisoned, mask, observed_list(mask))
             np.testing.assert_array_equal(st_a.w, st_b.w)
 
     def test_masked_pairs_never_touch_theta(self):
@@ -123,11 +128,11 @@ class TestMaskingGuarantees:
         w_masked = np.where(mask, w, 0.0)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models_a, train, w_masked, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
+        cooperative_sgd_steps(models_a, train, w_masked, 0.0, 0.1, 2, CROSS_GRADIENT, mask, pair_list(mask))
         # replacing the masked weight by garbage must not matter
         w_garbage = w_masked.copy()
         w_garbage[0, 3] = 1e9
-        cooperative_sgd_steps(models_b, train, w_garbage, 0.0, 0.1, 2, CROSS_GRADIENT, mask)
+        cooperative_sgd_steps(models_b, train, w_garbage, 0.0, 0.1, 2, CROSS_GRADIENT, mask, pair_list(mask))
         for a, b in zip(models_a, models_b):
             np.testing.assert_array_equal(a.theta, b.theta)
 
@@ -136,7 +141,7 @@ class TestLoglikMatrix:
     def test_entries_are_cross_likelihoods(self):
         rng = np.random.default_rng(6)
         models, train = _setup(rng, K=3)
-        ll = rounds.loglik_matrix(models, train, full_mask(3))
+        ll = rounds.loglik_matrix(models, train, full_mask(3), pair_list(full_mask(3)))
         for i in range(3):
             for j in range(3):
                 assert ll[i, j] == log_likelihood(models[i], train[j])
@@ -307,9 +312,9 @@ class TestPriorTable:
         cfg, models, mask, state = self._k4(prior)
         rounds.run_round(state, models, mask, 0, cfg)  # moved off the shared start
         theta, before = models.theta, models.theta.tobytes()
-        ll = rounds.loglik_matrix(models, models.train, mask)
-        rounds.PRIORS[prior].e_step(state, models, ll, mask)
-        rounds.elbo(state, ll, mask, models)
+        ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
+        rounds.PRIORS[prior].e_step(state, models, ll, mask, observed_list(mask))
+        rounds.elbo(state, ll, observed_list(mask), models)
         assert models.theta is theta and models.theta.tobytes() == before
 
     @pytest.mark.parametrize("grad_mode", config.GRAD_MODES)
@@ -325,9 +330,9 @@ class TestPriorTable:
         hook = rounds.PRIORS[prior]
         passed, real = [], hook.m_step
 
-        def spy(state, models, mask, config, grads):
+        def spy(state, models, mask, pairs, config, grads):
             passed.append(None if grads is None else grads.copy())
-            real(state, models, mask, config, grads)
+            real(state, models, mask, pairs, config, grads)
 
         monkeypatch.setattr(hook, "m_step", spy)
         thetas = models.theta.copy()
@@ -341,6 +346,29 @@ class TestPriorTable:
             for e, (i, j) in enumerate(zip(rows, cols)):
                 want = grad(LocalModel(thetas[i], models.arch), models.train[j])
                 np.testing.assert_array_equal(grads[e], want)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_one_pair_list_per_round(self, monkeypatch, prior, prune):
+        # run_round takes the round's list from topology.pair_list once,
+        # after pruning, whichever module would call it
+        cfg, models, mask, state = self._k4(prior)
+        learned = rounds.PRIORS[prior].e_step is not None
+        cfg = cfg.replace(sparsify_keep_fraction=0.5 if prune else 1.0, sparsify_round=1)
+        real, taken = topology.pair_list, []
+
+        def counting(mask):
+            taken.append(mask.copy())
+            return real(mask)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("scool") and getattr(module, "pair_list", None) is real:
+                monkeypatch.setattr(module, "pair_list", counting)
+        for r in range(3):
+            rounds.run_round(state, models, mask, r, cfg)
+            assert len(taken) == r + 1
+            np.testing.assert_array_equal(taken[-1], mask)
+        assert np.count_nonzero(taken[0]) - np.count_nonzero(taken[-1]) == (4 if prune and learned else 0)
 
     def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
         cfg, models, mask, state = self._k4("attention")
@@ -372,6 +400,34 @@ class TestPriorTable:
                 missing.add(f"{module}.{attr}")
         assert missing <= self.STALE_BINDINGS
 
+
+
+# The functions of scool.em that may still turn a mask into pairs themselves:
+# set-up code, sbm's dense blocks and attention's row softmax. Every other
+# layer reads the round's list, which topology.pair_list makes.
+PAIR_RULES = {"nonzero", "flatnonzero", "count_nonzero", "observed_pairs"}
+MASK_TO_PAIRS_ALLOWED = {
+    ("mmsbm.py", "init_state"),
+    ("dirac.py", "metropolis_weights"),
+    ("sbm.py", "_pair_weights"),
+    ("sbm.py", "update_block_matrix"),
+    ("attention.py", "_masked_row_softmax"),
+}
+
+
+def test_only_the_allowlist_turns_a_mask_into_pairs():
+    """No code in scool.em outside MASK_TO_PAIRS_ALLOWED names np.nonzero,
+    np.flatnonzero, np.count_nonzero or observed_pairs, and every allowed
+    function still does (an entry that no longer needs its place goes)."""
+    found = set()
+    for path in sorted(Path(scool.em.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))  # a nested function counts as its top-level one
+            for node in ast.walk(top):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in PAIR_RULES and isinstance(node, (ast.Attribute, ast.Name)):
+                    found.add(where)
+    assert found == MASK_TO_PAIRS_ALLOWED
 
 
 MASK_KINDS = ("full", "group-ring", "bipartite", "random")

@@ -13,6 +13,7 @@ from scool.em.state import ALPHA_MIN, B_EPS
 from scool.errors import InvariantError
 from scool.models import ArchSpec
 from scool.special import sigmoid_tempered
+from scool.topology import pair_list
 
 from conftest import (
     LocalModel,
@@ -21,6 +22,7 @@ from conftest import (
     clone_sbm,
     full_mask,
     grad,
+    observed_list,
     random_loglik,
     random_sbm_state,
     simplex_kkt_spread,
@@ -71,7 +73,7 @@ class TestUpdateW:
                 def f(v, i=i, j=j):
                     w2 = st.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_sbm(st, w=w2), ll, mask).total
+                    return elbo(clone_sbm(st, w=w2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j])))
         assert worst < 1e-5
 
@@ -112,7 +114,7 @@ class TestUpdateGamma:
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy()
                     g2[i, g] = v
-                    return elbo(clone_sbm(st, gamma=g2), ll, full_mask(4)).total
+                    return elbo(clone_sbm(st, gamma=g2), ll, observed_list(full_mask(4))).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g])))
         assert worst < 1e-5
 
@@ -154,7 +156,7 @@ class TestUpdateOmega:
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy()
                     o2[i, k] = v
-                    return elbo(clone_sbm(st, omega=o2), ll, mask).total
+                    return elbo(clone_sbm(st, omega=o2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, st.omega[i, k], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
@@ -191,7 +193,7 @@ class TestUpdateAlpha:
                 def f(v, k=k):
                     a2 = st.alpha.copy()
                     a2[k] = v
-                    return elbo(clone_sbm(st, alpha=a2), ll, full_mask(4)).total
+                    return elbo(clone_sbm(st, alpha=a2), ll, observed_list(full_mask(4))).total
                 num = central_diff(f, st.alpha[k], h=1e-6)
                 assert abs(num - g[k]) / max(1e-8, abs(num)) < 1e-5
 
@@ -258,7 +260,9 @@ class TestThetaStep:
         models = client_store(ref, train)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models, models.train, np.eye(K), 0.0, 0.2, 4, "cross-gradient", full_mask(K))
+        cooperative_sgd_steps(
+            models, models.train, np.eye(K), 0.0, 0.2, 4, "cross-gradient", full_mask(K), pair_list(full_mask(K))
+        )
         for i in range(K):
             m = ref[i]
             for _ in range(4):
@@ -275,8 +279,8 @@ class TestThetaStep:
 
         mc = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
         mt = client_store([LocalModel(theta.copy(), arch) for _ in range(4)], train)
-        cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, "cross-gradient", full_mask(4))
-        cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, "taylor-approx", full_mask(4))
+        cooperative_sgd_steps(mc, mc.train, w, 0.01, 0.1, 1, "cross-gradient", full_mask(4), pair_list(full_mask(4)))
+        cooperative_sgd_steps(mt, mt.train, w, 0.01, 0.1, 1, "taylor-approx", full_mask(4), pair_list(full_mask(4)))
         for a, b in zip(mc, mt):
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
 
@@ -295,7 +299,7 @@ class TestThetaStep:
         expect = models[0].theta - eta * (g1 + 0.5 * g12 + lam * models[0].theta)
         from scool.em.theta import cooperative_sgd_steps
 
-        cooperative_sgd_steps(models, train, w, lam, eta, 1, "cross-gradient", full_mask(2))
+        cooperative_sgd_steps(models, train, w, lam, eta, 1, "cross-gradient", full_mask(2), pair_list(full_mask(2)))
         np.testing.assert_allclose(models[0].theta, expect, atol=1e-12)
 
 
@@ -312,8 +316,8 @@ class TestEStepSymmetry:
             gamma=st.gamma[perm],
             omega=st.omega[perm],
         )
-        sbm.e_step(st, None, ll, full_mask(K))
-        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)], full_mask(K))
+        sbm.e_step(st, None, ll, full_mask(K), observed_list(full_mask(K)))
+        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)], full_mask(K), observed_list(full_mask(K)))
         np.testing.assert_allclose(st_p.w, st.w[np.ix_(perm, perm)], atol=1e-12)
         np.testing.assert_allclose(st_p.gamma, st.gamma[perm], atol=1e-12)
         np.testing.assert_allclose(st_p.omega, st.omega[perm], atol=1e-12)

@@ -19,6 +19,8 @@ from scool.topology import (
     build_topology,
     check_topology,
     directed_edges,
+    observed_pairs,
+    pair_list,
     sparsify_topk,
 )
 
@@ -94,6 +96,37 @@ class TestBuildTopology:
             build_topology("generalized-bipartite", 10, degree=6)
         with pytest.raises(ConfigurationError):
             build_topology("nope", 5)
+
+
+class TestPairList:
+    """topology.pair_list, the one place that turns a mask into pairs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_major_flat_indices_of_the_true_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        K = 3 + seed
+        mask = rng.random((K, K)) < 0.5
+        pairs = pair_list(mask)
+        assert pairs.dtype == np.intp
+        assert pairs.tolist() == [i * K + j for i in range(K) for j in range(K) if mask[i, j]]
+        rows, cols = np.divmod(pairs, K)
+        assert mask[rows, cols].all() and len(pairs) == mask.sum()
+
+    @pytest.mark.parametrize("kind, params", [("fully-connected", {}), ("group-ring", {"k0": 4}),
+                                              ("generalized-bipartite", {"degree": 2})])
+    def test_the_diagonal_is_where_the_index_is_a_multiple_of_k_plus_one(self, kind, params):
+        K = 9
+        mask = build_topology(kind, K, **params)
+        pairs = pair_list(mask)
+        rows, cols = np.divmod(pairs, K)
+        np.testing.assert_array_equal(pairs % (K + 1) == 0, rows == cols)
+        np.testing.assert_array_equal(pairs[pairs % (K + 1) != 0], np.flatnonzero(observed_pairs(mask)))
+
+    def test_an_identity_mask_lists_only_the_diagonal(self):
+        K = 5
+        pairs = pair_list(np.eye(K, dtype=bool))
+        np.testing.assert_array_equal(pairs, np.arange(K) * (K + 1))
+        assert not (pairs % (K + 1) != 0).any()
 
 
 class TestSparsifyTopk:
