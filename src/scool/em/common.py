@@ -5,18 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DivergenceError, InvariantError
-from ..special import digamma
+from ..special import digamma, sigmoid_tempered
+from ..topology import pair_list
 from .state import ALPHA_MIN, AdamSlot, ascent_step, clamp_block_matrix
 
 
-def block_start(config) -> dict:
-    """The block priors' shared initial fields: every edge at 1/2, a flat
-    Dirichlet prior with every posterior at it, every block at
-    config.block_init, the run's ridge and temperature, and a fresh Adam
-    slot for alpha. The first E-step sets gamma before anything reads it."""
+def block_start(config, mask) -> dict:
+    """The block priors' shared initial fields: the mask's observed pairs, every
+    edge at 1/2, a flat Dirichlet prior with every posterior at it, every block
+    at config.block_init, the run's ridge and temperature, and a fresh Adam slot
+    for alpha. The first E-step sets gamma before anything reads it."""
     K, M = config.K, config.num_memberships
-    alpha = np.ones(M)
+    alpha, pairs = np.ones(M), pair_list(mask)
     return dict(
+        pairs=pairs[pairs % (K + 1) != 0],
         w=np.full((K, K), 0.5),
         gamma=np.ones((K, M)),
         alpha=alpha,
@@ -75,6 +77,18 @@ def block_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     if np.any(den < 1e-12):
         raise InvariantError("degenerate memberships: block denominator underflow")
     return clamp_block_matrix(num / den)
+
+
+def edge_posterior(state, loglik: np.ndarray, pair_odds: np.ndarray, self_odds) -> np.ndarray:
+    """The block model's tempered-sigmoid edge posterior: each pair of state.pairs
+    scores its cross-client log-likelihood plus ``pair_odds``, its block
+    log-odds under its memberships; other off-diagonal entries are 0. The
+    diagonal (own log-likelihood plus ``self_odds``) is for reporting only."""
+    K, pairs = state.n_clients, state.pairs
+    w = np.zeros(K * K)
+    w[pairs] = sigmoid_tempered(np.take(loglik, pairs) + pair_odds, state.tau_sigmoid)
+    w[:: K + 1] = sigmoid_tempered(np.diagonal(loglik) + self_odds, state.tau_sigmoid)
+    return w.reshape(K, K)
 
 
 def graph(state, K: int) -> np.ndarray:

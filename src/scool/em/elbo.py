@@ -76,16 +76,17 @@ def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray, elp: np.ndarray) -> fl
 
 def _block_bound(
     state: BlockState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None, elp: np.ndarray,
-    *, edge: float, membership: float, entropy_membership: float,
+    *, pos: np.ndarray, neg: np.ndarray, membership: float, entropy_membership: float,
 ) -> ElboBreakdown:
     """A block prior's bound over the flat observed-pair indices ``pairs``
-    from its ``edge``, ``membership``, ``entropy_membership`` terms and its
+    from each pair's expected log B and log(1 - B), ``pos`` and ``neg`` (its
+    membership contraction), its ``membership``, ``entropy_membership`` and
     elp = expected_log_pi(state.gamma): the other terms are shared."""
     w = np.take(state.w, pairs)
     return ElboBreakdown(
         likelihood=_likelihood_term(state.w, loglik, pairs),
         model_prior=_model_prior_term(models, state.lam),
-        edge=edge,
+        edge=float((w * pos + (1.0 - w) * neg).sum()),
         membership=membership,
         dirichlet=_dirichlet_term(state.gamma, state.alpha, elp),
         entropy_membership=entropy_membership,
@@ -97,14 +98,13 @@ def elbo_sbm(
     state: SbmState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
     logB, log1mB = block_logs(state)
-    pos = state.omega @ logB @ state.omega.T
-    neg = state.omega @ log1mB @ state.omega.T
-    elp = expected_log_pi(state.gamma)
+    omega, elp = state.omega, expected_log_pi(state.gamma)
     return _block_bound(
         state, loglik, pairs, models, elp,
-        edge=float(np.take(state.w * pos + (1.0 - state.w) * neg, pairs).sum()),
-        membership=float((state.omega * elp).sum()),
-        entropy_membership=-float(xlogx(state.omega).sum()),
+        pos=np.take(omega @ logB @ omega.T, state.pairs),
+        neg=np.take(omega @ log1mB @ omega.T, state.pairs),
+        membership=float((omega * elp).sum()),
+        entropy_membership=-float(xlogx(omega).sum()),
     )
 
 
@@ -120,17 +120,17 @@ def elbo_attention(
     )
 
 
-def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
-    K, pairs = state.n_clients, state.pairs
-    ps, pr, w = state.phi_send, state.phi_recv, np.take(state.w, pairs)
+def elbo_mmsbm(
+    state: MmsbmState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
+) -> ElboBreakdown:
+    ps, pr = state.phi_send, state.phi_recv
     logB, log1mB = block_logs(state)
-    pos = pair_bilinear(ps, logB, pr)
-    neg = pair_bilinear(ps, log1mB, pr)
     elp = expected_log_pi(state.gamma)
-    elp_send, elp_recv = (np.take(elp, own, axis=0) for own in (pairs // K, pairs % K))
+    elp_send, elp_recv = (np.take(elp, own, axis=0) for own in np.divmod(state.pairs, state.n_clients))
     return _block_bound(
         state, loglik, pairs, models, elp,
-        edge=float((w * pos + (1.0 - w) * neg).sum()),
+        pos=pair_bilinear(ps, logB, pr),
+        neg=pair_bilinear(ps, log1mB, pr),
         membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),
         entropy_membership=-float(xlogx(ps).sum() + xlogx(pr).sum()),
     )
@@ -138,10 +138,7 @@ def elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, models: ClientStore | None
 
 def elbo(state, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
     """Dispatch on the prior's state type; ``pairs`` are the observed pairs."""
-    if isinstance(state, SbmState):
-        return elbo_sbm(state, loglik, pairs, models)
-    if isinstance(state, AttentionState):
-        return elbo_attention(state, loglik, pairs, models)
-    if isinstance(state, MmsbmState):
-        return elbo_mmsbm(state, loglik, models)
+    for kind, bound in ((SbmState, elbo_sbm), (AttentionState, elbo_attention), (MmsbmState, elbo_mmsbm)):
+        if isinstance(state, kind):
+            return bound(state, loglik, pairs, models)
     raise TypeError(f"no lower bound for state type {type(state).__name__}")

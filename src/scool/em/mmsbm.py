@@ -3,11 +3,12 @@
 Every observed ordered pair (i, j), i != j and allowed by the topology's
 boolean mask, carries two simplex vectors: the sender's membership drawn
 from client i's mixture and the receiver's drawn from client j's. The state
-holds them as E x M rows, one per entry of its row-major pair list, and
-every update and the lower bound read that list. They mirror the
-single-membership case with the pair memberships replacing the bilinear
-omega products; all blocks are exact coordinate maximizers given the
-others, and the sweep inside one E-step reads the pre-sweep memberships.
+holds them as E x M rows, one per entry of its pair list ``state.pairs``,
+and every update and the lower bound read that list. The edge posterior and
+the bound's edge term are the block model's own (common.edge_posterior,
+elbo._block_bound); the prior's membership contraction is pair_bilinear on
+its rows. All blocks are exact coordinate maximizers given the others, and
+the sweep inside one E-step reads the pre-sweep memberships.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvariantError
-from ..special import sigmoid_tempered, softmax_tempered
-from ..topology import observed_pairs
+from ..special import softmax_tempered
+from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior, expected_log_pi
 # graph (the reporting hook) and update_alpha are shared with sbm
-from .common import (
-    block_logs, block_ratio, block_start, checked_gamma, expected_log_pi, graph, pair_bilinear, update_alpha,
-)
+from .common import graph, pair_bilinear, update_alpha
 from .state import MmsbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
@@ -31,27 +30,21 @@ def init_state(config, mask, theta_dim: int) -> MmsbmState:
     shared start."""
     K, M = config.K, config.num_memberships
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    pairs = np.flatnonzero(observed_pairs(mask))
-    phi_send = jittered_simplex(rng.standard_normal((K * K, M))[pairs])
-    phi_recv = jittered_simplex(rng.standard_normal((K * K, M))[pairs])
-    return MmsbmState(pairs=pairs, phi_send=phi_send, phi_recv=phi_recv, **block_start(config))
+    start = block_start(config, mask)
+    phi_send = jittered_simplex(rng.standard_normal((K * K, M))[start["pairs"]])
+    phi_recv = jittered_simplex(rng.standard_normal((K * K, M))[start["pairs"]])
+    return MmsbmState(phi_send=phi_send, phi_recv=phi_recv, **start)
 
 
 def update_w(state: MmsbmState, loglik: np.ndarray) -> np.ndarray:
-    """Edge posterior over the observed pairs; every other off-diagonal
-    entry is 0. The diagonal is a reporting value as in the
-    single-membership case, scored with uniform memberships on both sides,
-    and never enters the model updates."""
+    """Edge posterior with each pair's block log-odds under its sender and
+    receiver memberships; the diagonal is scored with uniform memberships
+    on both sides."""
     logB, log1mB = block_logs(state)
-    K, M = state.n_clients, state.n_blocks
     odds = logB - log1mB
-    uniform = np.full((1, M), 1.0 / M)
-    w = np.zeros(K * K)
-    w[state.pairs] = sigmoid_tempered(
-        np.take(loglik, state.pairs) + pair_bilinear(state.phi_send, odds, state.phi_recv), state.tau_sigmoid
-    )
-    w[:: K + 1] = sigmoid_tempered(np.diagonal(loglik) + pair_bilinear(uniform, odds, uniform), state.tau_sigmoid)
-    return w.reshape(K, K)
+    uniform = np.full((1, state.n_blocks), 1.0 / state.n_blocks)
+    pair_odds = pair_bilinear(state.phi_send, odds, state.phi_recv)
+    return edge_posterior(state, loglik, pair_odds, pair_bilinear(uniform, odds, uniform))
 
 
 def update_gamma(state: MmsbmState) -> np.ndarray:

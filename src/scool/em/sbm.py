@@ -1,21 +1,21 @@
 """Block-prior (single membership) closed-form E-steps and M-steps.
 
-The edge model covers the observed ordered pairs: i != j and allowed by
-the topology's boolean mask, which every update below takes. The own-data
-term always has coefficient one, so no self-edge variable exists and the
-stored diagonal of w is a reporting value only. Each update solves its
-own block's first-order condition exactly given the other blocks, which
-the lower-bound oracle in :mod:`scool.em.elbo` certifies.
+The edge model covers the observed ordered pairs ``state.pairs``. A pair's
+memberships are its clients' rows of omega, so the prior's membership
+contraction is omega @ X @ omega.T gathered at the pairs; the membership
+and block updates lay the pair weights into a K x K matrix. Each update
+solves its own block's first-order condition exactly given the other
+blocks, which the lower-bound oracle in :mod:`scool.em.elbo` certifies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..special import sigmoid_tempered, softmax_tempered
-from ..topology import observed_pairs
+from ..special import softmax_tempered
+from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior, expected_log_pi
 # graph (the reporting hook) and update_alpha are shared with mmsbm
-from .common import block_logs, block_ratio, block_start, checked_gamma, expected_log_pi, graph, update_alpha
+from .common import graph, update_alpha
 from .state import SbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
@@ -24,20 +24,15 @@ def init_state(config, mask, theta_dim: int) -> SbmState:
     """Jittered memberships on the block model's shared start."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     normals = rng.standard_normal((config.K, config.num_memberships))
-    return SbmState(omega=jittered_simplex(normals), **block_start(config))
+    return SbmState(omega=jittered_simplex(normals), **block_start(config, mask))
 
 
-def update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Tempered-sigmoid edge posterior: cross-client log-likelihood plus the
-    membership-weighted block log-odds. Masked pairs are forced to zero.
-
-    The diagonal is filled by the same formula; it never enters the model
-    updates (the own-data term has coefficient one there) and only shapes
-    the row-normalized reporting view of the graph.
-    """
+def update_w(state: SbmState, loglik: np.ndarray) -> np.ndarray:
+    """Edge posterior with each pair's block log-odds under its two
+    clients' memberships; the diagonal is scored with client i's own."""
     logB, log1mB = block_logs(state)
-    score = loglik + state.omega @ (logB - log1mB) @ state.omega.T
-    return np.where(mask, sigmoid_tempered(score, state.tau_sigmoid), 0.0)
+    odds = state.omega @ (logB - log1mB) @ state.omega.T
+    return edge_posterior(state, loglik, np.take(odds, state.pairs), np.diagonal(odds))
 
 
 def update_gamma(state: SbmState) -> np.ndarray:
@@ -45,21 +40,20 @@ def update_gamma(state: SbmState) -> np.ndarray:
     return checked_gamma(state.omega + state.alpha[None, :])
 
 
-def _pair_weights(state: SbmState, mask: np.ndarray):
-    """Edge and non-edge pair coefficients over observed ordered pairs.
-
-    Masked pairs carry no communication, so their edges are missing data:
-    they enter neither the edge nor the non-edge sums.
-    """
-    off = observed_pairs(mask).astype(float)
-    return state.w * off, (1.0 - state.w) * off
+def _on_pairs(state: SbmState, values) -> np.ndarray:
+    """``values`` at the observed pairs of a K x K matrix, 0 elsewhere."""
+    K = state.n_clients
+    out = np.zeros(K * K)
+    out[state.pairs] = values
+    return out.reshape(K, K)
 
 
-def omega_scores(state: SbmState, mask: np.ndarray) -> np.ndarray:
+def omega_scores(state: SbmState) -> np.ndarray:
     """Row-wise softmax logits of the membership update: edge and non-edge
     evidence from both link directions plus the expected log-mixture."""
     logB, log1mB = block_logs(state)
-    w_pos, w_neg = _pair_weights(state, mask)
+    w = np.take(state.w, state.pairs)
+    w_pos, w_neg = _on_pairs(state, w), _on_pairs(state, 1.0 - w)
     out_pos = state.omega @ logB.T  # row j, col k: sum_h omega_jh log B(k, h)
     in_pos = state.omega @ logB  # row j, col k: sum_h omega_jh log B(h, k)
     out_neg = state.omega @ log1mB.T
@@ -73,26 +67,26 @@ def omega_scores(state: SbmState, mask: np.ndarray) -> np.ndarray:
     )
 
 
-def update_omega(state: SbmState, mask: np.ndarray) -> np.ndarray:
+def update_omega(state: SbmState) -> np.ndarray:
     """One synchronous membership sweep: every row is renormalized from the
     pre-sweep snapshot."""
-    return softmax_tempered(omega_scores(state, mask), 1.0, axis=-1)
+    return softmax_tempered(omega_scores(state), 1.0, axis=-1)
 
 
-def update_block_matrix(state: SbmState, mask: np.ndarray) -> np.ndarray:
+def update_block_matrix(state: SbmState) -> np.ndarray:
     """Exact block-affinity maximizer: membership-weighted mean edge weight
     over the observed pairs, clamped away from the log singularities."""
-    off = observed_pairs(mask).astype(float)
-    num = state.omega.T @ (state.w * off) @ state.omega
-    den = state.omega.T @ off @ state.omega
+    num = state.omega.T @ _on_pairs(state, np.take(state.w, state.pairs)) @ state.omega
+    den = state.omega.T @ _on_pairs(state, 1.0) @ state.omega
     return block_ratio(num, den)
 
 
 def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> SbmState:
-    """Edge posterior, Dirichlet posterior, then one membership sweep."""
-    state.w = update_w(state, loglik, mask)
+    """The round's pair list, the edge and Dirichlet posteriors, then one membership sweep."""
+    state.pairs = observed
+    state.w = update_w(state, loglik)
     state.gamma = update_gamma(state)
-    state.omega = update_omega(state, mask)
+    state.omega = update_omega(state)
     return state
 
 
@@ -103,4 +97,4 @@ def m_step(state: SbmState, models, mask, pairs, config, grads) -> None:
         config.grad_mode, mask, pairs, grads=grads,
     )
     state.alpha = update_alpha(state, config)
-    state.B = update_block_matrix(state, mask)
+    state.B = update_block_matrix(state)

@@ -3,15 +3,15 @@
 The SBM and MMSBM priors are one block model, ``BlockState``; their states
 add only how memberships are held. Its edge model covers the observed
 ordered client pairs, (i, j) with i != j that the topology's boolean mask
-allows: the round's pair list without its diagonal, in the row-major order
-that ``scool.topology.pair_list`` alone sets; masked pairs are missing data,
-with w at 0. A client always cooperates with itself (its own-data gradient
-carries coefficient one in every update), so the diagonal of w that
-``update_w`` sets never enters an update and only matters for
-row-normalized reporting. B is clamped to [B_EPS, 1 - B_EPS] where it is
-written (at construction and by ``common.block_ratio``) and Dirichlet
-parameters are floored at ALPHA_MIN, because the closed-form updates can
-otherwise push them onto log singularities.
+allows, which ``BlockState.pairs`` holds in the row-major order that
+``scool.topology.pair_list`` alone sets: ``common.block_start`` takes them
+from the mask, each E-step from the round's list. Masked pairs are missing
+data, with w at 0. A client always cooperates with itself (its own-data
+gradient carries coefficient one in every update), so the diagonal of w
+never enters an update and only matters for row-normalized reporting. B is clamped to [B_EPS, 1 - B_EPS]
+where it is written (at construction and by ``common.block_ratio``) and
+Dirichlet parameters are floored at ALPHA_MIN, because the closed-form
+updates can otherwise push them onto log singularities.
 
 A learned prior's state holds its variational and prior parameters plus the
 two settings its E-step and lower bound read: the ridge lam on theta and the
@@ -110,11 +110,12 @@ class DiracState:
 
 @dataclass(kw_only=True)
 class BlockState:
-    """The block model both block priors share: the edge posterior w,
-    per-client Dirichlet posteriors gamma under the shared prior alpha, and
-    the block affinity matrix B. The subclasses add only how memberships
-    are held."""
+    """The block model both block priors share: the observed pairs, the
+    edge posterior w, per-client Dirichlet posteriors gamma under the shared
+    prior alpha, and the block affinity matrix B. The subclasses add only
+    how memberships are held."""
 
+    pairs: np.ndarray  # E flat indices i*K + j of the observed pairs, in topology.pair_list's order
     w: np.ndarray  # K x K in [0, 1], 0 on masked pairs
     gamma: np.ndarray  # K x M positive
     alpha: np.ndarray  # M positive (shared across clients)
@@ -188,7 +189,6 @@ class MmsbmState(BlockState):
     carries a sender membership (drawn from client i's mixture) and a
     receiver membership (from client j's), one row per entry of ``pairs``."""
 
-    pairs: np.ndarray  # E flat indices i*K + j of the observed pairs, in topology.pair_list's order
     phi_send: np.ndarray  # E x M simplex rows
     phi_recv: np.ndarray  # E x M simplex rows
 

@@ -1,7 +1,7 @@
 """Shared fixtures: random-state factories, finite-difference helpers, the
 plain per-pair oracle of the batched kernel, the loop oracles of the gamma
-lift and the snapshot writer, the dense mmsbm oracle, the whole-round
-oracle and the calibrated recovery benchmark used by the slower end-to-end
+lift and the snapshot writer, the dense sbm and mmsbm oracles, the
+whole-round oracle and the calibrated recovery benchmark used by the slower end-to-end
 tests."""
 
 from __future__ import annotations
@@ -87,8 +87,10 @@ def random_loglik(rng: np.random.Generator, K: int) -> np.ndarray:
     return rng.uniform(-1.5, 0.0, (K, K))
 
 
-def random_sbm_state(rng: np.random.Generator, K: int, M: int) -> SbmState:
+def random_sbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarray | None = None) -> SbmState:
+    """A state on the observed pairs of ``mask`` (the full mask by default)."""
     return SbmState(
+        pairs=observed_list(full_mask(K) if mask is None else mask),
         w=rng.uniform(0.05, 0.95, (K, K)),
         gamma=rng.uniform(0.5, 3.0, (K, M)),
         omega=interior_simplex(rng, (K, M)),
@@ -102,17 +104,17 @@ def random_sbm_state(rng: np.random.Generator, K: int, M: int) -> SbmState:
 
 def clone_sbm(state: SbmState, **overrides) -> SbmState:
     base = dict(
-        w=state.w, gamma=state.gamma, omega=state.omega, alpha=state.alpha,
+        pairs=state.pairs, w=state.w, gamma=state.gamma, omega=state.omega, alpha=state.alpha,
         B=state.B, lam=state.lam, tau_sigmoid=state.tau_sigmoid,
     )
     base.update(overrides)
     return SbmState(**base)
 
 
-def update_omega_row(state: SbmState, i: int, mask: np.ndarray) -> np.ndarray:
+def update_omega_row(state: SbmState, i: int) -> np.ndarray:
     """Coordinate-ascent oracle: the membership update of a single client,
     all other rows held fixed."""
-    return softmax_tempered(sbm.omega_scores(state, mask)[i], 1.0)
+    return softmax_tempered(sbm.omega_scores(state)[i], 1.0)
 
 
 def random_mmsbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarray | None = None) -> MmsbmState:
@@ -339,6 +341,63 @@ def write_matrix_oracle(path, matrix) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# ------------------------------------------------------- dense sbm oracle
+# The single-membership blocks and lower bound written densely over all
+# K x K pairs from the mask, the edge posterior's sigmoid run on every entry:
+# the plain reference that the pair-list code in scool.em.sbm and elbo_sbm
+# must equal bit for bit (tests/test_sbm.py).
+
+
+def _dense_sbm_logs(state: SbmState) -> tuple[np.ndarray, np.ndarray]:
+    return np.log(state.B), np.log1p(-state.B)
+
+
+def dense_sbm_update_w(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    logB, log1mB = _dense_sbm_logs(state)
+    score = loglik + state.omega @ (logB - log1mB) @ state.omega.T
+    return np.where(mask, sigmoid_tempered(score, state.tau_sigmoid), 0.0)
+
+
+def dense_sbm_omega_scores(state: SbmState, mask: np.ndarray) -> np.ndarray:
+    logB, log1mB = _dense_sbm_logs(state)
+    off = observed_pairs(mask).astype(float)
+    w_pos, w_neg = state.w * off, (1.0 - state.w) * off
+    return (
+        w_pos @ (state.omega @ logB.T)
+        + w_pos.T @ (state.omega @ logB)
+        + w_neg @ (state.omega @ log1mB.T)
+        + w_neg.T @ (state.omega @ log1mB)
+        + expected_log_pi(state.gamma)
+    )
+
+
+def dense_sbm_update_omega(state: SbmState, mask: np.ndarray) -> np.ndarray:
+    return softmax_tempered(dense_sbm_omega_scores(state, mask), 1.0, axis=-1)
+
+
+def dense_sbm_update_block_matrix(state: SbmState, mask: np.ndarray) -> np.ndarray:
+    off = observed_pairs(mask).astype(float)
+    return block_ratio(state.omega.T @ (state.w * off) @ state.omega, state.omega.T @ off @ state.omega)
+
+
+def dense_elbo_sbm(state: SbmState, loglik: np.ndarray, mask: np.ndarray) -> dict[str, float]:
+    """The per-term lower bound (without the model prior) as ElboBreakdown.terms()."""
+    obs, w = observed_pairs(mask), state.w
+    logB, log1mB = _dense_sbm_logs(state)
+    pos = state.omega @ logB @ state.omega.T
+    neg = state.omega @ log1mB @ state.omega.T
+    elp = expected_log_pi(state.gamma)
+    return {
+        "likelihood": float(np.trace(loglik) + (w * loglik)[obs].sum()),
+        "model_prior": 0.0,
+        "edge": float((w * pos + (1.0 - w) * neg)[obs].sum()),
+        "membership": float((state.omega * elp).sum()),
+        "dirichlet": _dirichlet_term(state.gamma, state.alpha, elp),
+        "entropy_membership": -float(xlogx(state.omega).sum()),
+        "entropy_w": -float((xlogx(w) + xlogx(1.0 - w))[obs].sum()),
+    }
+
+
 # ------------------------------------------------------ dense mmsbm oracle
 # The mixed-membership blocks and lower bound written densely over all K x K
 # pairs, with every pair off the state's list held at 1/M: the plain
@@ -440,10 +499,10 @@ def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) ->
 # and one whole rounds.run_round written plainly from them: the per-pair
 # oracle for the likelihoods and every gradient (step 0 included, so no
 # stored gradient), row folds left to right, gossip as a dense product, the
-# dense mmsbm oracle above, the lower bound written densely over the mask,
-# and the mask's observed pairs taken anew wherever a step reads them. The
-# sbm E-step, its block update and attention's coupling and encoder step
-# are the dense code of scool.em itself, which the per-block tests check.
+# dense sbm and mmsbm oracles above, the lower bound written densely over
+# the mask, and the mask's observed pairs taken anew wherever a step reads
+# them. Attention's coupling and encoder step are the dense code of scool.em
+# itself, which the per-block tests check.
 
 
 def reference_loglik_matrix(models, train_sets, mask):
@@ -531,24 +590,12 @@ def reference_elbo(state, loglik: np.ndarray, mask: np.ndarray, thetas: np.ndarr
     """The lower bound's total, each term summed densely over the mask's observed pairs."""
     obs, w = observed_pairs(mask), state.w
     model_prior = -0.5 * state.lam * float(np.sum(thetas * thetas))
-    if isinstance(state, MmsbmState):
-        return sum({**dense_elbo_mmsbm(state, loglik, mask), "model_prior": model_prior}.values())
-    likelihood = float(np.trace(loglik) + (w * loglik)[obs].sum())
     if isinstance(state, AttentionState):
+        likelihood = float(np.trace(loglik) + (w * loglik)[obs].sum())
         edge = float((w * np.log(np.maximum(state.p, PROB_FLOOR))).sum())
         return likelihood + model_prior + edge - float(xlogx(w).sum())
-    B = clamp_block_matrix(state.B)
-    pos = state.omega @ np.log(B) @ state.omega.T
-    neg = state.omega @ np.log1p(-B) @ state.omega.T
-    elp = expected_log_pi(state.gamma)
-    return (
-        likelihood + model_prior
-        + float((w * pos + (1.0 - w) * neg)[obs].sum())
-        + float((state.omega * elp).sum())
-        + _dirichlet_term(state.gamma, state.alpha, elp)
-        - float(xlogx(state.omega).sum())
-        - float((xlogx(w) + xlogx(1.0 - w))[obs].sum())
-    )
+    dense_elbo = dense_elbo_mmsbm if isinstance(state, MmsbmState) else dense_elbo_sbm
+    return sum({**dense_elbo(state, loglik, mask), "model_prior": model_prior}.values())
 
 
 def reference_graph(state, K: int, kind: str) -> np.ndarray:
@@ -582,9 +629,9 @@ def reference_round(state, models, train_sets, mask, round_index, config):
         mask[...] = sparsify_topk(state.w, mask, config.sparsify_keep_fraction)
     loglik = reference_loglik_matrix(models, train_sets, mask)
     if kind == "sbm":
-        state.w = sbm.update_w(state, loglik, mask)
-        state.gamma = sbm.update_gamma(state)
-        state.omega = sbm.update_omega(state, mask)
+        state.w = dense_sbm_update_w(state, loglik, mask)
+        state.gamma = state.omega + state.alpha[None, :]
+        state.omega = dense_sbm_update_omega(state, mask)
     elif kind == "mmsbm":
         _mmsbm_e_step(state, loglik, mask)
     else:
@@ -601,7 +648,8 @@ def reference_round(state, models, train_sets, mask, round_index, config):
         state.phi = attention.update_phi(state, client_store(models), mask, config)
     else:
         state.alpha = update_alpha(state, config)
-        state.B = sbm.update_block_matrix(state, mask) if kind == "sbm" else dense_update_block_matrix(state, mask)
+        dense_block_matrix = dense_sbm_update_block_matrix if kind == "sbm" else dense_update_block_matrix
+        state.B = dense_block_matrix(state, mask)
     traffic = account_exchange(mask, config.grad_mode, config.local_steps, n_params)
     return reference_graph(state, K, kind), elbo_total, traffic
 

@@ -119,16 +119,16 @@ def _mmsbm_kkt_residual(mst, ll, mask):
 
 
 def _sbm_sweep(st, ll, mask, track):
-    """Apply the sbm blocks one at a time (omega row by row), tracking the
-    bound after each."""
-    obs = observed_list(mask)
+    """Apply the sbm blocks one at a time (omega row by row) on the mask's
+    observed pairs, as an E-step takes them, tracking the bound after each."""
+    obs = st.pairs = observed_list(mask)
     v = elbo(st, ll, obs).total
-    st.w = sbm.update_w(st, ll, mask); v = track(v, elbo(st, ll, obs).total)
+    st.w = sbm.update_w(st, ll); v = track(v, elbo(st, ll, obs).total)
     st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, obs).total)
     for i in range(st.n_clients):
-        om = st.omega.copy(); om[i] = update_omega_row(st, i, mask); st.omega = om
+        om = st.omega.copy(); om[i] = update_omega_row(st, i); st.omega = om
         v = track(v, elbo(st, ll, obs).total)
-    st.B = sbm.update_block_matrix(st, mask); v = track(v, elbo(st, ll, obs).total)
+    st.B = sbm.update_block_matrix(st); v = track(v, elbo(st, ll, obs).total)
 
 
 def _mmsbm_sweep(st, ll, mask, track):
@@ -154,7 +154,7 @@ def test_criterion_1_stationarity_suite():
 
         # --- SBM: w block, gamma block, per-row membership updates
         st = random_sbm_state(rng, K, M)
-        st.w = sbm.update_w(st, ll, mask)
+        st.w = sbm.update_w(st, ll)
         for i in range(K):
             for j in range(K):
                 if i == j:
@@ -172,7 +172,7 @@ def test_criterion_1_stationarity_suite():
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g], 1e-6)))
         for i in range(K):
             om = st.omega.copy()
-            om[i] = update_omega_row(st, i, mask)
+            om[i] = update_omega_row(st, i)
             st.omega = om
             grads = []
             for k in range(M):

@@ -266,7 +266,7 @@ class TestPairListEqualsDenseOracle:
         assert_parked_simplex(dense_pairs(st, recv), obs, M)
         st.phi_send, st.phi_recv = send, recv
 
-        terms = elbo_mmsbm(st, ll).terms()
+        terms = elbo_mmsbm(st, ll, observed_list(mask)).terms()
         for name, expected in dense_elbo_mmsbm(st, ll, mask).items():
             assert terms[name] == pytest.approx(expected, rel=PAIR_TOL, abs=PAIR_TOL), name
 

@@ -104,8 +104,8 @@ class TestMaskingGuarantees:
 
         if prior == "sbm":
             cfg = ExperimentConfig(K=K, num_memberships=2, seed=3)
-            st_a = sbm.init_state(cfg, None, 0)
-            st_b = sbm.init_state(cfg, None, 0)
+            st_a = sbm.init_state(cfg, mask, 0)
+            st_b = sbm.init_state(cfg, mask, 0)
             sbm.e_step(st_a, models, ll, mask, observed_list(mask))
             sbm.e_step(st_b, models, poisoned, mask, observed_list(mask))
             np.testing.assert_array_equal(st_a.w, st_b.w)
@@ -162,8 +162,8 @@ class TestRunRoundContracts:
         mask_a = build_topology("fully-connected", 4)
         mask_b = build_topology("fully-connected", 4)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
-        st_a = sbm.init_state(cfg, None, 0)
-        st_b = sbm.init_state(cfg, None, 0)
+        st_a = sbm.init_state(cfg, mask_a, 0)
+        st_b = sbm.init_state(cfg, mask_b, 0)
         for r in range(3):
             graph_a, elbo_a, traffic_a = rounds.run_round(st_a, models_a, mask_a, r, cfg)
             graph_b, elbo_b, traffic_b = rounds.run_round(st_b, models_b, mask_b, r, cfg)
@@ -190,7 +190,7 @@ class TestRunRoundContracts:
             prior_kind="sbm", eta1=0.1, local_steps=1, sparsify_keep_fraction=0.2, sparsify_round=2,
             K=6, num_memberships=2, seed=12,
         )
-        st = sbm.init_state(cfg, None, 0)
+        st = sbm.init_state(cfg, mask, 0)
         for r in range(4):
             _, _, traffic = rounds.run_round(st, models, mask, r, cfg)
             # pruned in place: the caller's own array is the mask the round
@@ -210,7 +210,7 @@ class TestRunRoundContracts:
         models, _ = _setup(rng, K=5)
         mask = build_topology("fully-connected", 5)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1, K=5, num_memberships=2, seed=14)
-        st = sbm.init_state(cfg, None, 0)
+        st = sbm.init_state(cfg, mask, 0)
         rounds.run_round(st, models, mask, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]
@@ -403,14 +403,11 @@ class TestPriorTable:
 
 
 # The functions of scool.em that may still turn a mask into pairs themselves:
-# set-up code, sbm's dense blocks and attention's row softmax. Every other
-# layer reads the round's list, which topology.pair_list makes.
+# dirac's set-up and attention's row softmax. Every other layer reads the
+# round's list, or the block state's pairs, which topology.pair_list makes.
 PAIR_RULES = {"nonzero", "flatnonzero", "count_nonzero", "observed_pairs"}
 MASK_TO_PAIRS_ALLOWED = {
-    ("mmsbm.py", "init_state"),
     ("dirac.py", "metropolis_weights"),
-    ("sbm.py", "_pair_weights"),
-    ("sbm.py", "update_block_matrix"),
     ("attention.py", "_masked_row_softmax"),
 }
 

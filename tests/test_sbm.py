@@ -1,5 +1,5 @@
-"""Block-prior updates: scalar hand cases, lower-bound stationarity and
-coordinate-ascent monotonicity."""
+"""Block-prior updates: scalar hand cases, lower-bound stationarity,
+coordinate-ascent monotonicity and the dense mask oracle."""
 
 import math
 
@@ -8,23 +8,29 @@ import pytest
 
 from scool.config import ExperimentConfig
 from scool.em import sbm
-from scool.em.elbo import elbo
+from scool.em.elbo import elbo, elbo_sbm
 from scool.em.state import ALPHA_MIN, B_EPS
 from scool.errors import InvariantError
 from scool.models import ArchSpec
 from scool.special import sigmoid_tempered
-from scool.topology import pair_list
+from scool.topology import build_topology, observed_pairs, pair_list, sparsify_topk
 
 from conftest import (
     LocalModel,
     central_diff,
     client_store,
     clone_sbm,
+    dense_elbo_sbm,
+    dense_sbm_omega_scores,
+    dense_sbm_update_block_matrix,
+    dense_sbm_update_omega,
+    dense_sbm_update_w,
     full_mask,
     grad,
     observed_list,
     random_loglik,
     random_sbm_state,
+    random_symmetric_mask,
     simplex_kkt_spread,
     tiny_dataset,
     update_omega_row,
@@ -36,7 +42,7 @@ class TestUpdateW:
         rng = np.random.default_rng(0)
         st = random_sbm_state(rng, 4, 2)
         st.B = np.full((2, 2), 0.5)
-        w = sbm.update_w(st, np.zeros((4, 4)), full_mask(4))
+        w = sbm.update_w(st, np.zeros((4, 4)))
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_allclose(w[off], 0.5, atol=1e-12)
 
@@ -46,17 +52,17 @@ class TestUpdateW:
         st = random_sbm_state(rng, 2, 1)
         st.B = np.array([[0.73]])
         ll = np.full((2, 2), -1.1)
-        w = sbm.update_w(st, ll, full_mask(2))
+        w = sbm.update_w(st, ll)
         expect = 1.0 / (1.0 + math.exp(-(-1.1 + math.log(0.73 / 0.27))))
         assert w[0, 1] == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.47367999493863484, abs=1e-12)
 
     def test_masked_pairs_forced_zero(self):
         rng = np.random.default_rng(2)
-        st = random_sbm_state(rng, 4, 2)
         mask = full_mask(4)
         mask[0, 3] = mask[3, 0] = False
-        w = sbm.update_w(st, random_loglik(rng, 4), mask)
+        st = random_sbm_state(rng, 4, 2, mask)
+        w = sbm.update_w(st, random_loglik(rng, 4))
         assert w[0, 3] == 0.0 and w[3, 0] == 0.0
 
     def test_stationary_point_of_lower_bound(self):
@@ -64,7 +70,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 5, 3)
         ll = random_loglik(rng, 5)
         mask = full_mask(5)
-        st.w = sbm.update_w(st, ll, mask)
+        st.w = sbm.update_w(st, ll)
         worst = 0.0
         for i in range(5):
             for j in range(5):
@@ -82,7 +88,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 3, 2)
         ll = random_loglik(rng, 3)
         st.tau_sigmoid = 2.5
-        w_hot = sbm.update_w(st, ll, full_mask(3))
+        w_hot = sbm.update_w(st, ll)
         st.tau_sigmoid = 1.0
         score = ll + st.omega @ (np.log(st.B) - np.log1p(-st.B)) @ st.omega.T
         np.testing.assert_allclose(w_hot, sigmoid_tempered(score, 2.5), atol=1e-12)
@@ -123,7 +129,7 @@ class TestUpdateOmega:
     def test_single_membership_is_trivial(self):
         rng = np.random.default_rng(8)
         st = random_sbm_state(rng, 4, 1)
-        np.testing.assert_allclose(sbm.update_omega(st, full_mask(4)), 1.0)
+        np.testing.assert_allclose(sbm.update_omega(st), 1.0)
 
     def test_two_block_concentration(self):
         # block-indicator w with assortative B concentrates memberships
@@ -135,7 +141,7 @@ class TestUpdateOmega:
         st.B = np.array([[0.9, 0.1], [0.1, 0.9]])
         for _ in range(5):
             st.gamma = sbm.update_gamma(st)
-            st.omega = sbm.update_omega(st, full_mask(K))
+            st.omega = sbm.update_omega(st)
         # each group concentrates on one block, and the blocks differ
         lead = st.omega.argmax(axis=1)
         assert len(set(lead[:4])) == 1 and len(set(lead[4:])) == 1
@@ -149,7 +155,7 @@ class TestUpdateOmega:
         mask = full_mask(5)
         for i in range(5):
             om = st.omega.copy()
-            om[i] = update_omega_row(st, i, mask)
+            om[i] = update_omega_row(st, i)
             st.omega = om
             grads = []
             for k in range(3):
@@ -213,7 +219,7 @@ class TestUpdateBlockMatrix:
         rng = np.random.default_rng(14)
         st = random_sbm_state(rng, 4, 2)
         st.omega = np.full((4, 2), 0.5)
-        B = sbm.update_block_matrix(st, full_mask(4))
+        B = sbm.update_block_matrix(st)
         off = ~np.eye(4, dtype=bool)
         brute = 0.0
         count = 0
@@ -228,7 +234,7 @@ class TestUpdateBlockMatrix:
         rng = np.random.default_rng(15)
         st = random_sbm_state(rng, 4, 2)
         st.w = np.ones((4, 4))
-        B = sbm.update_block_matrix(st, full_mask(4))
+        B = sbm.update_block_matrix(st)
         np.testing.assert_allclose(B, 1.0 - B_EPS)
 
     def test_hard_memberships_recover_block_values(self):
@@ -239,7 +245,7 @@ class TestUpdateBlockMatrix:
         st.omega = np.eye(M)[groups]
         blocks = np.array([[0.8, 0.2], [0.3, 0.6]])
         st.w = blocks[np.ix_(groups, groups)]
-        B = sbm.update_block_matrix(st, full_mask(K))
+        B = sbm.update_block_matrix(st)
         np.testing.assert_allclose(B, blocks, atol=1e-12)
 
     def test_degenerate_membership_raises(self):
@@ -247,7 +253,7 @@ class TestUpdateBlockMatrix:
         st = random_sbm_state(rng, 4, 2)
         st.omega = np.tile(np.array([1.0, 0.0]), (4, 1))
         with pytest.raises(InvariantError):
-            sbm.update_block_matrix(st, full_mask(4))
+            sbm.update_block_matrix(st)
 
 
 class TestThetaStep:
@@ -321,3 +327,47 @@ class TestEStepSymmetry:
         np.testing.assert_allclose(st_p.w, st.w[np.ix_(perm, perm)], atol=1e-12)
         np.testing.assert_allclose(st_p.gamma, st.gamma[perm], atol=1e-12)
         np.testing.assert_allclose(st_p.omega, st.omega[perm], atol=1e-12)
+
+
+def _oracle_mask(kind: str, K: int, rng) -> np.ndarray:
+    if kind == "full":
+        return full_mask(K)
+    if kind == "group-ring":
+        return build_topology("group-ring", K, k0=K - 4)  # two neighbours on each side
+    if kind == "bipartite":
+        return build_topology("generalized-bipartite", K, degree=2, seed=int(rng.integers(2**16)))
+    if kind == "random":
+        return random_symmetric_mask(rng, K, keep=0.5)
+    # pruned as a run prunes, down to each row's one strongest weight
+    return sparsify_topk(rng.uniform(0.1, 1.0, (K, K)), full_mask(K), 1.0 / (K - 1))
+
+
+class TestPairListEqualsDenseOracle:
+    """The pair-list updates and lower bound equal the dense mask formulas
+    of tests/conftest.py bit for bit, over two E- and M-step sweeps from a
+    w that is not zero off the mask."""
+
+    @pytest.mark.parametrize("kind", ["full", "group-ring", "bipartite", "random", "pruned"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_block_and_the_bound(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        K, M = 9, 3
+        mask = _oracle_mask(kind, K, rng)
+        if kind == "pruned":
+            assert np.all(observed_pairs(mask).sum(axis=1) == 1)
+        st = random_sbm_state(rng, K, M, mask)
+        ll = random_loglik(rng, K) * mask
+        for _ in range(2):
+            assert elbo_sbm(st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
+            w = sbm.update_w(st, ll)
+            np.testing.assert_array_equal(w, dense_sbm_update_w(st, ll, mask))
+            st.w = w
+            st.gamma = sbm.update_gamma(st)
+            np.testing.assert_array_equal(sbm.omega_scores(st), dense_sbm_omega_scores(st, mask))
+            omega = sbm.update_omega(st)
+            np.testing.assert_array_equal(omega, dense_sbm_update_omega(st, mask))
+            st.omega = omega
+            B = sbm.update_block_matrix(st)
+            np.testing.assert_array_equal(B, dense_sbm_update_block_matrix(st, mask))
+            st.B = B
+        assert elbo_sbm(st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from scool.config import ExperimentConfig
-from scool.em import attention, rounds, sbm
+from scool.em import attention, mmsbm, rounds, sbm
 from scool.em.common import alpha_gradient, block_ratio
 from scool.em.state import ALPHA_MIN, AdamSlot, AttentionState, ascent_step, clamp_block_matrix
 from scool.errors import ConfigurationError, InvariantError
-from scool.topology import build_topology
+from scool.topology import build_topology, observed_pairs
 
 from conftest import clone_mmsbm, clone_sbm, full_mask, random_attention_setup, random_mmsbm_state, random_sbm_state
 
@@ -108,6 +108,20 @@ class TestInitStateReadsConfig:
         np.testing.assert_array_equal(st.alpha, np.ones(4))
         np.testing.assert_array_equal(st.w, np.full((6, 6), 0.5))
         assert st.alpha_slot.t == 0 and st.alpha_slot.m.shape == (4,)
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("fully-connected", {}),
+        ("group-ring", {"k0": 4}),
+        ("generalized-bipartite", {"degree": 2, "seed": 3}),
+    ])
+    def test_block_priors_hold_the_same_pairs(self, kind, kw):
+        # the block model's shared start: the mask's off-diagonal true
+        # entries, row-major, whichever prior holds them
+        cfg = ExperimentConfig(**OFF_DEFAULT).validate()
+        mask = build_topology(kind, cfg.K, **kw)
+        pairs = sbm.init_state(cfg, mask, 10).pairs
+        np.testing.assert_array_equal(pairs, mmsbm.init_state(cfg, mask, 10).pairs)
+        np.testing.assert_array_equal(pairs, np.flatnonzero(observed_pairs(mask)))
 
     def test_attention(self):
         st = _state("attention")
