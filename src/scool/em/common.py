@@ -35,13 +35,6 @@ def block_logs(state) -> tuple[np.ndarray, np.ndarray]:
     return np.log(state.B), np.log1p(-state.B)
 
 
-def expected_log_pi(gamma: np.ndarray) -> np.ndarray:
-    """E[log pi] under a Dirichlet posterior: psi(gamma) - psi(sum gamma),
-    row-wise."""
-    g = np.asarray(gamma, dtype=float)
-    return digamma(g) - digamma(g.sum(axis=1))[:, None]
-
-
 def checked_gamma(gamma: np.ndarray) -> np.ndarray:
     """A block prior's new Dirichlet posterior; a non-finite one is a divergence."""
     # a non-finite entry, or a row sum that overflows, makes its row sum non-finite
@@ -50,19 +43,21 @@ def checked_gamma(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def alpha_gradient(gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def alpha_gradient(elp: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Ascent gradient of the shared Dirichlet parameter: the K clients'
-    expected log-mixtures against the prior's normalizer."""
-    K = len(gamma)
-    elp = expected_log_pi(gamma)
-    return elp.sum(axis=0) - K * digamma(alpha) + K * digamma(float(alpha.sum()))
+    expected log-mixtures ``elp`` (expected_log_pi of their posteriors)
+    against the prior's normalizer, from one digamma call on alpha and its
+    sum."""
+    K = len(elp)
+    psi = digamma(np.append(alpha, alpha.sum()))
+    return elp.sum(axis=0) - K * psi[:-1] + K * psi[-1]
 
 
 def update_alpha(state, config) -> np.ndarray:
     """One projected ascent step on the shared Dirichlet parameter alpha of a
     block prior, under the run's prior step size, optimizer and decay,
     floored at ALPHA_MIN."""
-    new = ascent_step(state.alpha, alpha_gradient(state.gamma, state.alpha), state.alpha_slot, config)
+    new = ascent_step(state.alpha, alpha_gradient(state.elp, state.alpha), state.alpha_slot, config)
     new = np.maximum(new, ALPHA_MIN)
     # a non-finite entry makes the sum non-finite too; so do entries whose sum overflows
     if not np.isfinite(new.sum()):
@@ -110,8 +105,10 @@ def pair_bilinear(phi_send: np.ndarray, X: np.ndarray, phi_recv: np.ndarray) -> 
     terms and order of np.einsum("eg,gh,eh->e", ...), bit for bit, in about
     half its time."""
     M = X.shape[0]
-    acc = np.zeros(len(phi_send))
+    acc, term = np.zeros(len(phi_send)), np.empty(len(phi_send))
     for g in range(M):
         for h in range(M):
-            acc += phi_send[:, g] * X[g, h] * phi_recv[:, h]
+            np.multiply(phi_send[:, g], X[g, h], out=term)
+            term *= phi_recv[:, h]
+            acc += term
     return acc

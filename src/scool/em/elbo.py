@@ -24,7 +24,7 @@ import numpy as np
 
 from ..models import ClientStore
 from ..special import fold_sum, log_gamma, xlogx
-from .common import block_logs, expected_log_pi, pair_bilinear
+from .common import block_logs, pair_bilinear
 from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
 
 
@@ -50,45 +50,55 @@ class ElboBreakdown:
 
 
 def _likelihood_term(w: np.ndarray, loglik: np.ndarray, pairs: np.ndarray) -> float:
-    return float(np.trace(loglik) + np.take(w * loglik, pairs).sum())
+    """The own log-likelihoods plus w times the cross-client ones at the
+    observed pairs; ``w`` holds the E weights at ``pairs``."""
+    return float(np.trace(loglik) + (w * np.take(loglik, pairs)).sum())
 
 
 def _model_prior_term(models: ClientStore | None, lam: float) -> float:
+    """The ridge on theta: each client's theta @ theta, as one stacked
+    (K, 1, D) @ (K, D, 1) product, folded in row order."""
     if models is None or lam == 0.0:
         return 0.0
-    return -0.5 * lam * fold_sum((float(theta @ theta) for theta in models.theta), 0.0)
+    thetas = models.theta
+    squares = thetas[:, None, :] @ thetas[:, :, None]
+    return -0.5 * lam * fold_sum(squares.ravel().tolist(), 0.0)
 
 
 def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray, elp: np.ndarray) -> float:
-    K = len(gamma)
+    """The Dirichlet prior's cross-entropy and the posterior's entropy, from
+    one log_gamma call on alpha, its sum, gamma and gamma's row sums."""
+    K, M = gamma.shape
+    lg = log_gamma(np.concatenate((alpha, [alpha.sum()], gamma.ravel(), gamma.sum(axis=1))))
+    end = M + 1 + K * M  # lg holds alpha's M values, its sum's, gamma's K * M, then its K row sums'
     prior = (
         float(((alpha - 1.0)[None, :] * elp).sum())
-        - K * float(log_gamma(alpha).sum())
-        + K * float(log_gamma(alpha.sum()))
+        - K * float(lg[:M].sum())
+        + K * float(lg[M])
     )
     post_entropy = (
         -float(((gamma - 1.0) * elp).sum())
-        + float(log_gamma(gamma).sum())
-        - float(log_gamma(gamma.sum(axis=1)).sum())
+        + float(lg[M + 1 : end].reshape(K, M).sum())
+        - float(lg[end:].sum())
     )
     return prior + post_entropy
 
 
 def _block_bound(
-    state: BlockState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None, elp: np.ndarray,
+    state: BlockState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None,
     *, pos: np.ndarray, neg: np.ndarray, membership: float, entropy_membership: float,
 ) -> ElboBreakdown:
     """A block prior's bound over the flat observed-pair indices ``pairs``
     from each pair's expected log B and log(1 - B), ``pos`` and ``neg`` (its
-    membership contraction), its ``membership``, ``entropy_membership`` and
-    elp = expected_log_pi(state.gamma): the other terms are shared."""
+    membership contraction), its ``membership`` and ``entropy_membership``:
+    the other terms are shared."""
     w = np.take(state.w, pairs)
     return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, pairs),
+        likelihood=_likelihood_term(w, loglik, pairs),
         model_prior=_model_prior_term(models, state.lam),
         edge=float((w * pos + (1.0 - w) * neg).sum()),
         membership=membership,
-        dirichlet=_dirichlet_term(state.gamma, state.alpha, elp),
+        dirichlet=_dirichlet_term(state.gamma, state.alpha, state.elp),
         entropy_membership=entropy_membership,
         entropy_w=float((-(xlogx(w) + xlogx(1.0 - w))).sum()),
     )
@@ -98,12 +108,12 @@ def elbo_sbm(
     state: SbmState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
 ) -> ElboBreakdown:
     logB, log1mB = block_logs(state)
-    omega, elp = state.omega, expected_log_pi(state.gamma)
+    omega = state.omega
     return _block_bound(
-        state, loglik, pairs, models, elp,
+        state, loglik, pairs, models,
         pos=np.take(omega @ logB @ omega.T, state.pairs),
         neg=np.take(omega @ log1mB @ omega.T, state.pairs),
-        membership=float((omega * elp).sum()),
+        membership=float((omega * state.elp).sum()),
         entropy_membership=-float(xlogx(omega).sum()),
     )
 
@@ -113,7 +123,7 @@ def elbo_attention(
 ) -> ElboBreakdown:
     logp = np.log(np.maximum(state.p, PROB_FLOOR))
     return ElboBreakdown(
-        likelihood=_likelihood_term(state.w, loglik, pairs),
+        likelihood=_likelihood_term(np.take(state.w, pairs), loglik, pairs),
         model_prior=_model_prior_term(models, state.lam),
         edge=float((state.w * logp).sum()),
         entropy_w=-float(xlogx(state.w).sum()),
@@ -125,10 +135,9 @@ def elbo_mmsbm(
 ) -> ElboBreakdown:
     ps, pr = state.phi_send, state.phi_recv
     logB, log1mB = block_logs(state)
-    elp = expected_log_pi(state.gamma)
-    elp_send, elp_recv = (np.take(elp, own, axis=0) for own in np.divmod(state.pairs, state.n_clients))
+    elp_send, elp_recv = (np.take(state.elp, own, axis=0) for own in np.divmod(state.pairs, state.n_clients))
     return _block_bound(
-        state, loglik, pairs, models, elp,
+        state, loglik, pairs, models,
         pos=pair_bilinear(ps, logB, pr),
         neg=pair_bilinear(ps, log1mB, pr),
         membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InvariantError
 from ..special import softmax_tempered
-from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior, expected_log_pi
+from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior
 # graph (the reporting hook) and update_alpha are shared with sbm
 from .common import graph, pair_bilinear, update_alpha
 from .state import MmsbmState, jittered_simplex
@@ -47,20 +47,29 @@ def update_w(state: MmsbmState, loglik: np.ndarray) -> np.ndarray:
     return edge_posterior(state, loglik, pair_odds, pair_bilinear(uniform, odds, uniform))
 
 
+def _client_sums(own: np.ndarray, phi: np.ndarray, K: int) -> np.ndarray:
+    """K x M: row i sums the rows of the E x M ``phi`` whose pair has client
+    ``own[e]`` == i, in pair order from 0.0, by one bincount over the bins
+    own * M + g."""
+    M = phi.shape[1]
+    bins = (own[:, None] * M + np.arange(M)).ravel()
+    return np.bincount(bins, phi.ravel(), K * M).reshape(K, M)
+
+
 def update_gamma(state: MmsbmState) -> np.ndarray:
     """Dirichlet posterior: prior plus client i's sender memberships over
     observed pairs (i, .) plus its receiver memberships over (., i)."""
-    K, M, pairs = state.n_clients, state.n_blocks, state.pairs
-    send_sum = np.stack([np.bincount(pairs // K, state.phi_send[:, g], K) for g in range(M)], axis=1)
-    recv_sum = np.stack([np.bincount(pairs % K, state.phi_recv[:, g], K) for g in range(M)], axis=1)
+    K, pairs = state.n_clients, state.pairs
+    send_sum = _client_sums(pairs // K, state.phi_send, K)
+    recv_sum = _client_sums(pairs % K, state.phi_recv, K)
     return checked_gamma(state.alpha[None, :] + send_sum + recv_sum)
 
 
-def update_phi(state: MmsbmState, elp: np.ndarray, side: str) -> np.ndarray:
+def update_phi(state: MmsbmState, side: str) -> np.ndarray:
     """Softmax of one side's ("send" or "recv") edge and non-edge evidence
-    plus its client's expected log-mixture ``elp`` (expected_log_pi of
-    state.gamma). The scores are laid out block-major (M x E) so the
-    softmax reduces along the leading axis; the rows come back contiguous."""
+    plus its client's expected log-mixture, state.elp. The scores are laid
+    out block-major (M x E) so the softmax reduces along the leading axis;
+    the rows come back contiguous."""
     K, pairs = state.n_clients, state.pairs
     logB, log1mB = block_logs(state)
     if side == "send":
@@ -70,7 +79,7 @@ def update_phi(state: MmsbmState, elp: np.ndarray, side: str) -> np.ndarray:
         logB, log1mB = logB.T, log1mB.T
     w = np.take(state.w, pairs)
     scores = w * (logB @ counterpart) + (1.0 - w) * (log1mB @ counterpart)
-    scores = scores + np.take(elp, own, axis=0).T
+    scores = scores + np.take(state.elp, own, axis=0).T
     return np.ascontiguousarray(softmax_tempered(scores, 1.0, axis=0).T)
 
 
@@ -80,18 +89,19 @@ def update_block_matrix(state: MmsbmState) -> np.ndarray:
 
 
 def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> MmsbmState:
-    """Keep the rows of the pairs the mask still allows (pruning only removes
-    pairs), which must leave the round's observed-pair list ``observed``,
-    then the edge and Dirichlet posteriors, then one synchronous sweep of
-    both pair-membership sides from the pre-sweep snapshot."""
-    keep = np.take(mask, state.pairs)
-    state.pairs, state.phi_send, state.phi_recv = (a[keep] for a in (state.pairs, state.phi_send, state.phi_recv))
+    """When the mask lost pairs (pruning only removes pairs), keep the rows
+    of the pairs it still allows; the list must then be the round's
+    observed-pair list ``observed``. Then the edge and Dirichlet posteriors,
+    then one synchronous sweep of both pair-membership sides from the
+    pre-sweep snapshot."""
+    if len(state.pairs) != len(observed):
+        keep = np.take(mask, state.pairs)
+        state.pairs, state.phi_send, state.phi_recv = (a[keep] for a in (state.pairs, state.phi_send, state.phi_recv))
     if not np.array_equal(state.pairs, observed):
         raise InvariantError("mmsbm pair list is not the mask's observed pairs")
     state.w = update_w(state, loglik)
     state.gamma = update_gamma(state)
-    elp = expected_log_pi(state.gamma)
-    state.phi_send, state.phi_recv = update_phi(state, elp, "send"), update_phi(state, elp, "recv")
+    state.phi_send, state.phi_recv = update_phi(state, "send"), update_phi(state, "recv")
     return state
 
 

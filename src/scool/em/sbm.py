@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..special import softmax_tempered
-from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior, expected_log_pi
+from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior
 # graph (the reporting hook) and update_alpha are shared with mmsbm
 from .common import graph, update_alpha
 from .state import SbmState, jittered_simplex
@@ -50,7 +50,8 @@ def _on_pairs(state: SbmState, values) -> np.ndarray:
 
 def omega_scores(state: SbmState) -> np.ndarray:
     """Row-wise softmax logits of the membership update: edge and non-edge
-    evidence from both link directions plus the expected log-mixture."""
+    evidence from both link directions plus the expected log-mixture
+    state.elp."""
     logB, log1mB = block_logs(state)
     w = np.take(state.w, state.pairs)
     w_pos, w_neg = _on_pairs(state, w), _on_pairs(state, 1.0 - w)
@@ -63,7 +64,7 @@ def omega_scores(state: SbmState) -> np.ndarray:
         + w_pos.T @ in_pos
         + w_neg @ out_neg
         + w_neg.T @ in_neg
-        + expected_log_pi(state.gamma)
+        + state.elp
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, InvariantError
 from ..models import layout_size
-from ..special import fold_last
+from ..special import digamma, fold_last
 
 B_EPS = 1e-4
 ALPHA_MIN = 1e-3
@@ -108,16 +108,30 @@ class DiracState:
             raise ConfigurationError("dirac mixing weights must be nonnegative")
 
 
+def expected_log_pi(gamma: np.ndarray) -> np.ndarray:
+    """E[log pi] under a Dirichlet posterior: psi(gamma) - psi(sum gamma),
+    row-wise, from one digamma call on gamma's entries and row sums."""
+    g = np.asarray(gamma, dtype=float)
+    psi = digamma(np.concatenate((g.ravel(), g.sum(axis=1))))
+    return psi[: g.size].reshape(g.shape) - psi[g.size :, None]
+
+
 @dataclass(kw_only=True)
 class BlockState:
     """The block model both block priors share: the observed pairs, the
     edge posterior w, per-client Dirichlet posteriors gamma under the shared
     prior alpha, and the block affinity matrix B. The subclasses add only
-    how memberships are held."""
+    how memberships are held.
+
+    ``elp``, E[log pi] = expected_log_pi(gamma), is derived from gamma here
+    and nowhere else: the membership update, the lower bound and the alpha
+    step all read it, so a round takes it once. Assigning gamma stores a
+    read-only copy and drops elp, which the next read takes anew; elp is
+    read-only too, so the two cannot disagree."""
 
     pairs: np.ndarray  # E flat indices i*K + j of the observed pairs, in topology.pair_list's order
     w: np.ndarray  # K x K in [0, 1], 0 on masked pairs
-    gamma: np.ndarray  # K x M positive
+    gamma: np.ndarray  # K x M positive, read-only
     alpha: np.ndarray  # M positive (shared across clients)
     B: np.ndarray  # M x M in [B_EPS, 1 - B_EPS]
     lam: float  # config.weight_decay, the lower bound's ridge on theta
@@ -126,11 +140,32 @@ class BlockState:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.B = clamp_block_matrix(self.B)
         if np.any(self.gamma <= 0) or np.any(self.alpha <= 0):
             raise InvariantError("gamma and alpha must stay positive")
+
+    def __setattr__(self, name, value):
+        if name == "gamma":
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, "_elp", None)
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, fields):
+        # copy.deepcopy and pickle restore a state here: its gamma goes
+        # through __setattr__, so the copy's is read-only and elp is taken anew
+        for name, value in fields.items():
+            if name != "_elp":
+                setattr(self, name, value)
+
+    @property
+    def elp(self) -> np.ndarray:
+        if self._elp is None:
+            elp = expected_log_pi(self.gamma)
+            elp.flags.writeable = False
+            self._elp = elp
+        return self._elp
 
     @property
     def n_clients(self) -> int:

@@ -49,9 +49,15 @@ _LGAMMA_COEFFS = (
 _HALF_LOG_2PI = 0.9189385332046727417803297364
 
 
-def _validate_positive(x: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+def _validate_positive(x: np.ndarray, name: str) -> float:
+    """The smallest entry of x (inf when x is empty), once every entry is
+    known to be positive and finite: a NaN makes the minimum NaN, so a
+    minimum above 0 and a maximum below inf rule out 0, negatives, NaN and
+    both infinities."""
+    lowest = x.min(initial=np.inf)
+    if not (lowest > 0.0 and x.max(initial=0.0) < np.inf):
         raise ValueError(f"{name} requires a strictly positive finite argument")
+    return float(lowest)
 
 
 def _lift(x, name: str, step):
@@ -61,23 +67,25 @@ def _lift(x, name: str, step):
     scalar. The steps run along a leading shift axis, added and subtracted
     in sequence as a loop of z += 1 and acc -= step would, so the bits are
     that loop's. The smallest entry takes the most steps, so the axis is as
-    long as its steps; with none, as for mmsbm's large gamma, z is x."""
-    arr = np.array(x, dtype=float)
-    _validate_positive(arr, name)
-    steps, lowest = 0, float(arr.min(initial=_SHIFT))
+    long as its steps; with none, as for mmsbm's large gamma, z is x and acc
+    is 0.0. Every entry's bits depend on that entry alone, so a call on a
+    concatenation gives the concatenated calls' bits."""
+    arr = np.asarray(x, dtype=float)
+    lowest, steps = _validate_positive(arr, name), 0
     while lowest < _SHIFT:
         lowest += 1.0
         steps += 1
     z = np.atleast_1d(arr)
     if steps == 0:
-        return z, np.zeros_like(z), arr.ndim == 0
+        return z, 0.0, arr.ndim == 0
     lifted = np.ones((steps + 1,) + z.shape)
     lifted[0] = z
     np.add.accumulate(lifted, axis=0, out=lifted)  # lifted[k] = x + 1 + ... + 1, k ones
-    low = lifted[:steps] < _SHIFT
+    high = lifted >= _SHIFT
     # 0 - term_0 - term_1 - ..., in that order
-    acc = np.subtract.reduce(step(lifted[:steps], low), axis=0, initial=0.0)
-    z = np.take_along_axis(lifted, low.sum(axis=0, keepdims=True), axis=0)[0]
+    acc = np.subtract.reduce(step(lifted[:steps], ~high[:steps]), axis=0, initial=0.0)
+    # lifted rises along the axis, so its least entry at or above _SHIFT is the first
+    z = np.minimum.reduce(lifted, axis=0, where=high, initial=np.inf)
     return z, acc, arr.ndim == 0
 
 
@@ -149,12 +157,12 @@ def sigmoid_tempered(x, tau: float):
 
 
 def xlogx(p) -> np.ndarray:
-    """x * log(x) with the 0 * log 0 := 0 convention (entropy terms)."""
+    """x * log(x) with the 0 * log 0 := 0 convention (entropy terms); every
+    entry that is not positive gives 0.0."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    nz = p > 0.0
-    out[nz] = p[nz] * np.log(p[nz])
-    return out
+    pos = p > 0.0
+    out = np.log(p, out=np.zeros_like(p), where=pos)
+    return np.multiply(out, p, out=out, where=pos)
 
 
 def fold_last(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

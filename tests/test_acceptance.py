@@ -11,7 +11,6 @@ import numpy as np
 
 from scool.config import ExperimentConfig
 from scool.em import attention, dirac, mmsbm, rounds, sbm
-from scool.em.common import expected_log_pi
 from scool.em.elbo import elbo
 from scool.em.state import DiracState, PROB_FLOOR
 from scool.models import ArchSpec
@@ -105,7 +104,7 @@ def _mmsbm_kkt_residual(mst, ll, mask):
             worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
     for side in ("send", "recv"):
         name = f"phi_{side}"
-        setattr(mst, name, mmsbm.update_phi(mst, expected_log_pi(mst.gamma), side))
+        setattr(mst, name, mmsbm.update_phi(mst, side))
         arr = getattr(mst, name)
         for e in range(len(mst.pairs)):
             grads = []
@@ -137,8 +136,8 @@ def _mmsbm_sweep(st, ll, mask, track):
     v = elbo(st, ll, obs).total
     st.w = mmsbm.update_w(st, ll); v = track(v, elbo(st, ll, obs).total)
     st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(st, ll, obs).total)
-    st.phi_send = mmsbm.update_phi(st, expected_log_pi(st.gamma), "send"); v = track(v, elbo(st, ll, obs).total)
-    st.phi_recv = mmsbm.update_phi(st, expected_log_pi(st.gamma), "recv"); v = track(v, elbo(st, ll, obs).total)
+    st.phi_send = mmsbm.update_phi(st, "send"); v = track(v, elbo(st, ll, obs).total)
+    st.phi_recv = mmsbm.update_phi(st, "recv"); v = track(v, elbo(st, ll, obs).total)
     st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(st, ll, obs).total)
 
 

@@ -179,7 +179,7 @@ class TestUpdateAlpha:
         st.gamma = np.tile(st.gamma[0], (4, 1))
         # solve for a symmetric alpha = (a, a) zeroing the gradient
         def g(a):
-            return alpha_gradient(st.gamma, np.array([a, a]))[0]
+            return alpha_gradient(st.elp, np.array([a, a]))[0]
         # symmetric gamma rows are required for a symmetric solution
         st.gamma = np.full((4, 2), 1.7)
         a_star = brentq(g, 1e-3, 50.0)
@@ -194,7 +194,7 @@ class TestUpdateAlpha:
         for _ in range(10):
             st = random_sbm_state(rng, 4, 3)
             ll = random_loglik(rng, 4)
-            g = alpha_gradient(st.gamma, st.alpha)
+            g = alpha_gradient(st.elp, st.alpha)
             for k in range(3):
                 def f(v, k=k):
                     a2 = st.alpha.copy()

@@ -74,7 +74,7 @@ class TestStepSizeFromConfig:
     def test_update_alpha(self):
         rng = np.random.default_rng(21)
         st = random_sbm_state(rng, 4, 3)
-        want = np.maximum(st.alpha + 0.037 * alpha_gradient(st.gamma, st.alpha), ALPHA_MIN)
+        want = np.maximum(st.alpha + 0.037 * alpha_gradient(st.elp, st.alpha), ALPHA_MIN)
         np.testing.assert_array_equal(sbm.update_alpha(st, ExperimentConfig(eta2=0.037)), want)
 
     def test_update_phi(self):
