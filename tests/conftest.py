@@ -1,7 +1,7 @@
 """Shared fixtures: random-state factories, finite-difference helpers, the
 plain per-pair oracle of the batched kernel, the loop oracles of the gamma
 lift and the snapshot writer, the call-per-argument oracles of the block
-priors' bookkeeping, the dense sbm and mmsbm oracles, the
+priors' bookkeeping, the dense sbm, mmsbm and attention oracles, the
 whole-round oracle and the calibrated recovery benchmark used by the slower end-to-end
 tests."""
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from scool import special
 from scool.config import ExperimentConfig
-from scool.em import attention, sbm
+from scool.em import sbm
 from scool.em.common import block_ratio, update_alpha
 from scool.em.elbo import _dirichlet_term
 from scool.em.state import (
@@ -22,6 +22,7 @@ from scool.em.state import (
     AttentionState,
     MmsbmState,
     SbmState,
+    ascent_step,
     clamp_block_matrix,
     expected_log_pi,
 )
@@ -554,6 +555,109 @@ def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) ->
     }
 
 
+# --------------------------------------------------- dense attention oracle
+# The attention prior written densely over the K x K mask, a row or a client
+# at a time, through the oracle's own unpack_mlp: the model deltas' encoder,
+# p, w, the coupling terms, the encoder gradient and the lower bound. The
+# whole-round oracle reads only these, never scool.em.attention.
+
+
+def _dense_attention_encode(state: AttentionState, deltas: np.ndarray):
+    """The encoder's hidden layer H and the embeddings E of the K x D model deltas."""
+    W1, b1, W2, b2 = unpack_mlp(state.phi, *state.enc_dims)
+    H = np.tanh(deltas @ W1.T + b1)
+    return H, H @ W2.T + b2
+
+
+def model_deltas(models) -> np.ndarray:
+    """theta - init_theta of every client of a list of models, K x D."""
+    return np.stack([m.theta - m.init_theta for m in models])
+
+
+def dense_attention_masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
+    """Each row's softmax of scores / tau over its allowed entries, zero elsewhere."""
+    out = np.zeros_like(scores)
+    for i, allowed in enumerate(mask):
+        z = scores[i, allowed] / tau
+        e = np.exp(z - z.max())
+        out[i, allowed] = e / e.sum()
+    return out
+
+
+def dense_attention_compute_p(state: AttentionState, deltas: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    E = _dense_attention_encode(state, deltas)[1]
+    return dense_attention_masked_row_softmax(E @ E.T, state.tau_softmax, mask)
+
+
+def dense_attention_update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax of the cross-client log-likelihood (0 on the diagonal) plus log p."""
+    logits = np.array(loglik, dtype=float)
+    np.fill_diagonal(logits, 0.0)
+    return dense_attention_masked_row_softmax(
+        logits + np.log(np.maximum(state.p, PROB_FLOOR)), state.tau_softmax, mask
+    )
+
+
+def _dense_attention_residual(state: AttentionState, deltas: np.ndarray, mask: np.ndarray):
+    """H, E and C, the derivative of sum_j w_ij log p_ij in the score
+    <e_i, e_j>: (w_ij - p_ij) / tau at each allowed pair, p taken at these
+    deltas, 0 elsewhere."""
+    H, E = _dense_attention_encode(state, deltas)
+    p = dense_attention_masked_row_softmax(E @ E.T, state.tau_softmax, mask)
+    C = np.zeros_like(p)
+    for i, j in zip(*np.nonzero(mask)):
+        C[i, j] = (state.w[i, j] - p[i, j]) / state.tau_softmax
+    return H, E, C
+
+
+def dense_attention_coupling_terms(state: AttentionState, deltas: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row i: -grad over theta_i of sum_j w_ij log p_ij through client i's
+    own embedding only, which enters the self score <e_i, e_i> twice."""
+    W1, _, W2, _ = unpack_mlp(state.phi, *state.enc_dims)
+    H, E, C = _dense_attention_residual(state, deltas, mask)
+    out = np.zeros_like(deltas)
+    for i in range(len(deltas)):
+        dE = C[i] @ E + C[i, i] * E[i]
+        out[i] = -(W1.T @ ((W2.T @ dE) * (1.0 - H[i] * H[i])))
+    return out
+
+
+def dense_attention_phi_gradient(state: AttentionState, deltas: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Gradient of sum_ij w_ij log p_ij over the encoder, summed client by
+    client: e_k enters row k's scores and column k's."""
+    W1, b1, W2, b2 = unpack_mlp(state.phi, *state.enc_dims)
+    H, E, C = _dense_attention_residual(state, deltas, mask)
+    dW1, db1, dW2, db2 = (np.zeros_like(a) for a in (W1, b1, W2, b2))
+    for k in range(len(deltas)):
+        dE = C[k] @ E + C[:, k] @ E
+        dZ = (W2.T @ dE) * (1.0 - H[k] * H[k])
+        dW2 += np.outer(dE, H[k])
+        db2 += dE
+        dW1 += np.outer(dZ, deltas[k])
+        db1 += dZ
+    return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+
+
+def dense_attention_update_phi(state: AttentionState, deltas: np.ndarray, mask: np.ndarray, config) -> np.ndarray:
+    g = dense_attention_phi_gradient(state, deltas, mask)
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError("encoder gradient is non-finite")
+    return ascent_step(state.phi, g, state.phi_slot, config)
+
+
+def dense_elbo_attention(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> dict[str, float]:
+    """The per-term lower bound (without the model prior) as ElboBreakdown.terms()."""
+    obs, w = observed_pairs(mask), state.w
+    return {
+        "likelihood": float(np.trace(loglik) + (w * loglik)[obs].sum()),
+        "model_prior": 0.0,
+        "edge": float((w * np.log(np.maximum(state.p, PROB_FLOOR))).sum()),
+        "membership": 0.0,
+        "dirichlet": 0.0,
+        "entropy_membership": 0.0,
+        "entropy_w": -float(xlogx(w).sum()),
+    }
+
 
 # --------------------------------------------------- whole-round oracle
 # The per-pair bodies of rounds.loglik_matrix, theta.cooperative_sgd_steps
@@ -561,10 +665,9 @@ def dense_elbo_mmsbm(state: MmsbmState, loglik: np.ndarray, mask: np.ndarray) ->
 # and one whole rounds.run_round written plainly from them: the per-pair
 # oracle for the likelihoods and every gradient (step 0 included, so no
 # stored gradient), row folds left to right, gossip as a dense product, the
-# dense sbm and mmsbm oracles above, the lower bound written densely over
-# the mask, and the mask's observed pairs taken anew wherever a step reads
-# them. Attention's coupling and encoder step are the dense code of scool.em
-# itself, which the per-block tests check.
+# dense sbm, mmsbm and attention oracles above, the lower bound written
+# densely over the mask, and the mask's observed pairs taken anew wherever
+# a step reads them.
 
 
 def reference_loglik_matrix(models, train_sets, mask):
@@ -616,26 +719,6 @@ def reference_dpsgd_step(models, w, train_sets, eta1):
         models[i].theta = new[i]
 
 
-def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
-    """Each row's softmax of scores / tau over its allowed entries, zero elsewhere."""
-    out = np.zeros_like(scores)
-    for i, allowed in enumerate(mask):
-        z = scores[i, allowed] / tau
-        e = np.exp(z - z.max())
-        out[i, allowed] = e / e.sum()
-    return out
-
-
-def _attention_e_step(state: AttentionState, models, loglik, mask) -> None:
-    W1, b1, W2, b2 = unpack_mlp(state.phi, *state.enc_dims)
-    deltas = np.stack([m.theta - m.init_theta for m in models])
-    E = np.tanh(deltas @ W1.T + b1) @ W2.T + b2
-    state.p = _masked_row_softmax(E @ E.T, state.tau_softmax, mask)
-    logits = np.array(loglik, dtype=float)
-    np.fill_diagonal(logits, 0.0)
-    state.w = _masked_row_softmax(logits + np.log(np.maximum(state.p, PROB_FLOOR)), state.tau_softmax, mask)
-
-
 def _mmsbm_e_step(state: MmsbmState, loglik, mask) -> None:
     """The dense updates, the memberships kept at the mask's observed pairs."""
     K, M = state.n_clients, state.n_blocks
@@ -648,15 +731,10 @@ def _mmsbm_e_step(state: MmsbmState, loglik, mask) -> None:
     state.phi_send, state.phi_recv = send.reshape(K * K, M)[pairs], recv.reshape(K * K, M)[pairs]
 
 
-def reference_elbo(state, loglik: np.ndarray, mask: np.ndarray, thetas: np.ndarray) -> float:
+def reference_elbo(state, loglik: np.ndarray, mask: np.ndarray, thetas: np.ndarray, kind: str) -> float:
     """The lower bound's total, each term summed densely over the mask's observed pairs."""
-    obs, w = observed_pairs(mask), state.w
+    dense_elbo = {"sbm": dense_elbo_sbm, "mmsbm": dense_elbo_mmsbm, "attention": dense_elbo_attention}[kind]
     model_prior = -0.5 * state.lam * float(np.sum(thetas * thetas))
-    if isinstance(state, AttentionState):
-        likelihood = float(np.trace(loglik) + (w * loglik)[obs].sum())
-        edge = float((w * np.log(np.maximum(state.p, PROB_FLOOR))).sum())
-        return likelihood + model_prior + edge - float(xlogx(w).sum())
-    dense_elbo = dense_elbo_mmsbm if isinstance(state, MmsbmState) else dense_elbo_sbm
     return sum({**dense_elbo(state, loglik, mask), "model_prior": model_prior}.values())
 
 
@@ -697,17 +775,18 @@ def reference_round(state, models, train_sets, mask, round_index, config):
     elif kind == "mmsbm":
         _mmsbm_e_step(state, loglik, mask)
     else:
-        _attention_e_step(state, models, loglik, mask)
-    elbo_total = reference_elbo(state, loglik, mask, np.stack([m.theta for m in models]))
+        state.p = dense_attention_compute_p(state, model_deltas(models), mask)
+        state.w = dense_attention_update_w(state, loglik, mask)
+    elbo_total = reference_elbo(state, loglik, mask, np.stack([m.theta for m in models]), kind)
     coupling = None
     if kind == "attention":
-        coupling = lambda ms: attention.coupling_descent_terms(client_store(ms), state, mask)
+        coupling = lambda ms: dense_attention_coupling_terms(state, model_deltas(ms), mask)
     reference_cooperative_sgd_steps(
         models, train_sets, state.w, config.weight_decay, config.eta1, config.local_steps,
         config.grad_mode, mask, coupling,
     )
     if kind == "attention":
-        state.phi = attention.update_phi(state, client_store(models), mask, config)
+        state.phi = dense_attention_update_phi(state, model_deltas(models), mask, config)
     else:
         state.alpha = update_alpha(state, config)
         dense_block_matrix = dense_sbm_update_block_matrix if kind == "sbm" else dense_update_block_matrix

@@ -6,7 +6,7 @@ import pytest
 
 from scool.config import ExperimentConfig
 from scool.em import attention
-from scool.em.elbo import elbo
+from scool.em.elbo import elbo, elbo_attention
 from scool.em.state import PROB_FLOOR
 from scool.errors import ConfigurationError
 from scool.special import softmax_tempered
@@ -16,7 +16,14 @@ from conftest import (
     central_diff,
     client_store,
     clone_attention,
+    dense_attention_compute_p,
+    dense_attention_coupling_terms,
+    dense_attention_masked_row_softmax,
+    dense_attention_phi_gradient,
+    dense_attention_update_w,
+    dense_elbo_attention,
     full_mask,
+    model_deltas,
     observed_list,
     random_attention_setup,
     random_loglik,
@@ -222,17 +229,8 @@ class TestPhiUpdate:
         assert kl() < start
 
 
-def reference_masked_row_softmax(scores, tau, mask):
-    """The per-row loop _masked_row_softmax ran before it grouped the rows
-    by mask degree."""
-    out = np.zeros_like(scores)
-    for i in range(len(scores)):
-        allowed = np.where(mask[i])[0]
-        out[i, allowed] = softmax_tempered(scores[i, allowed], tau)
-    return out
-
-
 class TestMaskedRowSoftmax:
+    # the oracle's row loop, which the rows of equal mask degree share in one softmax
     @pytest.mark.parametrize("tau", [1.0, 0.7])
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_per_row_loop(self, seed, tau):
@@ -244,7 +242,7 @@ class TestMaskedRowSoftmax:
         for mask in (np.ones((K, K), dtype=bool), ring, rng.random((K, K)) < rng.uniform(0.1, 0.9)):
             mask = mask | np.eye(K, dtype=bool)
             np.testing.assert_array_equal(
-                attention._masked_row_softmax(scores, tau, mask), reference_masked_row_softmax(scores, tau, mask)
+                attention._masked_row_softmax(scores, tau, mask), dense_attention_masked_row_softmax(scores, tau, mask)
             )
 
     def test_fully_masked_row_names_the_first_client(self):
@@ -252,3 +250,32 @@ class TestMaskedRowSoftmax:
         mask[3] = mask[1] = False
         with pytest.raises(ConfigurationError, match="^client 1 has a fully masked row$"):
             attention._masked_row_softmax(np.zeros((5, 5)), 1.0, mask)
+
+
+class TestDenseOracle:
+    """Every attention block and its lower bound against the dense oracle
+    of tests/conftest.py, which works row by row and client by client."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_match_the_dense_forms(self, seed, tau):
+        rng = np.random.default_rng(200 + seed)
+        K = int(rng.integers(3, 9))
+        models, state = random_attention_setup(rng, K)
+        state = clone_attention(state, tau_softmax=tau)
+        mask = random_symmetric_mask(rng, K)
+        ll = np.where(mask, random_loglik(rng, K), 0.0)
+        deltas = model_deltas(models)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, tau, mask)
+        np.testing.assert_allclose(state.p, dense_attention_compute_p(state, deltas, mask), rtol=0, atol=1e-12)
+        state.w = attention.update_w(state, ll, mask)
+        np.testing.assert_allclose(state.w, dense_attention_update_w(state, ll, mask), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            attention.coupling_descent_terms(models, state, mask),
+            dense_attention_coupling_terms(state, deltas, mask), rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            attention.phi_gradient(state, models, mask),
+            dense_attention_phi_gradient(state, deltas, mask), rtol=0, atol=1e-12,
+        )
+        assert elbo_attention(state, ll, observed_list(mask)).terms() == dense_elbo_attention(state, ll, mask)
