@@ -7,7 +7,7 @@ cooperation graph by variational EM under pluggable graphical-model priors
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigurationError, DivergenceError, InvariantError, ScoolError
-from .models import ArchSpec, ClientStore, Dataset, DataStack
+from .models import ArchSpec, ClientStore, DataStack
 from .runner import ExperimentReport, metric_l1, run_budget_sweep, run_experiment
 from .special import digamma, log_gamma, sigmoid_tempered, softmax_tempered
 from .tasks import TaskAssignment, TaskUniverse, gen_tasks
@@ -21,7 +21,6 @@ __all__ = [
     "CommLedger",
     "ConfigurationError",
     "DataStack",
-    "Dataset",
     "DivergenceError",
     "ExperimentConfig",
     "ExperimentReport",

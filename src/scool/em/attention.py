@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore, pack_layers, unpack_layers
-from ..special import softmax_tempered
+from ..special import softmax_tempered, xlogx
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps
 
@@ -165,6 +165,12 @@ def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray, con
     if not np.all(np.isfinite(g)):
         raise DivergenceError("encoder gradient is non-finite")
     return ascent_step(state.phi, g, state.phi_slot, config)
+
+
+def bound_terms(state: AttentionState) -> dict[str, float]:
+    """The agreement sum_ij w_ij log p_ij, p floored as in update_w, and the entropy of w."""
+    logp = np.log(np.maximum(state.p, PROB_FLOOR))
+    return dict(edge=float((state.w * logp).sum()), entropy_w=-float(xlogx(state.w).sum()))
 
 
 def e_step(

@@ -17,7 +17,7 @@ from ..topology import observed_pairs
 from .state import DiracState
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
-e_step = None
+e_step = bound_terms = None
 
 
 def init_state(config, mask, theta_dim: int) -> DiracState:

@@ -1,14 +1,17 @@
-"""Closed-form evidence lower bound for each structured prior.
+"""Closed-form evidence lower bound of the learned priors.
 
 This is the testing oracle: every closed-form E-step block must be a
 stationary point of the value computed here, and no block update may
-decrease it. The terms are evaluated exactly (0 log 0 := 0 in entropies;
-attention probabilities inside logs share the update's floor) and the
-breakdown's total is the plain sum of its named terms. Every bound takes
-the round's observed pairs, the flat row-major indices of the mask's
-off-diagonal true entries (topology.pair_list without the diagonal): the
-cross-client likelihood, and the block priors' edge and edge-entropy
-terms, run over those pairs only.
+decrease it. ``elbo`` takes the terms every prior shares, the likelihood
+and the ridge on theta, and adds the prior module's own
+``bound_terms(state)`` (rounds.PRIORS; the block priors build theirs with
+``block_terms``). The terms are evaluated exactly (0 log 0 := 0 in
+entropies; attention probabilities inside logs share the update's floor)
+and the breakdown's total is the plain sum of its named terms. The
+cross-client likelihood runs over the round's observed pairs, the flat
+row-major indices of the mask's off-diagonal true entries
+(topology.pair_list without the diagonal), and the block priors' edge and
+edge-entropy terms over the state's own, which are the same list.
 
 Term naming: ``edge`` is the graph-likelihood part (block edge evidence,
 or the attention agreement sum); ``membership`` the expected membership
@@ -24,8 +27,7 @@ import numpy as np
 
 from ..models import ClientStore
 from ..special import fold_sum, log_gamma, xlogx
-from .common import block_logs, pair_bilinear
-from .state import PROB_FLOOR, AttentionState, BlockState, MmsbmState, SbmState
+from .state import BlockState
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,18 +86,15 @@ def _dirichlet_term(gamma: np.ndarray, alpha: np.ndarray, elp: np.ndarray) -> fl
     return prior + post_entropy
 
 
-def _block_bound(
-    state: BlockState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None,
-    *, pos: np.ndarray, neg: np.ndarray, membership: float, entropy_membership: float,
-) -> ElboBreakdown:
-    """A block prior's bound over the flat observed-pair indices ``pairs``
+def block_terms(
+    state: BlockState, *, pos: np.ndarray, neg: np.ndarray, membership: float, entropy_membership: float
+) -> dict[str, float]:
+    """A block prior's own terms over its observed pairs ``state.pairs``
     from each pair's expected log B and log(1 - B), ``pos`` and ``neg`` (its
     membership contraction), its ``membership`` and ``entropy_membership``:
-    the other terms are shared."""
-    w = np.take(state.w, pairs)
-    return ElboBreakdown(
-        likelihood=_likelihood_term(w, loglik, pairs),
-        model_prior=_model_prior_term(models, state.lam),
+    the edge, Dirichlet and edge-entropy terms are the block model's."""
+    w = np.take(state.w, state.pairs)
+    return dict(
         edge=float((w * pos + (1.0 - w) * neg).sum()),
         membership=membership,
         dirichlet=_dirichlet_term(state.gamma, state.alpha, state.elp),
@@ -104,50 +103,12 @@ def _block_bound(
     )
 
 
-def elbo_sbm(
-    state: SbmState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
-) -> ElboBreakdown:
-    logB, log1mB = block_logs(state)
-    omega = state.omega
-    return _block_bound(
-        state, loglik, pairs, models,
-        pos=np.take(omega @ logB @ omega.T, state.pairs),
-        neg=np.take(omega @ log1mB @ omega.T, state.pairs),
-        membership=float((omega * state.elp).sum()),
-        entropy_membership=-float(xlogx(omega).sum()),
-    )
-
-
-def elbo_attention(
-    state: AttentionState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
-) -> ElboBreakdown:
-    logp = np.log(np.maximum(state.p, PROB_FLOOR))
+def elbo(prior, state, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
+    """The lower bound of a learned prior's state: the likelihood over the
+    observed ``pairs`` and the ridge on the models, then the terms of the
+    prior module's own ``bound_terms``."""
     return ElboBreakdown(
         likelihood=_likelihood_term(np.take(state.w, pairs), loglik, pairs),
         model_prior=_model_prior_term(models, state.lam),
-        edge=float((state.w * logp).sum()),
-        entropy_w=-float(xlogx(state.w).sum()),
+        **prior.bound_terms(state),
     )
-
-
-def elbo_mmsbm(
-    state: MmsbmState, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None
-) -> ElboBreakdown:
-    ps, pr = state.phi_send, state.phi_recv
-    logB, log1mB = block_logs(state)
-    elp_send, elp_recv = (np.take(state.elp, own, axis=0) for own in np.divmod(state.pairs, state.n_clients))
-    return _block_bound(
-        state, loglik, pairs, models,
-        pos=pair_bilinear(ps, logB, pr),
-        neg=pair_bilinear(ps, log1mB, pr),
-        membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),
-        entropy_membership=-float(xlogx(ps).sum() + xlogx(pr).sum()),
-    )
-
-
-def elbo(state, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
-    """Dispatch on the prior's state type; ``pairs`` are the observed pairs."""
-    for kind, bound in ((SbmState, elbo_sbm), (AttentionState, elbo_attention), (MmsbmState, elbo_mmsbm)):
-        if isinstance(state, kind):
-            return bound(state, loglik, pairs, models)
-    raise TypeError(f"no lower bound for state type {type(state).__name__}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import theta
 
-e_step = None
+e_step = bound_terms = None
 
 
 def init_state(config, mask, theta_dim: int) -> None:

@@ -6,7 +6,7 @@ from client i's mixture and the receiver's drawn from client j's. The state
 holds them as E x M rows, one per entry of its pair list ``state.pairs``,
 and every update and the lower bound read that list. The edge posterior and
 the bound's edge term are the block model's own (common.edge_posterior,
-elbo._block_bound); the prior's membership contraction is pair_bilinear on
+elbo.block_terms); the prior's membership contraction is pair_bilinear on
 its rows. All blocks are exact coordinate maximizers given the others, and
 the sweep inside one E-step reads the pre-sweep memberships.
 """
@@ -16,10 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvariantError
-from ..special import softmax_tempered
+from ..special import softmax_tempered, xlogx
 from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior
 # graph (the reporting hook) and update_alpha are shared with sbm
 from .common import graph, pair_bilinear, update_alpha
+from .elbo import block_terms
 from .state import MmsbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
@@ -86,6 +87,21 @@ def update_phi(state: MmsbmState, side: str) -> np.ndarray:
 def update_block_matrix(state: MmsbmState) -> np.ndarray:
     ps, pr = state.phi_send, state.phi_recv
     return block_ratio((np.take(state.w, state.pairs)[:, None] * ps).T @ pr, ps.T @ pr)
+
+
+def bound_terms(state: MmsbmState) -> dict[str, float]:
+    """The block model's lower-bound terms under the pair memberships, each
+    side scored against its own client's expected log-mixture."""
+    ps, pr = state.phi_send, state.phi_recv
+    logB, log1mB = block_logs(state)
+    elp_send, elp_recv = (np.take(state.elp, own, axis=0) for own in np.divmod(state.pairs, state.n_clients))
+    return block_terms(
+        state,
+        pos=pair_bilinear(ps, logB, pr),
+        neg=pair_bilinear(ps, log1mB, pr),
+        membership=float((ps * elp_send).sum() + (pr * elp_recv).sum()),
+        entropy_membership=-float(xlogx(ps).sum() + xlogx(pr).sum()),
+    )
 
 
 def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> MmsbmState:

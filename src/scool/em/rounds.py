@@ -13,10 +13,14 @@ from . import attention, dirac, local, mmsbm, sbm
 from .elbo import elbo
 from .theta import pair_blocks
 
-# Every prior is a module with the same four hooks, looked up at call time:
+# Every prior is a module with the same five hooks, looked up at call time;
+# this table is the only code that knows which prior a state belongs to:
 #   init_state(config, mask, theta_dim) -> the prior's state
 #   e_step(state, models, loglik, mask, observed), or None for a fixed
 #       graph; observed is the round's pair list without its diagonal
+#   bound_terms(state) -> the prior's own lower-bound terms (elbo.elbo adds
+#       the likelihood and ridge terms every prior shares), or None with
+#       e_step
 #   m_step(state, models, mask, pairs, config, grads): the local epochs on
 #       models.train and the prior-parameter updates, under the run's
 #       settings; pairs is the round's pair list (topology.pair_list) and
@@ -101,7 +105,7 @@ def run_round(
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
             observed = pairs[pairs % (len(mask) + 1) != 0]
             prior.e_step(state, models, ll, mask, observed)
-            elbo_total = elbo(state, ll, observed, models).total
+            elbo_total = elbo(prior, state, ll, observed, models).total
         prior.m_step(state, models, mask, pairs, config, grads)
         # checked after the M-step, so a fault that the M-step finds in the
         # same round is reported under its own cause

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..special import softmax_tempered
+from ..special import softmax_tempered, xlogx
 from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior
 # graph (the reporting hook) and update_alpha are shared with mmsbm
 from .common import graph, update_alpha
+from .elbo import block_terms
 from .state import SbmState, jittered_simplex
 from .theta import cooperative_sgd_steps
 
@@ -80,6 +81,19 @@ def update_block_matrix(state: SbmState) -> np.ndarray:
     num = state.omega.T @ _on_pairs(state, np.take(state.w, state.pairs)) @ state.omega
     den = state.omega.T @ _on_pairs(state, 1.0) @ state.omega
     return block_ratio(num, den)
+
+
+def bound_terms(state: SbmState) -> dict[str, float]:
+    """The block model's lower-bound terms under the memberships omega."""
+    logB, log1mB = block_logs(state)
+    omega = state.omega
+    return block_terms(
+        state,
+        pos=np.take(omega @ logB @ omega.T, state.pairs),
+        neg=np.take(omega @ log1mB @ omega.T, state.pairs),
+        membership=float((omega * state.elp).sum()),
+        entropy_membership=-float(xlogx(omega).sum()),
+    )
 
 
 def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> SbmState:

@@ -10,8 +10,9 @@ the parameters is applied by the EM updates, not inside the data loss.
 A run holds its models in one way only: the K x D parameter stack of a
 ClientStore, which the batched kernel below reads and updates. The plain
 per-pair functions (one model on one dataset) that the kernel is checked
-against live in tests/conftest.py as its oracle; the store's per-client row
-views remain only for the benchmark's round-1 cross-check.
+against, and the per-client Dataset they read, live in tests/conftest.py as
+its oracle; the stores' per-client row records remain only for the
+benchmark's round-1 cross-check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,64 +58,51 @@ class ArchSpec:
         return layout_size(self.widths)
 
 
-@dataclass
-class Dataset:
-    """Labeled feature matrix for one client.
-
-    Labels are local indices into ``class_set`` (sorted global class ids),
-    so clients with identical class sets share a label space.
-    """
+class DataRow(NamedTuple):
+    """Client k of a DataStack: views of its rows of features and labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    class_set: tuple[int, ...]
-    split: str = "train"
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.features.ndim != 2 or len(self.features) != len(self.labels):
-            raise ValueError("features must be N x d with one label per row")
-        if len(self.labels) < 1:
-            raise ValueError("dataset must contain at least one sample")
-        self.class_set = tuple(sorted(int(c) for c in self.class_set))
-        if self.labels.min() < 0 or self.labels.max() >= len(self.class_set):
-            raise ValueError("labels must index into class_set")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 class DataStack(Sequence):
     """The datasets of K clients as one stack: features K x n x d and labels
-    K x n, so all share n and d. Item k is client k's Dataset, a view of
-    row k. The features' memory may be sample-major (C order; the train
-    stack, which the pair kernel gathers by client) or class-major (each
-    client's d x n transpose contiguous; the test stack, which
-    batch_accuracy reads transposed)."""
+    K x n, so all share n and d. The features' memory may be sample-major (C
+    order; the train stack, which the pair kernel gathers by client) or
+    class-major (each client's d x n transpose contiguous; the test stack,
+    which batch_accuracy reads transposed). It is a Sequence of DataRows
+    only because the benchmark's round-1 cross-check iterates it."""
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, class_sets, split: str = "train"):
-        self.features, self.labels = features, labels
-        self.class_sets, self.split = list(class_sets), split
+    def __init__(self, features: np.ndarray, labels: np.ndarray, split: str = "train"):
+        self.features, self.labels, self.split = features, labels, split
 
     def __len__(self) -> int:
         return len(self.features)
 
-    def __getitem__(self, k: int) -> Dataset:
-        return Dataset(self.features[k], self.labels[k], self.class_sets[k], self.split)
+    def __getitem__(self, k: int) -> DataRow:
+        return DataRow(self.features[k], self.labels[k])
+
+
+class ClientRow(NamedTuple):
+    """Client i of a ClientStore: views of its rows of theta (read-only) and init_theta."""
+
+    theta: np.ndarray
+    init_theta: np.ndarray
 
 
 class ClientStore(Sequence):
     """All K clients of a run, stacked once. ``theta`` (K x D, C-ordered) is
     the one copy of the parameters: the kernels read it and update it in
-    place. ``init_theta`` is a read-only copy of the stack the run started
-    from; ``train`` and ``test`` are DataStacks of K datasets, or None.
-    ``workspace`` is the one PairWorkspace of every batched pass over the
-    store's models, the loglik passes, local steps, gossip and train losses
-    of all rounds: it keeps its memory from pass to pass, so after the first
-    round no pass allocates and the allocator has nothing to trim and fault
-    back in. Any pass may overwrite what an earlier one left there."""
+    place, and every write goes through it. ``init_theta`` is a read-only
+    copy of the stack the run started from; ``train`` and ``test`` are
+    DataStacks of K datasets, or None. ``workspace`` is the one
+    PairWorkspace of every batched pass over the store's models, the loglik
+    passes, local steps, gossip and train losses of all rounds: it keeps its
+    memory from pass to pass, so after the first round no pass allocates
+    and the allocator has nothing to trim and fault back in. Any pass may
+    overwrite what an earlier one left there. The store is a Sequence of
+    ClientRows only because the benchmark's round-1 cross-check iterates
+    it."""
 
     def __init__(self, theta: np.ndarray, arch: ArchSpec, train: DataStack | None = None, test: DataStack | None = None):
         # C order: an F-ordered stack moves the last bits of dirac's w @ theta
@@ -133,25 +122,10 @@ class ClientStore(Sequence):
     def __len__(self) -> int:
         return len(self.theta)
 
-    def __getitem__(self, i: int) -> "_StoredModel":
-        return _StoredModel(self, i)  # init_theta[i] raises the IndexError that ends iteration
-
-
-class _StoredModel:
-    """Client i of a ClientStore: ``theta`` and ``init_theta`` are views of
-    row i, and assigning ``theta`` writes into the row. Only the benchmark's
-    round-1 cross-check still reads clients one at a time."""
-
-    def __init__(self, store: ClientStore, i: int):
-        self.arch, self.init_theta, self._store, self._i = store.arch, store.init_theta[i], store, i
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._store.theta[self._i]
-
-    @theta.setter
-    def theta(self, value) -> None:
-        self._store.theta[self._i] = value
+    def __getitem__(self, i: int) -> ClientRow:
+        theta = self.theta[i]  # a view of its own, so the stack stays writable
+        theta.flags.writeable = False
+        return ClientRow(theta, self.init_theta[i])
 
 
 def layout_size(widths: Sequence[int]) -> int:

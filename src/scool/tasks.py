@@ -168,8 +168,8 @@ def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataS
     pass reads it."""
     K, d = len(class_sets), universe.dim
     stacks = (
-        DataStack(np.empty((K, n_train, d)), np.empty((K, n_train), dtype=int), class_sets, "train"),
-        DataStack(np.empty((K, d, n_test)).swapaxes(1, 2), np.empty((K, n_test), dtype=int), class_sets, "test"),
+        DataStack(np.empty((K, n_train, d)), np.empty((K, n_train), dtype=int), "train"),
+        DataStack(np.empty((K, d, n_test)).swapaxes(1, 2), np.empty((K, n_test), dtype=int), "test"),
     )
     for k, (cs, s) in enumerate(zip(class_sets, seeds)):
         rng = np.random.default_rng(s)

@@ -27,13 +27,7 @@ from scool.em.state import (
     expected_log_pi,
 )
 from scool.errors import ConfigurationError, DivergenceError
-from scool.models import (
-    SOFTMAX_REGRESSION,
-    ArchSpec,
-    ClientStore,
-    Dataset,
-    DataStack,
-)
+from scool.models import SOFTMAX_REGRESSION, ArchSpec, ClientStore, DataStack
 from scool.special import sigmoid_tempered, softmax_tempered, xlogx
 from scool.tasks import TaskUniverse, check_assignment
 from scool.topology import TAYLOR_APPROX, account_exchange, account_gossip, observed_pairs, pair_list, sparsify_topk
@@ -153,10 +147,37 @@ def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
 # One model on one dataset, written plainly: the reference that every row of
 # the batched kernel in scool.models is checked against (tests/test_kernel.py)
 # and that the finite-difference and Monte Carlo tests check in turn
-# (tests/test_models.py). A run never holds a LocalModel; it holds the K x D
-# stack of a ClientStore. The oracle reads the flat parameters through its
-# own unpack_linear and unpack_mlp, not the kernel's unpack_layers, so a
-# slip in the layout cannot hide in both.
+# (tests/test_models.py). A run never holds a LocalModel or a Dataset; it
+# holds the K x D stack of a ClientStore and the K x n x d DataStacks. The
+# oracle reads the flat parameters through its own unpack_linear and
+# unpack_mlp, not the kernel's unpack_layers, so a slip in the layout cannot
+# hide in both. It reads a dataset's features and labels only, so a row of a
+# DataStack serves as well as a Dataset.
+
+
+@dataclass
+class Dataset:
+    """Labeled feature matrix for one client.
+
+    Labels are local indices into ``class_set`` (sorted global class ids),
+    so clients with identical class sets share a label space.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    class_set: tuple[int, ...]
+    split: str = "train"
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=float)
+        self.labels = np.asarray(self.labels, dtype=int)
+        if self.features.ndim != 2 or len(self.features) != len(self.labels):
+            raise ValueError("features must be N x d with one label per row")
+        if len(self.labels) < 1:
+            raise ValueError("dataset must contain at least one sample")
+        self.class_set = tuple(sorted(int(c) for c in self.class_set))
+        if self.labels.min() < 0 or self.labels.max() >= len(self.class_set):
+            raise ValueError("labels must index into class_set")
 
 
 @dataclass
@@ -177,10 +198,15 @@ class LocalModel:
         self.init_theta.setflags(write=False)
 
 
+def _arch(models) -> ArchSpec:
+    """The architecture of a store's models, or of a list of models."""
+    return models.arch if isinstance(models, ClientStore) else models[0].arch
+
+
 def model_list(models) -> list[LocalModel]:
     """Separate copies of the clients of a store (or of a list of models),
     for a per-pair reference to update one at a time."""
-    return [LocalModel(m.theta.copy(), m.arch, m.init_theta) for m in models]
+    return [LocalModel(m.theta.copy(), _arch(models), m.init_theta) for m in models]
 
 
 def unpack_linear(theta: np.ndarray, arch: ArchSpec):
@@ -233,7 +259,7 @@ def loss(model: LocalModel, data: Dataset, weight_decay: float = 0.0) -> float:
     ridge term wd/2 * ||theta||^2."""
     _check_data(model, data)
     lsm = _log_softmax(logits(model, data.features))
-    ce = -float(np.mean(lsm[np.arange(data.n), data.labels]))
+    ce = -float(np.mean(lsm[np.arange(len(data.labels)), data.labels]))
     if weight_decay > 0.0:
         ce += 0.5 * weight_decay * float(model.theta @ model.theta)
     return ce
@@ -244,7 +270,7 @@ def grad(model: LocalModel, data: Dataset) -> np.ndarray:
     _check_data(model, data)
     arch = model.arch
     X = data.features
-    n = data.n
+    n = len(data.labels)
     if arch.kind == SOFTMAX_REGRESSION:
         W, b = unpack_linear(model.theta, arch)
         Z = X @ W.T + b
@@ -282,15 +308,16 @@ def stack_datasets(datasets) -> DataStack:
     if any(ds.features.shape != datasets[0].features.shape for ds in datasets):
         raise ConfigurationError("datasets must share their size and feature width")
     return DataStack(np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets]),
-                     [ds.class_set for ds in datasets], datasets[0].split)
+                     datasets[0].split)
 
 
 def client_store(models, train_sets=None) -> ClientStore:
     """The store the kernels run on, built from a list of models (or another
     store) and a list of train sets: it starts at the models' init_theta and
     holds their current theta. The lists themselves are left as they are."""
-    store = ClientStore(np.stack([m.init_theta for m in models]), models[0].arch,
-                        None if train_sets is None else stack_datasets(train_sets))
+    if train_sets is not None and not isinstance(train_sets, DataStack):
+        train_sets = stack_datasets(train_sets)
+    store = ClientStore(np.stack([m.init_theta for m in models]), _arch(models), train_sets)
     store.theta[:] = np.stack([m.theta for m in models])
     return store
 

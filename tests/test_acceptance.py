@@ -93,14 +93,14 @@ def _mmsbm_kkt_residual(mst, ll, mask):
     for i, j in pairs:
         def f(v, i=i, j=j):
             w2 = mst.w.copy(); w2[i, j] = v
-            return elbo(clone_mmsbm(mst, w=w2), ll, observed_list(mask)).total
+            return elbo(mmsbm, clone_mmsbm(mst, w=w2), ll, observed_list(mask)).total
         worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
     mst.gamma = mmsbm.update_gamma(mst)
     for i in range(K):
         for g in range(M):
             def f(v, i=i, g=g):
                 g2 = mst.gamma.copy(); g2[i, g] = v
-                return elbo(clone_mmsbm(mst, gamma=g2), ll, observed_list(mask)).total
+                return elbo(mmsbm, clone_mmsbm(mst, gamma=g2), ll, observed_list(mask)).total
             worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
     for side in ("send", "recv"):
         name = f"phi_{side}"
@@ -111,7 +111,7 @@ def _mmsbm_kkt_residual(mst, ll, mask):
             for k in range(M):
                 def f(v, e=e, k=k, name=name):
                     p2 = arr.copy(); p2[e, k] = v
-                    return elbo(clone_mmsbm(mst, **{name: p2}), ll, observed_list(mask)).total
+                    return elbo(mmsbm, clone_mmsbm(mst, **{name: p2}), ll, observed_list(mask)).total
                 grads.append(central_diff(f, arr[e, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
     return worst
@@ -121,24 +121,24 @@ def _sbm_sweep(st, ll, mask, track):
     """Apply the sbm blocks one at a time (omega row by row) on the mask's
     observed pairs, as an E-step takes them, tracking the bound after each."""
     obs = st.pairs = observed_list(mask)
-    v = elbo(st, ll, obs).total
-    st.w = sbm.update_w(st, ll); v = track(v, elbo(st, ll, obs).total)
-    st.gamma = sbm.update_gamma(st); v = track(v, elbo(st, ll, obs).total)
+    v = elbo(sbm, st, ll, obs).total
+    st.w = sbm.update_w(st, ll); v = track(v, elbo(sbm, st, ll, obs).total)
+    st.gamma = sbm.update_gamma(st); v = track(v, elbo(sbm, st, ll, obs).total)
     for i in range(st.n_clients):
         om = st.omega.copy(); om[i] = update_omega_row(st, i); st.omega = om
-        v = track(v, elbo(st, ll, obs).total)
-    st.B = sbm.update_block_matrix(st); v = track(v, elbo(st, ll, obs).total)
+        v = track(v, elbo(sbm, st, ll, obs).total)
+    st.B = sbm.update_block_matrix(st); v = track(v, elbo(sbm, st, ll, obs).total)
 
 
 def _mmsbm_sweep(st, ll, mask, track):
     """Apply the mmsbm blocks one at a time, tracking the bound after each."""
     obs = observed_list(mask)
-    v = elbo(st, ll, obs).total
-    st.w = mmsbm.update_w(st, ll); v = track(v, elbo(st, ll, obs).total)
-    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(st, ll, obs).total)
-    st.phi_send = mmsbm.update_phi(st, "send"); v = track(v, elbo(st, ll, obs).total)
-    st.phi_recv = mmsbm.update_phi(st, "recv"); v = track(v, elbo(st, ll, obs).total)
-    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(st, ll, obs).total)
+    v = elbo(mmsbm, st, ll, obs).total
+    st.w = mmsbm.update_w(st, ll); v = track(v, elbo(mmsbm, st, ll, obs).total)
+    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(mmsbm, st, ll, obs).total)
+    st.phi_send = mmsbm.update_phi(st, "send"); v = track(v, elbo(mmsbm, st, ll, obs).total)
+    st.phi_recv = mmsbm.update_phi(st, "recv"); v = track(v, elbo(mmsbm, st, ll, obs).total)
+    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(mmsbm, st, ll, obs).total)
 
 
 def test_criterion_1_stationarity_suite():
@@ -160,14 +160,14 @@ def test_criterion_1_stationarity_suite():
                     continue
                 def f(v, i=i, j=j):
                     w2 = st.w.copy(); w2[i, j] = v
-                    return elbo(clone_sbm(st, w=w2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, w=w2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j], 1e-7)))
         st.gamma = sbm.update_gamma(st)
         for i in range(K):
             for g in range(M):
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy(); g2[i, g] = v
-                    return elbo(clone_sbm(st, gamma=g2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, gamma=g2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g], 1e-6)))
         for i in range(K):
             om = st.omega.copy()
@@ -177,7 +177,7 @@ def test_criterion_1_stationarity_suite():
             for k in range(M):
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy(); o2[i, k] = v
-                    return elbo(clone_sbm(st, omega=o2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, omega=o2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, st.omega[i, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
@@ -190,7 +190,7 @@ def test_criterion_1_stationarity_suite():
             for j in range(K):
                 def f(v, i=i, j=j):
                     w2 = ast.w.copy(); w2[i, j] = v
-                    return elbo(clone_attention(ast, w=w2), ll, observed_list(mask)).total
+                    return elbo(attention, clone_attention(ast, w=w2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, ast.w[i, j], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
@@ -235,9 +235,9 @@ def test_criterion_2_elbo_monotonicity():
             ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
             w = rng.dirichlet(np.ones(K), size=K)
             ast.w = w * mask / (w * mask).sum(axis=1, keepdims=True)
-            v = elbo(ast, ll, observed_list(mask)).total
+            v = elbo(attention, ast, ll, observed_list(mask)).total
             ast.w = attention.update_w(ast, ll, mask)
-            track(v, elbo(ast, ll, observed_list(mask)).total)
+            track(v, elbo(attention, ast, ll, observed_list(mask)).total)
 
     for _ in range(50):  # MMSBM
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
@@ -326,7 +326,7 @@ def test_criterion_4_gradient_oracles():
         i = int(rng.integers(K))
         def row_obj(theta_i):
             ms = client_store(models)
-            ms[i].theta = theta_i
+            ms.theta[i] = theta_i
             p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax, mask)
             return float((st.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
         for t in range(len(models[i].theta)):

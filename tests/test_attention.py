@@ -6,7 +6,7 @@ import pytest
 
 from scool.config import ExperimentConfig
 from scool.em import attention
-from scool.em.elbo import elbo, elbo_attention
+from scool.em.elbo import elbo
 from scool.em.state import PROB_FLOOR
 from scool.errors import ConfigurationError
 from scool.special import softmax_tempered
@@ -36,9 +36,7 @@ class TestComputeP:
     def test_equal_deltas_give_uniform_rows(self):
         rng = np.random.default_rng(0)
         models, state = random_attention_setup(rng, 4)
-        shared = models[0].theta.copy()
-        for m in models:
-            m.theta = m.init_theta + (shared - models[0].init_theta)
+        models.theta[:] = models.init_theta + (models.theta[0] - models.init_theta[0])
         p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(4))
         np.testing.assert_allclose(p, 0.25, atol=1e-9)
 
@@ -111,7 +109,7 @@ class TestUpdateW:
                 def f(v, i=i, j=j):
                     w2 = state.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_attention(state, w=w2), ll, observed_list(mask)).total
+                    return elbo(attention, clone_attention(state, w=w2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, state.w[i, j], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
@@ -153,7 +151,7 @@ class TestCouplingGradient:
 
         def row_objective(theta_i):
             ms = client_store(models)
-            ms[i].theta = theta_i
+            ms.theta[i] = theta_i
             p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax, mask)
             return float((state.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
 
@@ -278,4 +276,4 @@ class TestDenseOracle:
             attention.phi_gradient(state, models, mask),
             dense_attention_phi_gradient(state, deltas, mask), rtol=0, atol=1e-12,
         )
-        assert elbo_attention(state, ll, observed_list(mask)).terms() == dense_elbo_attention(state, ll, mask)
+        assert elbo(attention, state, ll, observed_list(mask)).terms() == dense_elbo_attention(state, ll, mask)

@@ -135,7 +135,7 @@ class TestDpsgdStep:
         rng = np.random.default_rng(4)
         models, train = _instances(rng, K=3)
         thetas = np.stack([m.theta for m in models])
-        grads = np.stack([grad(models[i], train[i]) for i in range(3)])
+        grads = np.stack([grad(m, train[i]) for i, m in enumerate(model_list(models))])
         w = np.full((3, 3), 1.0 / 3.0)
         expect = w @ thetas - 0.3 * grads
         dirac.dpsgd_step(models, w, train, 0.3)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from scool.em.elbo import elbo, elbo_sbm
+from scool.em import attention, mmsbm, sbm
+from scool.em.elbo import elbo
 from scool.em.state import SbmState
 
 from conftest import (
@@ -62,7 +63,7 @@ class TestSbmHandCase:
             lam=0.0,
             tau_sigmoid=1.0,
         )
-        got = elbo_sbm(st, ll, observed_list(full_mask(2))).total
+        got = elbo(sbm, st, ll, observed_list(full_mask(2))).total
         want = hand_sbm_k2_m1(0.3, 0.8, ll, (1.4, 2.2), 0.9, 0.37)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -70,19 +71,19 @@ class TestSbmHandCase:
 class TestBreakdownContracts:
     def test_total_is_sum_of_terms(self):
         rng = np.random.default_rng(1)
-        for maker, K, M in [
-            (random_sbm_state, 4, 2),
-            (random_mmsbm_state, 3, 2),
+        for prior, maker, K, M in [
+            (sbm, random_sbm_state, 4, 2),
+            (mmsbm, random_mmsbm_state, 3, 2),
         ]:
             st = maker(rng, K, M)
-            out = elbo(st, random_loglik(rng, K), observed_list(full_mask(K)))
+            out = elbo(prior, st, random_loglik(rng, K), observed_list(full_mask(K)))
             assert out.total == pytest.approx(sum(out.terms().values()), abs=1e-10)
 
     def test_deterministic_w_has_zero_entropy(self):
         rng = np.random.default_rng(2)
         st = random_sbm_state(rng, 4, 2)
         st.w = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
-        out = elbo(st, random_loglik(rng, 4), observed_list(full_mask(4)))
+        out = elbo(sbm, st, random_loglik(rng, 4), observed_list(full_mask(4)))
         assert out.entropy_w == 0.0
 
     def test_model_prior_term(self):
@@ -95,27 +96,36 @@ class TestBreakdownContracts:
         st.lam = 0.4
         arch = ArchSpec("softmax-regression", 2, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(3)]
-        out = elbo(st, random_loglik(rng, 3), observed_list(full_mask(3)), client_store(models))
+        out = elbo(sbm, st, random_loglik(rng, 3), observed_list(full_mask(3)), client_store(models))
         want = -0.2 * sum(float(m.theta @ m.theta) for m in models)
         assert out.model_prior == pytest.approx(want, abs=1e-12)
 
     def test_attention_edge_is_agreement_sum(self):
         rng = np.random.default_rng(4)
-        from scool.em import attention
-
         models, state = random_attention_setup(rng, 4)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
         state.w = attention.update_w(state, ll, mask)
-        out = elbo(state, ll, observed_list(mask))
+        out = elbo(attention, state, ll, observed_list(mask))
         want = float((state.w * np.log(np.maximum(state.p, 1e-12))).sum())
         assert out.edge == pytest.approx(want, abs=1e-12)
         assert out.membership == 0.0 and out.dirichlet == 0.0
 
-    def test_unknown_state_type(self):
-        with pytest.raises(TypeError):
-            elbo(object(), np.zeros((2, 2)), observed_list(full_mask(2)))
+    def test_the_prior_module_picks_the_terms(self):
+        # the bound reads its prior's own terms from the module it is handed,
+        # whatever the state's type; only the shared terms come from elbo
+        rng = np.random.default_rng(8)
+        st, ll, obs = random_sbm_state(rng, 3, 2), random_loglik(rng, 3), observed_list(full_mask(3))
+
+        class Stub:
+            bound_terms = staticmethod(lambda state: {"edge": 1.5, "entropy_w": -0.25})
+
+        shared = elbo(sbm, st, ll, obs)
+        assert elbo(Stub, st, ll, obs).terms() == {
+            "likelihood": shared.likelihood, "model_prior": shared.model_prior, "edge": 1.5,
+            "membership": 0.0, "dirichlet": 0.0, "entropy_membership": 0.0, "entropy_w": -0.25,
+        }
 
 
 # the full mask, and masks whose pairs are kept at random (both directions together)
@@ -126,8 +136,6 @@ class TestCoordinateAscentMonotonicity:
     @pytest.mark.parametrize("mask_kind", sorted(MASKS))
     def test_sbm_sequential_blocks_never_decrease(self, mask_kind):
         rng = np.random.default_rng(5)
-        from scool.em import sbm
-
         for _ in range(30):
             K = int(rng.integers(3, 7))
             M = int(rng.integers(1, 4))
@@ -135,30 +143,28 @@ class TestCoordinateAscentMonotonicity:
             ll = random_loglik(rng, K)
             mask = MASKS[mask_kind](rng, K)
             st.pairs = observed_list(mask)  # the draw held on the mask's observed pairs
-            value = elbo(st, ll, observed_list(mask)).total
+            value = elbo(sbm, st, ll, observed_list(mask)).total
             st.w = sbm.update_w(st, ll)
-            for v2 in [elbo(st, ll, observed_list(mask)).total]:
+            for v2 in [elbo(sbm, st, ll, observed_list(mask)).total]:
                 assert v2 >= value - 1e-8
                 value = v2
             st.gamma = sbm.update_gamma(st)
-            v2 = elbo(st, ll, observed_list(mask)).total
+            v2 = elbo(sbm, st, ll, observed_list(mask)).total
             assert v2 >= value - 1e-8
             value = v2
             for i in range(K):
                 om = st.omega.copy()
                 om[i] = update_omega_row(st, i)
                 st.omega = om
-                v2 = elbo(st, ll, observed_list(mask)).total
+                v2 = elbo(sbm, st, ll, observed_list(mask)).total
                 assert v2 >= value - 1e-8
                 value = v2
             st.B = sbm.update_block_matrix(st)
-            assert elbo(st, ll, observed_list(mask)).total >= value - 1e-8
+            assert elbo(sbm, st, ll, observed_list(mask)).total >= value - 1e-8
 
     @pytest.mark.parametrize("mask_kind", sorted(MASKS))
     def test_mmsbm_sequential_blocks_never_decrease(self, mask_kind):
         rng = np.random.default_rng(6)
-        from scool.em import mmsbm
-
         for _ in range(20):
             K = int(rng.integers(3, 6))
             M = int(rng.integers(1, 4))
@@ -169,7 +175,7 @@ class TestCoordinateAscentMonotonicity:
             kept = np.take(mask, dense.pairs)
             st = clone_mmsbm(dense, pairs=dense.pairs[kept], phi_send=dense.phi_send[kept],
                              phi_recv=dense.phi_recv[kept])
-            value = elbo(st, ll, observed_list(mask)).total
+            value = elbo(mmsbm, st, ll, observed_list(mask)).total
             for step in (
                 lambda: setattr(st, "w", mmsbm.update_w(st, ll)),
                 lambda: setattr(st, "gamma", mmsbm.update_gamma(st)),
@@ -178,15 +184,13 @@ class TestCoordinateAscentMonotonicity:
                 lambda: setattr(st, "B", mmsbm.update_block_matrix(st)),
             ):
                 step()
-                v2 = elbo(st, ll, observed_list(mask)).total
+                v2 = elbo(mmsbm, st, ll, observed_list(mask)).total
                 assert v2 >= value - 1e-8
                 value = v2
 
     @pytest.mark.parametrize("mask_kind", sorted(MASKS))
     def test_attention_w_update_never_decreases(self, mask_kind):
         rng = np.random.default_rng(7)
-        from scool.em import attention
-
         for _ in range(30):
             K = int(rng.integers(3, 7))
             models, st = random_attention_setup(rng, K)
@@ -196,6 +200,6 @@ class TestCoordinateAscentMonotonicity:
             st.w = np.zeros((K, K))
             for i in range(K):  # each row on the simplex of its allowed entries
                 st.w[i, mask[i]] = rng.dirichlet(np.ones(np.count_nonzero(mask[i])))
-            before = elbo(st, ll, observed_list(mask)).total
+            before = elbo(attention, st, ll, observed_list(mask)).total
             st.w = attention.update_w(st, ll, mask)
-            assert elbo(st, ll, observed_list(mask)).total >= before - 1e-8
+            assert elbo(attention, st, ll, observed_list(mask)).total >= before - 1e-8

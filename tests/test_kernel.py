@@ -35,7 +35,6 @@ from scool.models import (
     SOFTMAX_REGRESSION,
     ArchSpec,
     ClientStore,
-    Dataset,
     DataStack,
     PairWorkspace,
     batch_accuracy,
@@ -50,6 +49,7 @@ from scool.tasks import gen_tasks, make_universe
 from scool.topology import CROSS_GRADIENT, TAYLOR_APPROX, build_topology, observed_pairs, pair_list
 
 from conftest import (
+    Dataset,
     LocalModel,
     accuracy,
     client_store,
@@ -331,7 +331,7 @@ class TestCooperativeEquivalence:
     def test_attention_coupling(self, grad_mode):
         rng = np.random.default_rng(7)
         models, state = random_attention_setup(rng, K=6)
-        arch = models[0].arch
+        arch = models.arch
         train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
         state.w, mask = _random_graph(rng, 6, zeros=0.1)
         coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
@@ -648,7 +648,7 @@ class TestFusedFirstStep:
     def test_attention_coupling(self, monkeypatch, per_block):
         rng = np.random.default_rng(62)
         models, state = random_attention_setup(rng, K=6)
-        arch = models[0].arch
+        arch = models.arch
         train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
         state.w, mask = _random_graph(rng, 6, zeros=0.1)
         coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
@@ -936,7 +936,13 @@ class TestClientStore:
             np.testing.assert_array_equal(m.theta, before[i])
             np.testing.assert_array_equal(store.train[i].features, train[i].features)
             np.testing.assert_array_equal(store.train[i].labels, train[i].labels)
-        store[2].theta = np.full(store.arch.n_params, 7.0)  # assigning writes into the row
+        # every write goes through the stack, and the items show it; they are read-only
+        store.theta[2] = 7.0
+        np.testing.assert_array_equal(store[2].theta, 7.0)
+        with pytest.raises(AttributeError):
+            store[2].theta = np.zeros(store.arch.n_params)
+        with pytest.raises(ValueError):
+            store[2].theta[0] = 1.0
         np.testing.assert_array_equal(store.theta[2], 7.0)
         with pytest.raises(ValueError):
             store.init_theta[0, 0] = 1.0
@@ -988,7 +994,7 @@ class TestClientStore:
         with pytest.raises(ValueError):
             store.init_theta[1, 0] = 5.0
         store.theta *= 3.0
-        store[2].theta = np.zeros(arch.n_params)
+        store.theta[2] = 0.0
         np.testing.assert_array_equal(store.init_theta, theta)
         np.testing.assert_array_equal(store[1].init_theta, theta[1])
 
@@ -1146,7 +1152,7 @@ class TestReportingEquivalence:
             return batch_accuracy(thetas, X, Y, arch)
 
         thetas = rng.standard_normal((7, arch.n_params))
-        data = DataStack(rng.standard_normal((7, 10, arch.d)), rng.integers(0, arch.C, (7, 10)), [()] * 7)
+        data = DataStack(rng.standard_normal((7, 10, arch.d)), rng.integers(0, arch.C, (7, 10)))
         runner.per_client(counting, thetas, data, arch)
         assert seen == sizes
 
@@ -1174,7 +1180,7 @@ class TestReportingEquivalence:
         monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", block * _per_sample_elements(400, arch))
         rng = np.random.default_rng(192)
         thetas = rng.standard_normal((192, arch.n_params))
-        data = DataStack(rng.standard_normal((192, 400, arch.d)), rng.integers(0, arch.C, (192, 400)), [()] * 192)
+        data = DataStack(rng.standard_normal((192, 400, arch.d)), rng.integers(0, arch.C, (192, 400)))
         seen = []
 
         def counting(thetas, X, Y, arch):
@@ -1224,7 +1230,7 @@ class TestStackedTestSets:
                 assert np.shares_memory(row.features, stack.features) and np.shares_memory(row.labels, stack.labels)
                 np.testing.assert_array_equal(row.features, ds.features)
                 np.testing.assert_array_equal(row.labels, ds.labels)
-                assert row.class_set == ds.class_set and row.split == split
+                assert assignment.class_sets[k] == ds.class_set and stack.split == split
 
     def test_datasets_that_are_not_rows_are_rejected(self):
         # datasets of unequal size or feature width cannot be rows of one stack

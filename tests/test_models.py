@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from scool.errors import ConfigurationError
-from scool.models import ArchSpec, Dataset
+from scool.models import ArchSpec
 
-from conftest import LocalModel, accuracy, grad, log_likelihood, logits, loss, sample_class_data, tiny_dataset
+from conftest import Dataset, LocalModel, accuracy, grad, log_likelihood, logits, loss, sample_class_data, tiny_dataset
 
 
 def _rand_instance(rng, arch_kind="softmax-regression", n=12, d=4, C=3, h=5):

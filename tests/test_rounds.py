@@ -18,7 +18,7 @@ from scool.config import ExperimentConfig
 from scool.em import attention, dirac, rounds, sbm
 from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
-from scool.models import ArchSpec, Dataset
+from scool.models import ArchSpec
 from scool.runner import build_models, build_state, build_tasks
 from scool.topology import (
     CROSS_GRADIENT,
@@ -31,6 +31,7 @@ from scool.topology import (
 )
 
 from conftest import (
+    Dataset,
     LocalModel,
     client_store,
     full_mask,
@@ -142,9 +143,10 @@ class TestLoglikMatrix:
         rng = np.random.default_rng(6)
         models, train = _setup(rng, K=3)
         ll = rounds.loglik_matrix(models, train, full_mask(3), pair_list(full_mask(3)))
+        ref = model_list(models)
         for i in range(3):
             for j in range(3):
-                assert ll[i, j] == log_likelihood(models[i], train[j])
+                assert ll[i, j] == log_likelihood(ref[i], train[j])
 
 
 class TestRunRoundContracts:
@@ -223,7 +225,7 @@ class TestRunRoundContracts:
 
 
 class TestPriorTable:
-    HOOKS = ("init_state", "e_step", "m_step", "graph")
+    HOOKS = ("init_state", "e_step", "bound_terms", "m_step", "graph")
     # per-pair functions the batched kernel no longer calls through these names
     STALE_BINDINGS = {
         "scool.em.dirac.grad",
@@ -245,13 +247,16 @@ class TestPriorTable:
         state = build_state(cfg, mask, models.arch.n_params)
         return cfg, models, mask, state
 
-    def test_one_list_of_names_and_four_hooks(self):
+    def test_one_list_of_names_and_five_hooks(self):
         assert config.PRIORS == tuple(rounds.PRIORS)
         for name, prior in rounds.PRIORS.items():
             for hook in self.HOOKS:
                 assert hasattr(prior, hook), (name, hook)
             assert callable(prior.init_state) and callable(prior.m_step) and callable(prior.graph)
             assert prior.e_step is None or callable(prior.e_step)
+            # a learned graph has a lower bound, a fixed one has neither
+            assert (prior.bound_terms is None) == (prior.e_step is None), name
+            assert prior.bound_terms is None or callable(prior.bound_terms)
         fixed = [name for name, prior in rounds.PRIORS.items() if prior.e_step is None]
         assert fixed == ["local-only", "dirac"]
 
@@ -314,7 +319,7 @@ class TestPriorTable:
         theta, before = models.theta, models.theta.tobytes()
         ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
         rounds.PRIORS[prior].e_step(state, models, ll, mask, observed_list(mask))
-        rounds.elbo(state, ll, observed_list(mask), models)
+        rounds.elbo(rounds.PRIORS[prior], state, ll, observed_list(mask), models)
         assert models.theta is theta and models.theta.tobytes() == before
 
     @pytest.mark.parametrize("grad_mode", config.GRAD_MODES)
@@ -471,12 +476,12 @@ class TestWholeRoundOracle:
             # dirac has no learned weights to prune by
             sparsify_keep_fraction=0.5 if prune and prior != "dirac" else 1.0, sparsify_round=1,
         ).validate()
-        _, train, test = build_tasks(cfg)
+        assignment, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
         mask = _oracle_mask(mask_kind, K, np.random.default_rng(seed))
         state = build_state(cfg, mask, models.arch.n_params)
         ref_models = [LocalModel(t.copy(), models.arch, t0) for t, t0 in zip(models.theta, models.init_theta)]
-        ref_train = [Dataset(X, Y, c) for X, Y, c in zip(train.features, train.labels, train.class_sets)]
+        ref_train = [Dataset(X, Y, c) for X, Y, c in zip(train.features, train.labels, assignment.class_sets)]
         ref_state, ref_mask = copy.deepcopy(state), mask.copy()
         for r in range(3):
             graph, elbo_total, traffic = rounds.run_round(state, models, mask, r, cfg)

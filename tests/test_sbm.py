@@ -8,7 +8,7 @@ import pytest
 
 from scool.config import ExperimentConfig
 from scool.em import sbm
-from scool.em.elbo import elbo, elbo_sbm
+from scool.em.elbo import elbo
 from scool.em.state import ALPHA_MIN, B_EPS
 from scool.errors import InvariantError
 from scool.models import ArchSpec
@@ -27,6 +27,7 @@ from conftest import (
     dense_sbm_update_w,
     full_mask,
     grad,
+    model_list,
     observed_list,
     random_loglik,
     random_sbm_state,
@@ -79,7 +80,7 @@ class TestUpdateW:
                 def f(v, i=i, j=j):
                     w2 = st.w.copy()
                     w2[i, j] = v
-                    return elbo(clone_sbm(st, w=w2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, w=w2), ll, observed_list(mask)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j])))
         assert worst < 1e-5
 
@@ -120,7 +121,7 @@ class TestUpdateGamma:
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy()
                     g2[i, g] = v
-                    return elbo(clone_sbm(st, gamma=g2), ll, observed_list(full_mask(4))).total
+                    return elbo(sbm, clone_sbm(st, gamma=g2), ll, observed_list(full_mask(4))).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g])))
         assert worst < 1e-5
 
@@ -162,7 +163,7 @@ class TestUpdateOmega:
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy()
                     o2[i, k] = v
-                    return elbo(clone_sbm(st, omega=o2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, omega=o2), ll, observed_list(mask)).total
                 grads.append(central_diff(f, st.omega[i, k], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
@@ -199,7 +200,7 @@ class TestUpdateAlpha:
                 def f(v, k=k):
                     a2 = st.alpha.copy()
                     a2[k] = v
-                    return elbo(clone_sbm(st, alpha=a2), ll, observed_list(full_mask(4))).total
+                    return elbo(sbm, clone_sbm(st, alpha=a2), ll, observed_list(full_mask(4))).total
                 num = central_diff(f, st.alpha[k], h=1e-6)
                 assert abs(num - g[k]) / max(1e-8, abs(num)) < 1e-5
 
@@ -300,8 +301,9 @@ class TestThetaStep:
         train = models.train
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
         lam, eta = 0.1, 0.3
-        g1 = grad(models[0], train[0])
-        g12 = grad(models[0], train[1])
+        first = model_list(models)[0]
+        g1 = grad(first, train[0])
+        g12 = grad(first, train[1])
         expect = models[0].theta - eta * (g1 + 0.5 * g12 + lam * models[0].theta)
         from scool.em.theta import cooperative_sgd_steps
 
@@ -358,7 +360,7 @@ class TestPairListEqualsDenseOracle:
         st = random_sbm_state(rng, K, M, mask)
         ll = random_loglik(rng, K) * mask
         for _ in range(2):
-            assert elbo_sbm(st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
+            assert elbo(sbm, st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
             w = sbm.update_w(st, ll)
             np.testing.assert_array_equal(w, dense_sbm_update_w(st, ll, mask))
             st.w = w
@@ -370,4 +372,4 @@ class TestPairListEqualsDenseOracle:
             B = sbm.update_block_matrix(st)
             np.testing.assert_array_equal(B, dense_sbm_update_block_matrix(st, mask))
             st.B = B
-        assert elbo_sbm(st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
+        assert elbo(sbm, st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
