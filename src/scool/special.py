@@ -89,6 +89,17 @@ def _lift(x, name: str, step):
     return z, acc, arr.ndim == 0
 
 
+def _series(coeffs, inv2: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """factor * (c_0 + c_1 inv2 + c_2 inv2^2 + ...) by Horner's rule from
+    the last coefficient, in place in one array."""
+    tail = np.zeros_like(inv2)
+    for c in reversed(coeffs):
+        tail *= inv2
+        tail += c
+    tail *= factor
+    return tail
+
+
 def digamma(x):
     """Digamma psi(x) = d/dx log Gamma(x) for x > 0.
 
@@ -97,11 +108,7 @@ def digamma(x):
     z, acc, scalar = _lift(x, "digamma", lambda z, low: np.where(low, 1.0 / z, 0.0))
     inv = 1.0 / z
     inv2 = inv * inv
-    tail = np.zeros_like(z)
-    for c in reversed(_PSI_COEFFS):
-        tail = tail * inv2 + c
-    tail *= inv2
-    out = np.log(z) - 0.5 * inv - tail + acc
+    out = np.log(z) - 0.5 * inv - _series(_PSI_COEFFS, inv2, inv2) + acc
     return float(out[0]) if scalar else out
 
 
@@ -112,11 +119,7 @@ def log_gamma(x):
     """
     z, acc, scalar = _lift(x, "log_gamma", lambda z, low: np.log(np.where(low, z, 1.0)))
     inv = 1.0 / z
-    inv2 = inv * inv
-    tail = np.zeros_like(z)
-    for c in reversed(_LGAMMA_COEFFS):
-        tail = tail * inv2 + c
-    tail *= inv  # series is in odd powers 1/z, 1/z^3, ...
+    tail = _series(_LGAMMA_COEFFS, inv * inv, inv)  # the series is in odd powers 1/z, 1/z^3, ...
     out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + tail + acc
     return float(out[0]) if scalar else out
 
@@ -141,19 +144,16 @@ def softmax_tempered(logits, tau: float, axis: int = -1) -> np.ndarray:
 def sigmoid_tempered(x, tau: float):
     """Temperature sigmoid 1 / (1 + exp(-x/tau)), overflow-safe.
 
-    Computed branch-wise so exp never sees a positive argument; saturates
-    to exactly 0/1 for extreme inputs instead of raising.
+    From e = exp(-|z|), z = x/tau, so exp never sees a positive argument:
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere. Saturates to
+    exactly 0/1 for extreme inputs instead of raising.
     """
     if not (np.isfinite(tau) and tau > 0.0):
         raise ValueError("sigmoid_tempered requires tau > 0")
-    arr = np.asarray(x, dtype=float)
-    z = arr / tau
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    z = np.asarray(x, dtype=float) / tau
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(out) if out.ndim == 0 else out
 
 
 def xlogx(p) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Shared fixtures: random-state factories, finite-difference helpers, the
 plain per-pair oracle of the batched kernel, the loop oracles of the gamma
-lift and the snapshot writer, the call-per-argument oracles of the block
-priors' bookkeeping, the dense sbm, mmsbm and attention oracles, the
-whole-round oracle and the calibrated recovery benchmark used by the slower end-to-end
-tests."""
+lift and the snapshot writer, the old forms of the special functions, the
+call-per-argument oracles of the block priors' bookkeeping, the dense sbm,
+mmsbm and attention oracles, the whole-round oracle and the calibrated
+recovery benchmark used by the slower end-to-end tests."""
 
 from __future__ import annotations
 
@@ -358,6 +358,46 @@ def lift_loop(x, name: str, step):
         acc -= step(z, low)
         z += low
     return z, acc, arr.ndim == 0
+
+
+# ------------------------------------------------- special-function forms
+# sigmoid_tempered, digamma and log_gamma as they were written before the
+# sigmoid dropped its boolean gathers and the series their fresh arrays:
+# the oracles of the rewritten forms' bits.
+
+
+def sigmoid_tempered_gather(x, tau: float):
+    z = np.asarray(x, dtype=float) / tau
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+
+
+def digamma_alloc(x):
+    z, acc, scalar = special._lift(x, "digamma", lambda z, low: np.where(low, 1.0 / z, 0.0))
+    inv = 1.0 / z
+    inv2 = inv * inv
+    tail = np.zeros_like(z)
+    for c in reversed(special._PSI_COEFFS):
+        tail = tail * inv2 + c
+    tail *= inv2
+    out = np.log(z) - 0.5 * inv - tail + acc
+    return float(out[0]) if scalar else out
+
+
+def log_gamma_alloc(x):
+    z, acc, scalar = special._lift(x, "log_gamma", lambda z, low: np.log(np.where(low, z, 1.0)))
+    inv = 1.0 / z
+    inv2 = inv * inv
+    tail = np.zeros_like(z)
+    for c in reversed(special._LGAMMA_COEFFS):
+        tail = tail * inv2 + c
+    tail *= inv
+    out = (z - 0.5) * np.log(z) - z + special._HALF_LOG_2PI + tail + acc
+    return float(out[0]) if scalar else out
 
 
 # ------------------------------------------------ bookkeeping reductions

@@ -21,6 +21,8 @@ from scool.special import (
     xlogx,
 )
 
+from conftest import digamma_alloc, log_gamma_alloc, sigmoid_tempered_gather
+
 EULER = 0.5772156649015329  # mpmath.digamma(1), 16 digits
 
 
@@ -149,6 +151,55 @@ class TestSigmoidTempered:
 def test_xlogx_zero_convention():
     out = xlogx(np.array([0.0, 0.5, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.5 * np.log(0.5), 0.0])
+
+
+class TestRewrittenFormsKeepTheBits:
+    """sigmoid_tempered without its boolean gathers, and digamma and
+    log_gamma with their in-place series, against their old forms
+    (tests/conftest.py), bit for bit."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, 1e300, -1e300,
+             np.inf, -np.inf, 3.5, -3.5, 700.0, -745.0, -800.0]
+    POSITIVE = [5e-324, 2.2e-308, 1e-300, 0.5, 1.0, 9.999999, 10.0, 10.000001, 123.4, 1e300]
+
+    @staticmethod
+    def _inputs(rng, values):
+        """The values as an array, one at a time as Python and numpy scalars
+        and 0-d arrays, and strided and transposed 2-D draws of their
+        magnitudes."""
+        values = np.array(values)
+        grid = rng.choice(values, (8, 9)) * rng.uniform(0.5, 2.0, (8, 9))
+        yield values
+        for v in values:
+            yield from (float(v), np.float64(v), np.array(v))
+        yield from (grid[::2, ::3], grid.T, grid[1::3].T[::2])
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 7.0])
+    def test_sigmoid_tempered(self, tau):
+        rng = np.random.default_rng(30)
+        for x in self._inputs(rng, self.EDGES):
+            got, want = sigmoid_tempered(x, tau), sigmoid_tempered_gather(x, tau)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_sigmoid_tempered_keeps_nan(self):
+        assert math.isnan(sigmoid_tempered(np.nan, 1.0))
+        got = sigmoid_tempered(np.array([[np.nan, 0.0], [1.0, np.nan]]), 0.5)
+        np.testing.assert_array_equal(np.isnan(got), [[True, False], [False, True]])
+        assert got[0, 1] == 0.5 and got[1, 0] == sigmoid_tempered(2.0, 1.0)
+
+    @pytest.mark.parametrize("new, old", [(digamma, digamma_alloc), (log_gamma, log_gamma_alloc)])
+    def test_gamma_series(self, new, old):
+        rng = np.random.default_rng(31)
+        for x in self._inputs(rng, self.POSITIVE):
+            with np.errstate(over="ignore"):  # the lift's 1/z at a subnormal z
+                got, want = new(x), old(x)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        for bad in (0.0, -0.0, -1.0, np.inf, -np.inf, np.nan):
+            for f in (new, old):
+                with pytest.raises(ValueError, match="strictly positive finite"):
+                    f(np.array([1.0, bad]))
 
 
 def _slice_loop(ufunc, a):
