@@ -15,6 +15,7 @@ from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore, DataStack, batch_value_and_grad
 from ..topology import observed_pairs
 from .state import DiracState
+from .theta import first_bad_row
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
 e_step = bound_terms = None
@@ -39,22 +40,29 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
     return w
 
 
-def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: float) -> None:
+def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: float, step: int = 0) -> None:
     """theta_i <- sum_j w_ij theta_j - eta1 * grad_i on models.theta in
     place, with the gradient evaluated at the pre-averaging parameters; the
     K gradients are one batched call, in the store's workspace. w is
-    checked once, when its DiracState is built."""
+    checked once, when its DiracState is built. A step whose new parameters
+    are not all finite moves no model: it is a divergence named by the
+    cooperative steps' rule, the first client whose gradient (its update) is
+    not finite, or else the first whose new parameters are not, at local
+    step ``step``."""
     thetas, X, Y = models.theta, train_sets.features, train_sets.labels
     grads = batch_value_and_grad(thetas, X, Y, models.arch, value=False, workspace=models.workspace)[1]
     new = w @ thetas - eta1 * grads
     if not np.all(np.isfinite(new)):
-        raise DivergenceError("gossip step produced non-finite parameters")
+        bad = first_bad_row(grads)
+        if bad is not None:
+            raise DivergenceError(f"client {bad} produced a non-finite update at local step {step}")
+        raise DivergenceError(f"client {first_bad_row(new)} parameters left the finite range at local step {step}")
     thetas[...] = new
 
 
 def m_step(state: DiracState, models, mask, pairs, config, grads) -> None:
-    for _ in range(config.local_steps):
-        dpsgd_step(models, state.w, models.train, config.eta1)
+    for step in range(config.local_steps):
+        dpsgd_step(models, state.w, models.train, config.eta1, step)
 
 
 def graph(state: DiracState, K: int) -> np.ndarray:

@@ -78,7 +78,8 @@ def _fold(delta: np.ndarray, plan: FoldPlan, g: np.ndarray, buffer: np.ndarray) 
     np.add.reduce(stack, axis=0, out=span, initial=-0.0)
 
 
-def _first_bad_row(values: np.ndarray) -> int | None:
+def first_bad_row(values: np.ndarray) -> int | None:
+    """The first row of ``values`` with an entry that is not finite, or None."""
     bad = ~np.isfinite(values).all(axis=1)
     return int(np.argmax(bad)) if bad.any() else None
 
@@ -168,11 +169,11 @@ def cooperative_sgd_steps(
             _fold(delta, plan, g, stack)
         if coupling is not None:
             delta += coupling
-        bad = _first_bad_row(delta)
+        bad = first_bad_row(delta)
         if bad is not None:
             raise DivergenceError(f"client {bad} produced a non-finite update at local step {step}")
         np.subtract(thetas, np.multiply(delta, eta1, out=new), out=new)  # thetas - eta1 * delta
-        bad = _first_bad_row(new)
+        bad = first_bad_row(new)
         thetas[:bad] = new[:bad]
         if bad is not None:
             raise DivergenceError(f"client {bad} parameters left the finite range at local step {step}")

@@ -192,41 +192,48 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     fixed_graph = rounds.PRIORS[config.prior_kind].e_step is None
     train_loglik = functools.partial(batch_log_likelihood, workspace=clients.workspace)
     l1 = written = None
-    for r in range(config.rounds):
-        try:
-            graph, elbo_total, traffic = rounds.run_round(state, clients, mask, r, config)
-        except (DivergenceError, InvariantError) as err:
-            failure = err
-            report.diverged = True
-            report.divergence_message = str(err)
-            break
-        accs = per_client(batch_accuracy, clients.theta, clients.test, arch)
-        losses = -per_client(train_loglik, clients.theta, clients.train, arch)
-        if traffic is not None:
-            ledger.rounds.append(traffic)
-        if l1 is None or not fixed_graph:
-            l1 = metric_l1(graph, assignment.w_star)
-        row = {
-            "round": r + 1,
-            "mean_test_acc": float(np.mean(accs)),
-            "std_test_acc": float(np.std(accs)),
-            "mean_train_loss": float(np.mean(losses)),
-            "elbo": elbo_total,
-            "l1_to_ground_truth": l1,
-            **asdict(traffic or RoundTraffic()),
-        }
-        report.rounds.append(row)
-        if out_path is not None and config.snapshot_every > 0:
-            if (r + 1) % config.snapshot_every == 0 or r == config.rounds - 1:
-                snapshot = out_path / f"w_round_{r + 1:04d}.csv"
-                if fixed_graph and written is not None:
-                    shutil.copyfile(written, snapshot)
-                else:
-                    _write_matrix(snapshot, graph)
-                    written = snapshot
+    # a step that overflows is reported by the finiteness check after it, as
+    # a divergence: numpy's warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(config.rounds):
+            try:
+                graph, elbo_total, traffic = rounds.run_round(state, clients, mask, r, config)
+                losses = -per_client(train_loglik, clients.theta, clients.train, arch)
+                # finite models can still overflow their own loss
+                bad = np.flatnonzero(~np.isfinite(losses))
+                if bad.size:
+                    raise DivergenceError(f"round {r}: client {bad[0]} train loss is non-finite")
+            except (DivergenceError, InvariantError) as err:
+                failure = err
+                report.diverged = True
+                report.divergence_message = str(err)
+                break
+            accs = per_client(batch_accuracy, clients.theta, clients.test, arch)
+            if traffic is not None:
+                ledger.rounds.append(traffic)
+            if l1 is None or not fixed_graph:
+                l1 = metric_l1(graph, assignment.w_star)
+            row = {
+                "round": r + 1,
+                "mean_test_acc": float(np.mean(accs)),
+                "std_test_acc": float(np.std(accs)),
+                "mean_train_loss": float(np.mean(losses)),
+                "elbo": elbo_total,
+                "l1_to_ground_truth": l1,
+                **asdict(traffic or RoundTraffic()),
+            }
+            report.rounds.append(row)
+            if out_path is not None and config.snapshot_every > 0:
+                if (r + 1) % config.snapshot_every == 0 or r == config.rounds - 1:
+                    snapshot = out_path / f"w_round_{r + 1:04d}.csv"
+                    if fixed_graph and written is not None:
+                        shutil.copyfile(written, snapshot)
+                    else:
+                        _write_matrix(snapshot, graph)
+                        written = snapshot
 
-    # after a full run the models have not moved since the last round's report
-    final_accs = accs if failure is None else per_client(batch_accuracy, clients.theta, clients.test, arch)
+        # after a full run the models have not moved since the last round's report
+        final_accs = accs if failure is None else per_client(batch_accuracy, clients.theta, clients.test, arch)
     report.final_per_client_acc = [float(a) for a in final_accs]
     report.final_mean_acc = float(np.mean(final_accs))
     report.final_std_acc = float(np.std(final_accs))

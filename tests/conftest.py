@@ -775,13 +775,17 @@ def reference_cooperative_sgd_steps(
             models[i].theta = new
 
 
-def reference_dpsgd_step(models, w, train_sets, eta1):
+def reference_dpsgd_step(models, w, train_sets, eta1, step=0):
     K = len(models)
     thetas = np.stack([m.theta for m in models])
     grads = np.stack([grad(models[i], train_sets[i]) for i in range(K)])
     new = w @ thetas - eta1 * grads
-    if not np.all(np.isfinite(new)):
-        raise DivergenceError("gossip step produced non-finite parameters")
+    for i in range(K):
+        if not np.all(np.isfinite(grads[i])):
+            raise DivergenceError(f"client {i} produced a non-finite update at local step {step}")
+    for i in range(K):
+        if not np.all(np.isfinite(new[i])):
+            raise DivergenceError(f"client {i} parameters left the finite range at local step {step}")
     for i in range(K):
         models[i].theta = new[i]
 
@@ -829,8 +833,8 @@ def reference_round(state, models, train_sets, mask, round_index, config):
         )
         return np.eye(K), None, None
     if kind == "dirac":
-        for _ in range(config.local_steps):
-            reference_dpsgd_step(models, state.w, train_sets, config.eta1)
+        for step in range(config.local_steps):
+            reference_dpsgd_step(models, state.w, train_sets, config.eta1, step)
         return np.array(state.w), None, account_gossip(mask, config.local_steps)
     if config.sparsify_keep_fraction < 1.0 and config.sparsify_round == round_index:
         mask[...] = sparsify_topk(state.w, mask, config.sparsify_keep_fraction)

@@ -1,14 +1,23 @@
-"""One rule book: validate() accepts a config only if a run can start it."""
+"""One rule book: validate() accepts a config only if a run can start it,
+and every run it accepts ends in a documented outcome."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from scool.config import ARCHS, PLACEMENTS, PRIORS, SETTINGS, TOPOLOGIES, ExperimentConfig
+from scool.cli import main
+from scool.config import (
+    ARCHS, GRAD_MODES, OPTIMIZERS, PLACEMENTS, PRIORS, SETTINGS, TOPOLOGIES, ExperimentConfig, save_config,
+)
 from scool.em import rounds
 from scool.errors import ConfigurationError
 from scool.runner import run_experiment
@@ -143,3 +152,69 @@ def test_validate_refuses_every_wrongly_typed_field(field, data):
 def test_float_fields_take_ints_as_they_are():
     config = RING.replace(eta1=1, noise_sigma=2).validate()
     assert type(config.eta1) is int and type(config.noise_sigma) is int
+
+
+# The float fields a run's numbers grow from, each drawn either at its
+# default or anywhere from 1e-300 to 1e300 (block_init below 1, as it must)
+EXTREME_FIELDS = ("eta1", "eta2", "weight_decay", "init_scale", "tau_sigmoid", "tau_softmax",
+                  "block_init", "noise_sigma", "class_separation")
+
+
+@hst.composite
+def extreme_configs(draw) -> ExperimentConfig:
+    """Small runs of every prior, architecture, gradient mode and optimizer,
+    with or without pruning, whose float settings reach 1e-300 and 1e300:
+    positive and finite, so most draws pass validate()."""
+    prior = draw(hst.sampled_from(PRIORS))
+    floats = {}
+    for name in EXTREME_FIELDS:
+        exponent = draw(hst.one_of(hst.none(), hst.integers(-300, -1 if name == "block_init" else 300)))
+        if exponent is not None:
+            floats[name] = draw(hst.floats(1.0, 9.99)) * 10.0**exponent
+    prune = draw(hst.booleans()) and prior != "dirac"
+    return ExperimentConfig(
+        prior_kind=prior, seed=draw(hst.integers(0, 2**16)), rounds=draw(hst.integers(1, 3)),
+        local_steps=draw(hst.integers(1, 2)), K=draw(hst.sampled_from([4, 6])), M=4, N=2, num_groups=2,
+        samples_per_client=4, test_samples_per_client=4, feature_dim=4, arch=draw(hst.sampled_from(ARCHS)),
+        hidden_units=3, grad_mode=draw(hst.sampled_from(GRAD_MODES)),
+        optimizer=draw(hst.sampled_from(OPTIMIZERS)), num_memberships=2, enc_hidden=3, enc_out=2,
+        sparsify_keep_fraction=0.5 if prune else 1.0, sparsify_round=1, snapshot_every=1, **floats,
+    )
+
+
+def _refuse_constant(name):
+    # NaN and Infinity are no strict JSON, and strict parsers refuse them
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(extreme_configs())
+def test_every_accepted_config_ends_in_a_documented_outcome(config):
+    # a config that validate() accepts runs through `scool run` to exit 0
+    # with every round reported, or to exit 3 or 4 (a divergence or a broken
+    # invariant) after a report flagged diverged with the completed rounds;
+    # stderr then holds only the diagnosis, and no numpy warning (pytest
+    # turns one into an error, which would escape main as a traceback)
+    try:
+        config.validate()
+    except ConfigurationError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        save_config(config, path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    assert code in (0, 3, 4), stderr.getvalue()
+    err = stderr.getvalue()
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 0:
+        assert err == "" and not report["diverged"] and len(report["rounds"]) == config.rounds
+    else:
+        prefix = "diverged: " if code == 3 else "invariant broken: "
+        assert err == f"{prefix}{report['divergence_message']}\n"
+        assert report["diverged"] and len(report["rounds"]) < config.rounds
+    for row in report["rounds"]:
+        for column in ("mean_test_acc", "std_test_acc", "mean_train_loss"):
+            assert math.isfinite(row[column]), (column, row)

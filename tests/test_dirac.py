@@ -150,3 +150,44 @@ class TestDpsgdStep:
         not_stochastic = np.full((3, 3), 0.5)
         with pytest.raises(ConfigurationError, match="row-stochastic"):
             DiracState(not_stochastic)
+
+
+class TestDivergence:
+    def test_names_the_client_and_step_and_moves_no_model(self, tmp_path, monkeypatch, capsys):
+        # eta1 = 1e308 overflows a gradient at local step 1 of round 0: the
+        # run exits 3 with one stderr line naming the client and the step,
+        # as the cooperative steps do, and the failing step moved no model
+        import json
+
+        from scool.cli import EXIT_DIVERGED, main
+
+        calls, real = [], dirac.dpsgd_step
+
+        def spy(models, w, train_sets, eta1, step=0):
+            calls.append((models, models.theta.copy(), step))
+            real(models, w, train_sets, eta1, step)
+
+        monkeypatch.setattr(dirac, "dpsgd_step", spy)
+        path = tmp_path / "dirac.json"
+        path.write_text(json.dumps({"prior_kind": "dirac", "eta1": 1e308, "rounds": 4}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
+        message = "round 0: client 0 produced a non-finite update at local step 1"
+        assert capsys.readouterr().err == f"diverged: {message}\n"
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["diverged"] is True and report["divergence_message"] == message
+        models, before, step = calls[-1]
+        assert step == 1 and len(calls) == 2
+        assert models.theta.tobytes() == before.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_gradients_whose_step_overflows_name_the_parameters(self):
+        # client 1's biases at 1e308 leave its softmax, so its gradient,
+        # finite, but doubling them overflows: the first client whose new
+        # parameters are not finite is named, and no model moves
+        rng = np.random.default_rng(5)
+        models, train = _instances(rng, K=3)
+        models.theta[1, -models.arch.C:] = 1e308
+        before = models.theta.copy()
+        with pytest.raises(DivergenceError, match="^client 1 parameters left the finite range at local step 4$"):
+            dirac.dpsgd_step(models, 2.0 * np.eye(3), train, 0.1, 4)
+        np.testing.assert_array_equal(models.theta, before)
