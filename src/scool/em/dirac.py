@@ -44,11 +44,10 @@ def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: 
     """theta_i <- sum_j w_ij theta_j - eta1 * grad_i on models.theta in
     place, with the gradient evaluated at the pre-averaging parameters; the
     K gradients are one batched call, in the store's workspace. w is
-    checked once, when its DiracState is built. A step whose new parameters
-    are not all finite moves no model: it is a divergence named by the
-    cooperative steps' rule, the first client whose gradient (its update) is
-    not finite, or else the first whose new parameters are not, at local
-    step ``step``."""
+    checked once, when its DiracState is built. A step that leaves a
+    parameter non-finite moves no model and, by the cooperative steps' rule,
+    names the first client whose gradient, or else whose new parameters,
+    are not finite, at local step ``step``."""
     thetas, X, Y = models.theta, train_sets.features, train_sets.labels
     grads = batch_value_and_grad(thetas, X, Y, models.arch, value=False, workspace=models.workspace)[1]
     new = w @ thetas - eta1 * grads
