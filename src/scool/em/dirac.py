@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import ClientStore, DataStack, batch_value_and_grad
+from ..models import ClientStore, DataStack
 from ..topology import observed_pairs
 from .state import DiracState
-from .theta import first_bad_row
+from .theta import first_bad_row, own_gradients
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
 e_step = bound_terms = None
@@ -43,13 +43,14 @@ def metropolis_weights(mask: np.ndarray) -> np.ndarray:
 def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: float, step: int = 0) -> None:
     """theta_i <- sum_j w_ij theta_j - eta1 * grad_i on models.theta in
     place, with the gradient evaluated at the pre-averaging parameters; the
-    K gradients are one batched call, in the store's workspace. w is
+    K gradients take one batched call per pair block (theta.own_gradients),
+    in the store's workspace. w is
     checked once, when its DiracState is built. A step that leaves a
     parameter non-finite moves no model and, by the cooperative steps' rule,
     names the first client whose gradient, or else whose new parameters,
     are not finite, at local step ``step``."""
-    thetas, X, Y = models.theta, train_sets.features, train_sets.labels
-    grads = batch_value_and_grad(thetas, X, Y, models.arch, value=False, workspace=models.workspace)[1]
+    thetas, X, Y, ws = models.theta, train_sets.features, train_sets.labels, models.workspace
+    grads = own_gradients(thetas, X, Y, models.arch, ws.take("own", *thetas.shape), ws)
     new = w @ thetas - eta1 * grads
     if not np.all(np.isfinite(new)):
         bad = first_bad_row(grads)

@@ -11,7 +11,7 @@ from ..models import ClientStore, DataStack, batch_value_and_grad
 from ..topology import CROSS_GRADIENT, RoundTraffic, account_exchange, account_gossip, pair_list, sparsify_topk
 from . import attention, dirac, local, mmsbm, sbm
 from .elbo import elbo
-from .theta import pair_blocks
+from .theta import gradient_buffer, pair_blocks
 
 # Every prior is a module with the same five hooks, looked up at call time;
 # this table is the only code that knows which prior a state belongs to:
@@ -24,9 +24,9 @@ from .theta import pair_blocks
 #   m_step(state, models, mask, pairs, config, grads): the local epochs on
 #       models.train and the prior-parameter updates, under the run's
 #       settings; pairs is the round's pair list (topology.pair_list) and
-#       grads the loglik pass's gradients on it under cross-gradient (see
-#       loglik_matrix), which local step 0 reads instead of taking them
-#       again, or None (taylor-approx, or no E-step)
+#       grads the loglik pass's gradients on its leading pairs under
+#       cross-gradient (see loglik_matrix), which local step 0 reads instead
+#       of taking them again, or None (taylor-approx, or no E-step)
 #   graph(state, K) -> the row-stochastic reporting view of the graph
 PRIORS = {
     "local-only": local,
@@ -49,18 +49,21 @@ def loglik_matrix(
     and are never evaluated. ``mask`` is read only by the benchmark's
     round-1 cross-check, which recomputes the matrix from it.
 
-    With ``grads`` (E x D, E = len(pairs)), the same forward pass also
-    writes grad(theta_i; D_j) of the list's e-th pair (i, j) into row e."""
+    With ``grads`` (S x D, S <= len(pairs), theta.gradient_buffer), the same
+    forward pass also writes grad(theta_i; D_j) of the list's e-th pair
+    (i, j) into row e for its first S pairs; the list is cut into blocks at
+    S, so every block takes its gradients or none."""
     K = len(models)
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     rows, cols = np.divmod(pairs, K)
     ws = models.workspace
     out = np.zeros((K, K))
-    for blk in pair_blocks(len(pairs), X.shape[1], arch):
+    stored, n = (0 if grads is None else len(grads)), X.shape[1]
+    for blk in pair_blocks(stored, n, arch) + pair_blocks(len(pairs), n, arch, stored):
         r, c = rows[blk], cols[blk]
-        block_grads = None if grads is None else grads[blk]
+        held = blk.stop <= stored
         out[r, c] = batch_value_and_grad(
-            *ws.gather(thetas, X, Y, r, c), arch, block_grads, grad=grads is not None, workspace=ws
+            *ws.gather(thetas, X, Y, r, c), arch, grads[blk] if held else None, grad=held, workspace=ws
         )[0]
     return out
 
@@ -76,8 +79,9 @@ def run_round(
     once (topology.pair_list), and every layer below reads that list. The
     cross-client log-likelihoods feed the E-step and the lower bound. Under
     cross-gradient that pass also takes the pair gradients local step 0
-    needs; the E-step and the lower bound never move a model, so they are
-    still current when the M-step reads them. Every prior then runs its
+    needs, for the list's leading pairs that fit in
+    theta.PAIR_BUFFER_ELEMENTS; the E-step and the lower bound never move a
+    model, so they are still current when the M-step reads them. Every prior then runs its
     M-step (the local epochs and its prior-parameter updates), and the
     round's traffic is counted: the evaluation pass plus the gradient
     exchange for a learned graph, one gossip round per local step for a
@@ -99,7 +103,7 @@ def run_round(
         pairs = pair_list(mask)
         if prior.e_step is not None:
             if config.grad_mode == CROSS_GRADIENT:
-                grads = np.empty((len(pairs), models.arch.n_params))
+                grads = gradient_buffer(len(pairs), models.arch.n_params)
             ll = loglik_matrix(models, models.train, mask, pairs, grads)
             if not np.all(np.isfinite(np.take(ll, pairs))):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")

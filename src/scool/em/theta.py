@@ -15,30 +15,53 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..models import ArchSpec, ClientStore, DataStack, batch_value_and_grad, pairs_per_block
+from ..models import ArchSpec, ClientStore, DataStack, PairWorkspace, batch_value_and_grad, pairs_per_block
 from ..topology import CROSS_GRADIENT, TAYLOR_APPROX
 
-# Activation elements (pairs x samples x max(h, C)) of one batched
-# cross-client call: the loglik matrix and the cross-gradients are evaluated
-# over the round's pair list in blocks of this size, so their memory stays
-# flat in K while the number of calls falls to a few per pass. Every block
-# and local step of a pass reuses the store's models.PairWorkspace, so no
-# block allocates. At 8 samples per pair this is 256 pairs of the h = 16
-# MLP per call or 2 048 softmax pairs; with _fold's stack the workspace of
-# attention-k48-mlp holds 2.2 MB, that of sbm-k48-cross 3.1 MB. In a sweep
-# from 8 192 to 65 536 (CHANGES.md) the per-call cost was spread out from
-# 16 384 on; 65 536 was a little faster on the MLP but took 1.5 MB more.
-PAIR_BLOCK_BUDGET = 32768
+# Workspace elements of one batched cross-client call: each pair counts its
+# gathered parameters (D), features (n x d) and labels (n) and its
+# activations (n x max(h, C); models.pairs_per_block). The loglik matrix,
+# the own gradients and the cross-gradients are evaluated over the round's
+# pair list in blocks of this size, so their memory stays flat in K while
+# the number of calls falls to a few per pass. Every block and local step of
+# a pass reuses the store's models.PairWorkspace, so no block allocates. At
+# the benchmark's shapes (8 samples, d = 8, C = 2) this is 256 pairs of the
+# h = 16 MLP (D = 178) per call, the MLP block size that a sweep of the
+# budget chose (CHANGES.md), or 912 softmax pairs (D = 18); with _fold's
+# stack the workspace of attention-k48-mlp holds 2.2 MB, that of
+# sbm-k48-cross 1.4 MB.
+PAIR_BLOCK_BUDGET = 96768
+
+# Elements of the loglik pass's gradient buffer, which local step 0 reads
+# (gradient_buffer): it holds the gradients of the round's leading pairs, as
+# many as fit, so its memory stays flat in K; step 0 takes the rest afresh.
+# 4 MB of float64: the 2 304 x 178 of attention-k48-mlp's full mask fit.
+PAIR_BUFFER_ELEMENTS = 1 << 19
 
 # Optional per-step extra descent terms (the attention coupling); called on
 # the pre-step snapshot, returns one vector per client.
 CouplingFn = Callable[[ClientStore], np.ndarray]
 
 
-def pair_blocks(n_pairs: int, n: int, arch: ArchSpec) -> list[slice]:
-    """Consecutive slices of a pair list, each within PAIR_BLOCK_BUDGET."""
+def pair_blocks(n_pairs: int, n: int, arch: ArchSpec, start: int = 0) -> list[slice]:
+    """Consecutive slices of a pair list from ``start`` on, each within PAIR_BLOCK_BUDGET."""
     size = pairs_per_block(PAIR_BLOCK_BUDGET, n, arch)
-    return [slice(a, min(a + size, n_pairs)) for a in range(0, n_pairs, size)]
+    return [slice(a, min(a + size, n_pairs)) for a in range(start, n_pairs, size)]
+
+
+def gradient_buffer(n_pairs: int, D: int) -> np.ndarray:
+    """The loglik pass's gradient buffer for a pair list of n_pairs pairs:
+    one row of D for each of its leading pairs that fit in PAIR_BUFFER_ELEMENTS."""
+    return np.empty((min(n_pairs, PAIR_BUFFER_ELEMENTS // D), D))
+
+
+def own_gradients(thetas: np.ndarray, X: np.ndarray, Y: np.ndarray, arch: ArchSpec, out: np.ndarray,
+                  workspace: PairWorkspace, start: int = 0) -> np.ndarray:
+    """grad(theta_k; D_k) of every client k from ``start`` on into out[k],
+    one batched call per pair block, in ``workspace``."""
+    for blk in pair_blocks(len(thetas), X.shape[1], arch, start):
+        batch_value_and_grad(thetas[blk], X[blk], Y[blk], arch, out[blk], value=False, workspace=workspace)
+    return out
 
 
 # what _fold_plan returns: the rows a block spans, each term's slot and row offset, the slot count
@@ -103,28 +126,28 @@ def cooperative_sgd_steps(
     grad_mode selects the neighbor-gradient route: exact cross-gradients
     grad(theta_i; D_j), or the first-order surrogate grad(theta_j; D_j)
     which is exact when all models coincide and only needs each neighbor's
-    own gradient on the wire. Each step takes the K own gradients in one
-    batched call. The weighted off-diagonal pairs are those of the round's
-    row-major pair list ``pairs`` (topology.pair_list(mask), as in
-    rounds.loglik_matrix) off the diagonal and with a nonzero weight, cut
-    into blocks of at most PAIR_BLOCK_BUDGET activations; under
-    cross-gradient each block is one batched call, under taylor-approx it
-    gathers the own gradients. The pass's arrays, the kernel's temporaries
-    and _fold's stack live in the store's PairWorkspace, which every block
-    and step reuse. Masked and zero-weight pairs are never evaluated.
-    Starting from own_i + lam theta_i, each block folds its weighted
-    gradients into its rows (_fold) in the order of
-    own_i + lam theta_i + w_ij1 g_ij1 + w_ij2 g_ij2 + ...
+    own gradient on the wire. Each step takes the K own gradients in blocks
+    of pairs (own_gradients). The weighted off-diagonal pairs are those of
+    the round's row-major pair list ``pairs`` (topology.pair_list(mask), as
+    in rounds.loglik_matrix) off the diagonal and with a nonzero weight, cut
+    into blocks within PAIR_BLOCK_BUDGET; under cross-gradient each block is
+    one batched call, under taylor-approx it gathers the own gradients. The
+    pass's arrays, the kernel's temporaries and _fold's stack live in the
+    store's PairWorkspace, which every block and step reuse. Masked and
+    zero-weight pairs are never evaluated. Starting from own_i + lam theta_i,
+    each block folds its weighted gradients into its rows (_fold) in the
+    order of own_i + lam theta_i + w_ij1 g_ij1 + w_ij2 g_ij2 + ...
     ``mask`` is read only by the benchmark's round-1 cross-check, which
     recomputes the steps from it.
 
     ``grads`` holds the loglik pass's gradients at the current models
-    (rounds.loglik_matrix): row e is grad(theta_i; D_j) of the list's e-th
-    pair (i, j), so the list must hold the diagonal. The own and the
-    weighted pairs are positions in that list, in its order, so step 0
-    gathers the own gradients and each block's cross-gradients from it by
-    position instead of taking them again; later steps, whose models have
-    moved, take fresh ones.
+    (rounds.loglik_matrix) for a leading part of the list: row e is
+    grad(theta_i; D_j) of the list's e-th pair (i, j), for e < len(grads),
+    and the list must hold the diagonal. Step 0 gathers the own and the
+    weighted pairs' gradients that the buffer holds by their positions in
+    the list, and takes the rest afresh, as every later step, whose models
+    have moved, takes all of them. The buffer's length is only where that
+    cut falls: the steps are the same bits wherever it is.
     """
     if eta1 <= 0:
         raise ConfigurationError("eta1 must be positive")
@@ -138,21 +161,25 @@ def cooperative_sgd_steps(
     rows, cols = np.divmod(pairs[weighted], K)
     weights = w[rows, cols][:, None]
     blocks = pair_blocks(len(rows), X.shape[1], arch)
+    held_own = held = 0  # at step 0: how many own and weighted gradients the buffer holds
     if grads is not None:
-        own_index, pair_index = (np.arange(len(pairs))[chosen] for chosen in (diagonal, weighted))
-        if grads.shape != (len(pairs), D) or len(own_index) != K:
-            raise ConfigurationError("stored pair gradients need one row per allowed pair, the diagonal included")
+        if grads.ndim != 2 or grads.shape[1] != D or len(grads) > len(pairs) or diagonal.sum() != K:
+            raise ConfigurationError(
+                f"stored pair gradients need at most one row per allowed pair, {D} wide, and the diagonal in the list")
+        # their positions in the list: the first held_own clients' and the first held weighted pairs
+        own_index, pair_index = (np.arange(len(grads))[chosen[: len(grads)]] for chosen in (diagonal, weighted))
+        held_own, held = len(own_index), len(pair_index)
     plans = [_fold_plan(rows[blk]) for blk in blocks]
     ws = models.workspace
     own, delta, new = (ws.take(name, K, D) for name in ("own", "delta", "new"))
     stack = ws.take("fold", max((fold_elements(plan, D) for plan in plans), default=0))
 
     for step in range(steps):
-        stored = step == 0 and grads is not None
-        if stored:
-            np.take(grads, own_index, axis=0, out=own, mode="clip")
-        else:
-            batch_value_and_grad(thetas, X, Y, arch, own, value=False, workspace=ws)
+        if step == 1:
+            held_own = held = 0  # the models have moved
+        if held_own:
+            np.take(grads, own_index, axis=0, out=own[:held_own], mode="clip")
+        own_gradients(thetas, X, Y, arch, own, ws, start=held_own)
         coupling = coupling_fn(models) if coupling_fn is not None else None
 
         np.add(own, np.multiply(thetas, lam, out=delta), out=delta)  # own + lam * thetas
@@ -161,10 +188,13 @@ def cooperative_sgd_steps(
             g = ws.take("grads", len(r), D)
             if grad_mode == TAYLOR_APPROX:
                 np.take(own, c, axis=0, out=g, mode="clip")
-            elif stored:
-                np.take(grads, pair_index[blk], axis=0, out=g, mode="clip")
             else:
-                batch_value_and_grad(*ws.gather(thetas, X, Y, r, c), arch, g, value=False, workspace=ws)
+                cut = min(max(held - blk.start, 0), len(r))  # the block's pairs that the buffer holds
+                if cut:
+                    np.take(grads, pair_index[blk.start : blk.start + cut], axis=0, out=g[:cut], mode="clip")
+                if cut < len(r):
+                    fresh = ws.gather(thetas, X, Y, r[cut:], c[cut:])
+                    batch_value_and_grad(*fresh, arch, g[cut:], value=False, workspace=ws)
             g *= weights[blk]
             _fold(delta, plan, g, stack)
         if coupling is not None:

@@ -188,9 +188,11 @@ def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
 # stay sample-major, and the train stack with them.
 #
 # batch_value_and_grad is the one forward pass of every pair's value and
-# gradient; batch_log_likelihood is its value-only half. The loglik matrix under cross-gradient takes both halves
-# at once: local step 0 needs grad(theta_i; D_j) on the same pairs at the
-# same parameters, so it reads them from that pass instead of a second one.
+# gradient; batch_log_likelihood is its value-only half. The loglik matrix
+# under cross-gradient takes both halves at once for the pairs its buffer
+# holds (theta.gradient_buffer): local step 0 needs grad(theta_i; D_j) on
+# the same pairs at the same parameters, so it reads them from that pass
+# instead of a second one.
 #
 # Every array a call produces lives in a PairWorkspace and is written with
 # out=: the logits, the log-norm, P, each hidden layer's activations and
@@ -281,10 +283,15 @@ def _shift_log_normalize(Z: np.ndarray, ws: PairWorkspace) -> np.ndarray:
     return np.log(total, out=total)
 
 
-def pairs_per_block(budget: int, n: int, arch: ArchSpec) -> int:
+def pairs_per_block(budget: int, n: int, arch: ArchSpec, gathered: bool = True) -> int:
     """How many pairs of n samples one batched call may hold within
-    ``budget`` activation elements (pairs x n x max(h, C)); at least one."""
-    return max(1, budget // (n * max(arch.h, arch.C)))
+    ``budget`` elements, at least one. A pair counts its activations
+    (n x max(h, C)) and, when ``gathered`` into a workspace
+    (PairWorkspace.gather), its parameters (D), features (n x d) and labels (n)."""
+    per_pair = n * max(arch.h, arch.C)
+    if gathered:
+        per_pair += arch.n_params + n * (arch.d + 1)
+    return max(1, budget // per_pair)
 
 
 def batch_value_and_grad(

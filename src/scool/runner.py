@@ -106,11 +106,14 @@ def build_tasks(config: ExperimentConfig):
 
 def build_models(config: ExperimentConfig, train: DataStack, test: DataStack) -> ClientStore:
     """The run's store: K x D initial parameters drawn from the seed, one row
-    tiled to every client when ``shared_init`` is set."""
+    tiled to every client when ``shared_init`` is set. A scale that
+    overflows the draw leaves its entries infinite, and the first round
+    reports the divergence: numpy's warning would only repeat it on stderr."""
     arch = config.arch_spec()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     shape = (1 if config.shared_init else config.K, arch.n_params)
-    theta = config.init_scale * rng.standard_normal(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = config.init_scale * rng.standard_normal(shape)
     return ClientStore(np.broadcast_to(theta, (config.K, arch.n_params)), arch, train, test)
 
 
@@ -124,7 +127,7 @@ def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> n
     each block's result copied out before the next call, which may reuse
     its memory (a workspace's view)."""
     X, Y = data.features, data.labels
-    block = pairs_per_block(REPORT_BLOCK_ELEMENTS, X.shape[1], arch)
+    block = pairs_per_block(REPORT_BLOCK_ELEMENTS, X.shape[1], arch, gathered=False)
     out = np.empty(len(thetas))
     for a in range(0, len(thetas), block):
         out[a : a + block] = kernel(thetas[a : a + block], X[a : a + block], Y[a : a + block], arch)

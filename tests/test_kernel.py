@@ -10,7 +10,9 @@ per-round reporting is checked against the oracle's ``accuracy`` and
 stack; the store's per-client row views, which remain for the benchmark's
 round-1 cross-check, are tested in TestClientStore. A cross-gradient round
 takes its first step's gradients from the loglik pass; TestFusedFirstStep
-checks that step against the fresh path, which takes every gradient itself.
+checks that step against the fresh path, which takes every gradient itself,
+and TestCappedGradientBuffer whole rounds wherever the buffer's cap cuts
+the pair list.
 TestLayout pins the flat parameter layout index by index, for the kernel's
 unpack_layers and the oracle's own unpackers alike.
 """
@@ -383,7 +385,7 @@ class TestCooperativeEquivalence:
 def _cap_pairs_per_block(monkeypatch, per_block, arch, n=8):
     """Blocks of per_block pairs of n samples; None keeps the default."""
     if per_block is not None:
-        monkeypatch.setattr(theta, "PAIR_BLOCK_BUDGET", per_block * _per_sample_elements(n, arch))
+        monkeypatch.setattr(theta, "PAIR_BLOCK_BUDGET", per_block * _per_pair_elements(n, arch))
 
 
 def _pair_ids(thetas, X, models, train):
@@ -694,12 +696,126 @@ class TestFusedFirstStep:
         np.testing.assert_array_equal(store.theta, np.stack([m.theta for m in models]))
 
 
+def _round_setup(prior, kind, K, pruned):
+    """A cross-gradient run's config, store, mask and state from the
+    runner's own builders, every client from its own start; ``pruned``
+    prunes the mask to half its neighbours in round 1."""
+    config = ExperimentConfig(
+        prior_kind=prior, arch=kind, K=K, seed=5, grad_mode=CROSS_GRADIENT, shared_init=False, init_scale=0.3,
+        sparsify_keep_fraction=0.5 if pruned else 1.0, sparsify_round=1,
+    ).validate()
+    _, train, test = runner.build_tasks(config)
+    store = runner.build_models(config, train, test)
+    mask = build_topology(config.topology_kind, K, seed=config.seed)
+    return config, store, mask, runner.build_state(config, mask, store.arch.n_params)
+
+
+class TestCappedGradientBuffer:
+    """The loglik pass stores the gradients of the round's leading pairs
+    that fit in theta.PAIR_BUFFER_ELEMENTS, and local step 0 takes the rest
+    afresh: a round is the same bits wherever the cap cuts the pair list,
+    and no gradient at the round's parameters is taken twice."""
+
+    K = 9  # three task groups of three clients
+    # pairs the buffer holds: none, one, a cut inside client 1's row of a
+    # full mask, and every pair of the full mask
+    HELD = {"none": 0, "one": 1, "mid-row": K + 3, "all": K * K}
+
+    @pytest.mark.parametrize("prior", ["sbm", "attention"])
+    @pytest.mark.parametrize("kind", [SOFTMAX_REGRESSION, MLP_1HIDDEN])
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize("held", sorted(HELD))
+    @pytest.mark.parametrize("per_block", [3, None])
+    def test_rounds_equal_the_uncapped_path(self, monkeypatch, prior, kind, pruned, held, per_block):
+        runs, buffer = [], rounds.gradient_buffer
+        for cap in (held, "all"):
+            config, store, mask, state = _round_setup(prior, kind, self.K, pruned)
+            D = store.arch.n_params
+            _cap_pairs_per_block(monkeypatch, per_block, store.arch, n=config.samples_per_client)
+            # half a row more, which holds no further pair
+            monkeypatch.setattr(theta, "PAIR_BUFFER_ELEMENTS", self.HELD[cap] * D + D // 2)
+            lengths = []
+
+            def recording(n_pairs, D):
+                lengths.append((n_pairs, len(grads := buffer(n_pairs, D))))
+                return grads
+
+            monkeypatch.setattr(rounds, "gradient_buffer", recording)
+            outputs = []
+            for r in range(3):
+                graph, total, traffic = rounds.run_round(state, store, mask, r, config)
+                outputs.append((np.array(graph), total, traffic))
+            assert all(stored == min(n_pairs, self.HELD[cap]) for n_pairs, stored in lengths) and len(lengths) == 3
+            runs.append((outputs, store.theta.copy(), mask.copy()))
+        (got, theta_got, mask_got), (want, theta_want, mask_want) = runs
+        for (graph_a, total_a, traffic_a), (graph_b, total_b, traffic_b) in zip(got, want):
+            _assert_same_bits(graph_a, graph_b)
+            assert total_a == total_b and traffic_a == traffic_b
+        _assert_same_bits(theta_got, theta_want)
+        np.testing.assert_array_equal(mask_got, mask_want)
+        assert pruned == (np.count_nonzero(mask_got) < self.K * self.K)
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("held", ["none", "one", "mid-row", "all"])
+    def test_each_value_and_gradient_is_taken_once(self, monkeypatch, kind, held):
+        # blocks of 3 pairs, so blocks straddle the cut; some allowed pairs
+        # carry no weight, and past the cut step 0 takes no gradient for them
+        arch = ARCHS[kind]
+        rng = np.random.default_rng(71)
+        models, train = _clients(rng, arch, K=self.K)
+        w, mask = _random_graph(rng, self.K)
+        store = client_store(models, train)
+        pairs = pair_list(mask)
+        ids = [(int(e // self.K), int(e % self.K)) for e in pairs]
+        cut = {"none": 0, "one": 1, "mid-row": np.count_nonzero(mask[0]) + 2, "all": len(pairs)}[held]
+        assert ids[cut - 1][0] == ids[cut][0] if held == "mid-row" else True
+        _cap_pairs_per_block(monkeypatch, 3, arch)
+        monkeypatch.setattr(theta, "PAIR_BUFFER_ELEMENTS", cut * arch.n_params)
+        values, gradients = Counter(), {"loglik": Counter(), "step 0": Counter()}
+        phase = ["loglik"]
+
+        def counting(real):
+            def kernel(thetas, X, Y, arch, out=None, *, value=True, grad=True, workspace):
+                taken = _pair_ids(thetas, X, store, train)
+                values.update(taken if value else ())
+                gradients[phase[0]].update(taken if grad else ())
+                return real(thetas, X, Y, arch, out, value=value, grad=grad, workspace=workspace)
+            return kernel
+
+        for module in (rounds, theta):
+            monkeypatch.setattr(module, "batch_value_and_grad", counting(module.batch_value_and_grad))
+        grads = rounds.gradient_buffer(len(pairs), arch.n_params)
+        assert len(grads) == cut
+        rounds.loglik_matrix(store, store.train, mask, pairs, grads)
+        phase[0] = "step 0"
+        cooperative_sgd_steps(store, store.train, w, 0.02, 0.2, 1, CROSS_GRADIENT, mask, pairs, grads=grads)
+        needed = [pair for pair in ids[cut:] if pair[0] == pair[1] or w[pair] != 0.0]
+        assert values == Counter(ids)
+        assert gradients == {"loglik": Counter(ids[:cut]), "step 0": Counter(needed)}
+        assert len(needed) < len(ids) - cut or held == "all"  # a zero-weight pair past the cut
+
+    def test_a_k96_round_stays_below_the_uncapped_buffer(self):
+        # the full-mask attention MLP round at K = 96: 9 216 pairs of D = 178,
+        # whose whole buffer alone would hold 13.1 MB
+        config, store, mask, state = _round_setup("attention", MLP_1HIDDEN, 96, pruned=False)
+        uncapped = 96 * 96 * store.arch.n_params * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rounds.run_round(state, store, mask, 0, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < uncapped, (peak, uncapped)
+
+
 def _poison_between_blocks_and_steps(monkeypatch, store):
     """NaN-fill the store's PairWorkspace wherever a block or a local step
     must not read what an earlier one left: before every batched call, all
     of it but the call's gathered inputs and the pass's running own
-    gradients and update; after every fold, all but those two; and before a
-    step's own gradients, all of it. Floats read NaN, labels -1."""
+    gradients and update; after every fold, all but those two; and before
+    each block of a step's own gradients, all of it but the rows of the own
+    gradients that the step has taken so far. Floats read NaN, labels -1."""
     taken = []  # every (name, view) the store's passes have asked for
 
     def recording_take(ws, name, *shape, **kwargs):
@@ -715,8 +831,11 @@ def _poison_between_blocks_and_steps(monkeypatch, store):
 
     def poisoned_kernel(real):
         def kernel(thetas, features, labels, arch, out=None, **kwargs):
-            step_start = np.shares_memory(thetas, store.theta)  # the own gradients, not gathered
-            poison(() if step_start else ("thetas", "features", "labels", "own", "delta"))
+            if np.shares_memory(thetas, store.theta):  # a block of own gradients, not gathered
+                poison(("own",))
+                out.reshape(-1).view(np.uint8).fill(0xFF)  # the block's own rows
+            else:
+                poison(("thetas", "features", "labels", "own", "delta"))
             return real(thetas, features, labels, arch, out, **kwargs)
         return kernel
 
@@ -1082,19 +1201,23 @@ class TestGossipEquivalence:
             reference_dpsgd_step(b, w, train, 0.2)
         _assert_same_thetas(a, b)
 
-    def test_one_batched_gradient_call_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("per_block, sizes", [(1, [1] * 6), (4, [4, 2]), (None, [6])])
+    def test_one_batched_gradient_call_per_pair_block(self, monkeypatch, per_block, sizes):
         rng = np.random.default_rng(23)
         models, train = _clients(rng, ARCHS[SOFTMAX_REGRESSION], K=6)
-        sizes = []
+        seen = []
 
         def counting(thetas, X, Y, arch, *args, **kwargs):
-            sizes.append(len(thetas))
+            seen.append(len(thetas))
             return batch_value_and_grad(thetas, X, Y, arch, *args, **kwargs)
 
-        monkeypatch.setattr(dirac, "batch_value_and_grad", counting)
-        store = client_store(models, train)
-        dirac.dpsgd_step(store, np.full((6, 6), 1.0 / 6.0), store.train, 0.1)
-        assert sizes == [6]
+        monkeypatch.setattr(theta, "batch_value_and_grad", counting)
+        _cap_pairs_per_block(monkeypatch, per_block, ARCHS[SOFTMAX_REGRESSION])
+        (a, b), w = _both(models, train), np.full((6, 6), 1.0 / 6.0)
+        dirac.dpsgd_step(a, w, a.train, 0.1)
+        reference_dpsgd_step(b, w, train, 0.1)
+        assert seen == sizes
+        _assert_same_thetas(a, b)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_leaves_the_same_models(self):
@@ -1112,7 +1235,14 @@ class TestGossipEquivalence:
 
 
 def _per_sample_elements(n, arch):
+    """What a client of n samples counts in a reporting block: its activations."""
     return n * max(arch.h, arch.C)
+
+
+def _per_pair_elements(n, arch):
+    """What a pair of n samples counts in a kernel block: its gathered
+    parameters, features and labels, and its activations."""
+    return arch.n_params + n * (arch.d + 1) + _per_sample_elements(n, arch)
 
 
 class TestReportingEquivalence:
@@ -1175,7 +1305,7 @@ class TestReportingEquivalence:
         # K = 192 clients of 400 test samples, cut as the runner cuts the
         # softmax-regression workloads: blocks of 81, 81 and 30 clients
         arch = BENCH_ARCHS[kind]
-        block = pairs_per_block(runner.REPORT_BLOCK_ELEMENTS, 400, BENCH_ARCHS[SOFTMAX_REGRESSION])
+        block = pairs_per_block(runner.REPORT_BLOCK_ELEMENTS, 400, BENCH_ARCHS[SOFTMAX_REGRESSION], gathered=False)
         assert block == 81
         monkeypatch.setattr(runner, "REPORT_BLOCK_ELEMENTS", block * _per_sample_elements(400, arch))
         rng = np.random.default_rng(192)

@@ -739,6 +739,16 @@ class TestCli:
         if poison not in (None, "features"):
             assert len(data["rounds"]) == 1 and data["divergence_message"].startswith("round 1: ")
 
+    def test_an_initial_draw_that_overflows_prints_only_the_diagnosis(self, tmp_path):
+        # init_scale is finite, so validate() passes it, but its draw
+        # overflows at set-up: stderr carries the diagnosis and no warning
+        path = tmp_path / "huge-init.json"
+        path.write_text(json.dumps({"prior_kind": "sbm", "init_scale": 1.7e308, "rounds": 2}))
+        proc = self._run("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diverged: round 0: "), proc.stderr
+
     def test_divergence_exit_code(self, tmp_path):
         path = self._write_config(tmp_path, eta1=1e150, weight_decay=10.0, rounds=5)
         proc = self._run("run", "--config", str(path), "--out", str(tmp_path / "d"))
