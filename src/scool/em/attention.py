@@ -4,10 +4,10 @@ A small two-layer encoder, a dense tanh network of widths ``enc_dims`` in
 the models' flat layout (``models.unpack_layers``), maps each client's
 accumulated model update (theta minus its shared starting point) to an
 embedding; dot products of embeddings, softmaxed over each row's entries
-that the topology's boolean mask allows, define a row-stochastic attention
-matrix p, the E-step folds p together with the cross-client
-log-likelihoods into w (zero off the mask), and the M-step trains the
-encoder to pull p toward w (row-wise cross-entropy descent).
+in the round's pair list (topology.pair_list, kept as state.pairs), define a
+row-stochastic attention matrix p, the E-step folds p together with the
+cross-client log-likelihoods into w (zero off the list), and the M-step
+trains the encoder to pull p toward w (row-wise cross-entropy descent).
 
 Gradients here are written out by hand: the encoder is three matmuls and a
 tanh, and keeping the whole package autograd-free makes the finite-
@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore, pack_layers, unpack_layers
 from ..special import softmax_tempered, xlogx
+from ..topology import pair_list
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps
 
@@ -40,6 +41,7 @@ def init_state(config, mask, theta_dim: int) -> AttentionState:
         enc_dims=(theta_dim, h, out),
         w=uniform.copy(),
         p=uniform.copy(),
+        pairs=pair_list(mask),
         lam=config.weight_decay,
         tau_softmax=config.tau_softmax,
         phi_slot=AdamSlot.like(phi),
@@ -62,41 +64,40 @@ def _encoder_forward(phi, dims, X):
     return W1, W2, H, E
 
 
-def _masked_row_softmax(scores: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
-    """Row softmax over the allowed entries, zero elsewhere. Rows of equal
-    mask degree share one 2-D softmax over their compacted allowed entries.
-    Allowed scores that are not finite over tau are a divergence."""
-    degree = mask.sum(axis=1)
+def _pair_row_softmax(scores: np.ndarray, tau: float, pairs: np.ndarray) -> np.ndarray:
+    """Row softmax over the entries of the row-major pair list ``pairs``,
+    zero elsewhere. A row's entries are one run of the list; rows of equal
+    degree share one 2-D softmax over their runs. Listed scores that are
+    not finite over tau are a divergence."""
+    K = len(scores)
+    degree = np.bincount(pairs // K, minlength=K)
     if not degree.all():
         raise ConfigurationError(f"client {int(np.argmin(degree))} has a fully masked row")
-    if not np.all(np.isfinite(scores[mask] / tau)):
+    values = np.take(scores, pairs)
+    if not np.all(np.isfinite(values / tau)):
         raise DivergenceError("attention scores over the temperature are non-finite")
+    first = np.cumsum(degree) - degree  # where each row's run starts
     out = np.zeros_like(scores)
-    for k in np.flatnonzero(np.bincount(degree)):  # np.unique loads numpy.ma (about 1 MB)
-        rows = np.flatnonzero(degree == k)[:, None]
-        cols = np.nonzero(mask[rows[:, 0]])[1].reshape(len(rows), k)
-        out[rows, cols] = softmax_tempered(scores[rows, cols], tau)
+    for k in set(degree.tolist()):  # np.unique loads numpy.ma (about 1 MB)
+        at = first[degree == k, None] + np.arange(k)
+        np.put(out, pairs[at], softmax_tempered(values[at], tau))
     return out
 
 
 def compute_p(
-    models: ClientStore,
-    phi: np.ndarray,
-    dims: tuple[int, int, int],
-    tau: float,
-    mask: np.ndarray,
+    models: ClientStore, phi: np.ndarray, dims: tuple[int, int, int], tau: float, pairs: np.ndarray
 ) -> np.ndarray:
-    """Row-stochastic attention from embedding dot products; masked pairs
-    are excluded from the normalization."""
-    return _attention(encode(phi, dims, model_deltas(models)), tau, mask)
+    """Row-stochastic attention from embedding dot products, normalized
+    over the pair list ``pairs`` only."""
+    return _attention(encode(phi, dims, model_deltas(models)), tau, pairs)
 
 
-def _attention(E: np.ndarray, tau: float, mask: np.ndarray) -> np.ndarray:
-    return _masked_row_softmax(E @ E.T, tau, mask)
+def _attention(E: np.ndarray, tau: float, pairs: np.ndarray) -> np.ndarray:
+    return _pair_row_softmax(E @ E.T, tau, pairs)
 
 
-def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise tempered softmax of log-likelihood plus log-attention.
+def update_w(state: AttentionState, loglik: np.ndarray) -> np.ndarray:
+    """Tempered softmax of log-likelihood plus log-attention over each row's listed pairs.
 
     The self column carries only its attention score: the client's own-data
     term sits outside the graph posterior, so the stationary weight for
@@ -105,33 +106,33 @@ def update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> np.
     logits = np.array(loglik, dtype=float)
     np.fill_diagonal(logits, 0.0)
     logits = logits + np.log(np.maximum(state.p, PROB_FLOOR))
-    return _masked_row_softmax(logits, state.tau_softmax, mask)
+    return _pair_row_softmax(logits, state.tau_softmax, state.pairs)
 
 
-def _residual_pass(state: AttentionState, models: ClientStore, mask: np.ndarray):
+def _residual_pass(state: AttentionState, models: ClientStore):
     """One encoder pass on the model deltas X: the encoder's weights W1 and
     W2, its hidden layer H, the embeddings E, and the residual
     C = d/dF of sum_j w_ij log p_ij, which for rows of w on the simplex is
-    (w - p)/tau on the allowed pairs."""
+    (w - p)/tau on the state's pairs and 0 elsewhere."""
     X = model_deltas(models)
     W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
-    p = _attention(E, state.tau_softmax, mask)
-    C = np.where(mask, (state.w - p) / state.tau_softmax, 0.0)
+    pairs = state.pairs
+    p = _attention(E, state.tau_softmax, pairs)
+    C = np.zeros_like(p)
+    np.put(C, pairs, (np.take(state.w, pairs) - np.take(p, pairs)) / state.tau_softmax)
     return X, W1, W2, H, E, C
 
 
-def coupling_descent_terms(
-    models: ClientStore,
-    state: AttentionState,
-    mask: np.ndarray,
-) -> np.ndarray:
+def coupling_descent_terms(models: ClientStore, state: AttentionState, mask: np.ndarray) -> np.ndarray:
     """Per-client descent contribution -grad_theta_i sum_j w_ij log p_ij.
 
     Only client i's own embedding is differentiated (the update is local);
     within row i the self score <e_i, e_i> contributes through both slots,
     so the analytic value matches a finite difference of the row objective.
+    The terms read the state's pair list. ``mask`` is read only by the
+    benchmark's last-call coupling cross-check, which recomputes them from it.
     """
-    _, W1, W2, H, E, C = _residual_pass(state, models, mask)
+    _, W1, W2, H, E, C = _residual_pass(state, models)
     dE = C @ E  # row i: sum_j C_ij e_j
     dE += (np.diag(C)[:, None]) * E  # second slot of the self score
     dH = dE @ W2
@@ -140,14 +141,10 @@ def coupling_descent_terms(
     return -dX
 
 
-def phi_gradient(
-    state: AttentionState,
-    models: ClientStore,
-    mask: np.ndarray,
-) -> np.ndarray:
+def phi_gradient(state: AttentionState, models: ClientStore) -> np.ndarray:
     """Ascent gradient of sum_ij w_ij log p_ij w.r.t. the encoder, flowing
     through every embedding."""
-    X, W1, W2, H, E, C = _residual_pass(state, models, mask)
+    X, W1, W2, H, E, C = _residual_pass(state, models)
     dE = (C + C.T) @ E
     dH = dE @ W2
     dZ = dH * (1.0 - H * H)
@@ -158,10 +155,10 @@ def phi_gradient(
     return pack_layers([(dW1, db1), (dW2, db2)])
 
 
-def update_phi(state: AttentionState, models: ClientStore, mask: np.ndarray, config) -> np.ndarray:
+def update_phi(state: AttentionState, models: ClientStore, config) -> np.ndarray:
     """One encoder ascent step on the attention agreement objective, under
     the run's prior step size, optimizer and decay."""
-    g = phi_gradient(state, models, mask)
+    g = phi_gradient(state, models)
     if not np.all(np.isfinite(g)):
         raise DivergenceError("encoder gradient is non-finite")
     return ascent_step(state.phi, g, state.phi_slot, config)
@@ -173,11 +170,11 @@ def bound_terms(state: AttentionState) -> dict[str, float]:
     return dict(edge=float((state.w * logp).sum()), entropy_w=-float(xlogx(state.w).sum()))
 
 
-def e_step(
-    state: AttentionState, models: ClientStore, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray
-) -> AttentionState:
-    state.p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, mask)
-    state.w = update_w(state, loglik, mask)
+def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray, observed: np.ndarray) -> AttentionState:
+    """The round's pair list, then the attention and the posterior over it."""
+    state.pairs = pairs
+    state.p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, pairs)
+    state.w = update_w(state, loglik)
     return state
 
 
@@ -186,7 +183,7 @@ def m_step(state: AttentionState, models, mask, pairs, config, grads) -> None:
         models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
         config.grad_mode, mask, pairs, lambda ms: coupling_descent_terms(ms, state, mask), grads,
     )
-    state.phi = update_phi(state, models, mask, config)
+    state.phi = update_phi(state, models, config)
 
 
 def graph(state: AttentionState, K: int) -> np.ndarray:

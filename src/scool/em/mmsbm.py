@@ -104,17 +104,17 @@ def bound_terms(state: MmsbmState) -> dict[str, float]:
     )
 
 
-def e_step(state: MmsbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> MmsbmState:
-    """When the mask lost pairs (pruning only removes pairs), keep the rows
-    of the pairs it still allows; the list must then be the round's
-    observed-pair list ``observed``. Then the edge and Dirichlet posteriors,
-    then one synchronous sweep of both pair-membership sides from the
-    pre-sweep snapshot."""
+def e_step(state: MmsbmState, models, loglik: np.ndarray, pairs: np.ndarray, observed: np.ndarray) -> MmsbmState:
+    """When the round's observed-pair list ``observed`` lost pairs (pruning
+    only removes pairs), keep the rows of the pairs it still lists; the
+    state's list must then be ``observed``. Then the edge and Dirichlet
+    posteriors, then one synchronous sweep of both pair-membership sides
+    from the pre-sweep snapshot."""
     if len(state.pairs) != len(observed):
-        keep = np.take(mask, state.pairs)
+        keep = np.isin(state.pairs, observed, assume_unique=True)  # no np.unique, which loads numpy.ma
         state.pairs, state.phi_send, state.phi_recv = (a[keep] for a in (state.pairs, state.phi_send, state.phi_recv))
     if not np.array_equal(state.pairs, observed):
-        raise InvariantError("mmsbm pair list is not the mask's observed pairs")
+        raise InvariantError("mmsbm pair list is not the round's observed pairs")
     state.w = update_w(state, loglik)
     state.gamma = update_gamma(state)
     state.phi_send, state.phi_recv = update_phi(state, "send"), update_phi(state, "recv")

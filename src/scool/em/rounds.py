@@ -16,8 +16,8 @@ from .theta import gradient_buffer, pair_blocks
 # Every prior is a module with the same five hooks, looked up at call time;
 # this table is the only code that knows which prior a state belongs to:
 #   init_state(config, mask, theta_dim) -> the prior's state
-#   e_step(state, models, loglik, mask, observed), or None for a fixed
-#       graph; observed is the round's pair list without its diagonal
+#   e_step(state, models, loglik, pairs, observed), or None for a fixed
+#       graph; pairs is the round's pair list, observed it without its diagonal
 #   bound_terms(state) -> the prior's own lower-bound terms (elbo.elbo adds
 #       the likelihood and ridge terms every prior shares), or None with
 #       e_step
@@ -108,7 +108,7 @@ def run_round(
             if not np.all(np.isfinite(np.take(ll, pairs))):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
             observed = pairs[pairs % (len(mask) + 1) != 0]
-            prior.e_step(state, models, ll, mask, observed)
+            prior.e_step(state, models, ll, pairs, observed)
             elbo_total = elbo(prior, state, ll, observed, models).total
         prior.m_step(state, models, mask, pairs, config, grads)
         # checked after the M-step, so a fault that the M-step finds in the

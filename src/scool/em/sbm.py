@@ -96,7 +96,7 @@ def bound_terms(state: SbmState) -> dict[str, float]:
     )
 
 
-def e_step(state: SbmState, models, loglik: np.ndarray, mask: np.ndarray, observed: np.ndarray) -> SbmState:
+def e_step(state: SbmState, models, loglik: np.ndarray, pairs: np.ndarray, observed: np.ndarray) -> SbmState:
     """The round's pair list, the edge and Dirichlet posteriors, then one membership sweep."""
     state.pairs = observed
     state.w = update_w(state, loglik)

@@ -868,7 +868,7 @@ def reference_round(state, models, train_sets, mask, round_index, config):
 
 def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
     """A store of models with distinct accumulated updates plus a small
-    random encoder."""
+    random encoder, its pair list the full mask's."""
     arch = ArchSpec("softmax-regression", d=d, C=2)
     base = 0.01 * rng.standard_normal(arch.n_params)
     models = []
@@ -885,6 +885,7 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
         enc_dims=(arch.n_params, hidden, out),
         w=np.full((K, K), 1.0 / K),
         p=np.full((K, K), 1.0 / K),
+        pairs=pair_list(full_mask(K)),
         lam=0.0,
         tau_softmax=1.0,
         phi_slot=AdamSlot.like(phi),
@@ -894,7 +895,7 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
 
 def clone_attention(state: AttentionState, **overrides) -> AttentionState:
     base = dict(
-        phi=state.phi, enc_dims=state.enc_dims, w=state.w, p=state.p,
+        phi=state.phi, enc_dims=state.enc_dims, w=state.w, p=state.p, pairs=state.pairs,
         lam=state.lam, tau_softmax=state.tau_softmax,
     )
     base.update(overrides)

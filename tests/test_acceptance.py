@@ -183,8 +183,9 @@ def test_criterion_1_stationarity_suite():
 
         # --- attention: posterior rows
         models, ast = random_attention_setup(rng, K)
-        ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
-        ast.w = attention.update_w(ast, ll, mask)
+        ast.pairs = pair_list(mask)
+        ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, ast.pairs)
+        ast.w = attention.update_w(ast, ll)
         for i in range(K):
             grads = []
             for j in range(K):
@@ -232,11 +233,12 @@ def test_criterion_2_elbo_monotonicity():
         models, ast = random_attention_setup(rng, K)
         ll = random_loglik(rng, K)
         for mask in (full_mask(K), random_symmetric_mask(rng, K)):
-            ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, mask)
+            ast.pairs = pair_list(mask)
+            ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, ast.pairs)
             w = rng.dirichlet(np.ones(K), size=K)
             ast.w = w * mask / (w * mask).sum(axis=1, keepdims=True)
             v = elbo(attention, ast, ll, observed_list(mask)).total
-            ast.w = attention.update_w(ast, ll, mask)
+            ast.w = attention.update_w(ast, ll)
             track(v, elbo(attention, ast, ll, observed_list(mask)).total)
 
     for _ in range(50):  # MMSBM
@@ -308,12 +310,12 @@ def test_criterion_4_gradient_oracles():
         models, st = random_attention_setup(rng, K)
         ll = random_loglik(rng, K)
         mask = full_mask(K)
-        st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0, mask)
-        st.w = attention.update_w(st, ll, mask)
+        st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0, st.pairs)
+        st.w = attention.update_w(st, ll)
 
-        g = attention.phi_gradient(st, models, mask)
+        g = attention.phi_gradient(st, models)
         def phi_obj(phi):
-            p = attention.compute_p(models, phi, st.enc_dims, st.tau_softmax, mask)
+            p = attention.compute_p(models, phi, st.enc_dims, st.tau_softmax, st.pairs)
             return float((st.w * np.log(np.maximum(p, PROB_FLOOR))).sum())
         for t in rng.choice(len(g), size=6, replace=False):
             def f(v, t=t):
@@ -327,7 +329,7 @@ def test_criterion_4_gradient_oracles():
         def row_obj(theta_i):
             ms = client_store(models)
             ms.theta[i] = theta_i
-            p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax, mask)
+            p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax, st.pairs)
             return float((st.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
         for t in range(len(models[i].theta)):
             def f(v, t=t):

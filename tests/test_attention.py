@@ -8,8 +8,9 @@ from scool.config import ExperimentConfig
 from scool.em import attention
 from scool.em.elbo import elbo
 from scool.em.state import PROB_FLOOR
-from scool.errors import ConfigurationError
+from scool.errors import ConfigurationError, DivergenceError
 from scool.special import softmax_tempered
+from scool.topology import build_topology, pair_list
 
 from conftest import (
     LocalModel,
@@ -37,7 +38,7 @@ class TestComputeP:
         rng = np.random.default_rng(0)
         models, state = random_attention_setup(rng, 4)
         models.theta[:] = models.init_theta + (models.theta[0] - models.init_theta[0])
-        p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(4))
+        p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
         np.testing.assert_allclose(p, 0.25, atol=1e-9)
 
     def test_identity_like_encoder_scalar_case(self):
@@ -60,11 +61,11 @@ class TestComputeP:
         phi = np.concatenate([W1.ravel(), np.zeros(4), W2.ravel(), np.zeros(2)])
         state = AttentionState(
             phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full((2, 2), 0.5),
-            lam=0.0, tau_softmax=1.0,
+            pairs=pair_list(full_mask(2)), lam=0.0, tau_softmax=1.0,
         )
         E = attention.encode(phi, (4, 4, 2), attention.model_deltas(client_store([m1, m2])))
         np.testing.assert_allclose(E, [[2.0, 0.0], [0.0, 3.0]], atol=1e-3)
-        p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0, full_mask(2))
+        p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0, state.pairs)
         np.testing.assert_allclose(
             p[0], softmax_tempered([E[0] @ E[0], E[0] @ E[1]], 1.0), atol=1e-12
         )
@@ -72,7 +73,7 @@ class TestComputeP:
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(1)
         models, state = random_attention_setup(rng, 6)
-        p = attention.compute_p(models, state.phi, state.enc_dims, 0.7, full_mask(6))
+        p = attention.compute_p(models, state.phi, state.enc_dims, 0.7, state.pairs)
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
@@ -81,9 +82,8 @@ class TestUpdateW:
     def test_zero_loglik_recovers_attention(self):
         rng = np.random.default_rng(2)
         models, state = random_attention_setup(rng, 5)
-        mask = full_mask(5)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
-        w = attention.update_w(state, np.zeros((5, 5)), mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        w = attention.update_w(state, np.zeros((5, 5)))
         np.testing.assert_allclose(w, state.p, atol=1e-9)
 
     def test_uniform_attention_reduces_to_loglik_softmax(self):
@@ -91,7 +91,7 @@ class TestUpdateW:
         models, state = random_attention_setup(rng, 5)
         state.p = np.full((5, 5), 0.2)
         ll = random_loglik(rng, 5)
-        w = attention.update_w(state, ll, full_mask(5))
+        w = attention.update_w(state, ll)
         logits = ll.copy()
         np.fill_diagonal(logits, 0.0)
         np.testing.assert_allclose(w, softmax_tempered(logits, 1.0, axis=-1), atol=1e-9)
@@ -101,8 +101,8 @@ class TestUpdateW:
         models, state = random_attention_setup(rng, 4)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
-        state.w = attention.update_w(state, ll, mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        state.w = attention.update_w(state, ll)
         for i in range(4):
             grads = []
             for j in range(4):
@@ -116,10 +116,11 @@ class TestUpdateW:
     def test_masked_row_excluded(self):
         rng = np.random.default_rng(5)
         models, state = random_attention_setup(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(4))
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
         mask = full_mask(4)
         mask[1, 2] = False
-        w = attention.update_w(state, random_loglik(rng, 4), mask)
+        state.pairs = pair_list(mask)
+        w = attention.update_w(state, random_loglik(rng, 4))
         assert w[1, 2] == 0.0
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
@@ -131,8 +132,9 @@ class TestUpdateW:
             K = int(rng.integers(3, 9))
             models, state = random_attention_setup(rng, K)
             mask = random_symmetric_mask(rng, K)
-            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
-            state.w = attention.update_w(state, random_loglik(rng, K), mask)
+            state.pairs = pair_list(mask)
+            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+            state.w = attention.update_w(state, random_loglik(rng, K))
             for name, rows in (("p", state.p), ("w", state.w)):
                 assert np.all(rows[~mask] == 0.0), name
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12, err_msg=name)
@@ -144,15 +146,15 @@ class TestCouplingGradient:
         models, state = random_attention_setup(rng, 4)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
-        state.w = attention.update_w(state, ll, mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        state.w = attention.update_w(state, ll)
         terms = attention.coupling_descent_terms(models, state, mask)
         i = 2
 
         def row_objective(theta_i):
             ms = client_store(models)
             ms.theta[i] = theta_i
-            p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax, mask)
+            p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax, state.pairs)
             return float((state.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
 
         worst = 0.0
@@ -168,8 +170,8 @@ class TestCouplingGradient:
     def test_argmax_of_rows_invariant_to_temperature(self):
         rng = np.random.default_rng(7)
         models, state = random_attention_setup(rng, 5)
-        p1 = attention.compute_p(models, state.phi, state.enc_dims, 1.0, full_mask(5))
-        p2 = attention.compute_p(models, state.phi, state.enc_dims, 0.25, full_mask(5))
+        p1 = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        p2 = attention.compute_p(models, state.phi, state.enc_dims, 0.25, state.pairs)
         np.testing.assert_array_equal(p1.argmax(axis=1), p2.argmax(axis=1))
 
 
@@ -177,10 +179,9 @@ class TestPhiUpdate:
     def test_zero_gradient_when_matching(self):
         rng = np.random.default_rng(8)
         models, state = random_attention_setup(rng, 4)
-        mask = full_mask(4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
         state.w = state.p.copy()
-        g = attention.phi_gradient(state, models, mask)
+        g = attention.phi_gradient(state, models)
         assert np.max(np.abs(g)) < 1e-10
 
     def test_matches_finite_difference(self):
@@ -189,13 +190,12 @@ class TestPhiUpdate:
         for _ in range(20):
             models, state = random_attention_setup(rng, 4)
             ll = random_loglik(rng, 4)
-            mask = full_mask(4)
-            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
-            state.w = attention.update_w(state, ll, mask)
-            g = attention.phi_gradient(state, models, mask)
+            state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+            state.w = attention.update_w(state, ll)
+            g = attention.phi_gradient(state, models)
 
             def objective(phi):
-                p = attention.compute_p(models, phi, state.enc_dims, state.tau_softmax, mask)
+                p = attention.compute_p(models, phi, state.enc_dims, state.tau_softmax, state.pairs)
                 return float((state.w * np.log(np.maximum(p, PROB_FLOOR))).sum())
 
             idx = rng.choice(len(g), size=8, replace=False)
@@ -213,22 +213,22 @@ class TestPhiUpdate:
         rng = np.random.default_rng(10)
         models, state = random_attention_setup(rng, 5)
         ll = random_loglik(rng, 5)
-        mask = full_mask(5)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
-        state.w = attention.update_w(state, ll, mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        state.w = attention.update_w(state, ll)
 
         def kl():
-            p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, mask)
+            p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
             return float(np.sum(state.w * (np.log(np.maximum(state.w, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))))
 
         start = kl()
         for _ in range(200):
-            state.phi = attention.update_phi(state, models, mask, ExperimentConfig(eta2=0.05))
+            state.phi = attention.update_phi(state, models, ExperimentConfig(eta2=0.05))
         assert kl() < start
 
 
-class TestMaskedRowSoftmax:
-    # the oracle's row loop, which the rows of equal mask degree share in one softmax
+class TestPairRowSoftmax:
+    # the oracle's row loop over the mask, which the list's rows of equal
+    # degree share in one softmax
     @pytest.mark.parametrize("tau", [1.0, 0.7])
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_per_row_loop(self, seed, tau):
@@ -237,17 +237,40 @@ class TestMaskedRowSoftmax:
         scores = 3.0 * rng.standard_normal((K, K))
         gap = np.abs(np.subtract.outer(np.arange(K), np.arange(K)))
         ring = np.minimum(gap, K - gap) <= K // 4
-        for mask in (np.ones((K, K), dtype=bool), ring, rng.random((K, K)) < rng.uniform(0.1, 0.9)):
+        bipartite = build_topology("generalized-bipartite", K, degree=2, seed=seed)
+        lonely = rng.random((K, K)) < 0.5
+        lonely[K // 2] = False  # this row holds only its diagonal
+        masks = (np.ones((K, K), dtype=bool), ring, rng.random((K, K)) < rng.uniform(0.1, 0.9), bipartite, lonely)
+        assert len(set(bipartite.sum(axis=1))) > 1  # unequal degrees
+        for mask in masks:
             mask = mask | np.eye(K, dtype=bool)
             np.testing.assert_array_equal(
-                attention._masked_row_softmax(scores, tau, mask), dense_attention_masked_row_softmax(scores, tau, mask)
+                attention._pair_row_softmax(scores, tau, pair_list(mask)),
+                dense_attention_masked_row_softmax(scores, tau, mask),
             )
+
+    def test_scores_off_the_list_are_never_read(self):
+        rng = np.random.default_rng(3)
+        scores = rng.standard_normal((6, 6))
+        mask = random_symmetric_mask(rng, 6)
+        poisoned = np.where(mask, scores, np.inf)
+        poisoned[~mask & (rng.random((6, 6)) < 0.5)] = np.nan
+        np.testing.assert_array_equal(
+            attention._pair_row_softmax(poisoned, 0.7, pair_list(mask)),
+            attention._pair_row_softmax(scores, 0.7, pair_list(mask)),
+        )
+
+    def test_a_non_finite_listed_score_is_a_divergence(self):
+        scores = np.zeros((5, 5))
+        scores[2, 4] = np.inf
+        with pytest.raises(DivergenceError, match="attention scores over the temperature are non-finite"):
+            attention._pair_row_softmax(scores, 1.0, pair_list(full_mask(5)))
 
     def test_fully_masked_row_names_the_first_client(self):
         mask = full_mask(5)
         mask[3] = mask[1] = False
         with pytest.raises(ConfigurationError, match="^client 1 has a fully masked row$"):
-            attention._masked_row_softmax(np.zeros((5, 5)), 1.0, mask)
+            attention._pair_row_softmax(np.zeros((5, 5)), 1.0, pair_list(mask))
 
 
 class TestDenseOracle:
@@ -264,16 +287,17 @@ class TestDenseOracle:
         mask = random_symmetric_mask(rng, K)
         ll = np.where(mask, random_loglik(rng, K), 0.0)
         deltas = model_deltas(models)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, tau, mask)
+        state.pairs = pair_list(mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, tau, state.pairs)
         np.testing.assert_allclose(state.p, dense_attention_compute_p(state, deltas, mask), rtol=0, atol=1e-12)
-        state.w = attention.update_w(state, ll, mask)
+        state.w = attention.update_w(state, ll)
         np.testing.assert_allclose(state.w, dense_attention_update_w(state, ll, mask), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             attention.coupling_descent_terms(models, state, mask),
             dense_attention_coupling_terms(state, deltas, mask), rtol=0, atol=1e-12,
         )
         np.testing.assert_allclose(
-            attention.phi_gradient(state, models, mask),
+            attention.phi_gradient(state, models),
             dense_attention_phi_gradient(state, deltas, mask), rtol=0, atol=1e-12,
         )
         assert elbo(attention, state, ll, observed_list(mask)).terms() == dense_elbo_attention(state, ll, mask)

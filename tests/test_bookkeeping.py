@@ -17,7 +17,7 @@ from scool.em.elbo import _dirichlet_term, _likelihood_term, _model_prior_term
 from scool.em.state import expected_log_pi
 from scool.models import MLP_1HIDDEN, SOFTMAX_REGRESSION, ArchSpec, ClientStore
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import build_topology
+from scool.topology import build_topology, pair_list
 
 from conftest import (
     alpha_gradient_calls,
@@ -144,7 +144,7 @@ class TestSharedExpectedLogPi:
         monkeypatch.setattr(prior, reader, checking)
         for _ in range(4):
             before = st.gamma
-            prior.e_step(st, None, random_loglik(rng, K), mask, observed_list(mask))
+            prior.e_step(st, None, random_loglik(rng, K), pair_list(mask), observed_list(mask))
             assert_elp_current(st)
             assert not np.array_equal(st.gamma, before)
         assert len(reads) == 4 * (1 if prior is sbm else 2)

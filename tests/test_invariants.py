@@ -78,7 +78,7 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
     state = prior.init_state(cfg, mask, models.arch.n_params)
     ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
     first = [
-        prior.e_step(dataclasses.replace(state, gamma=gamma), models, ll, mask, observed_list(mask))
+        prior.e_step(dataclasses.replace(state, gamma=gamma), models, ll, pair_list(mask), observed_list(mask))
         for gamma in (state.gamma, rng.uniform(0.1, 5.0, (K, M)))
     ]
     for name in ("w", "gamma", *MEMBERSHIPS[kind]):
@@ -89,8 +89,7 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
 
     assert clamped(state.B)
     for _ in range(3):
-        prior.e_step(
-            state, models, rounds.loglik_matrix(models, models.train, mask, pair_list(mask)), mask, observed_list(mask)
-        )
-        prior.m_step(state, models, mask, pair_list(mask), cfg, None)
+        pairs = pair_list(mask)
+        prior.e_step(state, models, rounds.loglik_matrix(models, models.train, mask, pairs), pairs, observed_list(mask))
+        prior.m_step(state, models, mask, pairs, cfg, None)
         assert clamped(state.B)

@@ -336,6 +336,7 @@ class TestCooperativeEquivalence:
         arch = models.arch
         train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
         state.w, mask = _random_graph(rng, 6, zeros=0.1)
+        state.pairs = pair_list(mask)
         coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
         a, b = _both(models, train)
         cooperative_sgd_steps(a, a.train, state.w, 0.01, 0.2, 3, grad_mode, mask, pair_list(mask), coupling)
@@ -653,6 +654,7 @@ class TestFusedFirstStep:
         arch = models.arch
         train = [tiny_dataset(rng, 8, arch.d, arch.C) for _ in range(6)]
         state.w, mask = _random_graph(rng, 6, zeros=0.1)
+        state.pairs = pair_list(mask)
         coupling = lambda ms: attention.coupling_descent_terms(ms, state, mask)
         _cap_pairs_per_block(monkeypatch, per_block, arch)
         a, b = client_store(models, train), client_store(models, train)

@@ -311,7 +311,7 @@ class TestPairList:
             return real(state, loglik)
 
         monkeypatch.setattr(mmsbm, "update_w", spy)
-        mmsbm.e_step(st, None, random_loglik(rng, cfg.K) * pruned, pruned, observed_list(pruned))
+        mmsbm.e_step(st, None, random_loglik(rng, cfg.K) * pruned, pair_list(pruned), observed_list(pruned))
         kept = np.isin(before["pairs"], seen["pairs"])
         assert 0 < kept.sum() < len(kept)
         np.testing.assert_array_equal(seen["pairs"], np.flatnonzero(observed_pairs(pruned)))
@@ -326,8 +326,8 @@ class TestPairList:
         cfg, mask, st = self._ring_state()
         grown = mask.copy()
         grown[0, 5] = grown[5, 0] = True  # a pair the state holds no row for
-        with pytest.raises(InvariantError, match="pair list"):
-            mmsbm.e_step(st, None, np.zeros(mask.shape), grown, observed_list(grown))
+        with pytest.raises(InvariantError, match="^mmsbm pair list is not the round's observed pairs$"):
+            mmsbm.e_step(st, None, np.zeros(mask.shape), pair_list(grown), observed_list(grown))
 
     def test_rows_must_match_the_list(self):
         rng = np.random.default_rng(3)

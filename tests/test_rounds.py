@@ -4,6 +4,7 @@ whole rounds against the plain per-pair reference."""
 import ast
 import copy
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -107,16 +108,16 @@ class TestMaskingGuarantees:
             cfg = ExperimentConfig(K=K, num_memberships=2, seed=3)
             st_a = sbm.init_state(cfg, mask, 0)
             st_b = sbm.init_state(cfg, mask, 0)
-            sbm.e_step(st_a, models, ll, mask, observed_list(mask))
-            sbm.e_step(st_b, models, poisoned, mask, observed_list(mask))
+            sbm.e_step(st_a, models, ll, pair_list(mask), observed_list(mask))
+            sbm.e_step(st_b, models, poisoned, pair_list(mask), observed_list(mask))
             np.testing.assert_array_equal(st_a.w, st_b.w)
             np.testing.assert_array_equal(st_a.omega, st_b.omega)
         else:
             cfg = ExperimentConfig(K=K, seed=3)
             st_a = attention.init_state(cfg, None, models.arch.n_params)
             st_b = attention.init_state(cfg, None, models.arch.n_params)
-            attention.e_step(st_a, models, ll, mask, observed_list(mask))
-            attention.e_step(st_b, models, poisoned, mask, observed_list(mask))
+            attention.e_step(st_a, models, ll, pair_list(mask), observed_list(mask))
+            attention.e_step(st_b, models, poisoned, pair_list(mask), observed_list(mask))
             np.testing.assert_array_equal(st_a.w, st_b.w)
 
     def test_masked_pairs_never_touch_theta(self):
@@ -318,7 +319,7 @@ class TestPriorTable:
         rounds.run_round(state, models, mask, 0, cfg)  # moved off the shared start
         theta, before = models.theta, models.theta.tobytes()
         ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
-        rounds.PRIORS[prior].e_step(state, models, ll, mask, observed_list(mask))
+        rounds.PRIORS[prior].e_step(state, models, ll, pair_list(mask), observed_list(mask))
         rounds.elbo(rounds.PRIORS[prior], state, ll, observed_list(mask), models)
         assert models.theta is theta and models.theta.tobytes() == before
 
@@ -407,14 +408,11 @@ class TestPriorTable:
 
 
 
-# The functions of scool.em that may still turn a mask into pairs themselves:
-# dirac's set-up and attention's row softmax. Every other layer reads the
-# round's list, or the block state's pairs, which topology.pair_list makes.
+# The one function of scool.em that may still turn a mask into pairs itself:
+# dirac's set-up. Every other layer reads the round's list, or the pairs a
+# prior's state holds, which topology.pair_list makes.
 PAIR_RULES = {"nonzero", "flatnonzero", "count_nonzero", "observed_pairs"}
-MASK_TO_PAIRS_ALLOWED = {
-    ("dirac.py", "metropolis_weights"),
-    ("attention.py", "_masked_row_softmax"),
-}
+MASK_TO_PAIRS_ALLOWED = {("dirac.py", "metropolis_weights")}
 
 
 def test_only_the_allowlist_turns_a_mask_into_pairs():
@@ -430,6 +428,13 @@ def test_only_the_allowlist_turns_a_mask_into_pairs():
                 if name in PAIR_RULES and isinstance(node, (ast.Attribute, ast.Name)):
                     found.add(where)
     assert found == MASK_TO_PAIRS_ALLOWED
+
+
+def test_no_e_step_takes_a_mask():
+    """Every E-step reads the round's pair list; none has a mask parameter."""
+    for name, prior in rounds.PRIORS.items():
+        if prior.e_step is not None:
+            assert "mask" not in inspect.signature(prior.e_step).parameters, name
 
 
 MASK_KINDS = ("full", "group-ring", "bipartite", "random")

@@ -324,8 +324,8 @@ class TestEStepSymmetry:
             gamma=st.gamma[perm],
             omega=st.omega[perm],
         )
-        sbm.e_step(st, None, ll, full_mask(K), observed_list(full_mask(K)))
-        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)], full_mask(K), observed_list(full_mask(K)))
+        sbm.e_step(st, None, ll, pair_list(full_mask(K)), observed_list(full_mask(K)))
+        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)], pair_list(full_mask(K)), observed_list(full_mask(K)))
         np.testing.assert_allclose(st_p.w, st.w[np.ix_(perm, perm)], atol=1e-12)
         np.testing.assert_allclose(st_p.gamma, st.gamma[perm], atol=1e-12)
         np.testing.assert_allclose(st_p.omega, st.omega[perm], atol=1e-12)

@@ -10,7 +10,7 @@ from scool.em.state import ALPHA_MIN, AdamSlot, AttentionState, ascent_step, cla
 from scool.errors import ConfigurationError, InvariantError
 from scool.topology import build_topology, observed_pairs
 
-from conftest import clone_mmsbm, clone_sbm, full_mask, random_attention_setup, random_mmsbm_state, random_sbm_state
+from conftest import clone_mmsbm, clone_sbm, random_attention_setup, random_mmsbm_state, random_sbm_state
 
 
 class TestAscentStep:
@@ -80,9 +80,8 @@ class TestStepSizeFromConfig:
     def test_update_phi(self):
         rng = np.random.default_rng(22)
         models, st = random_attention_setup(rng, 5)
-        mask = full_mask(5)
-        want = st.phi + 0.037 * attention.phi_gradient(st, models, mask)
-        np.testing.assert_array_equal(attention.update_phi(st, models, mask, ExperimentConfig(eta2=0.037)), want)
+        want = st.phi + 0.037 * attention.phi_gradient(st, models)
+        np.testing.assert_array_equal(attention.update_phi(st, models, ExperimentConfig(eta2=0.037)), want)
 
 
 # every setting the learned states read, off its default
@@ -136,7 +135,10 @@ class TestInitStateReadsConfig:
     def test_attention_refuses_an_encoder_of_the_wrong_length(self, length):
         dims = (10, 8, 3)  # 8 * 10 + 8 + 3 * 8 + 3 = 115 parameters
         with pytest.raises(ConfigurationError, match=r"encoder wants 115 parameters for dims \(10, 8, 3\)"):
-            AttentionState(phi=np.zeros(length), enc_dims=dims, w=np.eye(2), p=np.eye(2), lam=0.0, tau_softmax=1.0)
+            AttentionState(
+                phi=np.zeros(length), enc_dims=dims, w=np.eye(2), p=np.eye(2), pairs=np.array([0, 3]),
+                lam=0.0, tau_softmax=1.0,
+            )
 
 
 class TestBlockMatrixInvariant:
