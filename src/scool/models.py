@@ -67,7 +67,10 @@ class DataRow(NamedTuple):
 
 class DataStack(Sequence):
     """The datasets of K clients as one stack: features K x n x d and labels
-    K x n, so all share n and d. The features' memory may be sample-major (C
+    K x n, so all share n and d. The labels may be of any integer type (the
+    task builder's take one byte per sample up to 256 classes a client): the
+    kernels read them only through ==, and a workspace gathers them in their
+    own type. The features' memory may be sample-major (C
     order; the train stack, which the pair kernel gathers by client) or
     class-major (each client's d x n transpose contiguous; the test stack,
     which batch_accuracy reads transposed). It is a Sequence of DataRows

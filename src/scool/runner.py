@@ -32,6 +32,11 @@ REPORT_SCHEMA_VERSION = 1
 # blocks of clients of this size, so their memory does not grow with K.
 REPORT_BLOCK_ELEMENTS = 65536
 
+# Entries one block of a snapshot may hold: w_round_*.csv is written in
+# blocks of whole rows (at least one) of at most this many entries, so the
+# text held at a time does not grow with K.
+SNAPSHOT_BLOCK_ELEMENTS = 4096
+
 METRIC_COLUMNS = [
     "round",
     "mean_test_acc",
@@ -135,18 +140,19 @@ def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> n
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    """Write the matrix as CSV, each entry as repr of its float. repr runs
-    once per distinct value, as a graph's entries repeat few values; values
-    are told apart by their bits, since float comparison would fold -0.0
-    into 0.0 and keep each NaN apart."""
-    bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
-    values = np.sort(bits, axis=None)  # np.unique's first call adds 1 MB of peak memory
-    values = values[np.append(True, values[1:] != values[:-1])]
-    text = np.array([repr(v) for v in values.view(float).tolist()], dtype=object)
-    # row by row into the file: the whole text is never held at once
+    """Write the matrix as CSV, each entry as repr of its float, one write
+    per block of whole rows of at most SNAPSHOT_BLOCK_ELEMENTS entries.
+    Within a block repr runs once per distinct value, as a graph's entries
+    repeat few values; values are told apart by their bits, since float
+    comparison would fold -0.0 into 0.0 and keep each NaN apart."""
+    rows = max(1, SNAPSHOT_BLOCK_ELEMENTS // matrix.shape[1])
     with path.open("w") as fh:
-        for row in bits:
-            fh.write(",".join(text[np.searchsorted(values, row)].tolist()) + "\n")
+        for a in range(0, len(matrix), rows):
+            bits = np.ascontiguousarray(matrix[a : a + rows], dtype=float).view(np.int64)
+            values = np.sort(bits, axis=None)  # np.unique's first call adds 1 MB of peak memory
+            values = values[np.append(True, values[1:] != values[:-1])]
+            text = np.array([repr(v) for v in values.view(float).tolist()], dtype=object)
+            fh.write("".join(",".join(row) + "\n" for row in text[np.searchsorted(values, bits)].tolist()))
 
 
 def _write_report(out_dir: Path, report: ExperimentReport) -> None:

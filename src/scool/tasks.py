@@ -158,18 +158,19 @@ def _draw(universe: TaskUniverse, class_set: tuple[int, ...], rng: np.random.Gen
     np.take(y, order, out=labels)
 
 
-def _build_datasets(universe, class_sets, n_train, n_test, seeds) -> tuple[DataStack, DataStack]:
+def _build_datasets(universe, class_sets, N, n_train, n_test, seeds) -> tuple[DataStack, DataStack]:
     """The train and the test sets of all clients, each client's draws
     written straight into its rows of the two stacks: one generator per
     client, seeded from its own seed, draws its train set and then its test
     set. Both stacks are K x n x d; the train stack is sample-major, as the
     pair kernel gathers it by client, and the test stack is class-major in
     memory (each client's d x n feature rows contiguous), as the reporting
-    pass reads it."""
-    K, d = len(class_sets), universe.dim
+    pass reads it. The labels, local indices below N, take the smallest
+    unsigned type that holds N - 1: one byte per sample for N <= 256."""
+    K, d, label = len(class_sets), universe.dim, np.min_scalar_type(N - 1)
     stacks = (
-        DataStack(np.empty((K, n_train, d)), np.empty((K, n_train), dtype=int), "train"),
-        DataStack(np.empty((K, d, n_test)).swapaxes(1, 2), np.empty((K, n_test), dtype=int), "test"),
+        DataStack(np.empty((K, n_train, d)), np.empty((K, n_train), dtype=label), "train"),
+        DataStack(np.empty((K, d, n_test)).swapaxes(1, 2), np.empty((K, n_test), dtype=label), "test"),
     )
     for k, (cs, s) in enumerate(zip(class_sets, seeds)):
         rng = np.random.default_rng(s)
@@ -224,4 +225,6 @@ def gen_tasks(
         group_labels = np.repeat(np.arange(num_groups), K // num_groups)
         class_sets = [group_sets[g] for g in group_labels]
     assignment = TaskAssignment(class_sets, ground_truth_graph(class_sets), group_labels)
-    return assignment, *_build_datasets(universe, class_sets, samples_per_client, test_samples_per_client, data_seeds)
+    return assignment, *_build_datasets(
+        universe, class_sets, N, samples_per_client, test_samples_per_client, data_seeds
+    )

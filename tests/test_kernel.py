@@ -141,6 +141,27 @@ class TestBatchKernel:
             assert L[e] == log_likelihood(model, data)
 
     @pytest.mark.parametrize("kind", sorted(ARCHS))
+    @pytest.mark.parametrize("n", [1, 8, 13])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_one_byte_labels_move_no_bit(self, kind, n, layout):
+        # the kernels read labels only through ==, so the label type is free;
+        # a workspace gathers the labels in their own type
+        arch = ARCHS[kind]
+        rng = np.random.default_rng(70 + n)
+        thetas = rng.standard_normal((6, arch.n_params))
+        X = in_layout(rng.standard_normal((6, n, arch.d)), layout)
+        Y = rng.integers(0, arch.C, (6, n), dtype=np.int64)
+        ws = PairWorkspace()
+        rows = np.arange(6)
+        gathered = ws.gather(thetas, X, Y.astype(np.uint8), rows, rows)[2]
+        assert gathered.dtype == np.uint8
+        want = [np.copy(part) for part in batch_value_and_grad(thetas, X, Y, arch, workspace=PairWorkspace())]
+        got = batch_value_and_grad(thetas, X, gathered, arch, workspace=ws)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+        _assert_same_bits(batch_accuracy(thetas, X, Y.astype(np.uint8), arch), batch_accuracy(thetas, X, Y, arch))
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
     def test_no_pairs(self, kind):
         arch = ARCHS[kind]
         thetas = np.zeros((0, arch.n_params))
@@ -1363,6 +1384,14 @@ class TestStackedTestSets:
                 np.testing.assert_array_equal(row.features, ds.features)
                 np.testing.assert_array_equal(row.labels, ds.labels)
                 assert assignment.class_sets[k] == ds.class_set and stack.split == split
+
+    @pytest.mark.parametrize("N, want", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_labels_take_the_smallest_unsigned_type(self, N, want):
+        # one byte per sample up to 256 classes a client; at N = 257 (one
+        # training sample of each class) the last local label is 256
+        _, train, test = gen_tasks(3, N, N, N, 4, test_samples_per_client=2, d=N)
+        assert train.labels.dtype == want and test.labels.dtype == want
+        np.testing.assert_array_equal(np.sort(train.labels, axis=1), np.broadcast_to(np.arange(N), (3, N)))
 
     def test_datasets_that_are_not_rows_are_rejected(self):
         # datasets of unequal size or feature width cannot be rows of one stack

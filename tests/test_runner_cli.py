@@ -4,13 +4,16 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scool import runner
 from scool.config import PRIORS, ExperimentConfig, load_config, save_config
 from scool.em import rounds
 from scool.errors import ConfigurationError
@@ -131,6 +134,9 @@ class TestSnapshotText:
         _write_matrix(tmp_path / "w.csv", np.array([[0.0, -0.0, 0.0], [np.nan, -np.nan, 1e-300]]))
         assert (tmp_path / "w.csv").read_text() == "0.0,-0.0,0.0\nnan,nan,1e-300\n"
 
+    # blocks of one row, of three rows (the last one short when 3 does not
+    # divide K), and of the default size: one block for a graph of K <= 64
+    @pytest.mark.parametrize("rows_per_block", [1, 3, None])
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         K=hst.integers(1, 192),
@@ -139,7 +145,7 @@ class TestSnapshotText:
         transposed=hst.booleans(),
         seed=hst.integers(0, 2**32 - 1),
     )
-    def test_bytes_equal_the_per_entry_writer(self, tmp_path_factory, K, drawn, fresh, transposed, seed):
+    def test_bytes_equal_the_per_entry_writer(self, tmp_path_factory, rows_per_block, K, drawn, fresh, transposed, seed):
         # entries repeat a palette of edge values and drawn floats; a share
         # ``fresh`` of them are distinct values of any magnitude instead
         rng = np.random.default_rng(seed)
@@ -149,9 +155,26 @@ class TestSnapshotText:
         if transposed:
             matrix = matrix.T
         out = tmp_path_factory.mktemp("snapshot")
-        _write_matrix(out / "new.csv", matrix)
+        block = runner.SNAPSHOT_BLOCK_ELEMENTS if rows_per_block is None else rows_per_block * K
+        with mock.patch.object(runner, "SNAPSHOT_BLOCK_ELEMENTS", block):
+            _write_matrix(out / "new.csv", matrix)
         write_matrix_oracle(out / "oracle.csv", matrix)
         assert (out / "new.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+    def test_memory_stays_within_a_block(self, tmp_path):
+        # the text of one block of rows is held at a time, not that of every
+        # distinct value: 36 864 of them at K = 192, about 4 MB of text
+        matrix = np.random.default_rng(192).random((192, 192))
+        assert len(np.unique(matrix)) == matrix.size
+        tracemalloc.start()
+        try:
+            _write_matrix(tmp_path / "w.csv", matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
+        write_matrix_oracle(tmp_path / "oracle.csv", matrix)
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestRunExperiment:
@@ -190,8 +213,6 @@ class TestRunExperiment:
     def test_a_fixed_graph_is_measured_and_written_once(self, tmp_path, monkeypatch, prior):
         # a prior without an E-step keeps one graph: one distance taken for
         # every round, and every snapshot the first one's bytes
-        from scool import runner
-
         calls, graphs = [], []
         monkeypatch.setattr(runner, "metric_l1", lambda *a: calls.append(1) or metric_l1(*a))
         real_round = rounds.run_round
@@ -213,8 +234,6 @@ class TestRunExperiment:
             assert (tmp_path / "out" / f"w_round_{r:04d}.csv").read_bytes() == first == (tmp_path / "graph.csv").read_bytes()
 
     def test_a_learned_graph_is_measured_and_written_every_round(self, tmp_path, monkeypatch):
-        from scool import runner
-
         calls = []
         for name in ("metric_l1", "_write_matrix"):
             real = getattr(runner, name)
@@ -223,8 +242,6 @@ class TestRunExperiment:
         assert sorted(calls) == ["_write_matrix"] * 3 + ["metric_l1"] * 3
 
     def test_final_accuracies_reuse_the_last_round(self, monkeypatch):
-        from scool import runner
-
         calls = []
         real = runner.batch_accuracy
         monkeypatch.setattr(runner, "batch_accuracy", lambda *a: calls.append(1) or real(*a))
@@ -234,7 +251,6 @@ class TestRunExperiment:
         assert report.final_std_acc == report.rounds[-1]["std_test_acc"]
 
     def test_final_accuracies_are_recomputed_after_a_divergence(self, tmp_path, monkeypatch):
-        from scool import runner
         from scool.errors import DivergenceError
 
         calls = []
@@ -707,7 +723,6 @@ class TestCli:
         # features, or a NaN written into the models or the prior's state
         # mid-run, end the run as a divergence: exit 3 and a flagged report,
         # where any other exception would escape main()
-        from scool import runner
         from scool.cli import EXIT_DIVERGED, main
 
         if poison == "features":
