@@ -23,7 +23,9 @@ from ..models import ClientStore, pack_layers, unpack_layers
 from ..special import softmax_tempered, xlogx
 from ..topology import pair_list
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
-from .theta import cooperative_sgd_steps
+from .theta import cooperative_sgd_steps  # unused: the benchmark's probe rebinds it here until ROADMAP item 1(b)
+
+local_steps = None
 
 
 def init_state(config, mask, theta_dim: int) -> AttentionState:
@@ -178,11 +180,12 @@ def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray,
     return state
 
 
-def m_step(state: AttentionState, models, mask, pairs, config, grads) -> None:
-    cooperative_sgd_steps(
-        models, models.train, state.w, config.weight_decay, config.eta1, config.local_steps,
-        config.grad_mode, mask, pairs, lambda ms: coupling_descent_terms(ms, state, mask), grads,
-    )
+def coupling(state: AttentionState, mask):
+    """The theta.CouplingFn of every cooperative step: the agreement term's descent."""
+    return lambda ms: coupling_descent_terms(ms, state, mask)
+
+
+def update_prior(state: AttentionState, models, config) -> None:
     state.phi = update_phi(state, models, config)
 
 

@@ -18,7 +18,7 @@ from .state import DiracState
 from .theta import first_bad_row, own_gradients
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
-e_step = bound_terms = None
+e_step = bound_terms = update_prior = coupling = None
 
 
 def init_state(config, mask, theta_dim: int) -> DiracState:
@@ -60,7 +60,8 @@ def dpsgd_step(models: ClientStore, w: np.ndarray, train_sets: DataStack, eta1: 
     thetas[...] = new
 
 
-def m_step(state: DiracState, models, mask, pairs, config, grads) -> None:
+def local_steps(state: DiracState, models, config) -> None:
+    """The run's local steps as gossip steps, in place of the cooperative ones."""
     for step in range(config.local_steps):
         dpsgd_step(models, state.w, models.train, config.eta1, step)
 

@@ -9,11 +9,11 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError, ScoolError
 from ..models import ClientStore, DataStack, batch_value_and_grad
 from ..topology import CROSS_GRADIENT, RoundTraffic, account_exchange, account_gossip, pair_list, sparsify_topk
-from . import attention, dirac, local, mmsbm, sbm
+from . import attention, dirac, local, mmsbm, sbm, theta
 from .elbo import elbo
 from .theta import gradient_buffer, pair_blocks
 
-# Every prior is a module with the same five hooks, looked up at call time;
+# Every prior is a module with the same seven hooks, looked up at call time;
 # this table is the only code that knows which prior a state belongs to:
 #   init_state(config, mask, theta_dim) -> the prior's state
 #   e_step(state, models, loglik, pairs, observed), or None for a fixed
@@ -21,12 +21,12 @@ from .theta import gradient_buffer, pair_blocks
 #   bound_terms(state) -> the prior's own lower-bound terms (elbo.elbo adds
 #       the likelihood and ridge terms every prior shares), or None with
 #       e_step
-#   m_step(state, models, mask, pairs, config, grads): the local epochs on
-#       models.train and the prior-parameter updates, under the run's
-#       settings; pairs is the round's pair list (topology.pair_list) and
-#       grads the loglik pass's gradients on its leading pairs under
-#       cross-gradient (see loglik_matrix), which local step 0 reads instead
-#       of taking them again, or None (taylor-approx, or no E-step)
+#   local_steps(state, models, config): the prior's own local epochs, or
+#       None for run_round's one cooperative call; only dirac has them
+#   coupling(state, mask) -> the extra descent term of every cooperative
+#       step (theta.CouplingFn), or None; only attention has one
+#   update_prior(state, models, config): the prior-parameter updates after
+#       the local epochs, or None with e_step
 #   graph(state, K) -> the row-stochastic reporting view of the graph
 PRIORS = {
     "local-only": local,
@@ -81,11 +81,13 @@ def run_round(
     cross-gradient that pass also takes the pair gradients local step 0
     needs, for the list's leading pairs that fit in
     theta.PAIR_BUFFER_ELEMENTS; the E-step and the lower bound never move a
-    model, so they are still current when the M-step reads them. Every prior then runs its
-    M-step (the local epochs and its prior-parameter updates), and the
-    round's traffic is counted: the evaluation pass plus the gradient
-    exchange for a learned graph, one gossip round per local step for a
-    fixed one. A lower bound that is not finite is a divergence.
+    model, so they are still current when the local epochs read them: the
+    prior's local_steps, or else the one cooperative call on the prior's w
+    (the identity for local-only) with its coupling term. Then update_prior
+    moves the prior parameters, and the round's traffic is counted: the
+    evaluation pass plus the gradient exchange for a learned graph, one
+    gossip round per local step for a fixed one. A lower bound that is not
+    finite is a divergence.
 
     Returns ``(graph, elbo_total, traffic)``: the row-stochastic reporting
     view of the graph, the lower bound (None for a fixed graph) and the
@@ -110,9 +112,19 @@ def run_round(
             observed = pairs[pairs % (len(mask) + 1) != 0]
             prior.e_step(state, models, ll, pairs, observed)
             elbo_total = elbo(prior, state, ll, observed, models).total
-        prior.m_step(state, models, mask, pairs, config, grads)
-        # checked after the M-step, so a fault that the M-step finds in the
-        # same round is reported under its own cause
+        if prior.local_steps is not None:
+            prior.local_steps(state, models, config)
+        else:
+            # called on its module, where the benchmark's probe may rebind it
+            theta.cooperative_sgd_steps(
+                models, models.train, np.eye(len(models)) if state is None else state.w, config.weight_decay,
+                config.eta1, config.local_steps, config.grad_mode, mask, pairs,
+                None if prior.coupling is None else prior.coupling(state, mask), grads,
+            )
+        if prior.update_prior is not None:
+            prior.update_prior(state, models, config)
+        # checked after the local epochs and the prior update, so a fault
+        # that they find in the same round is reported under its own cause
         if elbo_total is not None and not np.isfinite(elbo_total):
             raise DivergenceError("lower bound is non-finite")
         if ll is not None:

@@ -216,10 +216,6 @@ class AttentionState:
         self.w = np.asarray(self.w, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.w)
-
 
 @dataclass(kw_only=True)
 class MmsbmState(BlockState):

@@ -208,6 +208,16 @@ class TestPhiUpdate:
                 worst = max(worst, abs(num - g[t]) / max(1e-8, abs(num)))
         assert worst < 1e-4
 
+    def test_non_finite_gradient_is_a_divergence(self):
+        # the prior update refuses an encoder step it cannot take, and keeps phi
+        models, state = random_attention_setup(np.random.default_rng(11), 4)
+        state.w = state.w.copy()
+        state.w[1, 2] = np.nan
+        phi = state.phi.copy()
+        with pytest.raises(DivergenceError, match="^encoder gradient is non-finite$"):
+            attention.update_prior(state, models, ExperimentConfig())
+        np.testing.assert_array_equal(state.phi, phi)
+
     def test_repeated_steps_reduce_divergence(self):
         # 200 ascent steps with frozen w strictly shrink row-wise KL(w || p)
         rng = np.random.default_rng(10)

@@ -149,6 +149,16 @@ def test_validate_refuses_every_wrongly_typed_field(field, data):
         RING.replace(**{field.name: value}).validate()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"M": 1, "N": 1, "num_groups": 1}, "universe needs at least two classes"),
+    ({"noise_sigma": -1.0}, "sigma must be nonnegative"),
+])
+def test_validate_refuses_a_universe_without_class_means(overrides, message):
+    # tasks.check_universe's own rules, which no earlier rule of validate() pre-empts
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        ExperimentConfig(**overrides).validate()
+
+
 def test_float_fields_take_ints_as_they_are():
     config = RING.replace(eta1=1, noise_sigma=2).validate()
     assert type(config.eta1) is int and type(config.noise_sigma) is int

@@ -82,6 +82,13 @@ class TestMetropolisWeights:
             assert np.all((w > 0)[mask] | np.eye(8, dtype=bool)[mask])
 
 
+    def test_refuses_an_asymmetric_mask(self):
+        mask = np.ones((3, 3), dtype=bool)
+        mask[0, 1] = False
+        with pytest.raises(ConfigurationError, match="^metropolis weights need a symmetric mask$"):
+            dirac.metropolis_weights(mask)
+
+
 class TestGraph:
     def test_a_read_only_view_of_the_weights(self):
         mask = build_topology("group-ring", 12, k0=6)
@@ -150,6 +157,9 @@ class TestDpsgdStep:
         not_stochastic = np.full((3, 3), 0.5)
         with pytest.raises(ConfigurationError, match="row-stochastic"):
             DiracState(not_stochastic)
+        negative = np.array([[1.5, -0.5], [-0.5, 1.5]])  # symmetric, rows sum to 1
+        with pytest.raises(ConfigurationError, match="^dirac mixing weights must be nonnegative$"):
+            DiracState(negative)
 
 
 class TestDivergence:

@@ -63,8 +63,8 @@ MEMBERSHIPS = {"sbm": ("omega",), "mmsbm": ("phi_send", "phi_recv")}
 def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, block_init, optimizer):
     # the block priors read log B without clamping it again, so B must
     # stay finite and inside [B_EPS, 1 - B_EPS] from init_state through
-    # every E-step and M-step; and the starting gamma is overwritten by the
-    # first E-step before anything reads it
+    # every round's E-step and prior update; and the starting gamma is
+    # overwritten by the first E-step before anything reads it
     cfg = ExperimentConfig(
         prior_kind=kind, seed=seed, K=K, M=2, N=2, num_groups=1, samples_per_client=4,
         test_samples_per_client=1, local_steps=1, num_memberships=M, block_init=block_init,
@@ -88,8 +88,6 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
         return np.all(np.isfinite(B)) and np.all((B >= B_EPS) & (B <= 1 - B_EPS))
 
     assert clamped(state.B)
-    for _ in range(3):
-        pairs = pair_list(mask)
-        prior.e_step(state, models, rounds.loglik_matrix(models, models.train, mask, pairs), pairs, observed_list(mask))
-        prior.m_step(state, models, mask, pairs, cfg, None)
+    for r in range(3):
+        rounds.run_round(state, models, mask, r, cfg)  # an E-step, the local epochs, then update_prior
         assert clamped(state.B)

@@ -16,7 +16,7 @@ from hypothesis import strategies as hst
 import scool.em
 from scool import config, topology
 from scool.config import ExperimentConfig
-from scool.em import attention, dirac, rounds, sbm
+from scool.em import attention, dirac, rounds, sbm, theta
 from scool.em.state import DiracState
 from scool.errors import ConfigurationError, DivergenceError
 from scool.models import ArchSpec
@@ -226,7 +226,7 @@ class TestRunRoundContracts:
 
 
 class TestPriorTable:
-    HOOKS = ("init_state", "e_step", "bound_terms", "m_step", "graph")
+    HOOKS = ("init_state", "e_step", "bound_terms", "local_steps", "coupling", "update_prior", "graph")
     # per-pair functions the batched kernel no longer calls through these names
     STALE_BINDINGS = {
         "scool.em.dirac.grad",
@@ -248,18 +248,22 @@ class TestPriorTable:
         state = build_state(cfg, mask, models.arch.n_params)
         return cfg, models, mask, state
 
-    def test_one_list_of_names_and_five_hooks(self):
+    def test_one_list_of_names_and_seven_hooks(self):
         assert config.PRIORS == tuple(rounds.PRIORS)
         for name, prior in rounds.PRIORS.items():
             for hook in self.HOOKS:
-                assert hasattr(prior, hook), (name, hook)
-            assert callable(prior.init_state) and callable(prior.m_step) and callable(prior.graph)
-            assert prior.e_step is None or callable(prior.e_step)
-            # a learned graph has a lower bound, a fixed one has neither
+                assert getattr(prior, hook) is None or callable(getattr(prior, hook)), (name, hook)
+            assert callable(prior.init_state) and callable(prior.graph)
+            # a learned graph has a lower bound and prior parameters, a fixed one neither
             assert (prior.bound_terms is None) == (prior.e_step is None), name
-            assert prior.bound_terms is None or callable(prior.bound_terms)
-        fixed = [name for name, prior in rounds.PRIORS.items() if prior.e_step is None]
-        assert fixed == ["local-only", "dirac"]
+            assert (prior.update_prior is None) == (prior.e_step is None), name
+
+        def having(hook):
+            return [name for name, prior in rounds.PRIORS.items() if getattr(prior, hook) is not None]
+
+        assert having("e_step") == ["sbm", "attention", "mmsbm"]
+        assert having("coupling") == ["attention"]
+        assert having("local_steps") == ["dirac"]
 
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
     def test_every_prior_runs_two_rounds(self, prior):
@@ -325,22 +329,29 @@ class TestPriorTable:
 
     @pytest.mark.parametrize("grad_mode", config.GRAD_MODES)
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
-    def test_loglik_gradients_reach_the_m_step(self, monkeypatch, prior, grad_mode):
+    def test_loglik_gradients_reach_the_local_steps(self, monkeypatch, prior, grad_mode):
         # under cross-gradient the loglik pass fills one row per allowed pair
-        # and m_step gets that buffer; otherwise it gets None
+        # and the cooperative steps get that buffer; otherwise they get None,
+        # and dirac's own local steps take no buffer
         cfg, models, mask, state = self._k4(prior)
         cfg = cfg.replace(grad_mode=grad_mode)
         mask = build_topology("group-ring", 4, k0=2)
         if state is not None:
             state = build_state(cfg, mask, models.arch.n_params)
         hook = rounds.PRIORS[prior]
-        passed, real = [], hook.m_step
+        passed, real, real_gossip = [], theta.cooperative_sgd_steps, dirac.local_steps
 
-        def spy(state, models, mask, pairs, config, grads):
+        def spy(*args, **kwargs):
+            grads = inspect.signature(real).bind(*args, **kwargs).arguments.get("grads")
             passed.append(None if grads is None else grads.copy())
-            real(state, models, mask, pairs, config, grads)
+            real(*args, **kwargs)
 
-        monkeypatch.setattr(hook, "m_step", spy)
+        def gossip(state, models, config):
+            passed.append(None)
+            real_gossip(state, models, config)
+
+        monkeypatch.setattr(theta, "cooperative_sgd_steps", spy)
+        monkeypatch.setattr(dirac, "local_steps", gossip)
         thetas = models.theta.copy()
         rounds.run_round(state, models, mask, 0, cfg)
         (grads,) = passed
@@ -435,6 +446,25 @@ def test_no_e_step_takes_a_mask():
     for name, prior in rounds.PRIORS.items():
         if prior.e_step is not None:
             assert "mask" not in inspect.signature(prior.e_step).parameters, name
+
+
+def test_run_round_makes_the_one_cooperative_call():
+    """No function of scool other than rounds.run_round calls
+    cooperative_sgd_steps, and no module of scool.em defines m_step: the
+    local epochs belong to the round, not to a prior."""
+    callers, m_steps = set(), set()
+    for path in sorted(Path(scool.em.__file__).parent.parent.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.parent.name == "em" and getattr(top, "name", None) == "m_step":
+                m_steps.add(path.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    if name == "cooperative_sgd_steps":
+                        callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("rounds.py", "run_round")}
+    assert not m_steps
+    assert not any(hasattr(prior, "m_step") for prior in rounds.PRIORS.values())
 
 
 MASK_KINDS = ("full", "group-ring", "bipartite", "random")

@@ -381,6 +381,12 @@ class TestBudgetSweep:
         # lower budget costs less
         assert rows[0]["comm_total"] < rows[1]["comm_total"]
 
+    def test_fractions_that_share_a_directory_are_refused(self, tmp_path):
+        # 0.27 and 0.271 both write fraction_0.27: refused before any run
+        with pytest.raises(ConfigurationError, match=r"^fractions 0\.27 and 0\.271 would both write fraction_0\.27$"):
+            run_budget_sweep(small_config("sbm", rounds=3), [0.27, 0.4, 0.271], tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_written_files_end_lines_with_newline_only(self, tmp_path):
         # every file a sweep writes, its runs' reports, metrics and
         # snapshots included, ends its lines with "\n" and never "\r\n"
@@ -684,13 +690,13 @@ class TestCli:
         from scool.cli import EXIT_DIVERGED, main
         from scool.em import sbm
 
-        real = sbm.m_step
+        real = sbm.update_prior
 
         def underflowing(state, *args, **kwargs):
             real(state, *args, **kwargs)
             state.w[2] = 0.0  # every weight of client 2 underflowed
 
-        monkeypatch.setattr(sbm, "m_step", underflowing)
+        monkeypatch.setattr(sbm, "update_prior", underflowing)
         path = self._write_config(tmp_path, rounds=4, sparsify_keep_fraction=0.4, sparsify_round=2)
         out = tmp_path / "underflow"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_DIVERGED == 3

@@ -172,6 +172,25 @@ class TestBlockMatrixInvariant:
             block_ratio(self._nan_B(), den)
 
 
+class TestBlockStateChecks:
+    @pytest.mark.parametrize("field", ["gamma", "alpha"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_gamma_and_alpha_stay_positive(self, field, bad):
+        for state, clone in ((random_sbm_state(np.random.default_rng(63), 5, 3), clone_sbm),
+                             (random_mmsbm_state(np.random.default_rng(64), 5, 3), clone_mmsbm)):
+            value = getattr(state, field).copy()
+            value[..., 1] = bad
+            with pytest.raises(InvariantError, match="^gamma and alpha must stay positive$"):
+                clone(state, **{field: value})
+
+    def test_sbm_omega_on_the_simplex(self):
+        state = random_sbm_state(np.random.default_rng(65), 5, 3)
+        omega = state.omega.copy()
+        omega[2] *= 1.5
+        with pytest.raises(InvariantError, match="^omega rows must lie on the simplex$"):
+            clone_sbm(state, omega=omega)
+
+
 class TestMmsbmSimplexCheck:
     """MmsbmState checks its E x M pair memberships with the verdict of
     np.allclose(phi.sum(axis=-1), 1.0, atol=1e-9): |sum - 1| <= 1e-9 + 1e-5,
