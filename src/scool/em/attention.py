@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore, pack_layers, unpack_layers
 from ..special import softmax_tempered, xlogx
-from ..topology import pair_list
+from ..topology import pair_list, pair_matrix
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
 from .theta import cooperative_sgd_steps  # unused: the benchmark's probe rebinds it here until ROADMAP item 1(b)
 
@@ -66,24 +66,22 @@ def _encoder_forward(phi, dims, X):
     return W1, W2, H, E
 
 
-def _pair_row_softmax(scores: np.ndarray, tau: float, pairs: np.ndarray) -> np.ndarray:
-    """Row softmax over the entries of the row-major pair list ``pairs``,
-    zero elsewhere. A row's entries are one run of the list; rows of equal
-    degree share one 2-D softmax over their runs. Listed scores that are
-    not finite over tau are a divergence."""
-    K = len(scores)
+def _pair_row_softmax(values: np.ndarray, tau: float, pairs: np.ndarray, K: int) -> np.ndarray:
+    """Row softmax of the K x K matrix whose entries at the row-major pair
+    list ``pairs`` are ``values``, zero elsewhere. A row's entries are one
+    run of the list; rows of equal degree share one 2-D softmax over their
+    runs. Listed values that are not finite over tau are a divergence."""
     degree = np.bincount(pairs // K, minlength=K)
     if not degree.all():
         raise ConfigurationError(f"client {int(np.argmin(degree))} has a fully masked row")
-    values = np.take(scores, pairs)
     if not np.all(np.isfinite(values / tau)):
         raise DivergenceError("attention scores over the temperature are non-finite")
     first = np.cumsum(degree) - degree  # where each row's run starts
-    out = np.zeros_like(scores)
+    out = np.empty_like(values)
     for k in set(degree.tolist()):  # np.unique loads numpy.ma (about 1 MB)
         at = first[degree == k, None] + np.arange(k)
-        np.put(out, pairs[at], softmax_tempered(values[at], tau))
-    return out
+        out[at] = softmax_tempered(values[at], tau)
+    return pair_matrix(K, pairs, out)
 
 
 def compute_p(
@@ -95,7 +93,7 @@ def compute_p(
 
 
 def _attention(E: np.ndarray, tau: float, pairs: np.ndarray) -> np.ndarray:
-    return _pair_row_softmax(E @ E.T, tau, pairs)
+    return _pair_row_softmax(np.take(E @ E.T, pairs), tau, pairs, len(E))
 
 
 def update_w(state: AttentionState, loglik: np.ndarray) -> np.ndarray:
@@ -103,12 +101,13 @@ def update_w(state: AttentionState, loglik: np.ndarray) -> np.ndarray:
 
     The self column carries only its attention score: the client's own-data
     term sits outside the graph posterior, so the stationary weight for
-    j = i has no likelihood contribution.
+    j = i has no likelihood contribution. Entries off the list are never read.
     """
-    logits = np.array(loglik, dtype=float)
-    np.fill_diagonal(logits, 0.0)
-    logits = logits + np.log(np.maximum(state.p, PROB_FLOOR))
-    return _pair_row_softmax(logits, state.tau_softmax, state.pairs)
+    K, pairs = len(loglik), state.pairs
+    logits = np.take(loglik, pairs)
+    logits[pairs % (K + 1) == 0] = 0.0
+    logits += np.log(np.maximum(np.take(state.p, pairs), PROB_FLOOR))
+    return _pair_row_softmax(logits, state.tau_softmax, pairs, K)
 
 
 def _residual_pass(state: AttentionState, models: ClientStore):
@@ -120,8 +119,7 @@ def _residual_pass(state: AttentionState, models: ClientStore):
     W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
     pairs = state.pairs
     p = _attention(E, state.tau_softmax, pairs)
-    C = np.zeros_like(p)
-    np.put(C, pairs, (np.take(state.w, pairs) - np.take(p, pairs)) / state.tau_softmax)
+    C = pair_matrix(len(E), pairs, (np.take(state.w, pairs) - np.take(p, pairs)) / state.tau_softmax)
     return X, W1, W2, H, E, C
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import DivergenceError, InvariantError
 from ..special import digamma, sigmoid_tempered
-from ..topology import pair_list
+from ..topology import pair_list, pair_matrix
 from .state import ALPHA_MIN, AdamSlot, ascent_step, clamp_block_matrix
 
 
@@ -79,11 +79,10 @@ def edge_posterior(state, loglik: np.ndarray, pair_odds: np.ndarray, self_odds) 
     scores its cross-client log-likelihood plus ``pair_odds``, its block
     log-odds under its memberships; other off-diagonal entries are 0. The
     diagonal (own log-likelihood plus ``self_odds``) is for reporting only."""
-    K, pairs = state.n_clients, state.pairs
-    w = np.zeros(K * K)
-    w[pairs] = sigmoid_tempered(np.take(loglik, pairs) + pair_odds, state.tau_sigmoid)
-    w[:: K + 1] = sigmoid_tempered(np.diagonal(loglik) + self_odds, state.tau_sigmoid)
-    return w.reshape(K, K)
+    pairs = state.pairs
+    w = pair_matrix(state.n_clients, pairs, sigmoid_tempered(np.take(loglik, pairs) + pair_odds, state.tau_sigmoid))
+    np.fill_diagonal(w, sigmoid_tempered(np.diagonal(loglik) + self_odds, state.tau_sigmoid))
+    return w
 
 
 def graph(state, K: int) -> np.ndarray:

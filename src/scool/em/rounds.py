@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, ScoolError
 from ..models import ClientStore, DataStack, batch_value_and_grad
-from ..topology import CROSS_GRADIENT, RoundTraffic, account_exchange, account_gossip, pair_list, sparsify_topk
+from ..topology import CROSS_GRADIENT, RoundTraffic, account_exchange, account_gossip, pair_list, pair_matrix, sparsify_topk
 from . import attention, dirac, local, mmsbm, sbm, theta
 from .elbo import elbo
 from .theta import gradient_buffer, pair_blocks
@@ -44,10 +44,12 @@ def loglik_matrix(
     """Cross-client evaluation: entry (i, j) is the mean log-probability of
     client j's training labels under client i's model. The pairs are the
     round's row-major list ``pairs`` (topology.pair_list(mask)), evaluated
-    in blocks of at most theta.PAIR_BLOCK_BUDGET activations, one batched
-    call per block in the store's workspace; masked pairs stay exactly zero
-    and are never evaluated. ``mask`` is read only by the benchmark's
-    round-1 cross-check, which recomputes the matrix from it.
+    in blocks whose pairs' parameters, features, labels and activations fit
+    theta.PAIR_BLOCK_BUDGET (models.pairs_per_block), one batched call per
+    block in the store's workspace; topology.pair_matrix lays the values
+    out, so masked pairs stay exactly zero and are never evaluated. ``mask``
+    is read only by the benchmark's round-1 cross-check, which recomputes
+    the matrix from it.
 
     With ``grads`` (S x D, S <= len(pairs), theta.gradient_buffer), the same
     forward pass also writes grad(theta_i; D_j) of the list's e-th pair
@@ -57,15 +59,14 @@ def loglik_matrix(
     thetas, X, Y, arch = models.theta, train_sets.features, train_sets.labels, models.arch
     rows, cols = np.divmod(pairs, K)
     ws = models.workspace
-    out = np.zeros((K, K))
+    values = np.empty(len(pairs))
     stored, n = (0 if grads is None else len(grads)), X.shape[1]
     for blk in pair_blocks(stored, n, arch) + pair_blocks(len(pairs), n, arch, stored):
-        r, c = rows[blk], cols[blk]
         held = blk.stop <= stored
-        out[r, c] = batch_value_and_grad(
-            *ws.gather(thetas, X, Y, r, c), arch, grads[blk] if held else None, grad=held, workspace=ws
+        values[blk] = batch_value_and_grad(
+            *ws.gather(thetas, X, Y, rows[blk], cols[blk]), arch, grads[blk] if held else None, grad=held, workspace=ws
         )[0]
-    return out
+    return pair_matrix(K, pairs, values)
 
 
 def run_round(

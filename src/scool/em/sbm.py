@@ -3,9 +3,9 @@
 The edge model covers the observed ordered pairs ``state.pairs``. A pair's
 memberships are its clients' rows of omega, so the prior's membership
 contraction is omega @ X @ omega.T gathered at the pairs; the membership
-and block updates lay the pair weights into a K x K matrix. Each update
-solves its own block's first-order condition exactly given the other
-blocks, which the lower-bound oracle in :mod:`scool.em.elbo` certifies.
+and block updates lay the pair weights out by topology.pair_matrix. Each
+update solves its own block's first-order condition exactly given the
+other blocks, which the lower-bound oracle in :mod:`scool.em.elbo` certifies.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..special import softmax_tempered, xlogx
+from ..topology import pair_matrix
 from .common import block_logs, block_ratio, block_start, checked_gamma, edge_posterior
 # graph (the reporting hook) and update_alpha are shared with mmsbm
 from .common import graph, update_alpha
@@ -43,21 +44,13 @@ def update_gamma(state: SbmState) -> np.ndarray:
     return checked_gamma(state.omega + state.alpha[None, :])
 
 
-def _on_pairs(state: SbmState, values) -> np.ndarray:
-    """``values`` at the observed pairs of a K x K matrix, 0 elsewhere."""
-    K = state.n_clients
-    out = np.zeros(K * K)
-    out[state.pairs] = values
-    return out.reshape(K, K)
-
-
 def omega_scores(state: SbmState) -> np.ndarray:
     """Row-wise softmax logits of the membership update: edge and non-edge
     evidence from both link directions plus the expected log-mixture
     state.elp."""
     logB, log1mB = block_logs(state)
-    w = np.take(state.w, state.pairs)
-    w_pos, w_neg = _on_pairs(state, w), _on_pairs(state, 1.0 - w)
+    K, pairs, w = state.n_clients, state.pairs, np.take(state.w, state.pairs)
+    w_pos, w_neg = pair_matrix(K, pairs, w), pair_matrix(K, pairs, 1.0 - w)
     out_pos = state.omega @ logB.T  # row j, col k: sum_h omega_jh log B(k, h)
     in_pos = state.omega @ logB  # row j, col k: sum_h omega_jh log B(h, k)
     out_neg = state.omega @ log1mB.T
@@ -80,8 +73,9 @@ def update_omega(state: SbmState) -> np.ndarray:
 def update_block_matrix(state: SbmState) -> np.ndarray:
     """Exact block-affinity maximizer: membership-weighted mean edge weight
     over the observed pairs, clamped away from the log singularities."""
-    num = state.omega.T @ _on_pairs(state, np.take(state.w, state.pairs)) @ state.omega
-    den = state.omega.T @ _on_pairs(state, 1.0) @ state.omega
+    K, pairs = state.n_clients, state.pairs
+    num = state.omega.T @ pair_matrix(K, pairs, np.take(state.w, pairs)) @ state.omega
+    den = state.omega.T @ pair_matrix(K, pairs, 1.0) @ state.omega
     return block_ratio(num, den)
 
 

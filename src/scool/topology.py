@@ -91,6 +91,14 @@ def pair_list(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def pair_matrix(K: int, pairs: np.ndarray, values) -> np.ndarray:
+    """pair_list's inverse, the one place that lays a list out as a matrix:
+    the K x K matrix with ``values`` at the flat indices ``pairs``, 0 elsewhere."""
+    out = np.zeros(K * K)
+    out[pairs] = values
+    return out.reshape(K, K)
+
+
 def sparsify_topk(w: np.ndarray, mask: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Prune each client's neighborhood to its ceil(keep_fraction*(K-1))
     strongest weights; the caller schedules when.

@@ -124,6 +124,21 @@ class TestUpdateW:
         assert w[1, 2] == 0.0
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_loglik_off_the_list_and_on_the_diagonal_is_never_read(self):
+        # update_w reads the log-likelihoods at its pair list only, and
+        # zeroes the diagonal's: poison everywhere else changes no bit
+        rng = np.random.default_rng(3)
+        models, state = random_attention_setup(rng, 6)
+        mask = random_symmetric_mask(rng, 6)
+        state.pairs = pair_list(mask)
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        ll = random_loglik(rng, 6)
+        poisoned = np.where(mask, ll, np.inf)
+        poisoned[~mask & (rng.random((6, 6)) < 0.5)] = np.nan
+        np.fill_diagonal(poisoned, np.nan)
+        assert not mask.all()
+        np.testing.assert_array_equal(attention.update_w(state, poisoned), attention.update_w(state, ll))
+
     def test_random_symmetric_mask_confines_p_and_w(self):
         # under a pruned-topology-like mask the attention and the posterior
         # put exactly no mass off the mask and stay row-stochastic on it
@@ -254,33 +269,25 @@ class TestPairRowSoftmax:
         assert len(set(bipartite.sum(axis=1))) > 1  # unequal degrees
         for mask in masks:
             mask = mask | np.eye(K, dtype=bool)
+            pairs = pair_list(mask)
             np.testing.assert_array_equal(
-                attention._pair_row_softmax(scores, tau, pair_list(mask)),
+                attention._pair_row_softmax(np.take(scores, pairs), tau, pairs, K),
                 dense_attention_masked_row_softmax(scores, tau, mask),
             )
-
-    def test_scores_off_the_list_are_never_read(self):
-        rng = np.random.default_rng(3)
-        scores = rng.standard_normal((6, 6))
-        mask = random_symmetric_mask(rng, 6)
-        poisoned = np.where(mask, scores, np.inf)
-        poisoned[~mask & (rng.random((6, 6)) < 0.5)] = np.nan
-        np.testing.assert_array_equal(
-            attention._pair_row_softmax(poisoned, 0.7, pair_list(mask)),
-            attention._pair_row_softmax(scores, 0.7, pair_list(mask)),
-        )
 
     def test_a_non_finite_listed_score_is_a_divergence(self):
         scores = np.zeros((5, 5))
         scores[2, 4] = np.inf
+        pairs = pair_list(full_mask(5))
         with pytest.raises(DivergenceError, match="attention scores over the temperature are non-finite"):
-            attention._pair_row_softmax(scores, 1.0, pair_list(full_mask(5)))
+            attention._pair_row_softmax(np.take(scores, pairs), 1.0, pairs, 5)
 
     def test_fully_masked_row_names_the_first_client(self):
         mask = full_mask(5)
         mask[3] = mask[1] = False
+        pairs = pair_list(mask)
         with pytest.raises(ConfigurationError, match="^client 1 has a fully masked row$"):
-            attention._pair_row_softmax(np.zeros((5, 5)), 1.0, pair_list(mask))
+            attention._pair_row_softmax(np.zeros(len(pairs)), 1.0, pairs, 5)
 
 
 class TestDenseOracle:

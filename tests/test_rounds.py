@@ -158,6 +158,23 @@ class TestRunRoundContracts:
         with pytest.raises(ConfigurationError):
             rounds.run_round(None, models, mask, 0, ExperimentConfig(prior_kind="bogus", eta1=0.1))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta1", 0.0, r"^round 0: eta1 must be positive$"),
+        ("grad_mode", "bogus", r"^round 0: unknown grad_mode 'bogus'$"),
+    ])
+    def test_an_unvalidated_config_stops_at_the_cooperative_steps(self, field, value, message):
+        # validate() refuses both settings first; a config that never went
+        # through it stops at cooperative_sgd_steps' own check, which names
+        # the round and moves no model
+        rng = np.random.default_rng(15)
+        models, _ = _setup(rng, K=4)
+        mask = build_topology("fully-connected", 4)
+        cfg = ExperimentConfig(prior_kind="sbm", K=4, num_memberships=2, seed=16).replace(**{field: value})
+        before = models.theta.copy()
+        with pytest.raises(ConfigurationError, match=message):
+            scool.em.run_round(sbm.init_state(cfg, mask, 0), models, mask, 0, cfg)
+        np.testing.assert_array_equal(models.theta, before)
+
     def test_full_round_deterministic(self):
         rng = np.random.default_rng(8)
         models_a, train = _setup(rng, K=4)
@@ -426,19 +443,44 @@ PAIR_RULES = {"nonzero", "flatnonzero", "count_nonzero", "observed_pairs"}
 MASK_TO_PAIRS_ALLOWED = {("dirac.py", "metropolis_weights")}
 
 
+def _em_code_naming(names: set[str]) -> set[tuple[str, str | None]]:
+    """(file, top-level name) of each function, class or statement of
+    scool.em that names one of ``names``; a nested function counts as its
+    top-level one."""
+    found = set()
+    for path in sorted(Path(scool.em.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in names and isinstance(node, (ast.Attribute, ast.Name)):
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
 def test_only_the_allowlist_turns_a_mask_into_pairs():
     """No code in scool.em outside MASK_TO_PAIRS_ALLOWED names np.nonzero,
     np.flatnonzero, np.count_nonzero or observed_pairs, and every allowed
     function still does (an entry that no longer needs its place goes)."""
-    found = set()
-    for path in sorted(Path(scool.em.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            where = (path.name, getattr(top, "name", None))  # a nested function counts as its top-level one
-            for node in ast.walk(top):
-                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-                if name in PAIR_RULES and isinstance(node, (ast.Attribute, ast.Name)):
-                    found.add(where)
-    assert found == MASK_TO_PAIRS_ALLOWED
+    assert _em_code_naming(PAIR_RULES) == MASK_TO_PAIRS_ALLOWED
+
+
+# The code of scool.em that may start from a zero array. A list's values
+# become a K x K matrix through topology.pair_matrix alone, never through a
+# zero matrix filled in place or a put.
+ZEROS_ALLOWED = {
+    ("attention.py", "init_state"),  # the encoder's biases
+    ("common.py", "graph"),  # the rows that sum to zero
+    ("common.py", "pair_bilinear"),  # the accumulator
+    ("dirac.py", "metropolis_weights"),  # its set-up from the mask, as in MASK_TO_PAIRS_ALLOWED
+    ("state.py", "AdamSlot"),  # the first and second moments
+}
+
+
+def test_only_pair_matrix_lays_a_list_out():
+    """No code in scool.em names put, and none outside ZEROS_ALLOWED names
+    np.zeros or np.zeros_like; every allowed entry still does."""
+    assert not _em_code_naming({"put"})
+    assert _em_code_naming({"zeros", "zeros_like"}) == ZEROS_ALLOWED
 
 
 def test_no_e_step_takes_a_mask():

@@ -214,17 +214,20 @@ def _bits(x):
 
 
 class TestFolds:
+    @pytest.mark.parametrize("given_out", [False, True])
     @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16])
-    def test_fold_last_is_the_slice_loop_bit_for_bit(self, ufunc, n):
+    def test_fold_last_is_the_slice_loop_bit_for_bit(self, ufunc, n, given_out):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((5, 6, n)) * 10.0 ** rng.integers(-8, 9, (5, 6, n))
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
         a.flat[rng.choice(a.size, min(a.size // 3, 40), replace=False)] = rng.choice(special, min(a.size // 3, 40))
         a[0, 0] = -0.0  # a row of negative zeros keeps its sign
+        out = np.full(a.shape[:-1], 7.0) if given_out else None  # a stale buffer is overwritten
         with np.errstate(invalid="ignore"):  # inf + -inf
-            got, want = fold_last(ufunc, a), _slice_loop(ufunc, a)
+            got, want = fold_last(ufunc, a, out), _slice_loop(ufunc, a)
         assert got.shape == a.shape[:-1]
+        assert (got is out) == given_out
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
     def test_numpy_sum_regroups_from_8_slices(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import scool
 from scool.errors import ConfigurationError, DivergenceError
 from scool.topology import (
     CROSS_GRADIENT,
@@ -21,6 +22,7 @@ from scool.topology import (
     directed_edges,
     observed_pairs,
     pair_list,
+    pair_matrix,
     sparsify_topk,
 )
 
@@ -99,7 +101,8 @@ class TestBuildTopology:
 
 
 class TestPairList:
-    """topology.pair_list, the one place that turns a mask into pairs."""
+    """topology.pair_list, the one place that turns a mask into pairs, and
+    pair_matrix, the one that turns listed values back into a matrix."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_major_flat_indices_of_the_true_entries(self, seed):
@@ -111,6 +114,10 @@ class TestPairList:
         assert pairs.tolist() == [i * K + j for i in range(K) for j in range(K) if mask[i, j]]
         rows, cols = np.divmod(pairs, K)
         assert mask[rows, cols].all() and len(pairs) == mask.sum()
+        # pair_matrix, its inverse, lays listed values out as K x K, 0 elsewhere
+        values = rng.standard_normal((K, K))
+        np.testing.assert_array_equal(pair_matrix(K, pairs, np.take(values, pairs)), np.where(mask, values, 0.0))
+        np.testing.assert_array_equal(pair_matrix(K, pairs, 1.0), mask.astype(float))
 
     @pytest.mark.parametrize("kind, params", [("fully-connected", {}), ("group-ring", {"k0": 4}),
                                               ("generalized-bipartite", {"degree": 2})])
@@ -193,6 +200,11 @@ class TestSparsifyTopk:
 
 
 class TestLedger:
+    def test_an_unknown_grad_mode_is_a_configuration_error(self):
+        # validate() refuses the mode first; the public entry refuses it too
+        with pytest.raises(ConfigurationError, match=r"^unknown grad_mode 'bogus'$"):
+            scool.account_exchange(build_topology("fully-connected", 3), "bogus", 1, 10)
+
     def test_empty_offdiagonal_costs_nothing(self):
         ledger = CommLedger([account_exchange(np.eye(3, dtype=bool), CROSS_GRADIENT, 1, 10)])
         assert ledger.totals()["models_sent"] == 0
