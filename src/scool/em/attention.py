@@ -5,9 +5,9 @@ the models' flat layout (``models.unpack_layers``), maps each client's
 accumulated model update (theta minus its shared starting point) to an
 embedding; dot products of embeddings, softmaxed over each row's entries
 in the round's pair list (topology.pair_list, kept as state.pairs), define a
-row-stochastic attention matrix p, the E-step folds p together with the
-cross-client log-likelihoods into w (zero off the list), and the M-step
-trains the encoder to pull p toward w (row-wise cross-entropy descent).
+row-stochastic attention p, one value per listed pair; the E-step folds p and
+the listed cross-client log-likelihoods into w (K x K, zero off the list), and
+the M-step trains the encoder to pull p toward w (row-wise cross-entropy descent).
 
 Gradients here are written out by hand: the encoder is three matmuls and a
 tanh, and keeping the whole package autograd-free makes the finite-
@@ -37,13 +37,13 @@ def init_state(config, mask, theta_dim: int) -> AttentionState:
     # self-similarity score cannot drown the likelihood evidence at small K
     W2 = 0.3 * rng.standard_normal((out, h)) / np.sqrt(h)
     phi = pack_layers([(W1, np.zeros(h)), (W2, np.zeros(out))])
-    uniform = np.full((K, K), 1.0 / K)
+    pairs = pair_list(mask)
     return AttentionState(
         phi=phi,
         enc_dims=(theta_dim, h, out),
-        w=uniform.copy(),
-        p=uniform.copy(),
-        pairs=pair_list(mask),
+        w=np.full((K, K), 1.0 / K),
+        p=np.full(len(pairs), 1.0 / K),
+        pairs=pairs,
         lam=config.weight_decay,
         tau_softmax=config.tau_softmax,
         phi_slot=AdamSlot.like(phi),
@@ -67,9 +67,8 @@ def _encoder_forward(phi, dims, X):
 
 
 def _pair_row_softmax(values: np.ndarray, tau: float, pairs: np.ndarray, K: int) -> np.ndarray:
-    """Row softmax of the K x K matrix whose entries at the row-major pair
-    list ``pairs`` are ``values``, zero elsewhere. A row's entries are one
-    run of the list; rows of equal degree share one 2-D softmax over their
+    """Softmax of the listed ``values`` over each row's run of the row-major
+    pair list ``pairs``; rows of equal degree share one 2-D softmax over their
     runs. Listed values that are not finite over tau are a divergence."""
     degree = np.bincount(pairs // K, minlength=K)
     if not degree.all():
@@ -81,14 +80,14 @@ def _pair_row_softmax(values: np.ndarray, tau: float, pairs: np.ndarray, K: int)
     for k in set(degree.tolist()):  # np.unique loads numpy.ma (about 1 MB)
         at = first[degree == k, None] + np.arange(k)
         out[at] = softmax_tempered(values[at], tau)
-    return pair_matrix(K, pairs, out)
+    return out
 
 
 def compute_p(
     models: ClientStore, phi: np.ndarray, dims: tuple[int, int, int], tau: float, pairs: np.ndarray
 ) -> np.ndarray:
     """Row-stochastic attention from embedding dot products, normalized
-    over the pair list ``pairs`` only."""
+    over the pair list ``pairs`` only: one value per listed pair."""
     return _attention(encode(phi, dims, model_deltas(models)), tau, pairs)
 
 
@@ -96,18 +95,18 @@ def _attention(E: np.ndarray, tau: float, pairs: np.ndarray) -> np.ndarray:
     return _pair_row_softmax(np.take(E @ E.T, pairs), tau, pairs, len(E))
 
 
-def update_w(state: AttentionState, loglik: np.ndarray) -> np.ndarray:
-    """Tempered softmax of log-likelihood plus log-attention over each row's listed pairs.
+def update_w(state: AttentionState, loglik: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Tempered softmax of log-likelihood plus log-attention over each row's
+    listed pairs (``loglik`` lists one per entry of state.pairs), as K x K.
 
     The self column carries only its attention score: the client's own-data
     term sits outside the graph posterior, so the stationary weight for
-    j = i has no likelihood contribution. Entries off the list are never read.
+    j = i has no likelihood contribution.
     """
-    K, pairs = len(loglik), state.pairs
-    logits = np.take(loglik, pairs)
-    logits[pairs % (K + 1) == 0] = 0.0
-    logits += np.log(np.maximum(np.take(state.p, pairs), PROB_FLOOR))
-    return _pair_row_softmax(logits, state.tau_softmax, pairs, K)
+    K, pairs = len(state.w), state.pairs
+    logits = np.where(diagonal, 0.0, loglik)
+    logits += np.log(np.maximum(state.p, PROB_FLOOR))
+    return pair_matrix(K, pairs, _pair_row_softmax(logits, state.tau_softmax, pairs, K))
 
 
 def _residual_pass(state: AttentionState, models: ClientStore):
@@ -119,7 +118,7 @@ def _residual_pass(state: AttentionState, models: ClientStore):
     W1, W2, H, E = _encoder_forward(state.phi, state.enc_dims, X)
     pairs = state.pairs
     p = _attention(E, state.tau_softmax, pairs)
-    C = pair_matrix(len(E), pairs, (np.take(state.w, pairs) - np.take(p, pairs)) / state.tau_softmax)
+    C = pair_matrix(len(E), pairs, (np.take(state.w, pairs) - p) / state.tau_softmax)
     return X, W1, W2, H, E, C
 
 
@@ -166,15 +165,15 @@ def update_phi(state: AttentionState, models: ClientStore, config) -> np.ndarray
 
 def bound_terms(state: AttentionState) -> dict[str, float]:
     """The agreement sum_ij w_ij log p_ij, p floored as in update_w, and the entropy of w."""
-    logp = np.log(np.maximum(state.p, PROB_FLOOR))
+    logp = pair_matrix(len(state.w), state.pairs, np.log(np.maximum(state.p, PROB_FLOOR)))
     return dict(edge=float((state.w * logp).sum()), entropy_w=-float(xlogx(state.w).sum()))
 
 
-def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray, observed: np.ndarray) -> AttentionState:
+def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> AttentionState:
     """The round's pair list, then the attention and the posterior over it."""
     state.pairs = pairs
     state.p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, pairs)
-    state.w = update_w(state, loglik)
+    state.w = update_w(state, loglik, diagonal)
     return state
 
 
@@ -188,5 +187,7 @@ def update_prior(state: AttentionState, models, config) -> None:
 
 
 def graph(state: AttentionState, K: int) -> np.ndarray:
-    """The posterior cooperation w; its rows are already on the simplex."""
-    return np.array(state.w, dtype=float)
+    """w, already row-stochastic, as a read-only view: each E-step replaces w, so no round copies it."""
+    w = state.w.view()
+    w.flags.writeable = False
+    return w

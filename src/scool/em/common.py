@@ -74,14 +74,14 @@ def block_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return clamp_block_matrix(num / den)
 
 
-def edge_posterior(state, loglik: np.ndarray, pair_odds: np.ndarray, self_odds) -> np.ndarray:
+def edge_posterior(state, own: np.ndarray, cross: np.ndarray, pair_odds: np.ndarray, self_odds) -> np.ndarray:
     """The block model's tempered-sigmoid edge posterior: each pair of state.pairs
-    scores its cross-client log-likelihood plus ``pair_odds``, its block
-    log-odds under its memberships; other off-diagonal entries are 0. The
-    diagonal (own log-likelihood plus ``self_odds``) is for reporting only."""
-    pairs = state.pairs
-    w = pair_matrix(state.n_clients, pairs, sigmoid_tempered(np.take(loglik, pairs) + pair_odds, state.tau_sigmoid))
-    np.fill_diagonal(w, sigmoid_tempered(np.diagonal(loglik) + self_odds, state.tau_sigmoid))
+    scores its cross-client log-likelihood in ``cross`` plus ``pair_odds``, its
+    block log-odds under its memberships; other off-diagonal entries are 0. The
+    diagonal (the clients' own log-likelihoods ``own`` plus ``self_odds``) is for
+    reporting only."""
+    w = pair_matrix(state.n_clients, state.pairs, sigmoid_tempered(cross + pair_odds, state.tau_sigmoid))
+    np.fill_diagonal(w, sigmoid_tempered(own + self_odds, state.tau_sigmoid))
     return w
 
 
@@ -93,9 +93,8 @@ def graph(state, K: int) -> np.ndarray:
     weights all underflowed to zero is left as zeros (the distance metric
     scores it at its maximum).
     """
-    w = np.array(state.w, dtype=float)
-    sums = w.sum(axis=1, keepdims=True)
-    return np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
+    sums = state.w.sum(axis=1, keepdims=True)
+    return np.divide(state.w, sums, out=np.zeros_like(state.w), where=sums > 0)
 
 
 def pair_bilinear(phi_send: np.ndarray, X: np.ndarray, phi_recv: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ and the ridge on theta, and adds the prior module's own
 ``block_terms``). The terms are evaluated exactly (0 log 0 := 0 in
 entropies; attention probabilities inside logs share the update's floor)
 and the breakdown's total is the plain sum of its named terms. The
-cross-client likelihood runs over the round's observed pairs, the flat
-row-major indices of the mask's off-diagonal true entries
-(topology.pair_list without the diagonal), and the block priors' edge and
-edge-entropy terms over the state's own, which are the same list.
+cross-client likelihood runs over the round's pair list (topology.pair_list)
+with one log-likelihood per pair, and the block priors' edge and
+edge-entropy terms over the state's own, which are that list without its
+diagonal.
 
 Term naming: ``edge`` is the graph-likelihood part (block edge evidence,
 or the attention agreement sum); ``membership`` the expected membership
@@ -49,12 +49,6 @@ class ElboBreakdown:
 
     def terms(self) -> dict[str, float]:
         return asdict(self)
-
-
-def _likelihood_term(w: np.ndarray, loglik: np.ndarray, pairs: np.ndarray) -> float:
-    """The own log-likelihoods plus w times the cross-client ones at the
-    observed pairs; ``w`` holds the E weights at ``pairs``."""
-    return float(np.trace(loglik) + (w * np.take(loglik, pairs)).sum())
 
 
 def _model_prior_term(models: ClientStore | None, lam: float) -> float:
@@ -103,12 +97,13 @@ def block_terms(
     )
 
 
-def elbo(prior, state, loglik: np.ndarray, pairs: np.ndarray, models: ClientStore | None = None) -> ElboBreakdown:
-    """The lower bound of a learned prior's state: the likelihood over the
-    observed ``pairs`` and the ridge on the models, then the terms of the
-    prior module's own ``bound_terms``."""
+def elbo(prior, state, loglik, pairs, diagonal, models: ClientStore | None = None) -> ElboBreakdown:
+    """The lower bound of a learned prior's state: the own log-likelihoods at
+    the ``diagonal`` of the round's ``pairs`` (np.trace's sum, bit for bit)
+    plus w times the cross-client ones off it, the ridge on the models, and
+    the prior module's own ``bound_terms``."""
     return ElboBreakdown(
-        likelihood=_likelihood_term(np.take(state.w, pairs), loglik, pairs),
+        likelihood=float(loglik[diagonal].sum() + (np.take(state.w, pairs[~diagonal]) * loglik[~diagonal]).sum()),
         model_prior=_model_prior_term(models, state.lam),
         **prior.bound_terms(state),
     )

@@ -39,15 +39,15 @@ def init_state(config, mask, theta_dim: int) -> MmsbmState:
     return MmsbmState(phi_send=phi_send, phi_recv=phi_recv, **start)
 
 
-def update_w(state: MmsbmState, loglik: np.ndarray) -> np.ndarray:
-    """Edge posterior with each pair's block log-odds under its sender and
-    receiver memberships; the diagonal is scored with uniform memberships
-    on both sides."""
+def update_w(state: MmsbmState, own: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Edge posterior from the own log-likelihoods and the cross-client
+    ones at state.pairs, with each pair's block log-odds under its sender and
+    receiver memberships; the diagonal is scored with uniform memberships on both sides."""
     logB, log1mB = block_logs(state)
     odds = logB - log1mB
     uniform = np.full((1, state.n_blocks), 1.0 / state.n_blocks)
     pair_odds = pair_bilinear(state.phi_send, odds, state.phi_recv)
-    return edge_posterior(state, loglik, pair_odds, pair_bilinear(uniform, odds, uniform))
+    return edge_posterior(state, own, cross, pair_odds, pair_bilinear(uniform, odds, uniform))
 
 
 def _client_sums(own: np.ndarray, phi: np.ndarray, K: int) -> np.ndarray:
@@ -106,18 +106,19 @@ def bound_terms(state: MmsbmState) -> dict[str, float]:
     )
 
 
-def e_step(state: MmsbmState, models, loglik: np.ndarray, pairs: np.ndarray, observed: np.ndarray) -> MmsbmState:
-    """When the round's observed-pair list ``observed`` lost pairs (pruning
-    only removes pairs), keep the rows of the pairs it still lists; the
-    state's list must then be ``observed``. Then the edge and Dirichlet
-    posteriors, then one synchronous sweep of both pair-membership sides
-    from the pre-sweep snapshot."""
+def e_step(state: MmsbmState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> MmsbmState:
+    """When the round's observed pairs, its list off the ``diagonal``, lost
+    some (pruning only removes pairs), keep the rows of those still listed;
+    the state's list must then be the observed pairs. Then the edge and
+    Dirichlet posteriors, then one synchronous sweep of both pair-membership
+    sides from the pre-sweep snapshot."""
+    observed = pairs[~diagonal]
     if len(state.pairs) != len(observed):
         keep = np.isin(state.pairs, observed, assume_unique=True)  # no np.unique, which loads numpy.ma
         state.pairs, state.phi_send, state.phi_recv = (a[keep] for a in (state.pairs, state.phi_send, state.phi_recv))
     if not np.array_equal(state.pairs, observed):
         raise InvariantError("mmsbm pair list is not the round's observed pairs")
-    state.w = update_w(state, loglik)
+    state.w = update_w(state, loglik[diagonal], loglik[~diagonal])
     state.gamma = update_gamma(state)
     state.phi_send, state.phi_recv = update_phi(state, "send"), update_phi(state, "recv")
     return state

@@ -16,8 +16,8 @@ from .theta import gradient_buffer, pair_blocks
 # Every prior is a module with the same seven hooks, looked up at call time;
 # this table is the only code that knows which prior a state belongs to:
 #   init_state(config, mask, theta_dim) -> the prior's state
-#   e_step(state, models, loglik, pairs, observed), or None for a fixed
-#       graph; pairs is the round's pair list, observed it without its diagonal
+#   e_step(state, models, loglik, pairs, diagonal), or None for a fixed graph;
+#       loglik and the bool mask diagonal (each client's own pair) list pairs alike
 #   bound_terms(state) -> the prior's own lower-bound terms (elbo.elbo adds
 #       the likelihood and ridge terms every prior shares), or None with
 #       e_step
@@ -46,10 +46,9 @@ def loglik_matrix(
     round's row-major list ``pairs`` (topology.pair_list(mask)), evaluated
     in blocks whose pairs' parameters, features, labels and activations fit
     theta.PAIR_BLOCK_BUDGET (models.pairs_per_block), one batched call per
-    block in the store's workspace; topology.pair_matrix lays the values
-    out, so masked pairs stay exactly zero and are never evaluated. ``mask``
-    is read only by the benchmark's round-1 cross-check, which recomputes
-    the matrix from it.
+    block in the store's workspace; masked pairs are never evaluated and
+    read 0. The K x K layout and ``mask`` serve only the benchmark's round-1
+    cross-check (run_round takes the values back at the list).
 
     With ``grads`` (S x D, S <= len(pairs), theta.gradient_buffer), the same
     forward pass also writes grad(theta_i; D_j) of the list's e-th pair
@@ -77,8 +76,10 @@ def run_round(
 
     A prior with an E-step learns its graph: the caller's mask is pruned in
     place if scheduled. The round then takes its pair list from the mask
-    once (topology.pair_list), and every layer below reads that list. The
-    cross-client log-likelihoods feed the E-step and the lower bound. Under
+    once (topology.pair_list), and every layer below reads that list: the
+    E-step and the lower bound read the cross-client log-likelihoods taken
+    at it once, and its diagonal mask (loglik_matrix's K x K result remains
+    only for the benchmark's cross-check, ROADMAP item 1(b)). Under
     cross-gradient that pass also takes the pair gradients local step 0
     needs, for the list's leading pairs that fit in
     theta.PAIR_BUFFER_ELEMENTS; the E-step and the lower bound never move a
@@ -107,12 +108,12 @@ def run_round(
         if prior.e_step is not None:
             if config.grad_mode == CROSS_GRADIENT:
                 grads = gradient_buffer(len(pairs), models.arch.n_params)
-            ll = loglik_matrix(models, models.train, mask, pairs, grads)
-            if not np.all(np.isfinite(np.take(ll, pairs))):
+            ll = np.take(loglik_matrix(models, models.train, mask, pairs, grads), pairs)
+            if not np.all(np.isfinite(ll)):
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
-            observed = pairs[pairs % (len(mask) + 1) != 0]
-            prior.e_step(state, models, ll, pairs, observed)
-            elbo_total = elbo(prior, state, ll, observed, models).total
+            diagonal = pairs % (len(mask) + 1) == 0
+            prior.e_step(state, models, ll, pairs, diagonal)
+            elbo_total = elbo(prior, state, ll, pairs, diagonal, models).total
         if prior.local_steps is not None:
             prior.local_steps(state, models, config)
         else:

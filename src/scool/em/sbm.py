@@ -31,12 +31,13 @@ def init_state(config, mask, theta_dim: int) -> SbmState:
     return SbmState(omega=jittered_simplex(normals), **block_start(config, mask))
 
 
-def update_w(state: SbmState, loglik: np.ndarray) -> np.ndarray:
-    """Edge posterior with each pair's block log-odds under its two
-    clients' memberships; the diagonal is scored with client i's own."""
+def update_w(state: SbmState, own: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Edge posterior from the own log-likelihoods and the cross-client ones
+    at state.pairs, with each pair's block log-odds under its two clients'
+    memberships; the diagonal is scored with client i's own."""
     logB, log1mB = block_logs(state)
     odds = state.omega @ (logB - log1mB) @ state.omega.T
-    return edge_posterior(state, loglik, np.take(odds, state.pairs), np.diagonal(odds))
+    return edge_posterior(state, own, cross, np.take(odds, state.pairs), np.diagonal(odds))
 
 
 def update_gamma(state: SbmState) -> np.ndarray:
@@ -50,18 +51,13 @@ def omega_scores(state: SbmState) -> np.ndarray:
     state.elp."""
     logB, log1mB = block_logs(state)
     K, pairs, w = state.n_clients, state.pairs, np.take(state.w, state.pairs)
-    w_pos, w_neg = pair_matrix(K, pairs, w), pair_matrix(K, pairs, 1.0 - w)
     out_pos = state.omega @ logB.T  # row j, col k: sum_h omega_jh log B(k, h)
     in_pos = state.omega @ logB  # row j, col k: sum_h omega_jh log B(h, k)
-    out_neg = state.omega @ log1mB.T
-    in_neg = state.omega @ log1mB
-    return (
-        w_pos @ out_pos
-        + w_pos.T @ in_pos
-        + w_neg @ out_neg
-        + w_neg.T @ in_neg
-        + state.elp
-    )
+    w_pos = pair_matrix(K, pairs, w)
+    edge = w_pos @ out_pos + w_pos.T @ in_pos
+    del w_pos  # one K x K layout alive at a time
+    w_neg = pair_matrix(K, pairs, 1.0 - w)
+    return edge + w_neg @ (state.omega @ log1mB.T) + w_neg.T @ (state.omega @ log1mB) + state.elp
 
 
 def update_omega(state: SbmState) -> np.ndarray:
@@ -92,10 +88,10 @@ def bound_terms(state: SbmState) -> dict[str, float]:
     )
 
 
-def e_step(state: SbmState, models, loglik: np.ndarray, pairs: np.ndarray, observed: np.ndarray) -> SbmState:
-    """The round's pair list, the edge and Dirichlet posteriors, then one membership sweep."""
-    state.pairs = observed
-    state.w = update_w(state, loglik)
+def e_step(state: SbmState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> SbmState:
+    """The round's pair list off its diagonal, the edge and Dirichlet posteriors, then one membership sweep."""
+    state.pairs = pairs[~diagonal]
+    state.w = update_w(state, loglik[diagonal], loglik[~diagonal])
     state.gamma = update_gamma(state)
     state.omega = update_omega(state)
     return state

@@ -5,8 +5,9 @@ add only how memberships are held. Its edge model covers the observed
 ordered client pairs, (i, j) with i != j that the topology's boolean mask
 allows, which ``BlockState.pairs`` holds in the row-major order that
 ``scool.topology.pair_list`` alone sets: ``common.block_start`` takes them
-from the mask, each E-step from the round's list (``AttentionState.pairs``
-is that list with its diagonal, set the same two ways). Masked pairs are
+from the mask, each E-step from the round's list off its diagonal mask
+(``AttentionState.pairs`` is the whole list, set the same two ways). The
+E-steps read the round's log-likelihoods listed alike. Masked pairs are
 missing data, with w at 0. A client always cooperates with itself (its
 own-data gradient carries coefficient one in every update), so the diagonal
 of w never enters an update and only matters for row-normalized reporting.
@@ -195,14 +196,15 @@ class SbmState(BlockState):
 class AttentionState:
     """Attention prior: a two-layer encoder maps each client's model delta
     (theta - theta_0) to an embedding; inner products of embeddings define
-    the row-stochastic attention p over ``pairs``, and w is the posterior
-    cooperation. phi holds the encoder in the models' flat layout for the
-    layer widths ``enc_dims``, so its length is ``models.layout_size(enc_dims)``."""
+    the row-stochastic attention p, listed over ``pairs``, and w is the
+    posterior cooperation, laid out as K x K. phi holds the encoder in the
+    models' flat layout for the layer widths ``enc_dims``, so its length is
+    ``models.layout_size(enc_dims)``."""
 
     phi: np.ndarray  # flat encoder parameters
     enc_dims: tuple[int, int, int]  # (input, hidden, out)
     w: np.ndarray  # K x K row-stochastic, 0 off pairs
-    p: np.ndarray  # K x K row-stochastic, 0 off pairs
+    p: np.ndarray  # one value per entry of pairs, summing to 1 over each row's run
     pairs: np.ndarray  # flat indices i*K + j of topology.pair_list, the diagonal included
     lam: float  # config.weight_decay, the lower bound's ridge on theta
     tau_softmax: float  # temperature of the attention and of w

@@ -59,6 +59,26 @@ def observed_list(mask: np.ndarray) -> np.ndarray:
     return pairs[pairs % (len(mask) + 1) != 0]
 
 
+def round_lists(mask: np.ndarray, loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What run_round hands the E-step and the lower bound for a K x K
+    ``loglik``: its values at the mask's pair list, the list, and the list's
+    diagonal mask."""
+    pairs = pair_list(mask)
+    return np.take(loglik, pairs), pairs, pairs % (len(mask) + 1) == 0
+
+
+def own_and_cross(state, loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block prior's update_w arguments for a K x K ``loglik``: the clients'
+    own log-likelihoods and the cross-client ones at state.pairs."""
+    return np.diagonal(loglik), np.take(loglik, state.pairs)
+
+
+def attention_lists(state, loglik: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """attention.update_w's arguments for a K x K ``loglik``: its values at
+    state.pairs and that list's diagonal mask."""
+    return np.take(loglik, state.pairs), state.pairs % (len(state.w) + 1) == 0
+
+
 def random_symmetric_mask(rng, K, keep=0.6):
     """A mask whose off-diagonal pairs are kept with probability ``keep``,
     both directions of a pair together, redrawn until every client has a
@@ -656,12 +676,20 @@ def dense_attention_compute_p(state: AttentionState, deltas: np.ndarray, mask: n
     return dense_attention_masked_row_softmax(E @ E.T, state.tau_softmax, mask)
 
 
+def dense_attention_p(state: AttentionState) -> np.ndarray:
+    """state.p, one value per entry of state.pairs, laid out as K x K by
+    hand, 0 off the list."""
+    p = np.zeros(state.w.size)
+    p[state.pairs] = state.p
+    return p.reshape(state.w.shape)
+
+
 def dense_attention_update_w(state: AttentionState, loglik: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax of the cross-client log-likelihood (0 on the diagonal) plus log p."""
     logits = np.array(loglik, dtype=float)
     np.fill_diagonal(logits, 0.0)
     return dense_attention_masked_row_softmax(
-        logits + np.log(np.maximum(state.p, PROB_FLOOR)), state.tau_softmax, mask
+        logits + np.log(np.maximum(dense_attention_p(state), PROB_FLOOR)), state.tau_softmax, mask
     )
 
 
@@ -718,7 +746,7 @@ def dense_elbo_attention(state: AttentionState, loglik: np.ndarray, mask: np.nda
     return {
         "likelihood": float(np.trace(loglik) + (w * loglik)[obs].sum()),
         "model_prior": 0.0,
-        "edge": float((w * np.log(np.maximum(state.p, PROB_FLOOR))).sum()),
+        "edge": float((w * np.log(np.maximum(dense_attention_p(state), PROB_FLOOR))).sum()),
         "membership": 0.0,
         "dirichlet": 0.0,
         "entropy_membership": 0.0,
@@ -846,7 +874,8 @@ def reference_round(state, models, train_sets, mask, round_index, config):
     elif kind == "mmsbm":
         _mmsbm_e_step(state, loglik, mask)
     else:
-        state.p = dense_attention_compute_p(state, model_deltas(models), mask)
+        state.pairs = pair_list(mask)  # the attention is held listed, as the prior holds it
+        state.p = np.take(dense_attention_compute_p(state, model_deltas(models), mask), state.pairs)
         state.w = dense_attention_update_w(state, loglik, mask)
     elbo_total = reference_elbo(state, loglik, mask, np.stack([m.theta for m in models]), kind)
     coupling = None
@@ -884,7 +913,7 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
         phi=phi,
         enc_dims=(arch.n_params, hidden, out),
         w=np.full((K, K), 1.0 / K),
-        p=np.full((K, K), 1.0 / K),
+        p=np.full(K * K, 1.0 / K),
         pairs=pair_list(full_mask(K)),
         lam=0.0,
         tau_softmax=1.0,

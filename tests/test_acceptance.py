@@ -23,12 +23,14 @@ from scool.topology import (
     directed_edges,
     observed_pairs,
     pair_list,
+    pair_matrix,
     sparsify_topk,
 )
 
 from conftest import (
     BENCHMARK_SEEDS,
     LocalModel,
+    attention_lists,
     benchmark_config,
     central_diff,
     client_store,
@@ -39,11 +41,13 @@ from conftest import (
     grad,
     loss,
     observed_list,
+    own_and_cross,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
     random_sbm_state,
     random_symmetric_mask,
+    round_lists,
     simplex_kkt_spread,
     tiny_dataset,
     update_omega_row,
@@ -89,18 +93,18 @@ def _mmsbm_kkt_residual(mst, ll, mask):
     K, M = mst.n_clients, mst.n_blocks
     pairs = list(zip(*np.nonzero(observed_pairs(mask))))
     worst = 0.0
-    mst.w = mmsbm.update_w(mst, ll)
+    mst.w = mmsbm.update_w(mst, *own_and_cross(mst, ll))
     for i, j in pairs:
         def f(v, i=i, j=j):
             w2 = mst.w.copy(); w2[i, j] = v
-            return elbo(mmsbm, clone_mmsbm(mst, w=w2), ll, observed_list(mask)).total
+            return elbo(mmsbm, clone_mmsbm(mst, w=w2), *round_lists(mask, ll)).total
         worst = max(worst, abs(central_diff(f, mst.w[i, j], 1e-7)))
     mst.gamma = mmsbm.update_gamma(mst)
     for i in range(K):
         for g in range(M):
             def f(v, i=i, g=g):
                 g2 = mst.gamma.copy(); g2[i, g] = v
-                return elbo(mmsbm, clone_mmsbm(mst, gamma=g2), ll, observed_list(mask)).total
+                return elbo(mmsbm, clone_mmsbm(mst, gamma=g2), *round_lists(mask, ll)).total
             worst = max(worst, abs(central_diff(f, mst.gamma[i, g], 1e-6)))
     for side in ("send", "recv"):
         name = f"phi_{side}"
@@ -111,7 +115,7 @@ def _mmsbm_kkt_residual(mst, ll, mask):
             for k in range(M):
                 def f(v, e=e, k=k, name=name):
                     p2 = arr.copy(); p2[e, k] = v
-                    return elbo(mmsbm, clone_mmsbm(mst, **{name: p2}), ll, observed_list(mask)).total
+                    return elbo(mmsbm, clone_mmsbm(mst, **{name: p2}), *round_lists(mask, ll)).total
                 grads.append(central_diff(f, arr[e, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
     return worst
@@ -120,25 +124,25 @@ def _mmsbm_kkt_residual(mst, ll, mask):
 def _sbm_sweep(st, ll, mask, track):
     """Apply the sbm blocks one at a time (omega row by row) on the mask's
     observed pairs, as an E-step takes them, tracking the bound after each."""
-    obs = st.pairs = observed_list(mask)
-    v = elbo(sbm, st, ll, obs).total
-    st.w = sbm.update_w(st, ll); v = track(v, elbo(sbm, st, ll, obs).total)
-    st.gamma = sbm.update_gamma(st); v = track(v, elbo(sbm, st, ll, obs).total)
+    st.pairs, lists = observed_list(mask), round_lists(mask, ll)
+    v = elbo(sbm, st, *lists).total
+    st.w = sbm.update_w(st, *own_and_cross(st, ll)); v = track(v, elbo(sbm, st, *lists).total)
+    st.gamma = sbm.update_gamma(st); v = track(v, elbo(sbm, st, *lists).total)
     for i in range(st.n_clients):
         om = st.omega.copy(); om[i] = update_omega_row(st, i); st.omega = om
-        v = track(v, elbo(sbm, st, ll, obs).total)
-    st.B = sbm.update_block_matrix(st); v = track(v, elbo(sbm, st, ll, obs).total)
+        v = track(v, elbo(sbm, st, *lists).total)
+    st.B = sbm.update_block_matrix(st); v = track(v, elbo(sbm, st, *lists).total)
 
 
 def _mmsbm_sweep(st, ll, mask, track):
     """Apply the mmsbm blocks one at a time, tracking the bound after each."""
-    obs = observed_list(mask)
-    v = elbo(mmsbm, st, ll, obs).total
-    st.w = mmsbm.update_w(st, ll); v = track(v, elbo(mmsbm, st, ll, obs).total)
-    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(mmsbm, st, ll, obs).total)
-    st.phi_send = mmsbm.update_phi(st, "send"); v = track(v, elbo(mmsbm, st, ll, obs).total)
-    st.phi_recv = mmsbm.update_phi(st, "recv"); v = track(v, elbo(mmsbm, st, ll, obs).total)
-    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(mmsbm, st, ll, obs).total)
+    lists = round_lists(mask, ll)
+    v = elbo(mmsbm, st, *lists).total
+    st.w = mmsbm.update_w(st, *own_and_cross(st, ll)); v = track(v, elbo(mmsbm, st, *lists).total)
+    st.gamma = mmsbm.update_gamma(st); v = track(v, elbo(mmsbm, st, *lists).total)
+    st.phi_send = mmsbm.update_phi(st, "send"); v = track(v, elbo(mmsbm, st, *lists).total)
+    st.phi_recv = mmsbm.update_phi(st, "recv"); v = track(v, elbo(mmsbm, st, *lists).total)
+    st.B = mmsbm.update_block_matrix(st); v = track(v, elbo(mmsbm, st, *lists).total)
 
 
 def test_criterion_1_stationarity_suite():
@@ -153,21 +157,21 @@ def test_criterion_1_stationarity_suite():
 
         # --- SBM: w block, gamma block, per-row membership updates
         st = random_sbm_state(rng, K, M)
-        st.w = sbm.update_w(st, ll)
+        st.w = sbm.update_w(st, *own_and_cross(st, ll))
         for i in range(K):
             for j in range(K):
                 if i == j:
                     continue
                 def f(v, i=i, j=j):
                     w2 = st.w.copy(); w2[i, j] = v
-                    return elbo(sbm, clone_sbm(st, w=w2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, w=w2), *round_lists(mask, ll)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j], 1e-7)))
         st.gamma = sbm.update_gamma(st)
         for i in range(K):
             for g in range(M):
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy(); g2[i, g] = v
-                    return elbo(sbm, clone_sbm(st, gamma=g2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, gamma=g2), *round_lists(mask, ll)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g], 1e-6)))
         for i in range(K):
             om = st.omega.copy()
@@ -177,7 +181,7 @@ def test_criterion_1_stationarity_suite():
             for k in range(M):
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy(); o2[i, k] = v
-                    return elbo(sbm, clone_sbm(st, omega=o2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, omega=o2), *round_lists(mask, ll)).total
                 grads.append(central_diff(f, st.omega[i, k], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
@@ -185,13 +189,13 @@ def test_criterion_1_stationarity_suite():
         models, ast = random_attention_setup(rng, K)
         ast.pairs = pair_list(mask)
         ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, ast.pairs)
-        ast.w = attention.update_w(ast, ll)
+        ast.w = attention.update_w(ast, *attention_lists(ast, ll))
         for i in range(K):
             grads = []
             for j in range(K):
                 def f(v, i=i, j=j):
                     w2 = ast.w.copy(); w2[i, j] = v
-                    return elbo(attention, clone_attention(ast, w=w2), ll, observed_list(mask)).total
+                    return elbo(attention, clone_attention(ast, w=w2), *round_lists(mask, ll)).total
                 grads.append(central_diff(f, ast.w[i, j], 1e-7))
             worst = max(worst, simplex_kkt_spread(grads))
 
@@ -237,9 +241,9 @@ def test_criterion_2_elbo_monotonicity():
             ast.p = attention.compute_p(models, ast.phi, ast.enc_dims, 1.0, ast.pairs)
             w = rng.dirichlet(np.ones(K), size=K)
             ast.w = w * mask / (w * mask).sum(axis=1, keepdims=True)
-            v = elbo(attention, ast, ll, observed_list(mask)).total
-            ast.w = attention.update_w(ast, ll)
-            track(v, elbo(attention, ast, ll, observed_list(mask)).total)
+            v = elbo(attention, ast, *round_lists(mask, ll)).total
+            ast.w = attention.update_w(ast, *attention_lists(ast, ll))
+            track(v, elbo(attention, ast, *round_lists(mask, ll)).total)
 
     for _ in range(50):  # MMSBM
         K, M = int(rng.choice([3, 6])), int(rng.choice([1, 2, 3]))
@@ -311,12 +315,12 @@ def test_criterion_4_gradient_oracles():
         ll = random_loglik(rng, K)
         mask = full_mask(K)
         st.p = attention.compute_p(models, st.phi, st.enc_dims, 1.0, st.pairs)
-        st.w = attention.update_w(st, ll)
+        st.w = attention.update_w(st, *attention_lists(st, ll))
 
         g = attention.phi_gradient(st, models)
         def phi_obj(phi):
             p = attention.compute_p(models, phi, st.enc_dims, st.tau_softmax, st.pairs)
-            return float((st.w * np.log(np.maximum(p, PROB_FLOOR))).sum())
+            return float((np.take(st.w, st.pairs) * np.log(np.maximum(p, PROB_FLOOR))).sum())
         for t in rng.choice(len(g), size=6, replace=False):
             def f(v, t=t):
                 p2 = st.phi.copy(); p2[t] = v
@@ -329,7 +333,7 @@ def test_criterion_4_gradient_oracles():
         def row_obj(theta_i):
             ms = client_store(models)
             ms.theta[i] = theta_i
-            p = attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax, st.pairs)
+            p = pair_matrix(K, st.pairs, attention.compute_p(ms, st.phi, st.enc_dims, st.tau_softmax, st.pairs))
             return float((st.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
         for t in range(len(models[i].theta)):
             def f(v, t=t):

@@ -10,10 +10,11 @@ from scool.em.elbo import elbo
 from scool.em.state import PROB_FLOOR
 from scool.errors import ConfigurationError, DivergenceError
 from scool.special import softmax_tempered
-from scool.topology import build_topology, pair_list
+from scool.topology import build_topology, pair_list, pair_matrix
 
 from conftest import (
     LocalModel,
+    attention_lists,
     central_diff,
     client_store,
     clone_attention,
@@ -25,10 +26,10 @@ from conftest import (
     dense_elbo_attention,
     full_mask,
     model_deltas,
-    observed_list,
     random_attention_setup,
     random_loglik,
     random_symmetric_mask,
+    round_lists,
     simplex_kkt_spread,
 )
 
@@ -60,12 +61,12 @@ class TestComputeP:
         W2[:, :2] = np.eye(2) / eps
         phi = np.concatenate([W1.ravel(), np.zeros(4), W2.ravel(), np.zeros(2)])
         state = AttentionState(
-            phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full((2, 2), 0.5),
+            phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full(4, 0.5),
             pairs=pair_list(full_mask(2)), lam=0.0, tau_softmax=1.0,
         )
         E = attention.encode(phi, (4, 4, 2), attention.model_deltas(client_store([m1, m2])))
         np.testing.assert_allclose(E, [[2.0, 0.0], [0.0, 3.0]], atol=1e-3)
-        p = attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0, state.pairs)
+        p = pair_matrix(2, state.pairs, attention.compute_p(client_store([m1, m2]), phi, (4, 4, 2), 1.0, state.pairs))
         np.testing.assert_allclose(
             p[0], softmax_tempered([E[0] @ E[0], E[0] @ E[1]], 1.0), atol=1e-12
         )
@@ -74,7 +75,8 @@ class TestComputeP:
         rng = np.random.default_rng(1)
         models, state = random_attention_setup(rng, 6)
         p = attention.compute_p(models, state.phi, state.enc_dims, 0.7, state.pairs)
-        assert np.all(p >= 0)
+        assert p.shape == state.pairs.shape and np.all(p >= 0)
+        p = pair_matrix(6, state.pairs, p)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -83,15 +85,15 @@ class TestUpdateW:
         rng = np.random.default_rng(2)
         models, state = random_attention_setup(rng, 5)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        w = attention.update_w(state, np.zeros((5, 5)))
-        np.testing.assert_allclose(w, state.p, atol=1e-9)
+        w = attention.update_w(state, *attention_lists(state, np.zeros((5, 5))))
+        np.testing.assert_allclose(w, pair_matrix(5, state.pairs, state.p), atol=1e-9)
 
     def test_uniform_attention_reduces_to_loglik_softmax(self):
         rng = np.random.default_rng(3)
         models, state = random_attention_setup(rng, 5)
-        state.p = np.full((5, 5), 0.2)
+        state.p = np.full(len(state.pairs), 0.2)
         ll = random_loglik(rng, 5)
-        w = attention.update_w(state, ll)
+        w = attention.update_w(state, *attention_lists(state, ll))
         logits = ll.copy()
         np.fill_diagonal(logits, 0.0)
         np.testing.assert_allclose(w, softmax_tempered(logits, 1.0, axis=-1), atol=1e-9)
@@ -102,31 +104,31 @@ class TestUpdateW:
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        state.w = attention.update_w(state, ll)
+        state.w = attention.update_w(state, *attention_lists(state, ll))
         for i in range(4):
             grads = []
             for j in range(4):
                 def f(v, i=i, j=j):
                     w2 = state.w.copy()
                     w2[i, j] = v
-                    return elbo(attention, clone_attention(state, w=w2), ll, observed_list(mask)).total
+                    return elbo(attention, clone_attention(state, w=w2), *round_lists(mask, ll)).total
                 grads.append(central_diff(f, state.w[i, j], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
     def test_masked_row_excluded(self):
         rng = np.random.default_rng(5)
         models, state = random_attention_setup(rng, 4)
-        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
         mask = full_mask(4)
         mask[1, 2] = False
         state.pairs = pair_list(mask)
-        w = attention.update_w(state, random_loglik(rng, 4))
+        state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+        w = attention.update_w(state, *attention_lists(state, random_loglik(rng, 4)))
         assert w[1, 2] == 0.0
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
     def test_loglik_off_the_list_and_on_the_diagonal_is_never_read(self):
-        # update_w reads the log-likelihoods at its pair list only, and
-        # zeroes the diagonal's: poison everywhere else changes no bit
+        # update_w reads the log-likelihoods listed at its pairs and zeroes
+        # the diagonal's: poison off the list and on the diagonal changes no bit
         rng = np.random.default_rng(3)
         models, state = random_attention_setup(rng, 6)
         mask = random_symmetric_mask(rng, 6)
@@ -137,7 +139,10 @@ class TestUpdateW:
         poisoned[~mask & (rng.random((6, 6)) < 0.5)] = np.nan
         np.fill_diagonal(poisoned, np.nan)
         assert not mask.all()
-        np.testing.assert_array_equal(attention.update_w(state, poisoned), attention.update_w(state, ll))
+        np.testing.assert_array_equal(
+            attention.update_w(state, *attention_lists(state, poisoned)),
+            attention.update_w(state, *attention_lists(state, ll)),
+        )
 
     def test_random_symmetric_mask_confines_p_and_w(self):
         # under a pruned-topology-like mask the attention and the posterior
@@ -149,8 +154,8 @@ class TestUpdateW:
             mask = random_symmetric_mask(rng, K)
             state.pairs = pair_list(mask)
             state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-            state.w = attention.update_w(state, random_loglik(rng, K))
-            for name, rows in (("p", state.p), ("w", state.w)):
+            state.w = attention.update_w(state, *attention_lists(state, random_loglik(rng, K)))
+            for name, rows in (("p", pair_matrix(K, state.pairs, state.p)), ("w", state.w)):
                 assert np.all(rows[~mask] == 0.0), name
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12, err_msg=name)
 
@@ -162,7 +167,7 @@ class TestCouplingGradient:
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        state.w = attention.update_w(state, ll)
+        state.w = attention.update_w(state, *attention_lists(state, ll))
         terms = attention.coupling_descent_terms(models, state, mask)
         i = 2
 
@@ -170,6 +175,7 @@ class TestCouplingGradient:
             ms = client_store(models)
             ms.theta[i] = theta_i
             p = attention.compute_p(ms, state.phi, state.enc_dims, state.tau_softmax, state.pairs)
+            p = pair_matrix(4, state.pairs, p)
             return float((state.w[i] * np.log(np.maximum(p[i], PROB_FLOOR))).sum())
 
         worst = 0.0
@@ -185,8 +191,10 @@ class TestCouplingGradient:
     def test_argmax_of_rows_invariant_to_temperature(self):
         rng = np.random.default_rng(7)
         models, state = random_attention_setup(rng, 5)
-        p1 = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        p2 = attention.compute_p(models, state.phi, state.enc_dims, 0.25, state.pairs)
+        p1, p2 = (
+            pair_matrix(5, state.pairs, attention.compute_p(models, state.phi, state.enc_dims, tau, state.pairs))
+            for tau in (1.0, 0.25)
+        )
         np.testing.assert_array_equal(p1.argmax(axis=1), p2.argmax(axis=1))
 
 
@@ -195,7 +203,7 @@ class TestPhiUpdate:
         rng = np.random.default_rng(8)
         models, state = random_attention_setup(rng, 4)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        state.w = state.p.copy()
+        state.w = pair_matrix(4, state.pairs, state.p)
         g = attention.phi_gradient(state, models)
         assert np.max(np.abs(g)) < 1e-10
 
@@ -206,12 +214,12 @@ class TestPhiUpdate:
             models, state = random_attention_setup(rng, 4)
             ll = random_loglik(rng, 4)
             state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-            state.w = attention.update_w(state, ll)
+            state.w = attention.update_w(state, *attention_lists(state, ll))
             g = attention.phi_gradient(state, models)
 
             def objective(phi):
                 p = attention.compute_p(models, phi, state.enc_dims, state.tau_softmax, state.pairs)
-                return float((state.w * np.log(np.maximum(p, PROB_FLOOR))).sum())
+                return float((np.take(state.w, state.pairs) * np.log(np.maximum(p, PROB_FLOOR))).sum())
 
             idx = rng.choice(len(g), size=8, replace=False)
             for t in idx:
@@ -239,10 +247,10 @@ class TestPhiUpdate:
         models, state = random_attention_setup(rng, 5)
         ll = random_loglik(rng, 5)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        state.w = attention.update_w(state, ll)
+        state.w = attention.update_w(state, *attention_lists(state, ll))
 
         def kl():
-            p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
+            p = pair_matrix(5, state.pairs, attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs))
             return float(np.sum(state.w * (np.log(np.maximum(state.w, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))))
 
         start = kl()
@@ -272,7 +280,7 @@ class TestPairRowSoftmax:
             pairs = pair_list(mask)
             np.testing.assert_array_equal(
                 attention._pair_row_softmax(np.take(scores, pairs), tau, pairs, K),
-                dense_attention_masked_row_softmax(scores, tau, mask),
+                np.take(dense_attention_masked_row_softmax(scores, tau, mask), pairs),
             )
 
     def test_a_non_finite_listed_score_is_a_divergence(self):
@@ -306,8 +314,9 @@ class TestDenseOracle:
         deltas = model_deltas(models)
         state.pairs = pair_list(mask)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, tau, state.pairs)
-        np.testing.assert_allclose(state.p, dense_attention_compute_p(state, deltas, mask), rtol=0, atol=1e-12)
-        state.w = attention.update_w(state, ll)
+        dense_p = dense_attention_compute_p(state, deltas, mask)
+        np.testing.assert_allclose(state.p, np.take(dense_p, state.pairs), rtol=0, atol=1e-12)
+        state.w = attention.update_w(state, *attention_lists(state, ll))
         np.testing.assert_allclose(state.w, dense_attention_update_w(state, ll, mask), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             attention.coupling_descent_terms(models, state, mask),
@@ -317,4 +326,4 @@ class TestDenseOracle:
             attention.phi_gradient(state, models),
             dense_attention_phi_gradient(state, deltas, mask), rtol=0, atol=1e-12,
         )
-        assert elbo(attention, state, ll, observed_list(mask)).terms() == dense_elbo_attention(state, ll, mask)
+        assert elbo(attention, state, *round_lists(mask, ll)).terms() == dense_elbo_attention(state, ll, mask)

@@ -6,6 +6,7 @@ one round makes."""
 import copy
 import pickle
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ import pytest
 from scool import special
 from scool.config import ExperimentConfig
 from scool.em import common, mmsbm, rounds, sbm
-from scool.em.elbo import _dirichlet_term, _likelihood_term, _model_prior_term
+from scool.em.elbo import _dirichlet_term, _model_prior_term, elbo
 from scool.em.state import expected_log_pi
 from scool.models import MLP_1HIDDEN, SOFTMAX_REGRESSION, ArchSpec, ClientStore
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import build_topology, pair_list
+from scool.topology import build_topology
 
 from conftest import (
     alpha_gradient_calls,
@@ -34,6 +35,7 @@ from conftest import (
     random_mmsbm_state,
     random_sbm_state,
     random_symmetric_mask,
+    round_lists,
     xlogx_gather,
 )
 
@@ -49,6 +51,9 @@ def _gamma(rng, K: int, M: int) -> np.ndarray:
 
 
 class TestAgainstTheCallPerArgumentForms:
+    class NoTerms:  # a prior without terms of its own: the bound is its shared terms
+        bound_terms = staticmethod(lambda state: {"edge": 0.0, "entropy_w": 0.0})
+
     @pytest.mark.parametrize("K", [1, 48, 192])
     @pytest.mark.parametrize("M", [1, 3, 6])
     def test_expected_log_pi_and_alpha_gradient(self, K, M):
@@ -89,9 +94,9 @@ class TestAgainstTheCallPerArgumentForms:
         rng = np.random.default_rng(K)
         for keep in (0.3, 1.0):
             mask = random_symmetric_mask(rng, K, keep) if K > 1 else full_mask(1)
-            w, ll, pairs = rng.uniform(0.0, 1.0, (K, K)), random_loglik(rng, K), observed_list(mask)
-            got = _likelihood_term(np.take(w, pairs), ll, pairs)
-            assert _bits(got) == _bits(likelihood_term_dense(w, ll, pairs))
+            w, ll = rng.uniform(0.0, 1.0, (K, K)), random_loglik(rng, K)
+            got = elbo(self.NoTerms, SimpleNamespace(w=w, lam=0.0), *round_lists(mask, ll)).likelihood
+            assert _bits(got) == _bits(likelihood_term_dense(w, ll, observed_list(mask)))
 
     def test_xlogx(self):
         rng = np.random.default_rng(0)
@@ -144,7 +149,7 @@ class TestSharedExpectedLogPi:
         monkeypatch.setattr(prior, reader, checking)
         for _ in range(4):
             before = st.gamma
-            prior.e_step(st, None, random_loglik(rng, K), pair_list(mask), observed_list(mask))
+            prior.e_step(st, None, *round_lists(mask, random_loglik(rng, K)))
             assert_elp_current(st)
             assert not np.array_equal(st.gamma, before)
         assert len(reads) == 4 * (1 if prior is sbm else 2)

@@ -12,15 +12,18 @@ from scool.em.state import SbmState
 from scool.topology import pair_list
 
 from conftest import (
+    attention_lists,
     client_store,
     clone_mmsbm,
     full_mask,
     observed_list,
+    own_and_cross,
     random_attention_setup,
     random_loglik,
     random_mmsbm_state,
     random_sbm_state,
     random_symmetric_mask,
+    round_lists,
     update_omega_row,
 )
 
@@ -64,7 +67,7 @@ class TestSbmHandCase:
             lam=0.0,
             tau_sigmoid=1.0,
         )
-        got = elbo(sbm, st, ll, observed_list(full_mask(2))).total
+        got = elbo(sbm, st, *round_lists(full_mask(2), ll)).total
         want = hand_sbm_k2_m1(0.3, 0.8, ll, (1.4, 2.2), 0.9, 0.37)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -77,14 +80,14 @@ class TestBreakdownContracts:
             (mmsbm, random_mmsbm_state, 3, 2),
         ]:
             st = maker(rng, K, M)
-            out = elbo(prior, st, random_loglik(rng, K), observed_list(full_mask(K)))
+            out = elbo(prior, st, *round_lists(full_mask(K), random_loglik(rng, K)))
             assert out.total == pytest.approx(sum(out.terms().values()), abs=1e-10)
 
     def test_deterministic_w_has_zero_entropy(self):
         rng = np.random.default_rng(2)
         st = random_sbm_state(rng, 4, 2)
         st.w = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
-        out = elbo(sbm, st, random_loglik(rng, 4), observed_list(full_mask(4)))
+        out = elbo(sbm, st, *round_lists(full_mask(4), random_loglik(rng, 4)))
         assert out.entropy_w == 0.0
 
     def test_model_prior_term(self):
@@ -97,7 +100,7 @@ class TestBreakdownContracts:
         st.lam = 0.4
         arch = ArchSpec("softmax-regression", 2, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(3)]
-        out = elbo(sbm, st, random_loglik(rng, 3), observed_list(full_mask(3)), client_store(models))
+        out = elbo(sbm, st, *round_lists(full_mask(3), random_loglik(rng, 3)), client_store(models))
         want = -0.2 * sum(float(m.theta @ m.theta) for m in models)
         assert out.model_prior == pytest.approx(want, abs=1e-12)
 
@@ -107,9 +110,9 @@ class TestBreakdownContracts:
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
         state.p = attention.compute_p(models, state.phi, state.enc_dims, 1.0, state.pairs)
-        state.w = attention.update_w(state, ll)
-        out = elbo(attention, state, ll, observed_list(mask))
-        want = float((state.w * np.log(np.maximum(state.p, 1e-12))).sum())
+        state.w = attention.update_w(state, *attention_lists(state, ll))
+        out = elbo(attention, state, *round_lists(mask, ll))
+        want = float((np.take(state.w, state.pairs) * np.log(np.maximum(state.p, 1e-12))).sum())
         assert out.edge == pytest.approx(want, abs=1e-12)
         assert out.membership == 0.0 and out.dirichlet == 0.0
 
@@ -117,13 +120,13 @@ class TestBreakdownContracts:
         # the bound reads its prior's own terms from the module it is handed,
         # whatever the state's type; only the shared terms come from elbo
         rng = np.random.default_rng(8)
-        st, ll, obs = random_sbm_state(rng, 3, 2), random_loglik(rng, 3), observed_list(full_mask(3))
+        st, lists = random_sbm_state(rng, 3, 2), round_lists(full_mask(3), random_loglik(rng, 3))
 
         class Stub:
             bound_terms = staticmethod(lambda state: {"edge": 1.5, "entropy_w": -0.25})
 
-        shared = elbo(sbm, st, ll, obs)
-        assert elbo(Stub, st, ll, obs).terms() == {
+        shared = elbo(sbm, st, *lists)
+        assert elbo(Stub, st, *lists).terms() == {
             "likelihood": shared.likelihood, "model_prior": shared.model_prior, "edge": 1.5,
             "membership": 0.0, "dirichlet": 0.0, "entropy_membership": 0.0, "entropy_w": -0.25,
         }
@@ -144,24 +147,24 @@ class TestCoordinateAscentMonotonicity:
             ll = random_loglik(rng, K)
             mask = MASKS[mask_kind](rng, K)
             st.pairs = observed_list(mask)  # the draw held on the mask's observed pairs
-            value = elbo(sbm, st, ll, observed_list(mask)).total
-            st.w = sbm.update_w(st, ll)
-            for v2 in [elbo(sbm, st, ll, observed_list(mask)).total]:
+            value = elbo(sbm, st, *round_lists(mask, ll)).total
+            st.w = sbm.update_w(st, *own_and_cross(st, ll))
+            for v2 in [elbo(sbm, st, *round_lists(mask, ll)).total]:
                 assert v2 >= value - 1e-8
                 value = v2
             st.gamma = sbm.update_gamma(st)
-            v2 = elbo(sbm, st, ll, observed_list(mask)).total
+            v2 = elbo(sbm, st, *round_lists(mask, ll)).total
             assert v2 >= value - 1e-8
             value = v2
             for i in range(K):
                 om = st.omega.copy()
                 om[i] = update_omega_row(st, i)
                 st.omega = om
-                v2 = elbo(sbm, st, ll, observed_list(mask)).total
+                v2 = elbo(sbm, st, *round_lists(mask, ll)).total
                 assert v2 >= value - 1e-8
                 value = v2
             st.B = sbm.update_block_matrix(st)
-            assert elbo(sbm, st, ll, observed_list(mask)).total >= value - 1e-8
+            assert elbo(sbm, st, *round_lists(mask, ll)).total >= value - 1e-8
 
     @pytest.mark.parametrize("mask_kind", sorted(MASKS))
     def test_mmsbm_sequential_blocks_never_decrease(self, mask_kind):
@@ -176,16 +179,16 @@ class TestCoordinateAscentMonotonicity:
             kept = np.take(mask, dense.pairs)
             st = clone_mmsbm(dense, pairs=dense.pairs[kept], phi_send=dense.phi_send[kept],
                              phi_recv=dense.phi_recv[kept])
-            value = elbo(mmsbm, st, ll, observed_list(mask)).total
+            value = elbo(mmsbm, st, *round_lists(mask, ll)).total
             for step in (
-                lambda: setattr(st, "w", mmsbm.update_w(st, ll)),
+                lambda: setattr(st, "w", mmsbm.update_w(st, *own_and_cross(st, ll))),
                 lambda: setattr(st, "gamma", mmsbm.update_gamma(st)),
                 lambda: setattr(st, "phi_send", mmsbm.update_phi(st, "send")),
                 lambda: setattr(st, "phi_recv", mmsbm.update_phi(st, "recv")),
                 lambda: setattr(st, "B", mmsbm.update_block_matrix(st)),
             ):
                 step()
-                v2 = elbo(mmsbm, st, ll, observed_list(mask)).total
+                v2 = elbo(mmsbm, st, *round_lists(mask, ll)).total
                 assert v2 >= value - 1e-8
                 value = v2
 
@@ -202,6 +205,6 @@ class TestCoordinateAscentMonotonicity:
             st.w = np.zeros((K, K))
             for i in range(K):  # each row on the simplex of its allowed entries
                 st.w[i, mask[i]] = rng.dirichlet(np.ones(np.count_nonzero(mask[i])))
-            before = elbo(attention, st, ll, observed_list(mask)).total
-            st.w = attention.update_w(st, ll)
-            assert elbo(attention, st, ll, observed_list(mask)).total >= before - 1e-8
+            before = elbo(attention, st, *round_lists(mask, ll)).total
+            st.w = attention.update_w(st, *attention_lists(st, ll))
+            assert elbo(attention, st, *round_lists(mask, ll)).total >= before - 1e-8

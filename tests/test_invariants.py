@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import observed_list, random_symmetric_mask
+from conftest import random_symmetric_mask, round_lists
 from scool.config import ExperimentConfig
 from scool.em import rounds
 from scool.em.state import ALPHA_MIN, B_EPS
 from scool.runner import build_models, build_state, build_tasks
-from scool.topology import build_topology, pair_list
+from scool.topology import build_topology, pair_list, pair_matrix
 
 
 def _check_simplex(rows, name):
@@ -35,7 +35,7 @@ def test_invariants_after_every_round(prior):
         rounds.run_round(state, models, mask, r, cfg)
         if prior == "attention":
             _check_simplex(state.w, "attention w rows")
-            _check_simplex(state.p, "attention p rows")
+            _check_simplex(pair_matrix(cfg.K, state.pairs, state.p), "attention p rows")
         else:
             assert np.all((state.w >= 0) & (state.w <= 1)), "edge weights in [0,1]"
             assert np.all((state.B >= B_EPS) & (state.B <= 1 - B_EPS)), "B clamped"
@@ -78,7 +78,7 @@ def test_block_matrix_stays_clamped_and_gamma_starts_unread(kind, seed, K, M, bl
     state = prior.init_state(cfg, mask, models.arch.n_params)
     ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
     first = [
-        prior.e_step(dataclasses.replace(state, gamma=gamma), models, ll, pair_list(mask), observed_list(mask))
+        prior.e_step(dataclasses.replace(state, gamma=gamma), models, *round_lists(mask, ll))
         for gamma in (state.gamma, rng.uniform(0.1, 5.0, (K, M)))
     ]
     for name in ("w", "gamma", *MEMBERSHIPS[kind]):

@@ -12,7 +12,7 @@ from scool.em import mmsbm
 from scool.em.common import pair_bilinear
 from scool.em.elbo import elbo
 from scool.errors import InvariantError
-from scool.topology import build_topology, observed_pairs, pair_list, sparsify_topk
+from scool.topology import build_topology, observed_pairs, sparsify_topk
 
 from conftest import (
     central_diff,
@@ -25,9 +25,10 @@ from conftest import (
     dense_update_phi_send,
     dense_update_w,
     full_mask,
-    observed_list,
+    own_and_cross,
     random_loglik,
     random_mmsbm_state,
+    round_lists,
     simplex_kkt_spread,
 )
 
@@ -40,7 +41,7 @@ class TestDegenerateSingleBlock:
         st = random_mmsbm_state(rng, 3, 1)
         b = float(st.B[0, 0])
         ll = random_loglik(rng, 3)
-        w = mmsbm.update_w(st, ll)
+        w = mmsbm.update_w(st, *own_and_cross(st, ll))
         off = ~np.eye(3, dtype=bool)
         expect = 1.0 / (1.0 + np.exp(-(ll + math.log(b / (1 - b)))))
         np.testing.assert_allclose(w[off], expect[off], atol=1e-12)
@@ -83,7 +84,7 @@ class TestGamma:
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy()
                     g2[i, g] = v
-                    return elbo(mmsbm, clone_mmsbm(st, gamma=g2), ll, observed_list(mask)).total
+                    return elbo(mmsbm, clone_mmsbm(st, gamma=g2), *round_lists(mask, ll)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g])))
         assert worst < 1e-5
 
@@ -94,7 +95,7 @@ class TestWStationarity:
         st = random_mmsbm_state(rng, 4, 2)
         ll = random_loglik(rng, 4)
         mask = full_mask(4)
-        st.w = mmsbm.update_w(st, ll)
+        st.w = mmsbm.update_w(st, *own_and_cross(st, ll))
         worst = 0.0
         for i in range(4):
             for j in range(4):
@@ -103,7 +104,7 @@ class TestWStationarity:
                 def f(v, i=i, j=j):
                     w2 = st.w.copy()
                     w2[i, j] = v
-                    return elbo(mmsbm, clone_mmsbm(st, w=w2), ll, observed_list(mask)).total
+                    return elbo(mmsbm, clone_mmsbm(st, w=w2), *round_lists(mask, ll)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j])))
         assert worst < 1e-5
 
@@ -126,7 +127,7 @@ class TestPhiStationarity:
                     def f(v, e=e, k=k):
                         p2 = phi.copy()
                         p2[e, k] = v
-                        return elbo(mmsbm, clone_mmsbm(st, **{name: p2}), ll, observed_list(mask)).total
+                        return elbo(mmsbm, clone_mmsbm(st, **{name: p2}), *round_lists(mask, ll)).total
                     grads.append(central_diff(f, phi[e, k], h=1e-7))
                 worst = max(worst, simplex_kkt_spread(grads))
             assert worst < 1e-4, side
@@ -249,7 +250,7 @@ class TestPairListEqualsDenseOracle:
         ll = random_loglik(rng, K)
         obs = observed_pairs(mask)
 
-        w = mmsbm.update_w(st, ll)
+        w = mmsbm.update_w(st, *own_and_cross(st, ll))
         assert_pairs_close(w, dense_update_w(st, ll, mask))
         assert np.all(w[~mask] == 0.0) and np.all((w >= 0.0) & (w <= 1.0))
         st.w = w
@@ -264,7 +265,7 @@ class TestPairListEqualsDenseOracle:
         assert_parked_simplex(dense_pairs(st, recv), obs, M)
         st.phi_send, st.phi_recv = send, recv
 
-        terms = elbo(mmsbm, st, ll, observed_list(mask)).terms()
+        terms = elbo(mmsbm, st, *round_lists(mask, ll)).terms()
         for name, expected in dense_elbo_mmsbm(st, ll, mask).items():
             assert terms[name] == pytest.approx(expected, rel=PAIR_TOL, abs=PAIR_TOL), name
 
@@ -306,12 +307,12 @@ class TestPairList:
         seen = {}
         real = mmsbm.update_w
 
-        def spy(state, loglik):  # the first update after the gather
+        def spy(state, own, cross):  # the first update after the gather
             seen.update({name: getattr(state, name).copy() for name in before})
-            return real(state, loglik)
+            return real(state, own, cross)
 
         monkeypatch.setattr(mmsbm, "update_w", spy)
-        mmsbm.e_step(st, None, random_loglik(rng, cfg.K) * pruned, pair_list(pruned), observed_list(pruned))
+        mmsbm.e_step(st, None, *round_lists(pruned, random_loglik(rng, cfg.K) * pruned))
         kept = np.isin(before["pairs"], seen["pairs"])
         assert 0 < kept.sum() < len(kept)
         np.testing.assert_array_equal(seen["pairs"], np.flatnonzero(observed_pairs(pruned)))
@@ -327,7 +328,7 @@ class TestPairList:
         grown = mask.copy()
         grown[0, 5] = grown[5, 0] = True  # a pair the state holds no row for
         with pytest.raises(InvariantError, match="^mmsbm pair list is not the round's observed pairs$"):
-            mmsbm.e_step(st, None, np.zeros(mask.shape), pair_list(grown), observed_list(grown))
+            mmsbm.e_step(st, None, *round_lists(grown, np.zeros(mask.shape)))
 
     def test_rows_must_match_the_list(self):
         rng = np.random.default_rng(3)

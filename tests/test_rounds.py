@@ -6,6 +6,7 @@ import copy
 import importlib
 import inspect
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,9 @@ from conftest import (
     grad,
     log_likelihood,
     model_list,
-    observed_list,
     random_symmetric_mask,
     reference_round,
+    round_lists,
     tiny_dataset,
 )
 
@@ -108,16 +109,16 @@ class TestMaskingGuarantees:
             cfg = ExperimentConfig(K=K, num_memberships=2, seed=3)
             st_a = sbm.init_state(cfg, mask, 0)
             st_b = sbm.init_state(cfg, mask, 0)
-            sbm.e_step(st_a, models, ll, pair_list(mask), observed_list(mask))
-            sbm.e_step(st_b, models, poisoned, pair_list(mask), observed_list(mask))
+            sbm.e_step(st_a, models, *round_lists(mask, ll))
+            sbm.e_step(st_b, models, *round_lists(mask, poisoned))
             np.testing.assert_array_equal(st_a.w, st_b.w)
             np.testing.assert_array_equal(st_a.omega, st_b.omega)
         else:
             cfg = ExperimentConfig(K=K, seed=3)
             st_a = attention.init_state(cfg, None, models.arch.n_params)
             st_b = attention.init_state(cfg, None, models.arch.n_params)
-            attention.e_step(st_a, models, ll, pair_list(mask), observed_list(mask))
-            attention.e_step(st_b, models, poisoned, pair_list(mask), observed_list(mask))
+            attention.e_step(st_a, models, *round_lists(mask, ll))
+            attention.e_step(st_b, models, *round_lists(mask, poisoned))
             np.testing.assert_array_equal(st_a.w, st_b.w)
 
     def test_masked_pairs_never_touch_theta(self):
@@ -340,8 +341,8 @@ class TestPriorTable:
         rounds.run_round(state, models, mask, 0, cfg)  # moved off the shared start
         theta, before = models.theta, models.theta.tobytes()
         ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
-        rounds.PRIORS[prior].e_step(state, models, ll, pair_list(mask), observed_list(mask))
-        rounds.elbo(rounds.PRIORS[prior], state, ll, observed_list(mask), models)
+        rounds.PRIORS[prior].e_step(state, models, *round_lists(mask, ll))
+        rounds.elbo(rounds.PRIORS[prior], state, *round_lists(mask, ll), models)
         assert models.theta is theta and models.theta.tobytes() == before
 
     @pytest.mark.parametrize("grad_mode", config.GRAD_MODES)
@@ -403,6 +404,79 @@ class TestPriorTable:
             assert len(taken) == r + 1
             np.testing.assert_array_equal(taken[-1], mask)
         assert np.count_nonzero(taken[0]) - np.count_nonzero(taken[-1]) == (4 if prune and learned else 0)
+
+    @pytest.mark.parametrize("prior", ["sbm", "attention", "mmsbm"])
+    def test_e_step_and_bound_read_the_listed_logliks(self, monkeypatch, prior):
+        # run_round takes loglik_matrix's result at the round's pair list
+        # once and hands the E-step and the bound those values, with the
+        # list's diagonal mask; attention keeps p listed over state.pairs
+        cfg, models, mask, state = self._k4(prior)
+        cfg = cfg.replace(sparsify_keep_fraction=0.5, sparsify_round=1)
+        hook = rounds.PRIORS[prior]
+        real_loglik, real_e_step, real_elbo = rounds.loglik_matrix, hook.e_step, rounds.elbo
+        matrices, seen = [], []
+
+        def loglik_matrix(*args):
+            matrices.append(real_loglik(*args))
+            return matrices[-1]
+
+        def spy(real, name):
+            def call(prior_or_state, state_or_models, loglik, pairs, diagonal, *rest):
+                seen.append((name, len(matrices) - 1, loglik.copy(), pairs.copy(), diagonal.copy()))
+                return real(prior_or_state, state_or_models, loglik, pairs, diagonal, *rest)
+            return call
+
+        monkeypatch.setattr(rounds, "loglik_matrix", loglik_matrix)
+        monkeypatch.setattr(hook, "e_step", spy(real_e_step, "e_step"))
+        monkeypatch.setattr(rounds, "elbo", spy(real_elbo, "elbo"))
+        for r in range(3):
+            rounds.run_round(state, models, mask, r, cfg)
+            if prior == "attention":
+                assert state.p.shape == (len(state.pairs),)
+        assert [name for name, *_ in seen] == ["e_step", "elbo"] * 3
+        assert len({len(pairs) for *_, pairs, _ in seen}) == 2  # the list shrank at round 1
+        for _, r, loglik, pairs, diagonal in seen:
+            assert loglik.ndim == 1
+            want = np.take(matrices[r], pairs)
+            np.testing.assert_array_equal(loglik.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(diagonal, pairs % (cfg.K + 1) == 0)
+
+    def test_attention_graph_is_a_read_only_view_of_w(self):
+        # no round copies attention's w for reporting: each E-step replaces
+        # w and never writes into it, so a graph taken after round r keeps
+        # its bytes through round r + 1
+        cfg, models, mask, state = self._k4("attention")
+        graph, _, _ = rounds.run_round(state, models, mask, 0, cfg)
+        assert np.shares_memory(graph, state.w)
+        kept = graph.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            graph[0, 1] = 0.5
+        later, _, _ = rounds.run_round(state, models, mask, 1, cfg)
+        np.testing.assert_array_equal(graph.view(np.int64), kept.view(np.int64))
+        assert not np.array_equal(later, kept)
+
+    def test_attention_round_holds_few_k_by_k_arrays(self):
+        # the E-step, the bound and the coupling read listed values, so a
+        # round at K = 384 on a ring of 96 neighbours a row holds fewer than
+        # six K x K float64 arrays at its peak; round 0 goes untraced, as it
+        # also fills the store's workspace, which later rounds reuse
+        K = 384
+        cfg = ExperimentConfig(
+            prior_kind="attention", K=K, grad_mode="taylor-approx", topology_kind="group-ring",
+            topology_k0=K - 96, test_samples_per_client=40, sparsify_keep_fraction=1.0,
+        ).validate()
+        _, train, test = build_tasks(cfg)
+        models = build_models(cfg, train, test)
+        mask = build_topology(cfg.topology_kind, K, k0=cfg.topology_k0)
+        state = build_state(cfg, mask, models.arch.n_params)
+        rounds.run_round(state, models, mask, 0, cfg)
+        tracemalloc.start()
+        try:
+            rounds.run_round(state, models, mask, 1, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * K * K * 8, peak / (K * K * 8)
 
     def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
         cfg, models, mask, state = self._k4("attention")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import scool
 from scool import runner
 from scool.config import PRIORS, ExperimentConfig, load_config, save_config
 from scool.em import rounds
@@ -58,6 +59,10 @@ class TestMetricL1:
         # per row: |1/4 - 1| + 3 * 1/4 = 1.5
         w = np.full((4, 4), 0.25)
         assert metric_l1(w, np.eye(4)) == pytest.approx(1.5)
+
+    def test_graphs_of_different_shapes_are_refused(self):
+        with pytest.raises(ValueError, match=r"^graph shapes differ$"):
+            scool.metric_l1(np.eye(3), np.eye(4))
 
     def test_row_normalizes_input(self):
         w = np.full((4, 4), 3.7)  # any constant matrix normalizes to uniform
@@ -603,6 +608,43 @@ class TestCli:
             proc = self._run(*args, "--config", str(path))
             assert proc.returncode == 2 and "Traceback" not in proc.stderr
             assert "C >= 2" in proc.stderr
+
+    def test_in_process_run_takes_the_seed_and_snapshot_overrides(self, tmp_path, capsys):
+        from scool.cli import main
+
+        path, out = self._write_config(tmp_path, rounds=2, seed=11, snapshot_every=1), tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "5", "--snapshot-every", "0"]) == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == 5
+        assert not list(out.glob("w_round_*.csv"))
+        assert capsys.readouterr().out.startswith("done: sbm T=2 ")
+
+    def test_in_process_validate_config(self, tmp_path, capsys):
+        from scool.cli import main
+
+        assert main(["validate-config", "--config", str(self._write_config(tmp_path))]) == 0
+        assert capsys.readouterr().out == "config ok\n"
+
+    def test_in_process_sweep_skips_an_empty_fraction(self, tmp_path, capsys):
+        from scool.cli import main
+
+        path, out = self._write_config(tmp_path, rounds=2, sparsify_round=1), tmp_path / "sweep"
+        assert main(["sweep-budget", "--config", str(path), "--out", str(out), "--fractions", "0.5,"]) == 0
+        lines = (out / "budget_sweep.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.5,")
+        assert [p.name for p in out.iterdir() if p.is_dir()] == ["fraction_0.50"]
+        assert capsys.readouterr().out.startswith("fraction=0.50 mean_acc=")
+
+    @pytest.mark.parametrize("fractions, message", [
+        ("abc", "configuration error: --fractions: could not convert string to float: 'abc'\n"),
+        (",", "configuration error: --fractions must name at least one value\n"),
+    ])
+    def test_in_process_sweep_refuses_unreadable_fractions(self, tmp_path, capsys, fractions, message):
+        from scool.cli import main
+
+        path, out = self._write_config(tmp_path, rounds=2), tmp_path / "sweep"
+        assert main(["sweep-budget", "--config", str(path), "--out", str(out), "--fractions", fractions]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @staticmethod
     def _main(capsys, command, config, out):

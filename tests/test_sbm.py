@@ -28,10 +28,11 @@ from conftest import (
     full_mask,
     grad,
     model_list,
-    observed_list,
+    own_and_cross,
     random_loglik,
     random_sbm_state,
     random_symmetric_mask,
+    round_lists,
     simplex_kkt_spread,
     tiny_dataset,
     update_omega_row,
@@ -43,7 +44,7 @@ class TestUpdateW:
         rng = np.random.default_rng(0)
         st = random_sbm_state(rng, 4, 2)
         st.B = np.full((2, 2), 0.5)
-        w = sbm.update_w(st, np.zeros((4, 4)))
+        w = sbm.update_w(st, *own_and_cross(st, np.zeros((4, 4))))
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_allclose(w[off], 0.5, atol=1e-12)
 
@@ -53,7 +54,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 2, 1)
         st.B = np.array([[0.73]])
         ll = np.full((2, 2), -1.1)
-        w = sbm.update_w(st, ll)
+        w = sbm.update_w(st, *own_and_cross(st, ll))
         expect = 1.0 / (1.0 + math.exp(-(-1.1 + math.log(0.73 / 0.27))))
         assert w[0, 1] == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.47367999493863484, abs=1e-12)
@@ -63,7 +64,7 @@ class TestUpdateW:
         mask = full_mask(4)
         mask[0, 3] = mask[3, 0] = False
         st = random_sbm_state(rng, 4, 2, mask)
-        w = sbm.update_w(st, random_loglik(rng, 4))
+        w = sbm.update_w(st, *own_and_cross(st, random_loglik(rng, 4)))
         assert w[0, 3] == 0.0 and w[3, 0] == 0.0
 
     def test_stationary_point_of_lower_bound(self):
@@ -71,7 +72,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 5, 3)
         ll = random_loglik(rng, 5)
         mask = full_mask(5)
-        st.w = sbm.update_w(st, ll)
+        st.w = sbm.update_w(st, *own_and_cross(st, ll))
         worst = 0.0
         for i in range(5):
             for j in range(5):
@@ -80,7 +81,7 @@ class TestUpdateW:
                 def f(v, i=i, j=j):
                     w2 = st.w.copy()
                     w2[i, j] = v
-                    return elbo(sbm, clone_sbm(st, w=w2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, w=w2), *round_lists(mask, ll)).total
                 worst = max(worst, abs(central_diff(f, st.w[i, j])))
         assert worst < 1e-5
 
@@ -89,7 +90,7 @@ class TestUpdateW:
         st = random_sbm_state(rng, 3, 2)
         ll = random_loglik(rng, 3)
         st.tau_sigmoid = 2.5
-        w_hot = sbm.update_w(st, ll)
+        w_hot = sbm.update_w(st, *own_and_cross(st, ll))
         st.tau_sigmoid = 1.0
         score = ll + st.omega @ (np.log(st.B) - np.log1p(-st.B)) @ st.omega.T
         np.testing.assert_allclose(w_hot, sigmoid_tempered(score, 2.5), atol=1e-12)
@@ -121,7 +122,7 @@ class TestUpdateGamma:
                 def f(v, i=i, g=g):
                     g2 = st.gamma.copy()
                     g2[i, g] = v
-                    return elbo(sbm, clone_sbm(st, gamma=g2), ll, observed_list(full_mask(4))).total
+                    return elbo(sbm, clone_sbm(st, gamma=g2), *round_lists(full_mask(4), ll)).total
                 worst = max(worst, abs(central_diff(f, st.gamma[i, g])))
         assert worst < 1e-5
 
@@ -163,7 +164,7 @@ class TestUpdateOmega:
                 def f(v, i=i, k=k):
                     o2 = st.omega.copy()
                     o2[i, k] = v
-                    return elbo(sbm, clone_sbm(st, omega=o2), ll, observed_list(mask)).total
+                    return elbo(sbm, clone_sbm(st, omega=o2), *round_lists(mask, ll)).total
                 grads.append(central_diff(f, st.omega[i, k], h=1e-7))
             assert simplex_kkt_spread(grads) < 1e-4
 
@@ -200,7 +201,7 @@ class TestUpdateAlpha:
                 def f(v, k=k):
                     a2 = st.alpha.copy()
                     a2[k] = v
-                    return elbo(sbm, clone_sbm(st, alpha=a2), ll, observed_list(full_mask(4))).total
+                    return elbo(sbm, clone_sbm(st, alpha=a2), *round_lists(full_mask(4), ll)).total
                 num = central_diff(f, st.alpha[k], h=1e-6)
                 assert abs(num - g[k]) / max(1e-8, abs(num)) < 1e-5
 
@@ -324,8 +325,8 @@ class TestEStepSymmetry:
             gamma=st.gamma[perm],
             omega=st.omega[perm],
         )
-        sbm.e_step(st, None, ll, pair_list(full_mask(K)), observed_list(full_mask(K)))
-        sbm.e_step(st_p, None, ll[np.ix_(perm, perm)], pair_list(full_mask(K)), observed_list(full_mask(K)))
+        sbm.e_step(st, None, *round_lists(full_mask(K), ll))
+        sbm.e_step(st_p, None, *round_lists(full_mask(K), ll[np.ix_(perm, perm)]))
         np.testing.assert_allclose(st_p.w, st.w[np.ix_(perm, perm)], atol=1e-12)
         np.testing.assert_allclose(st_p.gamma, st.gamma[perm], atol=1e-12)
         np.testing.assert_allclose(st_p.omega, st.omega[perm], atol=1e-12)
@@ -360,8 +361,8 @@ class TestPairListEqualsDenseOracle:
         st = random_sbm_state(rng, K, M, mask)
         ll = random_loglik(rng, K) * mask
         for _ in range(2):
-            assert elbo(sbm, st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
-            w = sbm.update_w(st, ll)
+            assert elbo(sbm, st, *round_lists(mask, ll)).terms() == dense_elbo_sbm(st, ll, mask)
+            w = sbm.update_w(st, *own_and_cross(st, ll))
             np.testing.assert_array_equal(w, dense_sbm_update_w(st, ll, mask))
             st.w = w
             st.gamma = sbm.update_gamma(st)
@@ -372,4 +373,4 @@ class TestPairListEqualsDenseOracle:
             B = sbm.update_block_matrix(st)
             np.testing.assert_array_equal(B, dense_sbm_update_block_matrix(st, mask))
             st.B = B
-        assert elbo(sbm, st, ll, observed_list(mask)).terms() == dense_elbo_sbm(st, ll, mask)
+        assert elbo(sbm, st, *round_lists(mask, ll)).terms() == dense_elbo_sbm(st, ll, mask)

@@ -148,6 +148,17 @@ class TestSigmoidTempered:
         assert sigmoid_tempered(1e6, 1.0) == 1.0
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+def test_a_tempered_function_refuses_a_temperature_outside_the_open_half_line(tau):
+    # every caller's config keeps its temperatures positive and finite, so
+    # only a direct call through the package reaches these checks
+    x = np.array([0.5, -1.0])
+    with pytest.raises(ValueError, match=r"^sigmoid_tempered requires tau > 0$"):
+        scool.sigmoid_tempered(x, tau)
+    with pytest.raises(ValueError, match=r"^softmax_tempered requires tau > 0$"):
+        scool.softmax_tempered(x, tau)
+
+
 def test_xlogx_zero_convention():
     out = xlogx(np.array([0.0, 0.5, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.5 * np.log(0.5), 0.0])

@@ -128,7 +128,7 @@ class TestInitStateReadsConfig:
         assert st.enc_dims == (10, 7, 3)
         assert st.phi.shape == (7 * 10 + 7 + 3 * 7 + 3,)
         np.testing.assert_array_equal(st.w, np.full((6, 6), 1.0 / 6))
-        np.testing.assert_array_equal(st.p, st.w)
+        np.testing.assert_array_equal(st.p, np.full(len(st.pairs), 1.0 / 6))  # listed, one per pair
         assert st.phi_slot.t == 0 and st.phi_slot.m.shape == st.phi.shape
 
     @pytest.mark.parametrize("length", [0, 114, 116])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import scool
 from scool.errors import ConfigurationError
 from scool.models import ArchSpec
 from scool.tasks import ANTIPODAL_PAIRS, gen_tasks, make_universe
@@ -154,6 +155,11 @@ class TestUniverse:
     def test_dim_check(self):
         with pytest.raises(ConfigurationError):
             make_universe(6, 4, seed=0)
+
+    def test_an_unknown_placement_is_refused(self):
+        # validate() refuses it in a config; gen_tasks takes it directly
+        with pytest.raises(ConfigurationError, match=r"^unknown mean placement 'bogus'$"):
+            scool.gen_tasks(6, 6, 2, 4, 0, num_groups=3, placement="bogus")
 
 
 class TestGroundTruthGraph:

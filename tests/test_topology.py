@@ -137,6 +137,13 @@ class TestPairList:
 
 
 class TestSparsifyTopk:
+    @pytest.mark.parametrize("keep_fraction", [0.0, -0.5, 1.5, np.nan])
+    def test_a_keep_fraction_outside_the_unit_interval_is_refused(self, keep_fraction):
+        # validate() refuses such a config, so only a direct call reaches this
+        mask = build_topology("fully-connected", 4)
+        with pytest.raises(ConfigurationError, match=r"^keep_fraction must lie in \(0, 1\]$"):
+            scool.sparsify_topk(np.full((4, 4), 0.25), mask, keep_fraction)
+
     def test_keep_all_is_identity(self):
         mask = build_topology("fully-connected", 6)
         w = np.random.default_rng(0).uniform(0.1, 1.0, (6, 6))
