@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .em import rounds
+from .em import rounds, state
 from .errors import ConfigurationError
 from .models import MLP_1HIDDEN, SOFTMAX_REGRESSION, ArchSpec
 from .tasks import ANTIPODAL_PAIRS, DEFAULT_SEPARATION, ORTHONORMAL, check_assignment, check_universe
@@ -35,7 +35,7 @@ ARCHS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
 TOPOLOGIES = (FULLY_CONNECTED, GROUP_RING, GENERALIZED_BIPARTITE)
 PLACEMENTS = (ORTHONORMAL, ANTIPODAL_PAIRS)
 GRAD_MODES = (CROSS_GRADIENT, TAYLOR_APPROX)
-OPTIMIZERS = ("plain", "adam")
+OPTIMIZERS = (state.PLAIN, state.ADAM)
 # the values each declared field type admits
 FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 

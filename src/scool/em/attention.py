@@ -165,8 +165,9 @@ def update_phi(state: AttentionState, models: ClientStore, config) -> np.ndarray
 
 def bound_terms(state: AttentionState) -> dict[str, float]:
     """The agreement sum_ij w_ij log p_ij, p floored as in update_w, and the entropy of w."""
+    entropy_w = -float(xlogx(state.w).sum())  # its temporary is freed before logp is laid out
     logp = pair_matrix(len(state.w), state.pairs, np.log(np.maximum(state.p, PROB_FLOOR)))
-    return dict(edge=float((state.w * logp).sum()), entropy_w=-float(xlogx(state.w).sum()))
+    return dict(edge=float(np.multiply(state.w, logp, out=logp).sum()), entropy_w=entropy_w)
 
 
 def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> AttentionState:

@@ -37,7 +37,9 @@ def update_w(state: SbmState, own: np.ndarray, cross: np.ndarray) -> np.ndarray:
     memberships; the diagonal is scored with client i's own."""
     logB, log1mB = block_logs(state)
     odds = state.omega @ (logB - log1mB) @ state.omega.T
-    return edge_posterior(state, own, cross, np.take(odds, state.pairs), np.diagonal(odds))
+    pair_odds, self_odds = np.take(odds, state.pairs), np.diagonal(odds).copy()
+    del odds  # freed before edge_posterior lays out the new w
+    return edge_posterior(state, own, cross, pair_odds, self_odds)
 
 
 def update_gamma(state: SbmState) -> np.ndarray:

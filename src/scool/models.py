@@ -147,11 +147,10 @@ def unpack_layers(theta: np.ndarray, widths: Sequence[int]) -> list[tuple[np.nda
     return layers
 
 
-def pack_layers(layers, out: np.ndarray | None = None) -> np.ndarray:
-    """The flat parameters of per-layer (W, b) parts, unpack_layers' inverse,
-    written into ``out`` when it is given; a leading pair axis is kept."""
+def pack_layers(layers) -> np.ndarray:
+    """The flat parameters of per-layer (W, b) parts, unpack_layers' inverse; a leading pair axis is kept."""
     parts = [p for W, b in layers for p in (W.reshape(W.shape[:-2] + (W.shape[-2] * W.shape[-1],)), b)]
-    return np.concatenate(parts, axis=-1, out=out)
+    return np.concatenate(parts, axis=-1)
 
 
 # Batched kernel. Pair e evaluates parameters thetas[e] (E x D) on the

@@ -1052,13 +1052,6 @@ class TestLayout:
         ]
         np.testing.assert_array_equal(pack_layers(layers), x)
 
-    def test_pack_writes_into_out(self):
-        widths = ARCHS[MLP_1HIDDEN].widths
-        x = np.random.default_rng(53).standard_normal((3, layout_size(widths)))
-        buf = np.full_like(x, np.nan)
-        assert pack_layers(unpack_layers(x, widths), out=buf) is buf
-        np.testing.assert_array_equal(buf, x)
-
     @pytest.mark.parametrize("kind, widths", [(SOFTMAX_REGRESSION, (5, 3)), (MLP_1HIDDEN, (5, 4, 3))])
     def test_n_params_is_the_layout_size(self, kind, widths):
         arch = ARCHS[kind]

@@ -540,6 +540,7 @@ class TestCli:
         ("K", "6", "K must be of type int, not '6'"),
         ("shared_init", "no", "shared_init must be of type bool, not 'no'"),
         ("eta2", float("inf"), "eta2 must be finite, not inf"),  # JSON Infinity
+        ("test_samples_per_client", 0, "need at least one test sample per client"),
     ])
     def test_wrongly_typed_field_exit_code(self, tmp_path, key, value, message):
         # refused by validate-config as by run: exit 2, no traceback
@@ -667,6 +668,7 @@ class TestCli:
         ("null", "a config is a JSON object of settings, not NoneType"),
         ('"x"', "a config is a JSON object of settings, not str"),
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        ("{", "invalid JSON ("),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, content, message):
         path = tmp_path / "bad.json"
