@@ -23,14 +23,17 @@ from ..models import ClientStore, pack_layers, unpack_layers
 from ..special import softmax_tempered, xlogx
 from ..topology import pair_list, pair_matrix
 from .state import PROB_FLOOR, AdamSlot, AttentionState, ascent_step
+from .state import read_only_w as graph  # the reporting hook local-only and dirac share
 from .theta import cooperative_sgd_steps  # unused: the benchmark's probe rebinds it here until ROADMAP item 1(b)
 
 local_steps = None
 
 
-def init_state(config, mask, theta_dim: int) -> AttentionState:
-    """A random encoder with zero biases; uniform attention and w."""
+def init_state(config, mask) -> AttentionState:
+    """A random encoder, its input the models' width, with zero biases;
+    uniform attention and w over each row's run of the mask's pair list."""
     K, h, out = config.K, config.enc_hidden, config.enc_out
+    theta_dim = config.arch_spec().n_params
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     W1 = rng.standard_normal((h, theta_dim)) / np.sqrt(theta_dim)
     # modest output scale: raw embedding norms start well below 1 so the
@@ -38,13 +41,13 @@ def init_state(config, mask, theta_dim: int) -> AttentionState:
     W2 = 0.3 * rng.standard_normal((out, h)) / np.sqrt(h)
     phi = pack_layers([(W1, np.zeros(h)), (W2, np.zeros(out))])
     pairs = pair_list(mask)
+    p = 1.0 / np.bincount(pairs // K)[pairs // K]
     return AttentionState(
         phi=phi,
         enc_dims=(theta_dim, h, out),
-        w=np.full((K, K), 1.0 / K),
-        p=np.full(len(pairs), 1.0 / K),
+        w=pair_matrix(K, pairs, p),
+        p=p,
         pairs=pairs,
-        lam=config.weight_decay,
         tau_softmax=config.tau_softmax,
         phi_slot=AdamSlot.like(phi),
     )
@@ -170,12 +173,11 @@ def bound_terms(state: AttentionState) -> dict[str, float]:
     return dict(edge=float(np.multiply(state.w, logp, out=logp).sum()), entropy_w=entropy_w)
 
 
-def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> AttentionState:
+def e_step(state: AttentionState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> None:
     """The round's pair list, then the attention and the posterior over it."""
     state.pairs = pairs
     state.p = compute_p(models, state.phi, state.enc_dims, state.tau_softmax, pairs)
     state.w = update_w(state, loglik, diagonal)
-    return state
 
 
 def coupling(state: AttentionState, mask):
@@ -185,10 +187,3 @@ def coupling(state: AttentionState, mask):
 
 def update_prior(state: AttentionState, models, config) -> None:
     state.phi = update_phi(state, models, config)
-
-
-def graph(state: AttentionState, K: int) -> np.ndarray:
-    """w, already row-stochastic, as a read-only view: each E-step replaces w, so no round copies it."""
-    w = state.w.view()
-    w.flags.writeable = False
-    return w

@@ -12,18 +12,18 @@ from .state import ALPHA_MIN, AdamSlot, ascent_step, clamp_block_matrix
 
 def block_start(config, mask) -> dict:
     """The block priors' shared initial fields: the mask's observed pairs, every
-    edge at 1/2, a flat Dirichlet prior with every posterior at it, every block
-    at config.block_init, the run's ridge and temperature, and a fresh Adam slot
-    for alpha. The first E-step sets gamma before anything reads it."""
+    edge the mask allows at 1/2 and every other at 0, a flat Dirichlet prior
+    with every posterior at it, every block at config.block_init, the run's
+    temperature, and a fresh Adam slot for alpha. The first E-step sets w and
+    gamma before anything reads them."""
     K, M = config.K, config.num_memberships
     alpha, pairs = np.ones(M), pair_list(mask)
     return dict(
         pairs=pairs[pairs % (K + 1) != 0],
-        w=np.full((K, K), 0.5),
+        w=pair_matrix(K, pairs, 0.5),
         gamma=np.ones((K, M)),
         alpha=alpha,
         B=np.full((M, M), config.block_init),
-        lam=config.weight_decay,
         tau_sigmoid=config.tau_sigmoid,
         alpha_slot=AdamSlot.like(alpha),
     )
@@ -85,7 +85,7 @@ def edge_posterior(state, own: np.ndarray, cross: np.ndarray, pair_odds: np.ndar
     return w
 
 
-def graph(state, K: int) -> np.ndarray:
+def graph(state) -> np.ndarray:
     """Row-stochastic view of the learned graph used by metrics/snapshots.
 
     Block-prior edge weights are Bernoulli parameters, not mixing weights;

@@ -14,14 +14,14 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError
 from ..models import ClientStore, DataStack
 from ..topology import observed_pairs
-from .state import DiracState
+from .state import DiracState, read_only_w as graph  # graph: the reporting hook local-only and attention share
 from .theta import first_bad_row, own_gradients
 
 # the graph is fixed, not learned: no loglik matrix, E-step, lower bound or pruning
 e_step = bound_terms = update_prior = coupling = None
 
 
-def init_state(config, mask, theta_dim: int) -> DiracState:
+def init_state(config, mask) -> DiracState:
     return DiracState(metropolis_weights(mask))
 
 
@@ -64,10 +64,3 @@ def local_steps(state: DiracState, models, config) -> None:
     """The run's local steps as gossip steps, in place of the cooperative ones."""
     for step in range(config.local_steps):
         dpsgd_step(models, state.w, models.train, config.eta1, step)
-
-
-def graph(state: DiracState, K: int) -> np.ndarray:
-    """The fixed weights as a read-only view: they never change, so no round copies them."""
-    w = state.w.view()
-    w.flags.writeable = False
-    return w

@@ -97,13 +97,14 @@ def block_terms(
     )
 
 
-def elbo(prior, state, loglik, pairs, diagonal, models: ClientStore | None = None) -> ElboBreakdown:
+def elbo(prior, state, loglik, pairs, diagonal, models: ClientStore | None = None, lam: float = 0.0) -> ElboBreakdown:
     """The lower bound of a learned prior's state: the own log-likelihoods at
     the ``diagonal`` of the round's ``pairs`` (np.trace's sum, bit for bit)
-    plus w times the cross-client ones off it, the ridge on the models, and
-    the prior module's own ``bound_terms``."""
+    plus w times the cross-client ones off it, the ridge ``lam`` on the
+    models (the run's config.weight_decay), and the prior module's own
+    ``bound_terms``."""
     return ElboBreakdown(
         likelihood=float(loglik[diagonal].sum() + (np.take(state.w, pairs[~diagonal]) * loglik[~diagonal]).sum()),
-        model_prior=_model_prior_term(models, state.lam),
+        model_prior=_model_prior_term(models, lam),
         **prior.bound_terms(state),
     )

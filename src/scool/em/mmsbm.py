@@ -27,7 +27,7 @@ from .theta import cooperative_sgd_steps  # unused: the benchmark's probe rebind
 coupling = local_steps = None
 
 
-def init_state(config, mask, theta_dim: int) -> MmsbmState:
+def init_state(config, mask) -> MmsbmState:
     """Jittered sender then receiver memberships, drawn for every ordered
     pair and normalized at the observed ones only, on the block model's
     shared start."""
@@ -106,7 +106,7 @@ def bound_terms(state: MmsbmState) -> dict[str, float]:
     )
 
 
-def e_step(state: MmsbmState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> MmsbmState:
+def e_step(state: MmsbmState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> None:
     """When the round's observed pairs, its list off the ``diagonal``, lost
     some (pruning only removes pairs), keep the rows of those still listed;
     the state's list must then be the observed pairs. Then the edge and
@@ -121,7 +121,6 @@ def e_step(state: MmsbmState, models, loglik: np.ndarray, pairs: np.ndarray, dia
     state.w = update_w(state, loglik[diagonal], loglik[~diagonal])
     state.gamma = update_gamma(state)
     state.phi_send, state.phi_recv = update_phi(state, "send"), update_phi(state, "recv")
-    return state
 
 
 def update_prior(state: MmsbmState, models, config) -> None:

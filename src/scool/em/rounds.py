@@ -14,20 +14,23 @@ from .elbo import elbo
 from .theta import gradient_buffer, pair_blocks
 
 # Every prior is a module with the same seven hooks, looked up at call time;
-# this table is the only code that knows which prior a state belongs to:
-#   init_state(config, mask, theta_dim) -> the prior's state
-#   e_step(state, models, loglik, pairs, diagonal), or None for a fixed graph;
-#       loglik and the bool mask diagonal (each client's own pair) list pairs alike
+# this table is the only code that knows which prior a state belongs to. Each
+# hook takes only what the prior reads:
+#   init_state(config, mask) -> the prior's state; local-only's and dirac's
+#       are DiracStates (local-only's w the identity)
+#   e_step(state, models, loglik, pairs, diagonal): updates the state in
+#       place and returns None, or is None for a fixed graph; loglik and the
+#       bool mask diagonal (each client's own pair) list pairs alike
 #   bound_terms(state) -> the prior's own lower-bound terms (elbo.elbo adds
-#       the likelihood and ridge terms every prior shares), or None with
-#       e_step
+#       the likelihood and the ridge config.weight_decay on theta, the terms
+#       every prior shares), or None with e_step
 #   local_steps(state, models, config): the prior's own local epochs, or
 #       None for run_round's one cooperative call; only dirac has them
 #   coupling(state, mask) -> the extra descent term of every cooperative
 #       step (theta.CouplingFn), or None; only attention has one
 #   update_prior(state, models, config): the prior-parameter updates after
 #       the local epochs, or None with e_step
-#   graph(state, K) -> the row-stochastic reporting view of the graph
+#   graph(state) -> the row-stochastic reporting view of the graph
 PRIORS = {
     "local-only": local,
     "dirac": dirac,
@@ -84,17 +87,16 @@ def run_round(
     needs, for the list's leading pairs that fit in
     theta.PAIR_BUFFER_ELEMENTS; the E-step and the lower bound never move a
     model, so they are still current when the local epochs read them: the
-    prior's local_steps, or else the one cooperative call on the prior's w
-    (the identity for local-only) with its coupling term. Then update_prior
+    prior's local_steps, or else the one cooperative call on the state's w
+    (local-only's is the identity) with its coupling term. Then update_prior
     moves the prior parameters, and the round's traffic is counted: the
     evaluation pass plus the gradient exchange for a learned graph, one
-    gossip round per local step for a fixed one. A lower bound that is not
-    finite is a divergence.
+    gossip round per local step for a prior with its own local steps
+    (dirac). A lower bound that is not finite is a divergence.
 
     Returns ``(graph, elbo_total, traffic)``: the row-stochastic reporting
     view of the graph, the lower bound (None for a fixed graph) and the
-    round's RoundTraffic (None for local-only, which keeps no state and
-    sends nothing).
+    round's RoundTraffic (None for local-only, which sends nothing).
     """
     if config.prior_kind not in PRIORS:
         raise ConfigurationError(f"unknown prior {config.prior_kind!r}")
@@ -113,13 +115,13 @@ def run_round(
                 raise DivergenceError("cross-client log-likelihoods are non-finite")
             diagonal = pairs % (len(mask) + 1) == 0
             prior.e_step(state, models, ll, pairs, diagonal)
-            elbo_total = elbo(prior, state, ll, pairs, diagonal, models).total
+            elbo_total = elbo(prior, state, ll, pairs, diagonal, models, config.weight_decay).total
         if prior.local_steps is not None:
             prior.local_steps(state, models, config)
         else:
             # called on its module, where the benchmark's probe may rebind it
             theta.cooperative_sgd_steps(
-                models, models.train, np.eye(len(models)) if state is None else state.w, config.weight_decay,
+                models, models.train, state.w, config.weight_decay,
                 config.eta1, config.local_steps, config.grad_mode, mask, pairs,
                 None if prior.coupling is None else prior.coupling(state, mask), grads,
             )
@@ -131,8 +133,8 @@ def run_round(
             raise DivergenceError("lower bound is non-finite")
         if ll is not None:
             traffic = account_exchange(mask, config.grad_mode, config.local_steps, models.arch.n_params)
-        elif state is not None:
+        elif prior.local_steps is not None:
             traffic = account_gossip(mask, config.local_steps)
     except ScoolError as err:
         raise type(err)(f"round {round_index}: {err}") from err
-    return prior.graph(state, len(models)), elbo_total, traffic
+    return prior.graph(state), elbo_total, traffic

@@ -24,7 +24,7 @@ from .theta import cooperative_sgd_steps  # unused: the benchmark's probe rebind
 coupling = local_steps = None
 
 
-def init_state(config, mask, theta_dim: int) -> SbmState:
+def init_state(config, mask) -> SbmState:
     """Jittered memberships on the block model's shared start."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     normals = rng.standard_normal((config.K, config.num_memberships))
@@ -90,13 +90,12 @@ def bound_terms(state: SbmState) -> dict[str, float]:
     )
 
 
-def e_step(state: SbmState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> SbmState:
+def e_step(state: SbmState, models, loglik: np.ndarray, pairs: np.ndarray, diagonal: np.ndarray) -> None:
     """The round's pair list off its diagonal, the edge and Dirichlet posteriors, then one membership sweep."""
     state.pairs = pairs[~diagonal]
     state.w = update_w(state, loglik[diagonal], loglik[~diagonal])
     state.gamma = update_gamma(state)
     state.omega = update_omega(state)
-    return state
 
 
 def update_prior(state: SbmState, models, config) -> None:

@@ -17,10 +17,10 @@ ALPHA_MIN, because the closed-form updates can otherwise push them onto log
 singularities.
 
 A learned prior's state holds its variational and prior parameters plus the
-two settings its E-step and lower bound read: the ridge lam on theta and the
-temperature. Each prior's ``init_state`` copies those from the run's config
-(the block priors through ``common.block_start``); the M-step reads every
-other setting from the config itself.
+one setting its E-step reads without a config, the temperature, which each
+prior's ``init_state`` copies from the run's config (the block priors through
+``common.block_start``). Every other setting, the lower bound's ridge on
+theta included, is read from the config by the round that needs it.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def jittered_simplex(normals: np.ndarray) -> np.ndarray:
 @dataclass
 class DiracState:
     """Fixed mixing weights: the degenerate prior that recovers plain
-    decentralized SGD. Requires a symmetric row-stochastic w."""
+    decentralized SGD (dirac) and, at the identity, local training
+    (local-only). Requires a symmetric row-stochastic w."""
 
     w: np.ndarray
 
@@ -109,6 +110,15 @@ class DiracState:
             raise ConfigurationError("dirac mixing weights must be row-stochastic")
         if np.any(self.w < -1e-12):
             raise ConfigurationError("dirac mixing weights must be nonnegative")
+
+
+def read_only_w(state) -> np.ndarray:
+    """The graph hook of local-only, dirac and attention, whose w is already
+    row-stochastic: state.w as a read-only view. A fixed w never changes and
+    attention's E-step replaces its own, so no round copies it."""
+    w = state.w.view()
+    w.flags.writeable = False
+    return w
 
 
 def expected_log_pi(gamma: np.ndarray) -> np.ndarray:
@@ -137,7 +147,6 @@ class BlockState:
     gamma: np.ndarray  # K x M positive, read-only
     alpha: np.ndarray  # M positive (shared across clients)
     B: np.ndarray  # M x M in [B_EPS, 1 - B_EPS]
-    lam: float  # config.weight_decay, the lower bound's ridge on theta
     tau_sigmoid: float  # the edge posterior's temperature
     alpha_slot: AdamSlot | None = None
 
@@ -206,7 +215,6 @@ class AttentionState:
     w: np.ndarray  # K x K row-stochastic, 0 off pairs
     p: np.ndarray  # one value per entry of pairs, summing to 1 over each row's run
     pairs: np.ndarray  # flat indices i*K + j of topology.pair_list, the diagonal included
-    lam: float  # config.weight_decay, the lower bound's ridge on theta
     tau_softmax: float  # temperature of the attention and of w
     phi_slot: AdamSlot | None = None
 

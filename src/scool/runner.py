@@ -122,8 +122,8 @@ def build_models(config: ExperimentConfig, train: DataStack, test: DataStack) ->
     return ClientStore(np.broadcast_to(theta, (config.K, arch.n_params)), arch, train, test)
 
 
-def build_state(config: ExperimentConfig, mask: np.ndarray, theta_dim: int):
-    return rounds.PRIORS[config.prior_kind].init_state(config, mask, theta_dim)
+def build_state(config: ExperimentConfig, mask: np.ndarray):
+    return rounds.PRIORS[config.prior_kind].init_state(config, mask)
 
 
 def per_client(kernel, thetas: np.ndarray, data: DataStack, arch: ArchSpec) -> np.ndarray:
@@ -185,7 +185,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         degree=config.topology_degree,
         seed=config.seed,
     )
-    state = build_state(config, mask, arch.n_params)
+    state = build_state(config, mask)
     ledger = CommLedger()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

@@ -210,7 +210,7 @@ def gen_tasks(
             for _ in range(K)
         ]
     else:
-        if placement == ANTIPODAL_PAIRS and N == 2 and M % 2 == 0:
+        if placement == ANTIPODAL_PAIRS and N == 2:
             # keep groups aligned with the antipodal class pairs
             pair_order = rng.permutation(M // 2)
             group_sets = [

@@ -113,7 +113,6 @@ def random_sbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarray 
         omega=interior_simplex(rng, (K, M)),
         alpha=rng.uniform(0.5, 2.0, M),
         B=rng.uniform(0.25, 0.75, (M, M)),
-        lam=0.0,
         tau_sigmoid=1.0,
         alpha_slot=AdamSlot.like(np.zeros(M)),
     )
@@ -122,7 +121,7 @@ def random_sbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarray 
 def clone_sbm(state: SbmState, **overrides) -> SbmState:
     base = dict(
         pairs=state.pairs, w=state.w, gamma=state.gamma, omega=state.omega, alpha=state.alpha,
-        B=state.B, lam=state.lam, tau_sigmoid=state.tau_sigmoid,
+        B=state.B, tau_sigmoid=state.tau_sigmoid,
     )
     base.update(overrides)
     return SbmState(**base)
@@ -147,7 +146,6 @@ def random_mmsbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarra
         gamma=rng.uniform(0.5, 3.0, (K, M)),
         alpha=rng.uniform(0.5, 2.0, M),
         B=rng.uniform(0.25, 0.75, (M, M)),
-        lam=0.0,
         tau_sigmoid=1.0,
         alpha_slot=AdamSlot.like(np.zeros(M)),
     )
@@ -156,8 +154,7 @@ def random_mmsbm_state(rng: np.random.Generator, K: int, M: int, mask: np.ndarra
 def clone_mmsbm(state: MmsbmState, **overrides) -> MmsbmState:
     base = dict(
         w=state.w, pairs=state.pairs, phi_send=state.phi_send, phi_recv=state.phi_recv,
-        gamma=state.gamma, alpha=state.alpha, B=state.B, lam=state.lam,
-        tau_sigmoid=state.tau_sigmoid,
+        gamma=state.gamma, alpha=state.alpha, B=state.B, tau_sigmoid=state.tau_sigmoid,
     )
     base.update(overrides)
     return MmsbmState(**base)
@@ -830,17 +827,15 @@ def _mmsbm_e_step(state: MmsbmState, loglik, mask) -> None:
     state.phi_send, state.phi_recv = send.reshape(K * K, M)[pairs], recv.reshape(K * K, M)[pairs]
 
 
-def reference_elbo(state, loglik: np.ndarray, mask: np.ndarray, thetas: np.ndarray, kind: str) -> float:
-    """The lower bound's total, each term summed densely over the mask's observed pairs."""
+def reference_elbo(state, loglik: np.ndarray, mask: np.ndarray, thetas: np.ndarray, kind: str, lam: float) -> float:
+    """The lower bound's total under the ridge ``lam``, each term summed densely over the mask's observed pairs."""
     dense_elbo = {"sbm": dense_elbo_sbm, "mmsbm": dense_elbo_mmsbm, "attention": dense_elbo_attention}[kind]
-    model_prior = -0.5 * state.lam * float(np.sum(thetas * thetas))
+    model_prior = -0.5 * lam * float(np.sum(thetas * thetas))
     return sum({**dense_elbo(state, loglik, mask), "model_prior": model_prior}.values())
 
 
-def reference_graph(state, K: int, kind: str) -> np.ndarray:
+def reference_graph(state, kind: str) -> np.ndarray:
     """The reporting view: the block priors' w row-normalized (a zero row stays zero), the others' w as it is."""
-    if state is None:
-        return np.eye(K)
     if kind not in ("sbm", "mmsbm"):
         return np.array(state.w)
     sums = state.w.sum(axis=1, keepdims=True)
@@ -877,7 +872,7 @@ def reference_round(state, models, train_sets, mask, round_index, config):
         state.pairs = pair_list(mask)  # the attention is held listed, as the prior holds it
         state.p = np.take(dense_attention_compute_p(state, model_deltas(models), mask), state.pairs)
         state.w = dense_attention_update_w(state, loglik, mask)
-    elbo_total = reference_elbo(state, loglik, mask, np.stack([m.theta for m in models]), kind)
+    elbo_total = reference_elbo(state, loglik, mask, np.stack([m.theta for m in models]), kind, config.weight_decay)
     coupling = None
     if kind == "attention":
         coupling = lambda ms: dense_attention_coupling_terms(state, model_deltas(ms), mask)
@@ -892,7 +887,7 @@ def reference_round(state, models, train_sets, mask, round_index, config):
         dense_block_matrix = dense_sbm_update_block_matrix if kind == "sbm" else dense_update_block_matrix
         state.B = dense_block_matrix(state, mask)
     traffic = account_exchange(mask, config.grad_mode, config.local_steps, n_params)
-    return reference_graph(state, K, kind), elbo_total, traffic
+    return reference_graph(state, kind), elbo_total, traffic
 
 
 def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
@@ -915,7 +910,6 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
         w=np.full((K, K), 1.0 / K),
         p=np.full(K * K, 1.0 / K),
         pairs=pair_list(full_mask(K)),
-        lam=0.0,
         tau_softmax=1.0,
         phi_slot=AdamSlot.like(phi),
     )
@@ -925,7 +919,7 @@ def random_attention_setup(rng: np.random.Generator, K: int, d: int = 3):
 def clone_attention(state: AttentionState, **overrides) -> AttentionState:
     base = dict(
         phi=state.phi, enc_dims=state.enc_dims, w=state.w, p=state.p, pairs=state.pairs,
-        lam=state.lam, tau_softmax=state.tau_softmax,
+        tau_softmax=state.tau_softmax,
     )
     base.update(overrides)
     return AttentionState(**base)

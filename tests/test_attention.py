@@ -62,7 +62,7 @@ class TestComputeP:
         phi = np.concatenate([W1.ravel(), np.zeros(4), W2.ravel(), np.zeros(2)])
         state = AttentionState(
             phi=phi, enc_dims=(4, 4, 2), w=np.full((2, 2), 0.5), p=np.full(4, 0.5),
-            pairs=pair_list(full_mask(2)), lam=0.0, tau_softmax=1.0,
+            pairs=pair_list(full_mask(2)), tau_softmax=1.0,
         )
         E = attention.encode(phi, (4, 4, 2), attention.model_deltas(client_store([m1, m2])))
         np.testing.assert_allclose(E, [[2.0, 0.0], [0.0, 3.0]], atol=1e-3)

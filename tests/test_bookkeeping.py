@@ -95,7 +95,7 @@ class TestAgainstTheCallPerArgumentForms:
         for keep in (0.3, 1.0):
             mask = random_symmetric_mask(rng, K, keep) if K > 1 else full_mask(1)
             w, ll = rng.uniform(0.0, 1.0, (K, K)), random_loglik(rng, K)
-            got = elbo(self.NoTerms, SimpleNamespace(w=w, lam=0.0), *round_lists(mask, ll)).likelihood
+            got = elbo(self.NoTerms, SimpleNamespace(w=w), *round_lists(mask, ll)).likelihood
             assert _bits(got) == _bits(likelihood_term_dense(w, ll, observed_list(mask)))
 
     def test_xlogx(self):
@@ -214,7 +214,7 @@ def _run(prior: str, seed: int, optimizer: str = "plain"):
     _, train, test = build_tasks(cfg)
     models = build_models(cfg, train, test)
     mask = build_topology(cfg.topology_kind, cfg.K)
-    return cfg, models, mask, build_state(cfg, mask, models.arch.n_params)
+    return cfg, models, mask, build_state(cfg, mask)
 
 
 def _round(run, r: int) -> list[np.ndarray]:

@@ -92,8 +92,8 @@ class TestMetropolisWeights:
 class TestGraph:
     def test_a_read_only_view_of_the_weights(self):
         mask = build_topology("group-ring", 12, k0=6)
-        state = dirac.init_state(None, mask, 3)
-        graph = dirac.graph(state, 12)
+        state = dirac.init_state(None, mask)
+        graph = dirac.graph(state)
         assert not graph.flags.writeable and np.shares_memory(graph, state.w)
         np.testing.assert_array_equal(graph, dirac.metropolis_weights(mask))
         with pytest.raises(ValueError):

@@ -64,7 +64,6 @@ class TestSbmHandCase:
             omega=np.ones((2, 1)),
             alpha=np.array([0.9]),
             B=np.array([[0.37]]),
-            lam=0.0,
             tau_sigmoid=1.0,
         )
         got = elbo(sbm, st, *round_lists(full_mask(2), ll)).total
@@ -97,10 +96,9 @@ class TestBreakdownContracts:
         from conftest import LocalModel
 
         st = random_sbm_state(rng, 3, 2)
-        st.lam = 0.4
         arch = ArchSpec("softmax-regression", 2, 2)
         models = [LocalModel(rng.standard_normal(arch.n_params), arch) for _ in range(3)]
-        out = elbo(sbm, st, *round_lists(full_mask(3), random_loglik(rng, 3)), client_store(models))
+        out = elbo(sbm, st, *round_lists(full_mask(3), random_loglik(rng, 3)), client_store(models), lam=0.4)
         want = -0.2 * sum(float(m.theta @ m.theta) for m in models)
         assert out.model_prior == pytest.approx(want, abs=1e-12)
 

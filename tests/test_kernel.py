@@ -730,7 +730,7 @@ def _round_setup(prior, kind, K, pruned):
     _, train, test = runner.build_tasks(config)
     store = runner.build_models(config, train, test)
     mask = build_topology(config.topology_kind, K, seed=config.seed)
-    return config, store, mask, runner.build_state(config, mask, store.arch.n_params)
+    return config, store, mask, runner.build_state(config, mask)
 
 
 class TestCappedGradientBuffer:

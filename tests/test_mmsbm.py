@@ -284,7 +284,7 @@ class TestPairList:
     def _ring_state(self, K=12, M=3, seed=0):
         cfg = ExperimentConfig(prior_kind="mmsbm", K=K, num_memberships=M, seed=seed).validate()
         mask = build_topology("group-ring", K, k0=K - 6)
-        return cfg, mask, mmsbm.init_state(cfg, mask, 4)
+        return cfg, mask, mmsbm.init_state(cfg, mask)
 
     def test_init_keeps_the_dense_draw_at_the_observed_pairs(self):
         from scool.em.state import jittered_simplex

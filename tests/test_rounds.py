@@ -107,16 +107,16 @@ class TestMaskingGuarantees:
 
         if prior == "sbm":
             cfg = ExperimentConfig(K=K, num_memberships=2, seed=3)
-            st_a = sbm.init_state(cfg, mask, 0)
-            st_b = sbm.init_state(cfg, mask, 0)
+            st_a = sbm.init_state(cfg, mask)
+            st_b = sbm.init_state(cfg, mask)
             sbm.e_step(st_a, models, *round_lists(mask, ll))
             sbm.e_step(st_b, models, *round_lists(mask, poisoned))
             np.testing.assert_array_equal(st_a.w, st_b.w)
             np.testing.assert_array_equal(st_a.omega, st_b.omega)
         else:
-            cfg = ExperimentConfig(K=K, seed=3)
-            st_a = attention.init_state(cfg, None, models.arch.n_params)
-            st_b = attention.init_state(cfg, None, models.arch.n_params)
+            cfg = ExperimentConfig(K=K, seed=3, feature_dim=3)  # the models' softmax regression, d = 3
+            st_a = attention.init_state(cfg, None)
+            st_b = attention.init_state(cfg, None)
             attention.e_step(st_a, models, *round_lists(mask, ll))
             attention.e_step(st_b, models, *round_lists(mask, poisoned))
             np.testing.assert_array_equal(st_a.w, st_b.w)
@@ -173,7 +173,7 @@ class TestRunRoundContracts:
         cfg = ExperimentConfig(prior_kind="sbm", K=4, num_memberships=2, seed=16).replace(**{field: value})
         before = models.theta.copy()
         with pytest.raises(ConfigurationError, match=message):
-            scool.em.run_round(sbm.init_state(cfg, mask, 0), models, mask, 0, cfg)
+            scool.em.run_round(sbm.init_state(cfg, mask), models, mask, 0, cfg)
         np.testing.assert_array_equal(models.theta, before)
 
     def test_full_round_deterministic(self):
@@ -183,8 +183,8 @@ class TestRunRoundContracts:
         mask_a = build_topology("fully-connected", 4)
         mask_b = build_topology("fully-connected", 4)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=2, K=4, num_memberships=2, seed=9)
-        st_a = sbm.init_state(cfg, mask_a, 0)
-        st_b = sbm.init_state(cfg, mask_b, 0)
+        st_a = sbm.init_state(cfg, mask_a)
+        st_b = sbm.init_state(cfg, mask_b)
         for r in range(3):
             graph_a, elbo_a, traffic_a = rounds.run_round(st_a, models_a, mask_a, r, cfg)
             graph_b, elbo_b, traffic_b = rounds.run_round(st_b, models_b, mask_b, r, cfg)
@@ -198,8 +198,8 @@ class TestRunRoundContracts:
         rng = np.random.default_rng(10)
         models, _ = _setup(rng, K=3)
         mask = build_topology("fully-connected", 3)
-        cfg = ExperimentConfig(prior_kind="local-only", eta1=0.1, local_steps=1, weight_decay=0.0)
-        graph, elbo_total, traffic = rounds.run_round(None, models, mask, 0, cfg)
+        cfg = ExperimentConfig(prior_kind="local-only", eta1=0.1, local_steps=1, weight_decay=0.0, K=3)
+        graph, elbo_total, traffic = rounds.run_round(build_state(cfg, mask), models, mask, 0, cfg)
         np.testing.assert_array_equal(graph, np.eye(3))
         assert elbo_total is None and traffic is None
 
@@ -211,7 +211,7 @@ class TestRunRoundContracts:
             prior_kind="sbm", eta1=0.1, local_steps=1, sparsify_keep_fraction=0.2, sparsify_round=2,
             K=6, num_memberships=2, seed=12,
         )
-        st = sbm.init_state(cfg, mask, 0)
+        st = sbm.init_state(cfg, mask)
         for r in range(4):
             _, _, traffic = rounds.run_round(st, models, mask, r, cfg)
             # pruned in place: the caller's own array is the mask the round
@@ -231,7 +231,7 @@ class TestRunRoundContracts:
         models, _ = _setup(rng, K=5)
         mask = build_topology("fully-connected", 5)
         cfg = ExperimentConfig(prior_kind="sbm", eta1=0.1, local_steps=1, K=5, num_memberships=2, seed=14)
-        st = sbm.init_state(cfg, mask, 0)
+        st = sbm.init_state(cfg, mask)
         rounds.run_round(st, models, mask, 0, cfg)
         st.w[3] = 0.0
         before = [m.theta.copy() for m in models]
@@ -244,7 +244,16 @@ class TestRunRoundContracts:
 
 
 class TestPriorTable:
-    HOOKS = ("init_state", "e_step", "bound_terms", "local_steps", "coupling", "update_prior", "graph")
+    # each hook and the parameters it takes: only what a prior reads
+    HOOKS = {
+        "init_state": ["config", "mask"],
+        "e_step": ["state", "models", "loglik", "pairs", "diagonal"],
+        "bound_terms": ["state"],
+        "local_steps": ["state", "models", "config"],
+        "coupling": ["state", "mask"],
+        "update_prior": ["state", "models", "config"],
+        "graph": ["state"],
+    }
     # per-pair functions the batched kernel no longer calls through these names
     STALE_BINDINGS = {
         "scool.em.dirac.grad",
@@ -263,7 +272,7 @@ class TestPriorTable:
         _, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
         mask = build_topology(cfg.topology_kind, cfg.K)
-        state = build_state(cfg, mask, models.arch.n_params)
+        state = build_state(cfg, mask)
         return cfg, models, mask, state
 
     def test_one_list_of_names_and_seven_hooks(self):
@@ -283,6 +292,36 @@ class TestPriorTable:
         assert having("coupling") == ["attention"]
         assert having("local_steps") == ["dirac"]
 
+    def test_every_hook_takes_its_parameters(self):
+        for name, prior in rounds.PRIORS.items():
+            for hook, params in self.HOOKS.items():
+                if getattr(prior, hook) is not None:
+                    assert list(inspect.signature(getattr(prior, hook)).parameters) == params, (name, hook)
+
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_every_prior_has_a_state_that_its_e_step_updates_in_place(self, prior):
+        cfg, models, mask, state = self._k4(prior)
+        assert state is not None
+        if rounds.PRIORS[prior].e_step is not None:
+            ll = rounds.loglik_matrix(models, models.train, mask, pair_list(mask))
+            before = copy.deepcopy(state)
+            assert rounds.PRIORS[prior].e_step(state, models, *round_lists(mask, ll)) is None
+            assert not np.array_equal(state.w, before.w)
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("group-ring", {"k0": 6}), ("generalized-bipartite", {"degree": 3, "seed": 5}),
+    ])
+    @pytest.mark.parametrize("prior", list(rounds.PRIORS))
+    def test_a_fresh_state_has_a_graph_on_its_mask(self, prior, kind, kw):
+        # graph(state) is defined from construction: row-stochastic and 0 on
+        # every masked pair before the first E-step
+        cfg = ExperimentConfig(prior_kind=prior, K=12)
+        mask = build_topology(kind, 12, **kw)
+        graph = rounds.PRIORS[prior].graph(build_state(cfg, mask))
+        assert graph.shape == (12, 12) and np.all(graph >= 0.0)
+        np.testing.assert_allclose(graph.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(graph[~mask] == 0.0)
+
     @pytest.mark.parametrize("prior", list(rounds.PRIORS))
     def test_every_prior_runs_two_rounds(self, prior):
         cfg, models, mask, state = self._k4(prior)
@@ -294,7 +333,8 @@ class TestPriorTable:
             assert (elbo_total is None) == (rounds.PRIORS[prior].e_step is None)
             records.append(traffic)
         if prior == "local-only":
-            assert state is None and records == [None, None]
+            assert records == [None, None]
+            np.testing.assert_array_equal(state.w, np.eye(4))
             np.testing.assert_array_equal(graph, np.eye(4))
         else:
             assert all(isinstance(rec, RoundTraffic) for rec in records)
@@ -304,11 +344,10 @@ class TestPriorTable:
     def test_round_returns_its_traffic_record(self, prior, grad_mode):
         # the record account_exchange (learned graph) or account_gossip
         # (fixed graph) gives for the round's own mask; None for local-only
-        cfg, models, _, state = self._k4(prior)
+        cfg, models, _, _ = self._k4(prior)
         cfg = cfg.replace(grad_mode=grad_mode, local_steps=2)
         mask = build_topology("group-ring", 4, k0=2)  # one neighbour each side
-        if state is not None:
-            state = build_state(cfg, mask, models.arch.n_params)
+        state = build_state(cfg, mask)
         _, _, traffic = rounds.run_round(state, models, mask, 0, cfg)
         if prior == "local-only":
             assert traffic is None
@@ -355,7 +394,7 @@ class TestPriorTable:
         cfg = cfg.replace(grad_mode=grad_mode)
         mask = build_topology("group-ring", 4, k0=2)
         if state is not None:
-            state = build_state(cfg, mask, models.arch.n_params)
+            state = build_state(cfg, mask)
         hook = rounds.PRIORS[prior]
         passed, real, real_gossip = [], theta.cooperative_sgd_steps, dirac.local_steps
 
@@ -468,7 +507,7 @@ class TestPriorTable:
         _, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
         mask = build_topology(cfg.topology_kind, K, k0=cfg.topology_k0)
-        state = build_state(cfg, mask, models.arch.n_params)
+        state = build_state(cfg, mask)
         rounds.run_round(state, models, mask, 0, cfg)
         tracemalloc.start()
         try:
@@ -488,7 +527,7 @@ class TestPriorTable:
 
         real = attention.e_step
         monkeypatch.setattr(attention, "e_step", spy)
-        monkeypatch.setattr(attention, "graph", lambda st, K: np.full((K, K), 1.0 / K))
+        monkeypatch.setattr(attention, "graph", lambda st: np.full((4, 4), 0.25))
         graph, _, _ = rounds.run_round(state, models, mask, 0, cfg)
         assert calls == [state]
         np.testing.assert_array_equal(graph, np.full((4, 4), 0.25))
@@ -630,7 +669,7 @@ class TestWholeRoundOracle:
         assignment, train, test = build_tasks(cfg)
         models = build_models(cfg, train, test)
         mask = _oracle_mask(mask_kind, K, np.random.default_rng(seed))
-        state = build_state(cfg, mask, models.arch.n_params)
+        state = build_state(cfg, mask)
         ref_models = [LocalModel(t.copy(), models.arch, t0) for t, t0 in zip(models.theta, models.init_theta)]
         ref_train = [Dataset(X, Y, c) for X, Y, c in zip(train.features, train.labels, assignment.class_sets)]
         ref_state, ref_mask = copy.deepcopy(state), mask.copy()

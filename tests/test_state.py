@@ -92,16 +92,16 @@ OFF_DEFAULT = dict(
 )
 
 
-def _state(prior: str, theta_dim: int = 10):
+def _state(prior: str):
     cfg = ExperimentConfig(prior_kind=prior, **OFF_DEFAULT).validate()
-    return rounds.PRIORS[prior].init_state(cfg, build_topology(cfg.topology_kind, cfg.K), theta_dim)
+    return rounds.PRIORS[prior].init_state(cfg, build_topology(cfg.topology_kind, cfg.K))
 
 
 class TestInitStateReadsConfig:
     @pytest.mark.parametrize("prior", ["sbm", "mmsbm"])
     def test_block_priors(self, prior):
         st = _state(prior)
-        assert st.lam == 0.02 and st.tau_sigmoid == 1.7
+        assert st.tau_sigmoid == 1.7
         assert st.n_clients == 6 and st.n_blocks == 4
         np.testing.assert_array_equal(st.B, np.full((4, 4), 0.3))
         np.testing.assert_array_equal(st.alpha, np.ones(4))
@@ -118,13 +118,13 @@ class TestInitStateReadsConfig:
         # entries, row-major, whichever prior holds them
         cfg = ExperimentConfig(**OFF_DEFAULT).validate()
         mask = build_topology(kind, cfg.K, **kw)
-        pairs = sbm.init_state(cfg, mask, 10).pairs
-        np.testing.assert_array_equal(pairs, mmsbm.init_state(cfg, mask, 10).pairs)
+        pairs = sbm.init_state(cfg, mask).pairs
+        np.testing.assert_array_equal(pairs, mmsbm.init_state(cfg, mask).pairs)
         np.testing.assert_array_equal(pairs, np.flatnonzero(observed_pairs(mask)))
 
     def test_attention(self):
         st = _state("attention")
-        assert st.lam == 0.02 and st.tau_softmax == 0.6
+        assert st.tau_softmax == 0.6
         assert st.enc_dims == (10, 7, 3)
         assert st.phi.shape == (7 * 10 + 7 + 3 * 7 + 3,)
         np.testing.assert_array_equal(st.w, np.full((6, 6), 1.0 / 6))
@@ -137,7 +137,7 @@ class TestInitStateReadsConfig:
         with pytest.raises(ConfigurationError, match=r"encoder wants 115 parameters for dims \(10, 8, 3\)"):
             AttentionState(
                 phi=np.zeros(length), enc_dims=dims, w=np.eye(2), p=np.eye(2), pairs=np.array([0, 3]),
-                lam=0.0, tau_softmax=1.0,
+                tau_softmax=1.0,
             )
 
 
